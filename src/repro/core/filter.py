@@ -45,23 +45,6 @@ from repro.temporal.interval import Interval
 V = TypeVar("V")
 
 
-def st_candidates(tree, region, time) -> tuple[list, int]:
-    """``(candidates, slices_pruned)`` from any partition-index kind.
-
-    Dispatches on the index's capability: time-aware indexes expose
-    ``query_st`` (the forest also reports how many slices it skipped);
-    a plain spatial tree answers from envelopes alone and prunes
-    nothing in time.
-    """
-    query_st = getattr(tree, "query_st", None)
-    if query_st is None:
-        return tree.query(region), 0
-    result = query_st(region, time)
-    if isinstance(result, tuple):
-        return result
-    return result, 0
-
-
 def _note_probe(context, candidates: int, slices_pruned: int) -> None:
     """Attribute one index probe to metrics and the current task span."""
     context.metrics.index_candidates += candidates
@@ -180,7 +163,7 @@ def filter_live_index(
         # Candidates match on bounding boxes (and, for time-aware
         # modes, time ranges) only; refinement applies the exact
         # spatial and temporal predicates.
-        candidates, slices_pruned = st_candidates(tree, region, query_time)
+        candidates, slices_pruned = tree.query_st(region, query_time)
         _note_probe(context, len(candidates), slices_pruned)
         for kv in candidates:
             if predicate.evaluate_ordered(kv[0], query, temporal_first):
@@ -258,7 +241,7 @@ def filter_indexed(
 
     def run_partition(trees: Iterator) -> Iterator[tuple[STObject, V]]:
         for tree in trees:
-            candidates, slices_pruned = st_candidates(tree, region, query_time)
+            candidates, slices_pruned = tree.query_st(region, query_time)
             _note_probe(context, len(candidates), slices_pruned)
             for kv in candidates:
                 if predicate.evaluate_ordered(kv[0], query, temporal_first):

@@ -17,10 +17,13 @@ from typing import Iterable, Iterator
 class Envelope:
     """An immutable, closed, axis-aligned rectangle ``[min_x, max_x] x [min_y, max_y]``.
 
-    An envelope may be *empty* (contains no point), represented with
-    ``min > max`` coordinates; :meth:`empty` constructs it.  All operations
-    treat the empty envelope as the identity for :meth:`merge` and as
-    disjoint from everything.
+    An envelope may be *empty* (contains no point).  Emptiness is a
+    construction-time fact: any ``min > max`` input -- including a
+    half-empty one like ``Envelope(5, 0, 3, 10)`` -- is normalised to
+    the one canonical empty ``(inf, inf, -inf, -inf)`` that
+    :meth:`empty` returns, so :attr:`is_empty` is a single comparison.
+    All operations treat the empty envelope as the identity for
+    :meth:`merge` and as disjoint from everything.
     """
 
     min_x: float
@@ -51,13 +54,19 @@ class Envelope:
         return Envelope(min_x, min_y, max_x, max_y)
 
     def __post_init__(self) -> None:
+        if self.min_x <= self.max_x and self.min_y <= self.max_y:
+            return
         for value in (self.min_x, self.min_y, self.max_x, self.max_y):
             if math.isnan(value):
                 raise ValueError("envelope coordinates must not be NaN")
+        for name in ("min_x", "min_y"):
+            object.__setattr__(self, name, math.inf)
+        for name in ("max_x", "max_y"):
+            object.__setattr__(self, name, -math.inf)
 
     @property
     def is_empty(self) -> bool:
-        return self.min_x > self.max_x or self.min_y > self.max_y
+        return self.min_x > self.max_x
 
     @property
     def width(self) -> float:
@@ -101,14 +110,20 @@ class Envelope:
         )
 
     def intersects(self, other: "Envelope") -> bool:
-        """True when the two (closed) envelopes share at least one point."""
-        if self.is_empty or other.is_empty:
-            return False
+        """True when the two (closed) envelopes share at least one point.
+
+        The canonical empty fails the four comparisons by itself
+        against every bounded operand; the trailing pair only decides
+        the one remaining case, an empty envelope against one that is
+        unbounded on both sides, and is read on hits alone.
+        """
         return (
             self.min_x <= other.max_x
             and other.min_x <= self.max_x
             and self.min_y <= other.max_y
             and other.min_y <= self.max_y
+            and self.min_x <= self.max_x
+            and other.min_x <= other.max_x
         )
 
     def intersection(self, other: "Envelope") -> "Envelope":

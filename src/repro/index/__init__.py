@@ -1,13 +1,20 @@
 """Spatial and temporal index structures.
 
+One STR kernel (:mod:`repro.index.rtree`: bulk load, box merge, range
+traversal, branch-and-bound kNN over plain float-tuple boxes) with
+three faces:
+
 - :class:`~repro.index.rtree.STRTree` -- the Sort-Tile-Recursive bulk-
   loaded R-tree, the reproduction of the JTS STRtree STARK uses for
   partition-local indexing (paper section 2.2),
 - :class:`~repro.index.temporal_forest.TimeSlicedForest` -- the hybrid
   temporal index: equi-depth time slices of STR-trees behind an
   interval-tree slice directory (``mode="temporal"``),
-- :class:`~repro.index.rtree3d.STRTree3D` -- a 3D (x, y, t) STR bulk
-  load that fuses the time dimension into the tree (``mode="3d"``),
+- :class:`~repro.index.rtree3d.STRTree3D` -- the same tree tiled over
+  (x, y, t) boxes, fusing the time dimension into it (``mode="3d"``),
+
+and beside them:
+
 - :class:`~repro.index.intervaltree.IntervalTree` -- a static interval
   tree for temporal lookups; it backs the forest's slice directory,
 - :mod:`~repro.index.persistence` -- save/load helpers implementing the
@@ -15,12 +22,13 @@
 
 :func:`build_partition_index` is the one factory every indexing call
 path goes through, so ``live_index(mode=...)`` / ``index(mode=...)``
-and the cost-based planner all agree on what each mode means.
+and the cost-based planner all agree on what each mode means.  Every
+kind answers ``query_st(region, time) -> (candidates, slices_pruned)``.
 """
 
 from repro.index.intervaltree import IntervalTree
 from repro.index.rtree import STRTree
-from repro.index.rtree3d import Envelope3, STRTree3D
+from repro.index.rtree3d import STRTree3D
 from repro.index.temporal_forest import TimeSlicedForest, temporal_extent_of
 
 #: The partition-index modes ``live_index`` / ``index`` accept.
@@ -53,7 +61,6 @@ def build_partition_index(
 
 __all__ = [
     "INDEX_MODES",
-    "Envelope3",
     "IntervalTree",
     "STRTree",
     "STRTree3D",

@@ -40,7 +40,13 @@ damage:
   load (pruning disabled, queries still exact) instead of raising;
 - only when a part is corrupt *and* no recovery data exists does the
   load fail, with a :class:`~repro.spark.storage.StorageError` naming
-  the path (pre-sidecar layouts written by older versions).
+  the path (pre-sidecar layouts written by older versions);
+- pickled tree parts have the shape of the kernel's node layout, so the
+  metadata records :data:`INDEX_LAYOUT`.  A directory whose metadata
+  names another layout -- or none, or is unreadable -- is never
+  unpickled: every partition takes the sidecar rebuild above (the
+  sidecar's ``(Envelope, item)`` rows do not depend on the layout), or
+  fails with the same :class:`~repro.spark.storage.StorageError`.
 
 The cache never interferes with either mechanism: chaos runs (an
 active fault injector) bypass it entirely, and partitions that needed
@@ -65,6 +71,11 @@ if TYPE_CHECKING:  # pragma: no cover
 _META_FILE = "_index_meta.pkl"
 _DATA_DIR = "_data"
 
+#: Version of the pickled tree layout; bump it with every change to the
+#: shape of :mod:`repro.index.rtree`'s nodes.  2 = ``_Node(leaf, rows)``
+#: over float-tuple boxes (1, unrecorded, was one ``Envelope`` per node).
+INDEX_LAYOUT = 2
+
 #: path -> (freshness signature, {split: deserialized trees}).
 _INDEX_CACHE: dict[str, tuple[tuple, dict[int, list]]] = {}
 _CACHE_LOCK = threading.Lock()
@@ -75,9 +86,10 @@ def _index_signature(path: str, parts: list[str]) -> tuple:
 
     Built from (name, mtime_ns, size) of every tree part and the
     metadata file, so any rewrite -- even one preserving file names --
-    changes the signature and invalidates cached trees.
+    changes the signature and invalidates cached trees; it leads with
+    the layout version the cached trees were deserialized under.
     """
-    sig = []
+    sig: list = [INDEX_LAYOUT]
     for name in [_META_FILE, *parts]:
         full = os.path.join(path, name)
         try:
@@ -134,6 +146,7 @@ def save_index(
                 "order": order,
                 "mode": mode,
                 "temporal_extents": temporal_extents,
+                "layout": INDEX_LAYOUT,
             },
             f,
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -166,11 +179,15 @@ class ResilientIndexRDD(RDD[STRTree]):
     from memory and counted in ``metrics.index_cache_hits``.
     """
 
-    def __init__(self, context, path: str, order: int | None = None) -> None:
+    def __init__(
+        self, context, path: str, order: int | None = None, layout: int | None = None
+    ) -> None:
         super().__init__(context)
         self._path = path
         self._parts = storage._list_parts(path, ".pkl")
         self._order = order or DEFAULT_NODE_CAPACITY
+        #: The layout version the directory's metadata declares.
+        self._layout = layout
         data_dir = os.path.join(path, _DATA_DIR)
         self._data_dir = data_dir if os.path.isdir(data_dir) else None
         #: Splits that were rebuilt live instead of unpickled.
@@ -209,6 +226,12 @@ class ResilientIndexRDD(RDD[STRTree]):
                     self.context.tracer.add("index.cache_hits", 1)
                 return iter(cached)
         part = os.path.join(self._path, self._parts[split])
+        if self._layout != INDEX_LAYOUT:
+            stale = StorageError(
+                f"index part {part!r} has tree layout {self._layout!r}, "
+                f"this version reads layout {INDEX_LAYOUT}"
+            )
+            return iter(self._rebuild_live(split, part, stale))
         try:
             injector = self.context.fault_injector
             if injector is not None:
@@ -288,7 +311,9 @@ def load_index(
                 "index.meta_fallback", path=os.path.join(path, _META_FILE)
             ):
                 pass
-    rdd = ResilientIndexRDD(context, path, order=meta.get("order"))
+    rdd = ResilientIndexRDD(
+        context, path, order=meta.get("order"), layout=meta.get("layout")
+    )
     extents = meta.get("temporal_extents")
     if extents is not None and len(extents) != rdd.num_partitions:
         extents = None  # stale metadata; pruning must stay conservative

@@ -1,4 +1,4 @@
-"""A Sort-Tile-Recursive (STR) bulk-loaded R-tree.
+"""A Sort-Tile-Recursive (STR) bulk-loaded R-tree: the one index kernel.
 
 This is the reproduction of the JTS ``STRtree`` STARK uses to index
 partition contents.  STR packing (Leutenegger et al.) sorts entries by
@@ -7,21 +7,40 @@ runs of *node_capacity* entries into nodes, recursing until a single
 root remains.  The tree is build-once (like JTS): queries are available
 after construction, inserts are not.
 
+Every partition index is a face over this module: :class:`STRTree`
+(2D), :class:`~repro.index.rtree3d.STRTree3D` (x, y, t) and the slice
+trees of :class:`~repro.index.temporal_forest.TimeSlicedForest`.  A
+tree's kind shows only in how its entry boxes are made and in how many
+axes the tiling sorts on; the bulk load, the box merge, the range
+traversal and the branch-and-bound ``nearest`` below exist once.
+
+**Box layout.**  Boxes are plain float tuples tested inline in the
+traversal loops: ``(min_x, min_y, max_x, max_y)`` in a 2-axis tree,
+``(min_x, min_y, max_x, max_y, min_t, max_t)`` in a 3-axis one.  The
+spatial prefix is shared, so whatever looks at space alone
+(``nearest``, ``envelope``, ``iter_entries``) reads both kinds alike.
+
+**The 2-axis tiling order is frozen** -- sort keys ``(min + max) / 2.0``,
+same slice and chunk sizes -- because the order of range candidates and
+of exact-distance kNN ties follows from it, and the equality suites pin
+both.
+
 Supported queries:
 
-- :meth:`query` -- all items whose envelope intersects a query envelope
-  (returns *candidates*; exact predicates refine them, as in the
-  paper's live-indexing description),
-- :meth:`nearest` -- k nearest items to a point by branch-and-bound,
-  with an optional exact distance callback so refinement happens inside
-  the traversal.
+- :meth:`STRTree.query` -- all items whose envelope intersects a query
+  envelope (returns *candidates*; exact predicates refine them, as in
+  the paper's live-indexing description),
+- :meth:`STRTree.nearest` -- k nearest items to a point by
+  branch-and-bound, with an optional exact distance callback so
+  refinement happens inside the traversal.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
+import math
+from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 from repro.geometry.envelope import Envelope
 
@@ -31,46 +50,123 @@ DEFAULT_NODE_CAPACITY = 10
 
 _INF = float("inf")
 
-
-class _Node(Generic[T]):
-    __slots__ = ("envelope", "children", "entries")
-
-    def __init__(
-        self,
-        envelope: Envelope,
-        children: list["_Node[T]"] | None = None,
-        entries: list[tuple[Envelope, T]] | None = None,
-    ) -> None:
-        self.envelope = envelope
-        self.children = children
-        self.entries = entries
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.entries is not None
+#: The root row of a tree without entries: an empty leaf under the
+#: canonical empty box (t-range included, for the 3-axis face).
+_EMPTY_ROOT_BOX = (_INF, _INF, -_INF, -_INF, _INF, -_INF)
 
 
-def _merge_envelopes(envelopes: Iterable[Envelope]) -> Envelope:
-    # Four float accumulators instead of one frozen Envelope allocation
-    # per merge: this runs for every node of every bulk-load, and tree
-    # builds happen once per join task.
-    min_x = min_y = _INF
-    max_x = max_y = -_INF
-    for env in envelopes:
-        if env.min_x < min_x:
-            min_x = env.min_x
-        if env.min_y < min_y:
-            min_y = env.min_y
-        if env.max_x > max_x:
-            max_x = env.max_x
-        if env.max_y > max_y:
-            max_y = env.max_y
-    return Envelope(min_x, min_y, max_x, max_y)
+class _Node:
+    """``rows`` of ``(box, child)``: the children are the stored items in a
+    leaf and nodes above it; a node's own box lives in its parent's row."""
+
+    __slots__ = ("leaf", "rows")
+
+    def __init__(self, leaf: bool, rows: list[tuple[tuple, object]]) -> None:
+        self.leaf = leaf
+        self.rows = rows
 
 
-def _chunks(rows: Sequence, size: int) -> Iterator[Sequence]:
-    for start in range(0, len(rows), size):
-        yield rows[start : start + size]
+def _cover(rows: list[tuple[tuple, object]]) -> tuple:
+    """The smallest box covering every row's box (the one box merge)."""
+    columns = list(zip(*[box for box, _child in rows]))
+    cover = (min(columns[0]), min(columns[1]), max(columns[2]), max(columns[3]))
+    if len(columns) == 6:
+        cover += (min(columns[4]), max(columns[5]))
+    return cover
+
+
+def _t_center(row: tuple[tuple, object]) -> float:
+    # Unbounded t-ranges (untimed entries) center at 0.
+    mid = (row[0][4] + row[0][5]) / 2.0
+    return mid if math.isfinite(mid) else 0.0
+
+
+#: Sort key per tiling axis: the center of a row's box along x, y, t.
+_CENTER_OF_AXIS = (
+    lambda row: (row[0][0] + row[0][2]) / 2.0,
+    lambda row: (row[0][1] + row[0][3]) / 2.0,
+    _t_center,
+)
+
+
+def _str_tiles(rows: list, cap: int, axes: int) -> Iterator[list]:
+    """Group rows into runs of *cap* by Sort-Tile-Recursive order.
+
+    A run of n rows with d axes to go holds ``P = ceil(n / cap)`` tiles:
+    sort it by the current axis' center, cut it into ``ceil(P ** (1/d))``
+    slabs and tile each slab over the other ``d - 1`` axes; on the last
+    axis cut into tiles of *cap*.  Over 2 axes these are the classic
+    sqrt(P) vertical slices, over 3 roughly cubic slabs.  Two or more
+    rows always come back as fewer tiles, so packing ends in one root.
+    """
+    from repro.spark.cancellation import Heartbeat
+
+    # Bulk-loading a large partition's index can take seconds; one
+    # beat per tile keeps the build cancellable under a deadline.
+    heartbeat = Heartbeat(every=64)
+
+    def tile(run: list, axis: int) -> Iterator[list]:
+        ordered = sorted(run, key=_CENTER_OF_AXIS[axis])
+        to_go = axes - axis
+        if to_go == 1:
+            size = cap
+        else:
+            leaf_count = math.ceil(len(ordered) / cap)
+            # sqrt, not ** 0.5: the 2-axis tiling is frozen to the last bit.
+            root = math.sqrt(leaf_count) if to_go == 2 else leaf_count ** (1.0 / to_go)
+            size = math.ceil(len(ordered) / max(1, math.ceil(root)))
+        for start in range(0, len(ordered), size):
+            chunk = ordered[start : start + size]
+            if to_go == 1:
+                heartbeat.beat()
+                yield chunk
+            else:
+                yield from tile(chunk, axis + 1)
+
+    return tile(rows, 0)
+
+
+def _bulk_load(entries: list[tuple[tuple, T]], cap: int, axes: int):
+    """Pack *entries* bottom-up; returns the root's ``(box, node)`` row."""
+    if not entries:
+        return _EMPTY_ROOT_BOX, _Node(True, [])
+
+    def pack(rows: list, leaf: bool) -> list[tuple[tuple, _Node]]:
+        tiles = _str_tiles(rows, cap, axes)
+        return [(_cover(tile), _Node(leaf, tile)) for tile in tiles]
+
+    level = pack(entries, leaf=True)
+    while len(level) > 1:
+        level = pack(level, leaf=False)
+    return level[0]
+
+
+def _search(root, probe: tuple) -> list:
+    """Items whose box intersects *probe*, closed bounds on every axis.
+
+    The one range traversal.  A 6-float probe tests the t-range too
+    and needs a 3-axis tree; a 4-float probe is spatial only.
+    """
+    out: list = []
+    min_x, min_y, max_x, max_y = probe[:4]
+    if min_x > max_x:  # the canonical empty, see Envelope
+        return out
+    timed = len(probe) == 6
+    min_t, max_t = probe[4:] if timed else (-_INF, _INF)
+    stack = [root[1]]
+    while stack:
+        node = stack.pop()
+        hits = out if node.leaf else stack
+        for box, child in node.rows:
+            if (
+                box[0] <= max_x
+                and min_x <= box[2]
+                and box[1] <= max_y
+                and min_y <= box[3]
+                and (not timed or (box[4] <= max_t and min_t <= box[5]))
+            ):
+                hits.append(child)
+    return out
 
 
 class STRTree(Generic[T]):
@@ -85,12 +181,20 @@ class STRTree(Generic[T]):
         entries: Iterable[tuple[Envelope, T]],
         node_capacity: int = DEFAULT_NODE_CAPACITY,
     ) -> None:
+        boxed = (
+            ((env.min_x, env.min_y, env.max_x, env.max_y), item)
+            for env, item in entries
+        )
+        self._load(boxed, node_capacity, axes=2)
+
+    def _load(self, boxed: Iterable[tuple], node_capacity: int, axes: int) -> None:
+        """Bulk-load ``(box, item)`` entries; spatially empty boxes are dropped."""
         if node_capacity < 2:
             raise ValueError(f"node capacity must be >= 2, got {node_capacity}")
         self.node_capacity = node_capacity
-        entry_list = [(env, item) for env, item in entries if not env.is_empty]
-        self._size = len(entry_list)
-        self._root = self._build(entry_list)
+        entries = [entry for entry in boxed if entry[0][0] <= entry[0][2]]
+        self._size = len(entries)
+        self._root = _bulk_load(entries, node_capacity, axes)
 
     @staticmethod
     def for_geometries(
@@ -108,98 +212,56 @@ class STRTree(Generic[T]):
 
     @property
     def envelope(self) -> Envelope:
-        """Bounds of the whole tree (empty for an empty tree)."""
-        return self._root.envelope if self._root is not None else Envelope.empty()
+        """Spatial bounds of the whole tree (empty for an empty tree)."""
+        return Envelope(*self._root[0][:4])
 
     @property
     def height(self) -> int:
         """Levels from root to leaves; 0 for an empty tree."""
-        levels = 0
-        node = self._root
-        while node is not None:
+        levels, node = min(1, self._size), self._root[1]
+        while not node.leaf:
             levels += 1
-            node = node.children[0] if node.children else None
+            node = node.rows[0][1]
         return levels
-
-    # -- construction --------------------------------------------------------
-
-    def _build(self, entries: list[tuple[Envelope, T]]) -> _Node[T] | None:
-        if not entries:
-            return None
-        cap = self.node_capacity
-
-        # Leaf level: STR tiling of the raw entries.
-        leaves = [
-            _Node(_merge_envelopes(e for e, _ in chunk), entries=list(chunk))
-            for chunk in self._str_tiles(entries, lambda entry: entry[0], cap)
-        ]
-        level: list[_Node[T]] = leaves
-        while len(level) > 1:
-            level = [
-                _Node(
-                    _merge_envelopes(n.envelope for n in chunk),
-                    children=list(chunk),
-                )
-                for chunk in self._str_tiles(level, lambda node: node.envelope, cap)
-            ]
-        return level[0]
-
-    @staticmethod
-    def _str_tiles(rows: list, env_of: Callable, cap: int) -> Iterator[list]:
-        """Group rows into runs of *cap* using Sort-Tile-Recursive order."""
-        import math
-
-        from repro.spark.cancellation import Heartbeat
-
-        # Bulk-loading a large partition's index can take seconds; one
-        # beat per tile keeps the build cancellable under a deadline.
-        heartbeat = Heartbeat(every=64)
-        n = len(rows)
-        leaf_count = math.ceil(n / cap)
-        slice_count = max(1, math.ceil(math.sqrt(leaf_count)))
-        by_x = sorted(rows, key=lambda r: env_of(r).center()[0])
-        slice_size = math.ceil(n / slice_count)
-        for vertical in _chunks(by_x, slice_size):
-            by_y = sorted(vertical, key=lambda r: env_of(r).center()[1])
-            for tile in _chunks(by_y, cap):
-                heartbeat.beat()
-                yield tile
 
     # -- queries ---------------------------------------------------------------
 
     def query(self, envelope: Envelope) -> list[T]:
         """All items whose envelope intersects *envelope* (candidates)."""
-        out: list[T] = []
-        if self._root is None or envelope.is_empty:
-            return out
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not node.envelope.intersects(envelope):
-                continue
-            if node.is_leaf:
-                out.extend(
-                    item for env, item in node.entries if env.intersects(envelope)
-                )
-            else:
-                stack.extend(node.children)
-        return out
+        return _search(
+            self._root, (envelope.min_x, envelope.min_y, envelope.max_x, envelope.max_y)
+        )
+
+    def query_st(self, region: Envelope, time) -> tuple[list[T], int]:
+        """``(candidates, slices_pruned)``: the partition-index contract.
+
+        A spatial tree ignores *time* (refinement applies the temporal
+        predicate) and prunes no slices.
+        """
+        return self.query(region), 0
 
     def query_point(self, x: float, y: float) -> list[T]:
         """Items whose envelope covers the point."""
         return self.query(Envelope.of_point(x, y))
 
-    def iter_entries(self) -> Iterator[tuple[Envelope, T]]:
-        """Every (envelope, item) entry (arbitrary order)."""
-        if self._root is None:
-            return
-        stack = [self._root]
+    def _leaf_rows(self) -> Iterator[tuple[tuple, T]]:
+        stack = [self._root[1]]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                yield from node.entries
+            if node.leaf:
+                yield from node.rows
             else:
-                stack.extend(node.children)
+                stack.extend(child for _box, child in node.rows)
+
+    def iter_entries(self) -> Iterator[tuple[Envelope, T]]:
+        """Every entry as ``(spatial envelope, item)`` (arbitrary order).
+
+        The 2D projection is the persistence sidecar's one format for
+        every index kind, so a damaged part of any kind can be rebuilt
+        as a (spatial) live tree.
+        """
+        for box, item in self._leaf_rows():
+            yield Envelope(*box[:4]), item
 
     def nearest(
         self,
@@ -211,66 +273,52 @@ class STRTree(Generic[T]):
     ) -> list[tuple[float, T]]:
         """The *k* items nearest to ``(x, y)``, as (distance, item) ascending.
 
-        Branch-and-bound over node envelopes: a node is expanded only
-        when its envelope distance beats the current k-th best.  With
+        Branch-and-bound over node boxes: a node is expanded only when
+        its box distance beats the current k-th best.  With
         *exact_distance* the true geometry distance ranks items (the
-        envelope distance remains the admissible lower bound); without
-        it, envelope distance is the metric -- exact for points, a
-        candidate ranking for extended geometries.
+        box distance remains the admissible lower bound); without it,
+        box distance is the metric -- exact for points, a candidate
+        ranking for extended geometries.  Only the spatial prefix of a
+        box is read: kNN has no temporal predicate, and the spatial
+        projection of a 3-axis box is a valid lower bound for every
+        member.
 
-        ``bound_slack`` loosens every envelope lower bound by that
-        amount.  It exists for probes by *extended* geometries: when
-        ``(x, y)`` is the centroid of a geometry with "radius" r (max
+        ``bound_slack`` loosens every box lower bound by that amount.
+        It exists for probes by *extended* geometries: when ``(x, y)``
+        is the centroid of a geometry with "radius" r (max
         centroid-to-boundary distance), the exact geometry distance can
-        undercut the envelope-to-centroid bound by at most r, so
-        passing ``bound_slack=r`` keeps pruning admissible.
+        undercut the box-to-centroid bound by at most r, so passing
+        ``bound_slack=r`` keeps pruning admissible.
         """
-        if k < 1 or self._root is None:
+        if k < 1:
             return []
 
+        def lower_bound(box: tuple) -> float:
+            dx = max(box[0] - x, x - box[2], 0.0)
+            dy = max(box[1] - y, y - box[3], 0.0)
+            return math.hypot(dx, dy) - bound_slack
+
         counter = itertools.count()  # tie-break, keeps heap entries comparable
-        frontier: list[tuple[float, int, object, T | None]] = [
-            (
-                self._root.envelope.distance_to_point(x, y) - bound_slack,
-                next(counter),
-                self._root,
-                None,
-            )
-        ]
+        # Heap rows are (distance, tie, final, payload): an item whose
+        # distance is final, or a node still to expand.  The heap pops
+        # in ascending order, so the first k items to come off it are
+        # the answer and every unexpanded node is no nearer.
+        root_box, root = self._root
+        frontier: list = [(lower_bound(root_box), next(counter), False, root)]
         best: list[tuple[float, T]] = []
-
-        def kth_best() -> float:
-            return best[-1][0] if len(best) == k else float("inf")
-
-        while frontier:
-            lower_bound, _tie, node_or_none, item = heapq.heappop(frontier)
-            if lower_bound > kth_best():
-                break
-            if node_or_none is None:
-                # A fully-resolved item: lower_bound is its final distance.
-                best.append((lower_bound, item))  # type: ignore[arg-type]
-                best.sort(key=lambda pair: pair[0])
-                if len(best) > k:
-                    best.pop()
+        while frontier and len(best) < k:
+            distance, _tie, final, payload = heapq.heappop(frontier)
+            if final:
+                best.append((distance, payload))
                 continue
-            node: _Node[T] = node_or_none  # type: ignore[assignment]
-            if node.is_leaf:
-                for env, entry_item in node.entries:
-                    if exact_distance is not None:
-                        d = exact_distance(entry_item)
-                    else:
-                        d = env.distance_to_point(x, y) - bound_slack
-                    if d <= kth_best():
-                        heapq.heappush(frontier, (d, next(counter), None, entry_item))
-            else:
-                for child in node.children:
-                    d = child.envelope.distance_to_point(x, y) - bound_slack
-                    if d <= kth_best():
-                        heapq.heappush(frontier, (d, next(counter), child, None))
+            exact = exact_distance if payload.leaf else None
+            for box, child in payload.rows:
+                d = lower_bound(box) if exact is None else exact(child)
+                heapq.heappush(frontier, (d, next(counter), payload.leaf, child))
         return best
 
     def __repr__(self) -> str:
         return (
-            f"STRTree(size={self._size}, capacity={self.node_capacity}, "
-            f"height={self.height})"
+            f"{type(self).__name__}(size={self._size}, "
+            f"capacity={self.node_capacity}, height={self.height})"
         )

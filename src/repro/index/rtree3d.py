@@ -1,4 +1,4 @@
-"""A 3-dimensional (x, y, t) Sort-Tile-Recursive bulk-loaded R-tree.
+"""The (x, y, t) face of the STR kernel.
 
 The hybrid spatio-temporal index model fuses the temporal dimension
 into the index itself instead of leaving it to refinement: every entry
@@ -12,171 +12,49 @@ Untimed entries are boxed with an unbounded time extent so they remain
 reachable by untimed probes; the filter operators never route a timed
 query at them (a mixed timed/untimed pair can never match under the
 paper's combined semantics, eqs. (1)-(3)).
+
+Everything but the boxing lives in :mod:`repro.index.rtree`: the bulk
+load tiles over three axes instead of two, the range traversal tests
+the t-range of a 6-float probe and only space for the inherited
+4-float ``query``, and ``nearest`` / ``iter_entries`` / ``envelope``
+read the spatial prefix of the boxes.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, TypeVar
 
 from repro.geometry.envelope import Envelope
+from repro.index.rtree import _INF, DEFAULT_NODE_CAPACITY, STRTree, _search
 from repro.temporal.interval import Interval, TemporalExpression
 
 T = TypeVar("T")
 
-_INF = float("inf")
 
-DEFAULT_NODE_CAPACITY = 10
-
-
-class Envelope3:
-    """An immutable (x, y, t) box: a spatial envelope plus a time range.
-
-    Untimed entries carry an unbounded t-range so every spatial-only
-    probe still reaches them.
-    """
-
-    __slots__ = ("min_x", "min_y", "max_x", "max_y", "min_t", "max_t")
-
-    def __init__(
-        self,
-        min_x: float,
-        min_y: float,
-        max_x: float,
-        max_y: float,
-        min_t: float = -_INF,
-        max_t: float = _INF,
-    ) -> None:
-        self.min_x = min_x
-        self.min_y = min_y
-        self.max_x = max_x
-        self.max_y = max_y
-        self.min_t = min_t
-        self.max_t = max_t
-
-    @staticmethod
-    def of(envelope: Envelope, time: TemporalExpression | None) -> "Envelope3":
-        """Box a spatial envelope with an optional temporal extent."""
-        if time is None:
-            return Envelope3(
-                envelope.min_x, envelope.min_y, envelope.max_x, envelope.max_y
-            )
-        return Envelope3(
-            envelope.min_x,
-            envelope.min_y,
-            envelope.max_x,
-            envelope.max_y,
-            time.start,
-            time.end,
-        )
-
-    def intersects(self, other: "Envelope3") -> bool:
-        """Closed-bounds intersection in all three dimensions."""
-        return (
-            self.min_x <= other.max_x
-            and other.min_x <= self.max_x
-            and self.min_y <= other.max_y
-            and other.min_y <= self.max_y
-            and self.min_t <= other.max_t
-            and other.min_t <= self.max_t
-        )
-
-    @property
-    def spatial(self) -> Envelope:
-        """The (x, y) projection of the box."""
-        return Envelope(self.min_x, self.min_y, self.max_x, self.max_y)
-
-    def center(self) -> tuple[float, float, float]:
-        """The box midpoint; unbounded t-ranges center at 0."""
-        mid_t = (
-            (self.min_t + self.max_t) / 2.0
-            if math.isfinite(self.min_t) and math.isfinite(self.max_t)
-            else 0.0
-        )
-        return (
-            (self.min_x + self.max_x) / 2.0,
-            (self.min_y + self.max_y) / 2.0,
-            mid_t,
-        )
-
-    def distance_to_point_2d(self, x: float, y: float) -> float:
-        """Euclidean distance from (x, y) to the spatial projection."""
-        dx = max(self.min_x - x, 0.0, x - self.max_x)
-        dy = max(self.min_y - y, 0.0, y - self.max_y)
-        return math.hypot(dx, dy)
-
-    def __repr__(self) -> str:
-        return (
-            f"Envelope3(({self.min_x}, {self.min_y}, {self.min_t}) .. "
-            f"({self.max_x}, {self.max_y}, {self.max_t}))"
-        )
+def _box(envelope: Envelope, time: TemporalExpression | None) -> tuple:
+    """Box a spatial envelope with an optional (else unbounded) time range."""
+    t_range = (-_INF, _INF) if time is None else (time.start, time.end)
+    return (envelope.min_x, envelope.min_y, envelope.max_x, envelope.max_y, *t_range)
 
 
-def _merge_boxes(boxes: Iterable[Envelope3]) -> Envelope3:
-    """The smallest box covering every operand (mutable accumulators)."""
-    min_x = min_y = min_t = _INF
-    max_x = max_y = max_t = -_INF
-    for box in boxes:
-        if box.min_x < min_x:
-            min_x = box.min_x
-        if box.min_y < min_y:
-            min_y = box.min_y
-        if box.min_t < min_t:
-            min_t = box.min_t
-        if box.max_x > max_x:
-            max_x = box.max_x
-        if box.max_y > max_y:
-            max_y = box.max_y
-        if box.max_t > max_t:
-            max_t = box.max_t
-    return Envelope3(min_x, min_y, max_x, max_y, min_t, max_t)
+class STRTree3D(STRTree[T]):
+    """An immutable STR-packed 3D R-tree over ``(box, item)`` entries.
 
-
-def _chunks(rows: Sequence, size: int) -> Iterator[Sequence]:
-    for start in range(0, len(rows), size):
-        yield rows[start : start + size]
-
-
-class _Node3(Generic[T]):
-    __slots__ = ("box", "children", "entries")
-
-    def __init__(
-        self,
-        box: Envelope3,
-        children: list["_Node3[T]"] | None = None,
-        entries: list[tuple[Envelope3, T]] | None = None,
-    ) -> None:
-        self.box = box
-        self.children = children
-        self.entries = entries
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.entries is not None
-
-
-class STRTree3D(Generic[T]):
-    """An immutable STR-packed 3D R-tree over ``(Envelope3, item)`` entries.
-
-    The bulk load extends Sort-Tile-Recursive to three dimensions:
-    entries sort by x-center into slabs, each slab by y-center into
-    runs, each run by t-center into tiles of ``node_capacity`` entries.
-    Like the 2D tree it is build-once: queries only.
+    A box is the 6-float tuple ``(min_x, min_y, max_x, max_y, min_t,
+    max_t)``.  The bulk load extends Sort-Tile-Recursive to three
+    dimensions: entries sort by x-center into slabs, each slab by
+    y-center into runs, each run by t-center into tiles of
+    ``node_capacity`` entries.  Like the 2D tree it is build-once:
+    queries only.
     """
 
     def __init__(
         self,
-        entries: Iterable[tuple[Envelope3, T]],
+        entries: Iterable[tuple[tuple, T]],
         node_capacity: int = DEFAULT_NODE_CAPACITY,
     ) -> None:
-        if node_capacity < 2:
-            raise ValueError(f"node capacity must be >= 2, got {node_capacity}")
-        self.node_capacity = node_capacity
-        entry_list = list(entries)
-        self._size = len(entry_list)
-        self._root = self._build(entry_list)
+        self._load(entries, node_capacity, axes=3)
 
     @staticmethod
     def for_stobjects(
@@ -184,191 +62,34 @@ class STRTree3D(Generic[T]):
     ) -> "STRTree3D":
         """Build from ``(STObject, V)`` pairs, boxing each by envelope + time."""
         return STRTree3D(
-            (
-                (Envelope3.of(kv[0].geo.envelope, kv[0].time), kv)
-                for kv in entries
-            ),
+            ((_box(kv[0].geo.envelope, kv[0].time), kv) for kv in entries),
             node_capacity,
         )
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def envelope(self) -> Envelope:
-        """The spatial (x, y) bounds of the whole tree."""
-        if self._root is None:
-            return Envelope.empty()
-        return self._root.box.spatial
 
     @property
     def temporal_extent(self) -> Interval | None:
         """The time range covered by the timed entries, or ``None``.
 
-        Unbounded node extents mean at least one untimed entry; the
+        An unbounded root t-range means at least one untimed entry; the
         extent is then computed from the timed entries directly.
         """
-        if self._root is None:
-            return None
-        box = self._root.box
-        if math.isfinite(box.min_t) and math.isfinite(box.max_t):
-            return Interval(box.min_t, box.max_t)
-        lo, hi = _INF, -_INF
-        for entry_box, _item in self._iter_boxed():
-            if math.isfinite(entry_box.min_t):
-                lo = min(lo, entry_box.min_t)
-                hi = max(hi, entry_box.max_t)
+        lo, hi = self._root[0][4:]
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            lo, hi = _INF, -_INF
+            for box, _item in self._leaf_rows():
+                if math.isfinite(box[4]):
+                    lo = min(lo, box[4])
+                    hi = max(hi, box[5])
         return Interval(lo, hi) if lo <= hi else None
-
-    # -- construction ------------------------------------------------------
-
-    def _build(self, entries: list[tuple[Envelope3, T]]) -> _Node3[T] | None:
-        if not entries:
-            return None
-        cap = self.node_capacity
-        leaves = [
-            _Node3(_merge_boxes(b for b, _ in tile), entries=list(tile))
-            for tile in self._str_tiles(entries, lambda entry: entry[0], cap)
-        ]
-        level: list[_Node3[T]] = leaves
-        while len(level) > 1:
-            level = [
-                _Node3(_merge_boxes(n.box for n in tile), children=list(tile))
-                for tile in self._str_tiles(level, lambda node: node.box, cap)
-            ]
-        return level[0]
-
-    @staticmethod
-    def _str_tiles(rows: list, box_of: Callable, cap: int) -> Iterator[list]:
-        """Group rows into runs of *cap* by 3D Sort-Tile-Recursive order."""
-        from repro.spark.cancellation import Heartbeat
-
-        heartbeat = Heartbeat(every=64)
-        n = len(rows)
-        leaf_count = math.ceil(n / cap)
-        # S slabs in x, S runs in y per slab, tiles in t per run, with
-        # S = ceil(leaf_count^(1/3)) so the grid is roughly cubic.
-        slab_count = max(1, math.ceil(leaf_count ** (1.0 / 3.0)))
-        by_x = sorted(rows, key=lambda r: box_of(r).center()[0])
-        slab_size = math.ceil(n / slab_count)
-        for slab in _chunks(by_x, slab_size):
-            by_y = sorted(slab, key=lambda r: box_of(r).center()[1])
-            run_size = math.ceil(len(slab) / slab_count)
-            for run in _chunks(by_y, run_size):
-                by_t = sorted(run, key=lambda r: box_of(r).center()[2])
-                for tile in _chunks(by_t, cap):
-                    heartbeat.beat()
-                    yield tile
-
-    # -- queries -----------------------------------------------------------
 
     def query_st(
         self, region: Envelope, time: TemporalExpression | None
-    ) -> list[T]:
-        """Candidates whose (x, y, t) box intersects region x time.
+    ) -> tuple[list[T], int]:
+        """``(candidates, 0)``: entries whose box intersects region x time.
 
         An untimed query uses an unbounded time range, so it reaches
         every entry the spatial test admits (refinement then rejects
-        the timed ones under the combined semantics).
+        the timed ones under the combined semantics).  The tree has no
+        slices to skip, so ``slices_pruned`` is always 0.
         """
-        if self._root is None or region.is_empty:
-            return []
-        probe = Envelope3.of(region, time)
-        out: list[T] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not node.box.intersects(probe):
-                continue
-            if node.is_leaf:
-                out.extend(
-                    item for box, item in node.entries if box.intersects(probe)
-                )
-            else:
-                stack.extend(node.children)
-        return out
-
-    def query(self, region: Envelope) -> list[T]:
-        """Spatial-only candidates (the 2D :class:`STRTree` contract)."""
-        return self.query_st(region, None)
-
-    def _iter_boxed(self) -> Iterator[tuple[Envelope3, T]]:
-        if self._root is None:
-            return
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield from node.entries
-            else:
-                stack.extend(node.children)
-
-    def iter_entries(self) -> Iterator[tuple[Envelope, T]]:
-        """Every entry as ``(spatial envelope, item)`` (arbitrary order).
-
-        The 2D projection keeps the persistence sidecar format shared
-        with the other index kinds, so a damaged 3D part can always be
-        rebuilt as a (spatial) live tree.
-        """
-        for box, item in self._iter_boxed():
-            yield box.spatial, item
-
-    def nearest(
-        self,
-        x: float,
-        y: float,
-        k: int = 1,
-        exact_distance: Callable[[T], float] | None = None,
-        bound_slack: float = 0.0,
-    ) -> list[tuple[float, T]]:
-        """The *k* spatially-nearest items to ``(x, y)``.
-
-        Branch-and-bound over the spatial projection of the 3D node
-        boxes -- the projection distance is a valid lower bound for
-        every member, so pruning stays admissible; the time dimension
-        plays no part (kNN has no temporal predicate).
-        """
-        if k < 1 or self._root is None:
-            return []
-        counter = itertools.count()
-        frontier: list = [
-            (
-                self._root.box.distance_to_point_2d(x, y) - bound_slack,
-                next(counter),
-                self._root,
-                None,
-            )
-        ]
-        best: list[tuple[float, T]] = []
-
-        def kth_best() -> float:
-            return best[-1][0] if len(best) == k else _INF
-
-        while frontier:
-            lower_bound, _tie, node_or_none, item = heapq.heappop(frontier)
-            if lower_bound > kth_best():
-                break
-            if node_or_none is None:
-                best.append((lower_bound, item))
-                best.sort(key=lambda pair: pair[0])
-                if len(best) > k:
-                    best.pop()
-                continue
-            node: _Node3[T] = node_or_none
-            if node.is_leaf:
-                for box, entry_item in node.entries:
-                    if exact_distance is not None:
-                        d = exact_distance(entry_item)
-                    else:
-                        d = box.distance_to_point_2d(x, y) - bound_slack
-                    if d <= kth_best():
-                        heapq.heappush(frontier, (d, next(counter), None, entry_item))
-            else:
-                for child in node.children:
-                    d = child.box.distance_to_point_2d(x, y) - bound_slack
-                    if d <= kth_best():
-                        heapq.heappush(frontier, (d, next(counter), child, None))
-        return best
-
-    def __repr__(self) -> str:
-        return f"STRTree3D(size={self._size}, capacity={self.node_capacity})"
+        return _search(self._root, _box(region, time)), 0

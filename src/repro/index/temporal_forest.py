@@ -241,7 +241,7 @@ def temporal_extent_of(tree) -> tuple[Interval | None, bool]:
         return tree.temporal_extent, tree.untimed_count > 0
     lo, hi = math.inf, -math.inf
     has_untimed = False
-    for _env, kv in tree.iter_entries():
+    for _box, kv in tree._leaf_rows():  # not iter_entries: no Envelope per entry
         key = getattr(kv[0], "time", None) if isinstance(kv, tuple) else None
         if key is None:
             has_untimed = True

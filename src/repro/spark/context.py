@@ -9,7 +9,7 @@ import math
 import statistics
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, TypeVar
@@ -180,6 +180,9 @@ class _CacheManager:
         self._lock = threading.Lock()
         self._max_entries = max_entries
         self._metrics = metrics
+        #: Ids of garbage-collected RDDs whose blocks nobody can read any
+        #: more; dropped by the next ``put`` / ``len`` (see :meth:`discard`).
+        self._dead: deque[int] = deque()
 
     def get(self, rdd_id: int, split: int) -> list | None:
         with self._lock:
@@ -190,6 +193,7 @@ class _CacheManager:
 
     def put(self, rdd_id: int, split: int, data: list) -> None:
         with self._lock:
+            self._sweep()
             self._blocks[(rdd_id, split)] = data
             if self._max_entries is not None:
                 self._blocks.move_to_end((rdd_id, split))
@@ -203,8 +207,26 @@ class _CacheManager:
             for key in [k for k in self._blocks if k[0] == rdd_id]:
                 del self._blocks[key]
 
+    def discard(self, rdd_id: int) -> None:
+        """Mark a collected RDD's blocks for removal (finalizer-safe).
+
+        Runs from ``weakref.finalize`` -- on whatever thread dropped the
+        last reference, possibly inside one of this manager's own locked
+        sections -- so it takes no lock and touches no dict: it only
+        queues the id.
+        """
+        self._dead.append(rdd_id)
+
+    def _sweep(self) -> None:
+        # Caller holds the lock.
+        if self._dead:
+            dead = {self._dead.popleft() for _ in range(len(self._dead))}
+            for key in [k for k in self._blocks if k[0] in dead]:
+                del self._blocks[key]
+
     def __len__(self) -> int:
         with self._lock:
+            self._sweep()
             return len(self._blocks)
 
     def clear(self) -> None:
@@ -235,14 +257,30 @@ class _ShuffleManager:
         # acquisition cannot cycle.
         self._manager_lock = threading.Lock()
         self._locks: dict[int, threading.RLock] = {}
+        #: Shuffle ids whose ShuffledRDD was garbage-collected; their map
+        #: outputs are dropped by the next ``register`` (see :meth:`discard`).
+        self._dead: deque[int] = deque()
 
     def register(
         self, parent: RDD, partitioner: Partitioner, aggregator: _Aggregator | None
     ) -> int:
         shuffle_id = next(self._ids)
         with self._manager_lock:
+            for _ in range(len(self._dead)):
+                dead = self._dead.popleft()
+                self._registered.pop(dead, None)
+                self._outputs.pop(dead, None)
+                self._locks.pop(dead, None)
             self._registered[shuffle_id] = (parent, partitioner, aggregator)
         return shuffle_id
+
+    def discard(self, shuffle_id: int) -> None:
+        """Mark a collected ShuffledRDD's outputs for removal (finalizer-safe).
+
+        Only that RDD could fetch them.  Like the cache manager's
+        ``discard`` this runs from a finalizer, so it only queues the id.
+        """
+        self._dead.append(shuffle_id)
 
     def _lock_for(self, shuffle_id: int) -> threading.RLock:
         with self._manager_lock:

@@ -18,6 +18,7 @@ import bisect
 import heapq
 import itertools
 import random
+import weakref
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from typing import (
@@ -91,8 +92,15 @@ class RDD(ABC, Generic[T]):
         The first computation of each partition materializes it; later
         computations reuse the cached list.  Matches Spark's
         ``MEMORY_ONLY`` level (the only one a single process needs).
+        The blocks live as long as this RDD object: once it is garbage-
+        collected nothing can look them up again, so they are dropped --
+        an operator that caches an intermediate RDD per call (the join's
+        right-side trees, DBSCAN's local clusterings) releases it when
+        its result goes away.
         """
-        self._cached = True
+        if not self._cached:
+            self._cached = True
+            weakref.finalize(self, self.context._cache.discard, self.id).atexit = False
         return self
 
     cache = persist
@@ -970,9 +978,11 @@ class ShuffledRDD(RDD[tuple]):
     ) -> None:
         super().__init__(parent.context, [parent], partitioner=partitioner)
         self._aggregator = aggregator
-        self._shuffle_id = parent.context._shuffle.register(
-            parent, partitioner, aggregator
-        )
+        shuffle = parent.context._shuffle
+        self._shuffle_id = shuffle.register(parent, partitioner, aggregator)
+        # The registration (which pins the parent lineage) and the map
+        # outputs are reachable through this RDD alone.
+        weakref.finalize(self, shuffle.discard, self._shuffle_id).atexit = False
 
     @property
     def num_partitions(self) -> int:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.envelope import Envelope
 
@@ -186,3 +188,160 @@ class TestSplit:
     def test_split_empty_raises(self):
         with pytest.raises(ValueError):
             Envelope.empty().split_at(0, axis=0)
+
+
+class _Before:
+    """The pre-normalisation semantics, from the *raw* constructor arguments.
+
+    Emptiness used to be re-derived from the stored coordinates on every
+    call (``min_x > max_x or min_y > max_y``); every public method must
+    still answer what that definition gave, whatever the arguments.
+    """
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.min_x, self.min_y, self.max_x, self.max_y = raw
+        self.empty = self.min_x > self.max_x or self.min_y > self.max_y
+
+    def contains_point(self, x, y):
+        return (
+            not self.empty
+            and self.min_x <= x <= self.max_x
+            and self.min_y <= y <= self.max_y
+        )
+
+    def contains(self, other):
+        return (
+            not self.empty
+            and not other.empty
+            and self.contains_point(other.min_x, other.min_y)
+            and self.contains_point(other.max_x, other.max_y)
+        )
+
+    def intersects(self, other):
+        return (
+            not self.empty
+            and not other.empty
+            and self.min_x <= other.max_x
+            and other.min_x <= self.max_x
+            and self.min_y <= other.max_y
+            and other.min_y <= self.max_y
+        )
+
+    def merge(self, other):
+        if self.empty or other.empty:
+            return None if self.empty and other.empty else (other if self.empty else self).raw
+        return (
+            min(self.min_x, other.min_x),
+            min(self.min_y, other.min_y),
+            max(self.max_x, other.max_x),
+            max(self.max_y, other.max_y),
+        )
+
+    def intersection(self, other):
+        if not self.intersects(other):
+            return None
+        return (
+            max(self.min_x, other.min_x),
+            max(self.min_y, other.min_y),
+            min(self.max_x, other.max_x),
+            min(self.max_y, other.max_y),
+        )
+
+    def gap(self, other):
+        dx = max(other.min_x - self.max_x, self.min_x - other.max_x, 0.0)
+        dy = max(other.min_y - self.max_y, self.min_y - other.max_y, 0.0)
+        return math.hypot(dx, dy)
+
+
+def _same(envelope, raw):
+    """*envelope* is the box *raw* (``None``: any empty envelope)."""
+    if raw is None:
+        return envelope.is_empty and repr(envelope) == "Envelope.empty()"
+    return (envelope.min_x, envelope.min_y, envelope.max_x, envelope.max_y) == raw
+
+
+def _raises(call):
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+# A coarse grid makes empty, half-empty (one axis inverted), degenerate
+# (point, segment), touching and nested boxes all frequent.
+_coordinate = st.integers(min_value=-3, max_value=3).map(float)
+_raw_box = st.one_of(
+    st.tuples(_coordinate, _coordinate, _coordinate, _coordinate),
+    st.just((-math.inf, -math.inf, math.inf, math.inf)),
+)
+
+
+class TestEmptinessIsAConstructionTimeFact:
+    def test_half_empty_inputs_become_the_canonical_empty(self):
+        for raw in [(5, 0, 3, 10), (0, 5, 10, 3), (5, 5, 3, 3), (math.inf, 0, 0, 1)]:
+            assert Envelope(*raw) == Envelope.empty()
+            assert hash(Envelope(*raw)) == hash(Envelope.empty())
+            assert Envelope(*raw).min_x == math.inf and Envelope(*raw).max_y == -math.inf
+
+    def test_nan_rejected_in_every_slot(self):
+        for slot in range(4):
+            raw = [0.0, 0.0, 1.0, 1.0]
+            raw[slot] = math.nan
+            with pytest.raises(ValueError):
+                Envelope(*raw)
+
+    @given(_raw_box, _coordinate, _coordinate, st.integers(-2, 2).map(float))
+    @settings(max_examples=300)
+    def test_unary_methods_answer_as_before(self, raw, x, y, margin):
+        env, before = Envelope(*raw), _Before(raw)
+        assert env.is_empty == before.empty
+        assert repr(env).startswith("Envelope.empty()") == before.empty
+        assert env.contains_point(x, y) == before.contains_point(x, y)
+        point = _Before((x, y, x, y))
+        assert _same(env.expand_to_point(x, y), before.merge(point))
+        if before.empty:
+            assert (env.width, env.height, env.area, env.perimeter) == (0.0,) * 4
+            assert _same(env.buffer(margin), None)
+            for call in (
+                env.center,
+                lambda: env.distance_to_point(x, y),
+                lambda: env.max_distance_to_point(x, y),
+                lambda: env.split_at(0.0, 0),
+            ):
+                assert _raises(call)
+            return
+        assert _same(env, raw)
+        grown = (raw[0] - margin, raw[1] - margin, raw[2] + margin, raw[3] + margin)
+        assert _same(env.buffer(margin), None if _Before(grown).empty else grown)
+        assert env.distance_to_point(x, y) == before.gap(point)
+        if math.isfinite(raw[0]):
+            width, height = raw[2] - raw[0], raw[3] - raw[1]
+            assert (env.width, env.height) == (width, height)
+            assert (env.area, env.perimeter) == (width * height, 2.0 * (width + height))
+            assert env.center() == ((raw[0] + raw[2]) / 2.0, (raw[1] + raw[3]) / 2.0)
+            assert list(env.corners()) == [
+                (raw[0], raw[1]), (raw[2], raw[1]), (raw[2], raw[3]), (raw[0], raw[3])
+            ]
+            assert env.max_distance_to_point(x, y) == math.hypot(
+                max(abs(x - raw[0]), abs(x - raw[2])), max(abs(y - raw[1]), abs(y - raw[3]))
+            )
+            if raw[0] <= x <= raw[2]:
+                low, high = env.split_at(x, 0)
+                assert _same(low, (raw[0], raw[1], x, raw[3]))
+                assert _same(high, (x, raw[1], raw[2], raw[3]))
+
+    @given(_raw_box, _raw_box)
+    @settings(max_examples=300)
+    def test_binary_methods_answer_as_before(self, raw_a, raw_b):
+        a, b = Envelope(*raw_a), Envelope(*raw_b)
+        before_a, before_b = _Before(raw_a), _Before(raw_b)
+        assert a.intersects(b) == before_a.intersects(before_b)
+        assert a.contains(b) == before_a.contains(before_b)
+        assert _same(a.intersection(b), before_a.intersection(before_b))
+        assert _same(a.merge(b), before_a.merge(before_b))
+        if before_a.empty or before_b.empty:
+            assert _raises(lambda: a.distance(b))
+        else:
+            assert a.distance(b) == before_a.gap(before_b)

@@ -114,6 +114,91 @@ class TestInvalidation:
         assert sc.metrics.index_cache_hits == 0
 
 
+class TestTreeLayoutVersion:
+    """Pickled parts follow the kernel's node layout; the metadata says which."""
+
+    def rewrite_meta(self, path, **changes):
+        import pickle
+
+        meta_path = os.path.join(path, "_index_meta.pkl")
+        with open(meta_path, "rb") as f:
+            meta = pickle.load(f)
+        for key, value in changes.items():
+            if value is None:
+                meta.pop(key)
+            else:
+                meta[key] = value
+        with open(meta_path, "wb") as f:
+            pickle.dump(meta, f)
+
+    def old_layout_dir(self, sc, tmp_path, layout):
+        """A saved index whose parts are what the PR-12 layout pickled:
+        they name a class (``_Node3``) this version no longer has."""
+        path = str(tmp_path / "idx")
+        spatial(make_rdd(sc)).index(order=8, mode="3d").save(path)
+        assert sc.metrics.index_fallbacks == 0
+        self.rewrite_meta(path, layout=layout)
+        for name in os.listdir(path):
+            if name.startswith("part-"):
+                with open(os.path.join(path, name), "wb") as f:
+                    f.write(b"crepro.index.rtree3d\n_Node3\n.")
+        return path
+
+    @pytest.mark.parametrize("layout", [None, 1])
+    def test_old_or_missing_version_rebuilds_from_sidecar(self, sc, tmp_path, layout):
+        path = self.old_layout_dir(sc, tmp_path, layout)
+        loaded = IndexedSpatialRDD.load(sc, path)
+        got = sorted(kv[1] for kv in loaded.intersects(QUERY).collect())
+        naive = sorted(kv[1] for kv in spatial(make_rdd(sc)).intersects(QUERY).collect())
+        assert got == naive
+        assert sc.metrics.index_fallbacks == loaded.tree_rdd.num_partitions
+        assert sorted(loaded.tree_rdd.fallbacks) == list(range(4))
+        # Rebuilt partitions are never cached.
+        IndexedSpatialRDD.load(sc, path).intersects(QUERY).collect()
+        assert sc.metrics.index_cache_hits == 0
+
+    def test_old_version_without_sidecar_is_a_storage_error(self, sc, tmp_path):
+        from repro.spark.errors import JobAbortedError
+        from repro.spark.storage import StorageError
+
+        path = self.old_layout_dir(sc, tmp_path, layout=1)
+        shutil.rmtree(os.path.join(path, "_data"))
+        loaded = IndexedSpatialRDD.load(sc, path)
+        with pytest.raises(JobAbortedError) as excinfo:
+            loaded.intersects(QUERY).collect()
+        assert isinstance(excinfo.value.cause, StorageError)
+        assert "layout" in str(excinfo.value.cause)
+
+    def test_mislabelled_old_part_is_still_typed(self, sc, tmp_path):
+        # The metadata claims the current layout but the part is not:
+        # pickle's AttributeError must not escape either.
+        from repro.spark.errors import JobAbortedError
+        from repro.spark.storage import StorageError
+
+        path = self.old_layout_dir(sc, tmp_path, layout=persistence.INDEX_LAYOUT)
+        loaded = IndexedSpatialRDD.load(sc, path)
+        assert loaded.intersects(QUERY).count() > 0
+        assert sc.metrics.index_fallbacks == 4
+        shutil.rmtree(os.path.join(path, "_data"))
+        with pytest.raises(JobAbortedError) as excinfo:
+            IndexedSpatialRDD.load(sc, path).intersects(QUERY).collect()
+        assert isinstance(excinfo.value.cause, StorageError)
+
+    def test_cache_signature_carries_the_version(self, sc, tmp_path, monkeypatch):
+        path = str(tmp_path / "idx")
+        spatial(make_rdd(sc)).index(order=8).save(path)
+        IndexedSpatialRDD.load(sc, path).intersects(QUERY).collect()
+        IndexedSpatialRDD.load(sc, path).intersects(QUERY).collect()
+        hits = sc.metrics.index_cache_hits
+        assert hits == 4
+        # Trees deserialized under one layout are never served to another.
+        monkeypatch.setattr(persistence, "INDEX_LAYOUT", persistence.INDEX_LAYOUT + 1)
+        loaded = IndexedSpatialRDD.load(sc, path)
+        assert loaded.intersects(QUERY).count() > 0
+        assert sc.metrics.index_cache_hits == hits
+        assert sc.metrics.index_fallbacks == 4
+
+
 class TestChaosBypass:
     def test_fault_injector_disables_cache(self, tmp_path):
         from repro.chaos import FaultInjector

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.stobject import STObject
 from repro.geometry.envelope import Envelope
+from repro.geometry.linestring import LineString
+from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.index import INDEX_MODES, build_partition_index
 from repro.index.rtree import STRTree
+from repro.temporal import Interval
 
 
 def point_entries(n, seed=1, extent=100.0):
@@ -145,45 +151,94 @@ class TestNearest:
         assert result == [(0.5, "B")]
 
 
-class TestRTreeProperties:
+# -- every index kind against brute force -------------------------------------
+#
+# The 2D tree, the 3D tree and the forest are faces over one kernel, so the
+# same properties run over all three.  Integer coordinates make closed-bound
+# touching boxes (in x, y and t) and exact-distance kNN ties the common case.
+
+_cell = st.integers(min_value=0, max_value=8).map(float)
+_span = st.integers(min_value=0, max_value=2).map(float)
+_row = st.tuples(_cell, _cell, _span, _span, st.none() | st.tuples(_cell, _span))
+_probe_time = st.none() | st.tuples(_cell, _span)
+
+
+def _stobject(x, y, w, h, when):
+    ring = [(x, y), (x + w, y), (x + w, y + h), (x, y + h), (x, y)]
+    geo = Polygon(ring) if w and h else LineString([(x, y), (x + w, y + h)]) if w or h else Point(x, y)
+    return STObject(geo, None if when is None else Interval(when[0], when[0] + when[1]))
+
+
+def _times_meet(entry_time, probe_time):
+    """Closed-bound overlap on the time axis; an untimed side is unbounded."""
+    if entry_time is None or probe_time is None:
+        return True
+    return entry_time.start <= probe_time.end and probe_time.start <= entry_time.end
+
+
+@pytest.mark.parametrize("kind", INDEX_MODES)
+class TestEveryKindAgainstBruteForce:
     @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=100, allow_nan=False),
-                st.floats(min_value=0, max_value=100, allow_nan=False),
-            ),
-            min_size=0,
-            max_size=120,
-        ),
-        st.integers(min_value=2, max_value=16),
+        st.lists(_row, max_size=60),
+        st.sampled_from([2, 3, 10]),
+        st.tuples(_cell, _cell, _span, _span),
+        _probe_time,
     )
-    @settings(max_examples=50)
-    def test_range_query_equals_brute_force(self, pts, capacity):
-        tree = STRTree(
-            ((Envelope.of_point(x, y), i) for i, (x, y) in enumerate(pts)),
-            node_capacity=capacity,
-        )
-        box = Envelope(25, 25, 75, 75)
-        expected = sorted(i for i, p in enumerate(pts) if box.contains_point(*p))
-        assert sorted(tree.query(box)) == expected
+    @settings(max_examples=60, deadline=None)
+    def test_range_and_st_probes(self, kind, rows, capacity, box, when):
+        entries = [(_stobject(*row), i) for i, row in enumerate(rows)]
+        tree = build_partition_index(entries, capacity, kind)
+        assert len(tree) == len(entries)
+        region = Envelope(box[0], box[1], box[0] + box[2], box[1] + box[3])
+        probe_time = None if when is None else Interval(when[0], when[0] + when[1])
+        spatial = [i for st_obj, i in entries if st_obj.geo.envelope.intersects(region)]
+        assert sorted(kv[1] for kv in tree.query(region)) == spatial
+        candidates, pruned = tree.query_st(region, probe_time)
+        got = sorted(kv[1] for kv in candidates)
+        timed = {i for i in spatial if entries[i][0].time is not None}
+        if kind == "spatial":  # time is left to refinement
+            assert (got, pruned) == (spatial, 0)
+        elif kind == "3d":  # box test in x, y and t
+            in_time = [i for i in spatial if _times_meet(entries[i][0].time, probe_time)]
+            assert (got, pruned) == (in_time, 0)
+        elif probe_time is None:  # the forest keeps untimed entries apart
+            assert (got, pruned) == (sorted(set(spatial) - timed), tree.num_slices)
+        else:  # ... and routes a timed probe to whole slices
+            in_time = {i for i in timed if _times_meet(entries[i][0].time, probe_time)}
+            assert in_time <= set(got) <= timed
+            assert 0 <= pruned <= tree.num_slices
+            assert pruned < tree.num_slices or not got
+        assert sorted(kv[1] for _env, kv in tree.iter_entries()) == list(range(len(entries)))
 
     @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=100, allow_nan=False),
-                st.floats(min_value=0, max_value=100, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=80,
-        ),
-        st.integers(min_value=1, max_value=10),
+        st.lists(_row, max_size=60),
+        st.sampled_from([2, 3, 10]),
+        _cell,
+        _cell,
+        st.integers(min_value=1, max_value=12),
     )
-    @settings(max_examples=50)
-    def test_knn_distances_match_brute_force(self, pts, k):
-        tree = STRTree(
-            (Envelope.of_point(x, y), i) for i, (x, y) in enumerate(pts)
-        )
-        result = tree.nearest(50, 50, k)
-        got = [d for d, _ in result]
-        expected = sorted(math.hypot(x - 50, y - 50) for x, y in pts)[:k]
-        assert got == pytest.approx(expected)
+    @settings(max_examples=60, deadline=None)
+    def test_knn_distances_with_ties(self, kind, rows, capacity, x, y, k):
+        entries = [(_stobject(*row), i) for i, row in enumerate(rows)]
+        tree = build_partition_index(entries, capacity, kind)
+        distance_of = {
+            i: st_obj.geo.envelope.distance_to_point(x, y) for st_obj, i in entries
+        }
+        got = tree.nearest(x, y, k)
+        # With ties any of the equidistant items may be reported, but the
+        # distances are exact and each belongs to the item it comes with.
+        assert [d for d, _kv in got] == sorted(distance_of.values())[:k]
+        assert all(d == distance_of[kv[1]] for d, kv in got)
+        assert len({kv[1] for _d, kv in got}) == len(got)
+
+    def test_empty_and_single_entry(self, kind):
+        empty = build_partition_index([], 2, kind)
+        assert len(empty) == 0 and empty.envelope.is_empty
+        assert empty.query(Envelope(0, 0, 9, 9)) == []
+        assert empty.query_st(Envelope(0, 0, 9, 9), Interval(0, 1)) == ([], 0)
+        assert empty.nearest(0, 0, 3) == []
+        entry = (_stobject(1.0, 2.0, 0.0, 0.0, (5.0, 1.0)), "only")
+        single = build_partition_index([entry], 2, kind)
+        assert single.envelope == Envelope(1, 2, 1, 2)
+        assert single.query_st(Envelope(1, 2, 1, 2), Interval(6, 7))[0] == [entry]
+        assert single.nearest(4, 6, 5) == [(5.0, entry)]

@@ -8,7 +8,8 @@ import pytest
 from repro.core.stobject import STObject
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
-from repro.index.rtree3d import Envelope3, STRTree3D
+from repro.geometry.polygon import Polygon
+from repro.index.rtree3d import STRTree3D
 from repro.temporal import Interval
 
 
@@ -28,27 +29,53 @@ def make_entries(n, seed=1, untimed_every=None, span=1000.0):
 REGION = Envelope(20, 20, 70, 70)
 
 
-class TestEnvelope3:
-    def test_of_untimed_is_unbounded_in_t(self):
-        box = Envelope3.of(Envelope(0, 0, 1, 1), None)
-        assert box.min_t == float("-inf")
-        assert box.max_t == float("inf")
-        assert box.intersects(Envelope3(0, 0, 1, 1, 500, 600))
+def boxed(x0, y0, x1, y1, time=None):
+    ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
+    return STObject(Polygon(ring), time)
 
-    def test_closed_bounds(self):
-        a = Envelope3(0, 0, 10, 10, 0, 10)
-        assert a.intersects(Envelope3(10, 10, 20, 20, 10, 20))
-        assert not a.intersects(Envelope3(10.1, 0, 20, 10, 0, 10))
-        assert not a.intersects(Envelope3(0, 0, 10, 10, 10.1, 20))
 
-    def test_spatial_projection(self):
-        box = Envelope3(1, 2, 3, 4, 5, 6)
-        assert box.spatial == Envelope(1, 2, 3, 4)
+class TestBoxing:
+    """What the (x, y, t) boxes do, seen through the tree's own answers."""
 
-    def test_distance_2d(self):
-        box = Envelope3(0, 0, 10, 10, 0, 1)
-        assert box.distance_to_point_2d(5, 5) == 0.0
-        assert box.distance_to_point_2d(13, 14) == pytest.approx(5.0)
+    def test_closed_bounds_in_x_y_and_t(self):
+        row = (boxed(0, 0, 10, 10, Interval(0, 10)), "a")
+        tree = STRTree3D.for_stobjects([row])
+        touching = tree.query_st(Envelope(10, 10, 20, 20), Interval(10, 20))
+        assert touching == ([row], 0)
+        assert tree.query_st(Envelope(10.1, 0, 20, 10), Interval(0, 10)) == ([], 0)
+        assert tree.query_st(Envelope(0, 10.1, 10, 20), Interval(0, 10)) == ([], 0)
+        assert tree.query_st(Envelope(0, 0, 10, 10), Interval(10.1, 20)) == ([], 0)
+
+    def test_untimed_entries_are_unbounded_in_t(self):
+        rows = [
+            (boxed(0, 0, 1, 1), "untimed"),
+            (boxed(0, 0, 1, 1, Interval(0, 10)), "timed"),
+        ]
+        tree = STRTree3D.for_stobjects(rows)
+        region = Envelope(0, 0, 1, 1)
+        # An untimed probe is unbounded as well: it reaches every entry.
+        everything, _pruned = tree.query_st(region, None)
+        assert sorted(kv[1] for kv in everything) == ["timed", "untimed"]
+        # A probe far outside the timed entry's range still meets the
+        # unbounded box (refinement rejects the mixed pair later).
+        late, _pruned = tree.query_st(region, Interval(500, 600))
+        assert [kv[1] for kv in late] == ["untimed"]
+        assert tree.temporal_extent == Interval(0, 10)
+
+    def test_spatial_projection_for_nearest_and_iter_entries(self):
+        rows = [
+            (boxed(0, 0, 10, 10, Interval(0, 1)), "near"),
+            (boxed(13, 14, 20, 20, Interval(900, 901)), "far"),
+        ]
+        tree = STRTree3D.for_stobjects(rows)
+        assert sorted((kv[1], env) for env, kv in tree.iter_entries()) == [
+            ("far", Envelope(13, 14, 20, 20)),
+            ("near", Envelope(0, 0, 10, 10)),
+        ]
+        assert tree.envelope == Envelope(0, 0, 20, 20)
+        # Distance is to the (x, y) projection; time plays no part.
+        got = [(d, kv[1]) for d, kv in tree.nearest(10, 10, k=2)]
+        assert got == [(0.0, "near"), (pytest.approx(5.0), "far")]
 
 
 class TestQueries:
@@ -57,7 +84,7 @@ class TestQueries:
         tree = STRTree3D.for_stobjects(rows, node_capacity=8)
         for lo in (0.0, 300.0, 950.0):
             window = Interval(lo, lo + 50)
-            got = {kv[1] for kv in tree.query_st(REGION, window)}
+            got = {kv[1] for kv in tree.query_st(REGION, window)[0]}
             expected = {
                 kv[1]
                 for kv in rows
@@ -79,7 +106,7 @@ class TestQueries:
         # admits them as candidates; refinement rejects them later.
         rows = make_entries(200, seed=4, untimed_every=3)
         tree = STRTree3D.for_stobjects(rows)
-        got = {kv[1] for kv in tree.query_st(REGION, Interval(0, 1000))}
+        got = {kv[1] for kv in tree.query_st(REGION, Interval(0, 1000))[0]}
         spatial_hits = {
             kv[1] for kv in rows if kv[0].geo.envelope.intersects(REGION)
         }
@@ -88,7 +115,7 @@ class TestQueries:
     def test_empty(self):
         tree = STRTree3D([])
         assert len(tree) == 0
-        assert tree.query_st(REGION, Interval(0, 1)) == []
+        assert tree.query_st(REGION, Interval(0, 1)) == ([], 0)
         assert tree.temporal_extent is None
         assert tree.nearest(0, 0, 3) == []
 
@@ -150,7 +177,7 @@ class TestStructure:
         rows = make_entries(3000, seed=10)
         tree = STRTree3D.for_stobjects(rows, node_capacity=4)
         window = Interval(200, 260)
-        got = {kv[1] for kv in tree.query_st(REGION, window)}
+        got = {kv[1] for kv in tree.query_st(REGION, window)[0]}
         expected = {
             kv[1]
             for kv in rows

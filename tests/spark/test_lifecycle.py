@@ -75,6 +75,57 @@ class TestCacheLRU:
             SparkContext("bad", max_cache_entries=0)
 
 
+class TestPerCallCachesAreReleased:
+    """Operators that cache an intermediate RDD per call must not leak it."""
+
+    def test_joins_and_dbscans_leave_cache_and_shuffles_bounded(self):
+        import gc
+        import random
+
+        from repro.core.spatial_rdd import spatial
+        from repro.core.stobject import STObject
+        from repro.geometry.point import Point
+
+        rng = random.Random(11)
+        rows = [
+            (STObject(Point(rng.uniform(0, 50), rng.uniform(0, 50))), i)
+            for i in range(120)
+        ]
+        with SparkContext("leak", parallelism=4, executor="sequential") as sc:
+            rdd = sc.parallelize(rows, 4)
+
+            def one_round(joins, dbscans):
+                for _ in range(joins):
+                    assert spatial(rdd).join(rdd, "intersects").count() == len(rows)
+                for _ in range(dbscans):
+                    assert spatial(rdd).cluster(eps=3.0, min_pts=3).count() == len(rows)
+                gc.collect()
+                return len(sc._cache), len(sc._shuffle._outputs)
+
+            after_one = one_round(joins=1, dbscans=1)
+            after_many = one_round(joins=30, dbscans=10)
+            # Nothing a finished call cached is still held: the totals
+            # after 41 more operations are what they were after two.
+            assert after_many[0] <= after_one[0] <= 2 * rdd.num_partitions
+            assert after_many[1] <= after_one[1] <= 1
+
+    def test_live_rdd_keeps_its_blocks(self):
+        import gc
+
+        with SparkContext("keep", executor="sequential") as sc:
+            rdd = sc.parallelize(range(40), 4).persist()
+            derived = rdd.map(lambda v: v + 1)
+            del rdd  # still reachable through the lineage of `derived`
+            gc.collect()
+            assert derived.count() == 40
+            assert len(sc._cache) == 4
+            assert derived.count() == 40
+            assert sc.metrics.cache_hits == 4
+            del derived
+            gc.collect()
+            assert len(sc._cache) == 0
+
+
 class TestShuffleLockGranularity:
     def test_locks_are_per_shuffle_id(self):
         with SparkContext("locks", executor="sequential") as sc:
