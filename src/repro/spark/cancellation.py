@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 #: The task lost to another attempt (speculation winner / job finished).
 KIND_LOSER = "loser"
@@ -167,21 +166,29 @@ def current_token() -> CancelToken | None:
     return getattr(_current, "token", None)
 
 
-@contextmanager
-def task_scope(token: CancelToken) -> Iterator[CancelToken]:
+class task_scope:
     """Install *token* as this thread's task context for the block.
 
     The scheduler wraps every task attempt in one of these; everything
     the attempt calls -- operators, the shuffle map side, chaos hooks --
     reaches the same token through :func:`current_token` without any
-    parameter threading.
+    parameter threading.  A plain class, not a generator-based context
+    manager: it is entered once per task attempt, and one-task jobs are
+    most of what a pruned query runs.
     """
-    previous = getattr(_current, "token", None)
-    _current.token = token
-    try:
-        yield token
-    finally:
-        _current.token = previous
+
+    __slots__ = ("_token", "_previous")
+
+    def __init__(self, token: CancelToken) -> None:
+        self._token = token
+
+    def __enter__(self) -> CancelToken:
+        self._previous = getattr(_current, "token", None)
+        _current.token = self._token
+        return self._token
+
+    def __exit__(self, *exc_info) -> None:
+        _current.token = self._previous
 
 
 class Heartbeat:

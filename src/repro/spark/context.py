@@ -6,6 +6,7 @@ import heapq
 import itertools
 import queue as queue_mod
 import math
+import pickle
 import statistics
 import threading
 import time
@@ -26,7 +27,6 @@ from repro.spark.cancellation import (
     CancelToken,
     Heartbeat,
     TaskCancelledError,
-    cancellable_sleep,
     current_token,
     task_scope,
 )
@@ -247,7 +247,7 @@ class _ShuffleManager:
         self._context = context
         self._ids = itertools.count()
         self._registered: dict[int, tuple[RDD, Partitioner, _Aggregator | None]] = {}
-        self._outputs: dict[int, list[list[list]]] = {}
+        self._outputs: dict[int, list[dict[int, bytes]]] = {}
         # One lock *per shuffle id* so independent shuffles run their map
         # sides concurrently instead of serializing on a single manager
         # lock.  Each is reentrant: a reduce task of one shuffle may
@@ -296,19 +296,13 @@ class _ShuffleManager:
             # scheduler retries; completed map outputs are reused.
             injector.check("shuffle.fetch", key=(shuffle_id, reduce_split))
         outputs = self._ensure_map_outputs(shuffle_id)
-        if self._context.shuffle_serialization:
-            import pickle
-
-            return itertools.chain.from_iterable(
-                pickle.loads(map_out[reduce_split])
-                for map_out in outputs
-                if reduce_split in map_out
-            )
         return itertools.chain.from_iterable(
-            map_out.get(reduce_split, ()) for map_out in outputs
+            pickle.loads(map_out[reduce_split])
+            for map_out in outputs
+            if reduce_split in map_out
         )
 
-    def _ensure_map_outputs(self, shuffle_id: int) -> list[list[list]]:
+    def _ensure_map_outputs(self, shuffle_id: int) -> list[dict[int, bytes]]:
         # Double-checked locking: reduce tasks may arrive concurrently
         # from the thread pool; only one runs the map side.  A map side
         # that *fails* leaves no entry behind -- ``_outputs`` is only
@@ -347,16 +341,14 @@ class _ShuffleManager:
         partitioner: Partitioner,
         aggregator: _Aggregator | None,
         shuffle_span=None,
-    ) -> list[dict[int, list]]:
+    ) -> list[dict[int, bytes]]:
         # The map side is itself a job over the parent RDD.  From inside
         # a reduce task, run_job must not recurse into the pool
         # (deadlock risk), so the context runs nested jobs inline; from
         # the driver (processes-backend pre-materialization) it runs as
         # a regular pooled job, so the map task must be a context-free
         # picklable closure -- accounting happens here afterwards.
-        map_task = _make_map_task(
-            partitioner, aggregator, self._context.shuffle_serialization
-        )
+        map_task = _make_map_task(partitioner, aggregator)
         results = self._context.run_job(parent, map_task)
         outputs = [buckets for buckets, _written in results]
         written = sum(w for _buckets, w in results)
@@ -376,14 +368,13 @@ class _ShuffleManager:
         """
         self._ensure_map_outputs(shuffle_id)
 
-    def serve_blocks(self, shuffle_id: int, reduce_split: int) -> tuple[bool, list]:
+    def serve_blocks(self, shuffle_id: int, reduce_split: int) -> list[bytes]:
         """Return one reduce partition's buckets for a worker fetch.
 
-        Shape: ``(serialized, chunks)`` -- one chunk per map output that
-        produced records for this partition, each a pickled blob when
-        shuffle serialization is on, a raw row list otherwise.  Unlike
-        :meth:`fetch`, no chaos check happens here: ``shuffle.fetch``
-        faults fire worker-side so they surface inside the task.
+        One pickled blob per map output that produced records for this
+        partition.  Unlike :meth:`fetch`, no chaos check happens here:
+        ``shuffle.fetch`` faults fire worker-side so they surface inside
+        the task.
         """
         outputs = self._outputs.get(shuffle_id)
         if outputs is None:
@@ -391,10 +382,7 @@ class _ShuffleManager:
                 f"shuffle {shuffle_id} has no materialized map outputs; "
                 "processes jobs must ensure() their shuffles before dispatch"
             )
-        return (
-            self._context.shuffle_serialization,
-            [out[reduce_split] for out in outputs if reduce_split in out],
-        )
+        return [out[reduce_split] for out in outputs if reduce_split in out]
 
     def clear(self) -> None:
         with self._manager_lock:
@@ -403,19 +391,17 @@ class _ShuffleManager:
             self._locks.clear()
 
 
-def _make_map_task(
-    partitioner: Partitioner, aggregator: _Aggregator | None, serialize: bool
-):
+def _make_map_task(partitioner: Partitioner, aggregator: _Aggregator | None):
     """Build the map-side task closure for one shuffle.
 
     Module-level factory so the closure captures only picklable state
-    (partitioner, aggregator, a flag) -- never the context, metrics or
-    tracer -- and therefore ships to worker processes unchanged.  It
-    returns ``(buckets, records_written)``; the shuffle manager does
-    the metrics/tracing accounting driver-side.
+    (partitioner, aggregator) -- never the context, metrics or tracer --
+    and therefore ships to worker processes unchanged.  It returns
+    ``(buckets, records_written)``; the shuffle manager does the
+    metrics/tracing accounting driver-side.
     """
 
-    def map_task(it: Iterator[tuple]) -> tuple[dict[int, Any], int]:
+    def map_task(it: Iterator[tuple]) -> tuple[dict[int, bytes], int]:
         # Buckets are sparse (dict keyed by reduce partition): a map
         # task touching few of the reduce partitions must not pay
         # for the rest, or high-partition-count shuffles (e.g. fine
@@ -437,27 +423,23 @@ def _make_map_task(
                     bucket[k] = aggregator.create_combiner(v)
             buckets = {pid: list(d.items()) for pid, d in combined.items()}
         written = sum(len(b) for b in buckets.values())
-        if serialize:
-            # Spill through pickle: a real shuffle serializes every
-            # record to disk/network.  Reference-passing would hide
-            # the very cost that separates replication-based join
-            # strategies from STARK's single-assignment design.
-            import pickle
-
-            return (
-                {
-                    pid: pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
-                    for pid, rows in buckets.items()
-                },
-                written,
-            )
-        return buckets, written
+        # Spill through pickle: a real shuffle serializes every record
+        # to disk/network.  Reference-passing would hide the very cost
+        # that separates replication-based join strategies from STARK's
+        # single-assignment design.
+        return (
+            {
+                pid: pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
+                for pid, rows in buckets.items()
+            },
+            written,
+        )
 
     return map_task
 
 
 class _TaskAttempt:
-    """One scheduled attempt of one task in a pooled job."""
+    """One scheduled attempt of one task."""
 
     __slots__ = (
         "split", "number", "speculative", "token", "start", "span",
@@ -478,313 +460,459 @@ class _TaskAttempt:
         self.handle = None
 
 
-#: Sentinel pushed into a pooled job's outcome queue to wake the driver
+#: Sentinel pushed into a pool job's outcome queue to wake the driver
 #: loop when its job token is cancelled from another thread.
 _WAKE = object()
 
 
-class _PooledJob:
-    """The event-driven driver loop for one thread-pool job.
+class _JobLoop:
+    """The event-driven driver loop of one job: the scheduler's only policy.
 
-    The worker threads only *compute*; every scheduling decision --
-    retries (with backoff timed on the driver, never ``time.sleep`` on a
-    pool thread), per-task deadlines, whole-job deadlines, speculative
-    copies of stragglers, first-result-wins resolution and cancellation
-    of redundant attempts -- happens here, on the thread that called
-    ``run_job``.  The loop blocks on an outcome queue with a timeout
-    equal to the next scheduled event, so a job with no deadlines and no
-    failures costs no polling at all, while a hung task can never block
-    the driver past its deadline: the overdue attempt's token is
-    cancelled, a typed :class:`TaskTimeoutError` is recorded, and a
-    fresh attempt is launched without waiting for the hung one.
+    Every scheduling decision -- launch order, retries and their
+    backoff, per-task and whole-job deadlines, speculative copies of
+    stragglers, first-result-wins resolution, abort and cancellation --
+    is made here, on the thread that called ``run_job``.  A *transport*
+    subclass contributes only how an attempt is started, stopped and
+    waited for, and how many splits may be in progress at once.
+
+    The loop sleeps until the next scheduled event, so a job with no
+    deadlines and no failures costs no polling at all, while a hung
+    task can never block the driver past its deadline: the overdue
+    attempt's token is cancelled, a typed :class:`TaskTimeoutError` is
+    recorded, and a fresh attempt is launched without waiting for it.
     """
 
+    #: Splits that may be in progress (launched, unresolved) at once.
+    _window: float = math.inf
+
     def __init__(self, ctx: "SparkContext", rdd: RDD, fn, splits: list[int],
-                 job_token: CancelToken, job_span) -> None:
+                 job_token: CancelToken, nested: bool = False) -> None:
         self._ctx = ctx
         self._rdd = rdd
         self._fn = fn
         self._splits = splits
         self._job_token = job_token
-        self._job_span = job_span
-        self._label = _rdd_label(rdd)
-        self._outcomes: queue_mod.Queue = queue_mod.Queue()
+        self._nested = nested
+        self._job_span = None
         self._results: dict[int, Any] = {}
-        self._failures: dict[int, list[TaskError]] = {s: [] for s in splits}
-        self._seq: dict[int, int] = {s: 0 for s in splits}
-        self._live: dict[int, list[_TaskAttempt]] = {s: [] for s in splits}
-        self._retry_heap: list[tuple[float, int, int]] = []  # (ready_at, order, split)
-        self._retry_order = itertools.count()
+        # Per-split state fills in lazily: a clean job records none of it.
+        self._failures: dict[int, list[TaskError]] = {}
+        self._seq: dict[int, int] = {}
+        self._live: dict[int, list[_TaskAttempt]] = {}
+        self._retry_heap: list[tuple[float, int]] = []  # (ready_at, split)
         self._retry_pending: set[int] = set()
         self._speculated: set[int] = set()
         self._durations: list[float] = []
 
+    @property
+    def _label(self) -> str:
+        return _rdd_label(self._rdd)
+
+    # -- the transport contract ---------------------------------------------
+
+    def _submit_attempt(self, attempt: _TaskAttempt):
+        """Start *attempt*; its ``(attempt, ok, payload)`` outcome if it
+        ran to completion on this thread, else None (see :meth:`_wait`)."""
+        raise NotImplementedError
+
+    def _cancel_attempt(self, attempt: _TaskAttempt, reason: str, kind: str) -> None:
+        """Stop one in-flight attempt (cooperatively, through its token)."""
+        attempt.token.cancel(reason, kind)
+
+    def _wait(self, timeout: float | None) -> Iterable[tuple]:
+        """Block until outcomes arrive, the job token is cancelled or
+        *timeout* seconds pass; the outcomes that arrived."""
+        raise NotImplementedError
+
     # -- lifecycle ---------------------------------------------------------
 
-    def run(self) -> list:
-        self._job_token.add_callback(lambda: self._outcomes.put(_WAKE))
-        for split in self._splits:
-            self._launch(split)
-        while len(self._results) < len(self._splits):
+    def run(self, job_span=None) -> list:
+        """Drive every split to a result; the results in request order."""
+        self._job_span = job_span
+        splits, results = self._splits, self._results
+        # A split requested twice is computed once and answered twice.
+        todo = splits if len(splits) == 1 else list(dict.fromkeys(splits))
+        total, launched, heap = len(todo), 0, self._retry_heap
+        while True:
+            while heap and heap[0][0] <= time.perf_counter():
+                split = heapq.heappop(heap)[1]
+                self._retry_pending.discard(split)
+                if split not in results:
+                    self._launch(split)
+            while launched < total and launched - len(results) < self._window:
+                self._launch(todo[launched])
+                launched += 1
+            if len(results) == total:
+                return [results[s] for s in splits]
+            # Not checked before launching: an attempt under a cancelled
+            # job token returns at once, and a job that finishes never pays.
             if self._job_token.cancelled:
                 self._abort_cancelled()
             now = time.perf_counter()
-            self._fire_due_retries(now)
+            threshold = self._speculation_threshold()
             self._enforce_task_deadlines(now)
-            self._maybe_speculate(now)
-            try:
-                outcome = self._outcomes.get(timeout=self._next_wait(now))
-            except queue_mod.Empty:
-                continue
-            while True:
-                if outcome is not _WAKE:
-                    self._handle(outcome)
-                try:
-                    outcome = self._outcomes.get_nowait()
-                except queue_mod.Empty:
-                    break
-        return [self._results[s] for s in self._splits]
+            self._maybe_speculate(now, threshold)
+            for outcome in self._wait(self._next_wait(now, threshold)):
+                self._handle(outcome)
 
     # -- launching ---------------------------------------------------------
 
     def _launch(self, split: int, speculative: bool = False) -> None:
-        self._seq[split] += 1
+        number = self._seq[split] = self._seq.get(split, 0) + 1
         attempt = _TaskAttempt(
-            split, self._seq[split], speculative, CancelToken(parent=self._job_token)
+            split, number, speculative, CancelToken(parent=self._job_token)
         )
-        self._live[split].append(attempt)
+        self._live.setdefault(split, []).append(attempt)
         if speculative:
             self._speculated.add(split)
             self._ctx.metrics.tasks_speculated += 1
         try:
-            self._submit_attempt(attempt)
+            outcome = self._submit_attempt(attempt)
         except RuntimeError as exc:  # pool shut down beneath us (stop())
             self._live[split].remove(attempt)
             self._abort(JobAbortedError(
-                self._label, split, self._seq[split], exc, self._failures[split]
+                self._label, split, number, exc, self._failures.get(split, ())
             ))
+        if outcome is not None:
+            self._handle(outcome)
 
-    def _submit_attempt(self, attempt: _TaskAttempt) -> None:
-        """Hand one attempt to the execution backend (overridable)."""
-        self._ctx._ensure_pool().submit(
-            self._ctx._attempt_worker,
-            self._rdd, self._fn, attempt, self._job_span, self._outcomes,
-        )
+    # -- the task body (in-process transports) -----------------------------
 
-    def _cancel_attempt(self, attempt: _TaskAttempt, reason: str, kind: str) -> None:
-        """Stop one in-flight attempt (overridable).
+    def _run_attempt(self, attempt: _TaskAttempt) -> tuple:
+        """Compute one attempt on the current thread; its outcome.
 
-        The threads backend cancels cooperatively through the attempt's
-        token; the processes backend additionally kills the worker.
+        Never raises -- even ``KeyboardInterrupt`` comes back as an
+        outcome, so the loop can cancel siblings and re-raise on the
+        calling thread.  The ``task`` span is parented to the job span
+        explicitly because the attempt may run on a pool thread; nested
+        jobs attach beneath it through the thread's span stack.
         """
-        attempt.token.cancel(reason, kind)
+        in_job = self._ctx._in_job
+        # Mark this thread as inside a task so any nested job it
+        # triggers (e.g. a shuffle map side) takes the inline transport
+        # instead of re-entering the pool and starving it.
+        previous = getattr(in_job, "active", False)
+        in_job.active = True
+        attempt.start = time.perf_counter()
+        try:
+            with task_scope(attempt.token):
+                attempt.token.check()
+                if self._job_span is None:
+                    return attempt, True, self._compute(attempt.split, None)
+                attrs: dict = {"split": attempt.split}
+                if attempt.number > 1:
+                    attrs["attempt"] = attempt.number
+                if attempt.speculative:
+                    attrs["speculative"] = True
+                with self._ctx.tracer.span(
+                    "task", kind="task", parent=self._job_span, **attrs
+                ) as span:
+                    attempt.span = span
+                    try:
+                        return attempt, True, self._compute(attempt.split, span)
+                    except TaskCancelledError as exc:
+                        span.attrs["cancelled"] = True
+                        if exc.kind == KIND_TIMEOUT:
+                            span.attrs["timeout"] = True
+                        raise
+                    except JobAbortedError:
+                        raise
+                    except Exception as exc:
+                        span.note_failure(f"{type(exc).__name__}: {exc}")
+                        raise
+        except BaseException as exc:
+            return attempt, False, exc
+        finally:
+            in_job.active = previous
 
-    def _schedule_retry(self, split: int, failed_attempts: int) -> None:
-        self._ctx.metrics.tasks_retried += 1
-        delay = self._ctx.retry_backoff * (2 ** (failed_attempts - 1))
-        heapq.heappush(
-            self._retry_heap,
-            (time.perf_counter() + delay, next(self._retry_order), split),
-        )
-        self._retry_pending.add(split)
+    def _compute(self, split: int, span):
+        """Recompute one partition from lineage and apply the job's function.
 
-    def _fire_due_retries(self, now: float) -> None:
-        while self._retry_heap and self._retry_heap[0][0] <= now:
-            _ready, _order, split = heapq.heappop(self._retry_heap)
-            self._retry_pending.discard(split)
-            if split not in self._results:
-                self._launch(split)
+        A cached block is only reused if a previous attempt fully
+        materialized it, so a failed attempt never poisons the cache.
+        """
+        rdd = self._rdd
+        injector = self._ctx.fault_injector
+        if injector is not None:
+            injector.check("task.compute", key=(rdd.id, split))
+        if span is None:
+            return self._fn(rdd.iterator(split))
+        counted = _CountingIterator(rdd.iterator(split))
+        try:
+            return self._fn(counted)
+        finally:
+            span.attrs["records_in"] = counted.count
 
     # -- outcomes ----------------------------------------------------------
 
     def _handle(self, outcome) -> None:
         attempt, ok, payload = outcome
+        if isinstance(payload, TaskCancelledError) and self._job_token.cancelled:
+            # The job itself was cancelled.  run() aborts next, and counts
+            # this attempt among the running ones it cancels.
+            return
         split = attempt.split
-        if attempt in self._live[split]:
-            self._live[split].remove(attempt)
+        live = self._live[split]
+        if attempt in live:
+            live.remove(attempt)
         if ok:
-            if attempt.start is not None:
+            if attempt.start is not None and self._ctx.speculation:
                 self._durations.append(time.perf_counter() - attempt.start)
             if split in self._results:
                 return  # a sibling already won; late result discarded
-            self._resolve(split, payload, attempt)
+            self._results[split] = payload
+            if attempt.speculative:
+                self._ctx.metrics.speculation_wins += 1
+            self._cancel("task superseded by a completed attempt", KIND_LOSER, live)
             return
         exc = payload
         if isinstance(exc, JobAbortedError):
             # A nested job already burned its own retry budget; terminal.
             self._abort(exc)
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            self._cancel_live("job interrupted", KIND_ABORT)
+            self._cancel("job interrupted", KIND_ABORT)
             raise exc
-        if isinstance(exc, TaskCancelledError):
-            # The driver initiated this (deadline, lost race, abort) and
-            # already did the accounting when it cancelled the token.
+        if isinstance(exc, TaskCancelledError) and attempt.token.cancelled:
+            # Whoever cancelled the token owns the accounting, and the
+            # loop did it when it reaped a deadline or resolved a race.
+            # That leaves the inline transport's watchdog, which can only
+            # cancel: its deadline is booked here.
+            if exc.kind == KIND_TIMEOUT and not attempt.timed_out:
+                self._task_timed_out(attempt)
             return
         if split in self._results:
             return  # stray failure of a redundant attempt
-        self._ctx.metrics.tasks_failed += 1
-        failures = self._failures[split]
-        failures.append(TaskError(self._label, split, attempt.number, exc))
-        if len(failures) >= self._ctx.max_task_failures:
-            self._abort(JobAbortedError(self._label, split, len(failures), exc, failures))
-        self._schedule_retry(split, len(failures))
+        self._record_failure(
+            split, TaskError(self._label, split, attempt.number, exc), exc
+        )
 
-    def _resolve(self, split: int, value, attempt: _TaskAttempt) -> None:
-        self._results[split] = value
-        if attempt.speculative:
-            self._ctx.metrics.speculation_wins += 1
-        for other in self._live[split]:
-            if not other.timed_out:
-                self._ctx.metrics.tasks_cancelled += 1
-            self._cancel_attempt(
-                other, "task superseded by a completed attempt", KIND_LOSER
-            )
-            if other.span is not None:
-                other.span.attrs["cancelled"] = True
+    def _record_failure(
+        self, split: int, record: TaskError, cause: BaseException, retry: bool = True
+    ) -> None:
+        """Charge one failed attempt to *split*'s retry budget: abort once
+        it is spent, else relaunch after the exponential backoff (timed
+        by the loop, so a backing-off task occupies no worker)."""
+        self._ctx.metrics.tasks_failed += 1
+        failures = self._failures.setdefault(split, [])
+        failures.append(record)
+        if len(failures) >= self._ctx.max_task_failures:
+            self._abort(JobAbortedError(self._label, split, len(failures), cause, failures))
+        if retry:
+            self._ctx.metrics.tasks_retried += 1
+            delay = self._ctx.retry_backoff * (2 ** (len(failures) - 1))
+            heapq.heappush(self._retry_heap, (time.perf_counter() + delay, split))
+            self._retry_pending.add(split)
 
     # -- deadlines and speculation ----------------------------------------
+
+    def _running(self) -> Iterator[_TaskAttempt]:
+        """Attempts still racing for an unresolved split (overdue ones excluded)."""
+        for split, attempts in self._live.items():
+            if split not in self._results:
+                for attempt in attempts:
+                    if not attempt.timed_out:
+                        yield attempt
 
     def _enforce_task_deadlines(self, now: float) -> None:
         timeout = self._ctx.task_timeout
         if timeout is None:
             return
-        for split, attempts in self._live.items():
-            if split in self._results:
-                continue
-            for attempt in attempts:
-                if attempt.timed_out or attempt.start is None:
-                    continue
-                if now - attempt.start < timeout:
-                    continue
-                attempt.timed_out = True
+        for attempt in self._running():
+            if attempt.start is not None and now - attempt.start >= timeout:
                 self._cancel_attempt(
                     attempt, f"task timeout after {timeout:g}s", KIND_TIMEOUT
                 )
-                self._ctx.metrics.tasks_timed_out += 1
-                self._ctx.metrics.tasks_failed += 1
-                record = TaskTimeoutError(self._label, split, attempt.number, timeout)
-                failures = self._failures[split]
-                failures.append(record)
-                if attempt.span is not None:
-                    attempt.span.note_failure(f"TaskTimeoutError: {record}")
-                    attempt.span.attrs["timeout"] = True
-                if len(failures) >= self._ctx.max_task_failures:
-                    self._abort(JobAbortedError(
-                        self._label, split, len(failures), record, failures
-                    ))
-                # Relaunch only if no healthy attempt is still racing
-                # (a live speculative copy *is* the retry).
-                if split not in self._retry_pending and not any(
-                    a is not attempt and not a.timed_out for a in attempts
-                ):
-                    self._schedule_retry(split, len(failures))
+                self._task_timed_out(attempt)
 
-    def _maybe_speculate(self, now: float) -> None:
+    def _task_timed_out(self, attempt: _TaskAttempt) -> None:
+        """Book an attempt that overran ``task_timeout`` (its token is
+        already cancelled): a typed failure against the retry budget."""
+        attempt.timed_out = True
+        self._ctx.metrics.tasks_timed_out += 1
+        split = attempt.split
+        record = TaskTimeoutError(
+            self._label, split, attempt.number, self._ctx.task_timeout or 0.0
+        )
+        if attempt.span is not None:
+            attempt.span.note_failure(f"TaskTimeoutError: {record}")
+            attempt.span.attrs["timeout"] = True
+        # Relaunch only if no healthy attempt is still racing (a live
+        # speculative copy *is* the retry).
+        covered = split in self._retry_pending or any(
+            not a.timed_out for a in self._live[split]
+        )
+        self._record_failure(split, record, record, retry=not covered)
+
+    def _speculation_threshold(self) -> float | None:
+        """The runtime past which a task is a straggler; None while
+        speculation is off or too few tasks have finished to judge."""
         ctx = self._ctx
-        if not ctx.speculation:
-            return
         total = len(self._splits)
-        done = len(self._results)
-        if total < 2 or not self._durations:
-            return
-        if done < max(1, math.ceil(ctx.speculation_quantile * total)):
-            return
-        threshold = ctx.speculation_multiplier * statistics.median(self._durations)
-        for split in self._splits:
-            if split in self._results or split in self._speculated:
-                continue
-            if split in self._retry_pending:
-                continue
-            attempts = self._live[split]
-            if any(a.speculative for a in attempts):
-                continue
-            if any(
-                a.start is not None and not a.timed_out and now - a.start > threshold
-                for a in attempts
-            ):
-                self._launch(split, speculative=True)
+        if not ctx.speculation or total < 2 or not self._durations:
+            return None
+        if len(self._results) < max(1, math.ceil(ctx.speculation_quantile * total)):
+            return None
+        return ctx.speculation_multiplier * statistics.median(self._durations)
 
-    def _next_wait(self, now: float) -> float | None:
-        """Seconds until the next scheduled event, or None to block."""
+    def _speculatable(self) -> Iterator[_TaskAttempt]:
+        """Running attempts whose split may still get a speculative copy
+        (none on the inline transport: nothing runs while the loop looks,
+        so speculation there is accepted and inert)."""
+        for attempt in self._running():
+            split = attempt.split
+            if split not in self._speculated and split not in self._retry_pending:
+                yield attempt
+
+    def _maybe_speculate(self, now: float, threshold: float | None) -> None:
+        if threshold is None:
+            return
+        for attempt in list(self._speculatable()):
+            if attempt.start is not None and now - attempt.start >= threshold:
+                self._launch(attempt.split, speculative=True)
+
+    def _next_wait(self, now: float, threshold: float | None) -> float | None:
+        """Seconds until the next scheduled event, or None to block.
+
+        Whatever is due already was acted on by the caller with the same
+        *now*, so a zero wait cannot repeat and needs no floor.
+        """
         candidates: list[float] = []
         if self._retry_heap:
             candidates.append(self._retry_heap[0][0] - now)
-        timeout = self._ctx.task_timeout
-        if timeout is not None:
-            for attempts in self._live.values():
-                for attempt in attempts:
-                    if attempt.timed_out:
-                        continue
-                    if attempt.start is None:
-                        # Queued behind a busy pool; poll for its start.
-                        candidates.append(0.02)
-                    else:
-                        candidates.append(attempt.start + timeout - now)
-        if self._ctx.speculation and len(self._results) < len(self._splits):
-            candidates.append(self._ctx.speculation_interval)
-        if not candidates:
-            return None
-        return max(0.001, min(candidates))
+        for limit, attempts in (
+            (self._ctx.task_timeout, self._running),
+            (threshold, self._speculatable),
+        ):
+            if limit is not None:
+                for attempt in attempts():
+                    # Queued behind a busy pool: poll for its start.
+                    candidates.append(
+                        0.02 if attempt.start is None else attempt.start + limit - now
+                    )
+        return max(0.0, min(candidates)) if candidates else None
 
     # -- aborting ----------------------------------------------------------
 
-    def _cancel_live(self, reason: str, kind: str) -> None:
-        for attempts in self._live.values():
-            for attempt in attempts:
-                if not attempt.timed_out:
-                    self._ctx.metrics.tasks_cancelled += 1
-                self._cancel_attempt(attempt, reason, kind)
-                if attempt.span is not None:
-                    attempt.span.attrs["cancelled"] = True
-        self._retry_heap.clear()
-        self._retry_pending.clear()
+    def _cancel(self, reason: str, kind: str, attempts=None) -> None:
+        if attempts is None:  # everything still in flight
+            attempts = [a for live in self._live.values() for a in live]
+        for attempt in attempts:
+            if not attempt.timed_out:
+                self._ctx.metrics.tasks_cancelled += 1
+            self._cancel_attempt(attempt, reason, kind)
+            if attempt.span is not None:
+                attempt.span.attrs["cancelled"] = True
 
     def _abort(self, error: JobAbortedError) -> None:
-        self._cancel_live("job aborted", KIND_ABORT)
-        raise error
+        self._cancel("job aborted", KIND_ABORT)
+        raise error from error.cause
 
     def _abort_cancelled(self) -> None:
-        """The job token was cancelled externally (timeout, stop, cancel)."""
+        """The job token was cancelled from outside the loop."""
+        token = self._job_token
+        if self._nested:
+            # The enclosing attempt timed out, lost a race or was
+            # aborted.  Unwind raw, no abort and no accounting: the outer
+            # loop owns both and may retry that task, re-running this job.
+            raise TaskCancelledError(token.reason or "job cancelled", token.kind)
         split = next(s for s in self._splits if s not in self._results)
-        failures = list(self._failures[split])
-        if self._job_token.kind == KIND_TIMEOUT:
+        failures = list(self._failures.get(split, ()))
+        if token.kind == KIND_TIMEOUT:
             record = TaskTimeoutError(
-                self._label, split, max(1, self._seq[split]),
+                self._label, split, max(1, self._seq.get(split, 0)),
                 self._ctx.job_timeout or 0.0, scope="job",
             )
             failures.append(record)
             self._ctx.metrics.tasks_timed_out += 1
             cause: BaseException = record
         else:
-            cause = TaskCancelledError(
-                self._job_token.reason or "job cancelled", self._job_token.kind
-            )
+            cause = TaskCancelledError(token.reason or "job cancelled", token.kind)
         self._abort(JobAbortedError(
             self._label, split, max(1, len(failures)), cause, failures
         ))
 
 
-class _ProcessJob(_PooledJob):
-    """The processes-backend variant of the pooled driver loop.
+class _InlineJob(_JobLoop):
+    """The inline transport: an attempt is a call on the driver thread.
 
-    Scheduling policy (retries, backoff, deadlines, abort handling) is
-    inherited unchanged from :class:`_PooledJob`; what differs is the
-    transport.  Attempts dispatch to a :class:`~repro.spark.procpool.
-    ProcessPool` as a serialized payload + split id; workers recompute
-    the partition from shipped lineage and send back the value plus the
-    *side data* a shared address space used to make free -- a metrics
-    delta, recorded accumulator terms, chaos counters and the task's
-    trace span -- which :meth:`_absorb` merges into driver state.
-    Cancellation is kill-based: :meth:`_cancel_attempt` still cancels
-    the driver-side token (so the inherited accounting is identical)
-    and then shoots the attempt's worker process; the pool synthesizes
-    a ``TaskCancelledError`` outcome that the inherited ``_handle``
-    already knows to ignore.
+    With a window of one split, attempts run one at a time in split
+    order and a failed split's retry runs, after its backoff, before
+    the next split starts: execution order is a function of the job and
+    the fault plan alone, which keeps seeded chaos runs reproducible.
+    """
+
+    _window = 1
+
+    def _submit_attempt(self, attempt: _TaskAttempt) -> tuple:
+        timeout = self._ctx.task_timeout
+        if timeout is None:
+            return self._run_attempt(attempt)
+        # The driver thread is about to be busy computing, so a timer
+        # cancels an overdue attempt; _handle books the deadline.
+        watchdog = threading.Timer(
+            timeout,
+            attempt.token.cancel,
+            args=(f"task timeout after {timeout:g}s", KIND_TIMEOUT),
+        )
+        watchdog.daemon = True
+        watchdog.start()
+        try:
+            return self._run_attempt(attempt)
+        finally:
+            watchdog.cancel()
+
+    def _wait(self, timeout: float | None) -> Iterable[tuple]:
+        # Only a retry can be pending; waiting on the job token lets a
+        # cancelled job cut the backoff short.
+        self._job_token.wait(timeout)
+        return ()
+
+
+class _ThreadJob(_JobLoop):
+    """The thread-pool transport: pool threads compute, a queue reports."""
+
+    def __init__(self, ctx: "SparkContext", rdd: RDD, fn, splits: list[int],
+                 job_token: CancelToken) -> None:
+        super().__init__(ctx, rdd, fn, splits, job_token)
+        self._outcomes: queue_mod.Queue = queue_mod.Queue()
+        job_token.add_callback(lambda: self._outcomes.put(_WAKE))
+
+    def _submit_attempt(self, attempt: _TaskAttempt) -> None:
+        self._ctx._ensure_pool().submit(
+            lambda: self._outcomes.put(self._run_attempt(attempt))
+        )
+
+    def _wait(self, timeout: float | None) -> Iterator[tuple]:
+        try:
+            outcome = self._outcomes.get(timeout=timeout)
+            while True:
+                if outcome is not _WAKE:
+                    yield outcome
+                outcome = self._outcomes.get_nowait()
+        except queue_mod.Empty:
+            return
+
+
+class _ProcessJob(_ThreadJob):
+    """The process-pool transport.
+
+    Scheduling policy is :class:`_JobLoop`'s, unchanged; what differs is
+    how an attempt travels.  Attempts dispatch to a
+    :class:`~repro.spark.procpool.ProcessPool` as a serialized payload +
+    split id; workers recompute the partition from shipped lineage and
+    send back the value plus the *side data* a shared address space
+    used to make free -- a metrics delta, recorded accumulator terms,
+    chaos counters and the task's trace span -- which :meth:`_absorb`
+    merges into driver state.  Cancellation is kill-based:
+    :meth:`_cancel_attempt` still cancels the driver-side token (so the
+    loop's accounting is identical) and then shoots the attempt's
+    worker process; the pool synthesizes a ``TaskCancelledError``
+    outcome that ``_handle`` already knows to ignore.
     """
 
     def __init__(self, ctx: "SparkContext", rdd: RDD, fn, splits: list[int],
-                 job_token: CancelToken, job_span, payload) -> None:
-        super().__init__(ctx, rdd, fn, splits, job_token, job_span)
+                 job_token: CancelToken, payload) -> None:
+        super().__init__(ctx, rdd, fn, splits, job_token)
         self._payload = payload
         self._pool = ctx._ensure_proc_pool()
         injector = ctx.fault_injector
@@ -793,9 +921,9 @@ class _ProcessJob(_PooledJob):
             "chaos": injector.worker_spec() if injector is not None else None,
         }
 
-    def run(self) -> list:
+    def run(self, job_span=None) -> list:
         try:
-            return super().run()
+            return super().run(job_span)
         finally:
             # Workers cache the payload bytes for the job's duration;
             # the job is over, reclaim the memory.
@@ -876,9 +1004,9 @@ class SparkContext:
     """The driver: creates RDDs, runs jobs, owns caches and metrics.
 
     ``parallelism`` controls both the default slice count of
-    :meth:`parallelize` and the size of the task thread pool.  With
-    ``executor="sequential"`` tasks run inline in deterministic order,
-    which the test-suite uses.
+    :meth:`parallelize` and the size of the task pool.  With
+    ``executor="sequential"`` every attempt runs on the calling thread,
+    one at a time in split order, which the test-suite uses.
     """
 
     def __init__(
@@ -886,7 +1014,6 @@ class SparkContext:
         app_name: str = "repro",
         parallelism: int = 4,
         executor: str = "threads",
-        shuffle_serialization: bool = True,
         tracing: bool = False,
         tracer: Tracer | None = None,
         max_task_failures: int = 4,
@@ -897,7 +1024,6 @@ class SparkContext:
         speculation: bool = False,
         speculation_quantile: float = 0.75,
         speculation_multiplier: float = 1.5,
-        speculation_interval: float = 0.02,
         max_cache_entries: int | None = None,
     ) -> None:
         if parallelism < 1:
@@ -922,17 +1048,11 @@ class SparkContext:
             raise ValueError("speculation_quantile must be in (0, 1]")
         if speculation_multiplier < 1.0:
             raise ValueError("speculation_multiplier must be >= 1.0")
-        if speculation_interval <= 0:
-            raise ValueError("speculation_interval must be positive")
         if max_cache_entries is not None and max_cache_entries < 1:
             raise ValueError("max_cache_entries must be >= 1")
         self.app_name = app_name
         self.default_parallelism = parallelism
         self._executor_mode = executor
-        #: Serialize shuffled records through pickle (like a real Spark
-        #: shuffle).  Keeps the engine's cost model faithful; disable
-        #: only for micro-tests where shuffle cost is irrelevant.
-        self.shuffle_serialization = shuffle_serialization
         self._rdd_ids = itertools.count()
         self.metrics = Metrics()
         self._cache = _CacheManager(max_cache_entries, self.metrics)
@@ -945,9 +1065,9 @@ class SparkContext:
         #: partition from lineage.
         self.max_task_failures = max_task_failures
         #: Base of the exponential retry backoff, in seconds: attempt
-        #: *n* waits ``retry_backoff * 2**(n-1)`` before re-running.  On
-        #: the thread-pool executor the wait is timed by the driver loop
-        #: -- a backing-off task never occupies a worker slot.
+        #: *n* waits ``retry_backoff * 2**(n-1)`` before re-running.  The
+        #: wait is timed by the driver loop -- a backing-off task never
+        #: occupies a worker slot.
         self.retry_backoff = retry_backoff
         #: Optional :class:`repro.chaos.FaultInjector`; when set, the
         #: instrumented sites consult it.  Hot paths guard on ``is not
@@ -969,8 +1089,6 @@ class SparkContext:
         self.speculation = speculation
         self.speculation_quantile = speculation_quantile
         self.speculation_multiplier = speculation_multiplier
-        #: How often (seconds) the driver loop re-evaluates stragglers.
-        self.speculation_interval = speculation_interval
         self._pool: ThreadPoolExecutor | None = None
         self._proc_pool = None
         self._max_cache_entries = max_cache_entries
@@ -1033,9 +1151,13 @@ class SparkContext:
     ) -> list[U]:
         """Run ``fn`` over each requested partition and gather the results.
 
-        The backbone of every action.  Nested jobs (e.g. a shuffle map
-        side triggered from inside a reduce task) run inline on the
-        calling thread to avoid pool starvation.
+        The backbone of every action.  One driver loop
+        (:class:`_JobLoop`) schedules every job; the executor only
+        picks the transport its attempts travel by.  Nested jobs (e.g. a
+        shuffle map side triggered from inside a reduce task) and
+        one-task jobs run inline on the calling thread, the first to
+        avoid pool starvation, the second because a pool round trip
+        would cost more than the task.
 
         Each task gets :attr:`max_task_failures` attempts, recomputing
         its partition from lineage every time; a task that keeps failing
@@ -1043,6 +1165,13 @@ class SparkContext:
         runs under a :class:`CancelToken` descended from the job's, so
         deadlines, speculation losses and :meth:`cancel_all_jobs` stop
         in-flight work cooperatively.
+
+        With tracing on, the job runs inside a ``job`` span carrying the
+        operator tag and pruning attribution of the target lineage, with
+        one ``task`` span per attempt beneath it (``records_in``, and
+        ``attempt`` / ``speculative`` / ``failures`` / ``last_error`` /
+        ``cancelled`` / ``timeout`` as they apply); an aborting job is
+        flagged ``aborted``.
         """
         if self._stopped:
             raise RuntimeError(
@@ -1074,7 +1203,8 @@ class SparkContext:
         # Nested jobs chain their token under the enclosing task's, so a
         # cancelled outer job reaches a shuffle map side levels deep.
         job_token = CancelToken(parent=current_token())
-        self._register_job(job_token)
+        with self._jobs_lock:
+            self._active_jobs.add(job_token)
         job_timer: threading.Timer | None = None
         if self.job_timeout is not None and not nested:
             job_timer = threading.Timer(
@@ -1085,291 +1215,43 @@ class SparkContext:
             job_timer.daemon = True
             job_timer.start()
         try:
-            payload = None
-            if pooled and self._executor_mode == "processes":
-                # Serialize the task once for the whole job and
-                # materialize every shuffle its lineage crosses, so
-                # workers never trigger driver-side work they would
-                # have to wait on mid-task.
+            if not pooled:
+                loop = _InlineJob(self, rdd, fn, splits, job_token, nested)
+            elif self._executor_mode == "threads":
+                loop = _ThreadJob(self, rdd, fn, splits, job_token)
+            else:
                 payload = self._prepare_process_payload(rdd, fn)
-            if self.tracer.enabled:
-                return self._run_job_traced(
-                    rdd, fn, splits, pooled, nested, job_token, payload
-                )
-            if pooled:
-                return self._pooled_job(rdd, fn, splits, job_token, None, payload).run()
-            return self._run_job_inline(rdd, fn, splits, nested, job_token, None)
+                loop = _ProcessJob(self, rdd, fn, splits, job_token, payload)
+            if not self.tracer.enabled:
+                return loop.run()
+            attrs: dict = {
+                "rdd": _rdd_label(rdd),
+                "op": _lineage_tag(rdd),
+                "tasks": len(splits),
+            }
+            pruned = _lineage_pruning(rdd)
+            if pruned:
+                attrs["partitions_pruned"] = pruned
+            with self.tracer.span("job", kind="job", **attrs) as job_span:
+                try:
+                    return loop.run(job_span)
+                except JobAbortedError as exc:
+                    job_span.attrs["aborted"] = True
+                    job_span.attrs["error"] = f"{type(exc.cause).__name__}: {exc.cause}"
+                    raise
+                except TaskCancelledError:
+                    # A nested job unwinding because its *enclosing* task was
+                    # cancelled; the outer job does the accounting.
+                    job_span.attrs["cancelled"] = True
+                    raise
         except JobAbortedError:
             self.metrics.jobs_failed += 1
             raise
         finally:
             if job_timer is not None:
                 job_timer.cancel()
-            self._unregister_job(job_token)
-
-    def _run_job_traced(
-        self,
-        rdd: RDD[T],
-        fn: Callable[[Iterator[T]], U],
-        splits: list[int],
-        pooled: bool,
-        nested: bool,
-        job_token: CancelToken,
-        payload=None,
-    ) -> list[U]:
-        """The tracing twin of :meth:`run_job`'s execution core.
-
-        Opens a ``job`` span carrying the operator tag and pruning
-        attribution of the target lineage, plus one ``task`` span per
-        attempt with the records it consumed.  Task spans are parented
-        to the job span explicitly because tasks may run on pool
-        threads; nested jobs a task triggers attach beneath its span
-        through the worker thread's stack.  Inline retries mark their
-        task span with ``failures``/``attempt``/``last_error`` attrs;
-        pooled retries and speculative copies open their own spans
-        (``attempt``/``speculative``); cancelled and overdue attempts
-        are flagged ``cancelled``/``timeout``, and an aborting job is
-        flagged ``aborted``.
-        """
-        tracer = self.tracer
-        attrs: dict = {
-            "rdd": _rdd_label(rdd),
-            "op": _lineage_tag(rdd),
-            "tasks": len(splits),
-        }
-        pruned = _lineage_pruning(rdd)
-        if pruned:
-            attrs["partitions_pruned"] = pruned
-        with tracer.span("job", kind="job", **attrs) as job_span:
-            try:
-                if pooled:
-                    return self._pooled_job(
-                        rdd, fn, splits, job_token, job_span, payload
-                    ).run()
-                return self._run_job_inline(rdd, fn, splits, nested, job_token, job_span)
-            except JobAbortedError as exc:
-                job_span.attrs["aborted"] = True
-                job_span.attrs["error"] = f"{type(exc.cause).__name__}: {exc.cause}"
-                raise
-            except TaskCancelledError:
-                # A nested job unwinding because its *enclosing* task was
-                # cancelled; the outer job does the accounting.
-                job_span.attrs["cancelled"] = True
-                raise
-
-    def _run_job_inline(
-        self,
-        rdd: RDD[T],
-        fn: Callable[[Iterator[T]], U],
-        splits: list[int],
-        nested: bool,
-        job_token: CancelToken,
-        job_span,
-    ) -> list[U]:
-        """Sequential execution on the calling thread (also nested jobs)."""
-
-        def task(split: int) -> U:
-            # Mark this thread as inside a task so any nested job it
-            # triggers (e.g. a shuffle map side) runs inline instead of
-            # re-entering the pool and starving it.
-            previous = getattr(self._in_job, "active", False)
-            self._in_job.active = True
-            try:
-                if job_span is not None:
-                    with self.tracer.span(
-                        "task", kind="task", parent=job_span, split=split
-                    ) as task_span:
-                        return self._run_task(rdd, fn, split, nested, job_token, task_span)
-                return self._run_task(rdd, fn, split, nested, job_token)
-            finally:
-                self._in_job.active = previous
-
-        return [task(s) for s in splits]
-
-    def _run_task(
-        self,
-        rdd: RDD[T],
-        fn: Callable[[Iterator[T]], U],
-        split: int,
-        nested: bool,
-        job_token: CancelToken,
-        task_span=None,
-    ) -> U:
-        """Run one task inline with retries; the scheduler's fault boundary.
-
-        Every attempt recomputes the partition from lineage (a cached
-        block is only reused if a previous attempt fully materialized
-        it, so a mid-computation failure never poisons the cache) under
-        its own :class:`CancelToken`; when ``task_timeout`` is set, a
-        watchdog timer cancels an overdue attempt, which surfaces here
-        as a retryable :class:`TaskTimeoutError`.  Cancellation of the
-        *job* (abort, stop, job timeout) is terminal.  A
-        :class:`JobAbortedError` from a *nested* job is also terminal --
-        the inner job already spent its own retry budget, so re-driving
-        it from here would multiply attempts at every nesting level.
-        """
-        injector = self.fault_injector
-        label = _rdd_label(rdd)
-        failures: list[TaskError] = []
-        attempt = 0
-        while True:
-            attempt += 1
-            token = CancelToken(parent=job_token)
-            watchdog: threading.Timer | None = None
-            if self.task_timeout is not None:
-                watchdog = threading.Timer(
-                    self.task_timeout,
-                    token.cancel,
-                    args=(f"task timeout after {self.task_timeout:g}s", KIND_TIMEOUT),
-                )
-                watchdog.daemon = True
-                watchdog.start()
-            try:
-                with task_scope(token):
-                    token.check()
-                    if injector is not None:
-                        injector.check("task.compute", key=(rdd.id, split))
-                    if task_span is None:
-                        return fn(rdd.iterator(split))
-                    counted = _CountingIterator(rdd.iterator(split))
-                    try:
-                        return fn(counted)
-                    finally:
-                        task_span.attrs["records_in"] = counted.count
-                        if attempt > 1:
-                            task_span.attrs["attempt"] = attempt
-            except JobAbortedError:
-                raise
-            except TaskCancelledError as exc:
-                if nested and job_token.cancelled:
-                    # The cancellation came from *above* this job (the
-                    # enclosing attempt timed out, lost a speculation
-                    # race, or its job aborted).  Unwind raw: the outer
-                    # scheduler owns the accounting and may retry the
-                    # enclosing task, which will re-run this nested job.
-                    if task_span is not None:
-                        task_span.attrs["cancelled"] = True
-                    raise
-                if job_token.cancelled or exc.kind != KIND_TIMEOUT:
-                    raise self._terminal_cancellation(
-                        exc, label, split, attempt, failures, task_span, job_token
-                    ) from exc
-                # Per-attempt deadline: typed failure, then retry.
-                self.metrics.tasks_timed_out += 1
-                self.metrics.tasks_failed += 1
-                record = TaskTimeoutError(label, split, attempt, self.task_timeout or 0.0)
-                failures.append(record)
-                if task_span is not None:
-                    task_span.note_failure(f"TaskTimeoutError: {record}")
-                    task_span.attrs["timeout"] = True
-                if attempt >= self.max_task_failures:
-                    raise JobAbortedError(label, split, attempt, record, failures) from exc
-                self.metrics.tasks_retried += 1
-                self._backoff(attempt, label, split, failures, job_token)
-            except Exception as exc:
-                self.metrics.tasks_failed += 1
-                failures.append(TaskError(label, split, attempt, exc))
-                if task_span is not None:
-                    task_span.note_failure(f"{type(exc).__name__}: {exc}")
-                if attempt >= self.max_task_failures:
-                    raise JobAbortedError(label, split, attempt, exc, failures) from exc
-                self.metrics.tasks_retried += 1
-                self._backoff(attempt, label, split, failures, job_token)
-            finally:
-                if watchdog is not None:
-                    watchdog.cancel()
-
-    def _terminal_cancellation(
-        self, exc, label, split, attempt, failures, task_span, job_token
-    ) -> JobAbortedError:
-        """Build the abort for a job-level cancellation of an inline task."""
-        if job_token.cancelled and job_token.kind == KIND_TIMEOUT:
-            record = TaskTimeoutError(
-                label, split, attempt, self.job_timeout or 0.0, scope="job"
-            )
-            failures.append(record)
-            self.metrics.tasks_timed_out += 1
-            if task_span is not None:
-                task_span.attrs["timeout"] = True
-            return JobAbortedError(label, split, attempt, record, failures)
-        self.metrics.tasks_cancelled += 1
-        if task_span is not None:
-            task_span.attrs["cancelled"] = True
-        return JobAbortedError(label, split, attempt, exc, failures)
-
-    def _backoff(self, attempt, label, split, failures, job_token) -> None:
-        """Exponential retry backoff; wakes early if the job is cancelled."""
-        if self.retry_backoff <= 0:
-            return
-        try:
-            cancellable_sleep(self.retry_backoff * (2 ** (attempt - 1)), token=job_token)
-        except TaskCancelledError as exc:
-            raise JobAbortedError(label, split, attempt, exc, failures) from exc
-
-    def _attempt_worker(self, rdd, fn, attempt: _TaskAttempt, job_span, outcomes) -> None:
-        """The pool-thread half of a pooled task attempt.
-
-        Pure computation: runs the partition function under the
-        attempt's cancel scope and reports (attempt, ok, payload) to the
-        driver loop.  Never raises -- even ``KeyboardInterrupt`` is
-        shipped back so the driver can cancel siblings and re-raise on
-        the calling thread.
-        """
-        previous = getattr(self._in_job, "active", False)
-        self._in_job.active = True
-        attempt.start = time.perf_counter()
-        try:
-            try:
-                with task_scope(attempt.token):
-                    attempt.token.check()
-                    if self.tracer.enabled and job_span is not None:
-                        attrs: dict = {"split": attempt.split}
-                        if attempt.number > 1:
-                            attrs["attempt"] = attempt.number
-                        if attempt.speculative:
-                            attrs["speculative"] = True
-                        with self.tracer.span(
-                            "task", kind="task", parent=job_span, **attrs
-                        ) as span:
-                            attempt.span = span
-                            try:
-                                value = self._compute_partition(rdd, fn, attempt.split, span)
-                            except TaskCancelledError as exc:
-                                span.attrs["cancelled"] = True
-                                if exc.kind == KIND_TIMEOUT:
-                                    span.attrs["timeout"] = True
-                                raise
-                            except JobAbortedError:
-                                raise
-                            except Exception as exc:
-                                span.note_failure(f"{type(exc).__name__}: {exc}")
-                                raise
-                    else:
-                        value = self._compute_partition(rdd, fn, attempt.split, None)
-            except BaseException as exc:
-                outcomes.put((attempt, False, exc))
-            else:
-                outcomes.put((attempt, True, value))
-        finally:
-            self._in_job.active = previous
-
-    def _compute_partition(self, rdd, fn, split: int, span):
-        injector = self.fault_injector
-        if injector is not None:
-            injector.check("task.compute", key=(rdd.id, split))
-        if span is None:
-            return fn(rdd.iterator(split))
-        counted = _CountingIterator(rdd.iterator(split))
-        try:
-            return fn(counted)
-        finally:
-            span.attrs["records_in"] = counted.count
-
-    def _pooled_job(self, rdd, fn, splits, job_token, job_span, payload) -> _PooledJob:
-        """The driver loop for this context's parallel backend."""
-        if payload is not None:
-            return _ProcessJob(self, rdd, fn, splits, job_token, job_span, payload)
-        return _PooledJob(self, rdd, fn, splits, job_token, job_span)
+            with self._jobs_lock:
+                self._active_jobs.discard(job_token)
 
     def _prepare_process_payload(self, rdd, fn):
         """Serialize a job's task and pre-materialize its shuffles.
@@ -1379,7 +1261,8 @@ class SparkContext:
         shipping contract.  Materializing reachable shuffles here runs
         each map side as a regular (driver-initiated, pooled) job whose
         own payload preparation recurses depth-first into *its*
-        upstream shuffles -- workers then only ever fetch ready buckets.
+        upstream shuffles -- workers then only ever fetch ready buckets
+        and never trigger driver-side work they would have to wait on.
         """
         from repro.spark.serialization import serialize_task
 
@@ -1407,7 +1290,6 @@ class SparkContext:
                 {
                     "app_name": self.app_name,
                     "default_parallelism": self.default_parallelism,
-                    "shuffle_serialization": self.shuffle_serialization,
                     "max_cache_entries": self._max_cache_entries,
                 },
                 self._shuffle.serve_blocks,
@@ -1419,14 +1301,6 @@ class SparkContext:
         return next(self._rdd_ids)
 
     # -- lifecycle -----------------------------------------------------------
-
-    def _register_job(self, token: CancelToken) -> None:
-        with self._jobs_lock:
-            self._active_jobs.add(token)
-
-    def _unregister_job(self, token: CancelToken) -> None:
-        with self._jobs_lock:
-            self._active_jobs.discard(token)
 
     def cancel_all_jobs(self, reason: str = "cancelled by driver") -> int:
         """Cancel every running job from any thread; returns jobs signalled.

@@ -96,7 +96,7 @@ class ProcessPool:
         self,
         size: int,
         config: dict,
-        serve_blocks: Callable[[int, int], tuple[bool, list]],
+        serve_blocks: Callable[[int, int], list[bytes]],
         name: str = "repro",
     ) -> None:
         method = os.environ.get("REPRO_PROC_START_METHOD", "spawn")
@@ -230,8 +230,8 @@ class ProcessPool:
         if kind == "fetch":
             _, _task_id, shuffle_id, reduce_split = msg
             try:
-                serialized, chunks = self._serve_blocks(shuffle_id, reduce_split)
-                reply = ("blocks", shuffle_id, reduce_split, serialized, chunks)
+                chunks = self._serve_blocks(shuffle_id, reduce_split)
+                reply = ("blocks", shuffle_id, reduce_split, chunks)
             except Exception as exc:
                 reply = ("blocks_error", shuffle_id, reduce_split, repr(exc))
             try:

@@ -100,12 +100,8 @@ class _WorkerShuffle:
         injector = ctx.fault_injector
         if injector is not None:
             injector.check("shuffle.fetch", key=(shuffle_id, reduce_split))
-        serialized, chunks = ctx.request_blocks(shuffle_id, reduce_split)
-        if serialized:
-            return itertools.chain.from_iterable(
-                pickle.loads(chunk) for chunk in chunks
-            )
-        return itertools.chain.from_iterable(chunks)
+        chunks = ctx.request_blocks(shuffle_id, reduce_split)
+        return itertools.chain.from_iterable(pickle.loads(chunk) for chunk in chunks)
 
 
 class WorkerContext:
@@ -126,7 +122,6 @@ class WorkerContext:
         self._conn = conn
         self.app_name = config.get("app_name", "repro")
         self.default_parallelism = config.get("default_parallelism", 4)
-        self.shuffle_serialization = config.get("shuffle_serialization", True)
         self.metrics = Metrics()
         self._cache = _CacheManager(config.get("max_cache_entries"), self.metrics)
         self._shuffle = _WorkerShuffle(self)
@@ -211,14 +206,14 @@ class WorkerContext:
 
     # -- shuffle-fetch plumbing ----------------------------------------------
 
-    def request_blocks(self, shuffle_id: int, reduce_split: int):
-        """Fetch one reduce split's shuffle blocks from the driver."""
+    def request_blocks(self, shuffle_id: int, reduce_split: int) -> list[bytes]:
+        """Fetch one reduce split's pickled shuffle blocks from the driver."""
         self._conn.send(("fetch", self._current_task, shuffle_id, reduce_split))
         while True:
             msg = self._conn.recv()
             kind = msg[0]
             if kind == "blocks" and msg[1] == shuffle_id and msg[2] == reduce_split:
-                return msg[3], msg[4]
+                return msg[3]
             if kind == "blocks_error" and msg[1] == shuffle_id and msg[2] == reduce_split:
                 raise RuntimeError(
                     f"shuffle {shuffle_id} fetch of partition {reduce_split} "

@@ -12,9 +12,10 @@ import time
 import pytest
 
 from repro.chaos import FaultInjector
-from repro.spark.cancellation import cancellable_sleep
+from repro.spark.cancellation import cancellable_sleep, wait_cancelled
 from repro.spark.context import SparkContext
 from repro.spark.errors import JobAbortedError, TaskTimeoutError
+from repro.spark.partitioner import HashPartitioner
 
 pytestmark = pytest.mark.chaos
 
@@ -30,7 +31,6 @@ class TestSpeculation:
             speculation=True,
             speculation_quantile=0.5,
             speculation_multiplier=1.2,
-            speculation_interval=0.01,
         ) as sc:
             state = {"straggled": False}
 
@@ -70,7 +70,11 @@ class TestSpeculation:
 
 @pytest.mark.parametrize("executor", ["sequential", "threads"])
 class TestTaskDeadlines:
-    def test_hung_tasks_time_out_and_retries_recover(self, executor):
+    # One partition takes the inline transport on either executor (a
+    # watchdog timer cancels, the loop books the deadline); four take the
+    # thread pool under ``threads`` (the loop does both).
+    @pytest.mark.parametrize("partitions", [4, 1])
+    def test_hung_tasks_time_out_and_retries_recover(self, executor, partitions):
         injector = FaultInjector().hang("task.compute", times=1)
         with SparkContext(
             f"hang-{executor}",
@@ -82,18 +86,61 @@ class TestTaskDeadlines:
             fault_injector=injector,
         ) as sc:
             start = time.perf_counter()
-            result = sorted(sc.parallelize(range(8), 4).collect())
+            result = sorted(sc.parallelize(range(8), partitions).collect())
             elapsed = time.perf_counter() - start
 
         assert result == list(range(8))  # identical to the fault-free run
         assert elapsed < 15.0, "job blocked instead of reaping hung tasks"
-        assert sc.metrics.tasks_timed_out == 4
-        assert sc.metrics.tasks_retried == 4
-        assert injector.hung == {"task.compute": 4}
+        assert sc.metrics.tasks_timed_out == partitions
+        assert sc.metrics.tasks_failed == partitions
+        assert sc.metrics.tasks_retried == partitions
+        assert injector.hung == {"task.compute": partitions}
         timeout_spans = [
             span for span in sc.tracer.root.walk() if span.attrs.get("timeout")
         ]
         assert timeout_spans, "no task span flagged timeout"
+
+    def test_deadline_during_nested_map_side_retries_the_reduce_task(self, executor):
+        """A reduce task times out while the shuffle map side it triggered
+        (a nested job) hangs: the nested job unwinds without aborting or
+        booking anything, the *reduce* task is retried, and the retry
+        re-runs the map side."""
+        state = {"first_record_mapped": 0}
+
+        def hang_once(kv):
+            if kv == (0, 0):
+                state["first_record_mapped"] += 1
+                if state["first_record_mapped"] == 1:
+                    wait_cancelled(30.0)
+            return kv
+
+        # The reduce side stalls before it fetches, so the nested job's own
+        # watchdog starts well after the reduce task's and cannot fire first.
+        injector = FaultInjector().delay("shuffle.fetch", 0.15, times=1)
+        # One worker: the second reduce task queues instead of blocking on
+        # the shuffle's map-side lock, so exactly one attempt is overdue.
+        with SparkContext(
+            f"nested-hang-{executor}",
+            parallelism=1,
+            executor=executor,
+            retry_backoff=0.0,
+            task_timeout=0.5,
+            fault_injector=injector,
+        ) as sc:
+            pairs = sc.parallelize([(i % 3, i) for i in range(12)], 2).map(hang_once)
+            summed = pairs.reduce_by_key(lambda a, b: a + b, HashPartitioner(2))
+            start = time.perf_counter()
+            result = dict(summed.collect())
+            elapsed = time.perf_counter() - start
+
+        assert result == {0: 18, 1: 22, 2: 26}
+        assert elapsed < 15.0, "the hung map side blocked the job"
+        assert state["first_record_mapped"] == 2, "the map side did not re-run"
+        assert sc.metrics.shuffles_executed == 1
+        assert sc.metrics.tasks_timed_out == 1  # the reduce attempt, not the map task
+        assert sc.metrics.tasks_failed == 1
+        assert sc.metrics.tasks_retried == 1
+        assert sc.metrics.jobs_failed == 0
 
     def test_persistent_hang_aborts_with_typed_failures(self, executor):
         injector = FaultInjector().hang("task.compute", times=10)

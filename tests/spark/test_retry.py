@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.chaos import FaultInjector
+from repro.chaos import FaultInjector, InjectedFault
 from repro.spark.context import SparkContext
 from repro.spark.partitioner import HashPartitioner
-from repro.spark.errors import JobAbortedError
+from repro.spark.errors import JobAbortedError, TaskError
 
 pytestmark = pytest.mark.chaos
 
@@ -30,9 +30,43 @@ class TestPartitionValidation:
         rdd = sc.parallelize(range(10), 2)
         assert sc.run_job(rdd, list, partitions=[1]) == [list(range(5, 10))]
 
+    @pytest.mark.parametrize("fixture", ["sc", "threaded_sc"])
+    def test_a_split_requested_twice_is_answered_twice(self, fixture, request):
+        context = request.getfixturevalue(fixture)
+        rdd = context.parallelize(range(10), 2)
+        chunk = list(range(5, 10))
+        assert context.run_job(rdd, list, partitions=[1, 0, 1]) == [
+            chunk, list(range(5)), chunk,
+        ]
 
-class TestRetryMetricsSequential:
-    def test_first_attempt_failures_counted(self, sc):
+
+EXECUTORS = ["sequential", "threads", "processes"]
+
+
+@pytest.fixture(params=EXECUTORS)
+def any_sc(request):
+    """One context per executor: the same loop behind three transports."""
+    context = SparkContext(
+        f"retry-{request.param}",
+        parallelism=2,
+        executor=request.param,
+        retry_backoff=0.0,
+    )
+    yield context
+    context.stop()
+
+
+def _boom_on_zero(it):
+    """A task that fails on the split holding 0 (module-level: it ships)."""
+    values = list(it)
+    if 0 in values:
+        raise ValueError("boom")
+    return values
+
+
+class TestRetryMetrics:
+    def test_first_attempt_failures_counted(self, any_sc):
+        sc = any_sc
         rdd = sc.parallelize(range(20), 4)
         sc.metrics.reset()
         with FaultInjector().fail("task.compute", times=1).installed(sc):
@@ -42,34 +76,72 @@ class TestRetryMetricsSequential:
         assert sc.metrics.tasks_retried == 4
         assert sc.metrics.jobs_failed == 0
 
-    def test_exhaustion_counts_a_failed_job(self, sc):
+    def test_exhaustion_counts_a_failed_job(self, any_sc):
+        sc = any_sc
         rdd = sc.parallelize(range(20), 4)
         sc.metrics.reset()
-        with FaultInjector().fail("task.compute", probability=1.0).installed(sc):
-            with pytest.raises(JobAbortedError):
-                rdd.collect()
+        with pytest.raises(JobAbortedError) as excinfo:
+            sc.run_job(rdd, _boom_on_zero)
+        # only split 0 fails, and it burns exactly its own budget
         assert sc.metrics.jobs_failed == 1
-        # the aborting task burned its whole budget
-        assert sc.metrics.tasks_failed >= sc.max_task_failures
-        assert sc.metrics.tasks_retried >= sc.max_task_failures - 1
+        assert sc.metrics.tasks_failed == sc.max_task_failures
+        assert sc.metrics.tasks_retried == sc.max_task_failures - 1
+        failures = excinfo.value.failures
+        assert [type(f) for f in failures] == [TaskError] * sc.max_task_failures
+        assert [f.attempt for f in failures] == [1, 2, 3, 4]
+        assert all(isinstance(f.cause, ValueError) and f.split == 0 for f in failures)
+        assert isinstance(excinfo.value.cause, ValueError)
 
-    def test_custom_max_task_failures(self):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_custom_max_task_failures(self, executor):
         with SparkContext(
-            "retry-test", executor="sequential", max_task_failures=2, retry_backoff=0.0
+            "retry-test", parallelism=2, executor=executor,
+            max_task_failures=2, retry_backoff=0.0,
         ) as sc:
             with FaultInjector().fail("task.compute", probability=1.0).installed(sc):
                 with pytest.raises(JobAbortedError) as excinfo:
-                    sc.parallelize([1], 1).collect()
+                    sc.parallelize([1, 2], 2).collect()
             assert excinfo.value.attempts == 2
 
-    def test_no_retries_with_budget_of_one(self):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_no_retries_with_budget_of_one(self, executor):
         with SparkContext(
-            "retry-test", executor="sequential", max_task_failures=1, retry_backoff=0.0
+            "retry-test", parallelism=2, executor=executor,
+            max_task_failures=1, retry_backoff=0.0,
         ) as sc:
             with FaultInjector().fail("task.compute", times=1).installed(sc):
                 with pytest.raises(JobAbortedError):
-                    sc.parallelize([1], 1).collect()
+                    sc.parallelize([1, 2], 2).collect()
             assert sc.metrics.tasks_retried == 0
+
+
+class _SplitOneFailsTwice(FaultInjector):
+    """Fails split 1's first two ``task.compute`` checks; logs every check."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log: list[tuple[int, int]] = []  # (split, attempt)
+
+    def check(self, site, key=None):
+        if site == "task.compute":
+            split = key[1]
+            attempt = 1 + sum(1 for seen, _ in self.log if seen == split)
+            self.log.append((split, attempt))
+            if split == 1 and attempt <= 2:
+                raise InjectedFault(site, key)
+        super().check(site, key)
+
+
+class TestInlineAttemptOrder:
+    def test_a_failed_splits_retries_run_before_the_next_split(self, sc):
+        """``sequential`` runs one attempt at a time in split order, and a
+        failed split is retried to a result before the next split starts --
+        what keeps a seeded chaos plan's draws reproducible."""
+        injector = _SplitOneFailsTwice()
+        with injector.installed(sc):
+            assert sorted(sc.parallelize(range(8), 4).collect()) == list(range(8))
+        assert injector.log == [(0, 1), (1, 1), (1, 2), (1, 3), (2, 1), (3, 1)]
+        assert sc.metrics.tasks_retried == 2
 
 
 class TestShuffleHardening:
