@@ -20,10 +20,12 @@ Two drive modes are measured per executor backend:
 
 ``--mode incremental`` instead measures the keyed-state layer: the
 same seeded stream is run twice over sliding windows (4x overlap by
-default), once through the buffered ``window()`` path that recomputes
-every closing window with the batch operators, and once through the
+default), once through the ``window()`` path that recomputes every
+closing window with the batch operators, and once through the
 ``continuous()`` path answering from the incrementally maintained
-per-cell indexes.  The two result sets are asserted identical (the
+per-cell indexes.  Window membership is the same store-backed state on
+both sides, so the comparison is batch operators vs store queries over
+the same store.  The two result sets are asserted identical (the
 correctness gate) and the report carries ``speedup = recompute_wall /
 incremental_wall`` plus the store's bookkeeping counters.
 

@@ -11,6 +11,14 @@ filters, stream-static joins against a broadcast R-tree, and
 event-time windows over which the batch kNN and DBSCAN operators run
 unchanged.
 
+There is one window state.  ``window()``, ``continuous()`` and
+``patterns()`` all hold their records once each in a grid-keyed
+:class:`KeyedStateStore`; :class:`KeyedWindowState` keeps the
+watermark, lateness and late counters over it, a closing window is a
+*view* over the store, and :class:`StateConsumer` (``window()`` and
+``continuous()``) and :class:`CepConsumer` share one store-backed
+consumer core (:mod:`repro.streaming.state`).
+
 With a ``checkpoint_dir`` the stream is crash-recoverable: polled
 batches are journaled to a CRC-framed write-ahead log before they touch
 state, the full streaming state checkpoints atomically on a batch
@@ -127,7 +135,7 @@ from repro.streaming.state import (
     StateConsumer,
     estimate_record_bytes,
 )
-from repro.streaming.window import Window, WindowSpec, WindowState, event_span
+from repro.streaming.window import Window, WindowSpec, event_span
 
 __all__ = [
     "STRAGGLER_POLICIES",
@@ -150,7 +158,6 @@ __all__ = [
     "ContinuousJoinStatic",
     "Window",
     "WindowSpec",
-    "WindowState",
     "event_span",
     "StreamSource",
     "QueueSource",

@@ -2,9 +2,10 @@
 
 :class:`CepConsumer` is the bridge between a
 :class:`~repro.streaming.dstream.SpatialDStream` node and the compiled
-matchers of :mod:`repro.streaming.cep.nfa`, speaking the same consumer
-protocol as the buffered-window and keyed-state consumers: the context
-calls :meth:`~CepConsumer.absorb` once per batch (idempotent per batch
+matchers of :mod:`repro.streaming.cep.nfa`, built on the same
+:class:`~repro.streaming.state.StoreBackedConsumer` core as the window
+consumer (one store, one absorbed-batch mark, one chaos site): the
+context calls :meth:`~CepConsumer.absorb` once per batch (idempotent per batch
 id, ``state.update`` chaos-gated), :meth:`~CepConsumer.fire` after all
 absorbs, :meth:`~CepConsumer.flush` at shutdown, and
 :meth:`~CepConsumer.snapshot_state` / :meth:`~CepConsumer.restore_state`
@@ -47,7 +48,7 @@ from typing import Any, Callable
 
 from repro.core.stobject import STObject
 from repro.geometry.envelope import Envelope
-from repro.streaming.state import KeyedStateStore
+from repro.streaming.state import StoreBackedConsumer
 from repro.streaming.window import Window, event_span
 
 from .nfa import compile_rule
@@ -58,14 +59,14 @@ _INF = float("inf")
 Record = tuple[STObject, Any]
 
 
-class CepConsumer:
+class CepConsumer(StoreBackedConsumer):
     """Keyed NFA pattern matching as a streaming window consumer.
 
     One consumer evaluates a set of uniquely named
     :class:`~repro.streaming.cep.rules.Rule` objects over one stream
-    node.  Construction mirrors the keyed-state consumer: the store's
-    ``universe`` is fixed lazily from the first non-empty batch when
-    not given, ``grid``/``node_capacity`` shape the store,
+    node.  The store is the shared core's: its ``universe`` is fixed
+    lazily from the first non-empty batch when not given,
+    ``grid``/``node_capacity`` shape it,
     ``memory_budget_bytes``/``spill_dir`` enable LRU cell spill, and
     ``lateness`` is the event-time slack the watermark trails behind
     the frontier.  ``max_partials`` bounds live partial matches per
@@ -95,16 +96,11 @@ class CepConsumer:
             raise ValueError(f"rule names must be unique, got {names}")
         if lateness < 0:
             raise ValueError(f"lateness must be >= 0, got {lateness}")
-        self.node = node
+        super().__init__(node, universe, grid, node_capacity, memory_budget_bytes, spill_dir)
         self.rules = tuple(rules)
         self.lateness = lateness
-        self.grid = grid
-        self.node_capacity = node_capacity
-        self.memory_budget_bytes = memory_budget_bytes
-        self.spill_dir = spill_dir
         self.max_partials = max_partials
         self._matchers = [compile_rule(rule, max_partials) for rule in rules]
-        self._store: KeyedStateStore | None = None
         #: Event-time watermark (frontier minus lateness).
         self._watermark = -_INF
         #: Processed frontier: every event with ``t_start <= horizon``
@@ -126,47 +122,12 @@ class CepConsumer:
         #: Kept 0 -- CEP drops whole events, never partial windows --
         #: but present so the context's lateness metrics read uniformly.
         self.late_window_drops = 0
-        #: Per-match :class:`~repro.streaming.sinks.WindowSink` outputs
-        #: (the context wires breakers/DLQ/injector into these).
-        self.outputs: list = []
+        # ``outputs`` (the shared core's) holds the per-match
+        # :class:`~repro.streaming.sinks.WindowSink` deliveries; the
+        # context wires breakers/DLQ/injector into these.
         self._match_fns: list[Callable[[Match], None]] = []
-        self._absorbed_batch: int | None = None
-        #: Registration order in the context -- the consumer's stable
-        #: identity in checkpoints and the emitted ledger.
-        self.checkpoint_index: int = -1
-        if universe is not None:
-            self._init_store(universe)
 
     # -- plumbing ----------------------------------------------------------
-
-    def _injector(self):
-        """The context's live fault injector (the store's chaos source)."""
-        return getattr(self.node._ssc.spark_context, "fault_injector", None)
-
-    def _init_store(self, universe: Envelope) -> None:
-        self._store = KeyedStateStore(
-            universe,
-            grid=self.grid,
-            node_capacity=self.node_capacity,
-            memory_budget_bytes=self.memory_budget_bytes,
-            spill_dir=self.spill_dir,
-            injector_source=self._injector,
-        )
-
-    @property
-    def store(self) -> KeyedStateStore | None:
-        """The keyed payload store (None until a record fixed a universe)."""
-        return self._store
-
-    @property
-    def state(self) -> "CepConsumer":
-        """The consumer doubles as its own lateness-counter carrier.
-
-        The context's metrics refresh reads ``consumer.state.
-        late_dropped`` / ``.late_window_drops`` across all consumer
-        kinds; for CEP those counters live directly on the consumer.
-        """
-        return self
 
     @property
     def watermark(self) -> float:
@@ -197,19 +158,8 @@ class CepConsumer:
         matchers have already advanced past their instant, so feeding
         them would break the deterministic event order.
         """
-        if self._absorbed_batch == batch_id:
+        if not self._begin(batch_id, records):
             return
-        injector = self._injector()
-        if injector is not None:
-            injector.check("state.update", key=batch_id)
-        if self._store is None:
-            if not records:
-                self._absorbed_batch = batch_id
-                return
-            universe = Envelope.empty()
-            for st, _value in records:
-                universe = universe.merge(st.geo.envelope)
-            self._init_store(universe)
         max_end = self._watermark + self.lateness
         staged: list[tuple[STObject, Any, float, float]] = []
         late = 0
@@ -224,7 +174,7 @@ class CepConsumer:
         for st, value, t_start, t_end in staged:
             rid = self._next_rid
             self._next_rid += 1
-            self._store.insert(rid, st, value, t_start, t_end)
+            self.store.insert(rid, st, value, t_start, t_end)
             heapq.heappush(self._pending, (t_start, rid))
             expiry = max(rule.expiry(t_start) for rule in self.rules)
             heapq.heappush(self._eviction, (expiry, rid))
@@ -233,11 +183,6 @@ class CepConsumer:
         self._absorbed_batch = batch_id
 
     # -- evaluation --------------------------------------------------------
-
-    def _fetch(self, rid: int):
-        """Payload lookup for guard evaluation (spill-transparent)."""
-        store = self._store
-        return store.get(rid) if store is not None else None
 
     def _complete(self, rule: Rule, completions: list) -> None:
         """Turn matcher completions into emission-ready Match objects.
@@ -250,7 +195,7 @@ class CepConsumer:
         for group, rids, start, end, value in completions:
             events = []
             for rid in rids:
-                row = self._fetch(rid)
+                row = self.store.get(rid)
                 if row is not None:
                     events.append((row[0], row[1]))
             self._ready.append(
@@ -291,19 +236,19 @@ class CepConsumer:
         w = self._watermark
         while self._pending and self._pending[0][0] <= w:
             t_start, rid = heapq.heappop(self._pending)
-            row = self._fetch(rid)
+            row = self.store.get(rid)
             if row is None:
                 continue
             st, value = row[0], row[1]
             for rule, matcher in zip(self.rules, self._matchers):
                 self._complete(
-                    rule, matcher.advance(rid, st, value, t_start, self._fetch)
+                    rule, matcher.advance(rid, st, value, t_start, self.store.get)
                 )
         for rule, matcher in zip(self.rules, self._matchers):
             self._complete(rule, matcher.on_watermark(w))
         while self._eviction and self._eviction[0][0] < w:
             _expiry, rid = heapq.heappop(self._eviction)
-            self._store.remove(rid)
+            self.store.remove(rid)
         if w > self._horizon:
             self._horizon = w
         fired = 0
@@ -332,8 +277,6 @@ class CepConsumer:
         closes -- then the resulting matches emit through the normal
         gate.
         """
-        if self._store is None and not self._ready:
-            return 0
         self._watermark = _INF
         return self.fire(ssc)
 
@@ -342,32 +285,12 @@ class CepConsumer:
     def snapshot_state(self) -> dict:
         """Picklable consumer state for checkpoint epochs.
 
-        Self-contained: store records are embedded (spilled cells read
-        from disk without loading), matcher state rides as pure
-        structure (group anchors keep their STObjects -- pickle
-        handles those), and pending matches are serialized field by
-        field.  Per-cell R-trees are *not* serialized; restore
-        re-inserts records through the normal store path and trees
-        rebuild lazily on first touch.
+        Self-contained: the store's own snapshot is embedded (see
+        :meth:`~repro.streaming.state.KeyedStateStore.snapshot`),
+        matcher state rides as pure structure (group anchors keep their
+        STObjects -- pickle handles those), and pending matches are
+        serialized field by field.
         """
-        if self._store is None:
-            store_state = None
-        else:
-            universe = self._store.partitioner.universe
-            store_state = {
-                "universe": (
-                    universe.min_x,
-                    universe.min_y,
-                    universe.max_x,
-                    universe.max_y,
-                ),
-                "records": self._store.all_records(),
-                "spill": {
-                    "cells_spilled": self._store.cells_spilled,
-                    "cells_loaded": self._store.cells_loaded,
-                    "spill_failures": self._store.spill_failures,
-                },
-            }
         return {
             "kind": "cep",
             "absorbed": self._absorbed_batch,
@@ -384,7 +307,7 @@ class CepConsumer:
             ],
             "rules": [rule.name for rule in self.rules],
             "matchers": [matcher.snapshot() for matcher in self._matchers],
-            "store": store_state,
+            "store": self.store.snapshot(),
         }
 
     def restore_state(self, snapshot: dict) -> None:
@@ -409,12 +332,9 @@ class CepConsumer:
         self._next_rid = snapshot["next_rid"]
         self._next_seq = snapshot["next_seq"]
         self.late_dropped = snapshot["late_dropped"]
-        pending = [tuple(row) for row in snapshot["pending"]]
-        heapq.heapify(pending)
-        self._pending = pending
-        eviction = [tuple(row) for row in snapshot["eviction"]]
-        heapq.heapify(eviction)
-        self._eviction = eviction
+        # Both were snapshotted sorted, and a sorted list is a heap.
+        self._pending = list(snapshot["pending"])
+        self._eviction = list(snapshot["eviction"])
         self._ready = deque(
             Match(
                 rule=rule,
@@ -429,18 +349,7 @@ class CepConsumer:
         )
         for matcher, state in zip(self._matchers, snapshot["matchers"]):
             matcher.restore(state)
-        store_state = snapshot["store"]
-        if store_state is None:
-            self._store = None
-            return
-        self._init_store(Envelope(*store_state["universe"]))
-        spill = store_state.get("spill")
-        if spill:
-            self._store.cells_spilled = spill["cells_spilled"]
-            self._store.cells_loaded = spill["cells_loaded"]
-            self._store.spill_failures = spill["spill_failures"]
-        for rid, st, value, t_start, t_end in store_state["records"]:
-            self._store.insert(rid, st, value, t_start, t_end)
+        self.store.restore(snapshot["store"])
 
 
 class PatternStream:

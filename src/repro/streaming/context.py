@@ -96,7 +96,7 @@ from repro.spark.context import SparkContext
 from repro.spark.errors import JobAbortedError, TaskTimeoutError
 from repro.spark.rdd import RDD
 from repro.streaming.dlq import DeadLetterQueue
-from repro.streaming.dstream import DStream, SpatialDStream, _WindowConsumer
+from repro.streaming.dstream import DStream, SpatialDStream
 from repro.streaming.overload import (
     SHED_POLICIES,
     degradation_level,
@@ -109,6 +109,7 @@ from repro.streaming.sources import (
     QueueSource,
     StreamSource,
 )
+from repro.streaming.state import StoreBackedConsumer
 
 #: The straggler policies: drop an overdue batch, or stop the stream.
 STRAGGLER_POLICIES = ("skip", "fail")
@@ -342,7 +343,7 @@ class StreamingContext:
         self.batch_latencies: list[tuple[int, int, float, int]] = []
         self._inputs: list[_InputDStream] = []
         self._outputs: list[tuple[DStream, object]] = []
-        self._windows: list[_WindowConsumer] = []
+        self._windows: list[StoreBackedConsumer] = []
         # A plain int counter (not itertools.count): batch ids are part
         # of checkpointed state and recovery must be able to reset them.
         self._next_batch_id = 0
@@ -429,10 +430,9 @@ class StreamingContext:
     def _register_output(self, node: DStream, fn) -> None:
         self._outputs.append((node, fn))
 
-    def _register_window(self, consumer: _WindowConsumer) -> None:
-        # Registration order is the consumer's durable identity in
-        # checkpoints and the emitted-window ledger (object ids don't
-        # survive a restart; declaration order does).
+    def _register_window(self, consumer: StoreBackedConsumer) -> None:
+        # Registration order is the consumer's durable identity (see
+        # ``StoreBackedConsumer.checkpoint_index``).
         consumer.checkpoint_index = len(self._windows)
         self._windows.append(consumer)
 
@@ -727,11 +727,8 @@ class StreamingContext:
         """Mirror the per-consumer lateness counters into the metrics."""
         dropped = drops = 0
         for consumer in self._windows:
-            state = consumer.state
-            if state is None:
-                continue
-            dropped += state.late_dropped
-            drops += state.late_window_drops
+            dropped += consumer.late_dropped
+            drops += consumer.late_window_drops
         self.metrics.late_records_dropped = dropped
         self.metrics.late_window_drops = drops
 
@@ -741,7 +738,7 @@ class StreamingContext:
         """Every distinct :class:`WindowSink` registered on a consumer."""
         seen: set[int] = set()
         for consumer in self._windows:
-            for fn in getattr(consumer, "outputs", ()):
+            for fn in consumer.outputs:
                 if isinstance(fn, WindowSink) and id(fn) not in seen:
                     seen.add(id(fn))
                     yield fn
@@ -838,9 +835,7 @@ class StreamingContext:
         m = self.metrics
         spilled = loaded = failures = spilled_bytes = live_spilled = 0
         for consumer in self._windows:
-            store = getattr(consumer, "store", None)
-            if store is None:
-                continue
+            store = consumer.store
             spilled += store.cells_spilled
             loaded += store.cells_loaded
             failures += store.spill_failures

@@ -20,7 +20,6 @@ each closed window's records.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core import filter as filter_ops
@@ -44,10 +43,15 @@ from repro.streaming.operators import (
     stream_static_join,
     within_distance_join_plan,
 )
-from repro.streaming.window import Window, WindowSpec, WindowState
+from repro.streaming.state import (
+    ContinuousJoinStatic,
+    ContinuousKnn,
+    ContinuousRange,
+    StateConsumer,
+)
+from repro.streaming.window import Window, WindowSpec
 
 Record = tuple[STObject, Any]
-
 
 class Sink:
     """A thread-safe ordered collector for stream results.
@@ -196,9 +200,11 @@ class DStream:
         of each record decides membership (interval-timed events join
         every window they overlap -- the paper's eq. (1) semantics);
         untimed records fall back to their batch's ingestion time.
+        A closing window hands its outputs its records in arrival order.
         """
-        spec = WindowSpec(length, slide, origin)
-        consumer = _WindowConsumer(self, WindowState(spec, lateness))
+        # window() never asks its store a spatial question, so the store
+        # is a single cell: an insert is one dict write plus extent growth.
+        consumer = StateConsumer(self, WindowSpec(length, slide, origin), lateness, grid=1)
         self._ssc._register_window(consumer)
         return WindowedStream(self._ssc, consumer)
 
@@ -303,10 +309,8 @@ class SpatialDStream(DStream):
         origin: float = 0.0,
     ) -> "SpatialWindowedStream":
         """Event-time windows with the spatio-temporal window operators."""
-        spec = WindowSpec(length, slide, origin)
-        consumer = _WindowConsumer(self, WindowState(spec, lateness))
-        self._ssc._register_window(consumer)
-        return SpatialWindowedStream(self._ssc, consumer)
+        plain = super().window(length, slide, lateness, origin)
+        return SpatialWindowedStream(self._ssc, plain._consumer)
 
     def continuous(
         self,
@@ -323,14 +327,15 @@ class SpatialDStream(DStream):
         """Continuous queries over keyed, grid-partitioned window state.
 
         The incremental alternative to :meth:`window` for sliding
-        windows: instead of buffering every record once per overlapping
-        window and recomputing each closed window with the batch
-        operators, records are assigned to grid cells at ingest and
-        held in a :class:`~repro.streaming.state.KeyedStateStore` --
-        one copy each, indexed once -- and the standing queries
-        registered on the returned stream answer each closing window
-        from the per-cell structures.  Results are identical to the
-        batch recomputation; only the cost profile changes (a window
+        windows: instead of recomputing each closed window with the
+        batch operators over its full record list, records are
+        assigned to grid cells at ingest and held in a
+        :class:`~repro.streaming.state.KeyedStateStore` -- one copy
+        each, indexed once -- and the standing queries registered on
+        the returned stream answer each closing window from the
+        per-cell structures.  Window membership is the same state
+        :meth:`window` runs on; results are identical to the batch
+        recomputation, only the query cost profile changes (a window
         advance touches entering/leaving records, not the whole
         window).
 
@@ -345,12 +350,9 @@ class SpatialDStream(DStream):
         budget) and reload transparently on touch -- see
         :class:`~repro.streaming.state.KeyedStateStore`.
         """
-        from repro.streaming.state import StateConsumer
-
-        spec = WindowSpec(length, slide, origin)
         consumer = StateConsumer(
             self,
-            spec,
+            WindowSpec(length, slide, origin),
             lateness=lateness,
             universe=universe,
             grid=grid,
@@ -416,93 +418,6 @@ class SpatialDStream(DStream):
     withinDistanceStatic = within_distance_static
 
 
-class _WindowConsumer:
-    """The stateful bridge between per-batch RDDs and window outputs.
-
-    Per batch the context collects the parent chain's records and calls
-    :meth:`absorb`; closed windows queue in ``_pending`` until
-    :meth:`fire` runs the registered window outputs over them.  The
-    split exists for retry safety: ``absorb`` is idempotent per batch
-    id (a retried batch must not double-add records to window state),
-    while a window stays pending until every output ran -- a failure
-    mid-fire leaves it queued for the retry instead of dropping it.
-    """
-
-    def __init__(self, node: DStream, state: WindowState) -> None:
-        self.node = node
-        self.state = state
-        self.outputs: list[Callable[[Window, RDD], None]] = []
-        self._absorbed_batch: int | None = None
-        self._pending: deque[tuple[Window, list[Record]]] = deque()
-        #: Registration order in the context; the consumer's stable
-        #: identity in checkpoints and the emitted-window ledger (object
-        #: ids do not survive a restart, registration order does because
-        #: recovery requires the pipeline to be re-declared identically).
-        self.checkpoint_index: int = -1
-
-    def absorb(self, batch_id: int, records: list[Record], batch_time: float) -> None:
-        """Add one batch's records to window state (idempotent per batch).
-
-        The batch is marked absorbed only after ``add_batch`` succeeded
-        -- marking first would make a fault mid-absorption silently
-        drop the batch on retry (the retry would see the mark and skip
-        re-absorbing records that never landed).  ``add_batch`` stages
-        its mutations after all validation, so a failure leaves no
-        partial state for the retry to double-count.
-        """
-        if self._absorbed_batch == batch_id:
-            return
-        self.state.add_batch(records, batch_time)
-        self._absorbed_batch = batch_id
-        self._pending.extend(self.state.advance())
-
-    def fire(self, ssc) -> int:
-        """Run the outputs for every pending closed window, in order.
-
-        The context's emit gate (``_emit_allowed``) suppresses windows
-        the crashed process already delivered -- a suppressed window is
-        popped without running outputs, exactly-once window output over
-        a restart -- and every delivered window is noted in the
-        emitted-window ledger.
-        """
-        fired = 0
-        while self._pending:
-            window, records = self._pending[0]
-            if ssc._emit_allowed(self, window):
-                rdd = ssc._batch_rdd(records)
-                for output in self.outputs:
-                    output(window, rdd)
-                ssc._note_emitted(self, window)
-                fired += 1
-            self._pending.popleft()
-        return fired
-
-    def flush(self, ssc) -> int:
-        """Close and fire every still-open window (stream shutdown)."""
-        self._pending.extend(self.state.flush())
-        return self.fire(ssc)
-
-    def snapshot_state(self) -> dict:
-        """Picklable consumer state for checkpoints (see recovery docs)."""
-        return {
-            "kind": "buffered",
-            "absorbed": self._absorbed_batch,
-            "pending": [
-                (w.start, w.end, list(records)) for w, records in self._pending
-            ],
-            "state": self.state.snapshot(),
-        }
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Reset to a :meth:`snapshot_state` (recovery entry point)."""
-        self._absorbed_batch = snapshot["absorbed"]
-        self._pending = deque(
-            (Window(start, end), list(records))
-            for start, end, records in snapshot["pending"]
-        )
-        self.state.restore(snapshot["state"])
-
-
 class WindowedStream:
     """Outputs over closed event-time windows.
 
@@ -512,14 +427,14 @@ class WindowedStream:
     emitted (window state is allocated by arriving records).
     """
 
-    def __init__(self, ssc, consumer: _WindowConsumer) -> None:
+    def __init__(self, ssc, consumer: StateConsumer) -> None:
         self._ssc = ssc
         self._consumer = consumer
 
     @property
     def spec(self) -> WindowSpec:
         """The window shape this stream groups by."""
-        return self._consumer.state.spec
+        return self._consumer.spec
 
     def for_each_window(self, fn: Callable[[Window, RDD], None]) -> None:
         """Run ``fn(window, rdd)`` for every closed window."""
@@ -657,8 +572,6 @@ class ContinuousWindowedStream:
         -- equal to :func:`repro.core.filter.filter_no_index` over the
         window under the static-side temporal relaxation.
         """
-        from repro.streaming.state import ContinuousRange
-
         return self._consumer.add_query(ContinuousRange(query, predicate)).sink
 
     def knn(
@@ -673,8 +586,6 @@ class ContinuousWindowedStream:
         equal to :func:`repro.core.knn.knn` over the window, answered
         from a per-query heap fed cells in ascending bound order.
         """
-        from repro.streaming.state import ContinuousKnn
-
         return self._consumer.add_query(ContinuousKnn(query, k, distance_fn)).sink
 
     def intersects_static(
@@ -691,8 +602,6 @@ class ContinuousWindowedStream:
         ref_v))`` pairs, equal to :func:`~repro.streaming.operators.
         stream_static_join` over the window's records.
         """
-        from repro.streaming.state import ContinuousJoinStatic
-
         rows = reference.collect() if isinstance(reference, RDD) else list(reference)
         return self._consumer.add_query(
             ContinuousJoinStatic(rows, predicate, order)

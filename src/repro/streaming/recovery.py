@@ -44,6 +44,12 @@ from dataclasses import dataclass
 from repro.streaming.context import StreamingContext, StreamingError, _Batch
 
 
+#: The :func:`build_snapshot` layout this build writes and reads.
+#: 2: every consumer snapshot (kinds ``"keyed"`` and ``"cep"``) embeds
+#: one :meth:`~repro.streaming.state.KeyedStateStore.snapshot`.
+SNAPSHOT_FORMAT = 2
+
+
 @dataclass
 class RecoveryReport:
     """What one :meth:`StreamingContext.restore` call actually did."""
@@ -74,7 +80,7 @@ def build_snapshot(ssc: StreamingContext) -> dict:
     registration order -- their durable identity.
     """
     return {
-        "format": 1,
+        "format": SNAPSHOT_FORMAT,
         "next_batch_id": ssc._next_batch_id,
         "metrics": ssc.metrics.snapshot(),
         "consumers": [consumer.snapshot_state() for consumer in ssc._windows],
@@ -83,10 +89,16 @@ def build_snapshot(ssc: StreamingContext) -> dict:
 
 
 def _apply_snapshot(ssc: StreamingContext, snapshot: dict) -> None:
-    """Restore one :func:`build_snapshot` into a fresh context."""
-    if snapshot.get("format") != 1:
+    """Restore one :func:`build_snapshot` into a fresh context.
+
+    A snapshot of another format is refused before anything is
+    touched -- never treated as "no checkpoint", which would silently
+    replay from zero over state the WAL no longer covers.
+    """
+    if snapshot.get("format") != SNAPSHOT_FORMAT:
         raise StreamingError(
-            f"unsupported checkpoint snapshot format {snapshot.get('format')!r}"
+            f"checkpoint snapshot has format {snapshot.get('format')!r}; "
+            f"this build reads format {SNAPSHOT_FORMAT} only"
         )
     consumers = snapshot["consumers"]
     sources = snapshot["sources"]

@@ -13,7 +13,7 @@ the records entering (one insert each) and leaving (one evict each) --
 every record is indexed exactly once no matter how many windows it
 spans.
 
-Three layers live here:
+Four layers live here:
 
 - :class:`CellState` -- one grid cell: a registry of live records, a
   generation-rebuilt per-cell STR-tree (STR packing is build-once, so
@@ -28,12 +28,15 @@ Three layers live here:
   by record id, and the continuous query algorithms -- cell-pruned
   range queries through the per-cell trees and kNN with a per-query
   best-k heap fed cell by cell in ascending lower-bound order;
-- :class:`KeyedWindowState` -- the windowing contract of
-  :class:`~repro.streaming.window.WindowState` (watermark, lateness,
-  closed-horizon, late counters) re-based on the store: one copy of
-  each record lives in the store with a reference count of open windows,
-  and eviction is driven by the watermark passing a record's last
-  window.
+- :class:`KeyedWindowState` -- the one event-time windowing contract
+  (watermark, lateness, closed horizon, late counters) over the store:
+  one copy of each record lives in the store, an open window is a list
+  of record ids into it, and eviction is driven by the watermark
+  passing a record's last window;
+- :class:`StoreBackedConsumer` -- the bridge to the streaming context
+  that ``window()``, ``continuous()`` (both :class:`StateConsumer`) and
+  ``patterns()`` share: one store, one absorbed-batch mark, one
+  ``state.update`` chaos site.
 
 Pruning stays *correct* under the paper's centroid assignment rule: a
 non-point geometry can stick out of its cell, so queries prune on the
@@ -71,9 +74,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 import pickle
 import sys
+from collections import deque
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.knn import query_radius
@@ -269,6 +274,10 @@ class KeyedStateStore:
     :class:`~repro.partitioners.grid.GridPartitioner` lays it out;
     records outside the universe clamp into border cells, and pruning
     stays exact because it reads live extents, not designed bounds.
+    With ``universe=None`` the grid is fixed by the first non-empty
+    :meth:`cover` call instead (the first batch's bounding box) --
+    placement only affects pruning granularity, never results.  A
+    one-cell store (``grid=1``) skips cell assignment altogether.
 
     With ``memory_budget_bytes`` set (which requires ``spill_dir``) the
     store bounds its approximate in-memory footprint by spilling the
@@ -284,15 +293,13 @@ class KeyedStateStore:
 
     def __init__(
         self,
-        universe: Envelope,
+        universe: Envelope | None,
         grid: int = 8,
         node_capacity: int = 10,
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
         injector_source: Callable[[], Any] | None = None,
     ) -> None:
-        if universe.is_empty:
-            raise ValueError("state store universe must be non-empty")
         if memory_budget_bytes is not None:
             if memory_budget_bytes <= 0:
                 raise ValueError(
@@ -301,15 +308,24 @@ class KeyedStateStore:
             if spill_dir is None:
                 raise ValueError("memory_budget_bytes requires a spill_dir")
         self.node_capacity = node_capacity
-        self._partitioner = GridPartitioner((), grid, universe=universe)
+        self.memory_budget_bytes = memory_budget_bytes
+        self.spill_dir = spill_dir
+        self._grid = grid
+        self._injector_source = injector_source
+        self._reset(universe)
+
+    def _reset(self, universe: Envelope | None) -> None:
+        """Empty the store over *universe* (construction and restore)."""
+        if universe is not None and universe.is_empty:
+            raise ValueError("state store universe must be non-empty")
+        self._partitioner = (
+            None if universe is None else GridPartitioner((), self._grid, universe=universe)
+        )
         self._cells: dict[int, CellState | SpilledCell] = {}
         self._locations: dict[int, int] = {}
         self._retired_rebuilds = 0
         self.inserts = 0
         self.removes = 0
-        self.memory_budget_bytes = memory_budget_bytes
-        self.spill_dir = spill_dir
-        self._injector_source = injector_source
         self._cell_bytes: dict[int, int] = {}
         self._bytes_in_memory = 0
         self._spilled_bytes = 0
@@ -321,24 +337,32 @@ class KeyedStateStore:
         self.cells_loaded = 0
         #: Spill attempts that failed and left the cell in memory.
         self.spill_failures = 0
-        if spill_dir is not None:
+        if self.spill_dir is not None:
             # Spill files are a memory mechanism, not a durability one:
-            # a fresh store (including one built by crash recovery)
+            # a fresh store (including one reset by crash recovery)
             # must never trust another process's spill files.
-            os.makedirs(spill_dir, exist_ok=True)
-            for fname in os.listdir(spill_dir):
+            os.makedirs(self.spill_dir, exist_ok=True)
+            for fname in os.listdir(self.spill_dir):
                 if fname.startswith("cell-") and (
                     fname.endswith(".pkl") or fname.endswith("._tmp")
                 ):
                     try:
-                        os.remove(os.path.join(spill_dir, fname))
+                        os.remove(os.path.join(self.spill_dir, fname))
                     except OSError:
                         pass
 
-    @property
-    def partitioner(self) -> GridPartitioner:
-        """The grid the store keys by."""
-        return self._partitioner
+    def cover(self, records: Sequence[Record]) -> None:
+        """Fix the grid from *records* when no universe was given.
+
+        The lazy half of construction: the first non-empty batch's
+        bounding box becomes the universe.  A no-op once the grid is
+        fixed, so consumers call it before every batch they stage.
+        """
+        if self._partitioner is None and records:
+            universe = Envelope.empty()
+            for st, _value in records:
+                universe = universe.merge(st.geo.envelope)
+            self._partitioner = GridPartitioner((), self._grid, universe=universe)
 
     @property
     def size(self) -> int:
@@ -377,9 +401,16 @@ class KeyedStateStore:
         """Assign the record to its centroid's cell and index it there."""
         # Inline the partitioner's centroid rule: this is the store's
         # hottest path and get_partition's generic key dispatch costs
-        # more than the grid arithmetic itself.
-        centroid = st.geo.centroid()
-        pid = self._partitioner.partition_of_point(centroid.x, centroid.y)
+        # more than the grid arithmetic itself.  A one-cell grid has
+        # nothing to assign, and window() lives on that: 0.8 us per
+        # insert against 2.1 us through the partitioner.
+        if self._grid == 1:
+            pid = 0
+        elif self._partitioner is None:
+            raise ValueError("the grid is unfixed: pass a universe or cover() a batch first")
+        else:
+            centroid = st.geo.centroid()
+            pid = self._partitioner.partition_of_point(centroid.x, centroid.y)
         cell = self._cells.get(pid)
         if cell is None:
             cell = self._cells[pid] = CellState()
@@ -585,15 +616,51 @@ class KeyedStateStore:
             for rid, (st, value, t_start, t_end) in cell.registry.items()
         ]
 
-    def all_records(self) -> list[tuple]:
-        """Every live ``(rid, st, value, t_start, t_end)`` row, sorted by
-        rid -- including rows currently spilled (read from disk without
-        disturbing the store).  The checkpoint snapshot source."""
+    def snapshot(self) -> dict:
+        """Picklable store state for checkpoints.
+
+        The per-cell R-trees are deliberately *not* serialized: the
+        snapshot carries the universe, every live ``(rid, st, value,
+        t_start, t_end)`` row sorted by rid, and the cumulative spill
+        counters.  Spilled cells are embedded too (their rows read from
+        disk without loading them back), so a snapshot is
+        self-contained and never depends on a spill file outliving the
+        process.
+        """
+        universe = None
+        if self._partitioner is not None:
+            u = self._partitioner.universe
+            universe = (u.min_x, u.min_y, u.max_x, u.max_y)
         rows: list[tuple] = []
         for cell in list(self._cells.values()):
             rows.extend(self._peek_rows(cell))
         rows.sort(key=lambda row: row[0])
-        return rows
+        return {
+            "universe": universe,
+            "records": rows,
+            "cells_spilled": self.cells_spilled,
+            "cells_loaded": self.cells_loaded,
+            "spill_failures": self.spill_failures,
+        }
+
+    def restore(self, snapshot: dict) -> None:
+        """Reset to a :meth:`snapshot` (recovery).
+
+        Every row re-enters through :meth:`insert`, which marks its
+        cell dirty -- the first query touching a cell after recovery
+        rebuilds its tree lazily, like any other mutation -- and
+        re-spills under the same budget.
+        """
+        universe = snapshot["universe"]
+        self._reset(None if universe is None else Envelope(*universe))
+        # Carry the crashed run's cumulative spill counters forward
+        # *before* re-inserting, so spills triggered by the restore
+        # itself keep counting on top of them.
+        self.cells_spilled = snapshot["cells_spilled"]
+        self.cells_loaded = snapshot["cells_loaded"]
+        self.spill_failures = snapshot["spill_failures"]
+        for rid, st, value, t_start, t_end in snapshot["records"]:
+            self.insert(rid, st, value, t_start, t_end)
 
     # -- window membership -------------------------------------------------
 
@@ -616,11 +683,6 @@ class KeyedStateStore:
             for rid, (st, value, t_start, t_end) in cell.registry.items():
                 if window is None or window.intersects_span(t_start, t_end):
                     yield rid, st, value
-
-    def window_records(self, window: Window | None) -> list[Record]:
-        """The window's records as ``(STObject, value)`` pairs -- what a
-        batch recomputation over the window would be given."""
-        return [(st, value) for _rid, st, value in self.iter_window(window)]
 
     # -- continuous queries ------------------------------------------------
 
@@ -734,13 +796,26 @@ class KeyedStateStore:
 class KeyedWindowState:
     """Event-time windowing over a :class:`KeyedStateStore`.
 
-    The watermark/lateness/closed-horizon contract of
-    :class:`~repro.streaming.window.WindowState`, with one crucial
-    difference: records are not buffered per window.  Each record is
-    inserted into the store exactly once, its open windows are counted
-    by reference, and the watermark passing a record's *last* window
-    evicts it -- the entering/leaving-only cost profile of the module
-    docstring.
+    ``add_batch`` assigns each record to every window its temporal
+    component intersects and advances the watermark to ``max event end
+    seen - lateness``; a window is ready once the watermark passes its
+    end, and windows close in ascending order.  Records are not
+    buffered per window: each is inserted into the store exactly once,
+    an open window holds only its records' ids, in arrival order (so
+    closing a window touches its own records and no others), and the
+    watermark passing a record's *last* window evicts it -- the
+    entering/leaving-only cost profile of the module docstring.
+
+    :meth:`WindowSpec.assign` alone decides membership.  Its float
+    arithmetic can leave an instant in a one-ulp gap between two
+    tumbling windows and then names the nearest one; such a record is
+    stored with its span moved inside that window, so the store's
+    span-based views (the continuous queries) agree with the id lists.
+
+    Late arrivals are counted, not silently lost: ``late_dropped`` is
+    the records whose *every* window had fired, ``late_window_drops``
+    each closed window a partially-late record missed (it still lands
+    in its open ones).
 
     ``add_batch`` stages its work in two passes -- all window
     assignment (the part that can raise) first, all mutation second --
@@ -756,8 +831,8 @@ class KeyedWindowState:
         self.lateness = lateness
         self.watermark = -_INF
         self._closed_horizon = -_INF
-        #: window -> live record count (a window fires when it closes).
-        self._window_counts: dict[Window, int] = {}
+        #: open window -> ids of its records, in arrival order.
+        self._members: dict[Window, list[int]] = {}
         #: (last window end, rid) eviction heap.
         self._eviction: list[tuple[float, int]] = []
         # A plain int rather than itertools.count: the counter is part
@@ -787,6 +862,10 @@ class KeyedWindowState:
             if t_end > max_end:
                 max_end = t_end
             windows = assign(t_start, t_end)
+            only = windows[0]
+            if not (t_start < only.end and t_end >= only.start):
+                # assign's nearest-window fallback (see the class docstring).
+                t_start = t_end = min(max(t_start, only.start), math.nextafter(only.end, -_INF))
             live = [w for w in windows if w.end > horizon]
             late_windows += len(windows) - len(live)
             if not live:
@@ -794,7 +873,7 @@ class KeyedWindowState:
                 continue
             staged.append((st, value, t_start, t_end, live))
         inserted: list[tuple[int, STObject, Any]] = []
-        counts = self._window_counts
+        members = self._members
         insert = self.store.insert
         for st, value, t_start, t_end, live in staged:
             rid = self._next_rid
@@ -802,7 +881,10 @@ class KeyedWindowState:
             insert(rid, st, value, t_start, t_end)
             heapq.heappush(self._eviction, (live[-1].end, rid))
             for window in live:
-                counts[window] = counts.get(window, 0) + 1
+                try:
+                    members[window].append(rid)
+                except KeyError:
+                    members[window] = [rid]
             inserted.append((rid, st, value))
         self.late_dropped += late_records
         self.late_window_drops += late_windows
@@ -812,12 +894,17 @@ class KeyedWindowState:
     def ready_windows(self) -> list[Window]:
         """Windows the watermark has passed, ascending (not yet closed --
         their records stay queryable until :meth:`close_window`)."""
-        return sorted(w for w in self._window_counts if w.end <= self.watermark)
+        return sorted(w for w in self._members if w.end <= self.watermark)
+
+    def window_records(self, window: Window) -> list[Record]:
+        """An open window's ``(STObject, value)`` records, in arrival
+        order -- what the window outputs are handed."""
+        return [row[:2] for row in map(self.store.get, self._members.get(window, ()))]
 
     def close_window(self, window: Window) -> list[int]:
         """Mark *window* fired: advance the closed horizon and evict every
         record whose last window has now closed.  Returns evicted rids."""
-        self._window_counts.pop(window, None)
+        self._members.pop(window, None)
         if window.end > self._closed_horizon:
             self._closed_horizon = window.end
         evicted: list[int] = []
@@ -827,14 +914,48 @@ class KeyedWindowState:
             evicted.append(rid)
         return evicted
 
-    def flush_windows(self) -> list[Window]:
-        """Every still-open window, ascending (stream shutdown)."""
-        return sorted(self._window_counts)
-
     @property
     def open_windows(self) -> int:
         """How many windows currently have live records."""
-        return len(self._window_counts)
+        return len(self._members)
+
+    def snapshot(self) -> dict:
+        """Picklable windowing state, the store's snapshot included.
+
+        Which record is in which open window, and when it leaves, is
+        not stored: :meth:`restore` re-derives both from the store's
+        rows through the spec the live pipeline declares.
+        """
+        return {
+            "watermark": self.watermark,
+            "closed_horizon": self._closed_horizon,
+            "late_dropped": self.late_dropped,
+            "late_window_drops": self.late_window_drops,
+            "next_rid": self._next_rid,
+            "store": self.store.snapshot(),
+        }
+
+    def restore(self, snapshot: dict) -> None:
+        """Reset to a :meth:`snapshot` (recovery).
+
+        A live record's open windows are those of its span that end
+        after the closed horizon (every window the horizon passed is
+        closed), and the store's rows come in id, i.e. arrival, order.
+        """
+        self.watermark = snapshot["watermark"]
+        self._closed_horizon = horizon = snapshot["closed_horizon"]
+        self.late_dropped = snapshot["late_dropped"]
+        self.late_window_drops = snapshot["late_window_drops"]
+        self._next_rid = snapshot["next_rid"]
+        self.store.restore(snapshot["store"])
+        self._members = {}
+        self._eviction = []
+        for rid, _st, _value, t_start, t_end in snapshot["store"]["records"]:
+            live = [w for w in self.spec.assign(t_start, t_end) if w.end > horizon]
+            for window in live:
+                self._members.setdefault(window, []).append(rid)
+            self._eviction.append((live[-1].end, rid))
+        heapq.heapify(self._eviction)
 
 
 # -- continuous queries ----------------------------------------------------
@@ -943,21 +1064,81 @@ class ContinuousJoinStatic(ContinuousQuery):
         return out
 
 
-class StateConsumer:
-    """The keyed-state counterpart of the per-window buffer consumer.
+class StoreBackedConsumer:
+    """What ``window()``, ``continuous()`` and ``patterns()`` consume through.
+
+    The part of the consumer protocol that does not depend on what is
+    computed over the records: one :class:`KeyedStateStore` wired to
+    the context's fault injector, the absorbed-batch mark that makes
+    :meth:`absorb` idempotent per batch id (the retry contract), the
+    ``state.update`` chaos site, the window outputs the context wires
+    its sink protections into, and the registration index.  Subclasses
+    supply ``absorb`` / ``fire`` / ``flush`` / ``snapshot_state`` /
+    ``restore_state`` and the ``late_dropped`` / ``late_window_drops``
+    counters the context mirrors into its metrics.
+    """
+
+    def __init__(
+        self,
+        node,
+        universe: Envelope | None,
+        grid: int,
+        node_capacity: int,
+        memory_budget_bytes: int | None,
+        spill_dir: str | None,
+    ) -> None:
+        self.node = node
+        #: The keyed store (its grid unfixed until the first record
+        #: when no universe was given).
+        self.store = KeyedStateStore(
+            universe,
+            grid=grid,
+            node_capacity=node_capacity,
+            memory_budget_bytes=memory_budget_bytes,
+            spill_dir=spill_dir,
+            injector_source=self._injector,
+        )
+        #: ``output(window, rdd)`` callables run per emitted window.
+        self.outputs: list[Callable[[Window, Any], None]] = []
+        self._absorbed_batch: int | None = None
+        #: Registration order in the context; the consumer's stable
+        #: identity in checkpoints and the emitted-window ledger (object
+        #: ids do not survive a restart, registration order does because
+        #: recovery requires the pipeline to be re-declared identically).
+        self.checkpoint_index: int = -1
+
+    def _injector(self):
+        """The context's live fault injector (the store's chaos source)."""
+        return self.node._ssc.spark_context.fault_injector
+
+    def _begin(self, batch_id: int, records: list[Record]) -> bool:
+        """Open one batch's absorption; False when it already landed.
+
+        The ``state.update`` chaos site fires here, *before* any
+        mutation, so an injected fault retries cleanly.  The subclass
+        sets ``_absorbed_batch`` itself, and only after every mutation
+        succeeded -- marking first would make a fault mid-absorption
+        silently drop the batch on retry (the retry would see the mark
+        and skip re-absorbing records that never landed).
+        """
+        if self._absorbed_batch == batch_id:
+            return False
+        injector = self._injector()
+        if injector is not None:
+            injector.check("state.update", key=batch_id)
+        self.store.cover(records)
+        return True
+
+
+class StateConsumer(StoreBackedConsumer):
+    """The event-time window consumer behind ``window()`` and ``continuous()``.
 
     Bridges one DStream node to a :class:`KeyedWindowState`: per batch
     the streaming context collects the chain's records and calls
-    :meth:`absorb` (idempotent per batch id -- the retry contract), the
-    ``state.update`` chaos site fires *before* any mutation so an
-    injected fault retries cleanly, and :meth:`fire` evaluates every
-    registered continuous query per ready window before the window's
-    leavers are evicted.
-
-    The store's universe is fixed lazily from the first non-empty
-    batch's envelopes when the caller did not pass one -- grid cell
-    *assignment* only affects pruning granularity, never correctness,
-    because queries prune on live extents.
+    :meth:`absorb`, and :meth:`fire` emits every ready window -- the
+    registered continuous queries answer from the store, the window
+    outputs receive the window's records as an RDD -- before the
+    window's leavers are evicted.
     """
 
     def __init__(
@@ -971,43 +1152,21 @@ class StateConsumer:
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
     ) -> None:
-        self.node = node
+        super().__init__(node, universe, grid, node_capacity, memory_budget_bytes, spill_dir)
         self.spec = spec
-        self.lateness = lateness
-        self.grid = grid
-        self.node_capacity = node_capacity
-        self.memory_budget_bytes = memory_budget_bytes
-        self.spill_dir = spill_dir
-        self.state: KeyedWindowState | None = None
+        self.state = KeyedWindowState(spec, self.store, lateness)
         self.queries: list[ContinuousQuery] = []
-        self._absorbed_batch: int | None = None
-        self._ready: list[Window] = []
-        self._pending_hooks: list[tuple[int, STObject, Any]] = []
-        #: Registration order in the context -- the consumer's stable
-        #: identity in checkpoints and the emitted-window ledger.
-        self.checkpoint_index: int = -1
-        if universe is not None:
-            self._init_state(universe)
-
-    def _injector(self):
-        """The context's live fault injector (the store's chaos source)."""
-        return getattr(self.node._ssc.spark_context, "fault_injector", None)
-
-    def _init_state(self, universe: Envelope) -> None:
-        store = KeyedStateStore(
-            universe,
-            grid=self.grid,
-            node_capacity=self.node_capacity,
-            memory_budget_bytes=self.memory_budget_bytes,
-            spill_dir=self.spill_dir,
-            injector_source=self._injector,
-        )
-        self.state = KeyedWindowState(self.spec, store, self.lateness)
+        self._pending_hooks: deque[tuple[int, STObject, Any]] = deque()
 
     @property
-    def store(self) -> KeyedStateStore | None:
-        """The keyed store (None until the first record fixed a universe)."""
-        return self.state.store if self.state is not None else None
+    def late_dropped(self) -> int:
+        """Records whose every window had already fired on arrival."""
+        return self.state.late_dropped
+
+    @property
+    def late_window_drops(self) -> int:
+        """Per-window contributions lost to already-fired windows."""
+        return self.state.late_window_drops
 
     def add_query(self, query: ContinuousQuery) -> ContinuousQuery:
         """Register one standing query; returns it for sink access."""
@@ -1017,32 +1176,17 @@ class StateConsumer:
     def absorb(self, batch_id: int, records: list[Record], batch_time: float) -> None:
         """Insert one batch into keyed state (idempotent per batch id).
 
-        The batch is marked absorbed only after every mutation
-        succeeded: a fault mid-absorb (chaos or otherwise) leaves the
-        mark unset, the staged two-pass :meth:`KeyedWindowState.
+        A fault mid-absorb (chaos or otherwise) leaves the batch
+        unmarked, the staged two-pass :meth:`KeyedWindowState.
         add_batch` leaves no partial inserts, and the retried batch
         absorbs cleanly.
         """
-        if self._absorbed_batch == batch_id:
+        if not self._begin(batch_id, records):
             return
-        injector = getattr(self.node._ssc.spark_context, "fault_injector", None)
-        if injector is not None:
-            injector.check("state.update", key=batch_id)
-        if self.state is None:
-            if not records:
-                self._absorbed_batch = batch_id
-                return
-            universe = Envelope.empty()
-            for st, _value in records:
-                universe = universe.merge(st.geo.envelope)
-            self._init_state(universe)
         inserted = self.state.add_batch(records, batch_time)
         self._absorbed_batch = batch_id
         if self.queries:
             self._pending_hooks.extend(inserted)
-        self._ready.extend(
-            w for w in self.state.ready_windows() if w not in self._ready
-        )
 
     def _run_insert_hooks(self) -> None:
         # Drained before any window evaluates; a record is popped only
@@ -1053,87 +1197,52 @@ class StateConsumer:
             rid, st, value = self._pending_hooks[0]
             for query in self.queries:
                 query.on_insert(rid, st, value)
-            self._pending_hooks.pop(0)
+            self._pending_hooks.popleft()
 
     def fire(self, ssc) -> int:
-        """Evaluate every query for each ready window, then evict leavers.
+        """Emit each ready window, ascending, then evict its leavers.
 
-        A window leaves the ready queue only after all of its queries
-        ran -- a failure mid-fire leaves it queued for the batch retry,
-        the same at-least-once contract as the buffered window path.
+        A window stays open until all of its queries and outputs ran --
+        a failure mid-fire leaves it ready for the batch retry, the
+        at-least-once contract.  Outputs are handed the window's
+        records in arrival order.
         The context's emit gate suppresses windows a crashed process
         already delivered: the window's state transitions (closed
         horizon, eviction, ``on_evict``) still run, only the query
-        evaluation and its sink append are skipped.
+        evaluation, the outputs and the ledger note are skipped.
         """
         self._run_insert_hooks()
         fired = 0
-        while self._ready:
-            window = self._ready[0]
+        for window in self.state.ready_windows():
             if ssc._emit_allowed(self, window):
                 for query in self.queries:
-                    query.emit(self.state.store, window)
+                    query.emit(self.store, window)
+                if self.outputs:
+                    rdd = ssc._batch_rdd(self.state.window_records(window))
+                    for output in self.outputs:
+                        output(window, rdd)
                 ssc._note_emitted(self, window)
                 fired += 1
-            self._ready.pop(0)
-            for rid in self.state.close_window(window):
-                for query in self.queries:
+            evicted = self.state.close_window(window)
+            for query in self.queries:
+                for rid in evicted:
                     query.on_evict(rid)
         return fired
 
     def flush(self, ssc) -> int:
-        """Fire every still-open window (stream shutdown), ascending."""
-        if self.state is None:
-            return 0
-        self._ready.extend(
-            w for w in self.state.flush_windows() if w not in self._ready
-        )
+        """Fire every still-open window (stream shutdown), ascending:
+        the stream is declared over, so the watermark jumps to +inf."""
+        self.state.watermark = _INF
         return self.fire(ssc)
 
     def snapshot_state(self) -> dict:
-        """Picklable consumer state for checkpoints.
-
-        The per-cell R-trees are deliberately *not* serialized: the
-        snapshot carries only the record registry, and a restore
-        re-inserts every record through the normal store path, which
-        marks its cell dirty -- the first query touching a cell after
-        recovery rebuilds its tree lazily, exactly like any other
-        mutation (generation-rebuild, see :class:`CellState`).
-
-        Spilled cells are embedded too (their records read from disk
-        without loading them back): the snapshot is self-contained and
-        never depends on a spill file outliving the process.
-        """
-        if self.state is None:
-            state = None
-        else:
-            kw = self.state
-            universe = kw.store.partitioner.universe
-            records = kw.store.all_records()
-            state = {
-                "universe": (universe.min_x, universe.min_y, universe.max_x, universe.max_y),
-                "watermark": kw.watermark,
-                "closed_horizon": kw._closed_horizon,
-                "late_dropped": kw.late_dropped,
-                "late_window_drops": kw.late_window_drops,
-                "next_rid": kw._next_rid,
-                "window_counts": [
-                    (w.start, w.end, n) for w, n in sorted(kw._window_counts.items())
-                ],
-                "eviction": list(kw._eviction),
-                "records": records,
-                "spill": {
-                    "cells_spilled": kw.store.cells_spilled,
-                    "cells_loaded": kw.store.cells_loaded,
-                    "spill_failures": kw.store.spill_failures,
-                },
-            }
+        """Picklable consumer state for checkpoints (see
+        :meth:`KeyedWindowState.snapshot`)."""
         return {
             "kind": "keyed",
             "absorbed": self._absorbed_batch,
-            "ready": [(w.start, w.end) for w in self._ready],
             "pending_hooks": list(self._pending_hooks),
-            "state": state,
+            "state": self.state.snapshot(),
         }
 
     def restore_state(self, snapshot: dict) -> None:
@@ -1146,35 +1255,8 @@ class StateConsumer:
         result -- so overlap with still-pending hooks is harmless.
         """
         self._absorbed_batch = snapshot["absorbed"]
-        self._ready = [Window(start, end) for start, end in snapshot["ready"]]
-        self._pending_hooks = [tuple(row) for row in snapshot["pending_hooks"]]
-        state = snapshot["state"]
-        if state is None:
-            self.state = None
-            return
-        self._init_state(Envelope(*state["universe"]))
-        kw = self.state
-        kw.watermark = state["watermark"]
-        kw._closed_horizon = state["closed_horizon"]
-        kw.late_dropped = state["late_dropped"]
-        kw.late_window_drops = state["late_window_drops"]
-        kw._next_rid = state["next_rid"]
-        kw._window_counts = {
-            Window(start, end): n for start, end, n in state["window_counts"]
-        }
-        eviction = [tuple(entry) for entry in state["eviction"]]
-        heapq.heapify(eviction)
-        kw._eviction = eviction
-        # Carry the crashed run's cumulative spill counters forward
-        # *before* re-inserting, so spills triggered by the restore
-        # itself keep counting on top of them.
-        spill = state.get("spill")
-        if spill:
-            kw.store.cells_spilled = spill["cells_spilled"]
-            kw.store.cells_loaded = spill["cells_loaded"]
-            kw.store.spill_failures = spill["spill_failures"]
-        for rid, st, value, t_start, t_end in state["records"]:
-            kw.store.insert(rid, st, value, t_start, t_end)
+        self._pending_hooks = deque(tuple(row) for row in snapshot["pending_hooks"])
+        self.state.restore(snapshot["state"])
         for query in self.queries:
-            for rid, st, value in kw.store.iter_window(None):
+            for rid, st, value in self.store.iter_window(None):
                 query.on_insert(rid, st, value)

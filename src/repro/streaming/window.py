@@ -11,27 +11,19 @@ event -- a concert spanning an evening -- lands in every window it
 overlaps, the streaming analogue of the paper's interval-aware
 ``intersects``.
 
-Two pieces live here:
-
-- :class:`WindowSpec` -- the pure assignment arithmetic for tumbling
-  (``slide == length``) and sliding (``slide < length``) windows aligned
-  to multiples of ``slide`` from ``origin``;
-- :class:`WindowState` -- the per-stream accumulator that buckets
-  arriving records into open windows and closes a window once the
-  *watermark* (max event end time seen, minus the allowed lateness)
-  passes its end.  Records arriving after their window closed are
-  counted rather than silently lost: ``late_dropped`` counts records
-  whose *every* window had fired, and ``late_window_drops`` counts the
-  per-window contributions a partially-late record missed (a record
-  spanning several sliding windows of which some already fired still
-  lands in the open ones, but each closed one it missed is counted).
+This module is the pure arithmetic: :class:`Window`, and
+:class:`WindowSpec` -- assignment for tumbling (``slide == length``)
+and sliding (``slide < length``) windows aligned to multiples of
+``slide`` from ``origin``.  Which records are in which open window,
+where the watermark is and what is late is state, and there is one
+implementation of it: :class:`~repro.streaming.state.KeyedWindowState`
+over the keyed store.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator
 
 from repro.core.stobject import STObject
 
@@ -160,112 +152,3 @@ def event_span(st: STObject, fallback: float) -> tuple[float, float]:
         return (fallback, fallback)
     return (time.start, time.end)
 
-
-class WindowState:
-    """Accumulates one stream's records into open event-time windows.
-
-    ``add_batch`` buckets a batch of ``(STObject, value)`` records into
-    every window their temporal component intersects, then advances the
-    watermark to ``max event end seen - lateness``.  ``advance`` drains
-    the windows whose end the watermark passed, in ascending window
-    order -- the closed-window contents are exactly what a batch
-    recomputation over that window's records would see, which is the
-    property the correctness tests assert.
-    """
-
-    def __init__(self, spec: WindowSpec, lateness: float = 0.0) -> None:
-        if lateness < 0:
-            raise ValueError(f"lateness must be >= 0, got {lateness}")
-        self.spec = spec
-        self.lateness = lateness
-        self.watermark = -math.inf
-        #: Open windows: window -> arrival-ordered records.
-        self._open: dict[Window, list[tuple[STObject, Any]]] = {}
-        #: Ends of windows already emitted, to classify late arrivals.
-        self._closed_horizon = -math.inf
-        #: Records that landed in *zero* open windows (fully late).
-        self.late_dropped = 0
-        #: Per-window contributions lost because that window had already
-        #: fired -- a partially-late record (some of its sliding windows
-        #: open, some closed) adds one per closed window it missed.
-        self.late_window_drops = 0
-
-    def add_batch(self, records: list[tuple[STObject, Any]], batch_time: float) -> None:
-        """Bucket *records* into open windows and advance the watermark.
-
-        Assignment (the part that can raise, e.g. on a malformed span)
-        runs for the whole batch before any window is mutated, so a
-        failed batch leaves window state untouched and a retry cannot
-        double-add the records it had already placed.
-        """
-        max_end = self.watermark + self.lateness
-        staged: list[tuple[tuple[STObject, Any], list[Window]]] = []
-        late_records = late_windows = 0
-        for st, value in records:
-            t_start, t_end = event_span(st, batch_time)
-            if t_end > max_end:
-                max_end = t_end
-            windows = self.spec.assign(t_start, t_end)
-            live = [w for w in windows if w.end > self._closed_horizon]
-            late_windows += len(windows) - len(live)
-            if not live:
-                late_records += 1
-                continue
-            staged.append(((st, value), live))
-        for record, live in staged:
-            for window in live:
-                self._open.setdefault(window, []).append(record)
-        self.late_dropped += late_records
-        self.late_window_drops += late_windows
-        self.watermark = max(self.watermark, max_end - self.lateness)
-
-    def advance(self) -> list[tuple[Window, list[tuple[STObject, Any]]]]:
-        """Close and return every window the watermark has passed."""
-        ready = sorted(w for w in self._open if w.end <= self.watermark)
-        out = []
-        for window in ready:
-            out.append((window, self._open.pop(window)))
-            self._closed_horizon = max(self._closed_horizon, window.end)
-        return out
-
-    def flush(self) -> list[tuple[Window, list[tuple[STObject, Any]]]]:
-        """Close every remaining window (stream shutdown), ascending."""
-        ready = sorted(self._open)
-        out = [(window, self._open.pop(window)) for window in ready]
-        if ready:
-            self._closed_horizon = max(self._closed_horizon, ready[-1].end)
-        return out
-
-    @property
-    def open_windows(self) -> int:
-        """How many windows currently hold buffered records."""
-        return len(self._open)
-
-    def snapshot(self) -> dict:
-        """A picklable snapshot of the accumulator (checkpointing).
-
-        Windows are stored as plain ``(start, end, records)`` rows so a
-        restore rebuilds :class:`Window` objects through the same spec
-        the live pipeline declares -- the snapshot carries no code.
-        """
-        return {
-            "watermark": self.watermark,
-            "closed_horizon": self._closed_horizon,
-            "late_dropped": self.late_dropped,
-            "late_window_drops": self.late_window_drops,
-            "open": [
-                (w.start, w.end, list(records))
-                for w, records in sorted(self._open.items())
-            ],
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Reset this accumulator to a :meth:`snapshot` (recovery)."""
-        self.watermark = snapshot["watermark"]
-        self._closed_horizon = snapshot["closed_horizon"]
-        self.late_dropped = snapshot["late_dropped"]
-        self.late_window_drops = snapshot["late_window_drops"]
-        self._open = {
-            Window(start, end): list(records)
-            for start, end, records in snapshot["open"]
-        }

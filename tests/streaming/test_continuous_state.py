@@ -170,6 +170,17 @@ class TestKeyedStoreUnit:
             rows.append((st, i))
         return rows
 
+    def test_grid_without_universe_is_fixed_by_cover_not_by_insert(self):
+        point = STObject("POINT (3 4)", 1.0)
+        store = KeyedStateStore(None, grid=4)
+        with pytest.raises(ValueError, match="unfixed"):
+            store.insert(0, point, "v", 1.0, 1.0)
+        store.cover([(point, "v"), (STObject("POINT (9 9)", 2.0), "w")])
+        store.insert(0, point, "v", 1.0, 1.0)
+        assert store.snapshot()["universe"] == (3.0, 4.0, 9.0, 9.0)
+        # One cell has nothing to place: no universe is ever needed.
+        KeyedStateStore(None, grid=1).insert(0, point, "v", 1.0, 1.0)
+
     def test_knn_equals_brute_force(self):
         store = self.make_store()
         rows = self.fill(store)
@@ -197,10 +208,9 @@ class TestKeyedStoreUnit:
 
         store = self.make_store()
         self.fill(store)
-        early = store.window_records(Window(0.0, 3.0))
-        assert sorted(v for _st, v in early) == [0, 1, 2]
-        late = store.window_records(Window(100.0, 200.0))
-        assert late == []
+        early = store.iter_window(Window(0.0, 3.0))
+        assert sorted(v for _rid, _st, v in early) == [0, 1, 2]
+        assert list(store.iter_window(Window(100.0, 200.0))) == []
 
     def test_remove_retires_cells_and_keeps_rebuild_totals(self):
         store = self.make_store(grid=2)
@@ -260,17 +270,35 @@ class TestContinuousChaos:
             retry_backoff=0.0,
             fault_injector=injector,
         ) as sc:
-            ssc = StreamingContext(sc, max_batch_failures=4)
+            # Attempts per batch: one each for the batch.run and
+            # state.update faults, one per window closing in it (below).
+            ssc = StreamingContext(sc, max_batch_failures=8)
             batches = make_batches(seed=43)
             source, events = ssc.queue_stream(batches)
+            # Registered first, so the state.update fault (the first
+            # check of each batch id) lands in the window() consumer.
+            windowed = events.window(length=LENGTH, slide=SLIDE)
+            # The first delivery of every window fails *after* both
+            # consumers absorbed the batch: the retry must re-fire the
+            # still-open window without absorbing the batch twice.
+            delivered, armed = set(), [True]
+
+            def fail_first_delivery(window, _rdd):
+                if armed[0] and window not in delivered:
+                    delivered.add(window)
+                    raise RuntimeError(f"first delivery of {window} fails")
+
+            windowed.for_each_window(fail_first_delivery)
             cont = events.continuous(length=LENGTH, slide=SLIDE)
             sinks = {
+                "window": windowed.collect_windows(),
                 "range": cont.range(RANGE_QUERY),
                 "knn": cont.knn(KNN_QUERY, K),
                 "join": cont.intersects_static(REFERENCE),
             }
             # One extra tick: the poll fault delays one batch's records.
             ssc.run_batches(BATCHES + 1, batch_times=[0.0] * (BATCHES + 1))
+            armed[0] = False  # the shutdown flush has no retry envelope
             ssc.stop()
         return {name: sink.results() for name, sink in sinks.items()}, ssc.metrics
 
@@ -281,10 +309,33 @@ class TestContinuousChaos:
         # Injected faults happened and were absorbed...
         assert metrics.batch_retries >= 1
         assert metrics.batches_failed == 0
+        assert clean["window"], "the window() sink saw no window"
         # ...without duplicating or dropping a single window result.
         assert chaotic == clean
         # And the seeded scenario replays identically.
         assert replay == chaotic
+
+    def test_state_update_site_fires_for_window_consumers(self):
+        """``window()`` sits on the store too, so its absorb is behind
+        the ``state.update`` site: every batch id's first check fails,
+        is retried, and no window result changes."""
+        injector = FaultInjector(seed=7).fail("state.update", times=1, per_key=True)
+        with SparkContext(
+            "window-chaos",
+            parallelism=2,
+            executor="sequential",
+            retry_backoff=0.0,
+            fault_injector=injector,
+        ) as sc:
+            ssc = StreamingContext(sc)
+            source, events = ssc.queue_stream(make_batches(seed=43))
+            sink = events.window(length=LENGTH, slide=SLIDE).collect_windows()
+            ssc.run_batches(BATCHES, batch_times=[0.0] * BATCHES)
+            ssc.stop()
+        assert ssc.metrics.batch_retries == BATCHES
+        assert ssc.metrics.batches_failed == 0
+        clean, _ = self.clean_run()
+        assert sink.results() == clean["window"]
 
     @staticmethod
     def clean_run():
@@ -297,8 +348,10 @@ class TestContinuousChaos:
             ssc = StreamingContext(sc)
             batches = make_batches(seed=43)
             source, events = ssc.queue_stream(batches)
+            windowed = events.window(length=LENGTH, slide=SLIDE)
             cont = events.continuous(length=LENGTH, slide=SLIDE)
             sinks = {
+                "window": windowed.collect_windows(),
                 "range": cont.range(RANGE_QUERY),
                 "knn": cont.knn(KNN_QUERY, K),
                 "join": cont.intersects_static(REFERENCE),

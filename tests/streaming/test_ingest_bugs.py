@@ -9,9 +9,15 @@ Three bugs lived at the ingest edge, all of the lose-data-quietly kind:
   with it;
 - :meth:`DirectorySource.close` cleared the seen-file set, so a stopped
   and restarted stream re-ingested the whole directory as duplicates;
-- :meth:`WindowState.add_batch` only counted a late record when *every*
+- the window state's ``add_batch`` only counted a late record when *every*
   window it belonged to had fired, silently eating the closed-window
   contributions of partially-late records.
+
+A fourth, found when ``window()`` moved onto the keyed store: an
+instant that no window's float bounds contain (``6 * 0.1 > 0.6``) is
+placed by ``WindowSpec.assign`` in the nearest window, but the store's
+span view did not agree, so ``continuous()`` emitted that window
+without the record.
 
 Each test here fails against the pre-fix behaviour.  The window
 assignment arithmetic itself is pinned separately by a property test
@@ -36,7 +42,6 @@ from repro.streaming import (
     StreamingContext,
     Window,
     WindowSpec,
-    WindowState,
 )
 from repro.streaming.state import KeyedStateStore, KeyedWindowState
 from repro.geometry.envelope import Envelope
@@ -118,25 +123,17 @@ class TestPartialLatenessAccounting:
         assert state.late_dropped == 1
         assert state.late_window_drops == 3
 
-    def test_window_state_counts_partial_drops(self):
-        state = WindowState(WindowSpec(10.0, 5.0))
-        for i, rows in enumerate(self.batches()):
-            state.add_batch(rows, float(i))
-            state.advance()
-        self.expected_counts(state)
-        # The partially-late record still landed in its open window.
-        window_rows = dict(state.flush())
-        assert sorted(v for _st, v in window_rows[Window(5.0, 15.0)]) == [1, 2]
-
-    def test_keyed_window_state_counts_partial_drops(self):
-        store = KeyedStateStore(Envelope(0.0, 0.0, 10.0, 10.0))
+    @pytest.mark.parametrize("grid", [1, 8], ids=["window-store", "continuous-store"])
+    def test_window_state_counts_partial_drops(self, grid):
+        store = KeyedStateStore(Envelope(0.0, 0.0, 10.0, 10.0), grid=grid)
         state = KeyedWindowState(WindowSpec(10.0, 5.0), store)
         for i, rows in enumerate(self.batches()):
             state.add_batch(rows, float(i))
             for window in state.ready_windows():
                 state.close_window(window)
         self.expected_counts(state)
-        got = sorted(v for _st, v in store.window_records(Window(5.0, 15.0)))
+        # The partially-late record still landed in its open window.
+        got = sorted(v for _st, v in state.window_records(Window(5.0, 15.0)))
         assert got == [1, 2]
 
     @pytest.mark.parametrize("path", ["window", "continuous"])
@@ -159,6 +156,25 @@ class TestPartialLatenessAccounting:
         snapshot = ssc.metrics.snapshot()
         assert snapshot["late_records_dropped"] == 1
         assert snapshot["late_window_drops"] == 3
+
+
+class TestInstantBetweenWindowBounds:
+    @pytest.mark.parametrize("path", ["window", "continuous"])
+    def test_record_reaches_the_window_it_was_assigned(self, path):
+        edge = (STObject("POINT (1 1)", 0.6), "edge")
+        with SparkContext("ulp", parallelism=2, executor="sequential") as sc:
+            ssc = StreamingContext(sc)
+            _source, events = ssc.queue_stream([[edge]])
+            if path == "window":
+                sink = events.window(length=0.1).collect_windows()
+            else:
+                sink = events.continuous(length=0.1).range(
+                    STObject("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")
+                )
+            ssc.run_batches(1, batch_times=[0.0])
+            ssc.stop()
+        assert sink.results() == [(Window(0.5, 0.6), [edge])]
+        assert ssc.metrics.late_records_dropped == 0
 
 
 def brute_force_assign(spec: WindowSpec, t_start: float, t_end: float):

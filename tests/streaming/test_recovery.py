@@ -570,3 +570,51 @@ class TestRestoreContract:
                 == uninterrupted
             )
             assert ssc2.metrics.batches_replayed > 0
+
+    def test_newer_build_refuses_a_format_1_snapshot(self, tmp_path):
+        """A checkpoint written before window state moved onto the store
+        (snapshot format 1, per-window ``"buffered"`` lists) is refused
+        with a typed error that names both formats -- not skipped as
+        corrupt, not silently replayed from zero -- and the fresh
+        context is left exactly as declared."""
+        from repro.streaming.checkpoint import load_latest_checkpoint, write_checkpoint
+
+        ck = str(tmp_path / "ck")
+        buffered = {
+            "kind": "buffered",
+            "absorbed": 2,
+            "pending": [],
+            "state": {
+                "watermark": 2.5,
+                "closed_horizon": float("-inf"),
+                "late_dropped": 0,
+                "late_window_drops": 0,
+                "open": [(0.0, 4.0, [rec(0, 0.5)])],
+            },
+        }
+        write_checkpoint(
+            ck,
+            epoch=1,
+            snapshot={
+                "format": 1,
+                "next_batch_id": 3,
+                "metrics": {"batches_run": 3},
+                "consumers": [buffered],
+                "sources": [None],
+            },
+            high_water=2,
+        )
+        with make_sc() as sc:
+            ssc = StreamingContext(sc, checkpoint_dir=ck)
+            _source, events = ssc.queue_stream([])
+            sink = events.window(**WINDOW).collect_windows()
+            with pytest.raises(StreamingError, match=r"format 1\b.*format 2\b"):
+                ssc.restore()
+            assert ssc._next_batch_id == 0
+            assert ssc.metrics.batches_run == 0
+            assert ssc.metrics.batches_replayed == 0
+            assert sink.results() == []
+            ssc.stop()
+        # The epoch is intact, not "corrupt": it still loads and validates.
+        _snapshot, manifest, skipped = load_latest_checkpoint(ck)
+        assert (manifest["epoch"], skipped) == (1, 0)

@@ -4,9 +4,11 @@ WindowSpec assignment is pure arithmetic, so these tests enumerate the
 paper's temporal cases directly: instants in tumbling and sliding
 windows, interval events spanning several windows (eq. (1) intersection
 semantics), origin offsets, and the boundary conventions of the
-half-open ``[start, end)`` window.  WindowState adds the watermark:
-lateness, out-of-order absorption, late-drop accounting and shutdown
-flush.
+half-open ``[start, end)`` window.  The window state adds the
+watermark: lateness, out-of-order absorption, late-drop accounting and
+shutdown flush -- checked on the one implementation there is,
+``KeyedWindowState`` over the one-cell store ``window()`` builds, driven
+the way ``StateConsumer.fire`` / ``flush`` drive it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import math
 import pytest
 
 from repro.core.stobject import STObject
-from repro.streaming.window import Window, WindowSpec, WindowState, event_span
+from repro.streaming.state import KeyedStateStore, KeyedWindowState
+from repro.streaming.window import Window, WindowSpec, event_span
 
 
 class TestWindow:
@@ -94,54 +97,75 @@ def _rec(t: float, value, t_end: float | None = None):
     return (st, value)
 
 
+def window_state(spec: WindowSpec, lateness: float = 0.0) -> KeyedWindowState:
+    """The window state exactly as ``window()`` configures it."""
+    store = KeyedStateStore(None, grid=1)
+    return KeyedWindowState(spec, store, lateness)
+
+
+def advance(state: KeyedWindowState):
+    """Close every ready window: ``[(window, records)]`` as outputs see them."""
+    out = []
+    for window in state.ready_windows():
+        out.append((window, state.window_records(window)))
+        state.close_window(window)
+    return out
+
+
+def flush(state: KeyedWindowState):
+    """Stream shutdown: the watermark jumps to +inf, everything closes."""
+    state.watermark = math.inf
+    return advance(state)
+
+
 class TestWindowState:
     def test_watermark_closes_passed_windows(self):
-        state = WindowState(WindowSpec(10.0))
+        state = window_state(WindowSpec(10.0))
         state.add_batch([_rec(1.0, "a"), _rec(2.0, "b")], batch_time=0.0)
-        assert state.advance() == []  # watermark at 2.0 < window end
+        assert advance(state) == []  # watermark at 2.0 < window end
         state.add_batch([_rec(11.0, "c")], batch_time=0.0)
-        closed = state.advance()
+        closed = advance(state)
         assert [w for w, _ in closed] == [Window(0.0, 10.0)]
         assert [v for _, v in closed[0][1]] == ["a", "b"]
 
     def test_lateness_delays_closing_and_absorbs_stragglers(self):
-        state = WindowState(WindowSpec(10.0), lateness=5.0)
+        state = window_state(WindowSpec(10.0), lateness=5.0)
         state.add_batch([_rec(1.0, "a"), _rec(12.0, "b")], batch_time=0.0)
         # Watermark is 12 - 5 = 7: window [0, 10) is still open.
-        assert state.advance() == []
+        assert advance(state) == []
         state.add_batch([_rec(3.0, "late-but-allowed")], batch_time=0.0)
         state.add_batch([_rec(16.0, "c")], batch_time=0.0)
-        closed = state.advance()
+        closed = advance(state)
         assert [w for w, _ in closed] == [Window(0.0, 10.0)]
         assert [v for _, v in closed[0][1]] == ["a", "late-but-allowed"]
         assert state.late_dropped == 0
 
     def test_late_records_are_counted_not_silently_lost(self):
-        state = WindowState(WindowSpec(10.0))
+        state = window_state(WindowSpec(10.0))
         state.add_batch([_rec(1.0, "a"), _rec(25.0, "b")], batch_time=0.0)
-        state.advance()  # closes [0,10) and [10,20) would not have fired (empty)
+        advance(state)  # closes [0,10) and [10,20) would not have fired (empty)
         state.add_batch([_rec(2.0, "too-late")], batch_time=0.0)
         assert state.late_dropped == 1
 
     def test_interval_record_lands_in_every_window(self):
-        state = WindowState(WindowSpec(10.0))
+        state = window_state(WindowSpec(10.0))
         state.add_batch([_rec(5.0, "span", t_end=15.0)], batch_time=0.0)
         state.add_batch([_rec(31.0, "tick")], batch_time=0.0)
-        closed = dict(state.advance())
+        closed = dict(advance(state))
         assert [v for _, v in closed[Window(0.0, 10.0)]] == ["span"]
         assert [v for _, v in closed[Window(10.0, 20.0)]] == ["span"]
 
     def test_untimed_records_use_batch_time(self):
-        state = WindowState(WindowSpec(10.0))
+        state = window_state(WindowSpec(10.0))
         state.add_batch([(STObject("POINT (0 0)"), "x")], batch_time=4.0)
         state.add_batch([_rec(20.0, "tick")], batch_time=0.0)
-        closed = state.advance()
+        closed = advance(state)
         assert [w for w, _ in closed] == [Window(0.0, 10.0)]
 
     def test_flush_closes_everything_ascending(self):
-        state = WindowState(WindowSpec(10.0))
+        state = window_state(WindowSpec(10.0))
         state.add_batch([_rec(25.0, "c"), _rec(1.0, "a"), _rec(14.0, "b")], batch_time=0.0)
-        flushed = state.flush()
+        flushed = flush(state)
         assert [w for w, _ in flushed] == [
             Window(0.0, 10.0),
             Window(10.0, 20.0),
@@ -150,20 +174,49 @@ class TestWindowState:
         assert state.open_windows == 0
 
     def test_advance_returns_ascending_windows(self):
-        state = WindowState(WindowSpec(10.0))
+        state = window_state(WindowSpec(10.0))
         state.add_batch([_rec(15.0, "b"), _rec(1.0, "a")], batch_time=0.0)
         state.add_batch([_rec(40.0, "d")], batch_time=0.0)
-        closed = state.advance()
+        closed = advance(state)
         assert [w for w, _ in closed] == [Window(0.0, 10.0), Window(10.0, 20.0)]
 
     def test_negative_lateness_rejected(self):
         with pytest.raises(ValueError):
-            WindowState(WindowSpec(10.0), lateness=-1.0)
+            window_state(WindowSpec(10.0), lateness=-1.0)
 
     def test_watermark_monotone_under_out_of_order_batches(self):
-        state = WindowState(WindowSpec(10.0))
+        state = window_state(WindowSpec(10.0))
         state.add_batch([_rec(12.0, "b")], batch_time=0.0)
         first = state.watermark
         state.add_batch([_rec(3.0, "a")], batch_time=0.0)
         assert state.watermark == first  # older data never regresses it
         assert math.isfinite(state.watermark)
+
+    def test_instant_in_a_one_ulp_gap_between_windows_is_delivered(self):
+        # 6 * 0.1 > 0.6: no window's float bounds contain the instant
+        # 0.6, and assign places it in the nearest one.  It must reach
+        # that window's outputs and the store's span view alike.
+        state = window_state(WindowSpec(0.1))
+        assert not any(w.contains_time(0.6) for w in state.spec.assign(0.6))
+        state.add_batch([_rec(0.6, "edge")], batch_time=0.0)
+        window = Window(0.5, 0.6)
+        assert [v for _rid, _st, v in state.store.iter_window(window)] == ["edge"]
+        assert [(w, [v for _st, v in rows]) for w, rows in flush(state)] == [
+            (window, ["edge"])
+        ]
+        assert state.late_dropped == 0 and state.store.size == 0
+
+    def test_restore_rederives_membership_and_eviction(self):
+        state = window_state(WindowSpec(10.0, 5.0), lateness=5.0)
+        state.add_batch(
+            [_rec(1.0, "a"), _rec(7.0, "b", t_end=12.0), _rec(21.0, "c")], batch_time=0.0
+        )
+        advance(state)  # watermark 16 closes up to [5, 15): "a" has left
+        state.add_batch([_rec(11.0, "partly-late")], batch_time=0.0)
+        twin = window_state(WindowSpec(10.0, 5.0), lateness=5.0)
+        twin.restore(state.snapshot())
+        assert twin.late_window_drops == state.late_window_drops == 1
+        assert [(w, [v for _st, v in rows]) for w, rows in flush(twin)] == [
+            (w, [v for _st, v in rows]) for w, rows in flush(state)
+        ]
+        assert twin.store.size == state.store.size == 0
