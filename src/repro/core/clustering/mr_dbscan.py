@@ -95,11 +95,7 @@ def _dbscan_phases(
         (key, value), gid = row
         centroid = key.geo.centroid()
         home = part.partition_of_point(centroid.x, centroid.y)
-        targets = set(
-            part.partitions_within_distance(
-                centroid.x, centroid.y, eps, use_extent=False
-            )
-        )
+        targets = set(part.partitions_within_distance(centroid.x, centroid.y, eps))
         targets.add(home)  # a clamped out-of-universe point still needs its home
         shared = len(targets) > 1
         for pid in targets:

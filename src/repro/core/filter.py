@@ -5,12 +5,12 @@ A filter evaluates one predicate between every item of an
 composes four independent choices, matching the paper's design plus
 the hybrid-index extension:
 
-1. **Partition pruning** -- when the RDD carries a
-   :class:`~repro.partitioners.base.SpatialPartitioner`, only the
-   partitions whose *extent* can satisfy the predicate are computed at
-   all (a :class:`~repro.spark.rdd.PartitionPruningRDD` hides the rest).
-   Indexed RDDs additionally prune on recorded *temporal* partition
-   extents: a timed query skips partitions whose time range misses.
+1. **Partition pruning** -- when the RDD was partitioned in space
+   and/or time, only the partitions whose measured *summary* (members'
+   envelope and time range, :mod:`repro.core.summaries`) can satisfy
+   the predicate are computed at all (a
+   :class:`~repro.spark.rdd.PartitionPruningRDD` hides the rest) -- in
+   every indexing mode alike.
 2. **No indexing** -- every surviving item is checked with the exact
    predicate (after the cheap envelope pre-test).
 3. **Live indexing** -- each partition's content is bulk-loaded into a
@@ -37,10 +37,18 @@ from typing import Iterator, TypeVar
 
 from repro.core.predicates import STPredicate
 from repro.core.stobject import STObject
+from repro.core.summaries import (
+    known_summaries,
+    partition_summaries,
+    partitions_matching,
+)
 from repro.index import build_partition_index
 from repro.partitioners.base import SpatialPartitioner
+from repro.partitioners.temporal import (
+    SpatioTemporalPartitioner,
+    TemporalRangePartitioner,
+)
 from repro.spark.rdd import RDD, PartitionPruningRDD
-from repro.temporal.interval import Interval
 
 V = TypeVar("V")
 
@@ -60,40 +68,33 @@ def _note_probe(context, candidates: int, slices_pruned: int) -> None:
 def prune_partitions(
     rdd: RDD, query: STObject, predicate: STPredicate
 ) -> RDD:
-    """Drop partitions whose extent cannot satisfy *predicate* for *query*.
+    """Drop partitions whose summary cannot satisfy *predicate* for *query*.
 
-    Understands spatial partitioners (prune by spatial extent), the
-    temporal-range extension (prune by temporal extent) and the
-    spatio-temporal product (prune on both axes); a no-op for anything
-    else.  Pruning is always conservative: the extent test is necessary
-    for a match, never sufficient, so no result can be lost.
+    The measuring job runs only for an RDD partitioned in space and/or
+    time; any other RDD is pruned when its summaries happen to be known
+    already (a join or the planner measured it) and passes through
+    untouched otherwise -- a one-shot RDD (every streaming micro-batch)
+    never pays a pass to avoid a pass.  Pruning is always conservative:
+    the summary test is necessary for a match, never sufficient, so no
+    result can be lost.
     """
-    from repro.partitioners.temporal import (
-        SpatioTemporalPartitioner,
-        TemporalRangePartitioner,
-    )
-
-    partitioner = rdd.partitioner
-    keep: list[int] | None = None
-    if isinstance(partitioner, SpatialPartitioner):
-        region = predicate.candidate_region(query.geo.envelope)
-        keep = partitioner.partitions_intersecting(region)
-    elif isinstance(partitioner, TemporalRangePartitioner):
-        # Temporally partitioned data is all timed; a query without a
-        # temporal component can never match (eqs. (1)-(3)), so every
-        # partition prunes away.
-        keep = (
-            partitioner.partitions_intersecting(query.time)
-            if query.time is not None
-            else []
-        )
-    elif isinstance(partitioner, SpatioTemporalPartitioner):
-        if query.time is None:
-            keep = []  # all members are timed; an untimed query never matches
-        else:
-            region = predicate.candidate_region(query.geo.envelope)
-            keep = partitioner.partitions_intersecting(region, query.time)
-    if keep is None or len(keep) == rdd.num_partitions:
+    if isinstance(
+        rdd.partitioner,
+        (SpatialPartitioner, TemporalRangePartitioner, SpatioTemporalPartitioner),
+    ):
+        summaries = partition_summaries(rdd)
+    else:
+        summaries = known_summaries(rdd)
+        if summaries is None:
+            return rdd
+    region = predicate.candidate_region(query.geo.envelope)
+    keep, missed_in_time = partitions_matching(summaries, region, query.time)
+    if missed_in_time:
+        context = rdd.context
+        context.metrics.partitions_pruned_temporal += missed_in_time
+        if context.tracer.enabled:
+            context.tracer.add("index.temporal_pruned_partitions", missed_in_time)
+    if len(keep) == rdd.num_partitions:
         return rdd
     return PartitionPruningRDD(rdd, keep)
 
@@ -136,6 +137,28 @@ def filter_no_index(
     return base.filter(keep).set_name("filter.no_index")
 
 
+def _probe_and_refine(
+    trees: RDD, query: STObject, predicate: STPredicate, temporal_first: bool
+) -> RDD:
+    """Probe every partition-local index of *trees*, refine the candidates."""
+    region = predicate.candidate_region(query.geo.envelope)
+    query_time = query.time
+    context = trees.context
+
+    def run_partition(it: Iterator) -> Iterator[tuple[STObject, V]]:
+        for tree in it:
+            # Candidates match on bounding boxes (and, for time-aware
+            # modes, time ranges) only; refinement applies the exact
+            # spatial and temporal predicates.
+            candidates, slices_pruned = tree.query_st(region, query_time)
+            _note_probe(context, len(candidates), slices_pruned)
+            for kv in candidates:
+                if predicate.evaluate_ordered(kv[0], query, temporal_first):
+                    yield kv
+
+    return trees.map_partitions(run_partition, preserves_partitioning=True)
+
+
 def filter_live_index(
     rdd: RDD,
     query: STObject,
@@ -154,99 +177,31 @@ def filter_live_index(
     pruned candidates are never materialized at all.
     """
     base = prune_partitions(rdd, query, predicate) if prune else rdd
-    region = predicate.candidate_region(query.geo.envelope)
-    query_time = query.time
-    context = rdd.context
 
-    def run_partition(it: Iterator[tuple[STObject, V]]) -> Iterator[tuple[STObject, V]]:
-        tree = build_partition_index(list(it), order, mode, time_slices)
-        # Candidates match on bounding boxes (and, for time-aware
-        # modes, time ranges) only; refinement applies the exact
-        # spatial and temporal predicates.
-        candidates, slices_pruned = tree.query_st(region, query_time)
-        _note_probe(context, len(candidates), slices_pruned)
-        for kv in candidates:
-            if predicate.evaluate_ordered(kv[0], query, temporal_first):
-                yield kv
+    def build(it: Iterator[tuple[STObject, V]]) -> Iterator:
+        yield build_partition_index(list(it), order, mode, time_slices)
 
-    return base.map_partitions(run_partition, preserves_partitioning=True).set_name(
+    trees = base.map_partitions(build, preserves_partitioning=True)
+    return _probe_and_refine(trees, query, predicate, temporal_first).set_name(
         "filter.live_index"
     )
-
-
-def prune_temporal_partitions(
-    rdd: RDD,
-    query_time,
-    temporal_extents: list | None,
-) -> RDD:
-    """Prune whole partitions whose temporal extent misses *query_time*.
-
-    ``temporal_extents`` holds one ``Interval | None`` per partition
-    (``None`` = no timed members) as recorded at index build time; a
-    ``None`` list disables the optimization (e.g. an index loaded from
-    a pre-extent layout).  Untimed members cannot match a timed query
-    under the combined semantics, so a partition is kept only when its
-    timed extent intersects.  An untimed query prunes nothing here.
-    """
-    if query_time is None or temporal_extents is None:
-        return rdd
-    if len(temporal_extents) != rdd.num_partitions:
-        return rdd  # stale metadata; pruning must stay conservative
-    keep = [
-        pid
-        for pid, extent in enumerate(temporal_extents)
-        if extent is not None
-        and extent.start <= query_time.end
-        and query_time.start <= extent.end
-    ]
-    if len(keep) == rdd.num_partitions:
-        return rdd
-    pruned = PartitionPruningRDD(rdd, keep)
-    context = rdd.context
-    dropped = rdd.num_partitions - len(keep)
-    context.metrics.partitions_pruned_temporal += dropped
-    if context.tracer.enabled:
-        context.tracer.add("index.temporal_pruned_partitions", dropped)
-    return pruned
 
 
 def filter_indexed(
     index_rdd: RDD,
     query: STObject,
     predicate: STPredicate,
-    partitioner: SpatialPartitioner | None = None,
-    temporal_extents: list[Interval | None] | None = None,
     temporal_first: bool = False,
 ) -> RDD:
     """Filter an RDD of per-partition indexes (persistent index mode).
 
     ``index_rdd`` holds one partition-local index (STR-tree, time-
     sliced forest or 3D tree) per partition whose entries are
-    ``(STObject, V)`` pairs.  When the partitioner that produced the
-    indexes is supplied, spatial partition pruning applies before any
-    index is opened; with recorded ``temporal_extents``, a timed query
-    additionally prunes whole partitions in time.
+    ``(STObject, V)`` pairs.  Partitions are pruned on their summaries
+    -- read off the trees, or restored with a reloaded index -- before
+    any index is opened.
     """
-    region = predicate.candidate_region(query.geo.envelope)
-    base = index_rdd
-    if partitioner is not None:
-        keep = partitioner.partitions_intersecting(region)
-        if len(keep) < index_rdd.num_partitions:
-            base = PartitionPruningRDD(index_rdd, keep)
-            if temporal_extents is not None:
-                temporal_extents = [temporal_extents[pid] for pid in keep]
-    base = prune_temporal_partitions(base, query.time, temporal_extents)
-    query_time = query.time
-    context = index_rdd.context
-
-    def run_partition(trees: Iterator) -> Iterator[tuple[STObject, V]]:
-        for tree in trees:
-            candidates, slices_pruned = tree.query_st(region, query_time)
-            _note_probe(context, len(candidates), slices_pruned)
-            for kv in candidates:
-                if predicate.evaluate_ordered(kv[0], query, temporal_first):
-                    yield kv
-
-    return base.map_partitions(run_partition, preserves_partitioning=True).set_name(
+    base = prune_partitions(index_rdd, query, predicate)
+    return _probe_and_refine(base, query, predicate, temporal_first).set_name(
         "filter.indexed"
     )

@@ -4,9 +4,9 @@
 ``((lk, lv), (rk, rv))`` with ``predicate(lk, rk)`` true.  Execution:
 
 - **Partition-pair enumeration.**  Every (left partition, right
-  partition) pair whose *actual extents* (the merged envelopes of the
-  partitions' members, computed in one cheap pass) can satisfy the
-  predicate becomes one join task.  Without spatial partitioning the
+  partition) pair whose *actual extents* (the envelopes of the
+  partitions' members, from :mod:`repro.core.summaries`) can satisfy
+  the predicate becomes one join task.  Without spatial partitioning the
   extents are unconstrained and all ``n x m`` pairs run -- the paper's
   "no partitioning" configuration.  With a good spatial partitioner
   the pair list collapses to near-diagonal, which is exactly where the
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterator, TypeVar
 
 from repro.core.predicates import STPredicate
-from repro.core.stobject import STObject
+from repro.core.summaries import partition_summaries
 from repro.geometry.envelope import Envelope
 from repro.index.rtree import STRTree
 from repro.spark.cancellation import Heartbeat
@@ -37,48 +37,6 @@ from repro.spark.rdd import RDD
 
 V = TypeVar("V")
 W = TypeVar("W")
-
-
-def _partition_extent(it: Iterator[tuple[STObject, V]]) -> Envelope:
-    """One partition's merged envelope via mutable min/max accumulators.
-
-    ``Envelope.merge`` allocates a frozen instance per element; this
-    pass runs over *every* member of *every* partition before each
-    non-pruned join, so it accumulates four floats instead.  Module
-    level (not a closure) so the processes executor ships it by
-    reference.
-    """
-    min_x = min_y = float("inf")
-    max_x = max_y = float("-inf")
-    for key, _value in it:
-        env = key.geo.envelope
-        if env.min_x < min_x:
-            min_x = env.min_x
-        if env.min_y < min_y:
-            min_y = env.min_y
-        if env.max_x > max_x:
-            max_x = env.max_x
-        if env.max_y > max_y:
-            max_y = env.max_y
-    return Envelope(min_x, min_y, max_x, max_y)
-
-
-def partition_extents(rdd: RDD) -> list[Envelope]:
-    """The merged envelope of each partition's member geometries.
-
-    Memoized on the RDD (``_partition_extents``): an RDD's contents are
-    immutable -- lineage is fixed at construction and recomputation is
-    deterministic -- so the extents can never change and repeated joins
-    or filters over the same RDD reuse the first scan.  (``persist`` /
-    ``unpersist`` only toggle caching of those same contents, so they
-    need no invalidation hook.)
-    """
-    cached = getattr(rdd, "_partition_extents", None)
-    if cached is not None:
-        return cached
-    extents = rdd.context.run_job(rdd, _partition_extent)
-    rdd._partition_extents = extents
-    return extents
 
 
 def candidate_partition_pairs(
@@ -199,10 +157,8 @@ def spatial_join(
     total = left.num_partitions * right.num_partitions
     with tracer.span("join.plan", prune=prune_pairs) as span:
         if prune_pairs:
-            left_extents = partition_extents(left)
-            right_extents = (
-                left_extents if right is left else partition_extents(right)
-            )
+            left_extents = [s.envelope for s in partition_summaries(left)]
+            right_extents = [s.envelope for s in partition_summaries(right)]
             pairs = candidate_partition_pairs(left_extents, right_extents, predicate)
         else:
             pairs = [

@@ -4,12 +4,13 @@
 geometry as an ascending ``[(distance, (STObject, V)), ...]`` list.
 
 With a spatial partitioner and the Euclidean metric the search is
-two-phase, exploiting partition extents:
+two-phase, exploiting the partitions' measured extents
+(:mod:`repro.core.summaries`):
 
 1. scan only the query centroid's *home partition* and take its best k;
 2. the k-th local distance bounds the true answer, so only partitions
-   whose extent comes within that bound need to be searched; the home
-   scan is reused and the rest are pruned.
+   whose members' envelope comes within that bound need to be searched;
+   the home scan is reused and the rest are pruned.
 
 Distances are exact geometry-to-geometry distances, but the pruning
 bound is anchored at the query's *centroid*.  For extended query
@@ -32,9 +33,10 @@ correctness over speed.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from repro.core.stobject import STObject
+from repro.core.summaries import partition_summaries, partitions_within
 from repro.geometry.base import Geometry
 from repro.geometry.distance import DistanceFunction, euclidean, resolve
 from repro.partitioners.base import SpatialPartitioner
@@ -58,17 +60,54 @@ def query_radius(geom: Geometry) -> float:
     )
 
 
-def _scan(
-    rdd: RDD, query: STObject, k: int, fn: DistanceFunction
-) -> KnnResult:
-    """Exact kNN by scanning every partition of *rdd*."""
+LocalBest = Callable[[Iterator], KnnResult]
 
-    def local_best(it: Iterator[tuple[STObject, V]]) -> KnnResult:
-        return heapq.nsmallest(k, ((fn(kv[0].geo, query.geo), kv) for kv in it), key=lambda p: p[0])
 
+def _merged(rdd: RDD, local_best: LocalBest, k: int) -> KnnResult:
+    """The best *k* over the per-partition bests of every partition of *rdd*."""
     per_partition = rdd.context.run_job(rdd, local_best)
     merged = [pair for best in per_partition for pair in best]
     return heapq.nsmallest(k, merged, key=lambda p: p[0])
+
+
+def _search(
+    rdd: RDD,
+    partitioner: SpatialPartitioner | None,
+    centroid,
+    radius: float,
+    k: int,
+    local_best: LocalBest,
+    span,
+) -> KnnResult:
+    """Home partition, bound, the rest: the one driver of both searches.
+
+    *centroid* and *radius* are the query's (see module docstring);
+    ``local_best`` is all that differs between scanning rows and
+    probing trees.  No partition is computed twice: the home result is
+    reused whichever way the second phase goes.  Without a spatial
+    *partitioner* there is no home to start from: every partition runs.
+    """
+    if partitioner is None:
+        span.attrs["strategy"] = "scan"
+        return _merged(rdd, local_best, k)
+    home = partitioner.partition_of_point(centroid.x, centroid.y)
+    best = _merged(PartitionPruningRDD(rdd, [home]).set_name("knn.home"), local_best, k)
+    if len(best) == k:
+        span.attrs["strategy"] = "two_phase"
+        # The query radius keeps the centroid-anchored bound admissible
+        # for extended query geometries (see module docstring).
+        others = partitions_within(
+            partition_summaries(rdd), centroid.x, centroid.y, best[-1][0] + radius
+        )
+    else:
+        # Not enough local candidates to establish a bound.
+        span.attrs["strategy"] = "two_phase_unbounded"
+        others = range(rdd.num_partitions)
+    others = [pid for pid in others if pid != home]
+    if not others:
+        return best
+    rest = _merged(PartitionPruningRDD(rdd, others).set_name("knn.rest"), local_best, k)
+    return heapq.nsmallest(k, best + rest, key=lambda p: p[0])
 
 
 def knn(
@@ -85,46 +124,16 @@ def knn(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     fn = resolve(distance_fn)
-    tracer = rdd.context.tracer
 
-    with tracer.span("knn", k=k) as span:
-        partitioner = rdd.partitioner
-        if not isinstance(partitioner, SpatialPartitioner) or fn is not euclidean:
-            span.attrs["strategy"] = "scan"
-            return _scan(rdd, query, k, fn)
+    def local_best(it: Iterator[tuple[STObject, V]]) -> KnnResult:
+        return heapq.nsmallest(k, ((fn(kv[0].geo, query.geo), kv) for kv in it), key=lambda p: p[0])
 
-        centroid = query.geo.centroid()
-        radius = query_radius(query.geo)
-        home = partitioner.partition_of_point(centroid.x, centroid.y)
-        home_best = _scan(
-            PartitionPruningRDD(rdd, [home]).set_name("knn.home"), query, k, fn
-        )
-        if len(home_best) < k:
-            # Not enough local candidates to establish a bound: scan the
-            # remaining partitions, reusing the home result.
-            span.attrs["strategy"] = "two_phase_unbounded"
-            others = [pid for pid in range(rdd.num_partitions) if pid != home]
-            if not others:
-                return home_best
-            rest = _scan(
-                PartitionPruningRDD(rdd, others).set_name("knn.rest"), query, k, fn
-            )
-            return heapq.nsmallest(k, home_best + rest, key=lambda p: p[0])
-
-        span.attrs["strategy"] = "two_phase"
-        bound = home_best[-1][0]
-        # The query radius keeps the centroid-anchored bound admissible
-        # for extended query geometries (see module docstring).
-        candidates = partitioner.partitions_within_distance(
-            centroid.x, centroid.y, bound + radius
-        )
-        others = [pid for pid in candidates if pid != home]
-        if not others:
-            return home_best
-        rest = _scan(
-            PartitionPruningRDD(rdd, others).set_name("knn.rest"), query, k, fn
-        )
-        return heapq.nsmallest(k, home_best + rest, key=lambda p: p[0])
+    partitioner = rdd.partitioner
+    if not isinstance(partitioner, SpatialPartitioner) or fn is not euclidean:
+        partitioner = None  # envelope bounds are inadmissible: scan
+    centroid, radius = query.geo.centroid(), query_radius(query.geo)
+    with rdd.context.tracer.span("knn", k=k) as span:
+        return _search(rdd, partitioner, centroid, radius, k, local_best, span)
 
 
 def knn_indexed(
@@ -139,14 +148,13 @@ def knn_indexed(
     branch-and-bound; the driver merges the per-partition lists.  With
     the producing *partitioner*, a home-partition pass bounds the search
     the same way :func:`knn` does.  All centroid-anchored bounds (the
-    in-tree envelope bounds and the partition-extent bound) carry the
+    in-tree envelope bounds and the partition-summary bound) carry the
     query-radius slack, so extended query geometries stay exact.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     centroid = query.geo.centroid()
     radius = query_radius(query.geo)
-    tracer = index_rdd.context.tracer
 
     def local_best(trees: Iterator) -> KnnResult:
         best: KnnResult = []
@@ -162,33 +170,5 @@ def knn_indexed(
             )
         return heapq.nsmallest(k, best, key=lambda p: p[0])
 
-    with tracer.span("knn.indexed", k=k) as span:
-        if partitioner is None:
-            span.attrs["strategy"] = "scan"
-            per_partition = index_rdd.context.run_job(index_rdd, local_best)
-            merged = [pair for best in per_partition for pair in best]
-            return heapq.nsmallest(k, merged, key=lambda p: p[0])
-
-        home = partitioner.partition_of_point(centroid.x, centroid.y)
-        home_best = index_rdd.context.run_job(
-            PartitionPruningRDD(index_rdd, [home]).set_name("knn.home"), local_best
-        )[0]
-        if len(home_best) == k:
-            span.attrs["strategy"] = "two_phase"
-            bound = home_best[-1][0]
-            keep = partitioner.partitions_within_distance(
-                centroid.x, centroid.y, bound + radius
-            )
-            others = [pid for pid in keep if pid != home]
-        else:
-            # No bound available; probe every other partition, reusing
-            # the home result rather than rescanning it.
-            span.attrs["strategy"] = "two_phase_unbounded"
-            others = [pid for pid in range(index_rdd.num_partitions) if pid != home]
-        if not others:
-            return home_best
-        rest_lists = index_rdd.context.run_job(
-            PartitionPruningRDD(index_rdd, others).set_name("knn.rest"), local_best
-        )
-        merged = home_best + [p for best in rest_lists for p in best]
-        return heapq.nsmallest(k, merged, key=lambda p: p[0])
+    with index_rdd.context.tracer.span("knn.indexed", k=k) as span:
+        return _search(index_rdd, partitioner, centroid, radius, k, local_best, span)

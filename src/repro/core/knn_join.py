@@ -18,8 +18,8 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, TypeVar
 
-from repro.core.join import partition_extents
 from repro.core.stobject import STObject
+from repro.core.summaries import partition_summaries
 from repro.index.rtree import STRTree
 from repro.spark.rdd import RDD
 
@@ -43,7 +43,7 @@ class KnnJoinRDD(RDD[tuple]):
         self._right_trees = right.map_partitions(
             build_tree, preserves_partitioning=True
         ).persist()
-        self._right_extents = partition_extents(right)
+        self._right_extents = [s.envelope for s in partition_summaries(right)]
 
     @property
     def num_partitions(self) -> int:

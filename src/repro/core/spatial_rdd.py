@@ -46,9 +46,9 @@ from repro.core.predicates import (
     within_distance_predicate,
 )
 from repro.core.stobject import STObject
+from repro.core.summaries import partition_summaries, restore_summaries
 from repro.geometry.distance import DistanceFunction, euclidean
 from repro.index import INDEX_MODES, build_partition_index, persistence
-from repro.index.temporal_forest import temporal_extent_of
 from repro.partitioners.base import SpatialPartitioner
 from repro.spark.rdd import RDD
 from repro.temporal.interval import Interval
@@ -67,7 +67,7 @@ class SpatialRDDFunctions:
 
     The wrapped RDD's partitioner drives pruning automatically: after
     ``rdd.partition_by(GridPartitioner(...))`` every operation skips
-    partitions whose extent cannot contribute.
+    partitions whose measured extent cannot contribute.
     """
 
     def __init__(self, rdd: RDD) -> None:
@@ -224,12 +224,7 @@ class SpatialRDDFunctions:
             yield build_partition_index(list(it), order, mode, time_slices)
 
         tree_rdd = rdd.map_partitions(build, preserves_partitioning=True).persist()
-        spatial_part = (
-            rdd.partitioner
-            if isinstance(rdd.partitioner, SpatialPartitioner)
-            else None
-        )
-        return IndexedSpatialRDD(tree_rdd, spatial_part, order=order, mode=mode)
+        return IndexedSpatialRDD(tree_rdd, order=order, mode=mode)
 
     # -- cost-based planning ----------------------------------------------
 
@@ -371,26 +366,17 @@ class LiveIndexedSpatialRDDFunctions:
 class IndexedSpatialRDD:
     """A materialized index: one index tree per partition (persistent mode).
 
-    Besides the spatial partitioner, the handle tracks each partition's
-    *temporal extent* (the covering interval of its timed members).
-    A timed query prunes whole partitions whose extent misses before a
-    single tree is opened -- the persistent-mode analogue of
-    ``TemporalRangePartitioner`` pruning on the unindexed path.
+    Queries prune whole partitions on the trees' partition summaries
+    (:mod:`repro.core.summaries`: space *and* time, read off the trees)
+    before a single tree is opened, exactly as the unindexed path does.
     """
 
     def __init__(
-        self,
-        tree_rdd: RDD,
-        partitioner: SpatialPartitioner | None = None,
-        order: int | None = None,
-        mode: str = "spatial",
-        temporal_extents: list[Interval | None] | None = None,
+        self, tree_rdd: RDD, order: int | None = None, mode: str = "spatial"
     ) -> None:
         self._trees = tree_rdd
-        self._partitioner = partitioner
         self._order = order
         self._mode = mode
-        self._temporal_extents = temporal_extents
 
     @property
     def tree_rdd(self) -> RDD:
@@ -399,8 +385,9 @@ class IndexedSpatialRDD:
 
     @property
     def partitioner(self) -> SpatialPartitioner | None:
-        """The spatial partitioner backing pruning, if one was used."""
-        return self._partitioner
+        """The spatial partitioner the trees were laid out by, if one was."""
+        partitioner = self._trees.partitioner
+        return partitioner if isinstance(partitioner, SpatialPartitioner) else None
 
     @property
     def mode(self) -> str:
@@ -408,41 +395,13 @@ class IndexedSpatialRDD:
         return self._mode
 
     def temporal_extents(self) -> list[Interval | None]:
-        """Per-partition covering intervals of timed members (cached).
-
-        Computed with one job over the stored trees on first use (or
-        restored from persisted metadata by :meth:`load`); ``None`` in
-        a slot means that partition holds no timed members at all.
-        """
-        if self._temporal_extents is None:
-
-            def extent_of_partition(trees: Iterator) -> Iterator[Interval | None]:
-                lo, hi = float("inf"), float("-inf")
-                for tree in trees:
-                    extent, _has_untimed = temporal_extent_of(tree)
-                    if extent is not None:
-                        lo = min(lo, extent.start)
-                        hi = max(hi, extent.end)
-                yield Interval(lo, hi) if lo <= hi else None
-
-            self._temporal_extents = self._trees.map_partitions(
-                extent_of_partition
-            ).collect()
-        return self._temporal_extents
+        """Per-partition covering intervals of timed members; ``None`` in
+        a slot means that partition holds no timed members at all."""
+        summaries = partition_summaries(self._trees)
+        return [Interval(s.t_lo, s.t_hi) if s.timed else None for s in summaries]
 
     def _filter(self, query: STObject, predicate: STPredicate) -> RDD:
-        # The extents job runs lazily, and only when a timed query can
-        # actually use them for pruning.
-        extents = (
-            self.temporal_extents() if query.time is not None else self._temporal_extents
-        )
-        return filter_ops.filter_indexed(
-            self._trees,
-            query,
-            predicate,
-            self._partitioner,
-            temporal_extents=extents,
-        )
+        return filter_ops.filter_indexed(self._trees, query, predicate)
 
     def intersects(self, query: STObject | str) -> RDD:
         """Items intersecting the query, answered from the stored trees."""
@@ -470,32 +429,25 @@ class IndexedSpatialRDD:
 
     def knn(self, query: STObject | str, k: int) -> knn_ops.KnnResult:
         """The k nearest items, pruned through the stored trees."""
-        return knn_ops.knn_indexed(
-            self._trees, _as_query(query), k, self._partitioner
-        )
+        return knn_ops.knn_indexed(self._trees, _as_query(query), k, self.partitioner)
 
     def entries(self) -> RDD:
         """Flatten back to the underlying ``RDD[(STObject, V)]``."""
         flattened = self._trees.flat_map(
             lambda tree: [kv for _env, kv in tree.iter_entries()]
         )
-        if self._partitioner is not None:
-            flattened.partitioner = self._partitioner
+        flattened.partitioner = self._trees.partitioner
         return flattened
 
     def save(self, path: str) -> None:
-        """Persist the trees, partitioner and temporal partition extents.
-
-        The extents are computed here (one job over the trees) if no
-        timed query has already cached them, so a reloaded index prunes
-        in time without touching the data again.
-        """
+        """Persist the trees, partitioner and partition summaries, so a
+        reloaded index prunes without touching the data again."""
         persistence.save_index(
             self._trees,
             path,
-            self._partitioner,
+            self.partitioner,
             order=self._order,
-            temporal_extents=self.temporal_extents(),
+            summaries=partition_summaries(self._trees),
             mode=self._mode,
         )
 
@@ -509,14 +461,12 @@ class IndexedSpatialRDD:
         unchanged path reuse already-deserialized trees from the
         process-level cache.
         """
-        tree_rdd, partitioner, extents, mode = persistence.load_index(context, path)
+        tree_rdd, summaries, mode = persistence.load_index(context, path)
         order = getattr(tree_rdd, "_order", None)
+        if summaries is not None:
+            restore_summaries(tree_rdd, summaries)
         return IndexedSpatialRDD(
-            tree_rdd.persist(),
-            partitioner,
-            order=order,
-            mode=mode or "spatial",
-            temporal_extents=extents,
+            tree_rdd.persist(), order=order, mode=mode or "spatial"
         )
 
     containedBy = contained_by

@@ -5,10 +5,9 @@ RDD -- an RDD whose elements are partition-local STR-trees -- is written
 as binary objects ("using Spark's method to save binary objects") and
 can be loaded by the same or another program without rebuilding.
 
-The partitioner metadata is stored alongside the trees so a reloaded
-index keeps its partition-pruning ability, and the per-partition
-*temporal extents* recorded at save time let a timed query prune whole
-partitions before a single tree is opened.
+The partitioner and the per-partition *summaries* (what each tree
+covers in space and time) are stored alongside the trees, so a reloaded
+index prunes whole partitions before a single tree is opened.
 
 Process-level reuse cache
 -------------------------
@@ -118,7 +117,7 @@ def save_index(
     path: str,
     partitioner=None,
     order: int | None = None,
-    temporal_extents: list | None = None,
+    summaries: list | None = None,
     mode: str | None = None,
 ) -> None:
     """Persist an RDD of per-partition index trees plus its partitioner.
@@ -126,9 +125,8 @@ def save_index(
     Alongside the pickled trees, every partition's raw entries are
     written to a ``_data`` sidecar so a damaged tree part can be rebuilt
     live on load.  *order* (the tree's node capacity), the index *mode*
-    and the per-partition *temporal_extents* (``Interval | None`` per
-    partition) are stored in the metadata; the extents power whole-
-    partition temporal pruning after a reload.
+    and the partition *summaries* (one per partition) are stored in the
+    metadata; the summaries power whole-partition pruning after a reload.
     """
     indexed_rdd.save_as_object_file(path)
 
@@ -145,7 +143,7 @@ def save_index(
                 "partitioner": partitioner,
                 "order": order,
                 "mode": mode,
-                "temporal_extents": temporal_extents,
+                "summaries": summaries,
                 "layout": INDEX_LAYOUT,
             },
             f,
@@ -289,15 +287,17 @@ class ResilientIndexRDD(RDD[STRTree]):
 
 def load_index(
     context: "SparkContext", path: str
-) -> tuple[RDD, object, list | None, str | None]:
-    """Load a persisted index: (trees, partitioner, temporal extents, mode).
+) -> tuple[RDD, list | None, str | None]:
+    """Load a persisted index: (trees, summaries, mode); the trees carry
+    the partitioner they were laid out by.
 
     Damage is absorbed where possible: corrupt metadata degrades to an
     unpartitioned load with pruning disabled (recorded on the trace as
     ``index.meta_fallback`` and in ``metrics.index_fallbacks``), and
     corrupt tree parts rebuild live per partition (see
-    :class:`ResilientIndexRDD`).  The temporal extents are ``None`` for
-    pre-extent layouts; they can always be recomputed from the trees.
+    :class:`ResilientIndexRDD`).  The summaries are ``None`` when the
+    directory records none (or as many as it no longer has parts): they
+    are an optimisation, and can always be measured again from the trees.
     """
     try:
         meta = _read_meta(path)
@@ -314,7 +314,8 @@ def load_index(
     rdd = ResilientIndexRDD(
         context, path, order=meta.get("order"), layout=meta.get("layout")
     )
-    extents = meta.get("temporal_extents")
-    if extents is not None and len(extents) != rdd.num_partitions:
-        extents = None  # stale metadata; pruning must stay conservative
-    return rdd, meta.get("partitioner"), extents, meta.get("mode")
+    rdd.partitioner = meta.get("partitioner")
+    summaries = meta.get("summaries")
+    if summaries is not None and len(summaries) != rdd.num_partitions:
+        summaries = None  # stale metadata; pruning must stay conservative
+    return rdd, summaries, meta.get("mode")

@@ -227,25 +227,22 @@ class TimeSlicedForest(Generic[T]):
         )
 
 
-def temporal_extent_of(tree) -> tuple[Interval | None, bool]:
-    """``(covering interval of timed members, has untimed members)``.
+def temporal_extent_of(tree) -> tuple[Interval | None, int]:
+    """``(covering interval of timed members, how many are timed)``.
 
-    Works for every partition-index kind: the forest and the 3D tree
-    answer from their own bookkeeping; a plain spatial
-    :class:`~repro.index.rtree.STRTree` (whose items are
-    ``(STObject, V)`` pairs) is scanned once.  Used at index build /
-    save time to record the temporal partition extents that drive
-    whole-partition pruning.
+    Works for every partition-index kind: the forest answers from its
+    own bookkeeping; a plain spatial :class:`~repro.index.rtree.STRTree`
+    or a 3D tree (whose items are ``(STObject, V)`` pairs) is scanned
+    once.  Partition summaries of an indexed RDD are read off it.
     """
     if isinstance(tree, TimeSlicedForest):
-        return tree.temporal_extent, tree.untimed_count > 0
+        return tree.temporal_extent, len(tree) - tree.untimed_count
     lo, hi = math.inf, -math.inf
-    has_untimed = False
+    timed = 0
     for _box, kv in tree._leaf_rows():  # not iter_entries: no Envelope per entry
         key = getattr(kv[0], "time", None) if isinstance(kv, tuple) else None
-        if key is None:
-            has_untimed = True
-        else:
+        if key is not None:
+            timed += 1
             lo = min(lo, key.start)
             hi = max(hi, key.end)
-    return (Interval(lo, hi) if lo <= hi else None), has_untimed
+    return (Interval(lo, hi) if timed else None), timed

@@ -5,9 +5,10 @@ Both partitioners implement the engine's
 applied with the RDD's ``partition_by`` method exactly as STARK's are
 on Spark.  Keys are expected to be
 :class:`~repro.core.stobject.STObject` (or bare geometries); extended
-geometries are assigned to exactly **one** partition by centroid, and
-each partition maintains an **extent** -- its bounds grown to the true
-min/max of its members -- used for partition pruning at query time.
+geometries are assigned to exactly **one** partition by centroid.  The
+**extent** of a partition -- the true min/max of its members, used for
+partition pruning at query time -- is measured from the partitioned RDD
+(:mod:`repro.core.summaries`), not kept here.
 """
 
 from repro.partitioners.base import SpatialPartitioner

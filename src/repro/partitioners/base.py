@@ -1,19 +1,21 @@
-"""The spatial partitioner base class: bounds, extents, pruning.
+"""The spatial partitioner base class: cells, and key -> cell.
 
 STARK's key partitioning decisions (paper section 2.1):
 
 1. A non-point geometry is assigned to **one** partition only, chosen
    by its *centroid* -- no replication, no duplicate pruning.
-2. Because members can stick out of their partition's bounds, each
-   partition keeps an **extent**: the bounds grown by the min/max of
-   every member's envelope.  Query operators check the extent (not the
-   bounds) to decide which partitions can contribute, pruning the rest.
+2. Because members can stick out of their partition's bounds, pruning
+   needs each partition's **extent** -- the min/max of every member's
+   envelope.  That is a property of the partitioned data, not of the
+   partitioner: it is measured from the RDD's partitions (see
+   :mod:`repro.core.summaries`), so a partitioner only maps keys to
+   cells, whatever data it was built from.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
@@ -46,16 +48,11 @@ def _representative_point(geom: Geometry) -> tuple[float, float]:
 
 
 class SpatialPartitioner(Partitioner):
-    """Base class: concrete partitioners define the cells, this class
-    manages extents and pruning.
-
-    Subclasses call :meth:`_finish` at the end of their constructor with
-    the cell bounds and the sample used to grow extents.
-    """
+    """Base class: concrete partitioners define the cells (and leave
+    their bounds in ``_bounds``), this class maps keys to them."""
 
     def __init__(self) -> None:
         self._bounds: list[Envelope] = []
-        self._extents: list[Envelope] = []
 
     # -- subclass contract -----------------------------------------------
 
@@ -77,64 +74,25 @@ class SpatialPartitioner(Partitioner):
         """Public point-lookup (used by kNN's home-partition phase)."""
         return self._partition_of_point(x, y)
 
-    # -- bounds / extents ------------------------------------------------
+    # -- bounds -----------------------------------------------------------
 
     def partition_bounds(self, pid: int) -> Envelope:
         """The designed region of partition *pid*."""
         return self._bounds[pid]
 
-    def partition_extent(self, pid: int) -> Envelope:
-        """The true covering region of *pid*: bounds grown by its members.
-
-        Falls back to the bounds when no member has been observed.
-        """
-        extent = self._extents[pid]
-        return extent if not extent.is_empty else self._bounds[pid]
-
-    def _finish(self, bounds: Sequence[Envelope], sample: Iterable[Any]) -> None:
-        """Record cell bounds and grow per-partition extents from *sample*.
-
-        The sample is the data the partitioner was constructed from --
-        for exact pruning semantics that is the full dataset, matching
-        STARK where partitioning is a full pass anyway (paper: "with a
-        single pass over the data, each item is assigned").
-        """
-        self._bounds = list(bounds)
-        self._extents = [env for env in self._bounds]
-        for key in sample:
-            geom = geometry_of(key)
-            if geom.is_empty:
-                continue
-            pid = self.get_partition(key)
-            self._extents[pid] = self._extents[pid].merge(geom.envelope)
-
-    # -- pruning -----------------------------------------------------------
-
-    def partitions_intersecting(
-        self, query: Envelope, use_extent: bool = True
-    ) -> list[int]:
-        """Partition ids whose extent (or bounds) intersects *query*.
-
-        This is the pruning decision from the paper: "we decide which
-        partition has to be checked during query execution based on this
-        extent information and prune partitions that cannot contribute".
-        """
-        region = self.partition_extent if use_extent else self.partition_bounds
-        return [
-            pid
-            for pid in range(self.num_partitions)
-            if region(pid).intersects(query)
-        ]
-
     def partitions_within_distance(
-        self, x: float, y: float, max_distance: float, use_extent: bool = True
+        self, x: float, y: float, max_distance: float
     ) -> list[int]:
-        """Partition ids whose extent comes within *max_distance* of a point."""
-        region = self.partition_extent if use_extent else self.partition_bounds
+        """Partition ids whose bounds come within *max_distance* of a point.
+
+        Which cells a point's neighbourhood reaches into (MR-DBSCAN's
+        eps-border replication); where the *members* of a partition
+        reach is :func:`repro.core.summaries.partitions_within`.
+        """
         return [
             pid
-            for pid in range(self.num_partitions)
-            if region(pid).distance_to_point(x, y) <= max_distance
+            for pid, bounds in enumerate(self._bounds)
+            if bounds.distance_to_point(x, y) <= max_distance
         ]
 
     # -- diagnostics ---------------------------------------------------------
@@ -157,10 +115,10 @@ class SpatialPartitioner(Partitioner):
         return max(counts) / mean if mean else 1.0
 
     def __eq__(self, other: object) -> bool:
+        # Cells only: what data a partitioner was built from is no part of it.
         return (
             type(other) is type(self)
             and other._bounds == self._bounds  # type: ignore[attr-defined]
-            and other._extents == self._extents  # type: ignore[attr-defined]
         )
 
     def __hash__(self) -> int:

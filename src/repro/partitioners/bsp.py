@@ -103,7 +103,7 @@ class BSPartitioner(SpatialPartitioner):
 
         leaves: list[tuple[int, int, int, int]] = []
         self._tree = self._build(0, 0, self._nx, self._ny, leaves)
-        self._finish([self._region_envelope(*leaf) for leaf in leaves], keys)
+        self._bounds = [self._region_envelope(*leaf) for leaf in leaves]
 
     @staticmethod
     def from_rdd(

@@ -15,7 +15,7 @@ from repro.geometry.envelope import Envelope
 from repro.partitioners.base import SpatialPartitioner, geometry_of
 
 
-def _universe_of(sample: list[Any]) -> Envelope:
+def _universe_of(sample: Iterable[Any]) -> Envelope:
     env = Envelope.empty()
     for key in sample:
         env = env.merge(geometry_of(key).envelope)
@@ -42,9 +42,8 @@ class GridPartitioner(SpatialPartitioner):
         super().__init__()
         if partitions_per_dimension < 1:
             raise ValueError("partitions_per_dimension must be >= 1")
-        keys = [key for key in sample]
         self._ppd = partitions_per_dimension
-        self._universe = universe or _universe_of(keys)
+        self._universe = universe or _universe_of(sample)
         if self._universe.is_empty:
             raise ValueError("universe envelope is empty")
 
@@ -64,7 +63,7 @@ class GridPartitioner(SpatialPartitioner):
                         u.min_y + (iy + 1) * self._cell_h,
                     )
                 )
-        self._finish(bounds, keys)
+        self._bounds = bounds
 
     @staticmethod
     def from_rdd(

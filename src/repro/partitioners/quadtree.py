@@ -66,7 +66,7 @@ class QuadTreePartitioner(SpatialPartitioner):
 
         leaves: list[Envelope] = []
         self._tree = self._build(self._universe, points, 0, leaves)
-        self._finish(leaves, keys)
+        self._bounds = leaves
 
     @staticmethod
     def from_rdd(

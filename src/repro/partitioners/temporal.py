@@ -6,15 +6,16 @@ half as an extension:
 
 - :class:`TemporalRangePartitioner` -- equi-depth time slices (split
   points at sample quantiles, so skewed event streams stay balanced),
-  with per-partition temporal *extents* grown by the members' true
-  intervals, mirroring the spatial extent mechanism, and
+  and
 - :class:`SpatioTemporalPartitioner` -- the product of a spatial
   partitioner and a temporal one: partition id = (spatial cell,
   time slice).
 
 Both implement the engine's ``Partitioner`` contract and plug into
-``partition_by``; the filter operators prune on their extents just as
-they do for spatial partitioners (see ``repro.core.filter``).
+``partition_by``.  An interval can stick out of its slice exactly like
+a polygon sticks out of its grid cell, so the filter operators prune on
+the partitions' *measured* time ranges, as they do in space (see
+:mod:`repro.core.summaries`).
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from __future__ import annotations
 import bisect
 from typing import Any, Iterable
 
-from repro.core.stobject import STObject
 from repro.partitioners.base import SpatialPartitioner
 from repro.spark.partitioner import Partitioner
-from repro.temporal.interval import Interval, TemporalExpression
+from repro.temporal.interval import TemporalExpression
 
 
 def _temporal_of(key: Any) -> TemporalExpression:
@@ -43,15 +43,12 @@ class TemporalRangePartitioner(Partitioner):
 
     ``num_partitions`` slices are bounded by the (1/n, 2/n, ...)
     quantiles of the sample's start times.  An item belongs to the
-    slice containing its start; its full interval grows that slice's
-    *extent*, which is what pruning consults (an interval can stick out
-    of its slice exactly like a polygon sticks out of its grid cell).
+    slice containing its start.
     """
 
     def __init__(self, sample: Iterable[Any], num_partitions: int = 4) -> None:
         if num_partitions < 1:
             raise ValueError("need at least 1 partition")
-        sample = list(sample)
         starts = sorted(_temporal_of(key).start for key in sample)
         if not starts:
             raise ValueError("cannot build a temporal partitioner from empty data")
@@ -60,13 +57,6 @@ class TemporalRangePartitioner(Partitioner):
             for i in range(1, num_partitions)
         ]
         self._n = num_partitions
-        self._extents: list[Interval | None] = [None] * num_partitions
-        for key in sample:
-            time = _temporal_of(key)
-            pid = self.get_partition(key)
-            extent = self._extents[pid]
-            member = Interval(time.start, time.end)
-            self._extents[pid] = member if extent is None else extent.merge(member)
 
     #: Sample size ``from_rdd`` aims for when choosing the slice cuts.
     DEFAULT_SAMPLE_TARGET = 2000
@@ -79,50 +69,12 @@ class TemporalRangePartitioner(Partitioner):
 
         The slice cut points only need *approximate* quantiles, so they
         come from a driver-side sample of roughly *sample_target* keys
-        (the whole dataset no longer funnels through the driver).  The
-        per-slice extents, however, must be **exact** for pruning to be
-        lossless -- one distributed refinement pass grows them with the
-        true min/max interval of every member.
+        (the whole dataset never funnels through the driver).
         """
         target = sample_target or TemporalRangePartitioner.DEFAULT_SAMPLE_TARGET
-        sample = rdd.keys().collect_sample(target)
-        part = TemporalRangePartitioner(sample, num_partitions)
-        part.refine_extents(rdd)
-        return part
-
-    def refine_extents(self, rdd) -> None:
-        """Replace the sampled extents with exact ones from *rdd*.
-
-        Each partition reduces its members to a tiny ``pid -> (lo, hi)``
-        dict; the driver merges them.  Required after building from a
-        sample: an unsampled member's interval can stick out of the
-        sampled extent, and pruning on a too-small extent loses results.
-        """
-        cuts = list(self._bounds_cuts)
-
-        def local_extents(it):
-            ext: dict[int, tuple[float, float]] = {}
-            for kv in it:
-                time = _temporal_of(kv[0])
-                pid = bisect.bisect_right(cuts, time.start)
-                cur = ext.get(pid)
-                if cur is None:
-                    ext[pid] = (time.start, time.end)
-                else:
-                    ext[pid] = (min(cur[0], time.start), max(cur[1], time.end))
-            yield ext
-
-        merged: list[tuple[float, float] | None] = [None] * self._n
-        for local in rdd.map_partitions(local_extents).collect():
-            for pid, (lo, hi) in local.items():
-                cur = merged[pid]
-                merged[pid] = (
-                    (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
-                )
-        self._extents = [
-            Interval(pair[0], pair[1]) if pair is not None else None
-            for pair in merged
-        ]
+        return TemporalRangePartitioner(
+            rdd.keys().collect_sample(target), num_partitions
+        )
 
     @property
     def num_partitions(self) -> int:
@@ -131,23 +83,10 @@ class TemporalRangePartitioner(Partitioner):
     def get_partition(self, key: Any) -> int:
         return bisect.bisect_right(self._bounds_cuts, _temporal_of(key).start)
 
-    def partition_extent(self, pid: int) -> Interval | None:
-        """The temporal extent of slice *pid*; None for an empty slice."""
-        return self._extents[pid]
-
-    def partitions_intersecting(self, query: TemporalExpression) -> list[int]:
-        """Slices whose extent intersects the query's temporal extent."""
-        out = []
-        for pid, extent in enumerate(self._extents):
-            if extent is not None and extent.start <= query.end and query.start <= extent.end:
-                out.append(pid)
-        return out
-
     def __eq__(self, other: object) -> bool:
         return (
             type(other) is TemporalRangePartitioner
             and other._bounds_cuts == self._bounds_cuts
-            and other._extents == self._extents
         )
 
     def __hash__(self) -> int:
@@ -160,9 +99,9 @@ class TemporalRangePartitioner(Partitioner):
 class SpatioTemporalPartitioner(Partitioner):
     """The product of a spatial partitioner and a temporal one.
 
-    ``pid = spatial_pid * time_slices + time_slice``.  Queries prune on
-    both dimensions independently, so a small window in space *and*
-    time touches only the matching (cell, slice) combinations.
+    ``pid = spatial_pid * time_slices + time_slice``, so a small window
+    in space *and* time touches only the matching (cell, slice)
+    combinations.
     """
 
     def __init__(
@@ -180,63 +119,16 @@ class SpatioTemporalPartitioner(Partitioner):
         time_slices: int = 4,
         sample_target: int | None = None,
     ) -> "SpatioTemporalPartitioner":
-        """Build both halves from one key *sample*, then refine extents.
+        """Build both halves from one key *sample*.
 
         ``spatial_factory`` maps the key sample to a SpatialPartitioner,
         e.g. ``lambda keys: BSPartitioner(keys, max_cost_per_partition=500)``.
-        Like :meth:`TemporalRangePartitioner.from_rdd`, only the cell /
-        slice boundaries come from the sample; one distributed pass then
-        grows both the spatial and temporal extents with every true
-        member so pruning stays lossless.
         """
         target = sample_target or TemporalRangePartitioner.DEFAULT_SAMPLE_TARGET
         keys = rdd.keys().collect_sample(target)
-        part = SpatioTemporalPartitioner(
+        return SpatioTemporalPartitioner(
             spatial_factory(keys), TemporalRangePartitioner(keys, time_slices)
         )
-        part.refine_extents(rdd)
-        return part
-
-    def refine_extents(self, rdd) -> None:
-        """Grow both halves' extents with every member of *rdd* (one pass).
-
-        Needed whenever the partitioner was built from a sample: an
-        unsampled member's envelope or interval can stick out of the
-        sampled extents, and pruning on a too-small extent loses
-        results.  Extents only ever grow, so refining is always safe.
-        """
-        spatial, temporal = self._spatial, self._temporal
-
-        def local(it):
-            s_ext: dict[int, Any] = {}
-            t_ext: dict[int, tuple[float, float]] = {}
-            for kv in it:
-                key = kv[0]
-                spid = spatial.get_partition(key)
-                env = key.geo.envelope
-                cur = s_ext.get(spid)
-                s_ext[spid] = env if cur is None else cur.merge(env)
-                time = _temporal_of(key)
-                tpid = temporal.get_partition(key)
-                pair = t_ext.get(tpid)
-                if pair is None:
-                    t_ext[tpid] = (time.start, time.end)
-                else:
-                    t_ext[tpid] = (
-                        min(pair[0], time.start),
-                        max(pair[1], time.end),
-                    )
-            yield (s_ext, t_ext)
-
-        for s_ext, t_ext in rdd.map_partitions(local).collect():
-            for pid, env in s_ext.items():
-                spatial._extents[pid] = spatial._extents[pid].merge(env)
-            for pid, (lo, hi) in t_ext.items():
-                extent = temporal._extents[pid]
-                member = Interval(lo, hi)
-                temporal._extents[pid] = (
-                    member if extent is None else extent.merge(member)
-                )
 
     @property
     def spatial(self) -> SpatialPartitioner:
@@ -254,18 +146,6 @@ class SpatioTemporalPartitioner(Partitioner):
         spatial_pid = self._spatial.get_partition(key)
         time_pid = self._temporal.get_partition(key)
         return spatial_pid * self._temporal.num_partitions + time_pid
-
-    def partitions_intersecting(
-        self, region, time_query: TemporalExpression | None
-    ) -> list[int]:
-        """Product pruning: spatial extent x temporal extent."""
-        spatial_keep = self._spatial.partitions_intersecting(region)
-        if time_query is None:
-            time_keep = list(range(self._temporal.num_partitions))
-        else:
-            time_keep = self._temporal.partitions_intersecting(time_query)
-        slices = self._temporal.num_partitions
-        return [s * slices + t for s in spatial_keep for t in time_keep]
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -1,9 +1,11 @@
 """Dataset statistics for the cost-based planner.
 
-One distributed job reduces each partition to a tiny summary -- exact
-cardinality, spatial/temporal bounds, timed-member count and a
-fixed-size **reservoir sample** of its keys -- and the driver merges
-them into a :class:`DatasetStatistics`.  Selectivity questions
+The exact part -- cardinality, spatial/temporal bounds, timed-member
+count -- is read off the RDD's partition summaries
+(:mod:`repro.core.summaries`); one more distributed job draws a
+fixed-size **reservoir sample** of each partition's keys.  The driver
+merges both into a :class:`DatasetStatistics`, memoized with the
+summaries (an RDD's contents never change).  Selectivity questions
 ("what fraction of rows intersects this window?") are then answered
 from the sample without touching the data again.
 
@@ -18,8 +20,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
+from repro.core.summaries import driver_memo, partition_summaries
 from repro.geometry.envelope import Envelope
 from repro.temporal.interval import Interval, TemporalExpression
 
@@ -28,18 +32,6 @@ DEFAULT_SAMPLE_TARGET = 512
 
 #: Every partition keeps at least this many keys in its reservoir.
 MIN_PARTITION_RESERVOIR = 16
-
-
-@dataclass
-class _PartitionSummary:
-    """What one partition reduces to: counts, bounds and a reservoir."""
-
-    count: int
-    timed: int
-    envelope: Envelope
-    t_lo: float
-    t_hi: float
-    reservoir: list
 
 
 @dataclass
@@ -121,31 +113,22 @@ class DatasetStatistics:
         return self.count / len(self.partition_cardinalities)
 
 
-def _summarize_partition(
+def _sample_partition(
     split: int, it: Iterator, reservoir_size: int, seed: int
-) -> Iterator[_PartitionSummary]:
-    """Reduce one partition to a :class:`_PartitionSummary`."""
+) -> Iterator[list]:
+    """Reduce one partition to a reservoir sample of its keys."""
     rng = random.Random(seed * 1_000_003 + split)
     reservoir: list = []
     count = 0
-    timed = 0
-    env = Envelope.empty()
-    t_lo, t_hi = float("inf"), float("-inf")
     for kv in it:
-        key = kv[0]
         count += 1
-        env = env.merge(key.geo.envelope)
-        if key.time is not None:
-            timed += 1
-            t_lo = min(t_lo, key.time.start)
-            t_hi = max(t_hi, key.time.end)
         if len(reservoir) < reservoir_size:
-            reservoir.append(key)
+            reservoir.append(kv[0])
         else:
             j = rng.randrange(count)
             if j < reservoir_size:
-                reservoir[j] = key
-    yield _PartitionSummary(count, timed, env, t_lo, t_hi, reservoir)
+                reservoir[j] = kv[0]
+    yield reservoir
 
 
 def collect_statistics(
@@ -155,35 +138,35 @@ def collect_statistics(
 ) -> DatasetStatistics:
     """Collect :class:`DatasetStatistics` for an ``RDD[(STObject, V)]``.
 
-    Runs exactly one job; each task returns a constant-size summary, so
-    the driver-side cost is proportional to the partition count and the
-    sample size, never the data size.
+    Runs at most two jobs, the first time: the measuring pass (unless a
+    filter or join already paid for it) and the sampling pass.  Each
+    task returns a constant-size result, so the driver-side cost is
+    proportional to the partition count and the sample size, never the
+    data size.  Asking again for the same sample runs no job.
     """
     per_partition = max(
         MIN_PARTITION_RESERVOIR,
         -(-sample_target // max(1, rdd.num_partitions)),
     )
-
-    def summarize(split: int, it: Iterator) -> Iterator[_PartitionSummary]:
-        return _summarize_partition(split, it, per_partition, seed)
-
-    summaries = rdd.map_partitions_with_index(summarize).collect()
-    count = sum(s.count for s in summaries)
-    timed = sum(s.timed for s in summaries)
+    memo = driver_memo(rdd)
+    sample = memo.get(("sample", per_partition, seed))
+    if sample is None:
+        draw = partial(_sample_partition, reservoir_size=per_partition, seed=seed)
+        reservoirs = rdd.map_partitions_with_index(draw).collect()
+        sample = [key for reservoir in reservoirs for key in reservoir]
+        memo[("sample", per_partition, seed)] = sample
+    summaries = partition_summaries(rdd)
     envelope = Envelope.empty()
-    t_lo, t_hi = float("inf"), float("-inf")
-    sample: list = []
     for s in summaries:
         envelope = envelope.merge(s.envelope)
-        t_lo = min(t_lo, s.t_lo)
-        t_hi = max(t_hi, s.t_hi)
-        sample.extend(s.reservoir)
+    t_lo = min(s.t_lo for s in summaries)
+    t_hi = max(s.t_hi for s in summaries)
     return DatasetStatistics(
-        count=count,
+        count=sum(s.count for s in summaries),
         num_partitions=len(summaries),
         partition_cardinalities=[s.count for s in summaries],
         spatial_extent=envelope,
         temporal_extent=Interval(t_lo, t_hi) if t_lo <= t_hi else None,
-        timed_count=timed,
-        sample=sample,
+        timed_count=sum(s.timed for s in summaries),
+        sample=list(sample),
     )

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import filter as filter_ops
 from repro.core.predicates import CONTAINED_BY, CONTAINS, INTERSECTS, within_distance_predicate
+from repro.core.spatial_rdd import spatial
 from repro.core.stobject import STObject
+from repro.core.summaries import partition_summaries
 from repro.io.datagen import clustered_points, random_polygons, timed_stobjects, uniform_points
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
@@ -153,3 +155,24 @@ class TestIndexedFilter:
         got = ids(indexed.intersects(small_query))
         assert sc.metrics.partitions_pruned > 0
         assert got == brute(rdd, INTERSECTS, small_query)
+
+
+class TestPartitionerBuiltFromOtherData:
+    """Pruning reads what the partitions hold, not what the partitioner saw."""
+
+    def test_no_index_keeps_the_overhanging_polygon(self, overhang):
+        got = ids(spatial(overhang.rdd).intersects(overhang.query))
+        assert got == brute(overhang.rdd, INTERSECTS, overhang.query) == overhang.hit
+
+    def test_live_index_keeps_the_overhanging_polygon(self, overhang):
+        live = spatial(overhang.rdd).live_index(order=4)
+        assert ids(live.intersects(overhang.query)) == overhang.hit
+
+    def test_summaries_cover_every_member(self, overhang):
+        summaries = partition_summaries(overhang.rdd)
+        by_partition = overhang.rdd.map_partitions_with_index(
+            lambda split, it: ((split, kv[0]) for kv in it)
+        ).collect()
+        assert sum(s.count for s in summaries) == len(by_partition)
+        for pid, key in by_partition:
+            assert summaries[pid].envelope.contains(key.geo.envelope)

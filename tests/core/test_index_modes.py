@@ -6,6 +6,11 @@ import pytest
 
 from repro.core.spatial_rdd import spatial
 from repro.core.stobject import STObject
+from repro.core.summaries import (
+    known_summaries,
+    partition_summaries,
+    partitions_matching,
+)
 from repro.geometry.point import Point
 from repro.index import INDEX_MODES
 from repro.partitioners import GridPartitioner
@@ -117,6 +122,21 @@ class TestTemporalPartitionPruning:
         assert ids(indexed.intersects(TIMED_QUERY)) == naive
         # A 4% window over 8 equi-depth time slices skips most of them.
         assert sc.metrics.partitions_pruned_temporal >= 4
+        # The measured time ranges cover every member, in every mode.
+        kept, _missed = partitions_matching(
+            partition_summaries(rdd.partition_by(part)),
+            TIMED_QUERY.geo.envelope,
+            TIMED_QUERY.time,
+        )
+        assert kept == partitions_matching(
+            partition_summaries(indexed.tree_rdd),
+            TIMED_QUERY.geo.envelope,
+            TIMED_QUERY.time,
+        )[0]
+        sc.metrics.reset()
+        live = spatial(rdd).live_index(order=8, partitioner=part)
+        assert ids(live.intersects(TIMED_QUERY)) == naive
+        assert sc.metrics.partitions_pruned_temporal == 8 - len(kept)
 
     def test_grid_partitioned_index_also_prunes_in_time(self, sc):
         rdd = make_rdd(sc, untimed_every=0)
@@ -125,10 +145,40 @@ class TestTemporalPartitionPruning:
         naive = ids(spatial(rdd).intersects(TIMED_QUERY))
         assert ids(indexed.intersects(TIMED_QUERY)) == naive
 
-    def test_untimed_query_does_not_prune_temporally(self, sc):
+    def test_untimed_query_keeps_partitions_with_untimed_members(self, sc):
+        rdd = make_rdd(sc)  # a sprinkle of untimed rows in every cell
+        part = GridPartitioner.from_rdd(rdd, partitions_per_dimension=2)
+        indexed = spatial(rdd).index(order=8, partitioner=part)
+        naive = ids(spatial(rdd).intersects(UNTIMED_QUERY))
+        assert naive and ids(indexed.intersects(UNTIMED_QUERY)) == naive
+        assert sc.metrics.partitions_pruned_temporal == 0
+
+    def test_untimed_query_skips_all_timed_partitions(self, sc):
+        # Eqs. (1)-(3) lifted to partitions: an untimed query can only
+        # match untimed members, and these partitions hold none.
         rdd = make_rdd(sc, untimed_every=0)  # all timed
         part = TemporalRangePartitioner.from_rdd(rdd, num_partitions=4)
         indexed = spatial(rdd).index(order=8, partitioner=part)
         naive = ids(spatial(rdd).intersects(UNTIMED_QUERY))
-        assert ids(indexed.intersects(UNTIMED_QUERY)) == naive
-        assert sc.metrics.partitions_pruned_temporal == 0
+        assert ids(indexed.intersects(UNTIMED_QUERY)) == naive == []
+        assert sc.metrics.partitions_pruned_temporal == 4
+        assert all(s.timed == s.count for s in partition_summaries(indexed.tree_rdd))
+
+
+class TestPartitionerBuiltFromOtherData:
+    """Persistent mode prunes on the trees' own summaries, saved with them."""
+
+    def test_persistent_index_keeps_the_overhanging_polygon(self, overhang, tmp_path):
+        from repro.core.spatial_rdd import IndexedSpatialRDD
+        from repro.index.persistence import invalidate_index_cache
+
+        indexed = spatial(overhang.rdd).index(order=4)
+        assert ids(indexed.intersects(overhang.query)) == overhang.hit
+
+        path = str(tmp_path / "idx")
+        indexed.save(path)
+        invalidate_index_cache()
+        loaded = IndexedSpatialRDD.load(overhang.rdd.context, path)
+        assert known_summaries(loaded.tree_rdd) == partition_summaries(indexed.tree_rdd)
+        assert ids(loaded.intersects(overhang.query)) == overhang.hit
+        assert loaded.knn(overhang.query, 1)[0][0] == 0.0

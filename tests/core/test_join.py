@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.core.join import (
-    candidate_partition_pairs,
-    partition_extents,
-    spatial_join,
-)
+from repro.core.join import candidate_partition_pairs, spatial_join
 from repro.core.predicates import CONTAINED_BY, CONTAINS, INTERSECTS, within_distance_predicate
 from repro.core.stobject import STObject
+from repro.core.summaries import partition_summaries
 from repro.geometry.envelope import Envelope
 from repro.io.datagen import clustered_points, random_polygons, uniform_points
 from repro.partitioners.bsp import BSPartitioner
@@ -139,9 +136,10 @@ class TestPairPruning:
 
     def test_extents_computed_per_side(self, sc):
         left = sc.parallelize([(STObject("POINT (0 0)"), 1)], 2)
-        extents = partition_extents(left)
-        assert len(extents) == 2
-        assert sum(0 if e.is_empty else 1 for e in extents) == 1
+        summaries = partition_summaries(left)
+        assert len(summaries) == 2
+        assert sorted(s.count for s in summaries) == [0, 1]
+        assert sum(0 if s.envelope.is_empty else 1 for s in summaries) == 1
 
     def test_candidate_pairs_skip_empty_partitions(self):
         left = [Envelope(0, 0, 1, 1), Envelope.empty()]

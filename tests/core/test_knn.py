@@ -231,3 +231,19 @@ class TestFallbackReusesHomePartition:
         assert sc.metrics.jobs_run == 2
         want = brute_knn(sparse.collect(), self.QUERY_HOME, 5)
         assert [d for d, _ in got] == pytest.approx([d for d, _ in want])
+
+
+class TestPartitionerBuiltFromOtherData:
+    """The bound phase reads the partitions' measured extents: a polygon
+    reaching in from a neighbouring cell is the true nearest neighbour
+    (distance 0.0; the nearest point is 2.5 away)."""
+
+    def test_two_phase_scan_finds_the_overhanging_polygon(self, overhang):
+        got = spatial(overhang.rdd).knn(overhang.query, 1)
+        want = brute_knn(overhang.rows, overhang.query, 1)
+        assert [(d, kv[1]) for d, kv in got] == want
+        assert got[0][0] == 0.0 and [got[0][1][1]] == overhang.hit
+
+    def test_indexed_knn_finds_the_overhanging_polygon(self, overhang):
+        got = spatial(overhang.rdd).index(order=4).knn(overhang.query, 1)
+        assert got[0][0] == 0.0 and [got[0][1][1]] == overhang.hit

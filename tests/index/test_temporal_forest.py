@@ -151,8 +151,8 @@ class TestQueries:
 class TestTemporalExtentOf:
     def test_forest(self):
         rows = make_entries(100, seed=9, untimed_every=10)
-        extent, has_untimed = temporal_extent_of(TimeSlicedForest(rows))
-        assert has_untimed
+        extent, timed = temporal_extent_of(TimeSlicedForest(rows))
+        assert timed == sum(kv[0].time is not None for kv in rows) < len(rows)
         starts = [kv[0].time.start for kv in rows if kv[0].time is not None]
         ends = [kv[0].time.end for kv in rows if kv[0].time is not None]
         assert extent.start == min(starts)
@@ -163,12 +163,12 @@ class TestTemporalExtentOf:
 
         rows = make_entries(100, seed=10)
         tree = STRTree(((kv[0].geo.envelope, kv) for kv in rows))
-        extent, has_untimed = temporal_extent_of(tree)
-        assert not has_untimed
+        extent, timed = temporal_extent_of(tree)
+        assert timed == len(rows)
         assert extent is not None
 
     def test_all_untimed(self):
         rows = make_entries(50, seed=11, untimed_every=1)
-        extent, has_untimed = temporal_extent_of(TimeSlicedForest(rows))
+        extent, timed = temporal_extent_of(TimeSlicedForest(rows))
         assert extent is None
-        assert has_untimed
+        assert timed == 0

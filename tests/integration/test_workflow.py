@@ -150,9 +150,16 @@ class TestEndToEndAnalysis:
         partitioned.count()
 
         tiny = STObject("POLYGON ((60 470, 100 470, 100 520, 60 520, 60 470))", 0, 10**9)
+        # The first query on freshly partitioned data also measures the
+        # partitions (one task each, once); every later one only runs
+        # the partitions the query can touch.
+        sc.metrics.reset()
+        partitioned.intersect(tiny).count()
+        first_run = sc.metrics.tasks_launched
         sc.metrics.reset()
         with_pruning = partitioned.intersect(tiny).count()
         tasks_pruned_run = sc.metrics.tasks_launched
+        assert first_run == partitioned.num_partitions + tasks_pruned_run
 
         sc.metrics.reset()
         from repro.core import filter as filter_ops

@@ -9,6 +9,8 @@ from repro.io.datagen import clustered_points, uniform_points, world_events
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
 
+from tests.partitioners import matching_partitions
+
 
 def keys_of(points):
     return [STObject(p) for p in points]
@@ -136,11 +138,11 @@ class TestSkewHandling:
 
 
 class TestPruning:
-    def test_extent_conservative(self):
+    def test_extent_conservative(self, sc):
         keys = keys_of(clustered_points(500, seed=11))
         bsp = BSPartitioner(keys, max_cost_per_partition=100)
         query = Envelope(100, 100, 400, 400)
-        keep = set(bsp.partitions_intersecting(query))
+        keep = matching_partitions(sc, keys, bsp, query)
         for key in keys:
             if query.intersects(key.geo.envelope):
                 assert bsp.get_partition(key) in keep

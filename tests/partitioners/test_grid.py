@@ -7,7 +7,9 @@ from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.io.datagen import uniform_points
+from repro.core.summaries import partition_summaries
 from repro.partitioners.grid import GridPartitioner
+from tests.partitioners import matching_partitions, partition_keys
 
 
 def keys_of(points):
@@ -96,18 +98,23 @@ class TestBoundsAndExtent:
         total_area = sum(grid.partition_bounds(i).area for i in range(4))
         assert total_area == pytest.approx(100 * 100)
 
-    def test_extent_grows_beyond_bounds_for_spanning_polygon(self):
+    def test_extent_grows_beyond_bounds_for_spanning_polygon(self, sc):
         keys = keys_of([Point(0, 0), Point(100, 100)])
         poly = Polygon([(0, 0), (90, 0), (0, 90)])  # centroid cell 0
-        grid = GridPartitioner(keys + [STObject(poly)], 2)
+        keys.append(STObject(poly))
+        grid = GridPartitioner(keys, 2)
         pid = grid.get_partition(STObject(poly))
-        assert grid.partition_extent(pid).contains(poly.envelope)
+        summaries = partition_summaries(partition_keys(sc, keys, grid))
+        assert summaries[pid].envelope.contains(poly.envelope)
         assert not grid.partition_bounds(pid).contains(poly.envelope)
 
-    def test_extent_defaults_to_bounds_when_cell_empty(self):
-        grid = GridPartitioner(keys_of([Point(1, 1), Point(99, 99)]), 4)
+    def test_empty_cell_has_bounds_but_never_matches(self, sc):
+        keys = keys_of([Point(1, 1), Point(99, 99)])
+        grid = GridPartitioner(keys, 4)
+        everywhere = Envelope(-1e9, -1e9, 1e9, 1e9)
+        assert matching_partitions(sc, keys, grid, everywhere) == {0, 15}
         for pid in range(grid.num_partitions):
-            assert not grid.partition_extent(pid).is_empty
+            assert not grid.partition_bounds(pid).is_empty
 
     def test_from_rdd(self, sc):
         rdd = sc.parallelize(
@@ -118,23 +125,24 @@ class TestBoundsAndExtent:
 
 
 class TestPruning:
-    def test_partitions_intersecting_small_query(self):
-        grid = GridPartitioner(keys_of(uniform_points(400, seed=1)), 4)
+    def test_partitions_matching_small_query(self, sc):
+        keys = keys_of(uniform_points(400, seed=1))
+        grid = GridPartitioner(keys, 4)
         query = Envelope(10, 10, 20, 20)
-        keep = grid.partitions_intersecting(query)
+        keep = matching_partitions(sc, keys, grid, query)
         assert 1 <= len(keep) < 16
 
-    def test_pruning_is_conservative(self):
+    def test_pruning_is_conservative(self, sc):
         keys = keys_of(uniform_points(400, seed=2))
         grid = GridPartitioner(keys, 4)
         query = Envelope(200, 200, 400, 400)
-        keep = set(grid.partitions_intersecting(query))
+        keep = matching_partitions(sc, keys, grid, query)
         # every key inside the query must live in a kept partition
         for key in keys:
             if query.contains(key.geo.envelope):
                 assert grid.get_partition(key) in keep
 
-    def test_partitions_within_distance(self):
+    def test_partitions_within_distance_reads_bounds(self):
         grid = GridPartitioner(keys_of([Point(0, 0), Point(100, 100)]), 2)
         near_origin = grid.partitions_within_distance(0, 0, 1.0)
         assert near_origin == [0]
@@ -150,3 +158,9 @@ class TestPruning:
         keys = keys_of(uniform_points(50, seed=6))
         assert GridPartitioner(keys, 2) == GridPartitioner(keys, 2)
         assert GridPartitioner(keys, 2) != GridPartitioner(keys, 3)
+
+    def test_equality_compares_cells_not_construction_data(self):
+        keys = keys_of(uniform_points(50, seed=6))
+        a = GridPartitioner(keys, 2)
+        b = GridPartitioner((), 2, universe=a.universe)
+        assert a == b and hash(a) == hash(b)

@@ -9,6 +9,8 @@ from repro.io.datagen import clustered_points, uniform_points, world_events
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.quadtree import QuadTreePartitioner
 
+from tests.partitioners import matching_partitions
+
 
 def keys_of(points):
     return [STObject(p) for p in points]
@@ -86,11 +88,11 @@ class TestAssignment:
 
 
 class TestQuality:
-    def test_pruning_conservative(self):
+    def test_pruning_conservative(self, sc):
         keys = keys_of(clustered_points(500, seed=9))
         part = QuadTreePartitioner(keys, 100)
         query = Envelope(100, 100, 400, 400)
-        keep = set(part.partitions_intersecting(query))
+        keep = matching_partitions(sc, keys, part, query)
         for key in keys:
             if query.intersects(key.geo.envelope):
                 assert part.get_partition(key) in keep

@@ -5,6 +5,8 @@ import pytest
 from repro.core import filter as filter_ops
 from repro.core.predicates import CONTAINED_BY, INTERSECTS
 from repro.core.stobject import STObject
+from repro.core.summaries import partition_summaries
+from repro.geometry.envelope import Envelope
 from repro.io.datagen import clustered_points, timed_stobjects, uniform_points
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.temporal import (
@@ -12,6 +14,10 @@ from repro.partitioners.temporal import (
     TemporalRangePartitioner,
 )
 from repro.temporal import Instant, Interval
+
+from tests.partitioners import matching_partitions, partition_keys
+
+EVERYWHERE = Envelope(-1e9, -1e9, 1e9, 1e9)
 
 
 def timed_keys(n=400, seed=61, interval_fraction=0.3):
@@ -68,31 +74,33 @@ class TestTemporalRangePartitioner:
         assert part.get_partition(early) <= part.get_partition(late)
         assert part.get_partition(early) == 0
 
-    def test_extent_covers_member_intervals(self):
+    def test_extent_covers_member_intervals(self, sc):
         keys = timed_keys(interval_fraction=1.0)
         part = TemporalRangePartitioner(keys, 4)
+        summaries = partition_summaries(partition_keys(sc, keys, part))
         for key in keys:
-            pid = part.get_partition(key)
-            extent = part.partition_extent(pid)
-            assert extent is not None
-            assert extent.start <= key.time.start
-            assert key.time.end <= extent.end
+            summary = summaries[part.get_partition(key)]
+            assert summary.timed == summary.count > 0
+            assert summary.t_lo <= key.time.start
+            assert key.time.end <= summary.t_hi
 
-    def test_pruning_conservative(self):
+    def test_pruning_conservative(self, sc):
         keys = timed_keys(interval_fraction=0.5)
         part = TemporalRangePartitioner(keys, 6)
         query = Interval(2_000, 3_000)
-        keep = set(part.partitions_intersecting(query))
+        keep = matching_partitions(sc, keys, part, EVERYWHERE, query)
+        assert len(keep) < 6
         from repro.temporal.predicates import t_intersects
 
         for key in keys:
             if t_intersects(key.time, query):
                 assert part.get_partition(key) in keep
 
-    def test_instant_query(self):
+    def test_instant_query(self, sc):
         keys = timed_keys()
         part = TemporalRangePartitioner(keys, 4)
-        assert len(part.partitions_intersecting(Instant(5_000))) >= 1
+        keep = matching_partitions(sc, keys, part, EVERYWHERE, Instant(5_000))
+        assert 1 <= len(keep) < 4
 
     def test_untimed_key_rejected(self):
         with pytest.raises(ValueError, match="temporal"):
@@ -178,12 +186,10 @@ class TestSpatioTemporalPartitioner:
             assert spatial_pid == part.spatial.get_partition(key)
             assert time_pid == part.temporal.get_partition(key)
 
-    def test_product_pruning(self, st_part):
+    def test_product_pruning(self, sc, st_part):
         keys, part = st_part
-        from repro.geometry.envelope import Envelope
-
-        keep = part.partitions_intersecting(
-            Envelope(0, 0, 100, 100), Interval(0, 500)
+        keep = matching_partitions(
+            sc, keys, part, Envelope(0, 0, 100, 100), Interval(0, 500)
         )
         assert 0 < len(keep) < part.num_partitions
 
@@ -222,17 +228,17 @@ class TestSampledFromRdd:
     def test_small_sample_extents_stay_exact(self, sc):
         keys = timed_keys(n=2000, seed=67)
         rdd = sc.parallelize([(k, i) for i, k in enumerate(keys)], 8)
-        # A tiny sample: the cut points are rough, but the refinement
-        # pass makes every partition's extent cover its actual members.
+        # A tiny sample: the cut points are rough, but the measured time
+        # range of every partition covers its actual members.
         part = TemporalRangePartitioner.from_rdd(rdd, 4, sample_target=50)
-        partitioned = rdd.partition_by(part)
-        rows = partitioned.map_partitions_with_index(
+        by_slice = rdd.partition_by(part)
+        summaries = partition_summaries(by_slice)
+        rows = by_slice.map_partitions_with_index(
             lambda split, it: ((split, kv[0]) for kv in it)
         ).collect()
         for pid, key in rows:
-            extent = part.partition_extent(pid)
             start, end = key.time.start, key.time.end
-            assert extent.start <= start and end <= extent.end
+            assert summaries[pid].t_lo <= start and end <= summaries[pid].t_hi
 
     def test_sampled_partitioner_filter_equality(self, sc):
         keys = timed_keys(n=2000, seed=68)
