@@ -14,13 +14,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.baselines import GeoSparkStyle, SpatialSparkStyle
-from repro.core.join import spatial_join
-from repro.core.predicates import INTERSECTS
-from repro.core.stobject import STObject
-from repro.evaluation.harness import render_table, time_call
-from repro.io.datagen import clustered_points
-from repro.partitioners.bsp import BSPartitioner
+from repro.evaluation.report import figure4
 from repro.spark.context import SparkContext
 
 
@@ -33,72 +27,8 @@ def main() -> None:
     args = parser.parse_args()
 
     with SparkContext("fig4", parallelism=args.parallelism) as sc:
-        points = clustered_points(args.points, num_clusters=10, seed=1704)
-        rdd = sc.parallelize(
-            [(STObject(p), i) for i, p in enumerate(points)], 8
-        ).persist()
-        rdd.count()
-
-        bsp = BSPartitioner.from_rdd(
-            rdd, max_cost_per_partition=max(64, args.points // 16)
-        )
-        partitioned = rdd.partition_by(bsp).persist()
-        partitioned.count()
-
-        def measure(fn) -> str:
-            result = time_call(fn, repeats=args.repeats, warmup=1)
-            count = result.payload
-            assert count == args.points, f"wrong result count {count}"
-            return f"{result.best:.2f}"
-
-        geospark = GeoSparkStyle()
-        spatialspark = SpatialSparkStyle()
-
-        rows = [
-            [
-                "GeoSpark",
-                "N/A",
-                measure(
-                    lambda: geospark.spatial_join(
-                        rdd, rdd, INTERSECTS, "voronoi", num_cells=16
-                    ).count()
-                )
-                + "  (Voronoi)",
-            ],
-            [
-                "SpatialSpark",
-                measure(
-                    lambda: spatialspark.broadcast_join(rdd, rdd, INTERSECTS).count()
-                ),
-                measure(
-                    lambda: spatialspark.tile_join(
-                        rdd, rdd, INTERSECTS, tiles_per_dimension=16
-                    ).count()
-                )
-                + "  (Tile)",
-            ],
-            [
-                "STARK",
-                measure(lambda: spatial_join(rdd, rdd, INTERSECTS).count()),
-                measure(
-                    lambda: spatial_join(partitioned, partitioned, INTERSECTS).count()
-                )
-                + "  (BSP)",
-            ],
-        ]
         print()
-        print(
-            render_table(
-                ["system", "no partitioning [s]", "best partitioner [s]"],
-                rows,
-                title=(
-                    f"Figure 4 reproduction: self-join on {args.points:,} points "
-                    f"(paper: 1,000,000 points on a cluster)\n"
-                    "paper values -- GeoSpark: N/A / 51.9 (Voronoi); "
-                    "SpatialSpark: 31.1 / 95.9 (Tile); STARK: 19.8 / 6.3 (BSP)"
-                ),
-            )
-        )
+        print(figure4(sc, args.points, args.repeats))
 
 
 if __name__ == "__main__":

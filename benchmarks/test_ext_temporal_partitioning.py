@@ -69,11 +69,13 @@ def temporal_partitioned(timed_events):
 
 
 @pytest.fixture(scope="module")
-def product_partitioned(timed_events, sizes):
+def product_partitioned(timed_events):
+    # The factory sees from_rdd's key sample (<= 2,000 keys), so the BSP
+    # cost threshold is scaled to it; a full-data threshold never splits.
     part = SpatioTemporalPartitioner.from_rdd(
         timed_events,
         lambda keys: BSPartitioner(
-            keys, max_cost_per_partition=max(64, sizes["filter_points"] // 8)
+            keys, max_cost_per_partition=max(16, len(keys) // 8)
         ),
         time_slices=4,
     )

@@ -51,7 +51,6 @@ from repro.geometry.distance import DistanceFunction, euclidean
 from repro.index import INDEX_MODES, build_partition_index, persistence
 from repro.partitioners.base import SpatialPartitioner
 from repro.spark.rdd import RDD
-from repro.temporal.interval import Interval
 
 V = TypeVar("V")
 
@@ -62,7 +61,40 @@ def _as_query(query: STObject | str) -> STObject:
     return query if isinstance(query, STObject) else STObject(query)
 
 
-class SpatialRDDFunctions:
+class _PredicateFilters:
+    """The four predicate filters, and their camelCase aliases, of every
+    batch handle; a handle supplies ``_filter(query, predicate)``, which
+    picks the scan, the live index or the stored trees."""
+
+    def intersects(self, query: STObject | str) -> RDD:
+        """Items whose spatial/temporal components intersect the query."""
+        return self._filter(_as_query(query), INTERSECTS)
+
+    def contains(self, query: STObject | str) -> RDD:
+        """Items that completely contain the query object."""
+        return self._filter(_as_query(query), CONTAINS)
+
+    def contained_by(self, query: STObject | str) -> RDD:
+        """Items completely contained by the query object."""
+        return self._filter(_as_query(query), CONTAINED_BY)
+
+    def within_distance(
+        self,
+        query: STObject | str,
+        max_distance: float,
+        distance_fn: str | DistanceFunction = euclidean,
+    ) -> RDD:
+        """Items within *max_distance* of the query (pluggable metric)."""
+        predicate = within_distance_predicate(max_distance, distance_fn)
+        return self._filter(_as_query(query), predicate)
+
+    # aliases: the paper's Scala API is camelCase and says ``intersect``
+    intersect = intersects
+    containedBy = contained_by
+    withinDistance = within_distance
+
+
+class SpatialRDDFunctions(_PredicateFilters):
     """Spatio-temporal operations over an ``RDD[(STObject, V)]``.
 
     The wrapped RDD's partitioner drives pruning automatically: after
@@ -78,35 +110,12 @@ class SpatialRDDFunctions:
         """The underlying RDD."""
         return self._rdd
 
-    # -- filters ----------------------------------------------------------
-
-    def intersects(self, query: STObject | str) -> RDD:
-        """Items whose spatial/temporal components intersect the query."""
-        return filter_ops.filter_no_index(self._rdd, _as_query(query), INTERSECTS)
-
-    def contains(self, query: STObject | str) -> RDD:
-        """Items that completely contain the query object."""
-        return filter_ops.filter_no_index(self._rdd, _as_query(query), CONTAINS)
-
-    def contained_by(self, query: STObject | str) -> RDD:
-        """Items completely contained by the query object."""
-        return filter_ops.filter_no_index(self._rdd, _as_query(query), CONTAINED_BY)
-
-    def within_distance(
-        self,
-        query: STObject | str,
-        max_distance: float,
-        distance_fn: str | DistanceFunction = euclidean,
-    ) -> RDD:
-        """Items within *max_distance* of the query (pluggable metric)."""
-        predicate = within_distance_predicate(max_distance, distance_fn)
-        return filter_ops.filter_no_index(self._rdd, _as_query(query), predicate)
+    def _filter(self, query: STObject, predicate: STPredicate) -> RDD:
+        return filter_ops.filter_no_index(self._rdd, query, predicate)
 
     def filter(self, query: STObject | str, predicate: str | STPredicate) -> RDD:
         """Filter with a predicate given by name or instance."""
-        return filter_ops.filter_no_index(
-            self._rdd, _as_query(query), resolve_predicate(predicate)
-        )
+        return self._filter(_as_query(query), resolve_predicate(predicate))
 
     # -- join / kNN / clustering ---------------------------------------------
 
@@ -262,16 +271,13 @@ class SpatialRDDFunctions:
             self._rdd, _as_query(query), resolve_predicate(predicate)
         )
 
-    # camelCase aliases matching the paper's Scala API
-    containedBy = contained_by
-    withinDistance = within_distance
     kNN = knn
     liveIndex = live_index
     partitionBy = partition_by
     filterPlanned = filter_planned
 
 
-class LiveIndexedSpatialRDDFunctions:
+class LiveIndexedSpatialRDDFunctions(_PredicateFilters):
     """Operations on a live-indexed RDD (paper's ``liveIndex`` handle).
 
     Nothing is materialized here: each operation builds the per-
@@ -318,31 +324,6 @@ class LiveIndexedSpatialRDDFunctions:
             temporal_first=self._temporal_first,
         )
 
-    def intersects(self, query: STObject | str) -> RDD:
-        """Items intersecting the query, via a per-partition live index."""
-        return self._filter(_as_query(query), INTERSECTS)
-
-    # the paper's example calls this ``intersect`` on the indexed handle
-    intersect = intersects
-
-    def contains(self, query: STObject | str) -> RDD:
-        """Items that completely contain the query, with live indexing."""
-        return self._filter(_as_query(query), CONTAINS)
-
-    def contained_by(self, query: STObject | str) -> RDD:
-        """Items completely contained by the query, with live indexing."""
-        return self._filter(_as_query(query), CONTAINED_BY)
-
-    def within_distance(
-        self,
-        query: STObject | str,
-        max_distance: float,
-        distance_fn: str | DistanceFunction = euclidean,
-    ) -> RDD:
-        """Items within *max_distance* of the query, with live indexing."""
-        predicate = within_distance_predicate(max_distance, distance_fn)
-        return self._filter(_as_query(query), predicate)
-
     def join(
         self,
         other: "RDD | SpatialRDDFunctions",
@@ -359,11 +340,8 @@ class LiveIndexedSpatialRDDFunctions:
             prune_pairs=prune_pairs,
         )
 
-    containedBy = contained_by
-    withinDistance = within_distance
 
-
-class IndexedSpatialRDD:
+class IndexedSpatialRDD(_PredicateFilters):
     """A materialized index: one index tree per partition (persistent mode).
 
     Queries prune whole partitions on the trees' partition summaries
@@ -394,38 +372,8 @@ class IndexedSpatialRDD:
         """The partition-index mode the trees were built with."""
         return self._mode
 
-    def temporal_extents(self) -> list[Interval | None]:
-        """Per-partition covering intervals of timed members; ``None`` in
-        a slot means that partition holds no timed members at all."""
-        summaries = partition_summaries(self._trees)
-        return [Interval(s.t_lo, s.t_hi) if s.timed else None for s in summaries]
-
     def _filter(self, query: STObject, predicate: STPredicate) -> RDD:
         return filter_ops.filter_indexed(self._trees, query, predicate)
-
-    def intersects(self, query: STObject | str) -> RDD:
-        """Items intersecting the query, answered from the stored trees."""
-        return self._filter(_as_query(query), INTERSECTS)
-
-    intersect = intersects
-
-    def contains(self, query: STObject | str) -> RDD:
-        """Items that completely contain the query, from the stored trees."""
-        return self._filter(_as_query(query), CONTAINS)
-
-    def contained_by(self, query: STObject | str) -> RDD:
-        """Items completely contained by the query, from the stored trees."""
-        return self._filter(_as_query(query), CONTAINED_BY)
-
-    def within_distance(
-        self,
-        query: STObject | str,
-        max_distance: float,
-        distance_fn: str | DistanceFunction = euclidean,
-    ) -> RDD:
-        """Items within *max_distance* of the query, from the stored trees."""
-        predicate = within_distance_predicate(max_distance, distance_fn)
-        return self._filter(_as_query(query), predicate)
 
     def knn(self, query: STObject | str, k: int) -> knn_ops.KnnResult:
         """The k nearest items, pruned through the stored trees."""
@@ -469,8 +417,6 @@ class IndexedSpatialRDD:
             tree_rdd.persist(), order=order, mode=mode or "spatial"
         )
 
-    containedBy = contained_by
-    withinDistance = within_distance
     kNN = knn
 
 

@@ -123,6 +123,8 @@ class SpatioTemporalPartitioner(Partitioner):
 
         ``spatial_factory`` maps the key sample to a SpatialPartitioner,
         e.g. ``lambda keys: BSPartitioner(keys, max_cost_per_partition=500)``.
+        Cost thresholds inside the factory are therefore in sample units
+        (at most ``sample_target`` keys), not full-data counts.
         """
         target = sample_target or TemporalRangePartitioner.DEFAULT_SAMPLE_TARGET
         keys = rdd.keys().collect_sample(target)

@@ -5,8 +5,7 @@ given the complete set of accepted events, it enumerates every match by
 exhaustive search -- no NFAs, no incremental state, no watermark
 machinery beyond a single final cutoff.  The property tests pit the
 incremental matchers against it over randomized event orderings, and
-the ``--mode cep`` benchmark uses it as the naive re-scan baseline the
-NFA path is measured against.
+the benchmark (``bench/streams.py``) checks every run's matches against it.
 
 The semantics mirrored here, in terms of the stream's total event
 order ``(t, arrival ordinal)``:

@@ -955,7 +955,7 @@ class StreamingContext:
         and offered to the pending queue under the shed policy.
         Returns True when the batch was admitted, False when it was
         shed.  Calling this faster than :meth:`process_pending` drains
-        is exactly how the overload benchmark sustains a fixed
+        is exactly how the overload tests sustain a fixed
         ingest-to-processing ratio.
         """
         self._check_drivable()

@@ -180,8 +180,8 @@ def dlq_replay(dlq: DeadLetterQueue, sink, sc) -> int:
     simply raises so the entry stays replayable.
 
     After a successful replay the sink's on-disk output is *identical*
-    to a run whose sink never failed -- the property the overload
-    benchmark gates on.
+    to a run whose sink never failed -- the property
+    ``tests/streaming/test_dlq.py`` gates on.
     """
     replayed = 0
     for entry in dlq.sink_windows(sink.name):

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from repro.chaos import FaultInjector
+from repro.core.filter import filter_live_index, filter_no_index
 from repro.core.predicates import INTERSECTS
 from repro.core.spatial_rdd import spatial
 from repro.core.stobject import STObject
 from repro.geometry.point import Point
 from repro.planner import CostModel, QueryPlanner
+from repro.spark.context import SparkContext
 from repro.temporal import Interval
 
 
@@ -164,6 +167,51 @@ class TestExecution:
     def test_explain_api_returns_text(self, sc):
         text = spatial(make_rdd(sc)).explain(SELECTIVE_QUERY)
         assert "FilterPlan" in text
+
+
+class TestCandidateReduction:
+    """The regime the time-aware index modes exist for: a long history,
+    a query broad in space and narrow (5%) in time."""
+
+    HISTORY_QUERY = STObject(
+        "POLYGON((10 10, 90 10, 90 90, 10 90, 10 10))", Interval(40_000, 45_000)
+    )
+
+    @pytest.mark.parametrize("executor", ["sequential", "threads"])
+    def test_planned_mode_admits_3x_fewer_candidates(self, executor):
+        # Every task's first attempt fails: the counters and the rows
+        # must come out the same from the retries.
+        injector = FaultInjector(seed=1704).fail(
+            "task.compute", times=1, per_key=True
+        )
+        with SparkContext(
+            f"planner-history-{executor}",
+            parallelism=4,
+            executor=executor,
+            retry_backoff=0.0,
+            fault_injector=injector,
+        ) as sc:
+            rdd = make_rdd(sc, n=6_000, span=100_000.0).persist()
+            query = self.HISTORY_QUERY
+
+            def run(filtered):
+                before = sc.metrics.index_candidates
+                rows = sorted(kv[1] for kv in filtered.collect())
+                return rows, sc.metrics.index_candidates - before
+
+            planner = QueryPlanner(sc, index_order=10)
+            plan = planner.plan_filter(rdd, query, INTERSECTS, require_index=True)
+            assert plan.strategy.startswith("live:") and plan.mode != "spatial"
+            planned, planned_candidates = run(
+                planner.execute(rdd, query, INTERSECTS, plan)
+            )
+            naive, naive_candidates = run(
+                filter_live_index(rdd, query, INTERSECTS, 10, mode="spatial")
+            )
+            scanned, _ = run(filter_no_index(rdd, query, INTERSECTS))
+            assert sc.metrics.tasks_retried > 0
+        assert planned == naive == scanned and planned
+        assert naive_candidates >= 3 * planned_candidates > 0
 
 
 class TestJoinAndKnnPlans:
