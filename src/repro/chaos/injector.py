@@ -8,7 +8,7 @@ according to a seeded, reproducible plan.  The instrumented sites are:
 site                 fires in
 ===================  ====================================================
 ``task.compute``     the scheduler, once per task attempt
-``shuffle.fetch``    ``_ShuffleManager.fetch`` (reduce-side fetch)
+``shuffle.fetch``    ``repro.spark.shuffle.fetch_rows`` (reduce-side fetch)
 ``cache.get``        ``RDD.iterator`` before consulting the block cache
 ``storage.read``     ``ObjectFileRDD`` / ``TextFileRDD`` part reads
 ``storage.write``    ``save_object_file`` / ``save_text_file`` part writes

@@ -1,0 +1,629 @@
+"""The scheduler: one driver loop per job (:class:`_JobLoop`) and the
+transports its attempts travel by -- :class:`_InlineJob`,
+:class:`_ThreadJob` and :class:`_ProcessJob`; ``run_job`` picks one."""
+
+from __future__ import annotations
+
+import heapq
+import math
+import queue as queue_mod
+import statistics
+import threading
+import time
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
+
+from repro.obs.tracer import shift_spans
+from repro.spark.cancellation import (
+    KIND_ABORT,
+    KIND_LOSER,
+    KIND_TIMEOUT,
+    CancelToken,
+    TaskCancelledError,
+    task_scope,
+)
+from repro.spark.errors import JobAbortedError, TaskError, TaskTimeoutError
+from repro.spark.rdd import RDD
+from repro.spark.serialization import serialize_task
+
+if TYPE_CHECKING:
+    from repro.spark.context import SparkContext
+
+
+def _rdd_label(rdd: RDD) -> str:
+    """The rdd's scheduler-facing name, e.g. ``MapPartitionsRDD[12]``."""
+    return f"{type(rdd).__name__}[{rdd.id}]"
+
+
+class _CountingIterator:
+    """Wraps a partition iterator to count the records a task consumed."""
+
+    __slots__ = ("_it", "count")
+
+    def __init__(self, it: Iterator) -> None:
+        self._it = iter(it)
+        self.count = 0
+
+    def __iter__(self) -> "_CountingIterator":
+        return self
+
+    def __next__(self):
+        value = next(self._it)
+        self.count += 1
+        return value
+
+
+def _apply(fn, rdd: RDD, split: int, span):
+    """Recompute one partition from lineage and apply a job's *fn* to it;
+    with a task *span*, record the records it consumed as ``records_in``.
+
+    The task body under every transport (worker processes call it too).
+    A cached block is only reused if a previous attempt fully
+    materialized it, so a failed attempt never poisons the cache.
+    """
+    if span is None:
+        return fn(rdd.iterator(split))
+    counted = _CountingIterator(rdd.iterator(split))
+    try:
+        return fn(counted)
+    finally:
+        span.attrs["records_in"] = counted.count
+
+
+class _TaskAttempt:
+    """One scheduled attempt of one task."""
+
+    __slots__ = (
+        "split", "number", "speculative", "token", "start", "span",
+        "timed_out", "handle",
+    )
+
+    def __init__(self, split: int, number: int, speculative: bool, token: CancelToken) -> None:
+        self.split = split
+        self.number = number
+        self.speculative = speculative
+        self.token = token
+        #: Set by the worker when execution actually begins (queue time
+        #: does not count against the task deadline).
+        self.start: float | None = None
+        self.span = None
+        self.timed_out = False
+        #: The process pool's task handle (processes backend only).
+        self.handle = None
+
+
+#: Sentinel pushed into a pool job's outcome queue to wake the driver
+#: loop when its job token is cancelled from another thread.
+_WAKE = object()
+
+
+class _JobLoop:
+    """The event-driven driver loop of one job: the scheduler's only policy.
+
+    Every scheduling decision -- launch order, retries and their
+    backoff, per-task and whole-job deadlines, speculative copies of
+    stragglers, first-result-wins resolution, abort and cancellation --
+    is made here, on the thread that called ``run_job``.  A *transport*
+    subclass contributes only how an attempt is started, stopped and
+    waited for, and how many splits may be in progress at once.
+
+    The loop sleeps until the next scheduled event, so a job with no
+    deadlines and no failures costs no polling at all, while a hung
+    task can never block the driver past its deadline: the overdue
+    attempt's token is cancelled, a typed :class:`TaskTimeoutError` is
+    recorded, and a fresh attempt is launched without waiting for it.
+    """
+
+    #: Splits that may be in progress (launched, unresolved) at once.
+    _window: float = math.inf
+
+    def __init__(self, ctx: "SparkContext", rdd: RDD, fn, splits: list[int],
+                 job_token: CancelToken, nested: bool = False) -> None:
+        self._ctx = ctx
+        self._rdd = rdd
+        self._fn = fn
+        self._splits = splits
+        self._job_token = job_token
+        self._nested = nested
+        self._job_span = None
+        self._results: dict[int, Any] = {}
+        # Per-split state fills in lazily: a clean job records none of it.
+        self._failures: dict[int, list[TaskError]] = {}
+        self._seq: dict[int, int] = {}
+        self._live: dict[int, list[_TaskAttempt]] = {}
+        self._retry_heap: list[tuple[float, int]] = []  # (ready_at, split)
+        self._retry_pending: set[int] = set()
+        self._speculated: set[int] = set()
+        self._durations: list[float] = []
+
+    @property
+    def _label(self) -> str:
+        return _rdd_label(self._rdd)
+
+    # -- the transport contract ---------------------------------------------
+
+    def _submit_attempt(self, attempt: _TaskAttempt):
+        """Start *attempt*; its ``(attempt, ok, payload)`` outcome if it
+        ran to completion on this thread, else None (see :meth:`_wait`)."""
+        raise NotImplementedError
+
+    def _cancel_attempt(self, attempt: _TaskAttempt, reason: str, kind: str) -> None:
+        """Stop one in-flight attempt (cooperatively, through its token)."""
+        attempt.token.cancel(reason, kind)
+
+    def _wait(self, timeout: float | None) -> Iterable[tuple]:
+        """Block until outcomes arrive, the job token is cancelled or
+        *timeout* seconds pass; the outcomes that arrived."""
+        raise NotImplementedError
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def run(self, job_span=None) -> list:
+        """Drive every split to a result; the results in request order."""
+        self._job_span = job_span
+        splits, results = self._splits, self._results
+        # A split requested twice is computed once and answered twice.
+        todo = splits if len(splits) == 1 else list(dict.fromkeys(splits))
+        total, launched, heap = len(todo), 0, self._retry_heap
+        while True:
+            while heap and heap[0][0] <= time.perf_counter():
+                split = heapq.heappop(heap)[1]
+                self._retry_pending.discard(split)
+                if split not in results:
+                    self._launch(split)
+            while launched < total and launched - len(results) < self._window:
+                self._launch(todo[launched])
+                launched += 1
+            if len(results) == total:
+                return [results[s] for s in splits]
+            # Not checked before launching: an attempt under a cancelled
+            # job token returns at once, and a job that finishes never pays.
+            if self._job_token.cancelled:
+                self._abort_cancelled()
+            now = time.perf_counter()
+            threshold = self._speculation_threshold()
+            self._enforce_task_deadlines(now)
+            self._maybe_speculate(now, threshold)
+            for outcome in self._wait(self._next_wait(now, threshold)):
+                self._handle(outcome)
+
+    # -- launching ---------------------------------------------------------
+
+    def _launch(self, split: int, speculative: bool = False) -> None:
+        number = self._seq[split] = self._seq.get(split, 0) + 1
+        attempt = _TaskAttempt(
+            split, number, speculative, CancelToken(parent=self._job_token)
+        )
+        self._live.setdefault(split, []).append(attempt)
+        if speculative:
+            self._speculated.add(split)
+            self._ctx.metrics.tasks_speculated += 1
+        try:
+            outcome = self._submit_attempt(attempt)
+        except RuntimeError as exc:  # pool shut down beneath us (stop())
+            self._live[split].remove(attempt)
+            self._abort(JobAbortedError(
+                self._label, split, number, exc, self._failures.get(split, ())
+            ))
+        if outcome is not None:
+            self._handle(outcome)
+
+    # -- the task body (in-process transports) -----------------------------
+
+    def _run_attempt(self, attempt: _TaskAttempt) -> tuple:
+        """Compute one attempt on the current thread; its outcome.
+
+        Never raises -- even ``KeyboardInterrupt`` comes back as an
+        outcome, so the loop can cancel siblings and re-raise on the
+        calling thread.  The ``task`` span is parented to the job span
+        explicitly because the attempt may run on a pool thread; nested
+        jobs attach beneath it through the thread's span stack.
+        """
+        in_job = self._ctx._in_job
+        # Mark this thread as inside a task so any nested job it
+        # triggers (e.g. a shuffle map side) takes the inline transport
+        # instead of re-entering the pool and starving it.
+        previous = getattr(in_job, "active", False)
+        in_job.active = True
+        attempt.start = time.perf_counter()
+        try:
+            with task_scope(attempt.token):
+                attempt.token.check()
+                if self._job_span is None:
+                    return attempt, True, self._compute(attempt.split, None)
+                attrs: dict = {"split": attempt.split}
+                if attempt.number > 1:
+                    attrs["attempt"] = attempt.number
+                if attempt.speculative:
+                    attrs["speculative"] = True
+                with self._ctx.tracer.span(
+                    "task", kind="task", parent=self._job_span, **attrs
+                ) as span:
+                    attempt.span = span
+                    try:
+                        return attempt, True, self._compute(attempt.split, span)
+                    except TaskCancelledError as exc:
+                        span.attrs["cancelled"] = True
+                        if exc.kind == KIND_TIMEOUT:
+                            span.attrs["timeout"] = True
+                        raise
+                    except JobAbortedError:
+                        raise
+                    except Exception as exc:
+                        span.note_failure(f"{type(exc).__name__}: {exc}")
+                        raise
+        except BaseException as exc:
+            return attempt, False, exc
+        finally:
+            in_job.active = previous
+
+    def _compute(self, split: int, span):
+        rdd = self._rdd
+        injector = self._ctx.fault_injector
+        if injector is not None:
+            injector.check("task.compute", key=(rdd.id, split))
+        return _apply(self._fn, rdd, split, span)
+
+    # -- outcomes ----------------------------------------------------------
+
+    def _handle(self, outcome) -> None:
+        attempt, ok, payload = outcome
+        if isinstance(payload, TaskCancelledError) and self._job_token.cancelled:
+            # The job itself was cancelled.  run() aborts next, and counts
+            # this attempt among the running ones it cancels.
+            return
+        split = attempt.split
+        live = self._live[split]
+        if attempt in live:
+            live.remove(attempt)
+        if ok:
+            if attempt.start is not None and self._ctx.speculation:
+                self._durations.append(time.perf_counter() - attempt.start)
+            if split in self._results:
+                return  # a sibling already won; late result discarded
+            self._results[split] = payload
+            if attempt.speculative:
+                self._ctx.metrics.speculation_wins += 1
+            self._cancel("task superseded by a completed attempt", KIND_LOSER, live)
+            return
+        exc = payload
+        if isinstance(exc, JobAbortedError):
+            # A nested job already burned its own retry budget; terminal.
+            self._abort(exc)
+        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+            self._cancel("job interrupted", KIND_ABORT)
+            raise exc
+        if isinstance(exc, TaskCancelledError) and attempt.token.cancelled:
+            # Whoever cancelled the token owns the accounting, and the
+            # loop did it when it reaped a deadline or resolved a race.
+            # That leaves the inline transport's watchdog, which can only
+            # cancel: its deadline is booked here.
+            if exc.kind == KIND_TIMEOUT and not attempt.timed_out:
+                self._task_timed_out(attempt)
+            return
+        if split in self._results:
+            return  # stray failure of a redundant attempt
+        self._record_failure(
+            split, TaskError(self._label, split, attempt.number, exc), exc
+        )
+
+    def _record_failure(
+        self, split: int, record: TaskError, cause: BaseException, retry: bool = True
+    ) -> None:
+        """Charge one failed attempt to *split*'s retry budget: abort once
+        it is spent, else relaunch after the exponential backoff (timed
+        by the loop, so a backing-off task occupies no worker)."""
+        self._ctx.metrics.tasks_failed += 1
+        failures = self._failures.setdefault(split, [])
+        failures.append(record)
+        if len(failures) >= self._ctx.max_task_failures:
+            self._abort(JobAbortedError(self._label, split, len(failures), cause, failures))
+        if retry:
+            self._ctx.metrics.tasks_retried += 1
+            delay = self._ctx.retry_backoff * (2 ** (len(failures) - 1))
+            heapq.heappush(self._retry_heap, (time.perf_counter() + delay, split))
+            self._retry_pending.add(split)
+
+    # -- deadlines and speculation ----------------------------------------
+
+    def _running(self) -> Iterator[_TaskAttempt]:
+        """Attempts still racing for an unresolved split (overdue ones excluded)."""
+        for split, attempts in self._live.items():
+            if split not in self._results:
+                for attempt in attempts:
+                    if not attempt.timed_out:
+                        yield attempt
+
+    def _enforce_task_deadlines(self, now: float) -> None:
+        timeout = self._ctx.task_timeout
+        if timeout is None:
+            return
+        for attempt in self._running():
+            if attempt.start is not None and now - attempt.start >= timeout:
+                self._cancel_attempt(
+                    attempt, f"task timeout after {timeout:g}s", KIND_TIMEOUT
+                )
+                self._task_timed_out(attempt)
+
+    def _task_timed_out(self, attempt: _TaskAttempt) -> None:
+        """Book an attempt that overran ``task_timeout`` (its token is
+        already cancelled): a typed failure against the retry budget."""
+        attempt.timed_out = True
+        self._ctx.metrics.tasks_timed_out += 1
+        split = attempt.split
+        record = TaskTimeoutError(
+            self._label, split, attempt.number, self._ctx.task_timeout or 0.0
+        )
+        if attempt.span is not None:
+            attempt.span.note_failure(f"TaskTimeoutError: {record}")
+            attempt.span.attrs["timeout"] = True
+        # Relaunch only if no healthy attempt is still racing (a live
+        # speculative copy *is* the retry).
+        covered = split in self._retry_pending or any(
+            not a.timed_out for a in self._live[split]
+        )
+        self._record_failure(split, record, record, retry=not covered)
+
+    def _speculation_threshold(self) -> float | None:
+        """The runtime past which a task is a straggler; None while
+        speculation is off or too few tasks have finished to judge."""
+        ctx = self._ctx
+        total = len(self._splits)
+        if not ctx.speculation or total < 2 or not self._durations:
+            return None
+        if len(self._results) < max(1, math.ceil(ctx.speculation_quantile * total)):
+            return None
+        return ctx.speculation_multiplier * statistics.median(self._durations)
+
+    def _speculatable(self) -> Iterator[_TaskAttempt]:
+        """Running attempts whose split may still get a speculative copy
+        (none on the inline transport: nothing runs while the loop looks,
+        so speculation there is accepted and inert)."""
+        for attempt in self._running():
+            split = attempt.split
+            if split not in self._speculated and split not in self._retry_pending:
+                yield attempt
+
+    def _maybe_speculate(self, now: float, threshold: float | None) -> None:
+        if threshold is None:
+            return
+        for attempt in list(self._speculatable()):
+            if attempt.start is not None and now - attempt.start >= threshold:
+                self._launch(attempt.split, speculative=True)
+
+    def _next_wait(self, now: float, threshold: float | None) -> float | None:
+        """Seconds until the next scheduled event, or None to block.
+
+        Whatever is due already was acted on by the caller with the same
+        *now*, so a zero wait cannot repeat and needs no floor.
+        """
+        candidates: list[float] = []
+        if self._retry_heap:
+            candidates.append(self._retry_heap[0][0] - now)
+        for limit, attempts in (
+            (self._ctx.task_timeout, self._running),
+            (threshold, self._speculatable),
+        ):
+            if limit is not None:
+                for attempt in attempts():
+                    # Queued behind a busy pool: poll for its start.
+                    candidates.append(
+                        0.02 if attempt.start is None else attempt.start + limit - now
+                    )
+        return max(0.0, min(candidates)) if candidates else None
+
+    # -- aborting ----------------------------------------------------------
+
+    def _cancel(self, reason: str, kind: str, attempts=None) -> None:
+        if attempts is None:  # everything still in flight
+            attempts = [a for live in self._live.values() for a in live]
+        for attempt in attempts:
+            if not attempt.timed_out:
+                self._ctx.metrics.tasks_cancelled += 1
+            self._cancel_attempt(attempt, reason, kind)
+            if attempt.span is not None:
+                attempt.span.attrs["cancelled"] = True
+
+    def _abort(self, error: JobAbortedError) -> None:
+        self._cancel("job aborted", KIND_ABORT)
+        raise error from error.cause
+
+    def _abort_cancelled(self) -> None:
+        """The job token was cancelled from outside the loop."""
+        token = self._job_token
+        if self._nested:
+            # The enclosing attempt timed out, lost a race or was
+            # aborted.  Unwind raw, no abort and no accounting: the outer
+            # loop owns both and may retry that task, re-running this job.
+            raise TaskCancelledError(token.reason or "job cancelled", token.kind)
+        split = next(s for s in self._splits if s not in self._results)
+        failures = list(self._failures.get(split, ()))
+        if token.kind == KIND_TIMEOUT:
+            record = TaskTimeoutError(
+                self._label, split, max(1, self._seq.get(split, 0)),
+                self._ctx.job_timeout or 0.0, scope="job",
+            )
+            failures.append(record)
+            self._ctx.metrics.tasks_timed_out += 1
+            cause: BaseException = record
+        else:
+            cause = TaskCancelledError(token.reason or "job cancelled", token.kind)
+        self._abort(JobAbortedError(
+            self._label, split, max(1, len(failures)), cause, failures
+        ))
+
+
+class _InlineJob(_JobLoop):
+    """The inline transport: an attempt is a call on the driver thread.
+
+    With a window of one split, attempts run one at a time in split
+    order and a failed split's retry runs, after its backoff, before
+    the next split starts: execution order is a function of the job and
+    the fault plan alone, which keeps seeded chaos runs reproducible.
+    """
+
+    _window = 1
+
+    def _submit_attempt(self, attempt: _TaskAttempt) -> tuple:
+        timeout = self._ctx.task_timeout
+        if timeout is None:
+            return self._run_attempt(attempt)
+        # The driver thread is about to be busy computing, so a timer
+        # cancels an overdue attempt; _handle books the deadline.
+        watchdog = threading.Timer(
+            timeout,
+            attempt.token.cancel,
+            args=(f"task timeout after {timeout:g}s", KIND_TIMEOUT),
+        )
+        watchdog.daemon = True
+        watchdog.start()
+        try:
+            return self._run_attempt(attempt)
+        finally:
+            watchdog.cancel()
+
+    def _wait(self, timeout: float | None) -> Iterable[tuple]:
+        # Only a retry can be pending; waiting on the job token lets a
+        # cancelled job cut the backoff short.
+        self._job_token.wait(timeout)
+        return ()
+
+
+class _ThreadJob(_JobLoop):
+    """The thread-pool transport: pool threads compute, a queue reports."""
+
+    def __init__(self, ctx: "SparkContext", rdd: RDD, fn, splits: list[int],
+                 job_token: CancelToken) -> None:
+        super().__init__(ctx, rdd, fn, splits, job_token)
+        self._outcomes: queue_mod.Queue = queue_mod.Queue()
+        job_token.add_callback(lambda: self._outcomes.put(_WAKE))
+
+    def _submit_attempt(self, attempt: _TaskAttempt) -> None:
+        self._ctx._ensure_pool().submit(
+            lambda: self._outcomes.put(self._run_attempt(attempt))
+        )
+
+    def _wait(self, timeout: float | None) -> Iterator[tuple]:
+        try:
+            outcome = self._outcomes.get(timeout=timeout)
+            while True:
+                if outcome is not _WAKE:
+                    yield outcome
+                outcome = self._outcomes.get_nowait()
+        except queue_mod.Empty:
+            return
+
+
+class _ProcessJob(_ThreadJob):
+    """The process-pool transport.
+
+    Scheduling policy is :class:`_JobLoop`'s, unchanged; what differs is
+    how an attempt travels.  Attempts dispatch to a
+    :class:`~repro.spark.procpool.ProcessPool` as a serialized payload +
+    split id; workers recompute the partition from shipped lineage and
+    send back the value plus the *side data* a shared address space
+    used to make free -- a metrics delta, recorded accumulator terms,
+    chaos counters and the task's trace span -- which :meth:`_absorb`
+    merges into driver state.  Cancellation is kill-based:
+    :meth:`_cancel_attempt` still cancels the driver-side token (so the
+    loop's accounting is identical) and then shoots the attempt's
+    worker process; the pool synthesizes a ``TaskCancelledError``
+    outcome that ``_handle`` already knows to ignore.
+
+    Construction serializes the task (an unshippable closure raises
+    ``TaskSerializationError`` before anything is dispatched) and runs
+    the map side of every shuffle it reaches, each a pooled job that
+    recurses into *its* upstream shuffles first: workers only ever
+    fetch ready buckets, never waiting on driver-side work.
+    """
+
+    def __init__(self, ctx: "SparkContext", rdd: RDD, fn, splits: list[int],
+                 job_token: CancelToken) -> None:
+        payload = serialize_task(ctx, rdd, fn)
+        for shuffle_id in payload.shuffle_ids:
+            ctx._shuffle.ensure(shuffle_id)
+        super().__init__(ctx, rdd, fn, splits, job_token)
+        self._payload = payload
+        self._pool = ctx._ensure_proc_pool()
+        injector = ctx.fault_injector
+        self._meta_base = {
+            "tracing": ctx.tracer.enabled,
+            "chaos": injector.worker_spec() if injector is not None else None,
+        }
+
+    def run(self, job_span=None) -> list:
+        try:
+            return super().run(job_span)
+        finally:
+            # Workers cache the payload bytes for the job's duration;
+            # the job is over, reclaim the memory.
+            self._pool.release_payload(self._payload.payload_id)
+
+    def _submit_attempt(self, attempt: _TaskAttempt) -> None:
+        meta = dict(self._meta_base, attempt=attempt.number)
+        outcomes = self._outcomes
+
+        def on_start() -> None:
+            attempt.start = time.perf_counter()
+
+        def on_outcome(ok: bool, out) -> None:
+            outcomes.put((attempt, ok, out))
+
+        attempt.handle = self._pool.submit(
+            self._payload, attempt.split, meta, on_start, on_outcome
+        )
+
+    def _cancel_attempt(self, attempt: _TaskAttempt, reason: str, kind: str) -> None:
+        attempt.token.cancel(reason, kind)
+        if attempt.handle is not None:
+            self._pool.kill(attempt.handle, TaskCancelledError(reason, kind))
+
+    def _handle(self, outcome) -> None:
+        attempt, ok, payload = outcome
+        if isinstance(payload, dict):
+            payload = self._absorb(attempt, ok, payload)
+        super()._handle((attempt, ok, payload))
+
+    def _absorb(self, attempt: _TaskAttempt, ok: bool, out: dict):
+        """Merge a worker outcome's side data; return the value/error.
+
+        Metrics deltas, chaos counters and trace spans merge for every
+        delivered outcome -- under threads, losing attempts also leave
+        those footprints.  Accumulator terms only replay for an attempt
+        whose *result is accepted* (first success per split), so a
+        retried or superseded attempt cannot double-count.
+        """
+        ctx = self._ctx
+        # A worker has no scheduler and never runs a map side, so its
+        # delta cannot hold the counters this loop books (tasks_*,
+        # jobs_*, shuffles_*): every counter merges.
+        for name, amount in out.get("metrics", {}).items():
+            setattr(ctx.metrics, name, getattr(ctx.metrics, name) + amount)
+        chaos = out.get("chaos")
+        if chaos and ctx.fault_injector is not None:
+            ctx.fault_injector.merge_worker_stats(chaos)
+        span = out.get("span")
+        if span is not None and ctx.tracer.enabled and self._job_span is not None:
+            shift_spans(span, attempt.start or time.perf_counter())
+            if attempt.number > 1:
+                span.attrs["attempt"] = attempt.number
+            if attempt.speculative:
+                span.attrs["speculative"] = True
+            ctx.tracer.attach(self._job_span, span)
+            attempt.span = span
+        if ok:
+            if attempt.split not in self._results:
+                accumulators = out.get("accumulators")
+                if accumulators:
+                    for acc_id, terms in accumulators.items():
+                        accumulator = self._payload.accumulators.get(acc_id)
+                        if accumulator is not None:
+                            for term in terms:
+                                accumulator.add(term)
+            return out.get("value")
+        error = out.get("error")
+        if not isinstance(error, BaseException):
+            error = RuntimeError(f"worker task failed: {error!r}")
+        remote_traceback = out.get("traceback")
+        if remote_traceback:
+            error.remote_traceback = remote_traceback
+        return error

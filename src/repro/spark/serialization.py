@@ -28,7 +28,7 @@ shipping format:
   state.  Its map-side parent lineage never ships -- workers fetch
   reduce buckets from the driver, which materializes every reachable
   shuffle *before* dispatching the job (see
-  ``SparkContext._prepare_process_payload``).
+  ``repro.spark.scheduler._ProcessJob``).
 
 The contract this encodes for operator authors: everything a task
 closes over must be picklable data, an importable callable, or one of

@@ -45,13 +45,11 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.chaos.injector import WorkerFaultInjector
 from repro.obs.tracer import NULL_TRACER, Tracer, shift_spans
 from repro.spark.broadcast import Broadcast
-from repro.spark.context import (
-    WORKER_METRICS,
-    Metrics,
-    _CacheManager,
-    _CountingIterator,
-)
+from repro.spark.cache import _CacheManager
+from repro.spark.context import Metrics
+from repro.spark.scheduler import _apply
 from repro.spark.serialization import TaskSerializationError, deserialize
+from repro.spark.shuffle import fetch_rows
 
 
 class _WorkerAccumulator:
@@ -87,21 +85,36 @@ class _WorkerShuffle:
 
     The driver materializes every reachable shuffle's map outputs
     *before* dispatching a processes job, so a fetch is a pure read --
-    ``("fetch", ...)`` out, ``("blocks", ...)`` back.  Out-of-band
-    messages arriving while we wait (a ``drop`` for a finished job) are
-    handed back to the context's message handler, not lost.
+    ``("fetch", ...)`` out, ``("blocks", ...)`` back; the chaos check
+    and decoding are :func:`~repro.spark.shuffle.fetch_rows`'s.
+    Out-of-band messages arriving while we wait (a ``drop`` for a
+    finished job) are handed back to the context's message handler, not
+    lost.
     """
 
     def __init__(self, ctx: "WorkerContext") -> None:
         self._ctx = ctx
 
     def fetch(self, shuffle_id: int, reduce_split: int) -> Iterator[tuple]:
+        return fetch_rows(
+            self._ctx.fault_injector, shuffle_id, reduce_split, self._request
+        )
+
+    def _request(self, shuffle_id: int, reduce_split: int) -> list[bytes]:
         ctx = self._ctx
-        injector = ctx.fault_injector
-        if injector is not None:
-            injector.check("shuffle.fetch", key=(shuffle_id, reduce_split))
-        chunks = ctx.request_blocks(shuffle_id, reduce_split)
-        return itertools.chain.from_iterable(pickle.loads(chunk) for chunk in chunks)
+        ctx._conn.send(("fetch", ctx._current_task, shuffle_id, reduce_split))
+        while True:
+            msg = ctx._conn.recv()
+            kind = msg[0]
+            if kind == "blocks" and msg[1] == shuffle_id and msg[2] == reduce_split:
+                return msg[3]
+            if kind == "blocks_error" and msg[1] == shuffle_id and msg[2] == reduce_split:
+                raise RuntimeError(
+                    f"shuffle {shuffle_id} fetch of partition {reduce_split} "
+                    f"failed on the driver: {msg[3]}"
+                )
+            if ctx._oob is not None:
+                ctx._oob(msg)
 
 
 class WorkerContext:
@@ -204,24 +217,6 @@ class WorkerContext:
             else None
         )
 
-    # -- shuffle-fetch plumbing ----------------------------------------------
-
-    def request_blocks(self, shuffle_id: int, reduce_split: int) -> list[bytes]:
-        """Fetch one reduce split's pickled shuffle blocks from the driver."""
-        self._conn.send(("fetch", self._current_task, shuffle_id, reduce_split))
-        while True:
-            msg = self._conn.recv()
-            kind = msg[0]
-            if kind == "blocks" and msg[1] == shuffle_id and msg[2] == reduce_split:
-                return msg[3]
-            if kind == "blocks_error" and msg[1] == shuffle_id and msg[2] == reduce_split:
-                raise RuntimeError(
-                    f"shuffle {shuffle_id} fetch of partition {reduce_split} "
-                    f"failed on the driver: {msg[3]}"
-                )
-            if self._oob is not None:
-                self._oob(msg)
-
 
 def _run_task(ctx: WorkerContext, payloads: dict[int, bytes], conn, msg) -> None:
     _kind, task_id, payload_id, split, meta = msg
@@ -239,24 +234,16 @@ def _run_task(ctx: WorkerContext, payloads: dict[int, bytes], conn, msg) -> None
             ctx.fault_injector.check("task.compute", key=(rdd.id, split))
         if ctx.tracer.enabled:
             with ctx.tracer.span("task", kind="task", split=split) as span:
-                counted = _CountingIterator(rdd.iterator(split))
-                try:
-                    out["value"] = fn(counted)
-                finally:
-                    span.attrs["records_in"] = counted.count
+                out["value"] = _apply(fn, rdd, split, span)
         else:
-            out["value"] = fn(rdd.iterator(split))
+            out["value"] = _apply(fn, rdd, split, None)
         ok = True
     except BaseException as exc:
         if span is not None:
             span.note_failure(f"{type(exc).__name__}: {exc}")
         out["error"] = exc
         out["traceback"] = traceback.format_exc()
-    delta = {
-        name: value
-        for name, value in ctx.metrics.snapshot().items()
-        if value and name in WORKER_METRICS
-    }
+    delta = {name: value for name, value in ctx.metrics.snapshot().items() if value}
     if delta:
         out["metrics"] = delta
     if ctx._acc_terms:

@@ -82,6 +82,7 @@ def _run_operator_mix(executor: str) -> dict:
             "knn": nearest,
             "knn_join": kj,
             "dbscan": (sorted(noise), cluster_sets),
+            "metrics": sc.metrics.snapshot(),
         }
 
 
@@ -95,6 +96,22 @@ def per_backend_results():
 def test_backend_matches_sequential(per_backend_results, executor, operator):
     expected = per_backend_results["sequential"][operator]
     assert per_backend_results[executor][operator] == expected
+
+
+#: Counters that differ between pools by design: every worker process
+#: has its own block cache, so hits and evictions depend on placement.
+PER_WORKER_COUNTERS = {"cache_hits", "cache_evictions"}
+
+
+def test_counters_match_across_pools(per_backend_results):
+    """Workers ship every non-zero counter; none may double-count what
+    the driver's scheduler already booked (tasks_*, jobs_*, shuffles_*)."""
+    threads = per_backend_results["threads"]["metrics"]
+    processes = per_backend_results["processes"]["metrics"]
+    assert {k: v for k, v in processes.items() if k not in PER_WORKER_COUNTERS} == {
+        k: v for k, v in threads.items() if k not in PER_WORKER_COUNTERS
+    }
+    assert threads["tasks_launched"] > 0 and threads["shuffles_executed"] > 0
 
 
 def test_filter_finds_something(per_backend_results):
