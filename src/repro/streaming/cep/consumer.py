@@ -255,14 +255,14 @@ class CepConsumer(StoreBackedConsumer):
         while self._ready:
             match = self._ready[0]
             window = Window(float(match.seq), float(match.seq + 1))
-            if ssc._emit_allowed(self, window):
+            if ssc._recovery.emit_allowed(self, window):
                 for fn in self._match_fns:
                     fn(match)
                 if self.outputs:
                     rdd = ssc._batch_rdd(list(match.events))
                     for sink in self.outputs:
                         sink(window, rdd)
-                ssc._note_emitted(self, window)
+                ssc._recovery.note_emitted(self, window)
                 ssc.metrics.matches_emitted += 1
                 fired += 1
             self._ready.popleft()

@@ -387,24 +387,20 @@ class CheckpointManager:
     """The streaming context's handle on all durable state.
 
     Owns the WAL writer, the emit buffer, checkpoint epochs and
-    pruning; the :class:`~repro.streaming.context.StreamingContext`
-    calls :meth:`log_batch` after every poll (before processing),
-    :meth:`note_emit` as windows fire, :meth:`commit_emits` when a
-    batch completes, and :meth:`maybe_checkpoint` on the checkpoint
-    cadence.  All chaos goes through the context's installed injector:
-    ``wal.append`` before a batch journal entry, ``checkpoint.write``
-    before a snapshot commit.
+    pruning.  The context's ingest edge (:mod:`repro.streaming.ingest`)
+    calls :meth:`log_batch` after every poll (before processing) and
+    :meth:`log_shed` for every shed batch; its recovery half
+    (:mod:`repro.streaming.recovery`) calls :meth:`note_emit` as
+    windows fire, :meth:`commit_emits` when a batch completes, and
+    :meth:`write_checkpoint` on the checkpoint cadence.  All chaos goes
+    through the context's installed injector: ``wal.append`` before a
+    batch journal entry, ``checkpoint.write`` before a snapshot commit.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        segment_bytes: int = 1 << 20,
-        injector_source=None,
-    ) -> None:
+    def __init__(self, directory: str, injector_source=None) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self.wal = WalWriter(os.path.join(directory, "wal"), segment_bytes)
+        self.wal = WalWriter(os.path.join(directory, "wal"))
         self._injector_source = injector_source
         self._pending_emits: list[tuple[int, float, float]] = []
         existing = list_checkpoints(directory)

@@ -27,7 +27,7 @@ any other durability barrier.
   text and whether the breaker refused it.
 - ``"poison_record"`` -- one record that made a batch fail on every
   attempt while its batch-mates pass cleanly (see the quarantine probe
-  in :mod:`repro.streaming.context`).  Carries the record itself plus
+  in :mod:`repro.streaming.batch`).  Carries the record itself plus
   batch id, source name and the exception that convicted it.
 
 **Replay.**  :func:`dlq_replay` re-delivers a sink's dead-lettered

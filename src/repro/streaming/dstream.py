@@ -2,11 +2,10 @@
 
 A :class:`DStream` is a lazy description of what to do with every
 micro-batch: a chain of RDD transformations rooted at an input stream.
-Nothing runs at definition time -- the
-:class:`~repro.streaming.context.StreamingContext` walks the registered
-*outputs* once per batch, building each batch's RDD through the chain
-and running the output action, exactly like Spark Streaming's
-``foreachRDD`` model.
+Nothing runs at definition time -- the context's batch core
+(:mod:`repro.streaming.batch`) walks the registered *outputs* once per
+batch, building each batch's RDD through the chain and running the
+output action, exactly like Spark Streaming's ``foreachRDD`` model.
 
 :class:`SpatialDStream` is the spatio-temporal face of the same idea
 (streams here are ``(STObject, value)`` pairs): per-batch predicate
@@ -107,12 +106,6 @@ class DStream:
         self.name = name
 
     # -- batch plumbing ----------------------------------------------------
-
-    def _input_root(self) -> "DStream":
-        node = self
-        while node._parent is not None:
-            node = node._parent
-        return node
 
     def _compute(self, base_rdds: dict[int, RDD]) -> RDD:
         """Build this node's RDD for one batch from the input base RDDs."""

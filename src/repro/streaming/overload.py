@@ -3,9 +3,10 @@
 The streaming layer's only pre-existing overload response was the
 blocking bounded queue between poller and processor -- correct, but a
 stall, not a policy.  This module holds the two small mechanisms the
-graceful-degradation story is built from; the
-:class:`~repro.streaming.context.StreamingContext` wires them into the
-ingest and delivery edges.
+graceful-degradation story is built from; the context's ingest edge
+(:mod:`repro.streaming.ingest`) applies the shed policies and its batch
+core (:mod:`repro.streaming.batch`) wires the breakers' sinks and
+computes the ladder.
 
 **Load shedding** (:data:`SHED_POLICIES`).  When the pending-batch
 queue is full, the admission policy decides what gives:

@@ -1214,14 +1214,14 @@ class StateConsumer(StoreBackedConsumer):
         self._run_insert_hooks()
         fired = 0
         for window in self.state.ready_windows():
-            if ssc._emit_allowed(self, window):
+            if ssc._recovery.emit_allowed(self, window):
                 for query in self.queries:
                     query.emit(self.store, window)
                 if self.outputs:
                     rdd = ssc._batch_rdd(self.state.window_records(window))
                     for output in self.outputs:
                         output(window, rdd)
-                ssc._note_emitted(self, window)
+                ssc._recovery.note_emitted(self, window)
                 fired += 1
             evicted = self.state.close_window(window)
             for query in self.queries:

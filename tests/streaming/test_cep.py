@@ -437,7 +437,7 @@ class TestSnapshotRoundtrip:
             # Real recovery resumes batch ids from the WAL; mirror that
             # here so the consumer's replay-dedup (absorbed batch id)
             # does not mistake the fresh context's batch 0 for a replay.
-            ssc2._next_batch_id = ssc._next_batch_id
+            ssc2._ingest.next_batch_id = ssc._ingest.next_batch_id
             # Replay nothing; continue both with the second half.
             drive(rows[half:], ssc, source)
             drive(rows[half:], ssc2, source2)

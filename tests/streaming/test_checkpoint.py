@@ -248,7 +248,8 @@ class TestCheckpointManager:
         manager.close()
 
     def test_checkpoint_prunes_wal_and_bumps_epoch(self, tmp_path):
-        manager = CheckpointManager(str(tmp_path), segment_bytes=64)
+        manager = CheckpointManager(str(tmp_path))
+        manager.wal.segment_bytes = 64  # rotate on every append
         for i in range(8):
             manager.log_batch(i, float(i), [[("r", i)]], [None])
         epoch = manager.write_checkpoint({"s": 1}, high_water=7)

@@ -231,6 +231,43 @@ class TestDegradedDeliveryAndReplay:
             ssc.stop()
         assert read_files(out) == read_files(ref_out)
 
+    @pytest.mark.chaos
+    def test_sink_counters_are_per_process_across_restore(self, tmp_path):
+        """Sinks keep no durable counters, so a restored context reports
+        its own process's sink counts from the moment ``restore()``
+        returns -- not the crashed run's until the next batch.  The
+        durable total is the queue itself."""
+        dlq_dir = str(tmp_path / "dlq")
+        out = str(tmp_path / "out")
+        ck = str(tmp_path / "ck")
+
+        def declare(sc):
+            ssc = StreamingContext(
+                sc, dlq_dir=dlq_dir, checkpoint_dir=ck, checkpoint_interval=2
+            )
+            ssc.queue_stream(make_batches())[1].window(**WINDOW).for_each_window(
+                EventFileSink(out, retries=0, name="events")
+            )
+            return ssc
+
+        injector = FaultInjector(seed=3).fail("sink.write", times=2, per_key=False)
+        with make_sc(injector) as sc:
+            ssc = declare(sc)
+            ssc.run_batches(BATCHES, batch_times=TIMES)
+            assert ssc.metrics.windows_dead_lettered == 2
+            assert ssc.metrics.checkpoints_written == BATCHES // 2
+            # Abandoned: no stop(), only the file handles are released.
+            ssc.checkpoint_manager.close()
+            ssc.dead_letter_queue.close()
+        with make_sc() as sc:
+            ssc = declare(sc)
+            ssc.restore()
+            after_restore = ssc.metrics.windows_dead_lettered
+            assert ssc.run_batch(batch_time=float(BATCHES))  # no window closes
+            assert after_restore == ssc.metrics.windows_dead_lettered == 0
+            assert len(ssc.dead_letter_queue) == 2
+            ssc.stop(flush=False)
+
     def test_breaker_with_no_dlq_refuses_loudly(self, tmp_path):
         sink = EventFileSink(
             str(tmp_path / "out"),

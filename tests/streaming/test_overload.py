@@ -155,6 +155,85 @@ class TestShedPolicies:
         assert not any(sample_decision(7, b, 0.0) for b in range(16))
 
 
+class TestShedReplay:
+    """Sheds journaled on both sides of a checkpoint replay as sheds.
+
+    Each phase polls four batches into a queue of two -- the last two
+    are shed -- then drains.  With a checkpoint every three completed
+    batches, the newest epoch lands inside phase 2, so the abandoned
+    run leaves sheds the snapshot already counted (phase 1 and 2) and
+    sheds polled after it (phase 3, abandoned before its drain).
+    """
+
+    PHASES = 5
+    PER_PHASE = 4
+
+    def _declare(self, sc, batches, ck):
+        ssc = StreamingContext(
+            sc,
+            max_pending_batches=2,
+            shed_policy="shed_newest",
+            checkpoint_dir=ck,
+            checkpoint_interval=3,
+        )
+        _source, events = ssc.queue_stream(batches)
+        return ssc, events.window(length=100.0).collect_windows()
+
+    def _poll_phase(self, ssc, phase):
+        first = phase * self.PER_PHASE
+        return [ssc.poll_once(batch_time=float(b)) for b in range(first, first + 4)]
+
+    def test_restored_run_sheds_exactly_the_uninterrupted_batches(self, tmp_path):
+        batches = make_batches(self.PHASES * self.PER_PHASE)
+        with make_sc() as sc:
+            ssc, sink = self._declare(sc, batches, str(tmp_path / "ref-ck"))
+            admitted = []
+            for phase in range(self.PHASES):
+                admitted += self._poll_phase(ssc, phase)
+                ssc.process_pending()
+            ssc.stop()
+            reference = ssc.metrics
+        shed_ids = {
+            value[0]
+            for b, kept in enumerate(admitted)
+            if not kept
+            for _st, value in batches[b]
+        }
+        assert reference.batches_shed == 2 * self.PHASES
+        assert_accounted(reference)
+
+        ck = str(tmp_path / "ck")
+        with make_sc() as sc:
+            ssc, crashed_sink = self._declare(sc, batches, ck)
+            for phase in range(2):
+                self._poll_phase(ssc, phase)
+                ssc.process_pending()
+            self._poll_phase(ssc, 2)  # abandoned before this drain
+            assert ssc.metrics.checkpoints_written > 0
+            ssc.checkpoint_manager.close()
+        with make_sc() as sc:
+            ssc, sink2 = self._declare(sc, batches, ck)
+            report = ssc.restore()
+            for phase in range(3, self.PHASES):
+                self._poll_phase(ssc, phase)
+                ssc.process_pending()
+            ssc.stop()
+        m = ssc.metrics
+        assert report.sheds_replayed > 0
+        for name in ("batches_shed", "records_shed", "records_ingested", "records_processed"):
+            assert getattr(m, name) == getattr(reference, name), name
+        assert_accounted(m)
+        emitted = {
+            i
+            for results in (crashed_sink.results(), sink2.results())
+            for _window, rows in results
+            for _st, (i, _c) in rows
+        }
+        assert emitted
+        assert not emitted & shed_ids
+        assert emitted == {i for _w, rows in sink.results() for _st, (i, _c) in rows}
+
+
 class TestCircuitBreaker:
     def test_trips_after_consecutive_failures_only(self):
         breaker = CircuitBreaker(failure_threshold=3, cooldown_windows=2)

@@ -114,6 +114,22 @@ def read_files(directory) -> dict:
     }
 
 
+ACCOUNTED = ("records_ingested", "records_processed", "records_quarantined", "batches_run")
+
+
+def assert_accounting(got, want, at) -> None:
+    """A resumed run's counters equal the uninterrupted run's, and the
+    no-silent-loss invariant holds."""
+    for name in ACCOUNTED:
+        assert getattr(got, name) == getattr(want, name), f"kill point {at}: {name}"
+    assert got.records_ingested == (
+        got.records_processed
+        + got.records_shed
+        + got.records_quarantined
+        + got.records_failed
+    ), f"kill point {at}: accounting invariant"
+
+
 def baseline(executor: str = "sequential") -> dict:
     with make_sc(executor) as sc:
         ssc, sinks = build(sc, None)
@@ -225,6 +241,7 @@ class TestCrashMatrix:
             ssc, _ = build(sc, str(tmp_path / "base-ck"), str(base_files_dir))
             ssc.run_batches(BATCHES, batch_times=TIMES)
             ssc.stop(flush=False)
+            base_metrics = ssc.metrics
         base_files = read_files(base_files_dir)
         assert base_files  # the durable sink really writes
 
@@ -249,6 +266,7 @@ class TestCrashMatrix:
             with make_sc() as sc2:
                 ssc2, sinks, _report = resume_and_finish(sc2, ck, out)
                 resumed = canon(sinks)
+            assert_accounting(ssc2.metrics, base_metrics, at)
 
             # Durable sinks: byte-identical output, zero duplicates --
             # the commit markers absorb even the ledger-append gap.
@@ -345,6 +363,7 @@ class TestDegradedCrashMatrix:
             # The degraded paths really engaged in the baseline.
             assert ssc.metrics.state_cells_spilled > 0
             assert ssc.metrics.records_quarantined > 0
+            base_metrics = ssc.metrics
         base_files = read_files(base_out)
         assert base_files
         base_poisons = [
@@ -383,6 +402,7 @@ class TestDegradedCrashMatrix:
             with make_sc() as sc2:
                 ssc2, sinks, _report = self._resume(sc2, ck, work, out)
                 resumed = canon(sinks)
+            assert_accounting(ssc2.metrics, base_metrics, at)
 
             assert read_files(out) == base_files, f"kill point {at}: file divergence"
 
@@ -610,7 +630,7 @@ class TestRestoreContract:
             sink = events.window(**WINDOW).collect_windows()
             with pytest.raises(StreamingError, match=r"format 1\b.*format 2\b"):
                 ssc.restore()
-            assert ssc._next_batch_id == 0
+            assert ssc._ingest.next_batch_id == 0
             assert ssc.metrics.batches_run == 0
             assert ssc.metrics.batches_replayed == 0
             assert sink.results() == []
