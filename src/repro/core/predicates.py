@@ -40,13 +40,16 @@ def combine(
     query: STObject,
 ) -> bool:
     """Evaluate the combined semantics for (item, query)."""
-    if not spatial(item.geo, query.geo):
-        return False  # clause (1) fails
-    if item.time is None and query.time is None:
-        return True  # clause (2)
-    if item.time is not None and query.time is not None:
-        return temporal(item.time, query.time)  # clause (3)
-    return False  # mixed defined/undefined never matches
+    # clause (1), then clauses (2)/(3)
+    return spatial(item.geo, query.geo) and _temporal_clause(temporal, item, query)
+
+
+def _temporal_clause(
+    temporal: TemporalPredicate, item: STObject, query: STObject
+) -> bool:
+    if item.time is None:
+        return query.time is None  # clause (2); a mixed pair never matches
+    return query.time is not None and temporal(item.time, query.time)  # clause (3)
 
 
 def _identity_region(env: Envelope) -> Envelope:
@@ -92,11 +95,7 @@ class STPredicate:
         query it rejects most items with two float comparisons before
         any geometry work runs.
         """
-        if item.time is None and query.time is None:
-            return True
-        if item.time is not None and query.time is not None:
-            return self.temporal(item.time, query.time)
-        return False
+        return _temporal_clause(self.temporal, item, query)
 
     def evaluate_ordered(
         self, item: STObject, query: STObject, temporal_first: bool

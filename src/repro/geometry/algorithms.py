@@ -14,10 +14,15 @@ from typing import Sequence
 
 Coord = tuple[float, float]
 
-# Tolerance for collinearity decisions.  Coordinates in this codebase are
-# "user scale" (degrees or meters), so a fixed epsilon is adequate; JTS
-# uses exact arithmetic but STARK's observable behaviour only needs the
-# predicate outcomes to be stable for non-degenerate inputs.
+# The one tolerance of the geometry kernel.  It applies where a value is
+# computed: collinearity (``orientation``, relative to the squared
+# scale of the coordinate differences) and coordinates compared after
+# arithmetic (``coincident``, relative to their magnitude).  Box tests
+# -- whether a point lies within a segment's extent -- are exact, so
+# whatever the kernel places on an edge lies inside that edge's envelope
+# and refinement never accepts a pair the envelope test rejects.  JTS
+# uses exact arithmetic; STARK's observable behaviour only needs the
+# outcomes to be stable for non-degenerate inputs.
 _EPS = 1e-12
 
 
@@ -39,14 +44,22 @@ def orientation(p: Coord, q: Coord, r: Coord) -> int:
 def on_segment(p: Coord, a: Coord, b: Coord) -> bool:
     """True when *p* lies on the closed segment ``a-b``.
 
-    Assumes nothing: collinearity is checked here as well.
+    Assumes nothing: collinearity is checked here as well (with the
+    tolerance), the segment's extent exactly.
     """
     if orientation(a, b, p) != 0:
         return False
     return (
-        min(a[0], b[0]) - _EPS <= p[0] <= max(a[0], b[0]) + _EPS
-        and min(a[1], b[1]) - _EPS <= p[1] <= max(a[1], b[1]) + _EPS
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
     )
+
+
+def coincident(p: Coord, q: Coord) -> bool:
+    """True when two computed coordinates agree up to the tolerance,
+    taken relative to their magnitude (at least 1)."""
+    tolerance = _EPS * max(abs(p[0]), abs(p[1]), abs(q[0]), abs(q[1]), 1.0)
+    return abs(p[0] - q[0]) <= tolerance and abs(p[1] - q[1]) <= tolerance
 
 
 def segments_intersect(a1: Coord, a2: Coord, b1: Coord, b2: Coord) -> bool:
@@ -56,9 +69,10 @@ def segments_intersect(a1: Coord, a2: Coord, b1: Coord, b2: Coord) -> bool:
     o3 = orientation(b1, b2, a1)
     o4 = orientation(b1, b2, a2)
 
-    if o1 != o2 and o3 != o4:
-        return True
-    # Collinear overlap / endpoint-touch cases.
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True  # a proper crossing
+    # Collinear overlap / endpoint-touch cases: a collinear endpoint
+    # counts only inside the other segment's box.
     if o1 == 0 and on_segment(b1, a1, a2):
         return True
     if o2 == 0 and on_segment(b2, a1, a2):
@@ -104,9 +118,13 @@ def point_segment_distance(p: Coord, a: Coord, b: Coord) -> float:
         # ``b`` measures 0, not the tiny segment's length.
         return min(math.hypot(px - ax, py - ay), math.hypot(px - bx, py - by))
     t = ((px - ax) * dx + (py - ay) * dy) / seg_len_sq
-    t = max(0.0, min(1.0, t))
-    cx, cy = ax + t * dx, ay + t * dy
-    return math.hypot(px - cx, py - cy)
+    if t <= 0.0:
+        return math.hypot(px - ax, py - ay)
+    if t >= 1.0:
+        # The endpoint itself: ``ay + dy`` can round past ``by``, which
+        # would measure a point beside the segment's box as on it.
+        return math.hypot(px - bx, py - by)
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def segment_segment_distance(a1: Coord, a2: Coord, b1: Coord, b2: Coord) -> float:

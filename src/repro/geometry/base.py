@@ -32,6 +32,17 @@ class Geometry(ABC):
 
     _envelope: Envelope
 
+    #: Topological dimension: 0 for points, 1 for lines, 2 for polygons;
+    #: a collection's is the largest among its non-empty members (-1 when
+    #: it has none).  Predicate dispatch is keyed on it.
+    dimension: int
+
+    #: True for the multi-geometries and geometry collections, whose
+    #: predicates distribute over their members.  Dispatch reads it on
+    #: every call: an ``isinstance`` test against this abstract class
+    #: costs several times more when the answer is no.
+    is_collection = False
+
     @property
     def envelope(self) -> Envelope:
         """The cached minimum bounding rectangle."""
@@ -85,21 +96,21 @@ class Geometry(ABC):
 
     def touches(self, other: "Geometry") -> bool:
         """True for boundary-only contact (interiors stay apart)."""
-        from repro.geometry import predicates_ext
+        from repro.geometry import predicates
 
-        return predicates_ext.touches(self, other)
+        return predicates.touches(self, other)
 
     def overlaps(self, other: "Geometry") -> bool:
         """True for a partial same-dimension overlap."""
-        from repro.geometry import predicates_ext
+        from repro.geometry import predicates
 
-        return predicates_ext.overlaps(self, other)
+        return predicates.overlaps(self, other)
 
     def crosses(self, other: "Geometry") -> bool:
         """True when interiors meet in a lower-dimensional set."""
-        from repro.geometry import predicates_ext
+        from repro.geometry import predicates
 
-        return predicates_ext.crosses(self, other)
+        return predicates.crosses(self, other)
 
     def distance(self, other: "Geometry") -> float:
         """Minimum Euclidean distance between the two geometries."""

@@ -25,6 +25,7 @@ class LineString(Geometry):
     """
 
     __slots__ = ("_coords",)
+    dimension = 1
 
     def __init__(self, coords: Iterable[Sequence[float]] = ()) -> None:
         self._coords = _freeze_coords(coords)
@@ -115,6 +116,9 @@ class LinearRing(LineString):
 
     def locate(self, x: float, y: float) -> int:
         """Classify a point: algorithms.INTERIOR / BOUNDARY / EXTERIOR."""
-        if self.is_empty:
+        # Outside the envelope is outside, whatever the crossing count's
+        # rounding says near a vertex (and the empty ring's envelope is
+        # empty).
+        if not self._envelope.contains_point(x, y):
             return algorithms.EXTERIOR
         return algorithms.locate_point_in_ring((x, y), self._coords)

@@ -17,6 +17,7 @@ class _BaseCollection(Geometry, Generic[G]):
     """Shared machinery of the four collection types."""
 
     __slots__ = ("_geoms",)
+    is_collection = True
 
     _member_type: type | tuple[type, ...] = Geometry
 
@@ -40,6 +41,10 @@ class _BaseCollection(Geometry, Generic[G]):
     @property
     def is_empty(self) -> bool:
         return not self._geoms or all(g.is_empty for g in self._geoms)
+
+    @property
+    def dimension(self) -> int:
+        return max((g.dimension for g in self._geoms if not g.is_empty), default=-1)
 
     def __len__(self) -> int:
         return len(self._geoms)

@@ -85,10 +85,7 @@ def _clip_ring_to_envelope(ring: Sequence[Coord], env: Envelope) -> list[Coord]:
     # Drop consecutive duplicates the clipping may introduce.
     deduped: list[Coord] = []
     for c in coords:
-        if not deduped or not (
-            math.isclose(c[0], deduped[-1][0], abs_tol=1e-12)
-            and math.isclose(c[1], deduped[-1][1], abs_tol=1e-12)
-        ):
+        if not deduped or not algorithms.coincident(c, deduped[-1]):
             deduped.append(c)
     return deduped
 
@@ -181,9 +178,7 @@ def _clip_linestring(line: LineString, env: Envelope) -> Geometry:
             current = []
             continue
         start, end = clipped
-        if current and math.isclose(current[-1][0], start[0], abs_tol=1e-12) and math.isclose(
-            current[-1][1], start[1], abs_tol=1e-12
-        ):
+        if current and algorithms.coincident(current[-1], start):
             current.append(end)
         else:
             if len(current) >= 2:
@@ -204,7 +199,7 @@ def _ring_is_usable(coords: list[Coord]) -> bool:
     if len(distinct) < 3:
         return False
     closed = coords + [coords[0]]
-    return abs(algorithms.ring_signed_area(closed)) > 1e-12
+    return abs(algorithms.ring_signed_area(closed)) > algorithms._EPS
 
 
 def _empty_like(geom: Geometry) -> Geometry:

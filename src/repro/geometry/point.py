@@ -16,6 +16,7 @@ class Point(Geometry):
     """
 
     __slots__ = ("_x", "_y", "_empty")
+    dimension = 0
 
     def __init__(self, x: float | None = None, y: float | None = None) -> None:
         if (x is None) != (y is None):

@@ -20,6 +20,7 @@ class Polygon(Geometry):
     """
 
     __slots__ = ("_shell", "_holes")
+    dimension = 2
 
     def __init__(
         self,
@@ -80,14 +81,6 @@ class Polygon(Geometry):
             if hole_loc == algorithms.BOUNDARY:
                 return algorithms.BOUNDARY
         return algorithms.INTERIOR
-
-    def covers_point(self, x: float, y: float) -> bool:
-        """True when the point is in the polygon's interior or boundary."""
-        return self.locate(x, y) != algorithms.EXTERIOR
-
-    def contains_point_properly(self, x: float, y: float) -> bool:
-        """True when the point is strictly inside (not on the boundary)."""
-        return self.locate(x, y) == algorithms.INTERIOR
 
     def centroid(self) -> Point:
         if self.is_empty:

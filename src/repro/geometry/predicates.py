@@ -1,6 +1,7 @@
 """Exact binary predicates over geometries.
 
-The functions here implement JTS-compatible semantics for the predicate
+This module is the one place that decides how a pair of geometries is
+classified.  It implements JTS-compatible semantics for the predicate
 set STARK exposes:
 
 - :func:`intersects` -- the geometries share at least one point,
@@ -8,11 +9,24 @@ set STARK exposes:
   interior (JTS ``contains``: a polygon does *not* contain a point that
   only lies on its boundary),
 - :func:`covers`     -- like contains but boundary contact suffices,
-- :func:`distance`   -- minimum Euclidean distance (0 when intersecting).
+- :func:`distance`   -- minimum Euclidean distance (0 when intersecting),
+- :func:`touches`    -- they intersect but their *interiors* do not:
+  contact happens only along boundaries,
+- :func:`overlaps`   -- same-dimension geometries whose interiors
+  intersect, where neither covers the other (two partially-overlapping
+  polygons; two collinear, partially-overlapping lines),
+- :func:`crosses`    -- the interiors intersect in a set of lower
+  dimension than the higher-dimensional operand (a line crossing a
+  polygon; two lines meeting at interior points).
 
-Every function starts with an envelope test so callers can pass
-arbitrary geometries without pre-filtering.  Dispatch is by geometry
-type pair; collections distribute over their members.
+Every boolean predicate starts with an envelope test, so callers can
+pass arbitrary geometries without pre-filtering; with the box tests of
+:mod:`~repro.geometry.algorithms` exact, refinement never accepts a pair
+that test rejects.  Dispatch is by the pair of
+:attr:`~repro.geometry.base.Geometry.dimension` values; a collection
+distributes over its non-empty parts (:func:`_parts`).  Line tests probe
+vertices plus segment midpoints, which is exact for the straight-edge
+geometries this engine represents.
 """
 
 from __future__ import annotations
@@ -21,14 +35,46 @@ import math
 from typing import Callable
 
 from repro.geometry import algorithms
-from repro.geometry.algorithms import BOUNDARY, EXTERIOR, INTERIOR
+from repro.geometry.algorithms import _EPS, EXTERIOR, INTERIOR
 from repro.geometry.base import Geometry
 from repro.geometry.linestring import LineString
-from repro.geometry.multi import _BaseCollection
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 
 Coord = tuple[float, float]
+
+
+# ---------------------------------------------------------------------------
+# parts and dispatch
+# ---------------------------------------------------------------------------
+
+
+def _parts(geom: Geometry) -> list[Geometry]:
+    """The non-empty points, lines and polygons *geom* is made of.
+
+    A simple geometry is its own part; collections are flattened, so no
+    caller ever meets a collection or an empty geometry among the parts.
+    """
+    if geom.is_collection:
+        return [part for member in geom.geoms for part in _parts(member)]
+    return [] if geom.is_empty else [geom]
+
+
+def _dispatch_symmetric(a: Geometry, b: Geometry, table: dict) -> bool | float:
+    """Apply a symmetric relation, looked up by the pair of dimensions.
+
+    A collection's answer combines its parts' answers: the minimum for
+    distance, *any* for the boolean relations.
+    """
+    if a.is_collection or b.is_collection:
+        answers = (
+            _dispatch_symmetric(pa, pb, table) for pa in _parts(a) for pb in _parts(b)
+        )
+        return min(answers) if table is _DISTANCE_TABLE else any(answers)
+    da, db = a.dimension, b.dimension
+    if da <= db:
+        return table[da, db](a, b)
+    return table[db, da](b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -38,8 +84,7 @@ Coord = tuple[float, float]
 
 def intersects(a: Geometry, b: Geometry) -> bool:
     """True when *a* and *b* share at least one point."""
-    if a.is_empty or b.is_empty:
-        return False
+    # The envelope test also rejects empty geometries (empty envelopes).
     if not a.envelope.intersects(b.envelope):
         return False
     return _dispatch_symmetric(a, b, _INTERSECTS_TABLE)
@@ -108,38 +153,53 @@ def _polygon_polygon_intersects(a: Polygon, b: Polygon) -> bool:
 
 def contains(a: Geometry, b: Geometry) -> bool:
     """JTS ``contains``: *b* within *a* and *b* touches *a*'s interior."""
-    if a.is_empty or b.is_empty:
-        return False
+    # Envelope containment is False for empty envelopes on either side.
     if not a.envelope.contains(b.envelope):
         return False
-    return _dispatch(a, b, _CONTAINS_TABLE)
+    return _contains_dispatch(a, b, boundary_ok=False)
 
 
 def covers(a: Geometry, b: Geometry) -> bool:
     """``covers``: every point of *b* is a point of *a* (boundary counts)."""
-    if a.is_empty or b.is_empty:
-        return False
     if not a.envelope.contains(b.envelope):
         return False
-    return _dispatch(a, b, _COVERS_TABLE)
+    return _contains_dispatch(a, b, boundary_ok=True)
 
 
-def _point_contains(a: Point, b: Geometry) -> bool:
-    if isinstance(b, Point):
-        return a.coord == b.coord
-    if isinstance(b, _BaseCollection):
-        members = [g for g in b.geoms if not g.is_empty]
-        return bool(members) and all(_point_contains(a, g) for g in members)
-    # A point cannot contain a 1- or 2-dimensional geometry unless the
-    # geometry is degenerate to that very point.
-    return all(c == a.coord for c in b.coordinates())
-
-
-def _line_contains_point(line: LineString, p: Point) -> bool:
-    # JTS contains() excludes the line's boundary (its two endpoints),
-    # but STARK's usage treats containment set-theoretically; we keep the
-    # simpler covers-style semantics for lines and document it.
-    return _point_line_intersects(p, line)
+def _contains_dispatch(a: Geometry, b: Geometry, boundary_ok: bool) -> bool:
+    if a.is_collection or b.is_collection:
+        # Every part of b within some single part of a: sufficient, not
+        # complete.  A union of polygons jointly covering b without one
+        # covering it alone reports False; STARK's operators only
+        # exercise simple geometries on the left.
+        parts_a = _parts(a)
+        return all(
+            any(_contains_dispatch(pa, pb, boundary_ok) for pa in parts_a)
+            for pb in _parts(b)
+        )
+    if a.dimension == 0:
+        # A point contains only geometry degenerate to that very point.
+        return all(c == a.coord for c in b.coordinates())
+    if b.dimension > a.dimension:
+        return False  # a line cannot contain an areal geometry
+    if a.dimension == 1:
+        # JTS contains() excludes the line's boundary (its two endpoints),
+        # but STARK's usage treats containment set-theoretically; lines
+        # keep the simpler covers-style semantics.
+        if b.dimension == 0:
+            return _point_line_intersects(b, a)
+        return _line_contains_line(a, b)
+    if b.dimension == 0:
+        if boundary_ok:
+            return _point_polygon_intersects(b, a)
+        return _point_polygon_interiors(b, a)
+    if b.dimension == 1:
+        if boundary_ok:
+            return _polygon_covers_line(a, b)
+        return _polygon_contains_line(a, b)
+    if boundary_ok:
+        return _polygon_covers_polygon(a, b)
+    return _polygon_contains_polygon(a, b)
 
 
 def _sample_points(line: LineString) -> list[Coord]:
@@ -159,14 +219,6 @@ def _line_contains_line(a: LineString, b: LineString) -> bool:
     )
 
 
-def _polygon_covers_point(poly: Polygon, p: Point) -> bool:
-    return poly.locate(p.x, p.y) != EXTERIOR
-
-
-def _polygon_contains_point(poly: Polygon, p: Point) -> bool:
-    return poly.locate(p.x, p.y) == INTERIOR
-
-
 def _segment_properly_crosses_ring(s: Coord, e: Coord, ring: LineString) -> bool:
     """True when segment s-e crosses a ring edge at a single interior point.
 
@@ -178,16 +230,10 @@ def _segment_properly_crosses_ring(s: Coord, e: Coord, ring: LineString) -> bool
         if pt is None:
             continue
         # Ignore crossings at the probe segment's own endpoints.
-        if _close(pt, s) or _close(pt, e):
+        if algorithms.coincident(pt, s) or algorithms.coincident(pt, e):
             continue
         return True
     return False
-
-
-def _close(a: Coord, b: Coord) -> bool:
-    return math.isclose(a[0], b[0], abs_tol=1e-9) and math.isclose(
-        a[1], b[1], abs_tol=1e-9
-    )
 
 
 def _polygon_covers_line(poly: Polygon, line: LineString) -> bool:
@@ -335,19 +381,163 @@ def _polygon_polygon_distance(a: Polygon, b: Polygon) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dispatch machinery
+# interior-interior intersection
 # ---------------------------------------------------------------------------
 
 
-def _rank(g: Geometry) -> int:
-    """Order geometries by dimension for symmetric dispatch."""
-    if isinstance(g, Point):
-        return 0
-    if isinstance(g, LineString):  # includes LinearRing
-        return 1
-    if isinstance(g, Polygon):
-        return 2
-    return 3  # collections
+def _point_is_line_interior(p: Coord, line: LineString) -> bool:
+    """On the line but not one of its endpoints (a closed line has none)."""
+    if not any(algorithms.on_segment(p, s, e) for s, e in line.segments()):
+        return False
+    first, last = line.coords[0], line.coords[-1]
+    return first == last or (p != first and p != last)
+
+
+def _point_polygon_interiors(p: Point, poly: Polygon) -> bool:
+    return poly.locate(p.x, p.y) == INTERIOR
+
+
+def _segments_cross_properly(a: LineString, b: LineString) -> bool:
+    """Some pair of segments shares a point interior to both."""
+    for s1, e1 in a.segments():
+        for s2, e2 in b.segments():
+            if algorithms.orientation(s1, e1, s2) * algorithms.orientation(s1, e1, e2) < 0 and (
+                algorithms.orientation(s2, e2, s1) * algorithms.orientation(s2, e2, e1) < 0
+            ):
+                return True
+    return False
+
+
+def _collinear_overlap_length(a: LineString, b: LineString) -> bool:
+    """Some collinear segment pair shares more than a single point."""
+    for s1, e1 in a.segments():
+        for s2, e2 in b.segments():
+            if algorithms.orientation(s1, e1, s2) != 0 or algorithms.orientation(s1, e1, e2) != 0:
+                continue
+            # project onto the dominant axis of (s1, e1)
+            axis = 0 if abs(e1[0] - s1[0]) >= abs(e1[1] - s1[1]) else 1
+            lo = max(min(s1[axis], e1[axis]), min(s2[axis], e2[axis]))
+            hi = min(max(s1[axis], e1[axis]), max(s2[axis], e2[axis]))
+            if hi - lo > _EPS * max(abs(lo), abs(hi), 1.0):
+                return True
+    return False
+
+
+def _line_line_interiors(a: LineString, b: LineString) -> bool:
+    if _segments_cross_properly(a, b):
+        return True
+    if _collinear_overlap_length(a, b):
+        return True
+    # Endpoint-free contact: a vertex of one lying in the other's
+    # interior only counts if it is also interior to its own line
+    # (shared endpoints and T-junctions at endpoints are boundary contact).
+    for p in a.coords[1:-1]:
+        if _point_is_line_interior(p, b):
+            return True
+    for p in b.coords[1:-1]:
+        if _point_is_line_interior(p, a):
+            return True
+    return False
+
+
+def _line_polygon_interiors(line: LineString, poly: Polygon) -> bool:
+    """Does the line's interior meet the polygon's open interior?"""
+    # A sample strictly inside the polygon has interior points of the
+    # line around it, even when it is one of the line's endpoints.
+    if any(poly.locate(x, y) == INTERIOR for x, y in _sample_points(line)):
+        return True
+    # A segment could cross the polygon between samples only by
+    # properly crossing a ring, which puts interior points inside.
+    return any(_segments_cross_properly(line, ring) for ring in poly.rings())
+
+
+def _polygon_polygon_interiors(a: Polygon, b: Polygon) -> bool:
+    for ring_a in a.rings():
+        for ring_b in b.rings():
+            if _segments_cross_properly(ring_a, ring_b):
+                return True
+    probe_a = _polygon_interior_point(a)
+    if probe_a is not None and b.locate(*probe_a) == INTERIOR:
+        return True
+    probe_b = _polygon_interior_point(b)
+    return probe_b is not None and a.locate(*probe_b) == INTERIOR
+
+
+def _lines(geom: Geometry) -> list[LineString]:
+    return [part for part in _parts(geom) if part.dimension == 1]
+
+
+# ---------------------------------------------------------------------------
+# touches / overlaps / crosses
+# ---------------------------------------------------------------------------
+
+
+def touches(a: Geometry, b: Geometry) -> bool:
+    """Boundary-only contact: they intersect, their interiors do not.
+
+    Two equal points do not touch (point interiors are the points).
+    """
+    return intersects(a, b) and not _dispatch_symmetric(a, b, _INTERIORS_TABLE)
+
+
+def overlaps(a: Geometry, b: Geometry) -> bool:
+    """Partial same-dimension overlap; neither side covers the other."""
+    if a.dimension != b.dimension or not a.envelope.intersects(b.envelope):
+        return False
+    if covers(a, b) or covers(b, a):
+        return False
+    if a.dimension == 0:
+        # multipoints overlap when they share some but not all members
+        coords_a = set(a.coordinates())
+        coords_b = set(b.coordinates())
+        shared = coords_a & coords_b
+        return bool(shared) and shared != coords_a and shared != coords_b
+    if a.dimension == 1:
+        # lines overlap only along collinear runs (a proper crossing is
+        # a crosses relationship, not an overlap)
+        return any(
+            _collinear_overlap_length(la, lb) for la in _lines(a) for lb in _lines(b)
+        )
+    return _dispatch_symmetric(a, b, _INTERIORS_TABLE)
+
+
+def crosses(a: Geometry, b: Geometry) -> bool:
+    """Interiors intersect with lower-dimensional contact.
+
+    Supported shapes: line/line (proper interior crossing, no collinear
+    overlap), line/polygon (the line has parts strictly inside and
+    strictly outside), and point-set/higher-dim (some points interior,
+    some disjoint).
+    """
+    if not a.envelope.intersects(b.envelope):
+        return False
+    if a.dimension > b.dimension:
+        a, b = b, a
+    if a.dimension == 0 and b.dimension > 0:
+        # some point inside a line or polygon of b, some point off b
+        points = _parts(a)
+        inside = any(
+            _dispatch_symmetric(p, q, _INTERIORS_TABLE)
+            for p in points
+            for q in _parts(b)
+            if q.dimension > 0
+        )
+        return inside and any(not intersects(p, b) for p in points)
+    if a.dimension == 1 and b.dimension == 1:
+        pairs = [(la, lb) for la in _lines(a) for lb in _lines(b)]
+        properly = any(_segments_cross_properly(la, lb) for la, lb in pairs)
+        return properly and not any(_collinear_overlap_length(la, lb) for la, lb in pairs)
+    if a.dimension == 1 and b.dimension == 2:
+        outside = any(
+            not covers(b, Point(*p)) for line in _lines(a) for p in _sample_points(line)
+        )
+        return outside and _dispatch_symmetric(a, b, _INTERIORS_TABLE)
+    return False  # equal-dimension areal crossing does not exist
+
+
+# ---------------------------------------------------------------------------
+# dispatch tables: (lower dimension, higher dimension) -> f(lower, higher)
+# ---------------------------------------------------------------------------
 
 
 _INTERSECTS_TABLE: dict[tuple[int, int], Callable] = {
@@ -368,81 +558,12 @@ _DISTANCE_TABLE: dict[tuple[int, int], Callable] = {
     (2, 2): _polygon_polygon_distance,
 }
 
-
-def _dispatch_symmetric(a: Geometry, b: Geometry, table: dict) -> bool | float:
-    ra, rb = _rank(a), _rank(b)
-    if ra == 3 or rb == 3:
-        return _collection_symmetric(a, b, table)
-    if ra <= rb:
-        return table[(ra, rb)](a, b)
-    return table[(rb, ra)](b, a)
-
-
-def _collection_symmetric(a: Geometry, b: Geometry, table: dict) -> bool | float:
-    """Distribute a symmetric predicate over collection members."""
-    is_distance = table is _DISTANCE_TABLE
-    members_a = list(a.geoms) if isinstance(a, _BaseCollection) else [a]
-    members_b = list(b.geoms) if isinstance(b, _BaseCollection) else [b]
-    members_a = [g for g in members_a if not g.is_empty]
-    members_b = [g for g in members_b if not g.is_empty]
-    if is_distance:
-        if not members_a or not members_b:
-            raise ValueError("distance undefined for empty geometries")
-        return min(
-            _dispatch_symmetric(ga, gb, table) for ga in members_a for gb in members_b
-        )
-    return any(
-        _dispatch_symmetric(ga, gb, table) for ga in members_a for gb in members_b
-    )
-
-
-def _contains_dispatch(a: Geometry, b: Geometry, boundary_ok: bool) -> bool:
-    if isinstance(b, _BaseCollection):
-        members = [g for g in b.geoms if not g.is_empty]
-        return bool(members) and all(
-            _contains_dispatch(a, g, boundary_ok) for g in members
-        )
-    if isinstance(a, _BaseCollection):
-        # Sufficient (not complete) distribution: some single member
-        # covers b.  A union of polygons jointly covering b without one
-        # covering it alone reports False; STARK's operators only
-        # exercise simple geometries on the left.
-        return any(
-            _contains_dispatch(g, b, boundary_ok) for g in a.geoms if not g.is_empty
-        )
-    if isinstance(a, Point):
-        return _point_contains(a, b)
-    if isinstance(a, LineString):
-        if isinstance(b, Point):
-            return _line_contains_point(a, b)
-        if isinstance(b, LineString):
-            return _line_contains_line(a, b)
-        return False  # a line cannot contain an areal geometry
-    if isinstance(a, Polygon):
-        if isinstance(b, Point):
-            return (
-                _polygon_covers_point(a, b)
-                if boundary_ok
-                else _polygon_contains_point(a, b)
-            )
-        if isinstance(b, LineString):
-            return (
-                _polygon_covers_line(a, b)
-                if boundary_ok
-                else _polygon_contains_line(a, b)
-            )
-        if isinstance(b, Polygon):
-            return (
-                _polygon_covers_polygon(a, b)
-                if boundary_ok
-                else _polygon_contains_polygon(a, b)
-            )
-    raise TypeError(f"unsupported geometry types: {type(a)} contains {type(b)}")
-
-
-_CONTAINS_TABLE = object()  # sentinels; real dispatch below
-_COVERS_TABLE = object()
-
-
-def _dispatch(a: Geometry, b: Geometry, table: object) -> bool:
-    return _contains_dispatch(a, b, boundary_ok=table is _COVERS_TABLE)
+#: Do the interiors meet?  Point interiors are the points themselves.
+_INTERIORS_TABLE: dict[tuple[int, int], Callable] = {
+    (0, 0): _point_point_intersects,
+    (0, 1): lambda p, line: _point_is_line_interior(p.coord, line),
+    (0, 2): _point_polygon_interiors,
+    (1, 1): _line_line_interiors,
+    (1, 2): _line_polygon_interiors,
+    (2, 2): _polygon_polygon_interiors,
+}

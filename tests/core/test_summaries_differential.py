@@ -212,16 +212,28 @@ def _second_neighbour_sits_in_the_other_partition():
     return data, partitioner, [(point(-1 / 3, -1 / 3, 0.0), "intersects", 0.0)], 2
 
 
+def _probe_two_ulps_beside_the_polygon():
+    data = [
+        STObject(rectangle(0, 0, 15.333333333333332, 0.3333333333333333)),
+        point(15.333333333333334, 0.3333333333333333),
+    ]
+    probe = point(15.333333333333334, 0)
+    return data, GridPartitioner(data, 3), [(probe, "within_distance", 0.0)], 1
+
+
 @pytest.mark.parametrize(
     "case",
     [
         _query_starts_before_the_partition_does,
         _query_touches_the_extent_on_its_edge,
         _second_neighbour_sits_in_the_other_partition,
+        _probe_two_ulps_beside_the_polygon,
     ],
 )
 def test_shrunk_failures_of_broken_pruning_rules(context, case):
     """Each is what the property shrank to with one pruning rule broken
     (overlap tested on the query's start only; open bounds in space; a
-    kNN bound one unit too tight) -- kept so every run has them."""
+    kNN bound one unit too tight), or a refinement that accepted a pair
+    the envelope test rejects (a point two ulps outside a polygon at
+    distance 0) -- kept so every run has them."""
     check(context, *case())

@@ -16,6 +16,7 @@ from repro.geometry import (
     Polygon,
 )
 from repro.geometry.envelope import Envelope
+from repro.geometry.predicates import covers
 
 
 class TestPoint:
@@ -125,9 +126,9 @@ class TestPolygon:
             holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]],
         )
         assert poly.area == 96
-        assert poly.covers_point(1, 1)
-        assert not poly.covers_point(5, 5)  # inside the hole
-        assert poly.covers_point(4, 5)  # on hole boundary
+        assert covers(poly, Point(1, 1))
+        assert not covers(poly, Point(5, 5))  # inside the hole
+        assert covers(poly, Point(4, 5))  # on hole boundary
 
     def test_locate_classification(self):
         from repro.geometry import algorithms as alg

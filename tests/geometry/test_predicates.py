@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.predicates import within_distance_predicate
+from repro.core.stobject import STObject
 from repro.geometry import parse_wkt
 from repro.geometry import predicates as pred
 from repro.geometry.point import Point
@@ -217,3 +219,31 @@ class TestDistance:
 
     def test_method_matches_function(self):
         assert Point(0, 0).distance(Point(3, 4)) == 5.0
+
+
+class TestRefinementWithinEnvelope:
+    """A point two ulps right of a polygon's envelope is outside it.
+
+    It is collinear with the right edge within the tolerance, but beyond
+    the edge's box: were the box widened by the tolerance, the point would
+    sit on the edge at distance 0, and ``withinDistance(0)`` would accept
+    a pair that envelope pruning drops.
+    """
+
+    POLY = g(
+        "POLYGON ((0 0, 15.333333333333332 0, 15.333333333333332 0.3333333333333333,"
+        " 0 0.3333333333333333, 0 0))"
+    )
+    OUTSIDE = g("POINT (15.333333333333334 0)")
+
+    def test_distance_is_positive(self):
+        assert pred.distance(self.POLY, self.OUTSIDE) > 0
+
+    def test_within_distance_zero_rejects(self):
+        predicate = within_distance_predicate(0.0)
+        assert not predicate.evaluate(STObject(self.POLY), STObject(self.OUTSIDE))
+
+    def test_distance_agrees_with_envelope_distance(self):
+        assert pred.distance(self.POLY, self.OUTSIDE) == self.POLY.envelope.distance(
+            self.OUTSIDE.envelope
+        )

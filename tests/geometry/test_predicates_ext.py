@@ -1,9 +1,10 @@
-"""Extended predicates: touches, overlaps, crosses."""
+"""The DE-9IM-derived predicates: touches, overlaps, crosses."""
 
 import pytest
 
 from repro.geometry import parse_wkt
-from repro.geometry.predicates_ext import crosses, overlaps, touches
+from repro.geometry.predicates import crosses, overlaps, touches
+from tests.geometry.test_metamorphic import check_exclusive, check_symmetric
 
 
 def g(text):
@@ -146,7 +147,8 @@ class TestCrosses:
 
 
 class TestMutualExclusion:
-    """touches, overlaps and crosses are pairwise exclusive relations."""
+    """Hand-picked pairs for the drawn exclusivity and symmetry properties
+    of ``test_metamorphic.py``, checked by the same functions."""
 
     CASES = [
         ("POLYGON ((10 0, 20 0, 20 10, 10 10, 10 0))", SQUARE.wkt()),
@@ -159,13 +161,8 @@ class TestMutualExclusion:
 
     @pytest.mark.parametrize("wkt_a, wkt_b", CASES)
     def test_at_most_one_relation_holds(self, wkt_a, wkt_b):
-        a, b = g(wkt_a), g(wkt_b)
-        relations = [touches(a, b), overlaps(a, b), crosses(a, b)]
-        assert sum(relations) <= 1
+        check_exclusive(g(wkt_a), g(wkt_b))
 
     @pytest.mark.parametrize("wkt_a, wkt_b", CASES)
     def test_symmetry(self, wkt_a, wkt_b):
-        a, b = g(wkt_a), g(wkt_b)
-        assert touches(a, b) == touches(b, a)
-        assert overlaps(a, b) == overlaps(b, a)
-        assert crosses(a, b) == crosses(b, a)
+        check_symmetric(g(wkt_a), g(wkt_b))
