@@ -10,6 +10,7 @@ point-in-polygon with an explicit boundary pass.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 Coord = tuple[float, float]
@@ -20,10 +21,18 @@ Coord = tuple[float, float]
 # arithmetic (``coincident``, relative to their magnitude).  Box tests
 # -- whether a point lies within a segment's extent -- are exact, so
 # whatever the kernel places on an edge lies inside that edge's envelope
-# and refinement never accepts a pair the envelope test rejects.  JTS
-# uses exact arithmetic; STARK's observable behaviour only needs the
-# outcomes to be stable for non-degenerate inputs.
+# and refinement never accepts a pair the envelope test rejects.  The
+# tolerance only adds contact: a segment reaching across an edge from a
+# point collinear with it only within the tolerance still crosses it
+# (``segments_intersect`` decides that case on exact signs).  JTS uses
+# exact arithmetic; STARK's observable behaviour only needs the outcomes
+# to be stable for non-degenerate inputs.
 _EPS = 1e-12
+
+
+def cross(p: Coord, q: Coord, r: Coord) -> float:
+    """The cross product (q - p) x (r - p), with no tolerance applied."""
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
 def orientation(p: Coord, q: Coord, r: Coord) -> int:
@@ -32,13 +41,20 @@ def orientation(p: Coord, q: Coord, r: Coord) -> int:
     Returns 1 for a counter-clockwise turn, -1 for clockwise and 0 for
     (nearly) collinear points.
     """
-    cross = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    turn = cross(p, q, r)
     scale = max(
         abs(q[0] - p[0]), abs(q[1] - p[1]), abs(r[0] - p[0]), abs(r[1] - p[1]), 1.0
     )
-    if abs(cross) <= _EPS * scale * scale:
+    if abs(turn) <= _EPS * scale * scale:
         return 0
-    return 1 if cross > 0 else -1
+    return 1 if turn > 0 else -1
+
+
+def exact_orientation(p: Coord, q: Coord, r: Coord) -> int:
+    """:func:`orientation` without the tolerance, decided on Fractions
+    (no rounding, no underflow; slow, so kept for near-collinear input)."""
+    turn = cross(*((Fraction(c[0]), Fraction(c[1])) for c in (p, q, r)))
+    return (turn > 0) - (turn < 0)
 
 
 def on_segment(p: Coord, a: Coord, b: Coord) -> bool:
@@ -71,17 +87,24 @@ def segments_intersect(a1: Coord, a2: Coord, b1: Coord, b2: Coord) -> bool:
 
     if o1 * o2 < 0 and o3 * o4 < 0:
         return True  # a proper crossing
-    # Collinear overlap / endpoint-touch cases: a collinear endpoint
-    # counts only inside the other segment's box.
-    if o1 == 0 and on_segment(b1, a1, a2):
+    # An endpoint collinear within the tolerance touches the other
+    # segment only inside that segment's box ...
+    if (
+        (o1 == 0 and on_segment(b1, a1, a2))
+        or (o2 == 0 and on_segment(b2, a1, a2))
+        or (o3 == 0 and on_segment(a1, b1, b2))
+        or (o4 == 0 and on_segment(a2, b1, b2))
+    ):
         return True
-    if o2 == 0 and on_segment(b2, a1, a2):
-        return True
-    if o3 == 0 and on_segment(a1, b1, b2):
-        return True
-    if o4 == 0 and on_segment(a2, b1, b2):
-        return True
-    return False
+    if o1 and o2 and o3 and o4:
+        return False
+    # ... but may still lie strictly across the other line: then the
+    # exact signs decide whether the segments properly cross.
+    s1 = exact_orientation(a1, a2, b1)
+    s2 = exact_orientation(a1, a2, b2)
+    s3 = exact_orientation(b1, b2, a1)
+    s4 = exact_orientation(b1, b2, a2)
+    return s1 * s2 < 0 and s3 * s4 < 0
 
 
 def segment_intersection_point(

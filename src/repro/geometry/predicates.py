@@ -343,6 +343,10 @@ def _point_point_distance(a: Point, b: Point) -> float:
 
 
 def _point_line_distance(p: Point, line: LineString) -> float:
+    # On the line is distance 0, as for every other pair: a projection
+    # can round (or underflow) a point on a segment to a hair off it.
+    if _point_line_intersects(p, line):
+        return 0.0
     return min(
         algorithms.point_segment_distance(p.coord, s, e) for s, e in line.segments()
     )

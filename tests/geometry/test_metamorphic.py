@@ -12,10 +12,12 @@ crosses are pairwise exclusive, each implying intersects.
 One more family puts a point a few ulps either side of an edge at
 non-dyadic coordinates -- alone, or as the first vertex of a segment or
 a triangle -- where the kernel's tolerance decides: refinement may never
-accept a pair the operator's envelope test rejects.
+accept a pair the operator's envelope test rejects, nor lose a pair that
+intersects in exact arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -258,3 +260,72 @@ def test_refinement_never_accepts_what_the_envelope_test_rejects(pair, d):
     ):
         if predicate.spatial(a, b):
             assert predicate.envelope_test(a.envelope, b.envelope), predicate.name
+
+
+# The converse, against a reference on Fractions: the tolerance may only
+# add contact (a point within it of an edge counts as on the edge), never
+# lose a pair that exactly intersects.
+
+
+def exact_edges(geom):
+    """*geom*'s segments as Fractions; a point is a zero-length segment."""
+    if isinstance(geom, Point):
+        p = tuple(map(Fraction, geom.coord))
+        return [(p, p)]
+    return [(tuple(map(Fraction, s)), tuple(map(Fraction, e))) for s, e in edges(geom)]
+
+
+def exact_cross(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def exact_on(p, a, b):
+    return (
+        exact_cross(a, b, p) == 0
+        and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def exact_meet(a1, a2, b1, b2):
+    if (
+        exact_cross(a1, a2, b1) * exact_cross(a1, a2, b2) < 0
+        and exact_cross(b1, b2, a1) * exact_cross(b1, b2, a2) < 0
+    ):
+        return True
+    return (
+        exact_on(b1, a1, a2)
+        or exact_on(b2, a1, a2)
+        or exact_on(a1, b1, b2)
+        or exact_on(a2, b1, b2)
+    )
+
+
+def exact_inside(p, poly):
+    """Ray-crossing parity over *poly*'s rings (boundary points are
+    :func:`exact_meet`'s to find)."""
+    inside = False
+    for s, e in exact_edges(poly):
+        if (s[1] <= p[1] < e[1]) or (e[1] <= p[1] < s[1]):
+            if s[0] + (p[1] - s[1]) * (e[0] - s[0]) / (e[1] - s[1]) > p[0]:
+                inside = not inside
+    return inside
+
+
+def exact_intersects(a, b):
+    """An edge of one meets an edge of the other, or a vertex of one lies
+    inside the other."""
+    if any(exact_meet(*ea, *eb) for ea in exact_edges(a) for eb in exact_edges(b)):
+        return True
+    return any(
+        isinstance(outer, Polygon) and exact_inside(exact_edges(inner)[0][0], outer)
+        for outer, inner in ((a, b), (b, a))
+    )
+
+
+@given(near_edge_pairs())
+@settings(max_examples=200, deadline=None)
+def test_refinement_keeps_every_pair_that_exactly_intersects(pair):
+    if exact_intersects(*pair):
+        assert pred.intersects(*pair)
+        assert pred.distance(*pair) == 0.0

@@ -247,3 +247,28 @@ class TestRefinementWithinEnvelope:
         assert pred.distance(self.POLY, self.OUTSIDE) == self.POLY.envelope.distance(
             self.OUTSIDE.envelope
         )
+
+
+class TestCrossingFromNearEdge:
+    """A line or triangle whose first vertex lies 1e-13 outside a
+    rectangle's edge -- collinear with it within the tolerance, beyond its
+    zero-height box -- while another vertex lies strictly inside.
+
+    The crossing is decided on the raw signs, so the pair intersects; the
+    tolerance must not turn a proper crossing into a miss.
+    """
+
+    RECT = g("POLYGON ((0 -1, 1 -1, 1 0, 0 0, 0 -1))")
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            "LINESTRING (0.5 1e-13, 0.5 -0.5)",
+            "POLYGON ((0.5 1e-13, 0.8 -0.5, 0.2 -0.5, 0.5 1e-13))",
+        ],
+    )
+    def test_intersects_at_distance_zero(self, probe):
+        probe = g(probe)
+        assert pred.intersects(self.RECT, probe)
+        assert pred.intersects(probe, self.RECT)
+        assert pred.distance(self.RECT, probe) == 0.0
