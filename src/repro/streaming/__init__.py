@@ -109,7 +109,6 @@ from repro.streaming.operators import (
     broadcast_static_index,
     relax_static,
     stream_static_join,
-    within_distance_join_plan,
 )
 from repro.streaming.sinks import (
     EventFileSink,
@@ -126,9 +125,7 @@ from repro.streaming.sources import (
 from repro.streaming.state import (
     CellState,
     ContinuousJoinStatic,
-    ContinuousKnn,
     ContinuousQuery,
-    ContinuousRange,
     KeyedStateStore,
     KeyedWindowState,
     SpilledCell,
@@ -153,8 +150,6 @@ __all__ = [
     "KeyedWindowState",
     "StateConsumer",
     "ContinuousQuery",
-    "ContinuousRange",
-    "ContinuousKnn",
     "ContinuousJoinStatic",
     "Window",
     "WindowSpec",
@@ -168,7 +163,6 @@ __all__ = [
     "broadcast_static_index",
     "relax_static",
     "stream_static_join",
-    "within_distance_join_plan",
     "CheckpointManager",
     "WalWriter",
     "WalCorruptionError",

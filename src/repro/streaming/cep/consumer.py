@@ -65,11 +65,10 @@ class CepConsumer(StoreBackedConsumer):
     One consumer evaluates a set of uniquely named
     :class:`~repro.streaming.cep.rules.Rule` objects over one stream
     node.  The store is the shared core's: its ``universe`` is fixed
-    lazily from the first non-empty batch when not given,
-    ``grid``/``node_capacity`` shape it,
-    ``memory_budget_bytes``/``spill_dir`` enable LRU cell spill, and
-    ``lateness`` is the event-time slack the watermark trails behind
-    the frontier.  ``max_partials`` bounds live partial matches per
+    lazily from the first non-empty batch when not given, ``grid``
+    shapes it, ``memory_budget_bytes``/``spill_dir`` enable LRU cell
+    spill, and ``lateness`` is the event-time slack the watermark
+    trails behind the frontier.  ``max_partials`` bounds live partial matches per
     sequence group (see :class:`~repro.streaming.cep.nfa.
     SequenceMatcher`).
     """
@@ -81,7 +80,6 @@ class CepConsumer(StoreBackedConsumer):
         lateness: float = 0.0,
         universe: Envelope | None = None,
         grid: int = 8,
-        node_capacity: int = 10,
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
         max_partials: int = 256,
@@ -96,7 +94,7 @@ class CepConsumer(StoreBackedConsumer):
             raise ValueError(f"rule names must be unique, got {names}")
         if lateness < 0:
             raise ValueError(f"lateness must be >= 0, got {lateness}")
-        super().__init__(node, universe, grid, node_capacity, memory_budget_bytes, spill_dir)
+        super().__init__(node, universe, grid, memory_budget_bytes, spill_dir)
         self.rules = tuple(rules)
         self.lateness = lateness
         self.max_partials = max_partials

@@ -86,26 +86,47 @@ class WalCorruptionError(StorageError):
     """A WAL segment is damaged somewhere other than its torn tail."""
 
 
+def _walk_frames(path: str) -> Iterator[bytes]:
+    """Every intact frame payload of one segment, in append order.
+
+    Raises :class:`WalCorruptionError` at the first frame that is
+    short, mis-magicked or fails its CRC.  The one frame parser: the
+    writer truncates a torn tail where :func:`scan_valid_prefix` says
+    it starts and replay stops where :func:`read_segment` does, and
+    both read this walk, so they agree by construction.
+    """
+
+    def damaged(what: str) -> WalCorruptionError:
+        return WalCorruptionError(f"corrupt WAL segment {path!r}: {what}")
+
+    with open(path, "rb") as fh:
+        while header := fh.read(_FRAME.size):
+            if len(header) < _FRAME.size:
+                raise damaged("torn frame header")
+            magic, length, crc = _FRAME.unpack(header)
+            if magic != _MAGIC:
+                raise damaged(f"bad magic {magic!r}")
+            blob = fh.read(length)
+            if len(blob) < length:
+                raise damaged("torn payload")
+            if zlib.crc32(blob) != crc:
+                raise damaged("payload crc mismatch")
+            yield blob
+
+
 def scan_valid_prefix(path: str) -> int:
     """Byte length of the segment's intact frame prefix.
 
-    Walks frames from the start and stops at the first one that is
-    short, mis-magicked or fails its CRC; everything before that offset
-    is replayable, everything after it is the torn tail a crash left.
+    Everything before that offset is replayable, everything after it
+    is the torn tail a crash left.
     """
     good = 0
-    with open(path, "rb") as fh:
-        while True:
-            header = fh.read(_FRAME.size)
-            if len(header) < _FRAME.size:
-                return good
-            magic, length, crc = _FRAME.unpack(header)
-            if magic != _MAGIC:
-                return good
-            blob = fh.read(length)
-            if len(blob) < length or zlib.crc32(blob) != crc:
-                return good
-            good += _FRAME.size + length
+    try:
+        for blob in _walk_frames(path):
+            good += _FRAME.size + len(blob)
+    except WalCorruptionError:
+        pass
+    return good
 
 
 def append_record(fh, payload: dict) -> int:
@@ -128,29 +149,12 @@ def read_segment(path: str, last_segment: bool) -> Iterator[dict]:
     non-final segment is damaged, because records after the damage
     cannot be trusted to line up with the ones already replayed.
     """
-    with open(path, "rb") as fh:
-        while True:
-            header = fh.read(_FRAME.size)
-            if not header:
-                return
-            damage = None
-            if len(header) < _FRAME.size:
-                damage = "torn frame header"
-            else:
-                magic, length, crc = _FRAME.unpack(header)
-                if magic != _MAGIC:
-                    damage = f"bad magic {magic!r}"
-                else:
-                    blob = fh.read(length)
-                    if len(blob) < length:
-                        damage = "torn payload"
-                    elif zlib.crc32(blob) != crc:
-                        damage = "payload crc mismatch"
-            if damage is not None:
-                if last_segment:
-                    return
-                raise WalCorruptionError(f"corrupt WAL segment {path!r}: {damage}")
+    try:
+        for blob in _walk_frames(path):
             yield pickle.loads(blob)
+    except WalCorruptionError:
+        if not last_segment:
+            raise
 
 
 class WalWriter:

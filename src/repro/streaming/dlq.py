@@ -53,7 +53,8 @@ Record = tuple[Any, Any]
 class DeadLetterQueue:
     """An append-only, crash-durable journal of undeliverable work.
 
-    One instance owns one directory of WAL segments.  Appends are
+    One instance owns one directory of WAL segments (rotated at the
+    writer's default size, like the checkpoint WAL's).  Appends are
     fsynced CRC frames (see module doc); reads tolerate a torn final
     frame, and reopening after a crash truncates the torn tail so
     post-restart entries are never stranded.  A queue may be shared by
@@ -61,10 +62,10 @@ class DeadLetterQueue:
     sink name at replay time.
     """
 
-    def __init__(self, directory: str, segment_bytes: int = 1 << 20) -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self._wal = WalWriter(directory, segment_bytes)
+        self._wal = WalWriter(directory)
         #: ``sink_window`` entries appended through this instance.
         self.windows_added = 0
         #: ``poison_record`` entries appended through this instance.

@@ -40,14 +40,8 @@ from repro.streaming.operators import (
     broadcast_static_index,
     relax_static,
     stream_static_join,
-    within_distance_join_plan,
 )
-from repro.streaming.state import (
-    ContinuousJoinStatic,
-    ContinuousKnn,
-    ContinuousRange,
-    StateConsumer,
-)
+from repro.streaming.state import ContinuousJoinStatic, ContinuousQuery, StateConsumer
 from repro.streaming.window import Window, WindowSpec
 
 Record = tuple[STObject, Any]
@@ -282,17 +276,13 @@ class SpatialDStream(DStream):
     ) -> "SpatialDStream":
         """Stream-static ``withinDistance`` join against *reference*.
 
-        Envelope pruning through the broadcast tree for the Euclidean
-        metric; other metrics scan the reference per record (pruning
-        would be unsound, see :mod:`repro.streaming.operators`).
+        :meth:`join_static` with a :func:`~repro.core.predicates.
+        within_distance_predicate`, whose candidate region prunes the
+        tree probe for the Euclidean metric and covers the whole
+        reference for any other (see :mod:`repro.streaming.operators`).
         """
         predicate = within_distance_predicate(max_distance, distance_fn)
-        margin, prune = within_distance_join_plan(max_distance, distance_fn)
-        index = broadcast_static_index(self._ssc.spark_context, reference, order)
-        return self._derive(
-            lambda rdd: stream_static_join(rdd, index, predicate, margin, prune),
-            f"{self.name}.within_distance_static",
-        )
+        return self.join_static(reference, predicate, order)
 
     def window(
         self,
@@ -313,7 +303,6 @@ class SpatialDStream(DStream):
         origin: float = 0.0,
         universe: "Envelope | None" = None,
         grid: int = 8,
-        node_capacity: int = 10,
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
     ) -> "ContinuousWindowedStream":
@@ -324,9 +313,9 @@ class SpatialDStream(DStream):
         batch operators over its full record list, records are
         assigned to grid cells at ingest and held in a
         :class:`~repro.streaming.state.KeyedStateStore` -- one copy
-        each, indexed once -- and the standing queries registered on
-        the returned stream answer each closing window from the
-        per-cell structures.  Window membership is the same state
+        each -- and the standing queries registered on the returned
+        stream answer each closing window by scanning the grid cells
+        their extents cannot prune.  Window membership is the same state
         :meth:`window` runs on; results are identical to the batch
         recomputation, only the query cost profile changes (a window
         advance touches entering/leaving records, not the whole
@@ -349,7 +338,6 @@ class SpatialDStream(DStream):
             lateness=lateness,
             universe=universe,
             grid=grid,
-            node_capacity=node_capacity,
             memory_budget_bytes=memory_budget_bytes,
             spill_dir=spill_dir,
         )
@@ -362,7 +350,6 @@ class SpatialDStream(DStream):
         lateness: float = 0.0,
         universe: "Envelope | None" = None,
         grid: int = 8,
-        node_capacity: int = 10,
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
         max_partials: int = 256,
@@ -380,8 +367,8 @@ class SpatialDStream(DStream):
         per-match sinks via ``.deliver_to()``.
 
         Event payloads are held in the same grid-keyed state store as
-        :meth:`continuous` (``universe``/``grid``/``node_capacity``
-        fix the grid; ``memory_budget_bytes``/``spill_dir`` enable
+        :meth:`continuous` (``universe``/``grid`` fix the grid;
+        ``memory_budget_bytes``/``spill_dir`` enable
         cold-cell spill), matcher state checkpoints with the stream,
         and ``lateness`` is the event-time slack before the watermark
         -- events later than that are dropped and counted.
@@ -396,7 +383,6 @@ class SpatialDStream(DStream):
             lateness=lateness,
             universe=universe,
             grid=grid,
-            node_capacity=node_capacity,
             memory_budget_bytes=memory_budget_bytes,
             spill_dir=spill_dir,
             max_partials=max_partials,
@@ -561,11 +547,17 @@ class ContinuousWindowedStream:
         """Continuous range/predicate query (default: paper eq. (1)).
 
         Per closed window: the window's records matching *predicate*
-        against *query*, answered from the cell-pruned per-cell R-trees
-        -- equal to :func:`repro.core.filter.filter_no_index` over the
-        window under the static-side temporal relaxation.
+        against *query*, answered by :meth:`~repro.streaming.state.
+        KeyedStateStore.query_range` (one scan of each cell the extents
+        cannot prune) -- equal to :func:`repro.core.filter.
+        filter_no_index` over the window under the static-side temporal
+        relaxation.
         """
-        return self._consumer.add_query(ContinuousRange(query, predicate)).sink
+        query_obj = query if isinstance(query, STObject) else STObject(query)
+        pred = resolve_predicate(predicate)
+        return self._consumer.add_query(
+            ContinuousQuery(lambda store, window: store.query_range(query_obj, pred, window))
+        ).sink
 
     def knn(
         self,
@@ -579,7 +571,12 @@ class ContinuousWindowedStream:
         equal to :func:`repro.core.knn.knn` over the window, answered
         from a per-query heap fed cells in ascending bound order.
         """
-        return self._consumer.add_query(ContinuousKnn(query, k, distance_fn)).sink
+        query_obj = query if isinstance(query, STObject) else STObject(query)
+        return self._consumer.add_query(
+            ContinuousQuery(
+                lambda store, window: store.query_knn(query_obj, k, window, distance_fn)
+            )
+        ).sink
 
     def intersects_static(
         self,

@@ -15,11 +15,13 @@ probes the tree per partition -- the same build-once/probe-many design
 STARK uses for its repartition join, applied across batches instead of
 across partitions (GeoFlink's "spatial join with a static side" shape).
 
-Candidate pruning mirrors :func:`repro.core.predicates.
-within_distance_predicate`: envelope probes are only *valid* pruning
-for intersection-style predicates and the Euclidean metric; any other
-distance function degrades to a full reference scan so candidates stay
-complete, and the exact predicate then decides.
+Every stream record probes the tree through one rule,
+:func:`probe_static`: the predicate's candidate region around the
+record's envelope (the rule :mod:`repro.core.join` probes its live
+trees with), then the exact predicate.  A ``withinDistance`` predicate
+buffers the region by its distance under the Euclidean metric and
+widens it to the whole plane under any other, where an envelope gap
+proves nothing -- so candidates stay complete without a second path.
 
 **Temporal semantics.**  The paper's combined predicate (eqs. (1)-(3))
 rejects a mixed pair where exactly one side has a temporal component.
@@ -37,7 +39,6 @@ from typing import Any, Iterator, Sequence
 
 from repro.core.predicates import STPredicate, combine
 from repro.core.stobject import STObject
-from repro.geometry.distance import DistanceFunction, euclidean, resolve
 from repro.index.rtree import STRTree
 from repro.spark.broadcast import Broadcast
 from repro.spark.cancellation import Heartbeat
@@ -89,7 +90,7 @@ def build_static_index(
     bulk-loaded into one tree.
     """
     rows = reference.collect() if isinstance(reference, RDD) else list(reference)
-    return STRTree(((st.geo.envelope, (st, v)) for st, v in rows), node_capacity=order)
+    return STRTree(((st.geo.envelope, (st, v)) for st, v in rows), order)
 
 
 def broadcast_static_index(
@@ -99,23 +100,24 @@ def broadcast_static_index(
     return sc.broadcast(build_static_index(reference, order))
 
 
-def stream_static_join(
-    batch_rdd: RDD,
-    index: Broadcast,
-    predicate: STPredicate,
-    envelope_margin: float = 0.0,
-    prune: bool = True,
-) -> RDD:
+def probe_static(tree: STRTree, predicate: STPredicate, st: STObject) -> list[Record]:
+    """The reference records *st* matches: the one stream-static probe.
+
+    Queries *tree* with ``predicate.candidate_region`` of the record's
+    envelope and keeps the entries for which
+    ``predicate.evaluate(st, ref_st)`` holds.
+    """
+    region = predicate.candidate_region(st.geo.envelope)
+    return [ref for ref in tree.query(region) if predicate.evaluate(st, ref[0])]
+
+
+def stream_static_join(batch_rdd: RDD, index: Broadcast, predicate: STPredicate) -> RDD:
     """Join one micro-batch against a broadcast static index.
 
     Returns ``RDD[((stream_st, stream_v), (static_st, static_v))]`` --
     one pair per matching combination, the same contract as
-    :func:`repro.core.join.spatial_join`.
-
-    ``envelope_margin`` widens the probe envelope (the Euclidean
-    ``withinDistance`` case); ``prune=False`` disables envelope probing
-    entirely and scans the full reference per record (required for
-    non-Euclidean metrics, where envelope distance proves nothing).
+    :func:`repro.core.join.spatial_join`.  Each record is probed
+    through :func:`probe_static`.
 
     The predicate is oriented like :func:`repro.core.join.spatial_join`:
     ``evaluate(stream_item, static_item)``, with the static-side
@@ -128,31 +130,7 @@ def stream_static_join(
         heartbeat = Heartbeat(every=256)
         for st, value in it:
             heartbeat.beat()
-            if prune:
-                probe = st.geo.envelope
-                if envelope_margin > 0.0:
-                    probe = probe.buffer(envelope_margin)
-                candidates = tree.query(probe)
-            else:
-                candidates = [entry for _env, entry in tree.iter_entries()]
-            for ref_st, ref_value in candidates:
-                if predicate.evaluate(st, ref_st):
-                    yield ((st, value), (ref_st, ref_value))
+            for ref in probe_static(tree, predicate, st):
+                yield ((st, value), ref)
 
     return batch_rdd.map_partitions(join_partition).set_name("stream.join_static")
-
-
-def within_distance_join_plan(
-    max_distance: float, distance_fn: "str | DistanceFunction" = euclidean
-) -> tuple[float, bool]:
-    """The ``(envelope_margin, prune)`` pair for a withinDistance join.
-
-    Euclidean gets envelope pruning with the distance as margin; every
-    other metric disables pruning (see module docstring).
-    """
-    if max_distance < 0:
-        raise ValueError("max_distance must be non-negative")
-    fn = resolve(distance_fn)
-    if fn is euclidean:
-        return (max_distance, True)
-    return (0.0, False)

@@ -17,7 +17,7 @@ that never crashed:
 2. **Restore** the snapshot into a freshly declared, identical
    pipeline: batch-id counter, stream metrics (not those mirroring
    counters other objects own -- one refresh at the end reads them),
-   every consumer's state (per-cell R-trees rebuild lazily) and every
+   every consumer's state (records re-inserted, cell extents regrown) and every
    source's cursor.
 3. **Replay** the WAL tail through the ordinary batch core -- batches
    polled after the snapshot re-run their poll's cursor deltas and

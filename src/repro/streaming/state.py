@@ -1,4 +1,4 @@
-"""Keyed, grid-partitioned streaming state with incremental per-cell indexes.
+"""Keyed, grid-partitioned streaming state: the grid is the index.
 
 The GeoFlink observation (PAPERS.md): recomputing every sliding window
 from scratch wastes exactly the work the windows share.  With windows of
@@ -7,27 +7,27 @@ windows, and the batch path pays for it that many times -- one RDD
 build, one scan, one index pass per window.  This module distributes
 the *stream itself* instead: events are assigned to grid cells at
 ingest (the same fixed grid as :class:`~repro.partitioners.grid.
-GridPartitioner`), each cell keeps an object registry plus incrementally
-maintained query structures, and a sliding-window advance touches only
-the records entering (one insert each) and leaving (one evict each) --
-every record is indexed exactly once no matter how many windows it
-spans.
+GridPartitioner`), each cell keeps an object registry plus the extents
+of its members, and a sliding-window advance touches only the records
+entering (one insert each) and leaving (one evict each) -- every record
+is stored exactly once no matter how many windows it spans.
+
+There is no per-cell tree.  A tree built once pays off when it is
+probed many times, but in a sliding window every cell changes every
+batch, so a per-cell tree would be rebuilt for about one probe each.
+Like GeoFlink, the store answers standing queries from the plain grid:
+prune cells on extent and time, then scan the surviving cells.
 
 Four layers live here:
 
-- :class:`CellState` -- one grid cell: a registry of live records, a
-  generation-rebuilt per-cell STR-tree (STR packing is build-once, so
-  "incremental" means *cell-local lazy rebuild*: mutations mark the
-  cell dirty and the next query that actually needs this cell rebuilds
-  just it -- untouched cells keep their tree across any number of
-  window advances), and spatial + temporal extents for pruning (the
-  hybrid-index motivation: temporal extents let later layers prune
-  cells in time as well as space);
+- :class:`CellState` -- one grid cell: a registry of live records and
+  their spatial + temporal extents for pruning (the hybrid-index
+  motivation: temporal extents prune cells in time as well as space);
 - :class:`KeyedStateStore` -- the keyed store: cell assignment by
   centroid (reusing the grid partitioner's arithmetic), insert/remove
   by record id, and the continuous query algorithms -- cell-pruned
-  range queries through the per-cell trees and kNN with a per-query
-  best-k heap fed cell by cell in ascending lower-bound order;
+  range queries by one scan of each surviving cell, and kNN with a
+  per-query best-k heap fed cell by cell in ascending lower-bound order;
 - :class:`KeyedWindowState` -- the one event-time windowing contract
   (watermark, lateness, closed horizon, late counters) over the store:
   one copy of each record lives in the store, an open window is a list
@@ -40,9 +40,10 @@ Four layers live here:
 
 Pruning stays *correct* under the paper's centroid assignment rule: a
 non-point geometry can stick out of its cell, so queries prune on the
-cell's **live extent** (bounds grown by member envelopes), which grows
-eagerly on insert and is recomputed exactly on the next tree rebuild
-after removals -- conservative in between, never lossy.
+cell's **live extent** (bounds grown by member envelopes).  One rule
+keeps it: an insert grows the extents exactly, only a removal makes
+them stale, and the range scan that next reads a stale cell recomputes
+them exactly -- conservative in between, never lossy.
 
 **Memory budgeting.**  With ``memory_budget_bytes`` set the store
 tracks an approximate byte footprint per cell
@@ -62,8 +63,8 @@ the normal path and re-spill under the same budget, and the store
 wipes stale spill files at construction -- crash recovery never
 depends on a spill file surviving.
 
-The continuous query classes (:class:`ContinuousRange`,
-:class:`ContinuousKnn`, :class:`ContinuousJoinStatic`) pin their
+The standing queries (:class:`ContinuousQuery`, and
+:class:`ContinuousJoinStatic` for the stream-static join) pin their
 results to the batch operators: a fired window's answer is equal to
 running the corresponding :mod:`repro.core` operator over exactly that
 window's records, which is the property the streaming state tests
@@ -86,10 +87,9 @@ from repro.core.predicates import INTERSECTS, STPredicate, resolve_predicate
 from repro.core.stobject import STObject
 from repro.geometry.distance import DistanceFunction, euclidean, resolve
 from repro.geometry.envelope import Envelope
-from repro.index.rtree import STRTree
 from repro.partitioners.grid import GridPartitioner
 from repro.spark.storage import durable_replace
-from repro.streaming.operators import build_static_index, relax_static
+from repro.streaming.operators import build_static_index, probe_static, relax_static
 from repro.streaming.window import Window, WindowSpec, event_span
 
 Record = tuple[STObject, Any]
@@ -114,45 +114,56 @@ def estimate_record_bytes(st: STObject, value: Any) -> int:
     return _RECORD_BASE_BYTES + sys.getsizeof(value)
 
 
-class CellState:
-    """One grid cell: registry, lazily rebuilt tree, live extents."""
+class CellExtents:
+    """The spatial and temporal extents of one grid cell's members.
 
-    __slots__ = (
-        "registry",
-        "_tree",
-        "_dirty",
-        "_min_x",
-        "_min_y",
-        "_max_x",
-        "_max_y",
-        "t_min",
-        "t_max",
-        "rebuilds",
-    )
+    What queries prune a cell on, shared by the in-memory
+    :class:`CellState` and the :class:`SpilledCell` stub.  The spatial
+    extent is kept as bare floats: growing four numbers on insert, the
+    store's hottest path, beats allocating a new Envelope per record.
+    A store never holds an empty cell, so the extents alone decide.
+    """
+
+    __slots__ = ("_min_x", "_min_y", "_max_x", "_max_y", "t_min", "t_max")
+
+    @property
+    def extent(self) -> Envelope:
+        """The spatial extent: covers every live member, exact unless stale."""
+        return Envelope(self._min_x, self._min_y, self._max_x, self._max_y)
+
+    def intersects_time(self, t_start: float, t_end: float) -> bool:
+        """Can any live member's span intersect ``[t_start, t_end]``?
+
+        Uses the cell's temporal extent -- the per-cell analogue of the
+        hybrid spatio-temporal index's partition time pruning.
+        """
+        return self.t_min <= t_end and self.t_max >= t_start
+
+
+class CellState(CellExtents):
+    """One grid cell: a registry of live records and their extents.
+
+    An insert grows the extents exactly; a removal leaves them covering
+    the members but possibly larger, and sets ``stale`` until
+    :meth:`refresh` makes them exact again.
+    """
+
+    __slots__ = ("registry", "stale")
 
     def __init__(self) -> None:
         #: rid -> (STObject, value, t_start, t_end)
         self.registry: dict[int, tuple[STObject, Any, float, float]] = {}
-        self._tree: STRTree | None = None
-        self._dirty = False
-        # Live spatial extent as bare floats: insert is the hottest path
-        # in the store, and growing four numbers beats allocating a new
-        # Envelope per record.
-        self._min_x = self._min_y = _INF
-        self._max_x = self._max_y = -_INF
-        #: Temporal extent of live members (conservative after removes).
-        self.t_min = _INF
-        self.t_max = -_INF
-        #: Generation rebuilds performed (the incremental-cost metric).
-        self.rebuilds = 0
+        self.refresh()  # the exact extents of no members; not stale
 
     def __len__(self) -> int:
         return len(self.registry)
 
     def insert(self, rid: int, st: STObject, value: Any, t_start: float, t_end: float) -> None:
-        """Add one record; extents grow eagerly, the tree goes stale."""
+        """Add one record; the extents grow to cover it."""
         self.registry[rid] = (st, value, t_start, t_end)
-        env = st.geo.envelope
+        self._grow(st.geo.envelope, t_start, t_end)
+
+    def _grow(self, env: Envelope, t_start: float, t_end: float) -> None:
         if env.min_x < self._min_x:
             self._min_x = env.min_x
         if env.min_y < self._min_y:
@@ -165,110 +176,52 @@ class CellState:
             self.t_min = t_start
         if t_end > self.t_max:
             self.t_max = t_end
-        self._dirty = True
 
     def remove(self, rid: int) -> None:
-        """Drop one record; extents stay conservative until a rebuild."""
+        """Drop one record; the extents go stale."""
         self.registry.pop(rid, None)
-        self._dirty = True
+        self.stale = True
 
-    @property
-    def extent(self) -> Envelope:
-        """The live spatial extent (exact after a rebuild, else grown-only)."""
-        return Envelope(self._min_x, self._min_y, self._max_x, self._max_y)
-
-    def intersects_time(self, t_start: float, t_end: float) -> bool:
-        """Can any live member's span intersect ``[t_start, t_end]``?
-
-        Uses the cell's temporal extent -- the per-cell analogue of the
-        hybrid spatio-temporal index's partition time pruning.
-        """
-        return bool(self.registry) and self.t_min <= t_end and self.t_max >= t_start
-
-    def tree(self, node_capacity: int) -> STRTree:
-        """The cell's STR-tree over live entries, rebuilt only when stale.
-
-        The rebuild also recomputes the exact spatial and temporal
-        extents, shrinking whatever slack removals left behind.
-        """
-        if self._tree is None or self._dirty:
-            self._tree = STRTree(
-                ((row[0].geo.envelope, rid) for rid, row in self.registry.items()),
-                node_capacity=node_capacity,
-            )
-            env = self._tree.envelope
-            self._min_x, self._min_y = env.min_x, env.min_y
-            self._max_x, self._max_y = env.max_x, env.max_y
-            self.t_min = min((row[2] for row in self.registry.values()), default=_INF)
-            self.t_max = max((row[3] for row in self.registry.values()), default=-_INF)
-            self._dirty = False
-            self.rebuilds += 1
-        return self._tree
+    def refresh(self) -> None:
+        """Recompute the exact extents of the live members."""
+        self._min_x = self._min_y = self.t_min = _INF
+        self._max_x = self._max_y = self.t_max = -_INF
+        for st, _value, t_start, t_end in self.registry.values():
+            self._grow(st.geo.envelope, t_start, t_end)
+        self.stale = False
 
 
-class SpilledCell:
+class SpilledCell(CellExtents):
     """The on-disk stub a spilled grid cell leaves behind.
 
     Carries just enough for query pruning -- record count, byte
-    estimate, spatial and temporal extents (frozen at spill time, so
-    exactly as conservative as the cell they came from) -- plus the
-    spill file path and the set of record ids removed *while* spilled
-    (``dead``), which the loader filters out.  Holds no records: any
-    operation that needs them goes through
-    :meth:`KeyedStateStore._load_cell`.
+    estimate, the extents of the cell it freezes (exactly as
+    conservative as that cell's were) -- plus the spill file path and
+    the set of record ids removed *while* spilled (``dead``), which the
+    loader filters out.  Holds no records: any operation that needs
+    them goes through :meth:`KeyedStateStore._load_cell`.
     """
 
-    __slots__ = (
-        "path",
-        "count",
-        "bytes",
-        "_min_x",
-        "_min_y",
-        "_max_x",
-        "_max_y",
-        "t_min",
-        "t_max",
-        "dead",
-    )
+    __slots__ = ("path", "count", "bytes", "dead")
 
-    def __init__(
-        self,
-        path: str,
-        count: int,
-        byte_estimate: int,
-        min_x: float,
-        min_y: float,
-        max_x: float,
-        max_y: float,
-        t_min: float,
-        t_max: float,
-    ) -> None:
+    def __init__(self, path: str, cell: CellState, byte_estimate: int) -> None:
         self.path = path
         #: Live records on disk (decremented by deferred removals).
-        self.count = count
+        self.count = len(cell)
         #: Estimated bytes the spill moved out of memory.
         self.bytes = byte_estimate
-        self._min_x, self._min_y = min_x, min_y
-        self._max_x, self._max_y = max_x, max_y
-        self.t_min, self.t_max = t_min, t_max
+        self._min_x, self._min_y = cell._min_x, cell._min_y
+        self._max_x, self._max_y = cell._max_x, cell._max_y
+        self.t_min, self.t_max = cell.t_min, cell.t_max
         #: Record ids evicted while the cell was on disk.
         self.dead: set[int] = set()
 
     def __len__(self) -> int:
         return self.count
 
-    @property
-    def extent(self) -> Envelope:
-        """The spilled cell's spatial extent, frozen at spill time."""
-        return Envelope(self._min_x, self._min_y, self._max_x, self._max_y)
-
-    def intersects_time(self, t_start: float, t_end: float) -> bool:
-        """Temporal pruning against the frozen extent (conservative)."""
-        return self.count > 0 and self.t_min <= t_end and self.t_max >= t_start
-
 
 class KeyedStateStore:
-    """A grid-keyed registry of live stream records with per-cell indexes.
+    """A grid-keyed registry of live stream records with per-cell extents.
 
     ``universe`` fixes the grid (``grid`` cells per dimension) the way
     :class:`~repro.partitioners.grid.GridPartitioner` lays it out;
@@ -295,7 +248,6 @@ class KeyedStateStore:
         self,
         universe: Envelope | None,
         grid: int = 8,
-        node_capacity: int = 10,
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
         injector_source: Callable[[], Any] | None = None,
@@ -307,7 +259,6 @@ class KeyedStateStore:
                 )
             if spill_dir is None:
                 raise ValueError("memory_budget_bytes requires a spill_dir")
-        self.node_capacity = node_capacity
         self.memory_budget_bytes = memory_budget_bytes
         self.spill_dir = spill_dir
         self._grid = grid
@@ -323,7 +274,6 @@ class KeyedStateStore:
         )
         self._cells: dict[int, CellState | SpilledCell] = {}
         self._locations: dict[int, int] = {}
-        self._retired_rebuilds = 0
         self.inserts = 0
         self.removes = 0
         self._cell_bytes: dict[int, int] = {}
@@ -376,11 +326,13 @@ class KeyedStateStore:
 
     @property
     def cell_rebuilds(self) -> int:
-        """Total generation rebuilds across all cells so far."""
-        return (
-            sum(c.rebuilds for c in self._cells.values() if isinstance(c, CellState))
-            + self._retired_rebuilds
-        )
+        """Always 0: cells hold no tree to rebuild.
+
+        Kept only because ``bench/streams.py`` (lines 142, 227, 243)
+        still reads it for the ``streaming.state.cell_rebuilds`` metric;
+        the reader, the metric and this property go together.
+        """
+        return 0
 
     @property
     def spilled_cells(self) -> int:
@@ -460,7 +412,6 @@ class KeyedStateStore:
                 self._bytes_in_memory -= estimate
         cell.remove(rid)
         if not cell.registry:
-            self._retired_rebuilds += cell.rebuilds
             del self._cells[pid]
             self._cell_bytes.pop(pid, None)
             self._touch.pop(pid, None)
@@ -547,18 +498,7 @@ class KeyedStateStore:
                 pass
             return False
         freed = self._cell_bytes.pop(pid, 0)
-        self._cells[pid] = SpilledCell(
-            path,
-            len(rows),
-            freed,
-            cell._min_x,
-            cell._min_y,
-            cell._max_x,
-            cell._max_y,
-            cell.t_min,
-            cell.t_max,
-        )
-        self._retired_rebuilds += cell.rebuilds
+        self._cells[pid] = SpilledCell(path, cell, freed)
         self._touch.pop(pid, None)
         self._bytes_in_memory -= freed
         self._spilled_bytes += freed
@@ -619,10 +559,9 @@ class KeyedStateStore:
     def snapshot(self) -> dict:
         """Picklable store state for checkpoints.
 
-        The per-cell R-trees are deliberately *not* serialized: the
-        snapshot carries the universe, every live ``(rid, st, value,
-        t_start, t_end)`` row sorted by rid, and the cumulative spill
-        counters.  Spilled cells are embedded too (their rows read from
+        The snapshot carries the universe, every live ``(rid, st,
+        value, t_start, t_end)`` row sorted by rid, and the cumulative
+        spill counters; cell extents are re-derived on restore.  Spilled cells are embedded too (their rows read from
         disk without loading them back), so a snapshot is
         self-contained and never depends on a spill file outliving the
         process.
@@ -646,10 +585,8 @@ class KeyedStateStore:
     def restore(self, snapshot: dict) -> None:
         """Reset to a :meth:`snapshot` (recovery).
 
-        Every row re-enters through :meth:`insert`, which marks its
-        cell dirty -- the first query touching a cell after recovery
-        rebuilds its tree lazily, like any other mutation -- and
-        re-spills under the same budget.
+        Every row re-enters through :meth:`insert`, which grows its
+        cell's extents exactly, and re-spills under the same budget.
         """
         universe = snapshot["universe"]
         self._reset(None if universe is None else Envelope(*universe))
@@ -696,11 +633,12 @@ class KeyedStateStore:
 
         Cells are pruned by live extent against the predicate's
         candidate region (and by temporal extent against the window);
-        surviving cells answer from their R-tree, and candidates are
-        refined with the exact predicate -- the live-indexing shape of
-        :func:`repro.core.filter.filter_live_index`, scoped to the
-        touched cells only.  Equal to the batch filter over the
-        window's records under the static-side relaxation.
+        each surviving cell is scanned once, testing every member's
+        envelope against the candidate region, then its span against
+        the window, then the exact predicate.  A stale cell gets its
+        exact extents back from the same visit.  Equal to the batch
+        filter over the window's records under the static-side
+        relaxation.
         """
         predicate = relax_static(resolve_predicate(predicate))
         region = predicate.candidate_region(query.geo.envelope)
@@ -712,11 +650,13 @@ class KeyedStateStore:
                 continue
             if isinstance(cell, SpilledCell):
                 # Pruning failed to exclude it, so the query genuinely
-                # needs this cell's tree: transparent reload on touch.
+                # needs this cell's records: transparent reload on touch.
                 cell = self._load_cell(pid)
-            registry = cell.registry
-            for rid in cell.tree(self.node_capacity).query(region):
-                st, value, t_start, t_end = registry[rid]
+            elif cell.stale:
+                cell.refresh()
+            for st, value, t_start, t_end in cell.registry.values():
+                if not st.geo.envelope.intersects(region):
+                    continue
                 if window is not None and not window.intersects_span(t_start, t_end):
                     continue
                 if predicate.evaluate(st, query):
@@ -964,16 +904,19 @@ class KeyedWindowState:
 class ContinuousQuery:
     """One standing query evaluated against the store per closed window.
 
-    Subclasses implement :meth:`evaluate`; :meth:`on_insert` /
-    :meth:`on_evict` are the incremental hooks (the stream-static join
-    matches each record once, at ingest).  Results accumulate in
+    ``evaluate(store, window)`` computes a closed window's result (a
+    range or kNN query is one call of :meth:`KeyedStateStore.
+    query_range` / :meth:`KeyedStateStore.query_knn`); :meth:`on_insert`
+    / :meth:`on_evict` are the incremental hooks (the stream-static
+    join matches each record once, at ingest).  Results accumulate in
     ``sink`` as ``(window, result)`` pairs, the windowed-sink contract.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, evaluate: Callable[[KeyedStateStore, Window], Any]) -> None:
         from repro.streaming.dstream import Sink
 
         self.sink = Sink()
+        self.evaluate = evaluate
 
     def on_insert(self, rid: int, st: STObject, value: Any) -> None:
         """Incremental per-record hook at ingest (default: nothing)."""
@@ -981,54 +924,22 @@ class ContinuousQuery:
     def on_evict(self, rid: int) -> None:
         """Incremental per-record hook at eviction (default: nothing)."""
 
-    def evaluate(self, store: KeyedStateStore, window: Window) -> Any:
-        """The window's result (subclass responsibility)."""
-        raise NotImplementedError
-
     def emit(self, store: KeyedStateStore, window: Window) -> None:
         """Evaluate and record one closed window."""
         self.sink.append(window, self.evaluate(store, window))
-
-
-class ContinuousRange(ContinuousQuery):
-    """Continuous range/predicate filter (default: paper eq. (1))."""
-
-    def __init__(self, query: "STObject | str", predicate: "str | STPredicate" = INTERSECTS) -> None:
-        super().__init__()
-        self.query = query if isinstance(query, STObject) else STObject(query)
-        self.predicate = relax_static(resolve_predicate(predicate))
-
-    def evaluate(self, store: KeyedStateStore, window: Window) -> list[Record]:
-        return store.query_range(self.query, self.predicate, window)
-
-
-class ContinuousKnn(ContinuousQuery):
-    """Continuous k-nearest-neighbours of a fixed query object."""
-
-    def __init__(
-        self,
-        query: "STObject | str",
-        k: int,
-        distance_fn: "str | DistanceFunction" = euclidean,
-    ) -> None:
-        super().__init__()
-        self.query = query if isinstance(query, STObject) else STObject(query)
-        self.k = k
-        self.distance_fn = distance_fn
-
-    def evaluate(self, store: KeyedStateStore, window: Window) -> list[tuple[float, Record]]:
-        return store.query_knn(self.query, self.k, window, self.distance_fn)
 
 
 class ContinuousJoinStatic(ContinuousQuery):
     """Continuous stream-static join against a fixed reference dataset.
 
     The reference is R-tree-indexed once; each stream record is probed
-    against it exactly *once*, at ingest, and the matches are cached by
-    record id -- a window's join result is then just the union of the
-    cached matches of the records in the window, however many sliding
-    windows the record lives through.  Same output contract as
-    :func:`repro.streaming.operators.stream_static_join`.
+    against it exactly *once*, at ingest, through the same rule as
+    :func:`repro.streaming.operators.stream_static_join`
+    (:func:`~repro.streaming.operators.probe_static`), and the matches
+    are cached by record id -- a window's join result is then just the
+    union of the cached matches of the records in the window, however
+    many sliding windows the record lives through.  Same output
+    contract as the per-batch join.
     """
 
     def __init__(
@@ -1037,26 +948,25 @@ class ContinuousJoinStatic(ContinuousQuery):
         predicate: "str | STPredicate" = INTERSECTS,
         order: int = 10,
     ) -> None:
-        super().__init__()
+        super().__init__(self.window_matches)
         self.predicate = relax_static(resolve_predicate(predicate))
         self._tree = build_static_index(reference, order)
         self._matches: dict[int, list[Record]] = {}
         self.probes = 0
 
     def on_insert(self, rid: int, st: STObject, value: Any) -> None:
+        """Probe the reference once and cache the record's matches."""
         self.probes += 1
-        matched = [
-            (ref_st, ref_value)
-            for ref_st, ref_value in self._tree.query(st.geo.envelope)
-            if self.predicate.evaluate(st, ref_st)
-        ]
+        matched = probe_static(self._tree, self.predicate, st)
         if matched:
             self._matches[rid] = matched
 
     def on_evict(self, rid: int) -> None:
+        """Forget an evicted record's cached matches."""
         self._matches.pop(rid, None)
 
-    def evaluate(self, store: KeyedStateStore, window: Window) -> list[tuple[Record, Record]]:
+    def window_matches(self, store: KeyedStateStore, window: Window) -> list[tuple[Record, Record]]:
+        """The cached matches of the window's records, as join pairs."""
         out: list[tuple[Record, Record]] = []
         for rid, st, value in store.iter_window(window):
             for ref_st, ref_value in self._matches.get(rid, ()):
@@ -1083,7 +993,6 @@ class StoreBackedConsumer:
         node,
         universe: Envelope | None,
         grid: int,
-        node_capacity: int,
         memory_budget_bytes: int | None,
         spill_dir: str | None,
     ) -> None:
@@ -1093,7 +1002,6 @@ class StoreBackedConsumer:
         self.store = KeyedStateStore(
             universe,
             grid=grid,
-            node_capacity=node_capacity,
             memory_budget_bytes=memory_budget_bytes,
             spill_dir=spill_dir,
             injector_source=self._injector,
@@ -1148,11 +1056,10 @@ class StateConsumer(StoreBackedConsumer):
         lateness: float = 0.0,
         universe: Envelope | None = None,
         grid: int = 8,
-        node_capacity: int = 10,
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
     ) -> None:
-        super().__init__(node, universe, grid, node_capacity, memory_budget_bytes, spill_dir)
+        super().__init__(node, universe, grid, memory_budget_bytes, spill_dir)
         self.spec = spec
         self.state = KeyedWindowState(spec, self.store, lateness)
         self.queries: list[ContinuousQuery] = []

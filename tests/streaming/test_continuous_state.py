@@ -6,9 +6,10 @@ over exactly that window's records -- while the keyed store holds one
 copy of each record no matter how many sliding windows it spans.  This
 suite pins the equality for range, kNN and stream-static join under
 the threads and processes executors, checks the store's incremental
-bookkeeping (single-copy inserts, watermark-driven eviction, cell-local
-rebuilds), and replays the whole pipeline under seeded chaos to show
-absorption stays exactly-once across injected faults.
+bookkeeping (single-copy inserts, watermark-driven eviction, cell
+extents that removals loosen and the next scan makes exact), and
+replays the whole pipeline under seeded chaos to show absorption stays
+exactly-once across injected faults.
 """
 
 from __future__ import annotations
@@ -212,32 +213,39 @@ class TestKeyedStoreUnit:
         assert sorted(v for _rid, _st, v in early) == [0, 1, 2]
         assert list(store.iter_window(Window(100.0, 200.0))) == []
 
-    def test_remove_retires_cells_and_keeps_rebuild_totals(self):
+    def test_remove_retires_cells(self):
         store = self.make_store(grid=2)
         self.fill(store, n=6)
         store.query_range(STObject("POLYGON ((0 0, 50 0, 50 50, 0 50, 0 0))"))
-        built = store.cell_rebuilds
-        assert built > 0
         for i in range(6):
             store.remove(i)
         assert store.size == 0
         assert store.cells_used == 0
-        # Rebuild totals survive cell retirement (the bench metric).
-        assert store.cell_rebuilds == built
 
-    def test_rebuilds_are_cell_local(self):
-        store = self.make_store(grid=4)
+    def test_extent_exact_after_scan(self):
+        def members(cell):
+            rows = cell.registry.values()
+            env = Envelope.empty()
+            for st, _value, _t_start, _t_end in rows:
+                env = env.merge(st.geo.envelope)
+            return env, min(row[2] for row in rows), max(row[3] for row in rows)
+
+        store = KeyedStateStore(Envelope(0.0, 0.0, 50.0, 50.0), grid=1)
         self.fill(store, n=12)
-        probe = STObject("POLYGON ((0 0, 12 0, 12 12, 0 12, 0 0))")
-        store.query_range(probe)
-        first = store.cell_rebuilds
-        # Same query again: every touched cell's tree is warm.
-        store.query_range(probe)
-        assert store.cell_rebuilds == first
-        # A mutation outside the probed region leaves those trees warm too.
-        store.insert(99, STObject("POINT (49 49)", 0.0), 99, 0.0, 0.0)
-        store.query_range(probe)
-        assert store.cell_rebuilds == first
+        # A polygon reaching out of the cell's members, then gone again.
+        store.insert(50, STObject("POLYGON ((40 40, 60 40, 60 60, 40 60, 40 40))"), 50, 30.0, 40.0)
+        for rid in (50, 0, 11):
+            store.remove(rid)
+        (cell,) = store._cells.values()
+        live, t_min, t_max = members(cell)
+        # Stale: never smaller than the live members' extent.
+        assert cell.extent.contains(live) and cell.extent != live
+        assert cell.t_min <= t_min and cell.t_max >= t_max
+        assert (cell.t_min, cell.t_max) != (t_min, t_max)
+        # A range query scans the cell and makes its extents exact again.
+        store.query_range(STObject("POINT (7 11)"))
+        assert cell.extent == live
+        assert (cell.t_min, cell.t_max) == (t_min, t_max)
 
     def test_window_state_eviction_follows_watermark(self):
         store = self.make_store()

@@ -167,6 +167,37 @@ def test_within_distance_static_equals_exhaustive(exec_sc):
     assert got == expected
 
 
+@pytest.mark.parametrize(
+    "distance_fn, max_distance", [("euclidean", 5.0), ("haversine", 500_000.0)]
+)
+def test_continuous_within_distance_join_equals_per_batch(sc, distance_fn, max_distance):
+    """Points meet points only at a distance, so a probe that ignores
+    the candidate region finds (next to) none of these pairs."""
+    reference = [
+        (STObject(f"POINT ({x} {y})"), name)
+        for x, y, name in ((10, 10, "w"), (13, 8, "sw"), (40, 15, "e"), (25, 40, "n"))
+    ]
+    batches = make_batches(seed=41)
+    ssc = StreamingContext(sc)
+    source, events = ssc.queue_stream(batches)
+    per_batch = events.within_distance_static(reference, max_distance, distance_fn).collect_batches()
+    predicate = within_distance_predicate(max_distance, distance_fn)
+    continuous = events.continuous(length=WINDOW).intersects_static(reference, predicate)
+    ssc.run_batches(BATCHES, batch_times=[0.0] * BATCHES)
+    ssc.stop()
+
+    matches: dict = {}
+    for _batch, rows in per_batch.results():
+        for (_st, value), (_ref, ref_value) in rows:
+            matches.setdefault(value, []).append(ref_value)
+    expected = {
+        window: sorted((v, rv) for _st, v in rows for rv in matches.get(v, ()))
+        for window, rows in expected_windows(batches).items()
+    }
+    assert sum(map(len, expected.values())) > 100
+    assert {w: canon_join(rows) for w, rows in continuous.results()} == expected
+
+
 def test_hotspots_summarize_windowed_dbscan(sc):
     batches = make_batches(seed=37)
     ssc = StreamingContext(sc)
