@@ -83,7 +83,7 @@ class STPredicate:
 
     def evaluate(self, item: STObject, query: STObject) -> bool:
         """Full predicate with the combined temporal semantics."""
-        return combine(self.spatial, self.temporal, item, query)
+        return self.spatial(item.geo, query.geo) and _temporal_clause(self.temporal, item, query)
 
     def temporal_clause(self, item: STObject, query: STObject) -> bool:
         """The temporal half of the combined semantics on its own.

@@ -4,7 +4,7 @@ These free functions operate on bare coordinate tuples and back the exact
 predicates in :mod:`repro.geometry.predicates`.  They follow the classic
 robust-enough formulations used by JTS: orientation tests with an epsilon
 collapse, segment intersection via orientation signs, and ray-crossing
-point-in-polygon with an explicit boundary pass.
+point-in-polygon that reports the boundary in the same pass.
 """
 
 from __future__ import annotations
@@ -134,11 +134,10 @@ def point_segment_distance(p: Coord, a: Coord, b: Coord) -> float:
     px, py = p
     dx, dy = bx - ax, by - ay
     seg_len_sq = dx * dx + dy * dy
-    if seg_len_sq <= _EPS:
-        # Degenerate (or near-degenerate) segment: the projection is
-        # numerically meaningless, but the segment still has two
-        # endpoints -- take the nearer one, so a point coinciding with
-        # ``b`` measures 0, not the tiny segment's length.
+    if seg_len_sq == 0.0:
+        # No projection (a point, or deltas whose squares underflow):
+        # take the nearer endpoint, so a point at ``b`` measures 0.  Any
+        # longer segment, however short, is projected onto.
         return min(math.hypot(px - ax, py - ay), math.hypot(px - bx, py - by))
     t = ((px - ax) * dx + (py - ay) * dy) / seg_len_sq
     if t <= 0.0:
@@ -168,34 +167,42 @@ BOUNDARY = 0
 EXTERIOR = -1
 
 
-def locate_point_in_ring(p: Coord, ring: Sequence[Coord]) -> int:
-    """Classify *p* against a closed ring given as a coordinate sequence.
+def ring_edges(ring: Sequence[Coord]) -> tuple[tuple[float, ...], ...]:
+    """A closed ring's edges for :func:`locate_in_edges`: each its exact
+    box ``(y_lo, y_hi, x_lo, x_hi)``, first vertex and deltas ``(x1, y1,
+    dx, dy)``."""
+    return tuple(
+        (min(y1, y2), max(y1, y2), min(x1, x2), max(x1, x2), x1, y1, x2 - x1, y2 - y1)
+        for (x1, y1), (x2, y2) in zip(ring, ring[1:])
+    )
 
-    The ring must be explicitly closed (``ring[0] == ring[-1]``).  Uses
-    the ray-crossing algorithm with a dedicated boundary pass so that
-    points exactly on an edge or vertex report :data:`BOUNDARY` rather
-    than an arbitrary side.
-    """
+
+def locate_in_edges(px: float, py: float, edges: Sequence[tuple[float, ...]]) -> int:
+    """Classify ``(px, py)`` against a ring's :func:`ring_edges` in one pass:
+    only an edge whose y-range holds the point can touch it or cross its +x
+    ray.  In the edge's box, :func:`on_segment`'s collinearity test answers
+    :data:`BOUNDARY`, which wins over any count; else the crossing counts
+    by the half-open rule (``py < y_hi`` here), so a vertex counts once."""
+    crossings = 0
+    for y_lo, y_hi, x_lo, x_hi, x1, y1, dx, dy in edges:
+        if not y_lo <= py <= y_hi:
+            continue
+        if x_lo <= px <= x_hi:
+            ox, oy = px - x1, py - y1
+            scale = max(abs(dx), abs(dy), abs(ox), abs(oy), 1.0)
+            if abs(dx * oy - dy * ox) <= _EPS * scale * scale:
+                return BOUNDARY
+        if py < y_hi and x1 + (py - y1) * dx / dy > px:
+            crossings += 1
+    return INTERIOR if crossings % 2 == 1 else EXTERIOR
+
+
+def locate_point_in_ring(p: Coord, ring: Sequence[Coord]) -> int:
+    """Classify *p* against a closed ring (``ring[0] == ring[-1]``) given
+    as coordinates: :func:`locate_in_edges` over :func:`ring_edges`."""
     if len(ring) < 4:
         raise ValueError("a closed ring needs at least 4 coordinates")
-    px, py = p
-    # Boundary pass first: crossing counts are unreliable on the boundary.
-    for i in range(len(ring) - 1):
-        if on_segment(p, ring[i], ring[i + 1]):
-            return BOUNDARY
-
-    crossings = 0
-    for i in range(len(ring) - 1):
-        x1, y1 = ring[i]
-        x2, y2 = ring[i + 1]
-        # Count edges crossed by the ray going in +x from p.  The
-        # half-open test (y1 <= py < y2 or y2 <= py < y1) ensures a
-        # vertex exactly at py is counted once.
-        if (y1 <= py < y2) or (y2 <= py < y1):
-            x_at = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            if x_at > px:
-                crossings += 1
-    return INTERIOR if crossings % 2 == 1 else EXTERIOR
+    return locate_in_edges(p[0], p[1], ring_edges(ring))
 
 
 def ring_signed_area(ring: Sequence[Coord]) -> float:

@@ -86,10 +86,11 @@ class LinearRing(LineString):
 
     The constructor closes the ring automatically when the input does not
     repeat its first coordinate.  A non-empty ring needs at least three
-    distinct vertices.
+    distinct vertices.  Its first point location caches its
+    :func:`~repro.geometry.algorithms.ring_edges`, which never pickle.
     """
 
-    __slots__ = ()
+    __slots__ = ("_edges",)
 
     def __init__(self, coords: Iterable[Sequence[float]] = ()) -> None:
         frozen = _freeze_coords(coords)
@@ -98,6 +99,7 @@ class LinearRing(LineString):
         if frozen and len(frozen) < 4:
             raise ValueError("a LinearRing needs at least 3 distinct points")
         super().__init__(frozen)
+        self._edges = None
 
     @property
     def geom_type(self) -> str:
@@ -114,11 +116,20 @@ class LinearRing(LineString):
     def is_ccw(self) -> bool:
         return self.signed_area > 0
 
+    def __setstate__(self, state: tuple) -> None:
+        super().__setstate__(state)
+        self._edges = None
+
+    def _prepare_edges(self) -> tuple:
+        # The one place that fills the cache; readers try ``_edges`` first.
+        self._edges = algorithms.ring_edges(self._coords)
+        return self._edges
+
     def locate(self, x: float, y: float) -> int:
         """Classify a point: algorithms.INTERIOR / BOUNDARY / EXTERIOR."""
         # Outside the envelope is outside, whatever the crossing count's
-        # rounding says near a vertex (and the empty ring's envelope is
-        # empty).
-        if not self._envelope.contains_point(x, y):
+        # rounding says near a vertex (the empty ring's envelope is empty).
+        env = self._envelope
+        if not (env.min_x <= x <= env.max_x and env.min_y <= y <= env.max_y):
             return algorithms.EXTERIOR
-        return algorithms.locate_point_in_ring((x, y), self._coords)
+        return algorithms.locate_in_edges(x, y, self._edges or self._prepare_edges())

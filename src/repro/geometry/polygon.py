@@ -70,8 +70,13 @@ class Polygon(Geometry):
             yield from self._holes
 
     def locate(self, x: float, y: float) -> int:
-        """Classify a point against the polygon, holes included."""
-        loc = self._shell.locate(x, y)
+        """Classify a point against the polygon, holes included (the shell's
+        ``locate`` inlined: refinement runs this once per candidate)."""
+        env = self._envelope
+        if not (env.min_x <= x <= env.max_x and env.min_y <= y <= env.max_y):
+            return algorithms.EXTERIOR
+        shell = self._shell
+        loc = algorithms.locate_in_edges(x, y, shell._edges or shell._prepare_edges())
         if loc != algorithms.INTERIOR:
             return loc
         for hole in self._holes:

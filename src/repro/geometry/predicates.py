@@ -37,7 +37,7 @@ from typing import Callable
 from repro.geometry import algorithms
 from repro.geometry.algorithms import _EPS, EXTERIOR, INTERIOR
 from repro.geometry.base import Geometry
-from repro.geometry.linestring import LineString
+from repro.geometry.linestring import LinearRing, LineString
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 
@@ -282,28 +282,25 @@ def _polygon_contains_polygon(a: Polygon, b: Polygon) -> bool:
     return probe is not None and a.locate(*probe) == INTERIOR
 
 
-def _ring_interior_point(ring: LineString) -> Coord | None:
+def _ring_interior_point(ring: LinearRing) -> Coord | None:
     """A point strictly inside a closed ring (ignoring any holes)."""
-    coords = ring.coords
-    if not coords:
-        return None
-    env = ring.envelope
+    env = ring.envelope  # the empty ring's has width 0
     if env.width == 0 or env.height == 0:
         return None
     # Scan a few horizontal lines; the midpoint between consecutive
-    # crossings lies inside for a simple ring.
+    # crossings (the half-open rule of ``locate_in_edges``) lies inside
+    # for a simple ring.
+    edges = algorithms.ring_edges(ring.coords)
     for frac in (0.5, 0.25, 0.75, 0.125, 0.875):
         y = env.min_y + env.height * frac
-        xs: list[float] = []
-        for i in range(len(coords) - 1):
-            x1, y1 = coords[i]
-            x2, y2 = coords[i + 1]
-            if (y1 <= y < y2) or (y2 <= y < y1):
-                xs.append(x1 + (y - y1) * (x2 - x1) / (y2 - y1))
-        xs.sort()
+        xs = sorted(
+            x1 + (y - y1) * dx / dy
+            for y_lo, y_hi, _, _, x1, y1, dx, dy in edges
+            if y_lo <= y < y_hi
+        )
         for j in range(0, len(xs) - 1, 2):
             mid = ((xs[j] + xs[j + 1]) / 2.0, y)
-            if algorithms.locate_point_in_ring(mid, coords) == INTERIOR:
+            if ring.locate(*mid) == INTERIOR:
                 return mid
     return None
 
@@ -532,9 +529,9 @@ def crosses(a: Geometry, b: Geometry) -> bool:
         properly = any(_segments_cross_properly(la, lb) for la, lb in pairs)
         return properly and not any(_collinear_overlap_length(la, lb) for la, lb in pairs)
     if a.dimension == 1 and b.dimension == 2:
-        outside = any(
-            not covers(b, Point(*p)) for line in _lines(a) for p in _sample_points(line)
-        )
+        # Not covered: some part lies outside, even one leaving and
+        # re-entering between sample points (a proper boundary crossing).
+        outside = any(not covers(b, line) for line in _lines(a))
         return outside and _dispatch_symmetric(a, b, _INTERIORS_TABLE)
     return False  # equal-dimension areal crossing does not exist
 

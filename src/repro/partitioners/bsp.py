@@ -13,17 +13,17 @@ from the fixed grid in the evaluation (and in our Figure-4
 reproduction).
 
 The implementation builds a fine histogram of item counts at
-``side_length`` resolution (with numpy prefix sums for O(1) region
+``side_length`` resolution (with 2D prefix sums for O(1) region
 costs), then grows a binary split tree over histogram cells.  Lookups
 descend the split tree, so ``get_partition`` is O(depth).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Iterable
-
-import numpy as np
 
 from repro.geometry.envelope import Envelope
 from repro.partitioners.base import (
@@ -86,20 +86,22 @@ class BSPartitioner(SpatialPartitioner):
             raise ValueError("side_length must be positive")
         self._side_length = side_length
 
-        self._nx = max(1, int(np.ceil(u.width / side_length))) if u.width > 0 else 1
-        self._ny = max(1, int(np.ceil(u.height / side_length))) if u.height > 0 else 1
+        self._nx = max(1, math.ceil(u.width / side_length)) if u.width > 0 else 1
+        self._ny = max(1, math.ceil(u.height / side_length)) if u.height > 0 else 1
 
-        histogram = np.zeros((self._nx, self._ny), dtype=np.int64)
+        histogram = [[0] * self._ny for _ in range(self._nx)]
         for key in keys:
             geom = geometry_of(key)
             if geom.is_empty:
                 continue
-            x, y = _representative_point(geom)
-            histogram[self._cell_of(x, y)] += 1
+            ix, iy = self._cell_of(*_representative_point(geom))
+            histogram[ix][iy] += 1
         # 2D prefix sums with a zero border: cost of [x0:x1, y0:y1] is
-        # P[x1,y1] - P[x0,y1] - P[x1,y0] + P[x0,y0].
-        self._prefix = np.zeros((self._nx + 1, self._ny + 1), dtype=np.int64)
-        self._prefix[1:, 1:] = histogram.cumsum(axis=0).cumsum(axis=1)
+        # P[x1][y1] - P[x0][y1] - P[x1][y0] + P[x0][y0].
+        self._prefix = [[0] * (self._ny + 1)]
+        for column in histogram:
+            previous = self._prefix[-1]
+            self._prefix.append([0] + [p + c for p, c in zip(previous[1:], accumulate(column))])
 
         leaves: list[tuple[int, int, int, int]] = []
         self._tree = self._build(0, 0, self._nx, self._ny, leaves)
@@ -121,7 +123,7 @@ class BSPartitioner(SpatialPartitioner):
 
     def _region_cost(self, x0: int, y0: int, x1: int, y1: int) -> int:
         p = self._prefix
-        return int(p[x1, y1] - p[x0, y1] - p[x1, y0] + p[x0, y0])
+        return p[x1][y1] - p[x0][y1] - p[x1][y0] + p[x0][y0]
 
     def _build(
         self,

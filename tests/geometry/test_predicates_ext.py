@@ -133,6 +133,27 @@ class TestCrosses:
     def test_line_touching_boundary_does_not_cross(self):
         assert not crosses(g("LINESTRING (0 -5, 0 15)"), SQUARE)
 
+    @pytest.mark.parametrize(
+        "line, polygon",
+        [
+            # out through the notch (1 < x < 1.2) and back in
+            (
+                "LINESTRING (0.5 2, 2.5 2)",
+                "POLYGON ((0 0, 3 0, 3 3, 1.2 3, 1.2 1, 1 1, 1 3, 0 3, 0 0))",
+            ),
+            # through the hole between y = 2.5 and y = 2
+            (
+                "LINESTRING (2 3, 1.5 2, 2.5 1.5)",
+                "POLYGON ((0.5 1.5, 3.5 1.5, 3.5 3, 0.5 3, 0.5 1.5), (1 2, 3 2, 3 2.5, 1 2.5, 1 2))",
+            ),
+        ],
+    )
+    def test_line_leaving_between_sample_points_crosses(self, line, polygon):
+        # Every vertex and midpoint of the line is inside or on the
+        # boundary, yet part of the line lies outside.
+        assert crosses(g(line), g(polygon))
+        assert crosses(g(polygon), g(line))
+
     def test_multipoint_crosses_polygon(self):
         mp = g("MULTIPOINT ((5 5), (50 50))")
         assert crosses(mp, SQUARE)
