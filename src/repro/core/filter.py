@@ -18,7 +18,8 @@ the hybrid-index extension:
    STR-tree, ``"temporal"`` for the time-sliced forest, ``"3d"`` for
    the (x, y, t) STR bulk load), the index is queried for candidates,
    and the candidates are refined with the exact spatial *and* temporal
-   predicate.
+   predicate.  A persisted RDD is bulk-loaded once and its indexes are
+   reused by every later query.
 4. **Predicate order** -- refinement evaluates spatial-first (the
    paper's behaviour) or temporal-first (two float comparisons before
    any geometry work), chosen by the cost-based planner.
@@ -42,7 +43,7 @@ from repro.core.summaries import (
     partition_summaries,
     partitions_matching,
 )
-from repro.index import build_partition_index
+from repro.index import partition_index
 from repro.partitioners.base import SpatialPartitioner
 from repro.partitioners.temporal import (
     SpatioTemporalPartitioner,
@@ -66,7 +67,7 @@ def _note_probe(context, candidates: int, slices_pruned: int) -> None:
 
 
 def prune_partitions(
-    rdd: RDD, query: STObject, predicate: STPredicate
+    rdd: RDD, query: STObject, predicate: STPredicate, target: RDD | None = None
 ) -> RDD:
     """Drop partitions whose summary cannot satisfy *predicate* for *query*.
 
@@ -76,8 +77,9 @@ def prune_partitions(
     untouched otherwise -- a one-shot RDD (every streaming micro-batch)
     never pays a pass to avoid a pass.  Pruning is always conservative:
     the summary test is necessary for a match, never sufficient, so no
-    result can be lost.
+    result can be lost.  *target*, laid out like *rdd*, is pruned instead.
     """
+    target = rdd if target is None else target
     if isinstance(
         rdd.partitioner,
         (SpatialPartitioner, TemporalRangePartitioner, SpatioTemporalPartitioner),
@@ -86,7 +88,7 @@ def prune_partitions(
     else:
         summaries = known_summaries(rdd)
         if summaries is None:
-            return rdd
+            return target
     region = predicate.candidate_region(query.geo.envelope)
     keep, missed_in_time = partitions_matching(summaries, region, query.time)
     if missed_in_time:
@@ -95,8 +97,8 @@ def prune_partitions(
         if context.tracer.enabled:
             context.tracer.add("index.temporal_pruned_partitions", missed_in_time)
     if len(keep) == rdd.num_partitions:
-        return rdd
-    return PartitionPruningRDD(rdd, keep)
+        return target
+    return PartitionPruningRDD(target, keep)
 
 
 def filter_no_index(
@@ -174,14 +176,12 @@ def filter_live_index(
     ``mode`` picks the partition-index structure (see
     :func:`repro.index.build_partition_index`); time-aware modes route
     the query's temporal component through the index so temporally-
-    pruned candidates are never materialized at all.
+    pruned candidates are never materialized at all.  A persisted *rdd*
+    builds its indexes once (:func:`repro.index.partition_index`).
     """
-    base = prune_partitions(rdd, query, predicate) if prune else rdd
-
-    def build(it: Iterator[tuple[STObject, V]]) -> Iterator:
-        yield build_partition_index(list(it), order, mode, time_slices)
-
-    trees = base.map_partitions(build, preserves_partitioning=True)
+    trees = partition_index(rdd, order, mode, time_slices)
+    if prune:
+        trees = prune_partitions(rdd, query, predicate, trees)
     return _probe_and_refine(trees, query, predicate, temporal_first).set_name(
         "filter.live_index"
     )

@@ -11,9 +11,9 @@
   "no partitioning" configuration.  With a good spatial partitioner
   the pair list collapses to near-diagonal, which is exactly where the
   Figure-4 speed-up comes from.
-- **Local join.**  Each task bulk-loads the right block into an
-  STR-tree (live indexing), probes it with every left item's candidate
-  region and refines candidates with the exact predicate.  With
+- **Local join.**  Each task probes the right block's STR-tree (live
+  indexing, built once per join or per persisted right RDD) with every
+  left item's candidate region and refines candidates exactly.  With
   ``index_order=None`` a nested loop with envelope pre-test runs
   instead.
 
@@ -31,6 +31,7 @@ from typing import Iterator, TypeVar
 from repro.core.predicates import STPredicate
 from repro.core.summaries import partition_summaries
 from repro.geometry.envelope import Envelope
+from repro.index import partition_index
 from repro.index.rtree import STRTree
 from repro.spark.cancellation import Heartbeat
 from repro.spark.rdd import RDD
@@ -68,11 +69,11 @@ def candidate_partition_pairs(
 class SpatialJoinRDD(RDD[tuple]):
     """One partition per surviving (left, right) partition pair.
 
-    With live indexing, the right side's per-partition STR-trees are
-    built through a cached tree RDD, so each right partition is indexed
-    exactly **once** no matter how many left partitions pair with it --
-    the same reuse STARK gets from indexing the right relation before
-    the join rather than inside every task.
+    With live indexing, the right side's per-partition STR-trees come
+    from a cached tree RDD (:func:`repro.index.partition_index`), so each
+    right partition is indexed **once per persisted RDD** -- shared by
+    every join that reads it -- and otherwise once per join, no matter
+    how many left partitions pair with it.
     """
 
     def __init__(
@@ -89,19 +90,9 @@ class SpatialJoinRDD(RDD[tuple]):
         self._predicate = predicate
         self._pairs = pairs
         self._index_order = index_order
+        self._right_trees = None
         if index_order is not None:
-            order = index_order
-
-            def build_tree(it: Iterator) -> Iterator[STRTree]:
-                yield STRTree(
-                    ((kv[0].geo.envelope, kv) for kv in it), node_capacity=order
-                )
-
-            self._right_trees = right.map_partitions(
-                build_tree, preserves_partitioning=True
-            ).persist()
-        else:
-            self._right_trees = None
+            self._right_trees = partition_index(right, index_order).persist()
 
     @property
     def num_partitions(self) -> int:

@@ -5,12 +5,12 @@ the follow-up STARK work): ``knn_join(left, right, k)`` emits
 ``((lk, lv), [(distance, (rk, rv)), ...])`` with the k nearest right
 rows per left row, ascending by Euclidean distance.
 
-Execution: the right side's per-partition STR-trees are built once
-(cached tree RDD, as in the spatial join).  Each left partition then
-probes trees in ascending order of partition-extent distance and stops
-as soon as the k-th best distance beats the next tree's extent distance
--- the same bound that drives the two-phase kNN search, applied per
-probe point.
+Execution: the right side's per-partition STR-trees are built once per
+join, or once per persisted right RDD, as in the spatial join.  Each
+left partition then probes trees in ascending order of partition-extent
+distance and stops as soon as the k-th best distance beats the next
+tree's extent distance -- the same bound that drives the two-phase kNN
+search, applied per probe point.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Iterator, TypeVar
 
 from repro.core.stobject import STObject
 from repro.core.summaries import partition_summaries
+from repro.index import partition_index
 from repro.index.rtree import STRTree
 from repro.spark.rdd import RDD
 
@@ -28,21 +29,14 @@ W = TypeVar("W")
 
 
 class KnnJoinRDD(RDD[tuple]):
-    """One output partition per left partition."""
+    """One output partition per left partition; the right side is
+    indexed once per persisted RDD, otherwise once per join."""
 
     def __init__(self, left: RDD, right: RDD, k: int, index_order: int) -> None:
         super().__init__(left.context, [left, right])
         self._left = left
         self._k = k
-
-        def build_tree(it: Iterator) -> Iterator[STRTree]:
-            yield STRTree(
-                ((kv[0].geo.envelope, kv) for kv in it), node_capacity=index_order
-            )
-
-        self._right_trees = right.map_partitions(
-            build_tree, preserves_partitioning=True
-        ).persist()
+        self._right_trees = partition_index(right, index_order).persist()
         self._right_extents = [s.envelope for s in partition_summaries(right)]
 
     @property

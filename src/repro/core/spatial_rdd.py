@@ -31,8 +31,6 @@ Indexing modes (paper section 2.2) map to:
 
 from __future__ import annotations
 
-from typing import Iterator, TypeVar
-
 from repro.core import filter as filter_ops
 from repro.core import join as join_ops
 from repro.core import knn as knn_ops
@@ -48,11 +46,9 @@ from repro.core.predicates import (
 from repro.core.stobject import STObject
 from repro.core.summaries import partition_summaries, restore_summaries
 from repro.geometry.distance import DistanceFunction, euclidean
-from repro.index import INDEX_MODES, build_partition_index, persistence
+from repro.index import INDEX_MODES, partition_index, persistence
 from repro.partitioners.base import SpatialPartitioner
 from repro.spark.rdd import RDD
-
-V = TypeVar("V")
 
 DEFAULT_INDEX_ORDER = 10
 
@@ -224,16 +220,14 @@ class SpatialRDDFunctions(_PredicateFilters):
         The returned handle answers queries immediately *and* can be
         saved, so no extra run is needed just to persist the index.
         *mode* picks the structure exactly as for :meth:`live_index`.
+        Over a persisted RDD it owns a view of the trees live queries
+        share, so unpersisting the handle frees nothing they use.
         """
-        if mode not in INDEX_MODES:
-            raise ValueError(f"unknown index mode {mode!r}; known: {INDEX_MODES}")
         rdd = self._rdd if partitioner is None else self._rdd.partition_by(partitioner)
-
-        def build(it: Iterator[tuple[STObject, V]]) -> Iterator:
-            yield build_partition_index(list(it), order, mode, time_slices)
-
-        tree_rdd = rdd.map_partitions(build, preserves_partitioning=True).persist()
-        return IndexedSpatialRDD(tree_rdd, order=order, mode=mode)
+        trees = partition_index(rdd, order, mode, time_slices)
+        if rdd._cached:
+            trees = trees.map_partitions(iter, preserves_partitioning=True)
+        return IndexedSpatialRDD(trees.persist(), order=order, mode=mode)
 
     # -- cost-based planning ----------------------------------------------
 
@@ -281,7 +275,8 @@ class LiveIndexedSpatialRDDFunctions(_PredicateFilters):
     """Operations on a live-indexed RDD (paper's ``liveIndex`` handle).
 
     Nothing is materialized here: each operation builds the per-
-    partition trees while it runs, queries them, and refines candidates.
+    partition trees while it runs (once, for a persisted RDD), queries
+    them, and refines candidates.
     The handle carries the planner's knobs (index *mode*, forest
     *time_slices*, refinement clause order) so a plan is just a
     configured handle.

@@ -22,8 +22,9 @@ and beside them:
 
 :func:`build_partition_index` is the one factory every indexing call
 path goes through, so ``live_index(mode=...)`` / ``index(mode=...)``
-and the cost-based planner all agree on what each mode means.  Every
-kind answers ``query_st(region, time) -> (candidates, slices_pruned)``.
+and the cost-based planner all agree on what each mode means;
+:func:`partition_index` is the one place it is called from.  Every kind
+answers ``query_st(region, time) -> (candidates, slices_pruned)``.
 """
 
 from repro.index.intervaltree import IntervalTree
@@ -59,6 +60,35 @@ def build_partition_index(
     )
 
 
+def partition_index(
+    rdd, order: int = 10, mode: str = "spatial", time_slices: int | None = None
+):
+    """The RDD of *rdd*'s partition indexes, one per partition.
+
+    A persisted *rdd* is indexed once: the first call builds every
+    partition in one job and keeps the persisted trees in the RDD's
+    driver memo under ``(mode, order, time_slices)`` until
+    ``rdd.unpersist()``.  Any other RDD gets lazy trees, built while
+    the calling query runs -- the paper's live mode.
+    """
+    from repro.core.summaries import driver_memo  # repro.core imports this package
+
+    key = (mode, order, time_slices)
+    if rdd._cached and key in driver_memo(rdd):
+        return driver_memo(rdd)[key]
+    if mode not in INDEX_MODES:
+        raise ValueError(f"unknown index mode {mode!r}; known: {INDEX_MODES}")
+
+    def build(it):
+        yield build_partition_index(list(it), order, mode, time_slices)
+
+    trees = rdd.map_partitions(build, preserves_partitioning=True)
+    if rdd._cached:
+        trees.persist().count()  # one job: no two tasks build one split
+        driver_memo(rdd)[key] = trees
+    return trees
+
+
 __all__ = [
     "INDEX_MODES",
     "IntervalTree",
@@ -66,5 +96,6 @@ __all__ = [
     "STRTree3D",
     "TimeSlicedForest",
     "build_partition_index",
+    "partition_index",
     "temporal_extent_of",
 ]

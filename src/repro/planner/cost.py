@@ -94,6 +94,7 @@ class CostModel:
         timed_fraction: float,
         partitions: int = 1,
         repetitions: int = 1,
+        cached_modes: frozenset[str] = frozenset(),
     ) -> list[PlanEstimate]:
         """Every candidate strategy's estimate, best (cheapest) first.
 
@@ -103,7 +104,8 @@ class CostModel:
         :meth:`repro.planner.stats.DatasetStatistics.temporal_selectivity`
         computes it.  ``repetitions`` amortizes index build cost over
         that many queries against the same (persisted or cached)
-        handle; a scan pays full price every time.
+        handle; a scan pays full price every time.  The indexes of a
+        mode in ``cached_modes`` are built already: it pays no build.
         """
         c = self.constants
         n = max(0, n)
@@ -180,6 +182,10 @@ class CostModel:
             )
         )
 
+        for e in estimates:
+            if e.mode in cached_modes:
+                e.cost, e.build_cost = e.cost - e.build_cost, 0.0
+                e.detail += " (index cached)"
         estimates.sort(key=lambda e: (e.cost, e.strategy))
         return estimates
 

@@ -22,6 +22,8 @@ from repro.core import join as join_ops
 from repro.core import knn as knn_ops
 from repro.core.predicates import STPredicate
 from repro.core.stobject import STObject
+from repro.core.summaries import driver_memo
+from repro.index import INDEX_MODES, partition_index
 from repro.planner.cost import CostModel, PlanEstimate
 from repro.planner.stats import DatasetStatistics, collect_statistics
 
@@ -209,9 +211,8 @@ class KnnPlan:
 class QueryPlanner:
     """Plans and executes spatio-temporal operations cost-based.
 
-    One planner instance can serve many queries; statistics are
-    collected per ``plan_*`` call (pass ``stats=`` to reuse a
-    collection across queries on the same dataset).
+    One planner instance can serve many queries; statistics are memoized
+    per RDD, and a persisted RDD's built indexes are priced as built.
     """
 
     def __init__(
@@ -256,6 +257,7 @@ class QueryPlanner:
         ss = stats.spatial_selectivity(region)
         st = stats.temporal_selectivity(query.time)
         query_timed = query.time is not None
+        memo = driver_memo(rdd) if rdd._cached else {}
         estimates = self._model.filter_estimates(
             stats.count,
             ss,
@@ -264,6 +266,9 @@ class QueryPlanner:
             stats.timed_fraction,
             partitions=stats.num_partitions,
             repetitions=repetitions,
+            cached_modes=frozenset(
+                m for m in INDEX_MODES if (m, self._index_order, None) in memo
+            ),
         )
         if require_index:
             live = [e for e in estimates if e.strategy != "scan"]
@@ -402,7 +407,8 @@ class QueryPlanner:
         """Run the (given or freshly computed) kNN plan."""
         plan = plan or self.plan_knn(rdd, query, k)
         if plan.use_index:
-            from repro.core.spatial_rdd import spatial
+            from repro.core.spatial_rdd import IndexedSpatialRDD
 
-            return spatial(rdd).index(order=self._index_order).knn(query, k)
+            trees = partition_index(rdd, self._index_order)
+            return IndexedSpatialRDD(trees).knn(query, k)
         return knn_ops.knn(rdd, query, k)

@@ -106,9 +106,13 @@ class RDD(ABC, Generic[T]):
     cache = persist
 
     def unpersist(self) -> "RDD[T]":
-        """Drop this RDD's cached partitions."""
+        """Drop this RDD's cached partitions, and every persisted RDD the
+        driver memoized over them (its partition indexes)."""
         self._cached = False
         self.context._cache.evict_rdd(self.id)
+        memo = self.__dict__.get("_driver_memo", {})
+        for key in [k for k, v in memo.items() if isinstance(v, RDD)]:
+            memo.pop(key).unpersist()
         return self
 
     def iterator(self, split: int) -> Iterator[T]:

@@ -169,6 +169,75 @@ class TestExecution:
         assert "FilterPlan" in text
 
 
+class TestCachedIndexes:
+    """A persisted RDD keeps its live indexes; the planner prices that."""
+
+    @staticmethod
+    def build_costs(planner, rdd):
+        plan = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS, require_index=True)
+        estimates = [plan.estimate, *plan.alternatives]
+        return plan, {e.mode: e.build_cost for e in estimates if e.mode}
+
+    def test_build_cost_is_zero_once_the_mode_is_cached(self, sc):
+        rdd = make_rdd(sc).persist()
+        planner = QueryPlanner(sc)
+        plan, before = self.build_costs(planner, rdd)
+        assert all(cost > 0 for cost in before.values())
+        assert "(index cached)" not in plan.explain()
+        planner.execute(rdd, SELECTIVE_QUERY, INTERSECTS, plan).collect()
+        again, after = self.build_costs(planner, rdd)
+        assert after == {**before, plan.mode: 0.0}
+        cached = [line for line in again.explain().splitlines() if "(index cached)" in line]
+        assert len(cached) == 1 and f"live:{plan.mode}" in cached[0]
+        rdd.unpersist()
+        assert self.build_costs(planner, rdd)[1] == before
+
+    def test_unpersisted_rdd_keeps_paying_for_the_build(self, sc):
+        rdd = make_rdd(sc)
+        planner = QueryPlanner(sc)
+        plan, before = self.build_costs(planner, rdd)
+        planner.execute(rdd, SELECTIVE_QUERY, INTERSECTS, plan).collect()
+        assert self.build_costs(planner, rdd)[1] == before
+
+    def test_execute_knn_builds_each_partition_once(self, sc, monkeypatch):
+        import repro.index
+
+        build, builds = repro.index.build_partition_index, []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(repro.index, "build_partition_index", counted)
+        rdd = make_rdd(sc, n=2000).persist()
+        planner = QueryPlanner(sc)
+        probe = STObject(Point(50, 50))
+        first = [kv[1] for _d, kv in planner.execute_knn(rdd, probe, 5)]
+        assert [kv[1] for _d, kv in planner.execute_knn(rdd, probe, 5)] == first
+        assert len(builds) == rdd.num_partitions
+
+    @pytest.mark.parametrize("persisted", [False, True])
+    @pytest.mark.parametrize("query", [SELECTIVE_QUERY, UNTIMED_QUERY])
+    def test_every_rejected_strategy_returns_the_chosen_rows(self, sc, query, persisted):
+        import dataclasses
+
+        rdd = make_rdd(sc, untimed_every=5)
+        if persisted:
+            rdd.persist()
+        planner = QueryPlanner(sc)
+        plan = planner.plan_filter(rdd, query, INTERSECTS)
+
+        def rows(estimate):
+            forced = dataclasses.replace(plan, estimate=estimate)
+            executed = planner.execute(rdd, query, INTERSECTS, forced)
+            return sorted(kv[1] for kv in executed.collect())
+
+        chosen = rows(plan.estimate)
+        assert chosen
+        for alternative in plan.alternatives:
+            assert rows(alternative) == chosen, alternative.strategy
+
+
 class TestCandidateReduction:
     """The regime the time-aware index modes exist for: a long history,
     a query broad in space and narrow (5%) in time."""

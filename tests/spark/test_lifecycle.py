@@ -109,6 +109,36 @@ class TestPerCallCachesAreReleased:
             assert after_many[0] <= after_one[0] <= 2 * rdd.num_partitions
             assert after_many[1] <= after_one[1] <= 1
 
+    def test_persisted_right_side_keeps_one_set_of_trees_until_unpersist(self):
+        import gc
+        import random
+
+        from repro.core.spatial_rdd import spatial
+        from repro.core.stobject import STObject
+        from repro.geometry.point import Point
+
+        rng = random.Random(11)
+        rows = [
+            (STObject(Point(rng.uniform(0, 50), rng.uniform(0, 50))), i)
+            for i in range(120)
+        ]
+        with SparkContext("leak-persisted", parallelism=4, executor="sequential") as sc:
+            probes = sc.parallelize(rows, 4)
+            points = sc.parallelize(rows, 4).persist()
+            for _ in range(30):
+                assert spatial(probes).join(points, "intersects").count() == len(rows)
+            gc.collect()
+            # The data's blocks plus one tree per partition, for 30 joins.
+            assert len(sc._cache) == 2 * points.num_partitions
+            points.unpersist()
+            gc.collect()
+            assert len(sc._cache) == 0
+            points.persist()
+            assert spatial(probes).join(points, "intersects").count() == len(rows)
+            del points
+            gc.collect()
+            assert len(sc._cache) == 0
+
     def test_live_rdd_keeps_its_blocks(self):
         import gc
 
