@@ -132,22 +132,21 @@ def _dbscan_phases(
 
     # -- step 2: merge on the driver ----------------------------------------
     with tracer.span("dbscan.merge") as merge_span:
-        counts = dict(
-            local.filter(lambda r: r[0] == "C").map(lambda r: (r[1], r[2])).collect()
-        )
+        # One job reads the cluster counts ("C") and the shared rows ("S").
+        counts: dict[int, int] = {}
+        by_gid: dict[int, list[tuple[int, int, bool]]] = defaultdict(list)
+        for row in local.filter(lambda r: r[0] != "N").collect():
+            if row[0] == "C":
+                counts[row[1]] = row[2]
+            else:
+                _tag, gid, pid, label, is_core = row
+                by_gid[gid].append((pid, label, is_core))
         base = [0] * num_partitions
         running = 0
         for pid in range(num_partitions):
             base[pid] = running
             running += counts.get(pid, 0)
         total_clusters = running
-
-        shared_rows = (
-            local.filter(lambda r: r[0] == "S").map(lambda r: r[1:]).collect()
-        )
-        by_gid: dict[int, list[tuple[int, int, bool]]] = defaultdict(list)
-        for gid, pid, label, is_core in shared_rows:
-            by_gid[gid].append((pid, label, is_core))
 
         uf = UnionFind(range(total_clusters))
         adoption: dict[int, int] = {}

@@ -14,6 +14,7 @@ STARK's key partitioning decisions (paper section 2.1):
 
 from __future__ import annotations
 
+import math
 from abc import abstractmethod
 from typing import Any, Iterable
 
@@ -88,12 +89,26 @@ class SpatialPartitioner(Partitioner):
         Which cells a point's neighbourhood reaches into (MR-DBSCAN's
         eps-border replication); where the *members* of a partition
         reach is :func:`repro.core.summaries.partitions_within`.
+
+        Cells are tested inline on :meth:`Envelope.distance_to_point`'s
+        arithmetic, and a cell farther away along one axis is rejected
+        before ``hypot`` runs: the answer is the same bit for bit.
         """
-        return [
-            pid
-            for pid, bounds in enumerate(self._bounds)
-            if bounds.distance_to_point(x, y) <= max_distance
-        ]
+        found = []
+        for pid, bounds in enumerate(self._bounds):
+            min_x, max_x = bounds.min_x, bounds.max_x
+            if min_x > max_x:
+                raise ValueError("distance undefined for empty envelopes")
+            if min_x - x > max_distance or x - max_x > max_distance:
+                continue
+            min_y, max_y = bounds.min_y, bounds.max_y
+            if min_y - y > max_distance or y - max_y > max_distance:
+                continue
+            dx = max(min_x - x, x - max_x, 0.0)
+            dy = max(min_y - y, y - max_y, 0.0)
+            if math.hypot(dx, dy) <= max_distance:
+                found.append(pid)
+        return found
 
     # -- diagnostics ---------------------------------------------------------
 

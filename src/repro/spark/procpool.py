@@ -96,7 +96,7 @@ class ProcessPool:
         self,
         size: int,
         config: dict,
-        serve_blocks: Callable[[int, int], list[bytes]],
+        serve_blocks: Callable[[int, int], list],
         name: str = "repro",
     ) -> None:
         method = os.environ.get("REPRO_PROC_START_METHOD", "spawn")

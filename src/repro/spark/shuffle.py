@@ -1,9 +1,19 @@
 """The hash shuffle: map side, block format and reduce-side fetch.
 
-A map output is a sparse dict ``reduce partition -> block``, a block
-one pickled list of rows.  Only this module knows that: the map task
-encodes blocks, :func:`fetch_rows` decodes them for reduce tasks on
-the driver and in worker processes alike.
+A map output is a sparse dict ``reduce partition -> block``.  Only this
+module knows what a block is: the map task writes them,
+:func:`fetch_rows` reads them for reduce tasks on the driver and in
+worker processes alike.
+
+A raw (``partition_by``) block is the list of rows itself.  On the
+in-process transports reduce tasks get the map side's row objects by
+reference -- rows are immutable, the contract the block cache already
+serves persisted partitions under -- and for ``processes`` the pool's
+pipe pickles every message, so workers get private copies without a
+second encode here.  A combining block is one pickled list: its
+combiners are read again by reduce retries and later actions, and
+``merge_combiners`` may modify and return its first argument, so every
+read decodes its own.
 """
 
 from __future__ import annotations
@@ -22,13 +32,16 @@ if TYPE_CHECKING:
     from repro.spark.context import SparkContext
 
 
+Block = list[tuple] | bytes  # raw rows, or one pickled combining list
+
+
 def fetch_rows(
     injector,
     shuffle_id: int,
     reduce_split: int,
-    get_blocks: Callable[[int, int], list[bytes]],
+    get_blocks: Callable[[int, int], list[Block]],
 ) -> Iterator[tuple]:
-    """One reduce partition's rows: chaos check, get its blocks, decode.
+    """One reduce partition's rows: chaos check, get its blocks, chain.
 
     The only fetch path.  *get_blocks* is where the blocks come from:
     the driver's own map outputs, or a worker's pipe request to the
@@ -39,7 +52,8 @@ def fetch_rows(
     if injector is not None:
         injector.check("shuffle.fetch", key=(shuffle_id, reduce_split))
     blocks = get_blocks(shuffle_id, reduce_split)
-    return itertools.chain.from_iterable(pickle.loads(block) for block in blocks)
+    rows = (pickle.loads(b) if isinstance(b, bytes) else b for b in blocks)
+    return itertools.chain.from_iterable(rows)
 
 
 class _ShuffleManager:
@@ -55,7 +69,7 @@ class _ShuffleManager:
         self._context = context
         self._ids = itertools.count()
         self._registered: dict[int, tuple[RDD, Partitioner, _Aggregator | None]] = {}
-        self._outputs: dict[int, list[dict[int, bytes]]] = {}
+        self._outputs: dict[int, list[dict[int, Block]]] = {}
         # One lock *per shuffle id* so independent shuffles run their map
         # sides concurrently instead of serializing on a single manager
         # lock.  Each is reentrant: a reduce task of one shuffle may
@@ -103,12 +117,12 @@ class _ShuffleManager:
             self._context.fault_injector, shuffle_id, reduce_split, self._blocks
         )
 
-    def _blocks(self, shuffle_id: int, reduce_split: int) -> list[bytes]:
+    def _blocks(self, shuffle_id: int, reduce_split: int) -> list[Block]:
         # One block per map output that wrote to *reduce_split*.
         outputs = self.ensure(shuffle_id)
         return [out[reduce_split] for out in outputs if reduce_split in out]
 
-    def ensure(self, shuffle_id: int) -> list[dict[int, bytes]]:
+    def ensure(self, shuffle_id: int) -> list[dict[int, Block]]:
         """Materialize a shuffle's map outputs (once); return them.
 
         Reduce tasks reach this through :meth:`fetch`; the processes
@@ -154,7 +168,7 @@ class _ShuffleManager:
             context.metrics.shuffles_executed += 1
             return outputs
 
-    def serve_blocks(self, shuffle_id: int, reduce_split: int) -> list[bytes]:
+    def serve_blocks(self, shuffle_id: int, reduce_split: int) -> list[Block]:
         """Return one reduce partition's blocks for a worker fetch.
 
         The worker decodes them through :func:`fetch_rows`, which is
@@ -186,38 +200,33 @@ def _make_map_task(partitioner: Partitioner, aggregator: _Aggregator | None):
     metrics/tracing accounting driver-side.
     """
 
-    def map_task(it: Iterator[tuple]) -> tuple[dict[int, bytes], int]:
+    def map_task(it: Iterator[tuple]) -> tuple[dict[int, Block], int]:
         # Buckets are sparse (dict keyed by reduce partition): a map
         # task touching few of the reduce partitions must not pay
         # for the rest, or high-partition-count shuffles (e.g. fine
         # tile grids) would go quadratic.
         heartbeat = Heartbeat(every=1024)
-        buckets: dict[int, list] = {}
         if aggregator is None:
+            buckets: dict[int, list] = {}
             for kv in it:
                 heartbeat.beat()
                 buckets.setdefault(partitioner.get_partition(kv[0]), []).append(kv)
-        else:
-            combined: dict[int, dict] = {}
-            for k, v in it:
-                heartbeat.beat()
-                bucket = combined.setdefault(partitioner.get_partition(k), {})
-                if k in bucket:
-                    bucket[k] = aggregator.merge_value(bucket[k], v)
-                else:
-                    bucket[k] = aggregator.create_combiner(v)
-            buckets = {pid: list(d.items()) for pid, d in combined.items()}
-        written = sum(len(b) for b in buckets.values())
-        # Spill through pickle: a real shuffle serializes every record
-        # to disk/network.  Reference-passing would hide the very cost
-        # that separates replication-based join strategies from STARK's
-        # single-assignment design.
+            return buckets, sum(len(rows) for rows in buckets.values())
+        combined: dict[int, dict] = {}
+        for k, v in it:
+            heartbeat.beat()
+            bucket = combined.setdefault(partitioner.get_partition(k), {})
+            if k in bucket:
+                bucket[k] = aggregator.merge_value(bucket[k], v)
+            else:
+                bucket[k] = aggregator.create_combiner(v)
+        # Encoded, so each read merges private combiners (module docstring).
         return (
             {
-                pid: pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
-                for pid, rows in buckets.items()
+                pid: pickle.dumps(list(d.items()), protocol=pickle.HIGHEST_PROTOCOL)
+                for pid, d in combined.items()
             },
-            written,
+            sum(len(d) for d in combined.values()),
         )
 
     return map_task

@@ -100,7 +100,7 @@ class _WorkerShuffle:
             self._ctx.fault_injector, shuffle_id, reduce_split, self._request
         )
 
-    def _request(self, shuffle_id: int, reduce_split: int) -> list[bytes]:
+    def _request(self, shuffle_id: int, reduce_split: int) -> list:
         ctx = self._ctx
         ctx._conn.send(("fetch", ctx._current_task, shuffle_id, reduce_split))
         while True:

@@ -152,6 +152,17 @@ class TestDistributedDBSCAN:
             if is_core:
                 assert (got_labels[i] == NOISE) == (ref_labels[i] == NOISE)
 
+    def test_one_clustering_runs_five_jobs(self, sc):
+        # zip_with_index's count, the replication shuffle's map side, the
+        # local clustering, one merge read of the "C" and "S" rows, and
+        # the collect.
+        pts = clustered_points(300, seed=57)
+        rdd = sc.parallelize([(STObject(p), i) for i, p in enumerate(pts)], 4)
+        grid = GridPartitioner.from_rdd(rdd, 3)
+        sc.metrics.reset()
+        dbscan(rdd, 12.0, 5, partitioner=grid).collect()
+        assert sc.metrics.jobs_run == 5
+
     def test_every_input_appears_exactly_once(self, sc):
         pts = clustered_points(300, seed=52)
         rdd = sc.parallelize([(STObject(p), i) for i, p in enumerate(pts)], 5)

@@ -1,19 +1,35 @@
 """The fixed grid partitioner."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.stobject import STObject
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.io.datagen import uniform_points
+from repro.io.datagen import clustered_points, uniform_points
 from repro.core.summaries import partition_summaries
+from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
+from repro.partitioners.quadtree import QuadTreePartitioner
 from tests.partitioners import matching_partitions, partition_keys
 
 
 def keys_of(points):
     return [STObject(p) for p in points]
+
+
+_LOOKUP_KEYS = keys_of(clustered_points(400, num_clusters=5, seed=61))
+#: Cells with exact (grid) and fractional (BSP, quadtree) edges.
+LOOKUP_PARTITIONERS = [
+    GridPartitioner((), 4, universe=Envelope(0, 0, 100, 100)),
+    GridPartitioner(_LOOKUP_KEYS, 3),
+    BSPartitioner(_LOOKUP_KEYS, max_cost_per_partition=60, side_length=7.0),
+    QuadTreePartitioner(_LOOKUP_KEYS, max_cost_per_partition=40),
+]
 
 
 class TestConstruction:
@@ -142,12 +158,43 @@ class TestPruning:
             if query.contains(key.geo.envelope):
                 assert grid.get_partition(key) in keep
 
-    def test_partitions_within_distance_reads_bounds(self):
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_partitions_within_distance_reads_bounds(self, data):
         grid = GridPartitioner(keys_of([Point(0, 0), Point(100, 100)]), 2)
-        near_origin = grid.partitions_within_distance(0, 0, 1.0)
-        assert near_origin == [0]
-        everything = grid.partitions_within_distance(50, 50, 1000.0)
-        assert everything == [0, 1, 2, 3]
+        assert grid.partitions_within_distance(0, 0, 1.0) == [0]
+        assert grid.partitions_within_distance(50, 50, 1000.0) == [0, 1, 2, 3]
+
+        part = data.draw(st.sampled_from(LOOKUP_PARTITIONERS))
+        cell = part.partition_bounds(data.draw(st.integers(0, part.num_partitions - 1)))
+        eps = data.draw(
+            st.just(0.0) | st.sampled_from([0.5, 12.0, 25.0]) | st.floats(0, 150)
+        )
+
+        def coordinate(low, high, universe_low, universe_high):
+            # Cell edges, exactly eps past them, an ulp either side of
+            # that, and anywhere in and well outside the universe.
+            offsets = [low, high, low - eps, high + eps]
+            nudged = [math.nextafter(v, d) for v in offsets for d in (-math.inf, math.inf)]
+            anywhere = st.floats(universe_low - 200, universe_high + 200)
+            return st.sampled_from(offsets + nudged) | anywhere
+
+        u = part.universe
+        x = data.draw(coordinate(cell.min_x, cell.max_x, u.min_x, u.max_x))
+        y = data.draw(coordinate(cell.min_y, cell.max_y, u.min_y, u.max_y))
+        # The comprehension the inlined lookup replaced is the reference.
+        reference = [
+            pid
+            for pid in range(part.num_partitions)
+            if part.partition_bounds(pid).distance_to_point(x, y) <= eps
+        ]
+        assert part.partitions_within_distance(x, y, eps) == reference
+
+    def test_partitions_within_distance_rejects_an_empty_cell(self):
+        grid = GridPartitioner((), 2, universe=Envelope(0, 0, 100, 100))
+        grid._bounds[3] = Envelope.empty()
+        with pytest.raises(ValueError):
+            grid.partitions_within_distance(10, 10, 1.0)
 
     def test_imbalance_uniform_close_to_one(self):
         keys = keys_of(uniform_points(4000, seed=5))

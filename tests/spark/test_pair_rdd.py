@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.chaos import FaultInjector
+from repro.spark.context import SparkContext
 from repro.spark.partitioner import HashPartitioner
 
 
@@ -162,6 +164,36 @@ class TestShuffleMachinery:
         raw_records = sc.metrics.shuffle_records_written
         assert combined_records <= 4
         assert raw_records == 100
+
+    @pytest.mark.parametrize("executor", ["sequential", "threads", "processes"])
+    def test_in_place_combiners_see_private_map_outputs(self, executor):
+        # Spark lets merge_combiners modify and return its first argument,
+        # and a combining shuffle's map outputs are read again by later
+        # actions and by reduce retries: every read must merge its own.
+        def append(acc, v):
+            acc.append(v)
+            return acc
+
+        def extend(a, b):
+            a.extend(b)
+            return a
+
+        data = [(i % 3, i) for i in range(30)]
+        expected = {k: sorted(v for key, v in data if key == k) for k in range(3)}
+        with SparkContext(
+            f"isolation-{executor}", parallelism=2, executor=executor, retry_backoff=0.0
+        ) as sc:
+            rdd = sc.parallelize(data, 4)
+            shuffles = [
+                rdd.aggregate_by_key([], append, extend),
+                rdd.combine_by_key(lambda v: [v], append, extend),
+            ]
+            answers = [shuffled.collect() for shuffled in shuffles for _ in range(2)]
+            with FaultInjector().fail("shuffle.fetch", times=1).installed(sc):
+                answers += [shuffled.collect() for shuffled in shuffles]
+            assert sc.metrics.tasks_retried > 0
+        for answer in answers:
+            assert {k: sorted(values) for k, values in answer} == expected
 
     def test_hash_partitioner_contract(self):
         part = HashPartitioner(4)
