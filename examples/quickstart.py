@@ -7,7 +7,7 @@ with schema ``(id, category, time, wkt)`` is pre-processed into
 the listing: ``containedBy`` on the raw RDD and ``intersect`` on a
 live-indexed RDD.
 
-Run: ``python examples/quickstart.py [--executor sequential|threads|processes]``
+Run: ``python examples/quickstart.py [--executor sequential|threads]``
 """
 
 import argparse
@@ -21,7 +21,7 @@ def main() -> None:
     parser.add_argument(
         "--executor",
         default="threads",
-        choices=("sequential", "threads", "processes"),
+        choices=("sequential", "threads"),
         help="task execution backend",
     )
     args = parser.parse_args()

@@ -19,7 +19,7 @@ situations the per-window aggregates cannot express:
 Batches are driven synchronously with ``run_batch`` so the output is
 deterministic.
 
-Run: ``python examples/streaming_cep.py [--executor sequential|threads|processes]``
+Run: ``python examples/streaming_cep.py [--executor sequential|threads]``
 """
 
 import argparse
@@ -57,7 +57,7 @@ def main() -> None:
     parser.add_argument(
         "--executor",
         default="threads",
-        choices=("sequential", "threads", "processes"),
+        choices=("sequential", "threads"),
         help="task execution backend",
     )
     args = parser.parse_args()

@@ -8,7 +8,7 @@ and event-time windows of 10 time units run DBSCAN to surface emerging
 hotspots.  Batches are driven synchronously with ``run_batch`` so the
 output is deterministic.
 
-Run: ``python examples/streaming_events.py [--executor sequential|threads|processes]``
+Run: ``python examples/streaming_events.py [--executor sequential|threads]``
 """
 
 import argparse
@@ -43,7 +43,7 @@ def main() -> None:
     parser.add_argument(
         "--executor",
         default="threads",
-        choices=("sequential", "threads", "processes"),
+        choices=("sequential", "threads"),
         help="task execution backend",
     )
     args = parser.parse_args()

@@ -8,7 +8,7 @@ according to a seeded, reproducible plan.  The instrumented sites are:
 site                 fires in
 ===================  ====================================================
 ``task.compute``     the scheduler, once per task attempt
-``shuffle.fetch``    ``repro.spark.shuffle.fetch_rows`` (reduce-side fetch)
+``shuffle.fetch``    the shuffle manager's reduce-side fetch
 ``cache.get``        ``RDD.iterator`` before consulting the block cache
 ``storage.read``     ``ObjectFileRDD`` / ``TextFileRDD`` part reads
 ``storage.write``    ``save_object_file`` / ``save_text_file`` part writes
@@ -67,7 +67,6 @@ from __future__ import annotations
 import os
 import random
 import threading
-import time
 from contextlib import contextmanager
 from typing import Hashable, Iterator
 
@@ -102,11 +101,6 @@ class InjectedFault(RuntimeError):
         self.key = key
         detail = f" key={key!r}" if key is not None else ""
         super().__init__(f"injected fault at {site}{detail}")
-
-    def __reduce__(self):
-        # Default exception pickling would replay the formatted message
-        # as ``site``; workers ship these home, so round-trip properly.
-        return (InjectedFault, (self.site, self.key))
 
 
 class _Rule:
@@ -391,118 +385,6 @@ class FaultInjector:
     def __repr__(self) -> str:
         plans = {site: len(rules) for site, rules in self._rules.items()}
         return f"FaultInjector(seed={self.seed}, plans={plans})"
-
-    # -- worker-process replay ---------------------------------------------
-
-    def worker_spec(self) -> dict:
-        """A plain-data description of the plan for worker processes.
-
-        The driver ships this with every task's metadata; the worker
-        builds a :class:`WorkerFaultInjector` from it so fault plans
-        replay deterministically inside workers without sharing this
-        object's counters across process boundaries.
-        """
-        with self._lock:
-            rules = [
-                {
-                    "site": rule.site,
-                    "times": rule.times,
-                    "probability": rule.probability,
-                    "per_key": rule.per_key,
-                    "kind": rule.kind,
-                    "delay": rule.delay,
-                }
-                for site_rules in self._rules.values()
-                for rule in site_rules
-            ]
-        return {"seed": self.seed, "hang_limit": self.hang_limit, "rules": rules}
-
-    def merge_worker_stats(self, stats: dict[str, dict[str, int]]) -> None:
-        """Fold a worker attempt's fault counters into this injector's.
-
-        Called by the driver for every attempt outcome (accepted or
-        not): the faults *were* served, so tests asserting on
-        ``injected``/``checked`` see one coherent account.
-        """
-        with self._lock:
-            for name in ("injected", "checked", "delayed", "hung"):
-                mine = getattr(self, name)
-                for site, count in stats.get(name, {}).items():
-                    mine[site] = mine.get(site, 0) + count
-
-
-class WorkerFaultInjector:
-    """Replays a :meth:`FaultInjector.worker_spec` plan inside a worker.
-
-    Determinism across retries is the point: the driver-side injector
-    counts checks cumulatively (attempt 1 is a key's first check,
-    attempt 2 its second, ...), but each worker attempt starts fresh.
-    This class substitutes the *attempt number* for history: a
-    ``times=N`` rule fires iff ``(attempt - 1) + within-attempt count``
-    is still ``<= N``, and probabilistic rules hash ``(seed, site, key,
-    attempt, rule, count)`` into a fresh RNG -- so a replayed attempt
-    makes exactly the same draws no matter which worker runs it, and a
-    *retry* (higher attempt number) advances the plan exactly like a
-    driver-side recheck would.  ``per_key=False`` plans share one
-    global counter on the driver; here the attempt-based reconstruction
-    is per task, a documented approximation (site checks from *other*
-    concurrent tasks are invisible to this worker).
-
-    Slow faults are served with plain ``time.sleep``: worker processes
-    have no cooperative cancel tokens -- the driver's deadline machinery
-    kills the whole process instead (see
-    :mod:`repro.spark.cancellation`).
-    """
-
-    is_worker_side = True
-
-    def __init__(self, spec: dict, attempt: int) -> None:
-        self.seed = spec["seed"]
-        self.hang_limit = spec["hang_limit"]
-        self._spec_rules = spec["rules"]
-        self.attempt = attempt
-        self._counts: dict[tuple, int] = {}
-        self.injected: dict[str, int] = {}
-        self.checked: dict[str, int] = {}
-        self.delayed: dict[str, int] = {}
-        self.hung: dict[str, int] = {}
-
-    def _should_fire(self, idx: int, rule: dict, key: Hashable) -> bool:
-        bucket = (idx, key if rule["per_key"] else None)
-        count = self._counts.get(bucket, 0) + 1
-        self._counts[bucket] = count
-        if rule["times"] is not None:
-            return (self.attempt - 1) + count <= rule["times"]
-        rng = random.Random(
-            (self.seed, rule["site"], repr(key), self.attempt, idx, count)
-        )
-        return rng.random() < rule["probability"]
-
-    def check(self, site: str, key: Hashable = None) -> None:
-        """Same contract as :meth:`FaultInjector.check`."""
-        self.checked[site] = self.checked.get(site, 0) + 1
-        for idx, rule in enumerate(self._spec_rules):
-            if rule["site"] != site or not self._should_fire(idx, rule, key):
-                continue
-            if rule["kind"] == "fail":
-                self.injected[site] = self.injected.get(site, 0) + 1
-                raise InjectedFault(site, key)
-            if rule["kind"] == "delay":
-                self.delayed[site] = self.delayed.get(site, 0) + 1
-                time.sleep(rule["delay"])
-            else:
-                self.hung[site] = self.hung.get(site, 0) + 1
-                time.sleep(self.hang_limit)
-            return
-
-    def stats(self) -> dict[str, dict[str, int]]:
-        """The counters to ship home for :meth:`merge_worker_stats`."""
-        return {
-            "injected": dict(self.injected),
-            "checked": dict(self.checked),
-            "delayed": dict(self.delayed),
-            "hung": dict(self.hung),
-        }
 
 
 @contextmanager

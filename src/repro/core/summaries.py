@@ -48,25 +48,17 @@ class PartitionSummary(NamedTuple):
         return Envelope(self.min_x, self.min_y, self.max_x, self.max_y)
 
 
-class _DriverMemo(dict):
-    """Per-RDD measurements that stay on the driver: the memo hangs off
-    the RDD (and lives as long as it does) but pickles empty, so a task
-    shipped to a process-pool worker carries none of it."""
-
-    def __reduce__(self):
-        return (_DriverMemo, ())
-
-
 def driver_memo(rdd: RDD) -> dict:
     """What the driver has measured about *rdd*'s contents so far.
 
     Never invalidated: an RDD's contents are immutable -- lineage is
     fixed at construction, recomputation is deterministic, and
     ``persist`` / ``unpersist`` only toggle caching of the same contents.
+    The memo hangs off the RDD and lives as long as it does.
     """
     memo = rdd.__dict__.get("_driver_memo")
     if memo is None:
-        memo = rdd._driver_memo = _DriverMemo()
+        memo = rdd._driver_memo = {}
     return memo
 
 
@@ -75,8 +67,7 @@ def _summarize(it: Iterator) -> PartitionSummary:
     (a tree answers from its size, root box and temporal extent).
 
     Mutable min/max accumulators: the pass runs over every member of
-    every partition.  Module level (not a closure) so the processes
-    executor ships it by reference.
+    every partition.
     """
     count = timed = 0
     min_x = min_y = t_lo = _INF

@@ -156,15 +156,6 @@ class Tracer:
         with self._lock:
             span.add(key, amount)
 
-    def attach(self, parent: Span, span: Span) -> None:
-        """Graft an externally built span subtree under *parent*.
-
-        The processes executor records task spans inside the worker,
-        ships them home and re-parents them under the job span here.
-        """
-        with self._lock:
-            parent.children.append(span)
-
     # -- export ------------------------------------------------------------
 
     def reset(self) -> None:
@@ -264,9 +255,6 @@ class NullTracer:
     def add_to(self, span, key: str, amount: int = 1) -> None:
         pass
 
-    def attach(self, parent, span) -> None:
-        pass
-
     def reset(self) -> None:
         pass
 
@@ -283,17 +271,3 @@ class NullTracer:
 #: The shared disabled tracer every context starts with.
 NULL_TRACER = NullTracer()
 
-
-def shift_spans(span: Span, delta: float) -> Span:
-    """Shift a span subtree's clock by *delta* seconds, in place.
-
-    Worker processes have their own ``perf_counter`` epoch, so task
-    spans are rebased to task-relative time before shipping and shifted
-    onto the driver's clock (the attempt's start) when re-attached.
-    """
-    span.start += delta
-    if span.end is not None:
-        span.end += delta
-    for child in span.children:
-        shift_spans(child, delta)
-    return span

@@ -27,11 +27,12 @@ STARK's algorithms are built against:
   typed :class:`~repro.spark.errors.TaskTimeoutError`, and speculative
   execution of stragglers (first result wins, loser cancelled).
 
-The engine runs tasks in the driver process (optionally on a thread
-pool).  The *algorithmic* costs -- how many partitions a query touches,
-how many candidate pairs a join evaluates -- are identical to a
-distributed deployment, which is what the paper's evaluation shapes
-depend on.
+The engine runs every task in the driver process: ``executor="threads"``
+(the default) on a thread pool, ``executor="sequential"`` inline on the
+calling thread.  The *algorithmic* costs -- how many partitions a
+query touches, how many candidate pairs a join evaluates -- are
+identical to a distributed deployment, which is what the paper's
+evaluation shapes depend on.
 """
 
 from repro.spark.accumulator import Accumulator

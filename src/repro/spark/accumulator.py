@@ -2,30 +2,22 @@
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Callable, Generic, TypeVar
 
 T = TypeVar("T")
-
-_accumulator_ids = itertools.count(1)
 
 
 class Accumulator(Generic[T]):
     """A thread-safe aggregation variable.
 
     Tasks call :meth:`add`; only the driver reads :attr:`value`.  The
-    default combine operation is ``+``.
-
-    Under the processes executor tasks see a worker-side shim keyed by
-    :attr:`id`; its recorded terms ship home with the task result and
-    are replayed through :meth:`add` on this driver-side object, but
-    only for attempts whose result the scheduler accepted -- a killed
-    or superseded attempt contributes nothing.
+    default combine operation is ``+``.  Tasks share this one object, so
+    every attempt's terms count, a retried or superseded one's included
+    (Spark's contract for accumulators updated in transformations).
     """
 
     def __init__(self, initial: T, op: Callable[[T, T], T] | None = None) -> None:
-        self.id = next(_accumulator_ids)
         self._value = initial
         self._op = op or (lambda a, b: a + b)  # type: ignore[operator]
         self._lock = threading.Lock()

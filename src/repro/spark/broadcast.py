@@ -1,37 +1,27 @@
 """Broadcast variables.
 
-Under the ``sequential`` and ``threads`` executors a broadcast is a
-thin read-only wrapper sharing one in-memory value; it exists so code
+Every task runs in the driver's process, so a broadcast is a thin
+read-only wrapper sharing one in-memory value; it exists so code
 written against the Spark API (and the baselines' broadcast joins)
 keeps its shape, and so the destroyed-broadcast error mode is
-reproduced.  Under ``processes`` the id gives the driver a stable key
-for shipping: the value is pickled once (cached in ``_shipped``) and
-sent to each worker process at most once, where it is cached for the
-life of the process -- per worker, not per task.
+reproduced.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Generic, TypeVar
 
 T = TypeVar("T")
-
-_broadcast_ids = itertools.count(1)
 
 
 class Broadcast(Generic[T]):
     """A read-only value shared across all tasks."""
 
-    __slots__ = ("id", "_value", "_destroyed", "_shipped")
+    __slots__ = ("_value", "_destroyed")
 
     def __init__(self, value: T) -> None:
-        self.id = next(_broadcast_ids)
         self._value = value
         self._destroyed = False
-        #: Serialized form + collected dependencies, filled lazily by
-        #: ``serialization.serialize_task`` so the value pickles once.
-        self._shipped = None
 
     @property
     def value(self) -> T:
@@ -44,7 +34,6 @@ class Broadcast(Generic[T]):
         """Release the value; later reads raise."""
         self._destroyed = True
         self._value = None  # type: ignore[assignment]
-        self._shipped = None
 
     def __repr__(self) -> str:
         state = "destroyed" if self._destroyed else repr(self._value)

@@ -1,5 +1,4 @@
-"""The block cache of persisted partitions: one on the driver, one in
-every worker process of the ``processes`` executor."""
+"""The block cache of persisted partitions, one per context."""
 
 from __future__ import annotations
 

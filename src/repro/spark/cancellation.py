@@ -19,23 +19,12 @@ scheduler threads into every task attempt:
 
 Cancellation is *cooperative*: a task stuck in code that neither polls
 nor waits on its token cannot be preempted (Python threads cannot be
-killed), but the scheduler still stops waiting for it -- the deadline
-and speculation machinery in :mod:`repro.spark.context` records the
-timeout and moves on, and the orphaned attempt's late result is
-discarded.
-
-Enforcement differs by executor backend.  Cooperative cancellation and
-speculative execution are **threads-only**: they rely on tokens shared
-through this module's thread-local scope, which does not cross a
-process boundary.  Under ``executor="processes"`` the driver keeps a
-per-attempt token for its own bookkeeping (retry classification, abort
-propagation) but enforces deadlines and aborts by *killing the worker
-process* and respawning it -- strictly stronger than cooperation: a
-worker wedged in a C extension or a tight loop that never polls dies
-anyway.  The cost is granularity (a kill takes out the whole worker,
-losing its partition/broadcast caches) and the loss of in-flight
-speculation, which the processes backend therefore rejects at
-construction.
+killed).  Under ``threads`` the scheduler still stops waiting for it
+-- the deadline and speculation machinery in
+:mod:`repro.spark.scheduler` records the timeout and moves on, and the
+orphaned attempt's late result is discarded.  Under ``sequential`` the
+attempt runs on the driver thread itself: a watchdog timer cancels its
+token, and a task that never polls holds the driver until it returns.
 
 Tokens carry a *kind* so handlers can tell retryable deadline kills
 (:data:`KIND_TIMEOUT`) from terminal aborts (:data:`KIND_ABORT`,
@@ -76,11 +65,6 @@ class TaskCancelledError(RuntimeError):
         self.reason = reason
         self.kind = kind
         super().__init__(reason)
-
-    def __reduce__(self):
-        # Default exception pickling replays ``args`` (just the reason),
-        # which would reset ``kind`` -- and the scheduler branches on it.
-        return (TaskCancelledError, (self.reason, self.kind))
 
 
 class CancelToken:

@@ -33,7 +33,7 @@ from repro.spark.rdd import (
     PartitionPruningRDD,
     ShuffledRDD,
 )
-from repro.spark.scheduler import _InlineJob, _ProcessJob, _ThreadJob, _rdd_label
+from repro.spark.scheduler import _InlineJob, _ThreadJob, _rdd_label
 from repro.spark.shuffle import _ShuffleManager
 
 T = TypeVar("T")
@@ -132,13 +132,9 @@ class SparkContext:
     ) -> None:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if executor not in ("threads", "sequential", "processes"):
-            raise ValueError(f"unknown executor {executor!r}")
-        if executor == "processes" and speculation:
+        if executor not in ("threads", "sequential"):
             raise ValueError(
-                "speculation requires the threads executor: speculative "
-                "copies are cancelled cooperatively, which cannot cross a "
-                "process boundary (processes get kill-based deadlines instead)"
+                f"unknown executor {executor!r}; expected 'sequential' or 'threads'"
             )
         if max_task_failures < 1:
             raise ValueError("max_task_failures must be >= 1")
@@ -194,8 +190,6 @@ class SparkContext:
         self.speculation_quantile = speculation_quantile
         self.speculation_multiplier = speculation_multiplier
         self._pool: ThreadPoolExecutor | None = None
-        self._proc_pool = None
-        self._max_cache_entries = max_cache_entries
         self._in_job = threading.local()
         self._stopped = False
         self._active_jobs: set[CancelToken] = set()
@@ -296,14 +290,9 @@ class SparkContext:
         self.metrics.jobs_run += 1
         self.metrics.tasks_launched += len(splits)
         nested = getattr(self._in_job, "active", False)
-        # Nested jobs always run inline -- under threads to avoid pool
-        # re-entry starvation, under processes to avoid shipping a job
-        # from within a job (the pool is not re-entrant either way).
-        pooled = (
-            self._executor_mode in ("threads", "processes")
-            and not nested
-            and len(splits) > 1
-        )
+        # Nested jobs always run inline: re-entering the pool from one
+        # of its own threads could starve it.
+        pooled = self._executor_mode == "threads" and not nested and len(splits) > 1
         # Nested jobs chain their token under the enclosing task's, so a
         # cancelled outer job reaches a shuffle map side levels deep.
         job_token = CancelToken(parent=current_token())
@@ -319,12 +308,10 @@ class SparkContext:
             job_timer.daemon = True
             job_timer.start()
         try:
-            if not pooled:
-                loop = _InlineJob(self, rdd, fn, splits, job_token, nested)
-            elif self._executor_mode == "threads":
+            if pooled:
                 loop = _ThreadJob(self, rdd, fn, splits, job_token)
             else:
-                loop = _ProcessJob(self, rdd, fn, splits, job_token)
+                loop = _InlineJob(self, rdd, fn, splits, job_token, nested)
             if not self.tracer.enabled:
                 return loop.run()
             op, pruned = _lineage_attrs(rdd)
@@ -359,24 +346,6 @@ class SparkContext:
                 thread_name_prefix=f"{self.app_name}-task",
             )
         return self._pool
-
-    def _ensure_proc_pool(self):
-        if self._proc_pool is None:
-            if self._stopped:
-                raise RuntimeError("process pool is shut down")
-            from repro.spark.procpool import ProcessPool
-
-            self._proc_pool = ProcessPool(
-                self.default_parallelism,
-                {
-                    "app_name": self.app_name,
-                    "default_parallelism": self.default_parallelism,
-                    "max_cache_entries": self._max_cache_entries,
-                },
-                self._shuffle.serve_blocks,
-                name=self.app_name,
-            )
-        return self._proc_pool
 
     def _next_rdd_id(self) -> int:
         return next(self._rdd_ids)
@@ -415,9 +384,6 @@ class SparkContext:
             # own; a truly wedged task must not block shutdown.
             self._pool.shutdown(wait=False)
             self._pool = None
-        if self._proc_pool is not None:
-            self._proc_pool.shutdown()
-            self._proc_pool = None
         self._cache.clear()
         self._shuffle.clear()
 

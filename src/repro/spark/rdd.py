@@ -58,12 +58,7 @@ class RDD(ABC, Generic[T]):
     ) -> None:
         from repro.spark.context import SparkContext  # cycle guard
 
-        # Tasks shipped to worker processes rebuild their lineage against
-        # the worker's task context (see repro.spark.worker), which quacks
-        # like a SparkContext without being one.
-        assert isinstance(context, SparkContext) or getattr(
-            context, "is_task_context", False
-        )
+        assert isinstance(context, SparkContext)
         self.context = context
         self.id = context._next_rdd_id()
         self.parents = tuple(parents)

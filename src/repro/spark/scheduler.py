@@ -1,6 +1,6 @@
 """The scheduler: one driver loop per job (:class:`_JobLoop`) and the
-transports its attempts travel by -- :class:`_InlineJob`,
-:class:`_ThreadJob` and :class:`_ProcessJob`; ``run_job`` picks one."""
+two transports its attempts travel by -- :class:`_InlineJob` and
+:class:`_ThreadJob`; ``run_job`` picks one."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.obs.tracer import shift_spans
 from repro.spark.cancellation import (
     KIND_ABORT,
     KIND_LOSER,
@@ -23,7 +22,6 @@ from repro.spark.cancellation import (
 )
 from repro.spark.errors import JobAbortedError, TaskError, TaskTimeoutError
 from repro.spark.rdd import RDD
-from repro.spark.serialization import serialize_task
 
 if TYPE_CHECKING:
     from repro.spark.context import SparkContext
@@ -52,29 +50,11 @@ class _CountingIterator:
         return value
 
 
-def _apply(fn, rdd: RDD, split: int, span):
-    """Recompute one partition from lineage and apply a job's *fn* to it;
-    with a task *span*, record the records it consumed as ``records_in``.
-
-    The task body under every transport (worker processes call it too).
-    A cached block is only reused if a previous attempt fully
-    materialized it, so a failed attempt never poisons the cache.
-    """
-    if span is None:
-        return fn(rdd.iterator(split))
-    counted = _CountingIterator(rdd.iterator(split))
-    try:
-        return fn(counted)
-    finally:
-        span.attrs["records_in"] = counted.count
-
-
 class _TaskAttempt:
     """One scheduled attempt of one task."""
 
     __slots__ = (
-        "split", "number", "speculative", "token", "start", "span",
-        "timed_out", "handle",
+        "split", "number", "speculative", "token", "start", "span", "timed_out",
     )
 
     def __init__(self, split: int, number: int, speculative: bool, token: CancelToken) -> None:
@@ -82,13 +62,11 @@ class _TaskAttempt:
         self.number = number
         self.speculative = speculative
         self.token = token
-        #: Set by the worker when execution actually begins (queue time
+        #: Set when the attempt actually starts running (queue time
         #: does not count against the task deadline).
         self.start: float | None = None
         self.span = None
         self.timed_out = False
-        #: The process pool's task handle (processes backend only).
-        self.handle = None
 
 
 #: Sentinel pushed into a pool job's outcome queue to wake the driver
@@ -207,7 +185,7 @@ class _JobLoop:
         if outcome is not None:
             self._handle(outcome)
 
-    # -- the task body (in-process transports) -----------------------------
+    # -- the task body ------------------------------------------------------
 
     def _run_attempt(self, attempt: _TaskAttempt) -> tuple:
         """Compute one attempt on the current thread; its outcome.
@@ -257,11 +235,24 @@ class _JobLoop:
             in_job.active = previous
 
     def _compute(self, split: int, span):
+        """Recompute one partition from lineage and apply the job's *fn*
+        to it; with a task *span*, record the records it consumed as
+        ``records_in``.
+
+        A cached block is only reused if a previous attempt fully
+        materialized it, so a failed attempt never poisons the cache.
+        """
         rdd = self._rdd
         injector = self._ctx.fault_injector
         if injector is not None:
             injector.check("task.compute", key=(rdd.id, split))
-        return _apply(self._fn, rdd, split, span)
+        if span is None:
+            return self._fn(rdd.iterator(split))
+        counted = _CountingIterator(rdd.iterator(split))
+        try:
+            return self._fn(counted)
+        finally:
+            span.attrs["records_in"] = counted.count
 
     # -- outcomes ----------------------------------------------------------
 
@@ -511,119 +502,3 @@ class _ThreadJob(_JobLoop):
                 outcome = self._outcomes.get_nowait()
         except queue_mod.Empty:
             return
-
-
-class _ProcessJob(_ThreadJob):
-    """The process-pool transport.
-
-    Scheduling policy is :class:`_JobLoop`'s, unchanged; what differs is
-    how an attempt travels.  Attempts dispatch to a
-    :class:`~repro.spark.procpool.ProcessPool` as a serialized payload +
-    split id; workers recompute the partition from shipped lineage and
-    send back the value plus the *side data* a shared address space
-    used to make free -- a metrics delta, recorded accumulator terms,
-    chaos counters and the task's trace span -- which :meth:`_absorb`
-    merges into driver state.  Cancellation is kill-based:
-    :meth:`_cancel_attempt` still cancels the driver-side token (so the
-    loop's accounting is identical) and then shoots the attempt's
-    worker process; the pool synthesizes a ``TaskCancelledError``
-    outcome that ``_handle`` already knows to ignore.
-
-    Construction serializes the task (an unshippable closure raises
-    ``TaskSerializationError`` before anything is dispatched) and runs
-    the map side of every shuffle it reaches, each a pooled job that
-    recurses into *its* upstream shuffles first: workers only ever
-    fetch ready buckets, never waiting on driver-side work.
-    """
-
-    def __init__(self, ctx: "SparkContext", rdd: RDD, fn, splits: list[int],
-                 job_token: CancelToken) -> None:
-        payload = serialize_task(ctx, rdd, fn)
-        for shuffle_id in payload.shuffle_ids:
-            ctx._shuffle.ensure(shuffle_id)
-        super().__init__(ctx, rdd, fn, splits, job_token)
-        self._payload = payload
-        self._pool = ctx._ensure_proc_pool()
-        injector = ctx.fault_injector
-        self._meta_base = {
-            "tracing": ctx.tracer.enabled,
-            "chaos": injector.worker_spec() if injector is not None else None,
-        }
-
-    def run(self, job_span=None) -> list:
-        try:
-            return super().run(job_span)
-        finally:
-            # Workers cache the payload bytes for the job's duration;
-            # the job is over, reclaim the memory.
-            self._pool.release_payload(self._payload.payload_id)
-
-    def _submit_attempt(self, attempt: _TaskAttempt) -> None:
-        meta = dict(self._meta_base, attempt=attempt.number)
-        outcomes = self._outcomes
-
-        def on_start() -> None:
-            attempt.start = time.perf_counter()
-
-        def on_outcome(ok: bool, out) -> None:
-            outcomes.put((attempt, ok, out))
-
-        attempt.handle = self._pool.submit(
-            self._payload, attempt.split, meta, on_start, on_outcome
-        )
-
-    def _cancel_attempt(self, attempt: _TaskAttempt, reason: str, kind: str) -> None:
-        attempt.token.cancel(reason, kind)
-        if attempt.handle is not None:
-            self._pool.kill(attempt.handle, TaskCancelledError(reason, kind))
-
-    def _handle(self, outcome) -> None:
-        attempt, ok, payload = outcome
-        if isinstance(payload, dict):
-            payload = self._absorb(attempt, ok, payload)
-        super()._handle((attempt, ok, payload))
-
-    def _absorb(self, attempt: _TaskAttempt, ok: bool, out: dict):
-        """Merge a worker outcome's side data; return the value/error.
-
-        Metrics deltas, chaos counters and trace spans merge for every
-        delivered outcome -- under threads, losing attempts also leave
-        those footprints.  Accumulator terms only replay for an attempt
-        whose *result is accepted* (first success per split), so a
-        retried or superseded attempt cannot double-count.
-        """
-        ctx = self._ctx
-        # A worker has no scheduler and never runs a map side, so its
-        # delta cannot hold the counters this loop books (tasks_*,
-        # jobs_*, shuffles_*): every counter merges.
-        for name, amount in out.get("metrics", {}).items():
-            setattr(ctx.metrics, name, getattr(ctx.metrics, name) + amount)
-        chaos = out.get("chaos")
-        if chaos and ctx.fault_injector is not None:
-            ctx.fault_injector.merge_worker_stats(chaos)
-        span = out.get("span")
-        if span is not None and ctx.tracer.enabled and self._job_span is not None:
-            shift_spans(span, attempt.start or time.perf_counter())
-            if attempt.number > 1:
-                span.attrs["attempt"] = attempt.number
-            if attempt.speculative:
-                span.attrs["speculative"] = True
-            ctx.tracer.attach(self._job_span, span)
-            attempt.span = span
-        if ok:
-            if attempt.split not in self._results:
-                accumulators = out.get("accumulators")
-                if accumulators:
-                    for acc_id, terms in accumulators.items():
-                        accumulator = self._payload.accumulators.get(acc_id)
-                        if accumulator is not None:
-                            for term in terms:
-                                accumulator.add(term)
-            return out.get("value")
-        error = out.get("error")
-        if not isinstance(error, BaseException):
-            error = RuntimeError(f"worker task failed: {error!r}")
-        remote_traceback = out.get("traceback")
-        if remote_traceback:
-            error.remote_traceback = remote_traceback
-        return error

@@ -1,17 +1,14 @@
 """The hash shuffle: map side, block format and reduce-side fetch.
 
 A map output is a sparse dict ``reduce partition -> block``.  Only this
-module knows what a block is: the map task writes them,
-:func:`fetch_rows` reads them for reduce tasks on the driver and in
-worker processes alike.
+module knows what a block is: the map task writes them and
+:meth:`_ShuffleManager.fetch` reads them for reduce tasks.
 
-A raw (``partition_by``) block is the list of rows itself.  On the
-in-process transports reduce tasks get the map side's row objects by
-reference -- rows are immutable, the contract the block cache already
-serves persisted partitions under -- and for ``processes`` the pool's
-pipe pickles every message, so workers get private copies without a
-second encode here.  A combining block is one pickled list: its
-combiners are read again by reduce retries and later actions, and
+A raw (``partition_by``) block is the list of rows itself, and reduce
+tasks get the map side's row objects by reference -- rows are
+immutable, the contract the block cache already serves persisted
+partitions under.  A combining block is one pickled list: its combiners
+are read again by reduce retries and later actions, and
 ``merge_combiners`` may modify and return its first argument, so every
 read decodes its own.
 """
@@ -22,7 +19,7 @@ import itertools
 import pickle
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.spark.cancellation import Heartbeat
 from repro.spark.partitioner import Partitioner
@@ -33,27 +30,6 @@ if TYPE_CHECKING:
 
 
 Block = list[tuple] | bytes  # raw rows, or one pickled combining list
-
-
-def fetch_rows(
-    injector,
-    shuffle_id: int,
-    reduce_split: int,
-    get_blocks: Callable[[int, int], list[Block]],
-) -> Iterator[tuple]:
-    """One reduce partition's rows: chaos check, get its blocks, chain.
-
-    The only fetch path.  *get_blocks* is where the blocks come from:
-    the driver's own map outputs, or a worker's pipe request to the
-    driver.  A failed fetch (``shuffle.fetch`` site of *injector*)
-    surfaces in the reduce task, which the scheduler retries; completed
-    map outputs are reused.
-    """
-    if injector is not None:
-        injector.check("shuffle.fetch", key=(shuffle_id, reduce_split))
-    blocks = get_blocks(shuffle_id, reduce_split)
-    rows = (pickle.loads(b) if isinstance(b, bytes) else b for b in blocks)
-    return itertools.chain.from_iterable(rows)
 
 
 class _ShuffleManager:
@@ -112,23 +88,22 @@ class _ShuffleManager:
             return lock
 
     def fetch(self, shuffle_id: int, reduce_split: int) -> Iterator[tuple]:
-        """One reduce partition's rows, running the map side if need be."""
-        return fetch_rows(
-            self._context.fault_injector, shuffle_id, reduce_split, self._blocks
-        )
+        """One reduce partition's rows, running the map side if need be.
 
-    def _blocks(self, shuffle_id: int, reduce_split: int) -> list[Block]:
+        The only fetch path.  A failed fetch (the ``shuffle.fetch``
+        chaos site) surfaces in the reduce task, which the scheduler
+        retries; completed map outputs are reused.
+        """
+        injector = self._context.fault_injector
+        if injector is not None:
+            injector.check("shuffle.fetch", key=(shuffle_id, reduce_split))
         # One block per map output that wrote to *reduce_split*.
-        outputs = self.ensure(shuffle_id)
-        return [out[reduce_split] for out in outputs if reduce_split in out]
+        blocks = [out[reduce_split] for out in self.ensure(shuffle_id) if reduce_split in out]
+        rows = (pickle.loads(b) if isinstance(b, bytes) else b for b in blocks)
+        return itertools.chain.from_iterable(rows)
 
     def ensure(self, shuffle_id: int) -> list[dict[int, Block]]:
-        """Materialize a shuffle's map outputs (once); return them.
-
-        Reduce tasks reach this through :meth:`fetch`; the processes
-        transport calls it for every shuffle a job reaches *before*
-        dispatching the job (see ``scheduler._ProcessJob``).
-        """
+        """Materialize a shuffle's map outputs (once); return them."""
         # Double-checked locking: reduce tasks may arrive concurrently
         # from the thread pool; only one runs the map side.  A map side
         # that *fails* leaves no entry behind -- ``_outputs`` is only
@@ -155,10 +130,7 @@ class _ShuffleManager:
                 # The map side is itself a job over the parent RDD.  From
                 # inside a reduce task, run_job must not recurse into the
                 # pool (deadlock risk), so the context runs nested jobs
-                # inline; from the driver (processes-backend
-                # pre-materialization) it runs as a regular pooled job, so
-                # the map task must be a context-free picklable closure --
-                # accounting happens here afterwards.
+                # inline; accounting happens here afterwards.
                 results = context.run_job(parent, _make_map_task(partitioner, aggregator))
                 written = sum(w for _buckets, w in results)
                 tracer.add_to(shuffle_span, "records_written", written)
@@ -167,21 +139,6 @@ class _ShuffleManager:
             self._outputs[shuffle_id] = outputs
             context.metrics.shuffles_executed += 1
             return outputs
-
-    def serve_blocks(self, shuffle_id: int, reduce_split: int) -> list[Block]:
-        """Return one reduce partition's blocks for a worker fetch.
-
-        The worker decodes them through :func:`fetch_rows`, which is
-        also where its chaos check fires, inside the task.  Map outputs
-        must be ready: this runs on the pool's receiver thread, which
-        must never start a job.
-        """
-        if shuffle_id not in self._outputs:
-            raise RuntimeError(
-                f"shuffle {shuffle_id} has no materialized map outputs; "
-                "processes jobs must ensure() their shuffles before dispatch"
-            )
-        return self._blocks(shuffle_id, reduce_split)
 
     def clear(self) -> None:
         with self._manager_lock:
@@ -193,11 +150,8 @@ class _ShuffleManager:
 def _make_map_task(partitioner: Partitioner, aggregator: _Aggregator | None):
     """Build the map-side task closure for one shuffle.
 
-    Module-level factory so the closure captures only picklable state
-    (partitioner, aggregator) -- never the context, metrics or tracer --
-    and therefore ships to worker processes unchanged.  It returns
-    ``(buckets, records_written)``; the shuffle manager does the
-    metrics/tracing accounting driver-side.
+    The closure returns ``(buckets, records_written)``; the shuffle
+    manager does the metrics/tracing accounting on the driver.
     """
 
     def map_task(it: Iterator[tuple]) -> tuple[dict[int, Block], int]:

@@ -27,8 +27,8 @@ arrivals are re-ordered before any matcher sees them, and an event
 arriving *behind* the processed frontier is dropped and counted in
 :attr:`~CepConsumer.late_dropped`.  Batch contents and rid assignment
 are identical across executor backends, so match sets (and the emission
-ordinals ``Match.seq``) are pinned equal across ``threads`` and
-``processes`` -- the property the CEP tests assert under seeded chaos.
+ordinals ``Match.seq``) are pinned equal across ``sequential`` and
+``threads`` -- the property the CEP tests assert under seeded chaos.
 
 **Exactly-once emission.**  Each match is emitted under a synthetic
 ledger window ``Window(seq, seq + 1)`` -- unique per match because

@@ -22,6 +22,7 @@ quiescent point, no silent loss.
 from __future__ import annotations
 
 import queue as queue_mod
+import threading
 import time
 from typing import TYPE_CHECKING
 
@@ -58,6 +59,15 @@ class Ingest:
     resumes.  The WAL journals a batch's records by input registration
     order (process-local ``id(node)`` keys are useless after a restart);
     :meth:`ingest` writes that mapping and :meth:`replay` inverts it.
+
+    :attr:`lock` makes a poll one step for a checkpoint: :meth:`ingest`
+    holds it from the id allocation through the polls, the poll
+    counters and the journal append, and
+    :func:`~repro.streaming.recovery.build_snapshot` reads the counter,
+    the metrics and the source cursors under it.  Without it, a
+    threaded drive's poller could move a cursor between the snapshot's
+    counter and cursor reads, and replay would apply that batch's
+    cursor delta a second time.
     """
 
     def __init__(
@@ -75,6 +85,7 @@ class Ingest:
         self.queue: queue_mod.Queue = queue_mod.Queue(maxsize=max_pending_batches)
         #: The id the next polled batch gets.
         self.next_batch_id = 0
+        self.lock = threading.Lock()
 
     def ingest(self, batch_time: float | None, sync: bool) -> bool:
         """Poll every source once, journal the batch, admit it; False = shed.
@@ -86,37 +97,38 @@ class Ingest:
         state, which is the whole point of a write-ahead log.
         """
         ssc = self._ssc
-        batch_id = self.next_batch_id
-        self.next_batch_id += 1
         injector = ssc.spark_context.fault_injector
-        records: dict[int, list] = {}
-        cursors: list = []
-        for node in ssc._inputs:
-            rows: list = []
-            delta = None
-            try:
-                if injector is not None:
-                    injector.check("source.poll", key=(node.source.name, batch_id))
-                rows = node.source.poll()
-                # Duck-typed sources need not speak the cursor protocol;
-                # they journal no delta (their cursor never moves).
-                poll_delta = getattr(node.source, "last_poll_delta", None)
-                if poll_delta is not None:
-                    delta = poll_delta()
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:
-                ssc.metrics.poll_failures += 1
-                rows = []
-            records[id(node)] = rows
-            cursors.append(delta)
-        batch = _Batch(batch_id, time.time() if batch_time is None else batch_time, records)
-        self._count_poll(batch)
-        batch.queue_depth = self.queue.qsize()
-        manager = ssc.checkpoint_manager
-        if manager is not None:
-            inputs = [records[id(node)] for node in ssc._inputs]
-            manager.log_batch(batch_id, batch.time, inputs, cursors)
+        with self.lock:
+            batch_id = self.next_batch_id
+            self.next_batch_id += 1
+            records: dict[int, list] = {}
+            cursors: list = []
+            for node in ssc._inputs:
+                rows: list = []
+                delta = None
+                try:
+                    if injector is not None:
+                        injector.check("source.poll", key=(node.source.name, batch_id))
+                    rows = node.source.poll()
+                    # Duck-typed sources need not speak the cursor protocol;
+                    # they journal no delta (their cursor never moves).
+                    poll_delta = getattr(node.source, "last_poll_delta", None)
+                    if poll_delta is not None:
+                        delta = poll_delta()
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                except Exception:
+                    ssc.metrics.poll_failures += 1
+                    rows = []
+                records[id(node)] = rows
+                cursors.append(delta)
+            batch = _Batch(batch_id, time.time() if batch_time is None else batch_time, records)
+            self._count_poll(batch)
+            batch.queue_depth = self.queue.qsize()
+            manager = ssc.checkpoint_manager
+            if manager is not None:
+                inputs = [records[id(node)] for node in ssc._inputs]
+                manager.log_batch(batch_id, batch.time, inputs, cursors)
         return self._admit(batch, sync)
 
     def replay(self, record: dict, fresh: bool) -> _Batch:

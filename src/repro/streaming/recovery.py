@@ -81,14 +81,22 @@ def build_snapshot(ssc: StreamingContext) -> dict:
     Everything a restart cannot re-derive from the re-declared pipeline:
     the batch-id counter, metrics, each consumer's window/keyed state
     and each source's cursor.  Consumers and sources are stored by
-    registration order -- their durable identity.
+    registration order -- their durable identity.  The counter, the
+    metrics and the cursors are read under the ingest lock, so they
+    describe the same set of polls even while a threaded drive's poller
+    runs; consumer state only changes on the calling (processing) thread.
     """
+    ingest = ssc._ingest
+    with ingest.lock:
+        next_batch_id = ingest.next_batch_id
+        metrics = ssc.metrics.snapshot()
+        sources = [node.source.cursor() for node in ssc._inputs]
     return {
         "format": SNAPSHOT_FORMAT,
-        "next_batch_id": ssc._ingest.next_batch_id,
-        "metrics": ssc.metrics.snapshot(),
+        "next_batch_id": next_batch_id,
+        "metrics": metrics,
         "consumers": [consumer.snapshot_state() for consumer in ssc._windows],
-        "sources": [node.source.cursor() for node in ssc._inputs],
+        "sources": sources,
     }
 
 

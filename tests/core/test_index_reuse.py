@@ -5,11 +5,12 @@ indexes under ``(mode, order, time_slices)`` until ``unpersist``.  One
 persisted RDD of mixed timed and untimed rows takes a drawn sequence of
 live filters (every mode, two orders, two slice counts), joins and kNN
 joins reading it as the right side, interleaved with ``unpersist``,
-re-``persist`` and a chaos plan on ``cache.get``; on every executor, and
+re-``persist`` and a chaos plan on ``cache.get``; on both executors, and
 on ``sequential`` once more under a two-block LRU cache.  Every answer
 is checked against a nested loop, every served index against the key it
-was asked for, and in-process every build is counted: one per partition
-the first time a key is used on the persisted RDD, none after it.
+was asked for, and without the LRU cap every build is counted: one per
+partition the first time a key is used on the persisted RDD, none after
+it.
 """
 
 from __future__ import annotations
@@ -190,7 +191,6 @@ CONFIGS = {
     "sequential": ("sequential", None, True, 30),
     "sequential-lru": ("sequential", 2, False, 10),
     "threads": ("threads", None, True, 25),
-    "processes": ("processes", None, False, 4),
 }
 
 

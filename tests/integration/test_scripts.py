@@ -36,10 +36,10 @@ class TestExamples:
         lines = [l for l in proc.stdout.splitlines() if "events" in l]
         assert len(lines) >= 2
 
-    def test_quickstart_processes_executor(self):
-        # worker processes recompute the listing's queries from lineage;
-        # the printed counts must match the default-executor run
-        proc = run([f"{REPO}/examples/quickstart.py", "--executor", "processes"])
+    def test_quickstart_sequential_matches_default(self):
+        # the listing's queries print the same under the default thread
+        # pool and under the inline executor
+        proc = run([f"{REPO}/examples/quickstart.py"])
         assert proc.returncode == 0, proc.stderr
         baseline = run([f"{REPO}/examples/quickstart.py", "--executor", "sequential"])
         assert baseline.returncode == 0, baseline.stderr
@@ -51,6 +51,15 @@ class TestExamples:
         assert "hotspots per closed window:" in proc.stdout
         assert "cluster 0:" in proc.stdout  # the seeded harbour hotspot
         assert "'batches_run': 6" in proc.stdout
+
+    def test_streaming_cep(self):
+        proc = run([f"{REPO}/examples/streaming_cep.py"])
+        assert proc.returncode == 0, proc.stderr
+        fired = [line.split()[0] for line in proc.stdout.splitlines() if "@POINT" in line]
+        assert fired.count("depot-visit") == 1  # v1 through the depot
+        assert fired.count("convoy") == 2  # v1 and v3 bunched near (80, 80)
+        assert fired.count("lost-heartbeat") == 3  # every track ends silent
+        assert "matches emitted: 6" in proc.stdout
 
     def test_workflow_persistence(self):
         proc = run([f"{REPO}/examples/workflow_persistence.py"])

@@ -18,6 +18,11 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             SparkContext(executor="gpu")
 
+    def test_process_executor_is_gone(self):
+        # The error names what is accepted, so an old caller knows the fix.
+        with pytest.raises(ValueError, match="'sequential' or 'threads'"):
+            SparkContext(executor='processes')
+
     def test_stop_clears_cache(self, sc):
         rdd = sc.parallelize([1, 2], 1).cache()
         rdd.collect()

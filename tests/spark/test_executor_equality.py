@@ -1,9 +1,8 @@
 """Every executor backend must produce identical operator results.
 
-The backends differ wildly in mechanism -- inline calls, a thread pool,
-spawned processes recomputing from shipped lineage -- but they implement
-one contract: ``run_job`` returns the same per-partition values in the
-same order.  This suite runs the paper's operator mix (filter, join,
+The backends differ in mechanism -- inline calls on the driver thread,
+or a thread pool -- but they implement one contract: ``run_job``
+returns the same per-partition values in the same order.  This suite runs the paper's operator mix (filter, join,
 kNN, kNN-join, DBSCAN) once per backend over the same data and compares
 sorted results, plus one chaos round per backend to pin down that fault
 injection behaves identically under each executor.
@@ -25,7 +24,7 @@ from repro.io.datagen import clustered_points, random_polygons
 from repro.partitioners.grid import GridPartitioner
 from repro.spark.context import SparkContext
 
-BACKENDS = ["sequential", "threads", "processes"]
+BACKENDS = ["sequential", "threads"]
 
 POINTS = 600
 POLYGONS = 40
@@ -98,20 +97,14 @@ def test_backend_matches_sequential(per_backend_results, executor, operator):
     assert per_backend_results[executor][operator] == expected
 
 
-#: Counters that differ between pools by design: every worker process
-#: has its own block cache, so hits and evictions depend on placement.
-PER_WORKER_COUNTERS = {"cache_hits", "cache_evictions"}
-
-
 def test_counters_match_across_pools(per_backend_results):
-    """Workers ship every non-zero counter; none may double-count what
-    the driver's scheduler already booked (tasks_*, jobs_*, shuffles_*)."""
+    """Every counter, cache hits included, is a function of the job and
+    not of the transport: the pool may reorder attempts, never add any."""
+    sequential = per_backend_results["sequential"]["metrics"]
     threads = per_backend_results["threads"]["metrics"]
-    processes = per_backend_results["processes"]["metrics"]
-    assert {k: v for k, v in processes.items() if k not in PER_WORKER_COUNTERS} == {
-        k: v for k, v in threads.items() if k not in PER_WORKER_COUNTERS
-    }
+    assert threads == sequential
     assert threads["tasks_launched"] > 0 and threads["shuffles_executed"] > 0
+    assert threads["cache_hits"] > 0
 
 
 def test_filter_finds_something(per_backend_results):

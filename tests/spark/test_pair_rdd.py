@@ -165,7 +165,7 @@ class TestShuffleMachinery:
         assert combined_records <= 4
         assert raw_records == 100
 
-    @pytest.mark.parametrize("executor", ["sequential", "threads", "processes"])
+    @pytest.mark.parametrize("executor", ["sequential", "threads"])
     def test_in_place_combiners_see_private_map_outputs(self, executor):
         # Spark lets merge_combiners modify and return its first argument,
         # and a combining shuffle's map outputs are read again by later

@@ -40,12 +40,12 @@ class TestPartitionValidation:
         ]
 
 
-EXECUTORS = ["sequential", "threads", "processes"]
+EXECUTORS = ["sequential", "threads"]
 
 
 @pytest.fixture(params=EXECUTORS)
 def any_sc(request):
-    """One context per executor: the same loop behind three transports."""
+    """One context per executor: the same loop behind two transports."""
     context = SparkContext(
         f"retry-{request.param}",
         parallelism=2,
@@ -57,7 +57,7 @@ def any_sc(request):
 
 
 def _boom_on_zero(it):
-    """A task that fails on the split holding 0 (module-level: it ships)."""
+    """A task that fails on the split holding 0."""
     values = list(it)
     if 0 in values:
         raise ValueError("boom")

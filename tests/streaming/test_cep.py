@@ -5,7 +5,7 @@ the match set of the brute-force oracle (:mod:`repro.streaming.cep.
 oracle`, the executable specification) over the accepted events --
 property-tested over randomized event orderings for all four rule
 types, pinned at the ``within``-expiry boundary instants, under
-late/out-of-order arrival, across the threads and processes executors
+late/out-of-order arrival, across the sequential and threads executors
 under seeded chaos, and with the payload store spilling under a memory
 budget.  Emission ordinals (``Match.seq``) are part of the pinned
 surface: they key the exactly-once ledger, so they must be
@@ -33,7 +33,7 @@ from repro.streaming import (
 )
 from repro.streaming.cep import RuleError, canonical
 
-BACKENDS = ["threads", "processes"]
+BACKENDS = ["sequential", "threads"]
 
 FENCE = "POLYGON ((20 20, 60 20, 60 60, 20 60, 20 20))"
 

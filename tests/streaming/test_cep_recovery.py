@@ -33,7 +33,7 @@ from repro.spark.context import SparkContext
 from repro.streaming import EventFileSink, StreamingContext, absence, aggregate, count, sequence, step
 from repro.streaming.cep import canonical
 
-BACKENDS = ["threads", "processes"]
+BACKENDS = ["threads"]
 
 BATCHES = 6
 RATE = 10
@@ -155,7 +155,7 @@ def resume_and_finish(sc, checkpoint_dir, out_dir=None, injector_retries=0):
 
 
 class TestChaosKillPoints:
-    """Injected faults at the instrumented sites, on both executors."""
+    """Injected faults at the instrumented sites, on the thread pool."""
 
     @pytest.mark.chaos
     @pytest.mark.parametrize("executor", BACKENDS)

@@ -5,7 +5,7 @@ path's: every closed window's answer must equal a batch recomputation
 over exactly that window's records -- while the keyed store holds one
 copy of each record no matter how many sliding windows it spans.  This
 suite pins the equality for range, kNN and stream-static join under
-the threads and processes executors, checks the store's incremental
+the sequential and threads executors, checks the store's incremental
 bookkeeping (single-copy inserts, watermark-driven eviction, cell
 extents that removals loosen and the next scan makes exact), and
 replays the whole pipeline under seeded chaos to show absorption stays
@@ -33,7 +33,7 @@ from repro.streaming import (
 )
 from repro.streaming.operators import relax_static
 
-BACKENDS = ["threads", "processes"]
+BACKENDS = ["sequential", "threads"]
 
 LENGTH = 10.0
 SLIDE = 5.0

@@ -9,7 +9,7 @@ Three adversaries exercise it:
 
 - the **chaos sites** (``wal.append``, ``checkpoint.write``,
   ``recovery.load``) -- injected faults at the instrumented operations,
-  parametrized over the threads and processes executors;
+  on the threads executor;
 - the **kill-between-any-two-fsyncs matrix** -- a simulated process
   death at every durability barrier the scenario crosses, via the
   storage fsync hook (driver-side, so sequential executor);
@@ -27,6 +27,8 @@ delivery path the recovery story prescribes.
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import pytest
 
@@ -34,9 +36,9 @@ from repro.chaos import CrashHarness, FaultInjector, SimulatedCrash, crash_point
 from repro.chaos.injector import InjectedFault
 from repro.core.stobject import STObject
 from repro.spark.context import SparkContext
-from repro.streaming import EventFileSink, StreamingContext, StreamingError
+from repro.streaming import EventFileSink, QueueSource, StreamingContext, StreamingError
 
-BACKENDS = ["threads", "processes"]
+BACKENDS = ["threads"]
 
 BATCHES = 8
 CRASH_AT = 5
@@ -157,7 +159,7 @@ def resume_and_finish(sc, checkpoint_dir, out_dir=None, injector_retries=0):
 
 
 class TestChaosKillPoints:
-    """Injected faults at each instrumented site, on both executors."""
+    """Injected faults at each instrumented site, on the thread pool."""
 
     @pytest.mark.chaos
     @pytest.mark.parametrize("executor", BACKENDS)
@@ -223,6 +225,68 @@ class TestChaosKillPoints:
         assert not (set(crashed) & set(resumed))
         assert {**crashed, **resumed} == base
         assert report.epoch is not None
+
+
+class _PollLandsDuringSnapshot(QueueSource):
+    """A queue source that forces the threaded drive's worst interleaving.
+
+    The first :meth:`cursor` read (the first checkpoint's) waits until a
+    poll moves the cursor, or half a second passes; the second read is
+    a crash, so that first checkpoint is the one a restore loads.
+    """
+
+    def __init__(self, batches) -> None:
+        super().__init__(batches)
+        self.reads = 0
+        self.crashed = threading.Event()
+
+    def cursor(self):
+        self.reads += 1
+        if self.reads == 2:
+            self.crashed.set()
+            raise SystemExit("simulated crash at the second checkpoint")
+        seen = super().cursor()
+        deadline = time.monotonic() + 0.5
+        while self.reads == 1 and super().cursor() == seen and time.monotonic() < deadline:
+            time.sleep(0.002)
+        return super().cursor()
+
+
+class TestThreadedCheckpoint:
+    def test_a_poll_during_the_snapshot_is_replayed_once(self, tmp_path):
+        """Under ``start()`` the poller keeps polling while the processor
+        snapshots.  A poll landing between the snapshot's batch counter
+        and its cursor read would be in the cursor but not the counter,
+        and replay would apply that batch's cursor delta a second time:
+        the restored source would skip the first batch it has not read."""
+        ck = str(tmp_path / "ck")
+        batches = [[rec(i, float(i))] for i in range(300)]
+
+        def declare(sc, source):
+            ssc = StreamingContext(
+                sc, batch_interval=0.005, max_pending_batches=64,
+                checkpoint_dir=ck, checkpoint_interval=1,
+            )
+            ssc.stream(source).window(**WINDOW).count_windows()
+            return ssc
+
+        with make_sc("threads") as sc:
+            source = _PollLandsDuringSnapshot(batches)
+            ssc = declare(sc, source)
+            ssc.start()
+            assert source.crashed.wait(10.0)
+            ssc.stop(flush=False, drain=False)
+            polled = source.cursor()
+        assert 0 < polled < len(batches)
+        with make_sc("threads") as sc2:
+            fresh = QueueSource(batches)
+            ssc2 = declare(sc2, fresh)
+            report = ssc2.restore(ck)
+            assert report.epoch == 1
+            assert fresh.cursor() == polled
+            assert ssc2.metrics.records_ingested == polled
+            assert fresh.poll() == batches[polled]
+            ssc2.stop(flush=False)
 
 
 class TestCrashMatrix:

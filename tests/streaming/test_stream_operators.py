@@ -6,9 +6,8 @@ equal a batch run of the same operator over exactly that window's
 records.  This suite generates a seeded event stream, feeds it through
 windowed streaming operators batch by batch, independently recomputes
 each window with the batch operators from :mod:`repro.core`, and
-asserts equality -- under the threads and processes executors, which
-also pins down that stream closures and broadcast indexes survive a
-real process boundary.
+asserts equality -- under the sequential and threads executors, so
+both transports answer every window alike.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.core.stobject import STObject
 from repro.spark.context import SparkContext
 from repro.streaming import StreamingContext, WindowSpec
 
-BACKENDS = ["threads", "processes"]
+BACKENDS = ["sequential", "threads"]
 
 WINDOW = 10.0
 BATCHES = 5
