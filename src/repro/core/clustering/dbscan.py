@@ -2,9 +2,9 @@
 
 The per-partition algorithm of the MR-DBSCAN scheme, and the reference
 the property tests compare the distributed version against.  Neighbour
-queries go through an STR-tree (range query on the epsilon box, refined
-by exact distance), so a local run is ``O(n log n)`` for reasonable
-epsilon.
+queries look up a dict of eps-sized grid cells (the cells a point's
+eps-box reaches, refined by exact distance), so a local run costs
+``O(n)`` times the points per cell.
 
 DBSCAN definitions used (classic, Ester et al.):
 
@@ -20,11 +20,9 @@ DBSCAN definitions used (classic, Ester et al.):
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from typing import Sequence
 
-from repro.geometry.envelope import Envelope
-from repro.index.rtree import STRTree
 from repro.spark.cancellation import Heartbeat
 
 #: Cluster label for noise points.
@@ -42,6 +40,16 @@ def local_dbscan(
 
     Labels are dense non-negative integers in first-discovery order,
     or :data:`NOISE`.
+
+    Only each point's neighbour *set* matters (a cluster's expansion
+    reaches the same points in any order), so the cells must cover every
+    ``j`` passing the ``hypot`` test.  That test needs ``|fl(xj - x)| <=
+    eps``, so ``|xj - x| < r``, the float after ``eps``; rounding is
+    monotone, so ``fl(x - r) <= xj <= fl(x + r)`` and ``xj``'s cell lies
+    between the floors of ``(x - r) / eps`` and ``(x + r) / eps``,
+    however near an integer a quotient is.  A point whose quotients
+    overflow (subnormal ``eps``, huge or infinite coordinates) is
+    ``wide``: it scans, and is a candidate of, every point.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -51,21 +59,33 @@ def local_dbscan(
     n = len(points)
     labels = [_UNVISITED] * n
     core = [False] * n
-    if n == 0:
-        return [], []
 
-    tree: STRTree[int] = STRTree(
-        (Envelope.of_point(x, y), i) for i, (x, y) in enumerate(points)
-    )
+    floor, hypot, r = math.floor, math.hypot, math.nextafter(eps, math.inf)
+    cells, spans, wide = defaultdict(list), [], []  # (i, x, y) rows, eps-box spans
+    for i, (x, y) in enumerate(points):
+        if x != x or y != y:
+            raise ValueError("DBSCAN coordinates must not be NaN")
+        try:
+            span = (floor((x - r) / eps), floor((x + r) / eps),
+                    floor((y - r) / eps), floor((y + r) / eps))
+            cells[floor(x / eps), floor(y / eps)].append((i, x, y))
+        except (OverflowError, ValueError):
+            span = None
+            wide.append((i, x, y))
+        spans.append(span)
+    # Candidate rows per eps-box span, shared by the points of a cell.
+    candidates = {None: [(i, x, y) for i, (x, y) in enumerate(points)]} if wide else {}
 
     def neighbours(i: int) -> list[int]:
         x, y = points[i]
-        box = Envelope(x - eps, y - eps, x + eps, y + eps)
-        return [
-            j
-            for j in tree.query(box)
-            if math.hypot(points[j][0] - x, points[j][1] - y) <= eps
-        ]
+        rows = candidates.get(spans[i])
+        if rows is None:
+            lo_x, hi_x, lo_y, hi_y = spans[i]
+            rows = candidates[spans[i]] = list(wide)
+            for cx in range(lo_x, hi_x + 1):
+                for cy in range(lo_y, hi_y + 1):
+                    rows += cells.get((cx, cy), ())
+        return [j for j, xj, yj in rows if hypot(xj - x, yj - y) <= eps]
 
     # Expansion can touch every point many times on dense data; poll for
     # cancellation so a deadline can stop a runaway partition.

@@ -28,7 +28,7 @@ Output labels: dense non-negative integers per final cluster;
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator, TypeVar
+from typing import Collection, Iterator, TypeVar
 
 from repro.core.clustering.dbscan import NOISE, local_dbscan
 from repro.core.clustering.union_find import UnionFind
@@ -52,6 +52,18 @@ def _default_partitioner(keys: list[STObject], eps: float) -> SpatialPartitioner
     return BSPartitioner(keys, max_cost_per_partition=max_cost, side_length=2 * eps)
 
 
+def replication_targets(
+    part: SpatialPartitioner, x: float, y: float, eps: float
+) -> tuple[int, Collection[int]]:
+    """A point's home cell, and all cells within *eps* of it plus home (a
+    point outside the universe is clamped into a home it is not in)."""
+    home = part.partition_of_point(x, y)
+    b = part.partition_bounds(home)
+    if min(x - b.min_x, b.max_x - x, y - b.min_y, b.max_y - y) > eps:
+        return home, (home,)  # cells are separated: no other one is within eps
+    return home, {home, *part.partitions_within_distance(x, y, eps)}
+
+
 def dbscan(
     rdd: RDD,
     eps: float,
@@ -70,134 +82,116 @@ def dbscan(
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
 
     context = rdd.context
-    tracer = context.tracer
-    with tracer.span("dbscan", eps=eps, min_pts=min_pts) as dbscan_span:
+    with context.tracer.span("dbscan", eps=eps, min_pts=min_pts):
         if partitioner is None:
             if isinstance(rdd.partitioner, SpatialPartitioner):
                 partitioner = rdd.partitioner
-            else:
-                partitioner = _default_partitioner(rdd.keys().collect(), eps)
-        part = partitioner
-        num_partitions = part.num_partitions
-        return _dbscan_phases(
-            context, rdd, eps, min_pts, part, num_partitions, dbscan_span
+            elif keys := rdd.keys().collect():
+                partitioner = _default_partitioner(keys, eps)
+            else:  # no data to build cells from, nothing to label
+                return rdd.map_values(lambda value: (value, NOISE))
+        num_partitions = partitioner.num_partitions
+
+        # -- step 0: stable ids, replication assignments -------------------
+        def assign(row: tuple[tuple[STObject, V], int]) -> Iterator[tuple[int, tuple]]:
+            (key, value), gid = row
+            c = key.geo.centroid()
+            home, targets = replication_targets(partitioner, c.x, c.y, eps)
+            shared = len(targets) > 1
+            for pid in targets:
+                native = pid == home
+                payload = (key, value) if native else None
+                yield (pid, (gid, c.x, c.y, native, shared, payload))
+
+        routed = rdd.zip_with_index().flat_map(assign)
+        routed = routed.partition_by(_IdentityPartitioner(num_partitions))
+
+        # -- step 1: local DBSCAN per partition -----------------------------
+        def run_local(split: int, it: Iterator[tuple[int, tuple]]) -> Iterator[tuple]:
+            rows = [record for _pid, record in it]
+            points = [(x, y) for _gid, x, y, _n, _s, _p in rows]
+            labels, core = local_dbscan(points, eps, min_pts)
+            yield ("C", split, max(labels, default=NOISE) + 1)  # cluster count
+            for row, label, is_core in zip(rows, labels, core):
+                gid, _x, _y, native, shared, payload = row
+                if native:
+                    yield ("N", gid, split, label, payload)
+                if shared:
+                    yield ("S", gid, split, label, is_core)
+
+        local = routed.map_partitions_with_index(run_local).persist().set_name(
+            "dbscan.local"
         )
+        with context.tracer.span("dbscan.local", partitions=num_partitions):
+            # Materialize the cached local clusterings so their cost is
+            # attributed here rather than to the first merge-phase read.
+            local.foreach_partition(lambda _it: None)
 
+        # -- step 2: merge on the driver ------------------------------------
+        with context.tracer.span("dbscan.merge") as merge_span:
+            # One job reads the cluster counts ("C") and the shared rows ("S").
+            counts: dict[int, int] = {}
+            by_gid: dict[int, list[tuple[int, int, bool]]] = defaultdict(list)
+            for row in local.filter(lambda r: r[0] != "N").collect():
+                if row[0] == "C":
+                    counts[row[1]] = row[2]
+                else:
+                    _tag, gid, pid, label, is_core = row
+                    by_gid[gid].append((pid, label, is_core))
+            base = [0] * num_partitions
+            running = 0
+            for pid in range(num_partitions):
+                base[pid] = running
+                running += counts.get(pid, 0)
+            total_clusters = running
 
-def _dbscan_phases(
-    context, rdd, eps, min_pts, part, num_partitions, dbscan_span
-):
+            uf = UnionFind(range(total_clusters))
+            adoption: dict[int, int] = {}
+            for gid, occurrences in by_gid.items():
+                clustered = [
+                    (base[pid] + label, is_core)
+                    for pid, label, is_core in occurrences
+                    if label != NOISE
+                ]
+                # Density connection: occurrences sharing this point merge when
+                # the point is core in at least one of the two clusters.
+                for i in range(len(clustered)):
+                    for j in range(i + 1, len(clustered)):
+                        if clustered[i][1] or clustered[j][1]:
+                            uf.union(clustered[i][0], clustered[j][0])
+                if clustered:
+                    # A point that is noise at home but clustered elsewhere is a
+                    # border point of that remote cluster: adopt (deterministic
+                    # pick: smallest preliminary id).
+                    adoption[gid] = min(g for g, _c in clustered)
 
-    # -- step 0: stable ids, replication assignments -----------------------
-    indexed = rdd.zip_with_index()
+            # Dense final labels, stable across runs: roots in ascending order.
+            resolution = [uf.find(g) for g in range(total_clusters)]
+            dense = {root: k for k, root in enumerate(dict.fromkeys(resolution))}
+            final_of = [dense[root] for root in resolution]
+            merge_span.attrs["local_clusters"] = total_clusters
+            merge_span.attrs["final_clusters"] = len(dense)
+            merge_span.attrs["shared_points"] = len(by_gid)
 
-    def assign(row: tuple[tuple[STObject, V], int]) -> Iterator[tuple[int, tuple]]:
-        (key, value), gid = row
-        centroid = key.geo.centroid()
-        home = part.partition_of_point(centroid.x, centroid.y)
-        targets = set(part.partitions_within_distance(centroid.x, centroid.y, eps))
-        targets.add(home)  # a clamped out-of-universe point still needs its home
-        shared = len(targets) > 1
-        for pid in targets:
-            native = pid == home
-            payload = (key, value) if native else None
-            yield (pid, (gid, centroid.x, centroid.y, native, shared, payload))
+        final_broadcast = context.broadcast((final_of, adoption, base))
 
-    routed = indexed.flat_map(assign).partition_by(
-        _IdentityPartitioner(num_partitions)
-    )
-
-    # -- step 1: local DBSCAN per partition ---------------------------------
-    def run_local(split: int, it: Iterator[tuple[int, tuple]]) -> Iterator[tuple]:
-        rows = [record for _pid, record in it]
-        points = [(x, y) for _gid, x, y, _n, _s, _p in rows]
-        labels, core = local_dbscan(points, eps, min_pts)
-        cluster_count = max(labels, default=NOISE) + 1
-        yield ("C", split, cluster_count)
-        for row, label, is_core in zip(rows, labels, core):
-            gid, _x, _y, native, shared, payload = row
-            if native:
-                yield ("N", gid, split, label, payload)
-            if shared:
-                yield ("S", gid, split, label, is_core)
-
-    local = routed.map_partitions_with_index(run_local).persist().set_name(
-        "dbscan.local"
-    )
-    tracer = context.tracer
-    with tracer.span("dbscan.local", partitions=num_partitions):
-        # Materialize the cached local clusterings so their cost is
-        # attributed here rather than to the first merge-phase read.
-        local.foreach_partition(lambda _it: None)
-
-    # -- step 2: merge on the driver ----------------------------------------
-    with tracer.span("dbscan.merge") as merge_span:
-        # One job reads the cluster counts ("C") and the shared rows ("S").
-        counts: dict[int, int] = {}
-        by_gid: dict[int, list[tuple[int, int, bool]]] = defaultdict(list)
-        for row in local.filter(lambda r: r[0] != "N").collect():
-            if row[0] == "C":
-                counts[row[1]] = row[2]
+        # -- step 3: relabel native rows --------------------------------------
+        def relabel(row: tuple) -> tuple[STObject, tuple[V, int]]:
+            _tag, gid, pid, label, payload = row
+            final_of_, adoption_, base_ = final_broadcast.value
+            if label != NOISE:
+                final = final_of_[base_[pid] + label]
+            elif gid in adoption_:
+                final = final_of_[adoption_[gid]]
             else:
-                _tag, gid, pid, label, is_core = row
-                by_gid[gid].append((pid, label, is_core))
-        base = [0] * num_partitions
-        running = 0
-        for pid in range(num_partitions):
-            base[pid] = running
-            running += counts.get(pid, 0)
-        total_clusters = running
+                final = NOISE
+            key, value = payload
+            return (key, (value, final))
 
-        uf = UnionFind(range(total_clusters))
-        adoption: dict[int, int] = {}
-        for gid, occurrences in by_gid.items():
-            clustered = [
-                (base[pid] + label, is_core)
-                for pid, label, is_core in occurrences
-                if label != NOISE
-            ]
-            # Density connection: occurrences sharing this point merge when
-            # the point is core in at least one of the two clusters.
-            for i in range(len(clustered)):
-                for j in range(i + 1, len(clustered)):
-                    if clustered[i][1] or clustered[j][1]:
-                        uf.union(clustered[i][0], clustered[j][0])
-            if clustered:
-                # A point that is noise at home but clustered elsewhere is a
-                # border point of that remote cluster: adopt (deterministic
-                # pick: smallest preliminary id).
-                adoption[gid] = min(g for g, _c in clustered)
-
-        # Dense final labels, stable across runs: roots in ascending order.
-        resolution = [uf.find(g) for g in range(total_clusters)]
-        dense: dict[int, int] = {}
-        for root in resolution:
-            if root not in dense:
-                dense[root] = len(dense)
-        final_of = [dense[root] for root in resolution]
-        merge_span.attrs["local_clusters"] = total_clusters
-        merge_span.attrs["final_clusters"] = len(dense)
-        merge_span.attrs["shared_points"] = len(by_gid)
-
-    final_broadcast = context.broadcast((final_of, adoption, base))
-
-    # -- step 3: relabel native rows ------------------------------------------
-    def relabel(row: tuple) -> tuple[STObject, tuple[V, int]]:
-        _tag, gid, pid, label, payload = row
-        final_of_, adoption_, base_ = final_broadcast.value
-        if label != NOISE:
-            final = final_of_[base_[pid] + label]
-        elif gid in adoption_:
-            final = final_of_[adoption_[gid]]
-        else:
-            final = NOISE
-        key, value = payload
-        return (key, (value, final))
-
-    result = local.filter(lambda r: r[0] == "N").map(relabel).set_name(
-        "dbscan.relabel"
-    )
-    # Native rows never left their home partition, so the spatial
-    # partitioner still describes the layout.
-    result.partitioner = part
-    return result
+        result = local.filter(lambda r: r[0] == "N").map(relabel).set_name(
+            "dbscan.relabel"
+        )
+        # Native rows never left their home partition, so the spatial
+        # partitioner still describes the layout.
+        result.partitioner = partitioner
+        return result

@@ -50,7 +50,16 @@ def _representative_point(geom: Geometry) -> tuple[float, float]:
 
 class SpatialPartitioner(Partitioner):
     """Base class: concrete partitioners define the cells (and leave
-    their bounds in ``_bounds``), this class maps keys to them."""
+    their bounds in ``_bounds``), this class maps keys to them.
+
+    Invariant: any two cells are separated along ``x`` or ``y`` -- one
+    cell's max edge is ``<=`` the other's min edge on that axis, with
+    shared edges as the same float -- so cells have pairwise disjoint
+    interiors.  Grid, BSP and quadtree cells all are.  MR-DBSCAN relies
+    on it: a point more than ``eps`` inside its home cell on all four
+    sides is, on the same float subtraction, more than ``eps`` from
+    every other cell.
+    """
 
     def __init__(self) -> None:
         self._bounds: list[Envelope] = []

@@ -2,14 +2,18 @@
 
 import math
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.clustering import NOISE, UnionFind, dbscan, local_dbscan
+from repro.core.spatial_rdd import spatial
 from repro.core.stobject import STObject
+from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
+from repro.index.rtree import STRTree
 from repro.io.datagen import clustered_points
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
@@ -121,6 +125,174 @@ class TestLocalDBSCAN:
         assert real == list(range(len(real)))
 
 
+def _expand(n, neighbours, min_pts):
+    """``local_dbscan``'s expansion loop over any neighbour function."""
+    labels, core, next_label = [None] * n, [False] * n, 0
+    for seed in range(n):
+        if labels[seed] is not None:
+            continue
+        seed_neighbours = neighbours(seed)
+        if len(seed_neighbours) < min_pts:
+            labels[seed] = NOISE
+            continue
+        label, next_label = next_label, next_label + 1
+        labels[seed], core[seed] = label, True
+        queue = deque(seed_neighbours)
+        while queue:
+            j = queue.popleft()
+            if labels[j] == NOISE:
+                labels[j] = label
+            if labels[j] is not None:
+                continue
+            labels[j] = label
+            j_neighbours = neighbours(j)
+            if len(j_neighbours) >= min_pts:
+                core[j] = True
+                queue.extend(j_neighbours)
+    return labels, core
+
+
+def brute_force_dbscan(points, eps, min_pts):
+    """The O(n^2) reference: every pair goes through the hypot test."""
+
+    def neighbours(i):
+        x, y = points[i]
+        return [
+            j for j, (xj, yj) in enumerate(points) if math.hypot(xj - x, yj - y) <= eps
+        ]
+
+    return _expand(len(points), neighbours, min_pts)
+
+
+def str_tree_dbscan(points, eps, min_pts):
+    """The STR-tree ``local_dbscan`` the eps-grid replaced: the tree answers
+    the float box ``[x - eps, x + eps]``, then the hypot test refines."""
+    tree = STRTree((Envelope.of_point(x, y), i) for i, (x, y) in enumerate(points))
+
+    def neighbours(i):
+        x, y = points[i]
+        box = Envelope(x - eps, y - eps, x + eps, y + eps)
+        return [
+            j
+            for j in tree.query(box)
+            if math.hypot(points[j][0] - x, points[j][1] - y) <= eps
+        ]
+
+    return _expand(len(points), neighbours, min_pts)
+
+
+def box_drops_a_neighbour(points, eps):
+    """Whether a pair passes the hypot test but misses the float eps-box.
+
+    ``fl(x + eps)`` can round below an ``xj`` whose difference to ``x``
+    still rounds to ``eps``; the STR-tree version then loses the pair.
+    """
+    for x, y in points:
+        box = Envelope(x - eps, y - eps, x + eps, y + eps)
+        for xj, yj in points:
+            if math.hypot(xj - x, yj - y) <= eps and not box.contains_point(xj, yj):
+                return True
+    return False
+
+
+def _ulps(value, steps):
+    """*value* moved *steps* floats up (or down, for negative steps)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+_EPS = st.sampled_from([0.1, 1 / 3, 1.0, 2.5, 12.0])
+
+
+@st.composite
+def dbscan_inputs(draw):
+    """(points, eps, min_pts): blobs, duplicates, exact-eps lattices and
+    coordinates whose ``x / eps`` lies within a few ulps of an integer."""
+    eps = draw(_EPS)
+    min_pts = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["blobs", "duplicates", "lattice", "near_edges"]))
+    offsets = st.floats(-2.5, 2.5, allow_nan=False)
+    if kind == "blobs":
+        centres = draw(st.lists(st.tuples(offsets, offsets), min_size=1, max_size=3))
+        members = draw(st.lists(
+            st.tuples(st.integers(0, len(centres) - 1), offsets, offsets), max_size=50
+        ))
+        points = [
+            ((centres[c][0] * 10 + dx) * eps, (centres[c][1] * 10 + dy) * eps)
+            for c, dx, dy in members
+        ]
+    elif kind == "duplicates":
+        pool = draw(st.lists(st.tuples(offsets, offsets), min_size=1, max_size=4))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+        points = [(pool[k][0] * eps, pool[k][1] * eps) for k in picks]
+    else:
+        cells = st.integers(-6, 6)
+        steps = st.integers(-3, 3) if kind == "near_edges" else st.just(0)
+        grid = draw(st.lists(st.tuples(cells, cells, steps, steps), max_size=50))
+        points = [
+            (_ulps(i * eps, sx), _ulps(j * eps, sy)) for i, j, sx, sy in grid
+        ]
+    return points, eps, min_pts
+
+
+#: Inputs the STR-tree version answered before the grid replaced it.
+DEGENERATE = [
+    ([(math.inf, 0.0), (math.inf, 0.0), (0.0, 0.0)], 1.0, 1, [-1, -1, 0]),
+    ([(1.0, 0.0), (1.0 + 5e-311, 0.0)], 1e-310, 2, [0, 0]),  # subnormal eps
+    ([(1e308, 0.0), (1e308, 0.0)], 1e-3, 2, [0, 0]),  # x / eps overflows
+    ([(-math.inf, 5.0), (3.0, math.inf), (3.0, 5.0), (3.0, 5.0)], 1e-300, 2,
+     [-1, -1, 0, 0]),
+]
+
+
+class TestNeighbourSearch:
+    """The eps-grid against an O(n^2) scan and the STR-tree it replaced."""
+
+    @given(dbscan_inputs())
+    # |dy| exceeds eps, yet rounds to it, across two cells: a plain 3x3
+    # block around the point's own cell misses the pair.
+    @example(([(0.1, 0.1), (0.1, -6.195560541091805e-133)], 0.1, 1))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_brute_force(self, case):
+        points, eps, min_pts = case
+        assert local_dbscan(points, eps, min_pts) == brute_force_dbscan(
+            points, eps, min_pts
+        )
+
+    @given(dbscan_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_str_tree_version(self, case):
+        points, eps, min_pts = case
+        if not box_drops_a_neighbour(points, eps):
+            assert local_dbscan(points, eps, min_pts) == str_tree_dbscan(
+                points, eps, min_pts
+            )
+
+    def test_pair_the_tree_box_dropped(self):
+        # fl(-0.0279... + 1.0) < 0.9720..., yet the difference rounds to
+        # exactly eps: the pair are neighbours, which the tree missed.
+        points = [(-0.02798621357347142, 0.0), (0.9720137864265287, 0.0)]
+        assert box_drops_a_neighbour(points, 1.0)
+        assert str_tree_dbscan(points, 1.0, 2) == ([NOISE, NOISE], [False, False])
+        assert local_dbscan(points, 1.0, 2) == ([0, 0], [True, True])
+        assert local_dbscan(points, 1.0, 2) == brute_force_dbscan(points, 1.0, 2)
+
+    @pytest.mark.parametrize("points, eps, min_pts, labels", DEGENERATE)
+    def test_degenerate_input(self, points, eps, min_pts, labels):
+        got = local_dbscan(points, eps, min_pts)
+        assert got[0] == labels
+        assert got == str_tree_dbscan(points, eps, min_pts)
+        assert got == brute_force_dbscan(points, eps, min_pts)
+
+    @pytest.mark.parametrize("nan_at", [0, 1])
+    def test_nan_raises(self, nan_at):
+        point = [1.0, 2.0]
+        point[nan_at] = math.nan
+        with pytest.raises(ValueError):
+            local_dbscan([(0.0, 0.0), tuple(point)], 1.0, 1)
+
+
 def _canonical_clusters(points, labels, core):
     """Frozensets of core-point indices per cluster (border ties excluded)."""
     groups = {}
@@ -203,6 +375,12 @@ class TestDistributedDBSCAN:
         rdd = sc.parallelize([(STObject(p), i) for i, p in enumerate(pts)], 4)
         result = dbscan(rdd, eps=12.0, min_pts=5)
         assert isinstance(result.partitioner, SpatialPartitioner)
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_empty_rdd(self, sc, explicit):
+        rdd = sc.parallelize([(STObject(Point(1, 1)), 0)], 2).filter(lambda _: False)
+        grid = GridPartitioner([Point(0, 0), Point(9, 9)], 2) if explicit else None
+        assert spatial(rdd).cluster(1.0, 1, grid).collect() == []
 
     def test_invalid_parameters(self, sc):
         rdd = sc.parallelize([(STObject("POINT (0 0)"), 1)], 1)

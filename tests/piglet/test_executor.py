@@ -243,6 +243,20 @@ class TestSpatialPipeline:
         labels = {r[2] for r in rel.rdd.collect()}
         assert len(labels - {-1}) >= 2
 
+    def test_cluster_over_an_empty_relation(self, runtime, events_file):
+        path, _rows = events_file
+        runtime.run(
+            f"""
+            ev = LOAD '{path}' USING EventStorage();
+            st = FOREACH ev GENERATE STOBJECT(wkt) AS obj, id;
+            nothing = FILTER st BY id < 0;
+            c = CLUSTER nothing BY obj USING DBSCAN(30.0, 4) AS label;
+            """
+        )
+        rel = runtime.relation("c")
+        assert rel.schema == ("obj", "id", "label")
+        assert rel.rdd.collect() == []
+
     def test_store_roundtrip(self, runtime, events_file, tmp_path, sc):
         path, _rows = events_file
         out = str(tmp_path / "stored")

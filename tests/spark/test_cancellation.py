@@ -1,10 +1,12 @@
 """Unit tests for the cooperative-cancellation primitives."""
 
+import random
 import threading
 import time
 
 import pytest
 
+from repro.core.clustering import local_dbscan
 from repro.spark.cancellation import (
     KIND_ABORT,
     KIND_LOSER,
@@ -142,6 +144,17 @@ class TestHeartbeat:
             Heartbeat(every=3)
         with pytest.raises(ValueError):
             Heartbeat(every=0)
+
+    def test_cancels_a_long_local_clustering(self):
+        # One dense blob: the first seed's expansion reaches every point,
+        # so only the expansion loop's beat can stop the run early.
+        rng = random.Random(5)
+        points = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(3000)]
+        token = CancelToken()
+        token.cancel("deadline", KIND_ABORT)
+        with task_scope(token), pytest.raises(TaskCancelledError):
+            local_dbscan(points, 2.0, 3)
+        assert local_dbscan(points, 2.0, 3)[0] == [0] * len(points)
 
     def test_captures_token_at_construction(self):
         token = CancelToken()
