@@ -32,6 +32,9 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.wkt import WKTParseError, parse_wkt, to_wkt
 
+# Last: loading it binds the predicate methods of every Geometry.
+from repro.geometry import predicates  # noqa: E402,F401  isort: skip
+
 __all__ = [
     "Envelope",
     "Geometry",

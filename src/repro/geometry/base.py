@@ -16,7 +16,15 @@ from typing import TYPE_CHECKING
 from repro.geometry.envelope import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from types import ModuleType
+
     from repro.geometry.point import Point
+
+#: :mod:`repro.geometry.predicates`, which the predicate methods below
+#: delegate to.  That module imports this one, so it binds itself here
+#: as it loads (the package imports it) instead of every call running
+#: an ``import`` statement.
+_predicates: "ModuleType"
 
 
 class Geometry(ABC):
@@ -74,21 +82,15 @@ class Geometry(ABC):
 
     def intersects(self, other: "Geometry") -> bool:
         """True when the two geometries share at least one point."""
-        from repro.geometry import predicates
-
-        return predicates.intersects(self, other)
+        return _predicates.intersects(self, other)
 
     def contains(self, other: "Geometry") -> bool:
         """True when *other* lies completely within this geometry."""
-        from repro.geometry import predicates
-
-        return predicates.contains(self, other)
+        return _predicates.contains(self, other)
 
     def within(self, other: "Geometry") -> bool:
         """True when this geometry lies completely within *other*."""
-        from repro.geometry import predicates
-
-        return predicates.contains(other, self)
+        return _predicates.contains(other, self)
 
     def disjoint(self, other: "Geometry") -> bool:
         """True when the geometries share no point."""
@@ -96,27 +98,19 @@ class Geometry(ABC):
 
     def touches(self, other: "Geometry") -> bool:
         """True for boundary-only contact (interiors stay apart)."""
-        from repro.geometry import predicates
-
-        return predicates.touches(self, other)
+        return _predicates.touches(self, other)
 
     def overlaps(self, other: "Geometry") -> bool:
         """True for a partial same-dimension overlap."""
-        from repro.geometry import predicates
-
-        return predicates.overlaps(self, other)
+        return _predicates.overlaps(self, other)
 
     def crosses(self, other: "Geometry") -> bool:
         """True when interiors meet in a lower-dimensional set."""
-        from repro.geometry import predicates
-
-        return predicates.crosses(self, other)
+        return _predicates.crosses(self, other)
 
     def distance(self, other: "Geometry") -> float:
         """Minimum Euclidean distance between the two geometries."""
-        from repro.geometry import predicates
-
-        return predicates.distance(self, other)
+        return _predicates.distance(self, other)
 
     def wkt(self) -> str:
         """This geometry's Well-Known Text representation."""

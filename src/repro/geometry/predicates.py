@@ -32,9 +32,10 @@ geometries this engine represents.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
-from repro.geometry import algorithms
+from repro.geometry import algorithms, base
 from repro.geometry.algorithms import _EPS, EXTERIOR, INTERIOR
 from repro.geometry.base import Geometry
 from repro.geometry.linestring import LinearRing, LineString
@@ -568,3 +569,7 @@ _INTERIORS_TABLE: dict[tuple[int, int], Callable] = {
     (1, 2): _line_polygon_interiors,
     (2, 2): _polygon_polygon_interiors,
 }
+
+# Geometry's predicate methods delegate here; hand them this module now
+# that it is complete.
+base._predicates = sys.modules[__name__]

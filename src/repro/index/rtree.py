@@ -43,6 +43,7 @@ import math
 from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 from repro.geometry.envelope import Envelope
+from repro.spark.cancellation import Heartbeat
 
 T = TypeVar("T")
 
@@ -99,8 +100,6 @@ def _str_tiles(rows: list, cap: int, axes: int) -> Iterator[list]:
     sqrt(P) vertical slices, over 3 roughly cubic slabs.  Two or more
     rows always come back as fewer tiles, so packing ends in one root.
     """
-    from repro.spark.cancellation import Heartbeat
-
     # Bulk-loading a large partition's index can take seconds; one
     # beat per tile keeps the build cancellable under a deadline.
     heartbeat = Heartbeat(every=64)

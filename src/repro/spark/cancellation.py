@@ -76,12 +76,17 @@ class CancelToken:
     deep.  A child created under an already-cancelled parent starts
     cancelled.  ``add_callback`` lets the scheduler's driver loop wake
     from a blocking wait when a token it watches is cancelled.
+
+    The state is a plain flag set under the token's lock; the first
+    :meth:`wait` builds a ``threading.Event`` to block on.  A one-task
+    job makes two tokens, and neither waits unless a retry backs off.
     """
 
-    __slots__ = ("_event", "_lock", "_children", "_callbacks", "reason", "kind")
+    __slots__ = ("_cancelled", "_event", "_lock", "_children", "_callbacks", "reason", "kind")
 
     def __init__(self, parent: "CancelToken | None" = None) -> None:
-        self._event = threading.Event()
+        self._cancelled = False
+        self._event: threading.Event | None = None
         self._lock = threading.Lock()
         self._children: list[CancelToken] = []
         self._callbacks: list[Callable[[], None]] = []
@@ -92,7 +97,7 @@ class CancelToken:
 
     def _adopt(self, child: "CancelToken") -> None:
         with self._lock:
-            if not self._event.is_set():
+            if not self._cancelled:
                 self._children.append(child)
                 return
             reason, kind = self.reason, self.kind
@@ -101,11 +106,13 @@ class CancelToken:
     def cancel(self, reason: str = "cancelled", kind: str = KIND_ABORT) -> None:
         """Cancel this token and every child; idempotent (first call wins)."""
         with self._lock:
-            if self._event.is_set():
+            if self._cancelled:
                 return
             self.reason = reason
             self.kind = kind
-            self._event.set()
+            self._cancelled = True
+            if self._event is not None:
+                self._event.set()
             children, self._children = self._children, []
             callbacks, self._callbacks = self._callbacks, []
         for child in children:
@@ -116,7 +123,7 @@ class CancelToken:
     def add_callback(self, callback: Callable[[], None]) -> None:
         """Run *callback* on cancellation (immediately if already cancelled)."""
         with self._lock:
-            if not self._event.is_set():
+            if not self._cancelled:
                 self._callbacks.append(callback)
                 return
         callback()
@@ -124,16 +131,24 @@ class CancelToken:
     @property
     def cancelled(self) -> bool:
         """True once the token (or an ancestor) has been cancelled."""
-        return self._event.is_set()
+        return self._cancelled
 
     def check(self) -> None:
         """Raise :class:`TaskCancelledError` if cancelled; else no-op."""
-        if self._event.is_set():
+        if self._cancelled:
             raise TaskCancelledError(self.reason or "cancelled", self.kind)
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until cancelled or *timeout* elapses; True if cancelled."""
-        return self._event.wait(timeout)
+        with self._lock:
+            if self._cancelled:
+                return True
+            if self._event is None:
+                # Made under the lock: a cancel() either finds it and sets
+                # it, or came first and left the flag read above.
+                self._event = threading.Event()
+            event = self._event
+        return event.wait(timeout)
 
     def __repr__(self) -> str:
         state = f"cancelled kind={self.kind}" if self.cancelled else "live"
@@ -231,10 +246,4 @@ def wait_cancelled(limit: float, token: CancelToken | None = None) -> None:
     eventually returns instead of wedging the process; callers treat
     hitting the limit as the hang "ending".
     """
-    if token is None:
-        token = current_token()
-    if token is None:
-        time.sleep(limit)
-        return
-    if token.wait(limit):
-        token.check()
+    cancellable_sleep(limit, token)

@@ -277,16 +277,13 @@ class SparkContext:
                 "create a new context to run jobs"
             )
         num_partitions = rdd.num_partitions
-        if partitions is not None:
-            splits = list(partitions)
-            for split in splits:
-                if not 0 <= split < num_partitions:
-                    raise ValueError(
-                        f"partition index {split} out of range for "
-                        f"{_rdd_label(rdd)} with {num_partitions} partitions"
-                    )
-        else:
-            splits = list(range(num_partitions))
+        splits = list(range(num_partitions) if partitions is None else partitions)
+        for split in splits:
+            if not 0 <= split < num_partitions:
+                raise ValueError(
+                    f"partition index {split} out of range for "
+                    f"{_rdd_label(rdd)} with {num_partitions} partitions"
+                )
         self.metrics.jobs_run += 1
         self.metrics.tasks_launched += len(splits)
         nested = getattr(self._in_job, "active", False)
@@ -300,18 +297,13 @@ class SparkContext:
             self._active_jobs.add(job_token)
         job_timer: threading.Timer | None = None
         if self.job_timeout is not None and not nested:
-            job_timer = threading.Timer(
-                self.job_timeout,
-                job_token.cancel,
-                args=(f"job timeout after {self.job_timeout:g}s", KIND_TIMEOUT),
-            )
+            reason = f"job timeout after {self.job_timeout:g}s"
+            job_timer = threading.Timer(self.job_timeout, job_token.cancel, (reason, KIND_TIMEOUT))
             job_timer.daemon = True
             job_timer.start()
         try:
-            if pooled:
-                loop = _ThreadJob(self, rdd, fn, splits, job_token)
-            else:
-                loop = _InlineJob(self, rdd, fn, splits, job_token, nested)
+            loop = (_ThreadJob(self, rdd, fn, splits, job_token) if pooled
+                    else _InlineJob(self, rdd, fn, splits, job_token, nested))
             if not self.tracer.enabled:
                 return loop.run()
             op, pruned = _lineage_attrs(rdd)

@@ -22,6 +22,7 @@ import weakref
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Generic,
@@ -34,6 +35,9 @@ from typing import (
 
 from repro.spark.cancellation import Heartbeat
 from repro.spark.partitioner import HashPartitioner, Partitioner
+
+if TYPE_CHECKING:
+    from repro.spark.context import SparkContext
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -56,9 +60,6 @@ class RDD(ABC, Generic[T]):
         parents: Iterable["RDD"] = (),
         partitioner: Optional[Partitioner] = None,
     ) -> None:
-        from repro.spark.context import SparkContext  # cycle guard
-
-        assert isinstance(context, SparkContext)
         self.context = context
         self.id = context._next_rdd_id()
         self.parents = tuple(parents)
@@ -412,43 +413,33 @@ class RDD(ABC, Generic[T]):
         self, other: "RDD[tuple[K, U]]", partitioner: Partitioner | None = None
     ) -> "RDD[tuple[K, tuple[V, U]]]":
         """Inner equi-join on keys."""
-        return self.cogroup(other, partitioner).flat_map_values(
-            lambda pair: [(v, u) for v in pair[0] for u in pair[1]]
-        )
+        return self._padded_join(other, partitioner, False, False)
 
     def left_outer_join(
         self, other: "RDD[tuple[K, U]]", partitioner: Partitioner | None = None
     ) -> "RDD[tuple[K, tuple[V, U | None]]]":
         """Equi-join keeping every left key; unmatched pair with None."""
-        def expand(pair: tuple[list, list]) -> list:
-            left, right = pair
-            if not right:
-                return [(v, None) for v in left]
-            return [(v, u) for v in left for u in right]
-
-        return self.cogroup(other, partitioner).flat_map_values(expand)
+        return self._padded_join(other, partitioner, True, False)
 
     def right_outer_join(
         self, other: "RDD[tuple[K, U]]", partitioner: Partitioner | None = None
     ) -> "RDD[tuple[K, tuple[V | None, U]]]":
         """Equi-join keeping every right key; unmatched pair with None."""
-        def expand(pair: tuple[list, list]) -> list:
-            left, right = pair
-            if not left:
-                return [(None, u) for u in right]
-            return [(v, u) for v in left for u in right]
-
-        return self.cogroup(other, partitioner).flat_map_values(expand)
+        return self._padded_join(other, partitioner, False, True)
 
     def full_outer_join(
         self, other: "RDD[tuple[K, U]]", partitioner: Partitioner | None = None
     ) -> "RDD[tuple[K, tuple[V | None, U | None]]]":
         """Equi-join keeping keys from both sides; gaps become None."""
+        return self._padded_join(other, partitioner, True, True)
+
+    def _padded_join(self, other: RDD, partitioner, keep_left: bool, keep_right: bool) -> RDD:
+        """The one equi-join: a kept side's unmatched values pair with None."""
         def expand(pair: tuple[list, list]) -> list:
             left, right = pair
-            if not left:
+            if keep_right and not left:
                 return [(None, u) for u in right]
-            if not right:
+            if keep_left and not right:
                 return [(v, None) for v in left]
             return [(v, u) for v in left for u in right]
 
@@ -563,18 +554,7 @@ class RDD(ABC, Generic[T]):
     def fold(self, zero: T, fn: Callable[[T, T], T]) -> T:
         """Like :meth:`reduce` but seeded with *zero* per partition,
         so it works on empty RDDs."""
-        import copy
-
-        def fold_partition(it: Iterator[T]) -> T:
-            acc = copy.deepcopy(zero)
-            for x in it:
-                acc = fn(acc, x)
-            return acc
-
-        acc = copy.deepcopy(zero)
-        for part in self.context.run_job(self, fold_partition):
-            acc = fn(acc, part)
-        return acc
+        return self.aggregate(zero, fn, fn)
 
     def aggregate(
         self, zero: U, seq_fn: Callable[[U, T], U], comb_fn: Callable[[U, U], U]

@@ -10,7 +10,8 @@ import queue as queue_mod
 import statistics
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.spark.cancellation import (
     KIND_ABORT,
@@ -53,9 +54,7 @@ class _CountingIterator:
 class _TaskAttempt:
     """One scheduled attempt of one task."""
 
-    __slots__ = (
-        "split", "number", "speculative", "token", "start", "span", "timed_out",
-    )
+    __slots__ = ("split", "number", "speculative", "token", "start", "span", "timed_out")
 
     def __init__(self, split: int, number: int, speculative: bool, token: CancelToken) -> None:
         self.split = split
@@ -72,6 +71,9 @@ class _TaskAttempt:
 #: Sentinel pushed into a pool job's outcome queue to wake the driver
 #: loop when its job token is cancelled from another thread.
 _WAKE = object()
+
+#: The read-only empty every job's per-split mappings start as.
+_NONE: Mapping = MappingProxyType({})
 
 
 class _JobLoop:
@@ -94,6 +96,16 @@ class _JobLoop:
     #: Splits that may be in progress (launched, unresolved) at once.
     _window: float = math.inf
 
+    # Per-split state: shared read-only empties until a job first needs
+    # its own (:meth:`_own`), so a clean inline job allocates none of it.
+    _live: Mapping[int, list[_TaskAttempt]] = _NONE  # attempts left in flight
+    _seq: Mapping[int, int] = _NONE  # latest attempt number of relaunched splits
+    _failures: Mapping[int, list[TaskError]] = _NONE
+    _retry_heap: Sequence[tuple[float, int]] = ()  # (ready_at, split)
+    _retry_pending: AbstractSet[int] = frozenset()
+    _speculated: AbstractSet[int] = frozenset()
+    _durations: Sequence[float] = ()
+
     def __init__(self, ctx: "SparkContext", rdd: RDD, fn, splits: list[int],
                  job_token: CancelToken, nested: bool = False) -> None:
         self._ctx = ctx
@@ -104,14 +116,13 @@ class _JobLoop:
         self._nested = nested
         self._job_span = None
         self._results: dict[int, Any] = {}
-        # Per-split state fills in lazily: a clean job records none of it.
-        self._failures: dict[int, list[TaskError]] = {}
-        self._seq: dict[int, int] = {}
-        self._live: dict[int, list[_TaskAttempt]] = {}
-        self._retry_heap: list[tuple[float, int]] = []  # (ready_at, split)
-        self._retry_pending: set[int] = set()
-        self._speculated: set[int] = set()
-        self._durations: list[float] = []
+
+    def _own(self, name: str, factory: Callable[[], Any]) -> Any:
+        """This job's own per-split state *name*, made by *factory* on first use."""
+        state = self.__dict__.get(name)
+        if state is None:
+            state = self.__dict__[name] = factory()
+        return state
 
     @property
     def _label(self) -> str:
@@ -141,13 +152,14 @@ class _JobLoop:
         splits, results = self._splits, self._results
         # A split requested twice is computed once and answered twice.
         todo = splits if len(splits) == 1 else list(dict.fromkeys(splits))
-        total, launched, heap = len(todo), 0, self._retry_heap
+        total, launched = len(todo), 0
         while True:
+            heap = self._retry_heap
             while heap and heap[0][0] <= time.perf_counter():
                 split = heapq.heappop(heap)[1]
                 self._retry_pending.discard(split)
                 if split not in results:
-                    self._launch(split)
+                    self._launch(split, relaunch=True)
             while launched < total and launched - len(results) < self._window:
                 self._launch(todo[launched])
                 launched += 1
@@ -166,24 +178,30 @@ class _JobLoop:
 
     # -- launching ---------------------------------------------------------
 
-    def _launch(self, split: int, speculative: bool = False) -> None:
-        number = self._seq[split] = self._seq.get(split, 0) + 1
-        attempt = _TaskAttempt(
-            split, number, speculative, CancelToken(parent=self._job_token)
-        )
-        self._live.setdefault(split, []).append(attempt)
+    def _launch(self, split: int, speculative: bool = False, relaunch: bool = False) -> None:
+        """Start an attempt of *split*: its first, a *relaunch* or a *speculative* copy."""
+        number = 1
+        if relaunch or speculative:
+            seq = self._own("_seq", dict)
+            number = seq[split] = seq.get(split, 1) + 1
+        attempt = _TaskAttempt(split, number, speculative, CancelToken(parent=self._job_token))
         if speculative:
-            self._speculated.add(split)
+            self._own("_speculated", set).add(split)
             self._ctx.metrics.tasks_speculated += 1
         try:
             outcome = self._submit_attempt(attempt)
         except RuntimeError as exc:  # pool shut down beneath us (stop())
-            self._live[split].remove(attempt)
             self._abort(JobAbortedError(
                 self._label, split, number, exc, self._failures.get(split, ())
             ))
-        if outcome is not None:
+        if outcome is None:
+            self._track(attempt)
+        else:
             self._handle(outcome)
+
+    def _track(self, attempt: _TaskAttempt) -> None:
+        """Record *attempt* as in flight under its split."""
+        self._own("_live", dict).setdefault(attempt.split, []).append(attempt)
 
     # -- the task body ------------------------------------------------------
 
@@ -258,23 +276,26 @@ class _JobLoop:
 
     def _handle(self, outcome) -> None:
         attempt, ok, payload = outcome
-        if isinstance(payload, TaskCancelledError) and self._job_token.cancelled:
-            # The job itself was cancelled.  run() aborts next, and counts
-            # this attempt among the running ones it cancels.
-            return
         split = attempt.split
-        live = self._live[split]
+        live = self._live.get(split, ())
+        if isinstance(payload, TaskCancelledError) and self._job_token.cancelled:
+            # The job itself was cancelled.  run() aborts next and counts this
+            # attempt, even one the inline transport handed straight back, as cancelled.
+            if attempt not in live:
+                self._track(attempt)
+            return
         if attempt in live:
             live.remove(attempt)
         if ok:
             if attempt.start is not None and self._ctx.speculation:
-                self._durations.append(time.perf_counter() - attempt.start)
+                self._own("_durations", list).append(time.perf_counter() - attempt.start)
             if split in self._results:
                 return  # a sibling already won; late result discarded
             self._results[split] = payload
             if attempt.speculative:
                 self._ctx.metrics.speculation_wins += 1
-            self._cancel("task superseded by a completed attempt", KIND_LOSER, live)
+            if live:
+                self._cancel("task superseded by a completed attempt", KIND_LOSER, live)
             return
         exc = payload
         if isinstance(exc, JobAbortedError):
@@ -304,15 +325,15 @@ class _JobLoop:
         it is spent, else relaunch after the exponential backoff (timed
         by the loop, so a backing-off task occupies no worker)."""
         self._ctx.metrics.tasks_failed += 1
-        failures = self._failures.setdefault(split, [])
+        failures = self._own("_failures", dict).setdefault(split, [])
         failures.append(record)
         if len(failures) >= self._ctx.max_task_failures:
             self._abort(JobAbortedError(self._label, split, len(failures), cause, failures))
         if retry:
             self._ctx.metrics.tasks_retried += 1
             delay = self._ctx.retry_backoff * (2 ** (len(failures) - 1))
-            heapq.heappush(self._retry_heap, (time.perf_counter() + delay, split))
-            self._retry_pending.add(split)
+            heapq.heappush(self._own("_retry_heap", list), (time.perf_counter() + delay, split))
+            self._own("_retry_pending", set).add(split)
 
     # -- deadlines and speculation ----------------------------------------
 
@@ -350,7 +371,7 @@ class _JobLoop:
         # Relaunch only if no healthy attempt is still racing (a live
         # speculative copy *is* the retry).
         covered = split in self._retry_pending or any(
-            not a.timed_out for a in self._live[split]
+            not a.timed_out for a in self._live.get(split, ())
         )
         self._record_failure(split, record, record, retry=not covered)
 
@@ -430,7 +451,7 @@ class _JobLoop:
         failures = list(self._failures.get(split, ()))
         if token.kind == KIND_TIMEOUT:
             record = TaskTimeoutError(
-                self._label, split, max(1, self._seq.get(split, 0)),
+                self._label, split, self._seq.get(split, 1),
                 self._ctx.job_timeout or 0.0, scope="job",
             )
             failures.append(record)
@@ -461,9 +482,7 @@ class _InlineJob(_JobLoop):
         # The driver thread is about to be busy computing, so a timer
         # cancels an overdue attempt; _handle books the deadline.
         watchdog = threading.Timer(
-            timeout,
-            attempt.token.cancel,
-            args=(f"task timeout after {timeout:g}s", KIND_TIMEOUT),
+            timeout, attempt.token.cancel, (f"task timeout after {timeout:g}s", KIND_TIMEOUT)
         )
         watchdog.daemon = True
         watchdog.start()

@@ -13,11 +13,15 @@ import pytest
 
 from repro.chaos import FaultInjector
 from repro.spark.cancellation import cancellable_sleep, wait_cancelled
-from repro.spark.context import SparkContext
+from repro.spark.context import Metrics, SparkContext
 from repro.spark.errors import JobAbortedError, TaskTimeoutError
 from repro.spark.partitioner import HashPartitioner
 
 pytestmark = pytest.mark.chaos
+
+
+def _job_and_task_spans(sc) -> list:
+    return [(s.name, s.attrs) for s in sc.tracer.root.walk() if s.kind in ("job", "task")]
 
 
 class TestSpeculation:
@@ -99,6 +103,26 @@ class TestTaskDeadlines:
             span for span in sc.tracer.root.walk() if span.attrs.get("timeout")
         ]
         assert timeout_spans, "no task span flagged timeout"
+
+    def test_one_task_job_counts_and_spans(self, executor):
+        injector = FaultInjector().hang("task.compute", times=1)
+        with SparkContext(
+            f"hang-one-{executor}",
+            parallelism=4,
+            executor=executor,
+            retry_backoff=0.0,
+            task_timeout=0.3,
+            tracing=True,
+            fault_injector=injector,
+        ) as sc:
+            assert sc.parallelize(range(8), 1).collect() == list(range(8))
+        assert sc.metrics.snapshot() == {
+            **Metrics().snapshot(), "jobs_run": 1, "tasks_launched": 1,
+            "tasks_failed": 1, "tasks_retried": 1, "tasks_timed_out": 1,
+        }
+        (_job, _attrs), first, second = _job_and_task_spans(sc)
+        assert first[1]["cancelled"] and first[1]["timeout"] and first[1]["failures"] == 1
+        assert second == ("task", {"split": 0, "attempt": 2, "records_in": 8})
 
     def test_deadline_during_nested_map_side_retries_the_reduce_task(self, executor):
         """A reduce task times out while the shuffle map side it triggered
@@ -189,6 +213,28 @@ class TestJobTimeout:
         ]
         assert timeouts and timeouts[-1].scope == "job"
 
+    def test_job_deadline_aborts_a_hung_one_task_job(self, executor):
+        injector = FaultInjector().hang("task.compute", times=10)
+        with SparkContext(
+            f"job-timeout-one-{executor}",
+            parallelism=4,
+            executor=executor,
+            retry_backoff=0.0,
+            job_timeout=0.3,
+            tracing=True,
+            fault_injector=injector,
+        ) as sc:
+            with pytest.raises(JobAbortedError) as err:
+                sc.parallelize(range(8), 1).collect()
+        assert [(f.scope, f.attempt) for f in err.value.failures] == [("job", 1)]
+        assert sc.metrics.snapshot() == {
+            **Metrics().snapshot(), "jobs_run": 1, "tasks_launched": 1,
+            "tasks_timed_out": 1, "tasks_cancelled": 1, "jobs_failed": 1,
+        }
+        (_job, attrs), (_task, task_attrs) = _job_and_task_spans(sc)
+        assert attrs["aborted"] and attrs["error"].startswith("TaskTimeoutError")
+        assert task_attrs == {"split": 0, "cancelled": True, "timeout": True}
+
 
 class TestKillswitches:
     def test_cancel_all_jobs_unblocks_hung_job(self):
@@ -219,6 +265,48 @@ class TestKillswitches:
             # The context stays usable for new work.
             injector.clear()
             assert sorted(sc.parallelize(range(4), 2).collect()) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("executor", ["sequential", "threads"])
+    def test_cancel_all_jobs_stops_a_hung_one_task_job(self, executor):
+        injector = FaultInjector().hang("task.compute", times=10)
+        with SparkContext(
+            f"cancel-one-{executor}",
+            parallelism=4,
+            executor=executor,
+            retry_backoff=0.0,
+            tracing=True,
+            fault_injector=injector,
+        ) as sc:
+            outcome: list = []
+
+            def run():
+                try:
+                    sc.parallelize(range(8), 1).collect()
+                    outcome.append("completed")
+                except JobAbortedError as exc:
+                    outcome.append(type(exc.cause).__name__)
+
+            worker = threading.Thread(target=run)
+            worker.start()
+            deadline = time.perf_counter() + 5.0
+            while not injector.hung and time.perf_counter() < deadline:
+                time.sleep(0.01)
+            assert sc.cancel_all_jobs("operator intervention") == 1
+            worker.join(timeout=10.0)
+            assert not worker.is_alive(), "cancel_all_jobs failed to unblock"
+        assert outcome == ["TaskCancelledError"]
+        assert sc.metrics.snapshot() == {
+            **Metrics().snapshot(), "jobs_run": 1, "tasks_launched": 1,
+            "tasks_cancelled": 1, "jobs_failed": 1,
+        }
+        assert _job_and_task_spans(sc) == [
+            ("job", {
+                "rdd": "ParallelCollectionRDD[0]", "op": "ParallelCollectionRDD",
+                "tasks": 1, "aborted": True,
+                "error": "TaskCancelledError: operator intervention",
+            }),
+            ("task", {"split": 0, "cancelled": True}),
+        ]
 
     def test_stop_from_another_thread_is_a_killswitch(self):
         injector = FaultInjector().hang("task.compute", times=10)

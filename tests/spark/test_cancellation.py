@@ -84,6 +84,49 @@ class TestCancelToken:
     def test_wait_times_out_when_live(self):
         assert CancelToken().wait(0.01) is False
 
+    def test_wait_on_a_cancelled_token_returns_true_at_once(self):
+        token = CancelToken()
+        assert token.wait(0) is False  # the token now has something to block on
+        threading.Timer(0.01, token.cancel).start()
+        assert token.wait(5.0) is True
+        start = time.perf_counter()
+        assert token.wait(5.0) is True
+        assert CancelToken(parent=token).wait(5.0) is True
+        assert time.perf_counter() - start < 1.0
+        never_waited = CancelToken()
+        never_waited.cancel()
+        assert never_waited.wait(5.0) is True
+        assert never_waited._event is None  # nothing to block on was built
+
+    @pytest.mark.parametrize("waited_before", [False, True], ids=["first_wait", "later_wait"])
+    def test_cancel_from_another_thread_wakes_a_blocked_wait(self, waited_before):
+        # The first wait builds the token's Event; a later one finds it
+        # there.  A cancel must reach both, whichever side wins the race.
+        for _ in range(200):
+            token = CancelToken()
+            if waited_before:
+                assert token.wait(0) is False
+            canceller = threading.Timer(0.001, token.cancel)
+            canceller.start()
+            start = time.perf_counter()
+            assert token.wait(5.0) is True
+            assert time.perf_counter() - start < 1.0
+            canceller.join(5.0)
+
+    def test_callback_added_after_cancel_fires_exactly_once(self):
+        token = CancelToken()
+        woke: list = []
+        waiter = threading.Thread(target=lambda: woke.append(token.wait(5.0)), daemon=True)
+        waiter.start()
+        time.sleep(0.05)  # the waiter is blocked on the token by now
+        token.cancel()
+        fired: list = []
+        token.add_callback(lambda: fired.append(True))
+        token.cancel("again")
+        waiter.join(1.0)
+        assert fired == [True]
+        assert not waiter.is_alive() and woke == [True]
+
     def test_callback_fires_on_cancel(self):
         token = CancelToken()
         fired = []

@@ -9,7 +9,7 @@ recovery story for everything.
 
 import pytest
 
-from repro.spark.context import SparkContext
+from repro.spark.context import Metrics, SparkContext
 
 
 @pytest.fixture(params=["sequential", "threads"])
@@ -47,6 +47,23 @@ class TestKeyboardInterrupt:
         assert ctx.metrics.tasks_retried == 0
         # The same lineage re-runs cleanly.
         assert sorted(rdd.collect()) == [x * 10 for x in range(8)]
+
+    def test_interrupt_in_a_one_task_job(self, ctx):
+        # One split takes the inline transport under either executor.
+        ctx.enable_tracing()
+        state = {"fired": False}
+        rdd = ctx.parallelize(range(8), 1).map(_interrupt_once(state))
+        with pytest.raises(KeyboardInterrupt):
+            rdd.collect()
+        assert ctx.metrics.snapshot() == {
+            **Metrics().snapshot(), "jobs_run": 1, "tasks_launched": 1,
+        }
+        spans = [(s.name, s.attrs) for s in ctx.tracer.root.walk() if s.kind in ("job", "task")]
+        assert spans == [
+            ("job", {"rdd": "MapPartitionsRDD[1]", "op": "MapPartitionsRDD", "tasks": 1}),
+            ("task", {"split": 0, "records_in": 5}),
+        ]
+        assert rdd.collect() == [x * 10 for x in range(8)]
 
     def test_interrupt_does_not_half_publish_cache(self, ctx):
         state = {"fired": False}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chaos import FaultInjector, InjectedFault
-from repro.spark.context import SparkContext
+from repro.spark.context import Metrics, SparkContext
 from repro.spark.partitioner import HashPartitioner
 from repro.spark.errors import JobAbortedError, TaskError
 
@@ -113,6 +113,57 @@ class TestRetryMetrics:
                 with pytest.raises(JobAbortedError):
                     sc.parallelize([1, 2], 2).collect()
             assert sc.metrics.tasks_retried == 0
+
+
+def _job_and_task_spans(sc) -> list:
+    return [(s.name, s.attrs) for s in sc.tracer.root.walk() if s.kind in ("job", "task")]
+
+
+class TestOneTaskJob:
+    """A one-split job takes the inline transport under either executor:
+    its counters and spans are the same on both."""
+
+    JOB = {"rdd": "ParallelCollectionRDD[0]", "op": "ParallelCollectionRDD", "tasks": 1}
+
+    def test_clean(self, any_sc):
+        sc = any_sc
+        sc.enable_tracing()
+        assert sc.run_job(sc.parallelize(range(5), 1), list) == [[0, 1, 2, 3, 4]]
+        assert sc.metrics.snapshot() == {
+            **Metrics().snapshot(), "jobs_run": 1, "tasks_launched": 1,
+        }
+        assert _job_and_task_spans(sc) == [
+            ("job", self.JOB), ("task", {"split": 0, "records_in": 5}),
+        ]
+
+    def test_fails_once_then_succeeds(self, any_sc):
+        sc = any_sc
+        sc.enable_tracing()
+        with FaultInjector().fail("task.compute", times=1).installed(sc):
+            assert sc.run_job(sc.parallelize(range(5), 1), list) == [[0, 1, 2, 3, 4]]
+        assert sc.metrics.snapshot() == {
+            **Metrics().snapshot(), "jobs_run": 1, "tasks_launched": 1,
+            "tasks_failed": 1, "tasks_retried": 1,
+        }
+        (job, attrs), first, second = _job_and_task_spans(sc)
+        assert attrs == self.JOB
+        assert first[1]["failures"] == 1 and first[1]["last_error"].startswith("InjectedFault")
+        assert second == ("task", {"split": 0, "attempt": 2, "records_in": 5})
+
+    def test_retry_budget_exhausted(self, any_sc):
+        sc = any_sc
+        sc.enable_tracing()
+        with pytest.raises(JobAbortedError) as excinfo:
+            sc.run_job(sc.parallelize(range(5), 1), _boom_on_zero)
+        assert excinfo.value.attempts == sc.max_task_failures == 4
+        assert sc.metrics.snapshot() == {
+            **Metrics().snapshot(), "jobs_run": 1, "jobs_failed": 1, "tasks_launched": 1,
+            "tasks_failed": 4, "tasks_retried": 3,
+        }
+        (job, attrs), *tasks = _job_and_task_spans(sc)
+        assert attrs == {**self.JOB, "aborted": True, "error": "ValueError: boom"}
+        assert [t[1].get("attempt", 1) for t in tasks] == [1, 2, 3, 4]
+        assert all(t[1]["failures"] == 1 and t[1]["records_in"] == 5 for t in tasks)
 
 
 class _SplitOneFailsTwice(FaultInjector):
