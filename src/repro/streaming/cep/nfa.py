@@ -350,7 +350,7 @@ class WindowedMatcher:
                 if isinstance(rule, AggregateRule)
                 else 1.0
             )
-            for window in rule.spec.assign(t, t):
+            for window in rule.spec.pane(t):
                 key = (window.start, window.end)
                 self._windows.setdefault(key, {}).setdefault(group, []).append(
                     [t, rid, contrib]

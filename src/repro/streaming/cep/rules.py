@@ -311,7 +311,7 @@ class _WindowedRule(Rule):
 
     def expiry(self, t: float) -> float:
         """An event is needed until its last containing window closes."""
-        return self.spec.assign(t, t)[-1].end
+        return self.spec.pane(t)[-1].end
 
 
 class CountRule(_WindowedRule):

@@ -30,9 +30,8 @@ Four layers live here:
   per-query best-k heap fed cell by cell in ascending lower-bound order;
 - :class:`KeyedWindowState` -- the one event-time windowing contract
   (watermark, lateness, closed horizon, late counters) over the store:
-  one copy of each record lives in the store, an open window is a list
-  of record ids into it, and eviction is driven by the watermark
-  passing a record's last window;
+  each record is listed once, in its pane (the records sharing its
+  open windows), and leaves with the pane when its last window closes;
 - :class:`StoreBackedConsumer` -- the bridge to the streaming context
   that ``window()``, ``continuous()`` (both :class:`StateConsumer`) and
   ``patterns()`` share: one store, one absorbed-batch mark, one
@@ -734,33 +733,28 @@ class KeyedStateStore:
 
 
 class KeyedWindowState:
-    """Event-time windowing over a :class:`KeyedStateStore`.
+    """Event-time windowing over a :class:`KeyedStateStore`, in panes.
 
-    ``add_batch`` assigns each record to every window its temporal
-    component intersects and advances the watermark to ``max event end
-    seen - lateness``; a window is ready once the watermark passes its
-    end, and windows close in ascending order.  Records are not
-    buffered per window: each is inserted into the store exactly once,
-    an open window holds only its records' ids, in arrival order (so
-    closing a window touches its own records and no others), and the
-    watermark passing a record's *last* window evicts it -- the
-    entering/leaving-only cost profile of the module docstring.
+    A record belongs to every window its span intersects
+    (:meth:`WindowSpec.assign` alone decides).  The watermark is ``max
+    event end seen - lateness``; a window is ready once it passes the
+    window's end, and windows close in ascending order.  Each record is
+    inserted into the store once and listed once, in its **pane**: the
+    records whose open windows are the same run, keyed by ``(first open
+    window, last window)``, in arrival order.  A window's records are
+    the merge of the panes covering it; a pane leaves whole once its
+    last window closes.
 
-    :meth:`WindowSpec.assign` alone decides membership.  Its float
-    arithmetic can leave an instant in a one-ulp gap between two
+    ``assign`` can leave an instant in a one-ulp gap between two
     tumbling windows and then names the nearest one; such a record is
-    stored with its span moved inside that window, so the store's
-    span-based views (the continuous queries) agree with the id lists.
-
-    Late arrivals are counted, not silently lost: ``late_dropped`` is
-    the records whose *every* window had fired, ``late_window_drops``
-    each closed window a partially-late record missed (it still lands
-    in its open ones).
-
-    ``add_batch`` stages its work in two passes -- all window
-    assignment (the part that can raise) first, all mutation second --
-    so a failed batch leaves no partial state behind and a retried
-    batch cannot double-insert.
+    stored with its span moved inside that window, so the store's span
+    views (the continuous queries) agree with the panes.
+    ``late_dropped`` counts records whose every window had fired,
+    ``late_window_drops`` each fired window a partially-late record
+    missed (it still lands in its open ones).  ``add_batch`` stages all
+    assignment (the part that can raise) before any mutation, so a
+    failed batch leaves nothing behind and its retry cannot
+    double-insert.
     """
 
     def __init__(self, spec: WindowSpec, store: KeyedStateStore, lateness: float = 0.0) -> None:
@@ -771,10 +765,10 @@ class KeyedWindowState:
         self.lateness = lateness
         self.watermark = -_INF
         self._closed_horizon = -_INF
-        #: open window -> ids of its records, in arrival order.
-        self._members: dict[Window, list[int]] = {}
-        #: (last window end, rid) eviction heap.
-        self._eviction: list[tuple[float, int]] = []
+        #: (first open window, last window) -> its records' ids, in arrival order.
+        self._panes: dict[tuple[Window, Window], list[int]] = {}
+        #: Windows with records that have not closed.
+        self._open: set[Window] = set()
         # A plain int rather than itertools.count: the counter is part
         # of checkpointed state and must be snapshot/restorable.
         self._next_rid = 0
@@ -782,6 +776,15 @@ class KeyedWindowState:
         self.late_dropped = 0
         #: Per-window contributions lost to already-fired windows.
         self.late_window_drops = 0
+
+    def _pane(self, live: list[Window]) -> list[int]:
+        """The id list of the pane open in *live*, made (and opened) on first use."""
+        key = (live[0], live[-1])
+        rids = self._panes.get(key)
+        if rids is None:
+            rids = self._panes[key] = []
+            self._open.update(live)
+        return rids
 
     def add_batch(
         self, records: list[Record], batch_time: float
@@ -794,37 +797,39 @@ class KeyedWindowState:
         """
         max_end = self.watermark + self.lateness
         staged: list[tuple[STObject, Any, float, float, list[Window]]] = []
-        late_records = late_windows = 0
-        assign = self.spec.assign
+        late_records = late_windows = missed = 0
+        pane = self.spec.pane
         horizon = self._closed_horizon
+        windows = live = None
         for st, value in records:
             t_start, t_end = event_span(st, batch_time)
             if t_end > max_end:
                 max_end = t_end
-            windows = assign(t_start, t_end)
-            only = windows[0]
-            if not (t_start < only.end and t_end >= only.start):
-                # assign's nearest-window fallback (see the class docstring).
-                t_start = t_end = min(max(t_start, only.start), math.nextafter(only.end, -_INF))
-            live = [w for w in windows if w.end > horizon]
-            late_windows += len(windows) - len(live)
+            assigned = pane(t_start, t_end)
+            if assigned is not windows:
+                # A new pane, an interval or assign's nearest-window
+                # fallback (see the class docstring): re-derive.
+                windows = assigned
+                only = windows[0]
+                if not (t_start < only.end and t_end >= only.start):
+                    t_start = t_end = min(max(t_start, only.start), math.nextafter(only.end, -_INF))
+                live = [w for w in windows if w.end > horizon]
+                missed = len(windows) - len(live)
+            late_windows += missed
             if not live:
                 late_records += 1
                 continue
             staged.append((st, value, t_start, t_end, live))
         inserted: list[tuple[int, STObject, Any]] = []
-        members = self._members
         insert = self.store.insert
+        listed = rids = None
         for st, value, t_start, t_end, live in staged:
             rid = self._next_rid
-            self._next_rid += 1
+            self._next_rid = rid + 1
             insert(rid, st, value, t_start, t_end)
-            heapq.heappush(self._eviction, (live[-1].end, rid))
-            for window in live:
-                try:
-                    members[window].append(rid)
-                except KeyError:
-                    members[window] = [rid]
+            if live is not listed:
+                listed, rids = live, self._pane(live)
+            rids.append(rid)
             inserted.append((rid, st, value))
         self.late_dropped += late_records
         self.late_window_drops += late_windows
@@ -834,37 +839,39 @@ class KeyedWindowState:
     def ready_windows(self) -> list[Window]:
         """Windows the watermark has passed, ascending (not yet closed --
         their records stay queryable until :meth:`close_window`)."""
-        return sorted(w for w in self._members if w.end <= self.watermark)
+        return sorted(w for w in self._open if w.end <= self.watermark)
 
     def window_records(self, window: Window) -> list[Record]:
         """An open window's ``(STObject, value)`` records, in arrival
         order -- what the window outputs are handed."""
-        return [row[:2] for row in map(self.store.get, self._members.get(window, ()))]
+        if window not in self._open:
+            return []
+        lists = [rids for (first, last), rids in self._panes.items() if first <= window <= last]
+        rids = lists[0] if len(lists) == 1 else heapq.merge(*lists)
+        return [row[:2] for row in map(self.store.get, rids)]
 
     def close_window(self, window: Window) -> list[int]:
         """Mark *window* fired: advance the closed horizon and evict every
-        record whose last window has now closed.  Returns evicted rids."""
-        self._members.pop(window, None)
+        pane whose last window has now closed.  Returns evicted rids."""
+        self._open.discard(window)
         if window.end > self._closed_horizon:
             self._closed_horizon = window.end
-        evicted: list[int] = []
-        while self._eviction and self._eviction[0][0] <= self._closed_horizon:
-            _end, rid = heapq.heappop(self._eviction)
+        closed = [key for key in self._panes if key[1].end <= self._closed_horizon]
+        evicted = [rid for key in closed for rid in self._panes.pop(key)]
+        for rid in evicted:
             self.store.remove(rid)
-            evicted.append(rid)
         return evicted
 
     @property
     def open_windows(self) -> int:
         """How many windows currently have live records."""
-        return len(self._members)
+        return len(self._open)
 
     def snapshot(self) -> dict:
         """Picklable windowing state, the store's snapshot included.
 
-        Which record is in which open window, and when it leaves, is
-        not stored: :meth:`restore` re-derives both from the store's
-        rows through the spec the live pipeline declares.
+        Panes are not stored: :meth:`restore` re-derives them from the
+        store's rows through the spec the live pipeline declares.
         """
         return {
             "watermark": self.watermark,
@@ -888,14 +895,15 @@ class KeyedWindowState:
         self.late_window_drops = snapshot["late_window_drops"]
         self._next_rid = snapshot["next_rid"]
         self.store.restore(snapshot["store"])
-        self._members = {}
-        self._eviction = []
+        self._panes = {}
+        self._open = set()
+        windows = None
         for rid, _st, _value, t_start, t_end in snapshot["store"]["records"]:
-            live = [w for w in self.spec.assign(t_start, t_end) if w.end > horizon]
-            for window in live:
-                self._members.setdefault(window, []).append(rid)
-            self._eviction.append((live[-1].end, rid))
-        heapq.heapify(self._eviction)
+            assigned = self.spec.pane(t_start, t_end)
+            if assigned is not windows:
+                windows = assigned
+                rids = self._pane([w for w in windows if w.end > horizon])
+            rids.append(rid)
 
 
 # -- continuous queries ----------------------------------------------------
@@ -919,10 +927,10 @@ class ContinuousQuery:
         self.evaluate = evaluate
 
     def on_insert(self, rid: int, st: STObject, value: Any) -> None:
-        """Incremental per-record hook at ingest (default: nothing)."""
+        """Incremental per-record hook at ingest (base: none, not called)."""
 
     def on_evict(self, rid: int) -> None:
-        """Incremental per-record hook at eviction (default: nothing)."""
+        """Incremental per-record hook at eviction (base: none, not called)."""
 
     def emit(self, store: KeyedStateStore, window: Window) -> None:
         """Evaluate and record one closed window."""
@@ -1080,6 +1088,11 @@ class StateConsumer(StoreBackedConsumer):
         self.queries.append(query)
         return query
 
+    def _hooked(self, hook: str) -> list[ContinuousQuery]:
+        """The queries overriding *hook*: only they run it per record."""
+        base = getattr(ContinuousQuery, hook)
+        return [query for query in self.queries if getattr(type(query), hook) is not base]
+
     def absorb(self, batch_id: int, records: list[Record], batch_time: float) -> None:
         """Insert one batch into keyed state (idempotent per batch id).
 
@@ -1092,7 +1105,7 @@ class StateConsumer(StoreBackedConsumer):
             return
         inserted = self.state.add_batch(records, batch_time)
         self._absorbed_batch = batch_id
-        if self.queries:
+        if self._hooked("on_insert"):
             self._pending_hooks.extend(inserted)
 
     def _run_insert_hooks(self) -> None:
@@ -1100,9 +1113,10 @@ class StateConsumer(StoreBackedConsumer):
         # after every query's hook ran, and re-running a hook for the
         # same rid just overwrites the same cached result, so a failure
         # mid-drain replays safely on the batch retry.
+        hooked = self._hooked("on_insert")
         while self._pending_hooks:
             rid, st, value = self._pending_hooks[0]
-            for query in self.queries:
+            for query in hooked:
                 query.on_insert(rid, st, value)
             self._pending_hooks.popleft()
 
@@ -1131,7 +1145,7 @@ class StateConsumer(StoreBackedConsumer):
                 ssc._recovery.note_emitted(self, window)
                 fired += 1
             evicted = self.state.close_window(window)
-            for query in self.queries:
+            for query in self._hooked("on_evict"):
                 for rid in evicted:
                     query.on_evict(rid)
         return fired
@@ -1164,6 +1178,6 @@ class StateConsumer(StoreBackedConsumer):
         self._absorbed_batch = snapshot["absorbed"]
         self._pending_hooks = deque(tuple(row) for row in snapshot["pending_hooks"])
         self.state.restore(snapshot["state"])
-        for query in self.queries:
+        for query in self._hooked("on_insert"):
             for rid, st, value in self.store.iter_window(None):
                 query.on_insert(rid, st, value)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.stobject import STObject
 
@@ -60,10 +61,11 @@ class WindowSpec:
     which makes the windows tumbling) is the distance between
     consecutive window starts.  Window starts are the multiples of
     ``slide`` offset by ``origin``, so assignment is O(windows-hit) and
-    needs no per-window state.
+    needs no per-window state; :meth:`pane` replays the last instant's
+    answer for instants that share its windows.
     """
 
-    __slots__ = ("length", "slide", "origin", "_window_cache")
+    __slots__ = ("length", "slide", "origin", "_window_cache", "_pane")
 
     #: Per-spec cap on memoized Window objects; streams revisit the same
     #: few open windows record after record, so a small cache hits nearly
@@ -85,6 +87,8 @@ class WindowSpec:
         self.slide = float(slide)
         self.origin = float(origin)
         self._window_cache: dict[int, Window] = {}
+        #: ``[lo, hi)`` and the windows of the last assigned instant's pane.
+        self._pane: tuple[float, float, tuple[Window, ...]] = (0.0, 0.0, ())
 
     def _window_at(self, k: int) -> Window:
         """The k-th window (start ``origin + k * slide``), memoized --
@@ -107,7 +111,8 @@ class WindowSpec:
         """Every window the span ``[t_start, t_end]`` intersects, ascending.
 
         With ``t_end`` omitted the record is an instant.  The result is
-        never empty: any event time hits at least one window.
+        never empty: any event time hits at least one window.  An
+        instant's pane is remembered for :meth:`pane`.
         """
         if t_end is None:
             t_end = t_start
@@ -126,6 +131,8 @@ class WindowSpec:
         for k in range(first - 1, last + 2):
             window = self._window_at(k)
             if window.intersects_span(t_start, t_end):
+                if not windows:
+                    k_first = k
                 windows.append(window)
         if not windows:
             # Pathological float gap: consecutive windows k and k+1 can
@@ -133,6 +140,26 @@ class WindowSpec:
             # an instant between them.  Assign to the nearest window so
             # the result is never empty, as documented.
             windows.append(self._window_at(last))
+        elif t_start == t_end:
+            # Remember the instant's pane for pane(): from the last window's
+            # start and the previous window's end to the first window's end
+            # and the next window's start.  Bounds never decrease with k,
+            # so every instant in that range is in exactly these windows.
+            self._pane = (
+                max(windows[-1].start, self._window_at(k_first - 1).end),
+                min(windows[0].end, self._window_at(k_first + len(windows)).start),
+                tuple(windows),
+            )
+        return windows
+
+    def pane(self, t_start: float, t_end: float | None = None) -> Sequence[Window]:
+        """:meth:`assign`, without assigning again when the span is an
+        instant in the last assigned instant's pane -- the instants that
+        fall in exactly the same windows.  Read-only: a hit returns the
+        pane's shared tuple."""
+        lo, hi, windows = self._pane
+        if not (lo <= t_start < hi and (t_end is None or t_end == t_start)):
+            windows = self.assign(t_start, t_end)
         return windows
 
     def __repr__(self) -> str:

@@ -32,6 +32,7 @@ from repro.streaming import (
     WindowSpec,
 )
 from repro.streaming.operators import relax_static
+from repro.streaming.state import ContinuousJoinStatic, ContinuousQuery
 
 BACKENDS = ["sequential", "threads"]
 
@@ -157,6 +158,18 @@ class TestContinuousEqualsBatchRecompute:
         # stop() flushed every window, so everything was evicted too.
         assert store.removes == total
         assert store.size == 0
+
+    def test_only_overriding_hooks_run_per_record(self, exec_sc, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ContinuousQuery, "on_insert", lambda _q, *row: calls.append(row))
+        monkeypatch.setattr(ContinuousQuery, "on_evict", lambda _q, rid: calls.append(rid))
+        batches = make_batches(seed=37)
+        _sinks, consumer, _ssc = run_continuous(exec_sc, batches)
+        # Range and kNN inherit the base hooks: neither runs.  The join
+        # overrides both and probes each record once.
+        assert calls == []
+        joins = [q for q in consumer.queries if isinstance(q, ContinuousJoinStatic)]
+        assert [q.probes for q in joins] == [sum(len(rows) for rows in batches)]
 
 
 class TestKeyedStoreUnit:

@@ -13,13 +13,28 @@ the way ``StateConsumer.fire`` / ``flush`` drive it.
 
 from __future__ import annotations
 
+import heapq
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.stobject import STObject
+from repro.streaming import state as state_module
 from repro.streaming.state import KeyedStateStore, KeyedWindowState
 from repro.streaming.window import Window, WindowSpec, event_span
+
+
+class CountingSpec(WindowSpec):
+    """A spec that counts its real assignment work."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.calls = 0
+
+    def assign(self, t_start, t_end=None):
+        self.calls += 1
+        return super().assign(t_start, t_end)
 
 
 class TestWindow:
@@ -83,6 +98,18 @@ class TestWindowSpec:
             WindowSpec(10.0, slide=11.0)  # gapped windows drop records
         with pytest.raises(ValueError):
             WindowSpec(10.0).assign(5.0, 4.0)
+
+    def test_pane_serves_instants_sharing_the_last_instants_windows(self):
+        spec, plain = CountingSpec(5.0, 2.0), WindowSpec(5.0, 2.0)
+        times = [i * 0.25 for i in range(-40, 80)] + [3.9, 4.0, 4.1, 5.0, 6.0]
+        for t in times:
+            assert list(spec.pane(t)) == plain.assign(t)
+            assert list(spec.pane(t, t)) == plain.assign(t, t)
+        # One assignment per change of pane, never one per instant.
+        assert spec.calls < len(times) / 2
+        calls = spec.calls
+        assert spec.pane(4.5, 6.0) == plain.assign(4.5, 6.0)  # intervals always assign
+        assert spec.calls == calls + 1
 
 
 class TestEventSpan:
@@ -205,6 +232,31 @@ class TestWindowState:
             (window, ["edge"])
         ]
         assert state.late_dropped == 0 and state.store.size == 0
+
+    def test_each_record_is_assigned_listed_and_evicted_once(self, monkeypatch):
+        # 2,000 instants in 4x-overlapping sliding windows, 100 a batch.
+        spec = CountingSpec(8.0, 2.0)
+        state = window_state(spec)
+        times = [i * 0.01 for i in range(2000)]
+        panes = {tuple(WindowSpec(8.0, 2.0).assign(t)) for t in times}
+
+        def per_record_heap(*_args):
+            raise AssertionError("the window state keeps no per-record heap")
+
+        monkeypatch.setattr(state_module, "heapq", SimpleNamespace(
+            heappush=per_record_heap, heappop=per_record_heap,
+            heapify=per_record_heap, merge=heapq.merge,
+        ))
+        evicted = []
+        for b in range(0, 2000, 100):
+            state.add_batch([_rec(t, i) for i, t in enumerate(times[b:b + 100], b)], 0.0)
+            for window in state.ready_windows():
+                evicted += state.close_window(window)
+        state.watermark = math.inf
+        for window in state.ready_windows():
+            evicted += state.close_window(window)
+        assert 0 < spec.calls <= len(panes) < 20
+        assert sorted(evicted) == list(range(2000)) and state.store.size == 0
 
     def test_restore_rederives_membership_and_eviction(self):
         state = window_state(WindowSpec(10.0, 5.0), lateness=5.0)

@@ -28,6 +28,7 @@ sliding windows with and without allowed lateness.  Two time grids:
 from __future__ import annotations
 
 import math
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from hypothesis import strategies as st
 from repro.core.stobject import STObject
 from repro.spark.context import SparkContext
 from repro.streaming import StreamingContext, Window, WindowSpec
+from repro.streaming.state import KeyedStateStore, KeyedWindowState
 
 #: Times are integer *ticks* over a divisor (2 = halves, 10 = tenths).
 #: Micro-batch *b* has batch time ``b * BATCH_TICKS`` ticks; events
@@ -57,10 +59,10 @@ def windows_of(length: float, slide: float, t_start: float, t_end: float) -> lis
     return out
 
 
-def model(batches, assign, lateness, ticks_per_unit):
-    """``(emitted, late_records, late_window_drops)`` of a whole stream,
-    shutdown flush included; ``assign(t_start, t_end)`` names a span's
-    windows."""
+def model(batches, assign, lateness):
+    """``(emitted, late_records, late_window_drops)`` of a whole stream
+    of ``(value, t_start, t_end)`` batches, shutdown flush included;
+    ``assign(t_start, t_end)`` names a span's windows."""
     watermark = horizon = -math.inf
     open_windows: dict[Window, list[int]] = {}
     emitted: list[tuple[Window, list[int]]] = []
@@ -72,9 +74,9 @@ def model(batches, assign, lateness, ticks_per_unit):
             emitted.append((window, open_windows.pop(window)))
             horizon = max(horizon, window.end)
 
-    for b, events in enumerate(batches):
+    for events in batches:
         frontier = watermark + lateness
-        for value, t_start, t_end in spans(events, b, ticks_per_unit):
+        for value, t_start, t_end in events:
             frontier = max(frontier, t_end)
             windows = assign(t_start, t_end)
             live = [w for w in windows if w.end > horizon]
@@ -87,6 +89,11 @@ def model(batches, assign, lateness, ticks_per_unit):
         close(w for w in open_windows if w.end <= watermark)
     close(list(open_windows))
     return emitted, late_records, late_window_drops
+
+
+def span_batches(batches, ticks_per_unit):
+    """The stream as the model reads it: ``(value, t_start, t_end)`` batches."""
+    return [list(spans(events, b, ticks_per_unit)) for b, events in enumerate(batches)]
 
 
 def spans(events, b, ticks_per_unit):
@@ -156,7 +163,7 @@ def test_window_equals_model(stream, length, sliding, lateness):
     slide = 2.0 if sliding else length
     batches, got, metrics = run_window(stream, length, slide, lateness, 2)
     want, late_records, late_window_drops = model(
-        batches, lambda a, b: windows_of(length, slide, a, b), lateness, 2
+        span_batches(batches, 2), lambda a, b: windows_of(length, slide, a, b), lateness
     )
     assert got == want
     assert metrics.late_records_dropped == late_records
@@ -173,7 +180,7 @@ def test_window_equals_model_on_inexact_bounds(stream, shape, lateness):
     length, slide = shape
     batches, got, metrics = run_window(stream, length, slide, lateness, 10)
     want, late_records, late_window_drops = model(
-        batches, WindowSpec(length, slide).assign, lateness, 10
+        span_batches(batches, 10), WindowSpec(length, slide).assign, lateness
     )
     assert got == want
     assert metrics.late_records_dropped == late_records
@@ -184,3 +191,95 @@ def test_window_equals_model_on_inexact_bounds(stream, shape, lateness):
     delivered = {value for _window, values in got for value in values}
     fed = sum(len(rows) for rows in batches)
     assert len(delivered) + metrics.late_records_dropped == fed
+
+
+# -- panes against WindowSpec.assign -----------------------------------------
+
+#: ``(length, slide)``: whole (8/2), non-whole (5/2) and non-dyadic
+#: (0.3/0.1, 0.7/0.3) ratios, sliding and tumbling.
+PANE_SHAPES = [(8.0, 2.0), (5.0, 2.0), (4.0, 4.0), (0.3, 0.1), (0.7, 0.3), (0.1, 0.1), (0.3, 0.3)]
+
+
+def nudge(t: float, ulps: int) -> float:
+    """*t* moved by *ulps* units in the last place."""
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.inf if ulps > 0 else -math.inf)
+    return t
+
+
+@st.composite
+def pane_streams(draw):
+    """``(spec args, lateness, batches of (t_start, t_end), restore_at)``.
+
+    Near 1e15 a float is a multiple of 0.125 and ``floor`` of the
+    assignment quotient lands one slide off; slides below 0.25 would
+    make distinct windows share a start there, so that magnitude draws
+    only the wider shapes.  Instants sit anywhere, or on a window bound
+    give or take two ulps (the one-ulp gaps between tumbling windows
+    with inexact bounds); intervals span up to four slides.  Each
+    batch scatters around an advancing front, so arrivals are out of
+    order and some are late.
+    """
+    base = draw(st.sampled_from([0.0, -3.7, 1e15]))
+    shapes = [s for s in PANE_SHAPES if base < 1e15 or s[1] >= 0.25]
+    length, slide = draw(st.sampled_from(shapes))
+    origin = draw(st.sampled_from([0.0, 0.05, -1.3]))
+    spec = WindowSpec(length, slide, origin)
+    lateness = draw(st.sampled_from([0.0, 0.0, slide, length]))
+    batches = []
+    for b in range(draw(st.integers(1, 8))):
+        events = []
+        for _ in range(draw(st.integers(0, 8))):
+            t = base + draw(st.integers(b * 6 - 12, b * 6 + 12)) * slide / 3
+            kind = draw(st.sampled_from(["instant", "bound", "interval"]))
+            if kind == "bound":
+                windows = spec.assign(t)
+                t = nudge(draw(st.sampled_from([windows[0].end, windows[-1].start])),
+                          draw(st.integers(-2, 2)))
+            span = draw(st.integers(1, 8)) * slide / 2 if kind == "interval" else 0.0
+            events.append((t, t + span))
+        batches.append(events)
+    restore_at = draw(st.integers(0, len(batches)))
+    return (length, slide, origin), lateness, batches, restore_at
+
+
+@given(stream=pane_streams())
+@settings(max_examples=300, deadline=None)
+def test_panes_equal_assign(stream):
+    """Every fired window holds, in arrival order, exactly the records
+    whose :meth:`WindowSpec.assign` names it, across a snapshot ->
+    restore into a fresh state (and a fresh spec) mid-stream."""
+    shape, lateness, batches, restore_at = stream
+
+    def fresh():
+        return KeyedWindowState(WindowSpec(*shape), KeyedStateStore(None, grid=1), lateness)
+
+    def drain(state):
+        for window in state.ready_windows():
+            values = [value for _st, value in state.window_records(window)]
+            # The store's span view (what continuous queries read) agrees.
+            assert [value for _rid, _st, value in state.store.iter_window(window)] == values
+            got.append((window, values))
+            state.close_window(window)
+
+    numbered = iter(range(10_000))
+    batches = [[(next(numbered), t_start, t_end) for t_start, t_end in b] for b in batches]
+    state, got = fresh(), []
+    for b, events in enumerate(batches):
+        if b == restore_at:
+            twin = fresh()
+            twin.restore(pickle.loads(pickle.dumps(state.snapshot())))
+            state = twin
+        rows = [
+            (STObject("POINT (1 1)", t_start, None if t_end == t_start else t_end), value)
+            for value, t_start, t_end in events
+        ]
+        state.add_batch(rows, batch_time=0.0)
+        drain(state)
+    state.watermark = math.inf
+    drain(state)
+
+    want, late_records, late_window_drops = model(batches, WindowSpec(*shape).assign, lateness)
+    assert got == want
+    assert (state.late_dropped, state.late_window_drops) == (late_records, late_window_drops)
+    assert state.store.size == 0 and state.open_windows == 0
