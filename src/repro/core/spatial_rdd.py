@@ -35,6 +35,8 @@ from repro.core import filter as filter_ops
 from repro.core import join as join_ops
 from repro.core import knn as knn_ops
 from repro.core.clustering.mr_dbscan import dbscan
+from repro.core.colocation import colocation_patterns
+from repro.core.knn_join import knn_join as knn_join_op
 from repro.core.predicates import (
     CONTAINED_BY,
     CONTAINS,
@@ -43,6 +45,7 @@ from repro.core.predicates import (
     resolve_predicate,
     within_distance_predicate,
 )
+from repro.core.skyline import skyline as skyline_op
 from repro.core.stobject import STObject
 from repro.core.summaries import partition_summaries, restore_summaries
 from repro.geometry.distance import DistanceFunction, euclidean
@@ -149,8 +152,6 @@ class SpatialRDDFunctions(_PredicateFilters):
     ) -> RDD:
         """For each row, the k nearest rows of *other*;
         see :func:`repro.core.knn_join.knn_join`."""
-        from repro.core.knn_join import knn_join as knn_join_op
-
         other_rdd = other.rdd if isinstance(other, SpatialRDDFunctions) else other
         return knn_join_op(self._rdd, other_rdd, k, index_order)
 
@@ -166,15 +167,11 @@ class SpatialRDDFunctions(_PredicateFilters):
     def skyline(self, query: STObject | str) -> list:
         """The (spatial, temporal) trade-off front relative to *query*;
         see :func:`repro.core.skyline.skyline`."""
-        from repro.core.skyline import skyline as skyline_op
-
         return skyline_op(self._rdd, _as_query(query))
 
     def colocation(self, distance: float, min_participation: float = 0.0) -> list:
         """Co-location patterns over ``RDD[(STObject, category)]``;
         see :func:`repro.core.colocation.colocation_patterns`."""
-        from repro.core.colocation import colocation_patterns
-
         return colocation_patterns(self._rdd, distance, min_participation)
 
     # -- partitioning & indexing ------------------------------------------
@@ -400,9 +397,8 @@ class IndexedSpatialRDD(_PredicateFilters):
 
         Tolerant of damage: corrupt tree parts are rebuilt live from the
         recovery sidecar and corrupt metadata merely disables pruning
-        (see :mod:`repro.index.persistence`).  Repeated loads of an
-        unchanged path reuse already-deserialized trees from the
-        process-level cache.
+        (see :mod:`repro.index.persistence`).  The trees are persisted:
+        they stay in the context's block cache until ``unpersist()``.
         """
         tree_rdd, summaries, mode = persistence.load_index(context, path)
         order = getattr(tree_rdd, "_order", None)

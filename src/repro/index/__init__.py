@@ -18,7 +18,7 @@ and beside them:
 - :class:`~repro.index.intervaltree.IntervalTree` -- a static interval
   tree for temporal lookups; it backs the forest's slice directory,
 - :mod:`~repro.index.persistence` -- save/load helpers implementing the
-  *persistent indexing* mode, with a process-level reuse cache.
+  *persistent indexing* mode.
 
 :func:`build_partition_index` is the one factory every indexing call
 path goes through, so ``live_index(mode=...)`` / ``index(mode=...)``
@@ -68,13 +68,15 @@ def partition_index(
     A persisted *rdd* is indexed once: the first call builds every
     partition in one job and keeps the persisted trees in the RDD's
     driver memo under ``(mode, order, time_slices)`` until
-    ``rdd.unpersist()``.  Any other RDD gets lazy trees, built while
-    the calling query runs -- the paper's live mode.
+    ``rdd.unpersist()``; each later call is counted in
+    ``metrics.index_cache_hits``.  Any other RDD gets lazy trees, built
+    while the calling query runs -- the paper's live mode.
     """
     from repro.core.summaries import driver_memo  # repro.core imports this package
 
     key = (mode, order, time_slices)
     if rdd._cached and key in driver_memo(rdd):
+        rdd.context.metrics.index_cache_hits += 1
         return driver_memo(rdd)[key]
     if mode not in INDEX_MODES:
         raise ValueError(f"unknown index mode {mode!r}; known: {INDEX_MODES}")

@@ -9,18 +9,6 @@ The partitioner and the per-partition *summaries* (what each tree
 covers in space and time) are stored alongside the trees, so a reloaded
 index prunes whole partitions before a single tree is opened.
 
-Process-level reuse cache
--------------------------
-Deserializing a large index dominates short interactive programs that
-open the same index repeatedly (the paper's multi-program workflow).
-Loads therefore go through a process-level cache keyed by the index
-path and validated against a *freshness signature* (name, mtime_ns,
-size of every part and the metadata file): a repeated load of an
-unchanged index returns the already-deserialized trees (counted in
-``metrics.index_cache_hits``), while any rewrite -- including
-:func:`save_index` over the same path -- invalidates automatically.
-:func:`invalidate_index_cache` drops entries explicitly.
-
 Fault model
 -----------
 A persisted index is the one artifact the paper's multi-program workflow
@@ -35,8 +23,11 @@ damage:
   from the sidecar -- exact query results, one partition's build cost.
   Each fallback is counted in ``metrics.index_fallbacks`` and recorded
   as an ``index.fallback`` span in the trace;
-- a missing or corrupt ``_index_meta.pkl`` degrades to an unpartitioned
-  load (pruning disabled, queries still exact) instead of raising;
+- ``_index_meta.pkl`` is written through
+  :func:`~repro.spark.storage.durable_replace` behind a CRC32 of its
+  pickled bytes; a missing file, a checksum mismatch or any failure to
+  read it degrades to an unpartitioned load (pruning disabled, queries
+  still exact) instead of raising or pruning on damaged summaries;
 - only when a part is corrupt *and* no recovery data exists does the
   load fail, with a :class:`~repro.spark.storage.StorageError` naming
   the path (pre-sidecar layouts written by older versions);
@@ -47,16 +38,15 @@ damage:
   sidecar's ``(Envelope, item)`` rows do not depend on the layout), or
   fails with the same :class:`~repro.spark.storage.StorageError`.
 
-The cache never interferes with either mechanism: chaos runs (an
-active fault injector) bypass it entirely, and partitions that needed
-a live rebuild are not cached.
+A loaded index lives where any persisted RDD's blocks live: in the
+context's block cache, freed by ``unpersist()``.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
+import zlib
 from typing import TYPE_CHECKING, Iterator
 
 from repro.index.rtree import DEFAULT_NODE_CAPACITY, STRTree
@@ -74,42 +64,6 @@ _DATA_DIR = "_data"
 #: shape of :mod:`repro.index.rtree`'s nodes.  2 = ``_Node(leaf, rows)``
 #: over float-tuple boxes (1, unrecorded, was one ``Envelope`` per node).
 INDEX_LAYOUT = 2
-
-#: path -> (freshness signature, {split: deserialized trees}).
-_INDEX_CACHE: dict[str, tuple[tuple, dict[int, list]]] = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def _index_signature(path: str, parts: list[str]) -> tuple:
-    """A freshness signature for the index at *path*.
-
-    Built from (name, mtime_ns, size) of every tree part and the
-    metadata file, so any rewrite -- even one preserving file names --
-    changes the signature and invalidates cached trees; it leads with
-    the layout version the cached trees were deserialized under.
-    """
-    sig: list = [INDEX_LAYOUT]
-    for name in [_META_FILE, *parts]:
-        full = os.path.join(path, name)
-        try:
-            st = os.stat(full)
-            sig.append((name, st.st_mtime_ns, st.st_size))
-        except OSError:
-            sig.append((name, None, None))
-    return tuple(sig)
-
-
-def invalidate_index_cache(path: str | None = None) -> None:
-    """Drop cached deserialized trees for *path* (or every path).
-
-    Called automatically by :func:`save_index`; call it directly after
-    mutating an index directory through any other channel.
-    """
-    with _CACHE_LOCK:
-        if path is None:
-            _INDEX_CACHE.clear()
-        else:
-            _INDEX_CACHE.pop(os.path.abspath(path), None)
 
 
 def save_index(
@@ -137,30 +91,48 @@ def save_index(
     indexed_rdd.map_partitions(extract_entries).save_as_object_file(
         os.path.join(path, _DATA_DIR)
     )
-    with open(os.path.join(path, _META_FILE), "wb") as f:
-        pickle.dump(
-            {
-                "partitioner": partitioner,
-                "order": order,
-                "mode": mode,
-                "summaries": summaries,
-                "layout": INDEX_LAYOUT,
-            },
-            f,
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-    invalidate_index_cache(path)
+    _write_meta(
+        path,
+        {
+            "partitioner": partitioner,
+            "order": order,
+            "mode": mode,
+            "summaries": summaries,
+            "layout": INDEX_LAYOUT,
+        },
+    )
+
+
+def _write_meta(path: str, meta: dict) -> None:
+    """Durably write *meta* as a little-endian CRC32 of its pickle,
+    followed by the pickle itself."""
+    blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
+    meta_path = os.path.join(path, _META_FILE)
+    tmp = meta_path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(zlib.crc32(blob).to_bytes(4, "little"))
+        f.write(blob)
+    storage.durable_replace(tmp, meta_path)
 
 
 def _read_meta(path: str) -> dict:
-    """Read the metadata file, wrapping corruption in StorageError."""
+    """Read the metadata file; any damage raises :class:`StorageError`.
+
+    The checksum guards the summaries and partitioner that prune whole
+    partitions: a flipped byte that still unpickles must not drop real
+    matches, so it is rejected like one that does not.
+    """
     meta_path = os.path.join(path, _META_FILE)
     if not os.path.exists(meta_path):
         return {}
     try:
         with open(meta_path, "rb") as f:
-            return pickle.load(f)
-    except (pickle.UnpicklingError, EOFError) as exc:
+            raw = f.read()
+        blob = raw[4:]
+        if zlib.crc32(blob) != int.from_bytes(raw[:4], "little"):
+            raise StorageError("checksum mismatch")
+        return pickle.loads(blob)
+    except Exception as exc:
         raise StorageError(f"corrupt index metadata {meta_path!r}: {exc}") from exc
 
 
@@ -171,10 +143,6 @@ class ResilientIndexRDD(RDD[STRTree]):
     ``_data`` sidecar it behaves like :class:`ObjectFileRDD` (corrupt
     parts raise :class:`StorageError`); with one, damaged partitions are
     rebuilt from their raw entries.
-
-    Splits deserialize through the process-level cache: a split already
-    loaded by an earlier RDD over the same (unchanged) path is served
-    from memory and counted in ``metrics.index_cache_hits``.
     """
 
     def __init__(
@@ -190,39 +158,12 @@ class ResilientIndexRDD(RDD[STRTree]):
         self._data_dir = data_dir if os.path.isdir(data_dir) else None
         #: Splits that were rebuilt live instead of unpickled.
         self.fallbacks: list[int] = []
-        self._cache_key = os.path.abspath(path)
-        self._signature = _index_signature(path, self._parts)
 
     @property
     def num_partitions(self) -> int:
         return len(self._parts)
 
-    def _cached_splits(self) -> dict[int, list] | None:
-        """This path's split cache, or None when caching must not apply.
-
-        Chaos runs bypass the cache so every load actually exercises the
-        injected fault sites; a signature mismatch drops the stale entry.
-        """
-        if self.context.fault_injector is not None:
-            return None
-        with _CACHE_LOCK:
-            entry = _INDEX_CACHE.get(self._cache_key)
-            if entry is not None and entry[0] == self._signature:
-                return entry[1]
-            splits: dict[int, list] = {}
-            _INDEX_CACHE[self._cache_key] = (self._signature, splits)
-            return splits
-
     def compute(self, split: int) -> Iterator[STRTree]:
-        cache = self._cached_splits()
-        if cache is not None:
-            with _CACHE_LOCK:
-                cached = cache.get(split)
-            if cached is not None:
-                self.context.metrics.index_cache_hits += 1
-                if self.context.tracer.enabled:
-                    self.context.tracer.add("index.cache_hits", 1)
-                return iter(cached)
         part = os.path.join(self._path, self._parts[split])
         if self._layout != INDEX_LAYOUT:
             stale = StorageError(
@@ -236,12 +177,7 @@ class ResilientIndexRDD(RDD[STRTree]):
                 injector.check("index.load", key=(part, split))
             trees = storage.read_object_part(part)
         except Exception as exc:
-            # Rebuilt partitions stay uncached: the rebuild is the
-            # fault-handling path and must re-run on every load.
             return iter(self._rebuild_live(split, part, exc))
-        if cache is not None:
-            with _CACHE_LOCK:
-                cache[split] = trees
         return iter(trees)
 
     def _rebuild_live(self, split: int, part: str, cause: Exception) -> list[STRTree]:

@@ -3,9 +3,8 @@
 An :class:`RDD` is a node in a lineage DAG.  Transformations build new
 nodes without computing anything; actions walk the lineage and execute
 one task per partition through the context's scheduler.  The subset
-implemented here is the one STARK's operators are written against,
-plus the usual conveniences (``sortBy``, ``takeOrdered``, ``sample``,
-``zipWithIndex``) that the examples and benchmarks use.
+implemented here is the one STARK's operators, the baselines, Piglet
+and the examples are written against.
 
 Key-value functionality (``reduceByKey``, ``join``, ``partitionBy``,
 ...) is available on any RDD whose elements are 2-tuples, mirroring
@@ -15,18 +14,15 @@ Spark's implicit ``PairRDDFunctions`` conversion.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import random
 import weakref
 from abc import ABC, abstractmethod
-from collections import defaultdict
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Generic,
-    Hashable,
     Iterable,
     Iterator,
     Optional,
@@ -223,60 +219,10 @@ class RDD(ABC, Generic[T]):
 
         return MapPartitionsRDD(self, sampler, preserves_partitioning=True)
 
-    def coalesce(self, num_partitions: int) -> "RDD[T]":
-        """Reduce partition count without a shuffle (grouping adjacent splits)."""
-        if num_partitions < 1:
-            raise ValueError("need at least 1 partition")
-        return CoalescedRDD(self, num_partitions)
-
-    def repartition(self, num_partitions: int) -> "RDD[T]":
-        """Change partition count via a full shuffle (round-robin)."""
-        indexed = self.map_partitions_with_index(
-            lambda split, it: (((split + i) % num_partitions, x) for i, x in enumerate(it))
-        )
-        shuffled = ShuffledRDD(indexed, _IdentityPartitioner(num_partitions))
-        return shuffled.values()
-
     def distinct(self) -> "RDD[T]":
         """Remove duplicates (requires hashable elements)."""
         paired = self.map(lambda x: (x, None))
         return paired.reduce_by_key(lambda a, _b: a).keys()
-
-    def subtract(self, other: "RDD[T]") -> "RDD[T]":
-        """Elements of this RDD absent from *other* (duplicates preserved)."""
-        tagged = self.map(lambda x: (x, True)).cogroup(
-            other.map(lambda x: (x, True))
-        )
-
-        def keep(kv: tuple[T, tuple[list, list]]) -> list[T]:
-            own_copies, in_other = kv[1]
-            if in_other:
-                return []
-            return [kv[0]] * len(own_copies)
-
-        return tagged.flat_map(keep)
-
-    def intersection(self, other: "RDD[T]") -> "RDD[T]":
-        """Distinct elements present in both RDDs."""
-        grouped = self.map(lambda x: (x, True)).cogroup(
-            other.map(lambda x: (x, True))
-        )
-        return grouped.flat_map(
-            lambda kv: [kv[0]] if kv[1][0] and kv[1][1] else []
-        )
-
-    def zip(self, other: "RDD[U]") -> "RDD[tuple[T, U]]":
-        """Pair elements positionally; both sides must align exactly.
-
-        Like Spark, requires the same partition count and the same
-        number of elements per partition (checked lazily per task).
-        """
-        if self.num_partitions != other.num_partitions:
-            raise ValueError(
-                f"cannot zip RDDs with {self.num_partitions} and "
-                f"{other.num_partitions} partitions"
-            )
-        return _ZippedRDD(self, other)
 
     def sort_by(
         self,
@@ -377,21 +323,6 @@ class RDD(ABC, Generic[T]):
         """Merge each key's values with an associative *fn* (shuffles)."""
         return self.combine_by_key(lambda v: v, fn, fn, partitioner)
 
-    def aggregate_by_key(
-        self,
-        zero: U,
-        seq_fn: Callable[[U, V], U],
-        comb_fn: Callable[[U, U], U],
-        partitioner: Partitioner | None = None,
-    ) -> "RDD[tuple[K, U]]":
-        """Aggregate each key's values from *zero* with distinct
-        within-partition (*seq_fn*) and merge (*comb_fn*) steps."""
-        import copy
-
-        return self.combine_by_key(
-            lambda v: seq_fn(copy.deepcopy(zero), v), seq_fn, comb_fn, partitioner
-        )
-
     def group_by_key(
         self, partitioner: Partitioner | None = None
     ) -> "RDD[tuple[K, list[V]]]":
@@ -413,37 +344,9 @@ class RDD(ABC, Generic[T]):
         self, other: "RDD[tuple[K, U]]", partitioner: Partitioner | None = None
     ) -> "RDD[tuple[K, tuple[V, U]]]":
         """Inner equi-join on keys."""
-        return self._padded_join(other, partitioner, False, False)
-
-    def left_outer_join(
-        self, other: "RDD[tuple[K, U]]", partitioner: Partitioner | None = None
-    ) -> "RDD[tuple[K, tuple[V, U | None]]]":
-        """Equi-join keeping every left key; unmatched pair with None."""
-        return self._padded_join(other, partitioner, True, False)
-
-    def right_outer_join(
-        self, other: "RDD[tuple[K, U]]", partitioner: Partitioner | None = None
-    ) -> "RDD[tuple[K, tuple[V | None, U]]]":
-        """Equi-join keeping every right key; unmatched pair with None."""
-        return self._padded_join(other, partitioner, False, True)
-
-    def full_outer_join(
-        self, other: "RDD[tuple[K, U]]", partitioner: Partitioner | None = None
-    ) -> "RDD[tuple[K, tuple[V | None, U | None]]]":
-        """Equi-join keeping keys from both sides; gaps become None."""
-        return self._padded_join(other, partitioner, True, True)
-
-    def _padded_join(self, other: RDD, partitioner, keep_left: bool, keep_right: bool) -> RDD:
-        """The one equi-join: a kept side's unmatched values pair with None."""
-        def expand(pair: tuple[list, list]) -> list:
-            left, right = pair
-            if keep_right and not left:
-                return [(None, u) for u in right]
-            if keep_left and not right:
-                return [(v, None) for v in left]
-            return [(v, u) for v in left for u in right]
-
-        return self.cogroup(other, partitioner).flat_map_values(expand)
+        return self.cogroup(other, partitioner).flat_map_values(
+            lambda pair: [(v, u) for v in pair[0] for u in pair[1]]
+        )
 
     def cogroup(
         self, other: "RDD[tuple[K, U]]", partitioner: Partitioner | None = None
@@ -481,17 +384,6 @@ class RDD(ABC, Generic[T]):
         """Number of elements."""
         return sum(self.context.run_job(self, lambda it: sum(1 for _ in it)))
 
-    def is_empty(self) -> bool:
-        """True when the RDD has no elements (computes at most one)."""
-        return not self.take(1)
-
-    def first(self) -> T:
-        """The first element; raises ``ValueError`` on an empty RDD."""
-        rows = self.take(1)
-        if not rows:
-            raise ValueError("RDD is empty")
-        return rows[0]
-
     def take(self, n: int) -> list[T]:
         """The first *n* elements, computing as few partitions as possible.
 
@@ -514,125 +406,6 @@ class RDD(ABC, Generic[T]):
             if len(out) >= n:
                 break
         return out
-
-    def top(self, n: int, key: Callable[[T], Any] | None = None) -> list[T]:
-        """The *n* largest elements, descending."""
-        per_part = self.context.run_job(
-            self, lambda it: heapq.nlargest(n, it, key=key)
-        )
-        return heapq.nlargest(n, itertools.chain.from_iterable(per_part), key=key)
-
-    def take_ordered(self, n: int, key: Callable[[T], Any] | None = None) -> list[T]:
-        """The *n* smallest elements, ascending."""
-        per_part = self.context.run_job(
-            self, lambda it: heapq.nsmallest(n, it, key=key)
-        )
-        return heapq.nsmallest(n, itertools.chain.from_iterable(per_part), key=key)
-
-    def reduce(self, fn: Callable[[T, T], T]) -> T:
-        """Fold the RDD with an associative *fn*; raises on empty RDDs."""
-        def reduce_partition(it: Iterator[T]) -> list[T]:
-            it = iter(it)
-            try:
-                acc = next(it)
-            except StopIteration:
-                return []
-            for x in it:
-                acc = fn(acc, x)
-            return [acc]
-
-        partials = [
-            x for chunk in self.context.run_job(self, reduce_partition) for x in chunk
-        ]
-        if not partials:
-            raise ValueError("reduce of empty RDD")
-        acc = partials[0]
-        for x in partials[1:]:
-            acc = fn(acc, x)
-        return acc
-
-    def fold(self, zero: T, fn: Callable[[T, T], T]) -> T:
-        """Like :meth:`reduce` but seeded with *zero* per partition,
-        so it works on empty RDDs."""
-        return self.aggregate(zero, fn, fn)
-
-    def aggregate(
-        self, zero: U, seq_fn: Callable[[U, T], U], comb_fn: Callable[[U, U], U]
-    ) -> U:
-        """Fold to a different result type: *seq_fn* accumulates within
-        a partition, *comb_fn* merges the per-partition accumulators."""
-        import copy
-
-        def agg_partition(it: Iterator[T]) -> U:
-            acc = copy.deepcopy(zero)
-            for x in it:
-                acc = seq_fn(acc, x)
-            return acc
-
-        acc = copy.deepcopy(zero)
-        for part in self.context.run_job(self, agg_partition):
-            acc = comb_fn(acc, part)
-        return acc
-
-    def sum(self) -> Any:
-        """Sum of the elements (0 on an empty RDD)."""
-        return self.aggregate(0, lambda a, x: a + x, lambda a, b: a + b)
-
-    def stats(self) -> "StatCounter":
-        """Count / mean / stdev / min / max of a numeric RDD, one pass."""
-        def seq(acc: StatCounter, x) -> StatCounter:
-            acc.merge_value(x)
-            return acc
-
-        def comb(a: StatCounter, b: StatCounter) -> StatCounter:
-            a.merge_counter(b)
-            return a
-
-        return self.aggregate(StatCounter(), seq, comb)
-
-    def mean(self) -> float:
-        """Arithmetic mean of a numeric RDD."""
-        return self.stats().mean
-
-    def stdev(self) -> float:
-        """Population standard deviation of a numeric RDD."""
-        return self.stats().stdev
-
-    def min(self, key: Callable[[T], Any] | None = None) -> T:
-        """Smallest element (by *key* if given); raises when empty."""
-        rows = self.take_ordered(1, key=key)
-        if not rows:
-            raise ValueError("min of empty RDD")
-        return rows[0]
-
-    def max(self, key: Callable[[T], Any] | None = None) -> T:
-        """Largest element (by *key* if given); raises when empty."""
-        rows = self.top(1, key=key)
-        if not rows:
-            raise ValueError("max of empty RDD")
-        return rows[0]
-
-    def count_by_key(self) -> dict[K, int]:
-        """Occurrences per key, collected to the driver (no shuffle)."""
-        def count_partition(it: Iterator[tuple[K, V]]) -> dict[K, int]:
-            counts: dict[K, int] = defaultdict(int)
-            for k, _v in it:
-                counts[k] += 1
-            return dict(counts)
-
-        totals: dict[K, int] = defaultdict(int)
-        for partial in self.context.run_job(self, count_partition):
-            for k, c in partial.items():
-                totals[k] += c
-        return dict(totals)
-
-    def count_by_value(self) -> dict[T, int]:
-        """Occurrences per distinct element, collected to the driver."""
-        return self.map(lambda x: (x, None)).count_by_key()
-
-    def foreach(self, fn: Callable[[T], None]) -> None:
-        """Run *fn* on every element for its side effects."""
-        self.context.run_job(self, lambda it: [fn(x) for x in it] and None)
 
     def foreach_partition(self, fn: Callable[[Iterator[T]], None]) -> None:
         """Run *fn* once per partition iterator for its side effects."""
@@ -668,91 +441,6 @@ class RDD(ABC, Generic[T]):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}[{self.id}] ({self.num_partitions} partitions)"
-
-
-math_inf = float("inf")
-
-
-class StatCounter:
-    """Welford-style running statistics, mergeable across partitions."""
-
-    __slots__ = ("count", "_mean", "_m2", "_min", "_max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math_inf
-        self._max = -math_inf
-
-    def merge_value(self, value: float) -> None:
-        """Fold one observation into the running statistics."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
-
-    def merge_counter(self, other: "StatCounter") -> None:
-        """Fold another counter in (parallel Welford merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self._min = other._min
-            self._max = other._max
-            return
-        delta = other._mean - self._mean
-        total = self.count + other.count
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean; raises when no values were merged."""
-        if self.count == 0:
-            raise ValueError("mean of empty RDD")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Population variance; raises when no values were merged."""
-        if self.count == 0:
-            raise ValueError("variance of empty RDD")
-        return self._m2 / self.count
-
-    @property
-    def stdev(self) -> float:
-        """Population standard deviation."""
-        return self.variance ** 0.5
-
-    @property
-    def minimum(self) -> float:
-        """Smallest merged value; raises when no values were merged."""
-        if self.count == 0:
-            raise ValueError("min of empty RDD")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        """Largest merged value; raises when no values were merged."""
-        if self.count == 0:
-            raise ValueError("max of empty RDD")
-        return self._max
-
-    def __repr__(self) -> str:
-        if self.count == 0:
-            return "StatCounter(empty)"
-        return (
-            f"StatCounter(count={self.count}, mean={self._mean:g}, "
-            f"stdev={self.stdev:g}, min={self._min:g}, max={self._max:g})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -848,54 +536,6 @@ class CartesianRDD(RDD[tuple]):
             for left_row in left_rows:
                 heartbeat.beat()
                 yield (left_row, right_row)
-
-
-class _ZippedRDD(RDD[tuple]):
-    """Positional zip of two equally-partitioned RDDs."""
-
-    def __init__(self, left: RDD, right: RDD) -> None:
-        super().__init__(left.context, [left, right])
-        self._left = left
-        self._right = right
-
-    @property
-    def num_partitions(self) -> int:
-        return self._left.num_partitions
-
-    def compute(self, split: int) -> Iterator[tuple]:
-        left_it = self._left.iterator(split)
-        right_it = self._right.iterator(split)
-        sentinel = object()
-        while True:
-            left_value = next(left_it, sentinel)
-            right_value = next(right_it, sentinel)
-            if left_value is sentinel and right_value is sentinel:
-                return
-            if left_value is sentinel or right_value is sentinel:
-                raise ValueError(
-                    f"cannot zip: partition {split} has unequal element counts"
-                )
-            yield (left_value, right_value)
-
-
-class CoalescedRDD(RDD[T]):
-    """Groups adjacent parent partitions without shuffling."""
-
-    def __init__(self, parent: RDD[T], num_partitions: int) -> None:
-        super().__init__(parent.context, [parent])
-        self._groups: list[list[int]] = [[] for _ in range(min(num_partitions, max(1, parent.num_partitions)))]
-        for split in range(parent.num_partitions):
-            self._groups[split * len(self._groups) // max(1, parent.num_partitions)].append(split)
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self._groups)
-
-    def compute(self, split: int) -> Iterator[T]:
-        parent = self.parents[0]
-        return itertools.chain.from_iterable(
-            parent.iterator(s) for s in self._groups[split]
-        )
 
 
 class PartitionPruningRDD(RDD[T]):

@@ -103,11 +103,9 @@ class TestPersistentModeEquality:
         assert ids(persisted.intersects(TIMED_QUERY)) == naive
 
         from repro.core.spatial_rdd import IndexedSpatialRDD
-        from repro.index.persistence import invalidate_index_cache
 
         path = str(tmp_path / f"idx-{mode}")
         persisted.save(path)
-        invalidate_index_cache()
         loaded = IndexedSpatialRDD.load(sc, path)
         assert loaded.mode == mode
         assert ids(loaded.intersects(TIMED_QUERY)) == naive
@@ -170,14 +168,12 @@ class TestPartitionerBuiltFromOtherData:
 
     def test_persistent_index_keeps_the_overhanging_polygon(self, overhang, tmp_path):
         from repro.core.spatial_rdd import IndexedSpatialRDD
-        from repro.index.persistence import invalidate_index_cache
 
         indexed = spatial(overhang.rdd).index(order=4)
         assert ids(indexed.intersects(overhang.query)) == overhang.hit
 
         path = str(tmp_path / "idx")
         indexed.save(path)
-        invalidate_index_cache()
         loaded = IndexedSpatialRDD.load(overhang.rdd.context, path)
         assert known_summaries(loaded.tree_rdd) == partition_summaries(indexed.tree_rdd)
         assert ids(loaded.intersects(overhang.query)) == overhang.hit

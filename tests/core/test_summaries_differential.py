@@ -27,7 +27,6 @@ from repro.core.spatial_rdd import IndexedSpatialRDD, spatial
 from repro.core.stobject import STObject
 from repro.core.summaries import partition_summaries
 from repro.index import INDEX_MODES
-from repro.index.persistence import invalidate_index_cache
 from repro.partitioners import (
     BSPartitioner,
     GridPartitioner,
@@ -137,7 +136,6 @@ def handles_for(context, rdd):
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "index")
         indexed.save(path)
-        invalidate_index_cache(path)
         handles["reloaded"] = reloaded = IndexedSpatialRDD.load(context, path)
         reloaded.tree_rdd.count()  # read the parts while they exist
     return handles

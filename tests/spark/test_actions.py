@@ -1,7 +1,5 @@
 """RDD actions."""
 
-import pytest
-
 
 class TestCollectCount:
     def test_collect_order(self, sc):
@@ -9,10 +7,6 @@ class TestCollectCount:
 
     def test_count(self, sc):
         assert sc.parallelize(range(101), 7).count() == 101
-
-    def test_is_empty(self, sc):
-        assert sc.parallelize([], 2).is_empty()
-        assert not sc.parallelize([1], 2).is_empty()
 
 
 class TestTakeFirst:
@@ -32,17 +26,10 @@ class TestTakeFirst:
         # elements 0..2 live in partition 0; only one task needed
         assert sc.metrics.tasks_launched == 1
 
-    def test_first(self, sc):
-        assert sc.parallelize([9, 8], 2).first() == 9
-
-    def test_first_empty_raises(self, sc):
-        with pytest.raises(ValueError):
-            sc.parallelize([], 2).first()
-
 
 class TestActionJobAccounting:
-    """take/first/is_empty must run through the scheduler: every partition
-    probe is a real job, so jobs_run and tasks_launched stay truthful."""
+    """take must run through the scheduler: every partition probe is a
+    real job, so jobs_run and tasks_launched stay truthful."""
 
     def test_take_counts_as_a_job(self, sc):
         rdd = sc.parallelize(range(100), 10)
@@ -57,18 +44,6 @@ class TestActionJobAccounting:
         assert rdd.take(5) == [0, 1, 2, 3, 4]
         assert sc.metrics.jobs_run == 3
         assert sc.metrics.tasks_launched == 3
-
-    def test_first_probes_until_nonempty(self, sc):
-        rdd = sc.parallelize([7], 3)  # value lands in the last slice
-        sc.metrics.reset()
-        assert rdd.first() == 7
-        assert sc.metrics.jobs_run == sc.metrics.tasks_launched == 3
-
-    def test_is_empty_accounts_probes(self, sc):
-        rdd = sc.parallelize([], 2)
-        sc.metrics.reset()
-        assert rdd.is_empty()
-        assert sc.metrics.jobs_run == sc.metrics.tasks_launched == 2
 
     def test_take_nested_inside_a_task_runs_inline(self, threaded_sc):
         # take from inside a running task must respect nested-job
@@ -86,72 +61,7 @@ class TestActionJobAccounting:
         assert sc.run_job(outer, probe) == [[0, 1]] * 8
 
 
-class TestOrderedActions:
-    def test_top(self, sc):
-        assert sc.parallelize([5, 9, 1, 7], 2).top(2) == [9, 7]
-
-    def test_top_with_key(self, sc):
-        assert sc.parallelize(["aa", "b", "cccc"], 2).top(1, key=len) == ["cccc"]
-
-    def test_take_ordered(self, sc):
-        assert sc.parallelize([5, 9, 1, 7], 2).take_ordered(2) == [1, 5]
-
-    def test_min_max(self, sc):
-        rdd = sc.parallelize([3, -1, 7], 3)
-        assert rdd.min() == -1
-        assert rdd.max() == 7
-
-    def test_min_empty_raises(self, sc):
-        with pytest.raises(ValueError):
-            sc.parallelize([], 1).min()
-
-
-class TestFolds:
-    def test_reduce(self, sc):
-        assert sc.parallelize(range(10), 4).reduce(lambda a, b: a + b) == 45
-
-    def test_reduce_with_empty_partitions(self, sc):
-        assert sc.parallelize([5], 4).reduce(lambda a, b: a + b) == 5
-
-    def test_reduce_empty_raises(self, sc):
-        with pytest.raises(ValueError):
-            sc.parallelize([], 3).reduce(lambda a, b: a + b)
-
-    def test_fold(self, sc):
-        assert sc.parallelize([1, 2, 3], 2).fold(0, lambda a, b: a + b) == 6
-
-    def test_fold_zero_not_shared(self, sc):
-        # mutable zero must be deep-copied per partition
-        result = sc.parallelize([[1], [2], [3]], 3).fold([], lambda a, b: a + b)
-        assert sorted(result) == [1, 2, 3]
-
-    def test_aggregate(self, sc):
-        total, count = sc.parallelize(range(10), 3).aggregate(
-            (0, 0),
-            lambda acc, x: (acc[0] + x, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        )
-        assert (total, count) == (45, 10)
-
-    def test_sum(self, sc):
-        assert sc.parallelize(range(5), 2).sum() == 10
-
-
-class TestCountBy:
-    def test_count_by_key(self, sc):
-        rdd = sc.parallelize([("a", 1), ("b", 1), ("a", 9)], 2)
-        assert rdd.count_by_key() == {"a": 2, "b": 1}
-
-    def test_count_by_value(self, sc):
-        assert sc.parallelize([1, 1, 2], 2).count_by_value() == {1: 2, 2: 1}
-
-
 class TestForeach:
-    def test_foreach_side_effect(self, sc):
-        seen = []
-        sc.parallelize(range(5), 2).foreach(seen.append)
-        assert sorted(seen) == [0, 1, 2, 3, 4]
-
     def test_foreach_partition(self, sc):
         sizes = []
         sc.parallelize(range(6), 3).foreach_partition(

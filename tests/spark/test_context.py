@@ -96,7 +96,7 @@ class TestBroadcast:
 class TestAccumulator:
     def test_add(self, sc):
         acc = sc.accumulator(0)
-        sc.parallelize(range(10), 4).foreach(lambda x: acc.add(x))
+        sc.parallelize(range(10), 4).foreach_partition(lambda it: [acc.add(x) for x in it])
         assert acc.value == 45
 
     def test_iadd(self, sc):
@@ -124,9 +124,11 @@ class TestThreadedExecutor:
 
     def test_accumulator_thread_safe(self, threaded_sc):
         acc = threaded_sc.accumulator(0)
-        threaded_sc.parallelize(range(10_000), 16).foreach(lambda x: acc.add(1))
+        threaded_sc.parallelize(range(10_000), 16).foreach_partition(
+            lambda it: [acc.add(1) for _ in it]
+        )
         assert acc.value == 10_000
 
     def test_cached_partitions_shared_across_threads(self, threaded_sc):
         rdd = threaded_sc.parallelize(range(100), 8).map(lambda x: x * x).cache()
-        assert rdd.sum() == rdd.sum() == sum(x * x for x in range(100))
+        assert rdd.collect() == rdd.collect() == [x * x for x in range(100)]

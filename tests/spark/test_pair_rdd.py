@@ -49,14 +49,6 @@ class TestAggregations:
         assert sorted(grouped["a"]) == [1, 3]
         assert grouped["b"] == [2]
 
-    def test_aggregate_by_key(self, sc):
-        rdd = sc.parallelize([("a", 1), ("a", 2), ("b", 5)], 2)
-        result = dict(
-            rdd.aggregate_by_key((0, 0), lambda acc, v: (acc[0] + v, acc[1] + 1),
-                                 lambda x, y: (x[0] + y[0], x[1] + y[1])).collect()
-        )
-        assert result == {"a": (3, 2), "b": (5, 1)}
-
     def test_combine_by_key_custom_combiner(self, sc):
         rdd = sc.parallelize([("a", 1), ("a", 2), ("b", 3)], 2)
         result = dict(
@@ -102,32 +94,6 @@ class TestJoins:
         left = sc.parallelize([(1, "a"), (1, "b")], 1)
         right = sc.parallelize([(1, "x"), (1, "y")], 1)
         assert len(left.join(right).collect()) == 4
-
-    def test_left_outer_join(self, sc):
-        left = sc.parallelize([(1, "a"), (2, "b")], 2)
-        right = sc.parallelize([(1, "x")], 1)
-        assert sorted(left.left_outer_join(right).collect()) == [
-            (1, ("a", "x")), (2, ("b", None)),
-        ]
-
-    def test_right_outer_join(self, sc):
-        left = sc.parallelize([(1, "a")], 1)
-        right = sc.parallelize([(1, "x"), (2, "y")], 2)
-        assert sorted(left.right_outer_join(right).collect()) == [
-            (1, ("a", "x")), (2, (None, "y")),
-        ]
-
-    def test_full_outer_join(self, sc):
-        left = sc.parallelize([(1, "a"), (2, "b")], 2)
-        right = sc.parallelize([(2, "x"), (3, "y")], 2)
-        assert sorted(left.full_outer_join(right).collect()) == [
-            (1, ("a", None)), (2, ("b", "x")), (3, (None, "y")),
-        ]
-
-    def test_outer_joins_with_duplicate_keys(self, sc):
-        left = sc.parallelize([(1, "a"), (1, "b")], 1)
-        right = sc.parallelize([(1, "x")], 1)
-        assert len(left.full_outer_join(right).collect()) == 2
 
     def test_cogroup(self, sc):
         left = sc.parallelize([(1, "a"), (1, "b")], 2)
@@ -184,10 +150,7 @@ class TestShuffleMachinery:
             f"isolation-{executor}", parallelism=2, executor=executor, retry_backoff=0.0
         ) as sc:
             rdd = sc.parallelize(data, 4)
-            shuffles = [
-                rdd.aggregate_by_key([], append, extend),
-                rdd.combine_by_key(lambda v: [v], append, extend),
-            ]
+            shuffles = [rdd.combine_by_key(lambda v: [v], append, extend)]
             answers = [shuffled.collect() for shuffled in shuffles for _ in range(2)]
             with FaultInjector().fail("shuffle.fetch", times=1).installed(sc):
                 answers += [shuffled.collect() for shuffled in shuffles]

@@ -69,15 +69,6 @@ class TestPartitionLevel:
     def test_glom(self, sc):
         assert sc.parallelize(range(4), 2).glom().collect() == [[0, 1], [2, 3]]
 
-    def test_coalesce_reduces_partitions(self, sc):
-        rdd = sc.parallelize(range(12), 6).coalesce(2)
-        assert rdd.num_partitions == 2
-        assert rdd.collect() == list(range(12))
-
-    def test_repartition_preserves_elements(self, sc):
-        rdd = sc.parallelize(range(20), 2).repartition(5)
-        assert rdd.num_partitions == 5
-        assert sorted(rdd.collect()) == list(range(20))
 
 
 class TestSetLike:
