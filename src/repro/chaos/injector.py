@@ -20,7 +20,6 @@ site                 fires in
 ``checkpoint.write`` checkpointing, before an atomic state snapshot
 ``recovery.load``    ``StreamingContext.restore``, before any state loads
 ``sink.write``       ``WindowSink``, before a window's target is written
-``state.spill``      ``KeyedStateStore``, before a cold cell spills to disk
 ===================  ====================================================
 
 Two plan shapes exist per site:
@@ -88,7 +87,6 @@ SITES = frozenset(
         "checkpoint.write",
         "recovery.load",
         "sink.write",
-        "state.spill",
     }
 )
 

@@ -202,17 +202,16 @@ def _partitioning_ablation(sc: SparkContext, n: int) -> str:
     )
 
 
-def _streaming_robustness() -> str:
-    """Two short overload drives surfacing the robustness counters.
+def streaming_drives() -> tuple[dict, dict]:
+    """Two short 2x-overload drives; returns their metrics snapshots.
 
-    The first drive overloads a ``"block"``-policy stream -- the
-    historical backpressure stall -- and feeds it one fully late
-    record.  The second overloads a ``"shed_oldest"`` stream whose
-    keyed state runs under a byte budget, whose input carries a poison
-    record, and whose file sink fails twice under injected ``sink.write``
-    chaos: shed accounting, state spill, poison quarantine, the circuit
-    breaker and the dead-letter queue all engage in one pass.  Both
-    drives are seeded and synchronous, so the table is deterministic.
+    Both run the one admission policy, a blocking bounded queue, and get
+    one fully late record.  The second also carries a poison record
+    (quarantined to the dead-letter queue) and writes its windows to a
+    file sink that fails twice under injected ``sink.write`` chaos, so
+    its circuit breaker opens and whole windows are dead-lettered.
+    Both drives are seeded and synchronous, so the counters are
+    deterministic.
     """
     import tempfile
 
@@ -243,8 +242,8 @@ def _streaming_robustness() -> str:
             raise ValueError(f"poison record {rid}")
         return record
 
-    def drive(shed_policy: str, work: str) -> dict:
-        degraded = shed_policy != "block"
+    def drive(work: str | None) -> dict:
+        degraded = work is not None
         injector = (
             FaultInjector(seed=7).fail("sink.write", times=2, per_key=False)
             if degraded
@@ -254,13 +253,12 @@ def _streaming_robustness() -> str:
             "report-overload",
             parallelism=2,
             executor="sequential",
+            retry_backoff=0.0,
             fault_injector=injector,
         ) as sc:
             ssc = StreamingContext(
                 sc,
                 max_pending_batches=2,
-                shed_policy=shed_policy,
-                shed_seed=29,
                 dlq_dir=os.path.join(work, "dlq") if degraded else None,
             )
             _source, events = ssc.queue_stream(make_batches(degraded))
@@ -268,19 +266,14 @@ def _streaming_robustness() -> str:
             win = checked.window(length=4.0, slide=2.0)
             win.count_windows()
             if degraded:
-                checked.continuous(
-                    length=4.0,
-                    slide=2.0,
-                    memory_budget_bytes=2048,
-                    spill_dir=os.path.join(work, "spill"),
-                ).range("POLYGON ((0 0, 50 0, 50 50, 0 50, 0 0))")
-                sink = EventFileSink(
-                    os.path.join(work, "out"),
-                    retries=0,
-                    breaker=CircuitBreaker(failure_threshold=2, cooldown_windows=1),
-                    name="events",
+                win.for_each_window(
+                    EventFileSink(
+                        os.path.join(work, "out"),
+                        retries=0,
+                        breaker=CircuitBreaker(failure_threshold=2, cooldown_windows=1),
+                        name="events",
+                    )
                 )
-                win.for_each_window(sink)
             # Ingest at twice the processing rate: sustained overload.
             for b in range(10):
                 ssc.poll_once(batch_time=float(b))
@@ -291,29 +284,29 @@ def _streaming_robustness() -> str:
             return ssc.metrics.snapshot()
 
     with tempfile.TemporaryDirectory(prefix="report-overload-") as work:
-        blocked = drive("block", os.path.join(work, "block"))
-        degraded = drive("shed_oldest", os.path.join(work, "shed"))
+        return drive(None), drive(work)
+
+
+def _streaming_robustness() -> str:
+    """The :func:`streaming_drives` counters side by side."""
+    blocked, degraded = streaming_drives()
     counters = [
         ("records ingested", "records_ingested"),
         ("records processed", "records_processed"),
-        ("batches shed", "batches_shed"),
-        ("records shed", "records_shed"),
         ("records quarantined", "records_quarantined"),
+        ("records failed", "records_failed"),
         ("backpressure waits", "backpressure_waits"),
         ("late records dropped", "late_records_dropped"),
         ("late window drops", "late_window_drops"),
-        ("state cells spilled", "state_cells_spilled"),
-        ("state spilled bytes", "state_spilled_bytes"),
         ("windows dead-lettered", "windows_dead_lettered"),
         ("sink breaker opens", "sink_breaker_opens"),
-        ("degradation (final)", "degradation"),
     ]
     rows = [[label, blocked[key], degraded[key]] for label, key in counters]
     return render_table(
-        ["counter", "block policy", "shed_oldest + budget + chaos sink"],
+        ["counter", "block", "block + poison + failing sink"],
         rows,
         title="streaming robustness: 10-batch 2x-overload drives "
-        "(80 records, seeded; see repro.streaming.overload)",
+        "(80 records, seeded; see repro.streaming.sinks)",
     )
 
 

@@ -18,6 +18,11 @@ class _CacheManager:
     from lineage on next access), with ``metrics.cache_evictions``
     counting the drops.  Unbounded by default, matching Spark's
     behaviour of evicting only under memory pressure.
+
+    A missing block is computed once: :meth:`claim` hands the first
+    reader the compute and every concurrent reader the in-flight
+    ``Event`` to wait on, set by the owner's :meth:`put` or
+    :meth:`abandon`.
     """
 
     def __init__(self, max_entries: int | None = None, metrics: Metrics | None = None) -> None:
@@ -28,13 +33,33 @@ class _CacheManager:
         #: Ids of garbage-collected RDDs whose blocks nobody can read any
         #: more; dropped by the next ``put`` / ``len`` (see :meth:`discard`).
         self._dead: deque[int] = deque()
+        #: Blocks a reader is computing -> the Event its waiters block on.
+        self._computing: dict[tuple[int, int], threading.Event] = {}
 
     def get(self, rdd_id: int, split: int) -> list | None:
+        """The cached block, or None (a plain lookup: claims nothing)."""
         with self._lock:
-            block = self._blocks.get((rdd_id, split))
-            if block is not None and self._max_entries is not None:
-                self._blocks.move_to_end((rdd_id, split))
-            return block
+            return self._blocks.get((rdd_id, split))
+
+    def claim(self, rdd_id: int, split: int) -> tuple[list | None, threading.Event | None]:
+        """Look up a block, or claim its compute on a miss.
+
+        ``(block, None)``: cached.  ``(None, event)``: another reader is
+        computing it; wait on *event*, then claim again.  ``(None,
+        None)``: the caller now computes it and must end with
+        :meth:`put` or :meth:`abandon`.
+        """
+        key = (rdd_id, split)
+        with self._lock:
+            block = self._blocks.get(key)
+            if block is not None:
+                if self._max_entries is not None:
+                    self._blocks.move_to_end(key)
+                return block, None
+            event = self._computing.get(key)
+            if event is None:
+                self._computing[key] = threading.Event()
+            return None, event
 
     def put(self, rdd_id: int, split: int, data: list) -> None:
         with self._lock:
@@ -46,6 +71,19 @@ class _CacheManager:
                     self._blocks.popitem(last=False)
                     if self._metrics is not None:
                         self._metrics.cache_evictions += 1
+            self._release(rdd_id, split)
+
+    def abandon(self, rdd_id: int, split: int) -> None:
+        """End a claimed compute that failed: nothing is cached, and each
+        waiter claims again (one of them computes the block itself)."""
+        with self._lock:
+            self._release(rdd_id, split)
+
+    def _release(self, rdd_id: int, split: int) -> None:
+        # Caller holds the lock.
+        event = self._computing.pop((rdd_id, split), None)
+        if event is not None:
+            event.set()
 
     def evict_rdd(self, rdd_id: int) -> None:
         with self._lock:

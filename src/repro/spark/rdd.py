@@ -29,7 +29,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.spark.cancellation import Heartbeat
+from repro.spark.cancellation import Heartbeat, current_token
 from repro.spark.partitioner import HashPartitioner, Partitioner
 
 if TYPE_CHECKING:
@@ -108,7 +108,13 @@ class RDD(ABC, Generic[T]):
         return self
 
     def iterator(self, split: int) -> Iterator[T]:
-        """Compute a partition, transparently consulting the cache."""
+        """Compute a partition, transparently consulting the cache.
+
+        A persisted split is computed once: a concurrent reader waits
+        for the one computing it (cancellably) and counts a hit.  If
+        that compute raises, nothing is cached and a waiter computes
+        the split itself.
+        """
         if not self._cached:
             return self.compute(split)
         injector = self.context.fault_injector
@@ -117,14 +123,24 @@ class RDD(ABC, Generic[T]):
             # attempt recomputes the partition from lineage.
             injector.check("cache.get", key=(self.id, split))
         cache = self.context._cache
-        hit = cache.get(self.id, split)
-        if hit is not None:
-            self.context.metrics.cache_hits += 1
-            if self.context.tracer.enabled:
-                # Attributes the hit to the consuming task's span.
-                self.context.tracer.add("cache_hits", 1)
-            return iter(hit)
-        data = list(self.compute(split))
+        while True:
+            hit, computing = cache.claim(self.id, split)
+            if hit is not None:
+                self.context.metrics.cache_hits += 1
+                if self.context.tracer.enabled:
+                    # Attributes the hit to the consuming task's span.
+                    self.context.tracer.add("cache_hits", 1)
+                return iter(hit)
+            if computing is None:
+                break
+            token = current_token()
+            while not computing.wait(None if token is None else 0.05):
+                token.check()
+        try:
+            data = list(self.compute(split))
+        except BaseException:
+            cache.abandon(self.id, split)
+            raise
         cache.put(self.id, split, data)
         return iter(data)
 

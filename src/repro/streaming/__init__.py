@@ -29,14 +29,13 @@ emitted (:mod:`repro.streaming.checkpoint`,
 :mod:`repro.streaming.recovery`).  Durable per-window sinks with
 commit-marker dedup live in :mod:`repro.streaming.sinks`.
 
-Under overload the stream degrades gracefully instead of failing:
-admission-control shed policies bound the pending-batch queue
-(:mod:`repro.streaming.overload`), a per-store memory budget spills
-cold grid cells to disk (:mod:`repro.streaming.state`), sink circuit
-breakers route undeliverable windows to a durable dead-letter queue
+Under overload the bounded pending-batch queue blocks the poller
+(``backpressure_waits``); failures that a sink or an operator actually
+raises are contained: a sink's :class:`CircuitBreaker` routes
+undeliverable windows to a durable dead-letter queue
 (:mod:`repro.streaming.dlq`) that :func:`dlq_replay` drains once the
-sink heals, and the whole ladder (``healthy -> shedding -> spilling ->
-circuit-open``) surfaces through :class:`StreamMetrics`.
+sink heals, and a poison record that crashes a transformation chain on
+its own is quarantined there with provenance.
 
 Patterns *across* events -- geofence entry/exit sequences, absent
 heartbeats per region, windowed counts and aggregates with spatial
@@ -87,13 +86,6 @@ from repro.streaming.context import (
     StreamMetrics,
 )
 from repro.streaming.dlq import DeadLetterQueue, dlq_replay
-from repro.streaming.overload import (
-    DEGRADATION_LEVELS,
-    SHED_POLICIES,
-    CircuitBreaker,
-    degradation_level,
-    sample_decision,
-)
 from repro.streaming.recovery import RecoveryReport, build_snapshot, restore_context
 from repro.streaming.dstream import (
     ContinuousWindowedStream,
@@ -111,6 +103,7 @@ from repro.streaming.operators import (
     stream_static_join,
 )
 from repro.streaming.sinks import (
+    CircuitBreaker,
     EventFileSink,
     GeoJSONSink,
     ObjectFileSink,
@@ -128,9 +121,7 @@ from repro.streaming.state import (
     ContinuousQuery,
     KeyedStateStore,
     KeyedWindowState,
-    SpilledCell,
     StateConsumer,
-    estimate_record_bytes,
 )
 from repro.streaming.window import Window, WindowSpec, event_span
 
@@ -175,15 +166,9 @@ __all__ = [
     "EventFileSink",
     "GeoJSONSink",
     "ObjectFileSink",
-    "SHED_POLICIES",
-    "DEGRADATION_LEVELS",
     "CircuitBreaker",
-    "degradation_level",
-    "sample_decision",
     "DeadLetterQueue",
     "dlq_replay",
-    "SpilledCell",
-    "estimate_record_bytes",
     "CepConsumer",
     "EventPattern",
     "Match",

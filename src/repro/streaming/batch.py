@@ -4,7 +4,7 @@ Every batch, live or replayed by recovery, runs through
 :meth:`BatchCore.process` on the wrapped
 :class:`~repro.spark.context.SparkContext`, under a ``batch`` span (the
 one place the streaming package reaches :mod:`repro.obs`) recording
-records, queue depth, attempts, outcome and the degradation rung:
+records, queue depth, attempts and outcome:
 
 - the **retry envelope** mirrors the task scheduler's: non-timeout
   failures (the ``batch.run`` chaos site among them) re-run the whole
@@ -17,9 +17,8 @@ records, queue depth, attempts, outcome and the degradation rung:
 - with a DLQ, a batch that exhausts its attempts gets a **poison
   probe**: records that crash a transformation chain on their own are
   quarantined with provenance and the cleaned batch is retried;
-- after every batch :meth:`BatchCore.refresh` mirrors the consumers',
-  stores' and sinks' counters into the metrics and recomputes the
-  :data:`~repro.streaming.overload.DEGRADATION_LEVELS` rung.
+- after every batch :meth:`BatchCore.refresh` mirrors the consumers'
+  and sinks' counters into the metrics.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import TYPE_CHECKING
 
 from repro.spark.cancellation import KIND_TIMEOUT, CancelToken, TaskCancelledError, task_scope
 from repro.spark.errors import JobAbortedError, TaskTimeoutError
-from repro.streaming.overload import degradation_level
 from repro.streaming.sinks import WindowSink
 
 if TYPE_CHECKING:
@@ -56,9 +54,6 @@ class BatchCore:
         #: batch -- latency measured from poll to completion, so queued
         #: time under backpressure counts, as it should.
         self.latencies: list[tuple[int, int, float, int]] = []
-        #: ``batches_shed`` as of the last ladder refresh -- the
-        #: "actively shedding" edge detector.
-        self._sheds_seen = 0
         #: The batch currently in the core (sink provenance).
         self._current: _Batch | None = None
 
@@ -115,8 +110,6 @@ class BatchCore:
                         span.attrs["windows"] = fired
                         if attempt > 1:
                             span.attrs["attempts"] = attempt
-                        if ssc.metrics.degradation != "healthy":
-                            span.attrs["degradation"] = ssc.metrics.degradation
                     self._record_latency(batch)
                     return True
                 except (KeyboardInterrupt, SystemExit):
@@ -174,7 +167,7 @@ class BatchCore:
         self, commit_id: int, flush: bool = False, token: CancelToken | None = None
     ) -> int:
         """Fire the consumers' ready windows (every open one when
-        *flush*), count them, refresh the mirrors and the ladder, and
+        *flush*), count them, refresh the mirrors, and
         commit the emitted-window ledger under *commit_id*.
 
         A batch passes its *token*: a deadline that expired while the
@@ -207,41 +200,17 @@ class BatchCore:
                 return True
         return isinstance(exc, TaskCancelledError) and exc.kind == KIND_TIMEOUT
 
-    def refresh(self, sheds_seen: bool = False) -> None:
-        """Mirror lateness/spill/sink/breaker counters; recompute the ladder.
-
-        ``shedding`` is an edge signal -- true when sheds occurred
-        since the previous refresh; *sheds_seen* marks every shed so far
-        as reported (a restore: the crashed run's sheds are history) --
-        while ``spilling`` and ``circuit-open`` are level signals read
-        from the live stores and breakers;
-        :func:`~repro.streaming.overload.degradation_level` picks the
-        worst rung.
-        """
+    def refresh(self) -> None:
+        """Mirror the consumers' lateness and the sinks' delivery counters."""
         m = self._ssc.metrics
         consumers = self._ssc._windows
-        stores = [consumer.store for consumer in consumers]
         sinks = list(self._iter_sinks())
-        breakers = [sink.breaker for sink in sinks if sink.breaker is not None]
         m.late_records_dropped = sum(c.late_dropped for c in consumers)
         m.late_window_drops = sum(c.late_window_drops for c in consumers)
-        m.state_cells_spilled = sum(store.cells_spilled for store in stores)
-        m.state_cells_loaded = sum(store.cells_loaded for store in stores)
-        m.state_spill_failures = sum(store.spill_failures for store in stores)
-        m.state_spilled_bytes = sum(store.spilled_bytes for store in stores)
         m.sink_retries = sum(sink.retries_used for sink in sinks)
         m.sink_failures = sum(sink.failures for sink in sinks)
         m.windows_dead_lettered = sum(sink.dead_lettered for sink in sinks)
-        m.sink_breaker_opens = sum(breaker.opens for breaker in breakers)
-        if sheds_seen:
-            self._sheds_seen = m.batches_shed
-        shedding = m.batches_shed != self._sheds_seen
-        self._sheds_seen = m.batches_shed
-        m.degradation = degradation_level(
-            shedding,
-            any(store.spilled_cells for store in stores),
-            any(breaker.state == "open" for breaker in breakers),
-        )
+        m.sink_breaker_opens = sum(sink.breaker.opens for sink in sinks if sink.breaker is not None)
 
     # -- sinks and poison quarantine ----------------------------------------
 
@@ -261,7 +230,7 @@ class BatchCore:
         return {"batch_id": batch_id, "source": sources or None}
 
     def _wire_sinks(self) -> None:
-        """Hook every registered sink into the context's overload layer.
+        """Hook every registered sink into the context's failure handling.
 
         Gives each sink the live fault injector (the ``sink.write``
         chaos site), the per-batch provenance source, and -- when the

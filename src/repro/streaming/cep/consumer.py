@@ -12,10 +12,8 @@ absorbs, :meth:`~CepConsumer.flush` at shutdown, and
 around checkpoints.
 
 **Where the state lives.**  Event payloads go exactly once into a
-grid-keyed :class:`~repro.streaming.state.KeyedStateStore` (so cold
-cells spill to disk under a memory budget and reload transparently when
-a guard touches them); the matchers hold only rid references plus the
-per-group anchors.  Everything -- store records, matcher state, heaps,
+grid-keyed :class:`~repro.streaming.state.KeyedStateStore`; the
+matchers hold only rid references plus the per-group anchors.  Everything -- store records, matcher state, heaps,
 pending matches -- rides :meth:`~CepConsumer.snapshot_state` into the
 checkpoint epochs, and recovery replays the WAL tail through the normal
 :meth:`~CepConsumer.absorb` path to reach batch-equivalent state.
@@ -66,8 +64,7 @@ class CepConsumer(StoreBackedConsumer):
     :class:`~repro.streaming.cep.rules.Rule` objects over one stream
     node.  The store is the shared core's: its ``universe`` is fixed
     lazily from the first non-empty batch when not given, ``grid``
-    shapes it, ``memory_budget_bytes``/``spill_dir`` enable LRU cell
-    spill, and ``lateness`` is the event-time slack the watermark
+    shapes it, and ``lateness`` is the event-time slack the watermark
     trails behind the frontier.  ``max_partials`` bounds live partial matches per
     sequence group (see :class:`~repro.streaming.cep.nfa.
     SequenceMatcher`).
@@ -80,8 +77,6 @@ class CepConsumer(StoreBackedConsumer):
         lateness: float = 0.0,
         universe: Envelope | None = None,
         grid: int = 8,
-        memory_budget_bytes: int | None = None,
-        spill_dir: str | None = None,
         max_partials: int = 256,
     ) -> None:
         rules = list(rules)
@@ -94,7 +89,7 @@ class CepConsumer(StoreBackedConsumer):
             raise ValueError(f"rule names must be unique, got {names}")
         if lateness < 0:
             raise ValueError(f"lateness must be >= 0, got {lateness}")
-        super().__init__(node, universe, grid, memory_budget_bytes, spill_dir)
+        super().__init__(node, universe, grid)
         self.rules = tuple(rules)
         self.lateness = lateness
         self.max_partials = max_partials

@@ -11,9 +11,9 @@ rid tuples, absence trigger deadlines, per-window contribution lists,
 one previous-event anchor per group); the event payloads themselves --
 geometry, value, timestamps -- live exactly once in the consumer's
 grid-keyed :class:`~repro.streaming.state.KeyedStateStore` and are
-looked up through the ``fetch`` callback only when a guard needs them.
-That split is what lets cold event payloads spill to disk under memory
-pressure without the matchers noticing.  The per-group anchor (for the
+looked up through the ``fetch`` callback only when a guard needs them,
+so every payload is stored once however many matchers reference it.
+The per-group anchor (for the
 ``entered``/``exited`` transition guards) keeps its
 :class:`~repro.core.stobject.STObject` inline rather than a store rid:
 an anchor can outlive its payload's eviction horizon by an arbitrary

@@ -392,13 +392,13 @@ class CheckpointManager:
 
     Owns the WAL writer, the emit buffer, checkpoint epochs and
     pruning.  The context's ingest edge (:mod:`repro.streaming.ingest`)
-    calls :meth:`log_batch` after every poll (before processing) and
-    :meth:`log_shed` for every shed batch; its recovery half
-    (:mod:`repro.streaming.recovery`) calls :meth:`note_emit` as
-    windows fire, :meth:`commit_emits` when a batch completes, and
-    :meth:`write_checkpoint` on the checkpoint cadence.  All chaos goes
-    through the context's installed injector: ``wal.append`` before a
-    batch journal entry, ``checkpoint.write`` before a snapshot commit.
+    calls :meth:`log_batch` after every poll (before processing); its
+    recovery half (:mod:`repro.streaming.recovery`) calls
+    :meth:`note_emit` as windows fire, :meth:`commit_emits` when a
+    batch completes, and :meth:`write_checkpoint` on the checkpoint
+    cadence.  All chaos goes through the context's installed injector:
+    ``wal.append`` before a batch journal entry, ``checkpoint.write``
+    before a snapshot commit.
     """
 
     def __init__(self, directory: str, injector_source=None) -> None:
@@ -457,22 +457,6 @@ class CheckpointManager:
         """Buffer one fired window for the next :meth:`commit_emits`."""
         self._pending_emits.append((consumer_index, window.start, window.end))
 
-    def log_shed(self, batch_id: int, records: int) -> None:
-        """Journal one batch the shed policy dropped at admission.
-
-        Appended *after* the batch's own journal record (polling logs
-        first, admission decides second), so the tail always sees the
-        pair together: recovery replays the shed -- advancing counters,
-        skipping processing -- instead of applying records the live
-        run never applied.  No-op while replaying, like
-        :meth:`log_batch`.
-        """
-        if self.replaying:
-            return
-        self.wal.append(
-            {"kind": "shed", "batch_id": batch_id, "records": records}
-        )
-
     def commit_emits(self, batch_id: int) -> None:
         """Durably append the windows the finished batch emitted.
 
@@ -494,35 +478,35 @@ class CheckpointManager:
 
     def read_tail(
         self, high_water: int
-    ) -> tuple[list[dict], set[tuple[int, float, float]], set[int]]:
-        """The replayable log tail: ``(batches, emitted, shed)``.
+    ) -> tuple[list[dict], set[tuple[int, float, float]]]:
+        """The replayable log tail: ``(batches, emitted)``.
 
         *batches* are the journal entries with ``batch_id >
         high_water`` in batch-id order; *emitted* is the set of
         ``(consumer_index, start, end)`` windows the crashed process
         already delivered while processing those batches -- the
-        suppression set for exactly-once window output.  *shed* is the
-        set of batch ids the admission policy dropped: recovery must
-        not re-apply their records (it advances the shed counters
-        instead).  Shed ids are collected without the high-water
-        filter -- sheds happen at poll time, out of order with the
-        processing that picks the high-water mark.
+        suppression set for exactly-once window output.  A record of
+        any other kind raises ``ValueError``: a ``"shed"`` record from a
+        build that dropped batches at admission would otherwise replay
+        its batch as applied.
         """
         batches: list[dict] = []
         emitted: set[tuple[int, float, float]] = set()
-        shed: set[int] = set()
         for record in read_wal(self.wal.directory):
-            if record["kind"] == "shed":
-                shed.add(record["batch_id"])
+            kind = record.get("kind")
+            if kind not in ("batch", "emit"):
+                raise ValueError(
+                    f"WAL record of kind {kind!r} (batch {record.get('batch_id')!r}) "
+                    "is not replayable by this build"
+                )
+            if record["batch_id"] <= high_water:
                 continue
-            if record.get("batch_id", -1) <= high_water:
-                continue
-            if record["kind"] == "batch":
+            if kind == "batch":
                 batches.append(record)
-            elif record["kind"] == "emit":
+            else:
                 emitted.update(tuple(entry) for entry in record["windows"])
         batches.sort(key=lambda record: record["batch_id"])
-        return batches, emitted, shed
+        return batches, emitted
 
     # -- checkpoints -------------------------------------------------------
 

@@ -4,16 +4,14 @@ The event-processing half of the paper: STARK layers its operators over
 Spark *Streaming*, whose execution model is discretization -- chop the
 unbounded input into micro-batches and run each through the batch
 engine.  A context is that loop, split along the decisions it makes:
-:mod:`repro.streaming.ingest` polls, journals and admits (shedding or
-blocking when the bounded pending queue is full),
+:mod:`repro.streaming.ingest` polls, journals and admits (blocking
+when the bounded pending queue is full),
 :mod:`repro.streaming.batch` runs each batch on the wrapped
 :class:`~repro.spark.context.SparkContext` under its retry envelope,
 deadline and poison quarantine, and :mod:`repro.streaming.recovery`
-makes the stream crash-recoverable with a ``checkpoint_dir``.  Under
-sustained overload the stream degrades deliberately -- shedding,
-spilling state, dead-lettering to ``dlq_dir`` -- up the ladder of
-:data:`~repro.streaming.overload.DEGRADATION_LEVELS`, exported as
-``metrics.degradation``.
+makes the stream crash-recoverable with a ``checkpoint_dir``.  Windows
+a sink cannot deliver and records that crash the pipeline on their own
+go to the dead-letter queue under ``dlq_dir``.
 
 This module keeps the context itself: validation, stream creation and
 registration, the two drives and ``stop``.  :meth:`~StreamingContext.
@@ -40,7 +38,6 @@ from repro.streaming.batch import BatchCore
 from repro.streaming.dlq import DeadLetterQueue
 from repro.streaming.dstream import DStream, SpatialDStream
 from repro.streaming.ingest import Ingest
-from repro.streaming.overload import SHED_POLICIES
 from repro.streaming.recovery import Recovery
 from repro.streaming.sources import (
     DirectorySource,
@@ -68,8 +65,7 @@ class StreamMetrics:
     #: rewrites them from their owners; a checkpoint never restores them.
     MIRRORED: ClassVar[frozenset[str]] = frozenset({
         "late_records_dropped", "late_window_drops", "windows_dead_lettered",
-        "sink_retries", "sink_failures", "sink_breaker_opens", "state_cells_spilled",
-        "state_cells_loaded", "state_spill_failures", "state_spilled_bytes",
+        "sink_retries", "sink_failures", "sink_breaker_opens",
     })
 
     #: Batches fully processed (outputs ran, window state committed).
@@ -114,10 +110,6 @@ class StreamMetrics:
     windows_suppressed: int = 0
     #: WAL-journaled batches re-processed by :meth:`StreamingContext.restore`.
     batches_replayed: int = 0
-    #: Whole batches dropped at admission by the shed policy.
-    batches_shed: int = 0
-    #: Records inside shed batches (journaled and counted, never applied).
-    records_shed: int = 0
     #: Records carried by batches that completed processing.
     records_processed: int = 0
     #: Records carried by batches that terminally failed or were
@@ -135,18 +127,6 @@ class StreamMetrics:
     sink_failures: int = 0
     #: Circuit-breaker trips summed across all sinks (per-process).
     sink_breaker_opens: int = 0
-    #: Keyed-state cells spilled to disk (cumulative, all consumers).
-    state_cells_spilled: int = 0
-    #: Spilled cells transparently loaded back (cumulative).
-    state_cells_loaded: int = 0
-    #: Spill attempts that failed (the cell stayed in memory).
-    state_spill_failures: int = 0
-    #: Estimated bytes currently parked on disk by state spill.
-    state_spilled_bytes: int = 0
-    #: The degradation-ladder rung as of the last refresh (the one
-    #: non-integer counter; see :func:`repro.streaming.overload.
-    #: degradation_level`).
-    degradation: str = "healthy"
 
     def snapshot(self) -> dict:
         """A plain-dict copy of every counter."""
@@ -176,7 +156,7 @@ class StreamingContext:
         Poll/process cadence in seconds for the threaded drive mode.
     max_pending_batches:
         Bound of the pending-batch queue between poller and processor;
-        the backpressure knob.
+        a full queue blocks the poller (the backpressure knob).
     batch_timeout:
         Per-batch deadline in seconds (None disables).  Overruns are
         handled by *straggler_policy*.
@@ -196,17 +176,6 @@ class StreamingContext:
     checkpoint_interval:
         Completed batches between checkpoint epochs (only meaningful
         with ``checkpoint_dir``).
-    shed_policy:
-        Admission policy for a full pending queue: ``"block"`` (the
-        default backpressure stall), ``"shed_oldest"``,
-        ``"shed_newest"`` or ``"sample"`` (see
-        :mod:`repro.streaming.overload`).
-    shed_seed:
-        Seed of the ``"sample"`` policy's per-batch coin -- the same
-        seed sheds the same batch ids on a replayed stream.
-    sample_keep:
-        Probability the ``"sample"`` policy keeps the incoming batch
-        (evicting the oldest) instead of shedding it.
     dlq_dir:
         Directory for the context's :class:`~repro.streaming.dlq.
         DeadLetterQueue`.  None disables dead-lettering: sink failures
@@ -225,9 +194,6 @@ class StreamingContext:
         num_slices: int | None = None,
         checkpoint_dir: str | None = None,
         checkpoint_interval: int = 10,
-        shed_policy: str = "block",
-        shed_seed: int = 0,
-        sample_keep: float = 0.5,
         dlq_dir: str | None = None,
     ) -> None:
         if batch_interval <= 0:
@@ -247,10 +213,6 @@ class StreamingContext:
             raise ValueError(f"num_slices must be >= 1, got {num_slices}")
         if checkpoint_interval < 1:
             raise ValueError(f"checkpoint_interval must be >= 1, got {checkpoint_interval}")
-        if shed_policy not in SHED_POLICIES:
-            raise ValueError(f"shed_policy must be one of {SHED_POLICIES}, got {shed_policy!r}")
-        if not 0.0 <= sample_keep <= 1.0:
-            raise ValueError(f"sample_keep must be in [0, 1], got {sample_keep}")
         self._sc = sc
         self.batch_interval = batch_interval
         self.num_slices = num_slices
@@ -259,7 +221,7 @@ class StreamingContext:
         self._outputs: list[tuple[DStream, object]] = []
         self._windows: list[StoreBackedConsumer] = []
         self._dlq = DeadLetterQueue(dlq_dir) if dlq_dir is not None else None
-        self._ingest = Ingest(self, max_pending_batches, shed_policy, shed_seed, sample_keep)
+        self._ingest = Ingest(self, max_pending_batches)
         self._core = BatchCore(self, batch_timeout, straggler_policy, max_batch_failures)
         self._recovery = Recovery(self, checkpoint_dir, checkpoint_interval)
         self._stopped = False
@@ -366,16 +328,17 @@ class StreamingContext:
 
     # -- synchronous drive (deterministic; what the tests use) -------------
 
-    def poll_once(self, batch_time: float | None = None) -> bool:
+    def poll_once(self, batch_time: float | None = None) -> None:
         """Poll every source once and admit the batch (no processing).
 
         The ingest half of :meth:`run_batch`: the batch is journaled
-        and offered to the pending queue under the shed policy.
-        Returns False when it was shed.  Calling this faster than
-        :meth:`process_pending` drains sustains a fixed overload.
+        and put on the pending queue; on a full queue the oldest
+        pending batch is processed inline to make room.  Calling this
+        faster than :meth:`process_pending` drains sustains a fixed
+        overload.
         """
         self._check_drivable()
-        return self._ingest.ingest(batch_time, sync=True)
+        self._ingest.ingest(batch_time, sync=True)
 
     def process_pending(self, max_batches: int | None = None) -> int:
         """Process up to *max_batches* pending batches on this thread.
@@ -404,12 +367,11 @@ class StreamingContext:
 
         *batch_time* is the event-time fallback for untimed records
         (default: wall clock).  Returns True when the batch completed,
-        False when it was shed, skipped or failed under the ``"skip"``
+        False when it was skipped or failed under the ``"skip"``
         policy; under ``"fail"`` a failed batch raises.
         """
-        admitted = self.poll_once(batch_time)
-        completed = self.process_pending()
-        return admitted and completed > 0
+        self.poll_once(batch_time)
+        return self.process_pending() > 0
 
     def run_batches(self, n: int, batch_times: list[float] | None = None) -> int:
         """Run *n* synchronous batches; returns how many completed."""
@@ -435,9 +397,9 @@ class StreamingContext:
 
         The poller ticks every ``batch_interval`` seconds and offers
         polled batches to the bounded pending queue (blocking, with
-        ``backpressure_waits`` accounting, or shedding when the
-        processor lags); the processor drains the queue through the
-        same core :meth:`run_batch` uses.
+        ``backpressure_waits`` accounting, when the processor lags);
+        the processor drains the queue through the same core
+        :meth:`run_batch` uses.
         """
         self._check_drivable()
         self._started = True
@@ -457,8 +419,8 @@ class StreamingContext:
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as exc:
-                # A batch (or shed) that cannot be journaled must not be
-                # applied; stopping beats running without durability.
+                # A batch that cannot be journaled must not be applied;
+                # stopping beats running without durability.
                 self._fail(f"write-ahead log append failed: {exc}", exc)
                 self._stop_event.set()
                 return

@@ -1,9 +1,10 @@
 """The durable dead-letter queue: where degraded deliveries land.
 
-Overload handling (:mod:`repro.streaming.overload`) keeps a sick
-pipeline *running* by diverting work it cannot complete -- windows a
-failing sink could not write, records that crash an operator every
-attempt -- but diverted work must never be *lost*.  This module is
+The sink circuit breaker (:class:`~repro.streaming.sinks.CircuitBreaker`)
+and the poison-record quarantine keep a sick pipeline *running* by
+diverting work it cannot complete -- windows a failing sink could not
+write, records that crash an operator every attempt -- but diverted
+work must never be *lost*.  This module is
 that guarantee: a :class:`DeadLetterQueue` is an append-only journal of
 everything the stream gave up on, durable enough to survive the same
 crashes the write-ahead log does, carrying enough provenance to

@@ -303,8 +303,6 @@ class SpatialDStream(DStream):
         origin: float = 0.0,
         universe: "Envelope | None" = None,
         grid: int = 8,
-        memory_budget_bytes: int | None = None,
-        spill_dir: str | None = None,
     ) -> "ContinuousWindowedStream":
         """Continuous queries over keyed, grid-partitioned window state.
 
@@ -325,12 +323,6 @@ class SpatialDStream(DStream):
         dimension); without it the first non-empty batch's bounding box
         is used -- placement only affects pruning granularity, never
         results.
-
-        ``memory_budget_bytes`` caps the state store's in-memory
-        footprint: when the approximate resident size exceeds the
-        budget, cold grid cells spill to ``spill_dir`` (required with a
-        budget) and reload transparently on touch -- see
-        :class:`~repro.streaming.state.KeyedStateStore`.
         """
         consumer = StateConsumer(
             self,
@@ -338,8 +330,6 @@ class SpatialDStream(DStream):
             lateness=lateness,
             universe=universe,
             grid=grid,
-            memory_budget_bytes=memory_budget_bytes,
-            spill_dir=spill_dir,
         )
         self._ssc._register_window(consumer)
         return ContinuousWindowedStream(self._ssc, consumer)
@@ -350,8 +340,6 @@ class SpatialDStream(DStream):
         lateness: float = 0.0,
         universe: "Envelope | None" = None,
         grid: int = 8,
-        memory_budget_bytes: int | None = None,
-        spill_dir: str | None = None,
         max_partials: int = 256,
     ):
         """Complex event processing: declarative rules over this stream.
@@ -367,9 +355,8 @@ class SpatialDStream(DStream):
         per-match sinks via ``.deliver_to()``.
 
         Event payloads are held in the same grid-keyed state store as
-        :meth:`continuous` (``universe``/``grid`` fix the grid;
-        ``memory_budget_bytes``/``spill_dir`` enable
-        cold-cell spill), matcher state checkpoints with the stream,
+        :meth:`continuous` (``universe``/``grid`` fix the grid),
+        matcher state checkpoints with the stream,
         and ``lateness`` is the event-time slack before the watermark
         -- events later than that are dropped and counted.
         ``max_partials`` bounds live partial sequence matches per
@@ -383,8 +370,6 @@ class SpatialDStream(DStream):
             lateness=lateness,
             universe=universe,
             grid=grid,
-            memory_budget_bytes=memory_budget_bytes,
-            spill_dir=spill_dir,
             max_partials=max_partials,
         )
         self._ssc._register_window(consumer)

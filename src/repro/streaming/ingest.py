@@ -10,13 +10,10 @@ live in one place.  The ``source.poll`` chaos site fires *before* each
 source's poll: an injected fault delays delivery (records stay queued
 at the source) rather than losing data, and the tick reads empty.
 
-A full queue is the shed policy's call
-(:data:`~repro.streaming.overload.SHED_POLICIES`).  Shed batches are
-journaled (``kind="shed"``) after their batch record, so recovery
-replays the same sheds, and counted in ``batches_shed`` /
-``records_shed``: ``records_ingested == records_processed +
-records_shed + records_quarantined + records_failed`` holds at every
-quiescent point, no silent loss.
+A full queue blocks the poller (counted once per batch in
+``backpressure_waits``); nothing is ever dropped at admission, so
+``records_ingested == records_processed + records_quarantined +
+records_failed`` holds at every quiescent point.
 """
 
 from __future__ import annotations
@@ -25,8 +22,6 @@ import queue as queue_mod
 import threading
 import time
 from typing import TYPE_CHECKING
-
-from repro.streaming.overload import sample_decision
 
 if TYPE_CHECKING:
     from repro.streaming.context import StreamingContext
@@ -52,7 +47,7 @@ class _Batch:
 
 
 class Ingest:
-    """A context's ingest edge: batch ids, the poll, admission, shedding.
+    """A context's ingest edge: batch ids, the poll, admission.
 
     Owns the pending queue and the batch-id counter -- a plain int, not
     ``itertools.count``: batch ids are checkpointed state that recovery
@@ -70,25 +65,15 @@ class Ingest:
     cursor delta a second time.
     """
 
-    def __init__(
-        self,
-        ssc: StreamingContext,
-        max_pending_batches: int,
-        shed_policy: str,
-        shed_seed: int,
-        sample_keep: float,
-    ) -> None:
+    def __init__(self, ssc: StreamingContext, max_pending_batches: int) -> None:
         self._ssc = ssc
-        self.shed_policy = shed_policy
-        self.shed_seed = shed_seed
-        self.sample_keep = sample_keep
         self.queue: queue_mod.Queue = queue_mod.Queue(maxsize=max_pending_batches)
         #: The id the next polled batch gets.
         self.next_batch_id = 0
         self.lock = threading.Lock()
 
-    def ingest(self, batch_time: float | None, sync: bool) -> bool:
-        """Poll every source once, journal the batch, admit it; False = shed.
+    def ingest(self, batch_time: float | None, sync: bool) -> None:
+        """Poll every source once, journal the batch, admit it.
 
         *batch_time* defaults to the wall clock; *sync* marks the
         caller-thread drive (see :meth:`_admit`).  A journaling failure
@@ -129,7 +114,7 @@ class Ingest:
             if manager is not None:
                 inputs = [records[id(node)] for node in ssc._inputs]
                 manager.log_batch(batch_id, batch.time, inputs, cursors)
-        return self._admit(batch, sync)
+        self._admit(batch, sync)
 
     def replay(self, record: dict, fresh: bool) -> _Batch:
         """Rebuild one journaled batch for recovery's replay.
@@ -139,8 +124,6 @@ class Ingest:
         the sources and the poll counters advance, the way the crashed
         process's did.  An older one sat in the pending queue when the
         snapshot was taken, which already holds its cursors and counts.
-        Shed batches get the same treatment: the live poll moved the
-        cursor before admission dropped the batch.
         """
         inputs = self._ssc._inputs
         records = {id(node): list(rows) for node, rows in zip(inputs, record["inputs"])}
@@ -157,72 +140,31 @@ class Ingest:
         metrics.polls += len(batch.records)  # one poll per input
         metrics.records_ingested += batch.total_records
 
-    def shed(self, batch: _Batch) -> None:
-        """Account one shed batch: WAL journal entry plus counters.
+    def _admit(self, batch: _Batch, sync: bool) -> None:
+        """Admit one polled batch to the pending queue.
 
-        Runs *after* the batch's own WAL record was appended, so a
-        recovery sees both and replays the shed instead of the batch --
-        a restored run drops exactly the batches the live run dropped.
-        A journaling failure propagates like :meth:`ingest`'s: a shed
-        that cannot be made durable would silently re-apply its records
-        on replay.  While recovery replays, the journal entry is already
-        on disk and only the counters move.
-        """
-        manager = self._ssc.checkpoint_manager
-        if manager is not None:
-            manager.log_shed(batch.batch_id, batch.total_records)
-        metrics = self._ssc.metrics
-        metrics.batches_shed += 1
-        metrics.records_shed += batch.total_records
-
-    def _admit(self, batch: _Batch, sync: bool) -> bool:
-        """Admit one polled batch to the pending queue; False = shed.
-
-        The fast path is a non-blocking put.  On a full queue the shed
-        policy decides: ``"block"`` stalls (in the synchronous drive
-        the poller *is* the processor, so blocking would deadlock --
-        the oldest pending batch is processed inline to make room);
-        ``"shed_oldest"`` evicts the oldest pending batch in favour of
-        the newcomer; ``"shed_newest"`` drops the newcomer;
-        ``"sample"`` flips the seeded per-batch coin between those two.
+        The fast path is a non-blocking put.  A full queue stalls the
+        poller, counted once; in the synchronous drive the poller *is*
+        the processor, so blocking would deadlock -- the oldest pending
+        batch is processed inline to make room.
         """
         try:
             self.queue.put_nowait(batch)
-            return True
+            return
         except queue_mod.Full:
             pass
-        policy = self.shed_policy
-        if policy == "sample":
-            keep = sample_decision(self.shed_seed, batch.batch_id, self.sample_keep)
-            policy = "shed_oldest" if keep else "shed_newest"
-        if policy == "shed_newest":
-            self.shed(batch)
-            return False
-        if policy == "shed_oldest":
-            while True:
-                try:
-                    self.shed(self.queue.get_nowait())
-                except queue_mod.Empty:
-                    pass
-                try:
-                    self.queue.put_nowait(batch)
-                    return True
-                except queue_mod.Full:
-                    continue
-        # "block": the historical backpressure stall, counted once.
         self._ssc.metrics.backpressure_waits += 1
         if sync:
             while True:
                 try:
                     self.queue.put_nowait(batch)
-                    return True
+                    return
                 except queue_mod.Full:
                     self._ssc.process_pending(max_batches=1)
         stop_event = self._ssc._stop_event
         while not stop_event.is_set():
             try:
                 self.queue.put(batch, timeout=0.05)
-                return True
+                return
             except queue_mod.Full:
                 continue
-        return False

@@ -23,16 +23,18 @@ that never crashed:
    polled after the snapshot re-run their poll's cursor deltas and
    counters through the ingest edge -- while the emitted-window ledger
    suppresses re-emission of windows the crashed process already
-   delivered, and the shed ledger turns batches the live run dropped at
-   admission back into sheds.  Replayed processing is real processing,
-   so recovered state is *replay-equivalent*.
+   delivered.  Replayed processing is real processing, so recovered
+   state is *replay-equivalent*.
 
 The caller declares the restored pipeline (sources, streams, windows,
 continuous queries) in the same order as the crashed run's:
 registration order is every consumer's durable identity, and a count
 mismatch fails loudly rather than mis-wiring state.  The
 ``recovery.load`` chaos site fires at entry, *before any mutation*, so
-a failed restore leaves the fresh context untouched and retryable.
+a failed restore leaves the fresh context untouched and retryable, and
+so does a refused one: a WAL tail this build cannot replay (the
+``kind="shed"`` records of builds that shed load at admission) is
+rejected before the snapshot is applied.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class RecoveryReport:
     windows_suppressed: int
     #: The batch id the resumed stream will assign next.
     resumed_batch_id: int
-    #: Journaled batches the shed ledger says the crashed run dropped
-    #: at admission -- replayed as sheds (counters advance, records
-    #: are never applied), mirroring the live run exactly.
-    sheds_replayed: int = 0
 
 
 def build_snapshot(ssc: StreamingContext) -> dict:
@@ -257,32 +255,28 @@ class Recovery:
             snapshot, manifest, skipped = loaded
             epoch = manifest["epoch"]
             high_water = manifest["wal_high_water"]
+        # Read (and vet) the tail before the snapshot touches anything.
+        try:
+            batches, emitted = manager.read_tail(high_water)
+        except ValueError as exc:
+            raise context.StreamingError(f"cannot replay the write-ahead log: {exc}") from exc
+        if loaded is not None:
             self._apply_snapshot(snapshot)
-
-        batches, emitted, shed = manager.read_tail(high_water)
         self._suppress = set(emitted)
 
         # Ids below the snapshot's batch counter were polled -- their
-        # cursors moved and their poll/ingest/shed counters advanced --
+        # cursors moved and their poll/ingest counters advanced --
         # before the snapshot was taken (polling assigns ids
         # monotonically), even when the batch itself sat in the pending
         # queue past the high-water mark.  Only strictly newer ids
         # re-run their poll's effects during replay.
         polled_high = ingest.next_batch_id
         core = ssc._core
-        replayed = sheds_replayed = 0
+        replayed = 0
         manager.replaying = True
         try:
             for record in batches:
-                fresh = record["batch_id"] >= polled_high
-                batch = ingest.replay(record, fresh)
-                if batch.batch_id in shed:
-                    # The shed ledger says the live run dropped this
-                    # batch at admission: never apply its records.
-                    if fresh:
-                        ingest.shed(batch)
-                    sheds_replayed += 1
-                    continue
+                batch = ingest.replay(record, record["batch_id"] >= polled_high)
                 core.process(batch)
                 ssc.metrics.batches_replayed += 1
                 replayed += 1
@@ -297,14 +291,13 @@ class Recovery:
             (batches[-1]["batch_id"] + 1) if batches else 0,
         )
         ingest.next_batch_id = resumed
-        core.refresh(sheds_seen=True)
+        core.refresh()
         return RecoveryReport(
             epoch=epoch,
             corrupt_checkpoints_skipped=skipped,
             batches_replayed=replayed,
             windows_suppressed=len(emitted),
             resumed_batch_id=resumed,
-            sheds_replayed=sheds_replayed,
         )
 
     def _apply_snapshot(self, snapshot: dict) -> None:

@@ -31,18 +31,16 @@ All three funnel their durability through :mod:`repro.spark.storage`'s
 fsync helpers, so the chaos crash harness counts their barriers too.
 
 **Degraded delivery.**  A sink is the stream's most failure-prone edge
-(full disks, flaky mounts, injected ``sink.write`` chaos), so delivery
-is wrapped in the overload layer's protections: each window write is
-retried up to ``retries`` times with linear backoff; a sink given a
-:class:`~repro.streaming.overload.CircuitBreaker` trips open after
-persistent failures and routes whole windows straight to the
+(full disks, flaky mounts, injected ``sink.write`` chaos), so each
+window write is retried up to ``retries`` times with linear backoff; a
+sink given a :class:`CircuitBreaker` trips open after persistent
+failures and routes whole windows straight to the
 :class:`~repro.streaming.dlq.DeadLetterQueue` (with provenance) until
 a half-open probe succeeds; and with a DLQ attached a terminal write
 failure *never* propagates -- the window is dead-lettered and the
 stream keeps running, with :func:`~repro.streaming.dlq.dlq_replay`
 reproducing the missing targets once the sink heals.  Without a DLQ
-the pre-existing contract holds: terminal failures raise into the
-batch retry envelope.
+terminal failures raise into the batch retry envelope.
 """
 
 from __future__ import annotations
@@ -61,6 +59,104 @@ from repro.streaming.window import Window
 _TMP_SUFFIX = "._tmp"
 
 
+class CircuitBreaker:
+    """A count-based three-state circuit breaker for window sinks.
+
+    ``allow()`` is consulted once per window delivery; ``record_success``
+    / ``record_failure`` report the outcome of deliveries that were
+    allowed.  State machine:
+
+    - **closed**: deliveries pass; ``failure_threshold`` *consecutive*
+      failures trip the breaker open (one success resets the streak).
+    - **open**: deliveries are refused (the sink dead-letters them)
+      until ``cooldown_windows`` refusals have been served, then the
+      next delivery is allowed as a half-open probe.
+    - **half_open**: exactly one probe is in flight; its success closes
+      the breaker, its failure re-opens it for a fresh cooldown.
+
+    Cooldown is counted in windows rather than seconds so behaviour is
+    identical under synchronous test drives, WAL replay and live runs.
+    """
+
+    def __init__(self, failure_threshold: int = 3, cooldown_windows: int = 2) -> None:
+        if failure_threshold < 1:
+            raise ValueError(
+                f"failure_threshold must be >= 1, got {failure_threshold}"
+            )
+        if cooldown_windows < 1:
+            raise ValueError(f"cooldown_windows must be >= 1, got {cooldown_windows}")
+        self.failure_threshold = failure_threshold
+        self.cooldown_windows = cooldown_windows
+        #: ``"closed"``, ``"open"`` or ``"half_open"``.
+        self.state = "closed"
+        self._consecutive_failures = 0
+        self._cooldown_served = 0
+        #: Times the breaker tripped open (including probe failures).
+        self.opens = 0
+        #: Half-open probe deliveries attempted.
+        self.probes = 0
+        #: Deliveries refused while open (each routed to the DLQ).
+        self.refusals = 0
+
+    def allow(self) -> bool:
+        """May the next window be delivered to the sink right now?
+
+        While open, each refusal advances the cooldown; once
+        ``cooldown_windows`` refusals have been served the next call is
+        granted as the half-open probe.
+        """
+        if self.state == "closed":
+            return True
+        if self.state == "open":
+            if self._cooldown_served >= self.cooldown_windows:
+                self.state = "half_open"
+                self.probes += 1
+                return True
+            self._cooldown_served += 1
+            self.refusals += 1
+            return False
+        # half_open: one probe is already in flight; refuse the rest.
+        self.refusals += 1
+        return False
+
+    def record_success(self) -> None:
+        """An allowed delivery committed: close and reset the breaker."""
+        self.state = "closed"
+        self._consecutive_failures = 0
+        self._cooldown_served = 0
+
+    def record_failure(self) -> None:
+        """An allowed delivery failed terminally (retries exhausted).
+
+        Trips the breaker when the consecutive-failure streak reaches
+        the threshold, and immediately re-opens a failed half-open
+        probe.
+        """
+        self._consecutive_failures += 1
+        if self.state == "half_open" or (
+            self.state == "closed"
+            and self._consecutive_failures >= self.failure_threshold
+        ):
+            self.state = "open"
+            self._cooldown_served = 0
+            self.opens += 1
+
+    def snapshot(self) -> dict:
+        """The breaker's counters and state, for metrics and reports."""
+        return {
+            "state": self.state,
+            "opens": self.opens,
+            "probes": self.probes,
+            "refusals": self.refusals,
+        }
+
+    def __repr__(self) -> str:
+        return (
+            f"CircuitBreaker(state={self.state!r}, opens={self.opens}, "
+            f"threshold={self.failure_threshold})"
+        )
+
+
 class WindowSink:
     """Base class: one durable, deduplicated target per closed window.
 
@@ -74,7 +170,7 @@ class WindowSink:
     ``retries`` is the number of *additional* attempts after a failed
     write (``retry_backoff`` seconds times the attempt number between
     them); ``breaker`` is an optional
-    :class:`~repro.streaming.overload.CircuitBreaker`; ``dlq`` an
+    :class:`CircuitBreaker`; ``dlq`` an
     optional :class:`~repro.streaming.dlq.DeadLetterQueue` (the
     streaming context wires its own into sinks that have none);
     ``name`` discriminates this sink's DLQ entries (defaults to the

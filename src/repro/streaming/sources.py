@@ -276,7 +276,7 @@ class GeneratorSource(StreamSource):
     id, so the pattern survives cursor restores) carries
     ``poison_value`` as its category -- a deterministic supply of
     records a downstream operator can be written to crash on, which is
-    how the overload tests exercise the poison-record quarantine path.
+    how the tests exercise the poison-record quarantine path.
     """
 
     def __init__(

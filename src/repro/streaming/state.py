@@ -44,24 +44,6 @@ keeps it: an insert grows the extents exactly, only a removal makes
 them stale, and the range scan that next reads a stale cell recomputes
 them exactly -- conservative in between, never lossy.
 
-**Memory budgeting.**  With ``memory_budget_bytes`` set the store
-tracks an approximate byte footprint per cell
-(:func:`estimate_record_bytes` -- documented approximate, deliberately
-cheap) and, when the in-memory total exceeds the budget, spills the
-least-recently-touched cells to ``spill_dir`` through the storage
-layer's durable-rename protocol (staging file, fsync, ``os.replace``,
-parent fsync -- so the crash harness counts spill barriers too).  A
-spilled cell leaves behind a :class:`SpilledCell` stub carrying its
-spatial/temporal extents, so queries keep pruning it without touching
-disk; any operation that actually needs the cell's records loads it
-back transparently (counted), and removals against a spilled cell are
-deferred into a dead-record set applied at load time.  Spill files are
-a *memory* mechanism, not a durability one: checkpoints embed spilled
-records (read from disk, store untouched), restores re-insert through
-the normal path and re-spill under the same budget, and the store
-wipes stale spill files at construction -- crash recovery never
-depends on a spill file surviving.
-
 The standing queries (:class:`ContinuousQuery`, and
 :class:`ContinuousJoinStatic` for the stream-static join) pin their
 results to the batch operators: a fired window's answer is equal to
@@ -75,9 +57,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
-import pickle
-import sys
 from collections import deque
 from typing import Any, Callable, Iterator, Sequence
 
@@ -87,7 +66,6 @@ from repro.core.stobject import STObject
 from repro.geometry.distance import DistanceFunction, euclidean, resolve
 from repro.geometry.envelope import Envelope
 from repro.partitioners.grid import GridPartitioner
-from repro.spark.storage import durable_replace
 from repro.streaming.operators import build_static_index, probe_static, relax_static
 from repro.streaming.window import Window, WindowSpec, event_span
 
@@ -95,35 +73,25 @@ Record = tuple[STObject, Any]
 
 _INF = float("inf")
 
-#: Flat per-record overhead charged by :func:`estimate_record_bytes`:
-#: registry slot, STObject + geometry, span floats.  A calibration
-#: constant, not a measurement.
-_RECORD_BASE_BYTES = 200
 
+class CellState:
+    """One grid cell: a registry of live records and their extents.
 
-def estimate_record_bytes(st: STObject, value: Any) -> int:
-    """Approximate in-memory footprint of one stream record.
-
-    Deliberately cheap -- a flat base for the spatio-temporal object
-    plus ``sys.getsizeof`` of the (typically small) value -- because it
-    runs on the store's hottest path.  The budget enforcement it feeds
-    is best-effort by design: the point is bounding growth, not exact
-    accounting.
-    """
-    return _RECORD_BASE_BYTES + sys.getsizeof(value)
-
-
-class CellExtents:
-    """The spatial and temporal extents of one grid cell's members.
-
-    What queries prune a cell on, shared by the in-memory
-    :class:`CellState` and the :class:`SpilledCell` stub.  The spatial
-    extent is kept as bare floats: growing four numbers on insert, the
-    store's hottest path, beats allocating a new Envelope per record.
-    A store never holds an empty cell, so the extents alone decide.
+    The extents are what queries prune a cell on.  The spatial extent
+    is kept as bare floats: growing four numbers on insert, the store's
+    hottest path, beats allocating a new Envelope per record.  A store
+    never holds an empty cell, so the extents alone decide.  An insert
+    grows the extents exactly; a removal leaves them covering the
+    members but possibly larger, and sets ``stale`` until
+    :meth:`refresh` makes them exact again.
     """
 
-    __slots__ = ("_min_x", "_min_y", "_max_x", "_max_y", "t_min", "t_max")
+    __slots__ = ("registry", "stale", "_min_x", "_min_y", "_max_x", "_max_y", "t_min", "t_max")
+
+    def __init__(self) -> None:
+        #: rid -> (STObject, value, t_start, t_end)
+        self.registry: dict[int, tuple[STObject, Any, float, float]] = {}
+        self.refresh()  # the exact extents of no members; not stale
 
     @property
     def extent(self) -> Envelope:
@@ -137,25 +105,6 @@ class CellExtents:
         hybrid spatio-temporal index's partition time pruning.
         """
         return self.t_min <= t_end and self.t_max >= t_start
-
-
-class CellState(CellExtents):
-    """One grid cell: a registry of live records and their extents.
-
-    An insert grows the extents exactly; a removal leaves them covering
-    the members but possibly larger, and sets ``stale`` until
-    :meth:`refresh` makes them exact again.
-    """
-
-    __slots__ = ("registry", "stale")
-
-    def __init__(self) -> None:
-        #: rid -> (STObject, value, t_start, t_end)
-        self.registry: dict[int, tuple[STObject, Any, float, float]] = {}
-        self.refresh()  # the exact extents of no members; not stale
-
-    def __len__(self) -> int:
-        return len(self.registry)
 
     def insert(self, rid: int, st: STObject, value: Any, t_start: float, t_end: float) -> None:
         """Add one record; the extents grow to cover it."""
@@ -190,35 +139,6 @@ class CellState(CellExtents):
         self.stale = False
 
 
-class SpilledCell(CellExtents):
-    """The on-disk stub a spilled grid cell leaves behind.
-
-    Carries just enough for query pruning -- record count, byte
-    estimate, the extents of the cell it freezes (exactly as
-    conservative as that cell's were) -- plus the spill file path and
-    the set of record ids removed *while* spilled (``dead``), which the
-    loader filters out.  Holds no records: any operation that needs
-    them goes through :meth:`KeyedStateStore._load_cell`.
-    """
-
-    __slots__ = ("path", "count", "bytes", "dead")
-
-    def __init__(self, path: str, cell: CellState, byte_estimate: int) -> None:
-        self.path = path
-        #: Live records on disk (decremented by deferred removals).
-        self.count = len(cell)
-        #: Estimated bytes the spill moved out of memory.
-        self.bytes = byte_estimate
-        self._min_x, self._min_y = cell._min_x, cell._min_y
-        self._max_x, self._max_y = cell._max_x, cell._max_y
-        self.t_min, self.t_max = cell.t_min, cell.t_max
-        #: Record ids evicted while the cell was on disk.
-        self.dead: set[int] = set()
-
-    def __len__(self) -> int:
-        return self.count
-
-
 class KeyedStateStore:
     """A grid-keyed registry of live stream records with per-cell extents.
 
@@ -230,38 +150,10 @@ class KeyedStateStore:
     :meth:`cover` call instead (the first batch's bounding box) --
     placement only affects pruning granularity, never results.  A
     one-cell store (``grid=1``) skips cell assignment altogether.
-
-    With ``memory_budget_bytes`` set (which requires ``spill_dir``) the
-    store bounds its approximate in-memory footprint by spilling the
-    least-recently-touched cells to disk -- see the module docstring
-    for the full contract.  ``injector_source`` is an optional callable
-    returning the live :class:`~repro.chaos.injector.FaultInjector` (or
-    None); the ``state.spill`` chaos site fires through it before each
-    spill write.  The budget is best-effort: the cell currently being
-    written is never spilled out from under its own insert, and a spill
-    *failure* (chaos or I/O) is swallowed into ``spill_failures`` --
-    the cell simply stays in memory, degraded but alive.
     """
 
-    def __init__(
-        self,
-        universe: Envelope | None,
-        grid: int = 8,
-        memory_budget_bytes: int | None = None,
-        spill_dir: str | None = None,
-        injector_source: Callable[[], Any] | None = None,
-    ) -> None:
-        if memory_budget_bytes is not None:
-            if memory_budget_bytes <= 0:
-                raise ValueError(
-                    f"memory_budget_bytes must be > 0, got {memory_budget_bytes}"
-                )
-            if spill_dir is None:
-                raise ValueError("memory_budget_bytes requires a spill_dir")
-        self.memory_budget_bytes = memory_budget_bytes
-        self.spill_dir = spill_dir
+    def __init__(self, universe: Envelope | None, grid: int = 8) -> None:
         self._grid = grid
-        self._injector_source = injector_source
         self._reset(universe)
 
     def _reset(self, universe: Envelope | None) -> None:
@@ -271,34 +163,10 @@ class KeyedStateStore:
         self._partitioner = (
             None if universe is None else GridPartitioner((), self._grid, universe=universe)
         )
-        self._cells: dict[int, CellState | SpilledCell] = {}
+        self._cells: dict[int, CellState] = {}
         self._locations: dict[int, int] = {}
         self.inserts = 0
         self.removes = 0
-        self._cell_bytes: dict[int, int] = {}
-        self._bytes_in_memory = 0
-        self._spilled_bytes = 0
-        self._touch: dict[int, int] = {}
-        self._tick = 0
-        #: Cells spilled to disk so far (cumulative).
-        self.cells_spilled = 0
-        #: Spilled cells loaded back so far (cumulative).
-        self.cells_loaded = 0
-        #: Spill attempts that failed and left the cell in memory.
-        self.spill_failures = 0
-        if self.spill_dir is not None:
-            # Spill files are a memory mechanism, not a durability one:
-            # a fresh store (including one reset by crash recovery)
-            # must never trust another process's spill files.
-            os.makedirs(self.spill_dir, exist_ok=True)
-            for fname in os.listdir(self.spill_dir):
-                if fname.startswith("cell-") and (
-                    fname.endswith(".pkl") or fname.endswith("._tmp")
-                ):
-                    try:
-                        os.remove(os.path.join(self.spill_dir, fname))
-                    except OSError:
-                        pass
 
     def cover(self, records: Sequence[Record]) -> None:
         """Fix the grid from *records* when no universe was given.
@@ -333,21 +201,6 @@ class KeyedStateStore:
         """
         return 0
 
-    @property
-    def spilled_cells(self) -> int:
-        """Cells currently living on disk as :class:`SpilledCell` stubs."""
-        return sum(1 for c in self._cells.values() if isinstance(c, SpilledCell))
-
-    @property
-    def bytes_in_memory(self) -> int:
-        """Estimated bytes of in-memory records (0 unless budgeted)."""
-        return self._bytes_in_memory
-
-    @property
-    def spilled_bytes(self) -> int:
-        """Estimated bytes currently parked on disk by spills."""
-        return self._spilled_bytes
-
     def insert(self, rid: int, st: STObject, value: Any, t_start: float, t_end: float) -> None:
         """Assign the record to its centroid's cell and index it there."""
         # Inline the partitioner's centroid rule: this is the store's
@@ -365,236 +218,61 @@ class KeyedStateStore:
         cell = self._cells.get(pid)
         if cell is None:
             cell = self._cells[pid] = CellState()
-        elif isinstance(cell, SpilledCell):
-            cell = self._load_cell(pid)
         cell.insert(rid, st, value, t_start, t_end)
         self._locations[rid] = pid
         self.inserts += 1
-        if self.memory_budget_bytes is not None:
-            estimate = estimate_record_bytes(st, value)
-            self._cell_bytes[pid] = self._cell_bytes.get(pid, 0) + estimate
-            self._bytes_in_memory += estimate
-            self._tick += 1
-            self._touch[pid] = self._tick
-            if self._bytes_in_memory > self.memory_budget_bytes:
-                self._enforce_budget(protect=pid)
 
     def remove(self, rid: int) -> None:
-        """Evict one record by id (no-op for unknown ids).
-
-        Removing from a *spilled* cell does not load it: the rid joins
-        the stub's dead set (applied at load time) and a stub whose
-        live count hits zero is dropped together with its spill file.
-        """
+        """Evict one record by id (no-op for unknown ids)."""
         pid = self._locations.pop(rid, None)
         if pid is None:
             return
         cell = self._cells[pid]
-        if isinstance(cell, SpilledCell):
-            if rid not in cell.dead:
-                cell.dead.add(rid)
-                cell.count -= 1
-            if cell.count <= 0:
-                try:
-                    os.remove(cell.path)
-                except OSError:
-                    pass
-                self._spilled_bytes -= cell.bytes
-                del self._cells[pid]
-            self.removes += 1
-            return
-        if self.memory_budget_bytes is not None:
-            row = cell.registry.get(rid)
-            if row is not None:
-                estimate = estimate_record_bytes(row[0], row[1])
-                self._cell_bytes[pid] = self._cell_bytes.get(pid, 0) - estimate
-                self._bytes_in_memory -= estimate
         cell.remove(rid)
         if not cell.registry:
             del self._cells[pid]
-            self._cell_bytes.pop(pid, None)
-            self._touch.pop(pid, None)
         self.removes += 1
 
     def get(self, rid: int) -> tuple[STObject, Any, float, float] | None:
         """Look up one live record: ``(st, value, t_start, t_end)``.
 
-        Returns None for unknown (or already evicted) ids.  A record
-        living in a spilled cell loads its cell back transparently --
-        the lookup genuinely needs the payload, the same touch-load
-        rule the continuous queries follow -- so callers on a hot path
-        (the CEP guard evaluators) pull exactly the cold cells their
-        guards actually read.
+        Returns None for unknown (or already evicted) ids.
         """
         pid = self._locations.get(rid)
         if pid is None:
             return None
-        cell = self._cells[pid]
-        if isinstance(cell, SpilledCell):
-            cell = self._load_cell(pid)
-        return cell.registry.get(rid)
-
-    # -- spill machinery ---------------------------------------------------
-
-    def _spill_path(self, pid: int) -> str:
-        """The spill file a cell id maps to (one store per directory)."""
-        return os.path.join(self.spill_dir, f"cell-{pid}.pkl")
-
-    def _enforce_budget(self, protect: int | None = None) -> None:
-        """Spill least-recently-touched cells until the budget holds.
-
-        *protect* (the cell an insert or load just touched) is never a
-        spill candidate -- the budget is best-effort rather than strict
-        so the working cell always stays resident.  Stops early when a
-        spill fails (counted) or no candidate remains.
-        """
-        budget = self.memory_budget_bytes
-        if budget is None:
-            return
-        while self._bytes_in_memory > budget:
-            candidates = [
-                (self._touch.get(pid, 0), pid)
-                for pid, cell in self._cells.items()
-                if isinstance(cell, CellState) and pid != protect and cell.registry
-            ]
-            if not candidates:
-                break
-            _tick, pid = min(candidates)
-            if not self._spill_cell(pid):
-                break
-
-    def _spill_cell(self, pid: int) -> bool:
-        """Write one cell's registry to disk and stub it; True on success.
-
-        The write runs the ``state.spill`` chaos site first, then the
-        storage layer's durable-rename commit (staging file,
-        ``durable_replace``), so every spill barrier is visible to the
-        crash harness.  Any failure -- injected or real -- is swallowed
-        into ``spill_failures`` and leaves the cell fully in memory
-        (process kills from the crash harness still propagate).
-        """
-        cell = self._cells[pid]
-        path = self._spill_path(pid)
-        tmp = path + "._tmp"
-        try:
-            if self._injector_source is not None:
-                injector = self._injector_source()
-                if injector is not None:
-                    injector.check("state.spill", key=pid)
-            rows = [
-                (rid, st, value, t_start, t_end)
-                for rid, (st, value, t_start, t_end) in cell.registry.items()
-            ]
-            rows.sort(key=lambda row: row[0])
-            with open(tmp, "wb") as handle:
-                pickle.dump(rows, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            durable_replace(tmp, path)
-        except Exception:
-            self.spill_failures += 1
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            return False
-        freed = self._cell_bytes.pop(pid, 0)
-        self._cells[pid] = SpilledCell(path, cell, freed)
-        self._touch.pop(pid, None)
-        self._bytes_in_memory -= freed
-        self._spilled_bytes += freed
-        self.cells_spilled += 1
-        return True
-
-    def _load_cell(self, pid: int) -> CellState:
-        """Bring a spilled cell back in memory (transparent reload).
-
-        Applies the stub's dead set, re-accounts bytes, removes the
-        spill file, and re-enforces the budget (the loaded cell itself
-        is protected, so a load can push *other* cold cells out but
-        never bounce straight back to disk).
-        """
-        stub = self._cells[pid]
-        with open(stub.path, "rb") as handle:
-            rows = pickle.load(handle)
-        cell = CellState()
-        total = 0
-        dead = stub.dead
-        for rid, st, value, t_start, t_end in rows:
-            if rid in dead:
-                continue
-            cell.insert(rid, st, value, t_start, t_end)
-            total += estimate_record_bytes(st, value)
-        self._cells[pid] = cell
-        try:
-            os.remove(stub.path)
-        except OSError:
-            pass
-        self._cell_bytes[pid] = total
-        self._bytes_in_memory += total
-        self._spilled_bytes -= stub.bytes
-        self.cells_loaded += 1
-        self._tick += 1
-        self._touch[pid] = self._tick
-        if self.memory_budget_bytes is not None and self._bytes_in_memory > self.memory_budget_bytes:
-            self._enforce_budget(protect=pid)
-        return cell
-
-    def _peek_rows(self, cell: "CellState | SpilledCell") -> list[tuple]:
-        """A cell's live rows *without* loading a stub back into memory.
-
-        Read-only paths (window iteration, snapshots) use this so a
-        full-state scan does not thrash the budget by paging every
-        spilled cell back in.
-        """
-        if isinstance(cell, SpilledCell):
-            with open(cell.path, "rb") as handle:
-                rows = pickle.load(handle)
-            dead = cell.dead
-            return [row for row in rows if row[0] not in dead]
-        return [
-            (rid, st, value, t_start, t_end)
-            for rid, (st, value, t_start, t_end) in cell.registry.items()
-        ]
+        return self._cells[pid].registry.get(rid)
 
     def snapshot(self) -> dict:
         """Picklable store state for checkpoints.
 
-        The snapshot carries the universe, every live ``(rid, st,
-        value, t_start, t_end)`` row sorted by rid, and the cumulative
-        spill counters; cell extents are re-derived on restore.  Spilled cells are embedded too (their rows read from
-        disk without loading them back), so a snapshot is
-        self-contained and never depends on a spill file outliving the
-        process.
+        The snapshot carries the universe and every live ``(rid, st,
+        value, t_start, t_end)`` row sorted by rid; cell extents are
+        re-derived on restore.
         """
         universe = None
         if self._partitioner is not None:
             u = self._partitioner.universe
             universe = (u.min_x, u.min_y, u.max_x, u.max_y)
-        rows: list[tuple] = []
-        for cell in list(self._cells.values()):
-            rows.extend(self._peek_rows(cell))
+        rows = [
+            (rid, st, value, t_start, t_end)
+            for cell in self._cells.values()
+            for rid, (st, value, t_start, t_end) in cell.registry.items()
+        ]
         rows.sort(key=lambda row: row[0])
-        return {
-            "universe": universe,
-            "records": rows,
-            "cells_spilled": self.cells_spilled,
-            "cells_loaded": self.cells_loaded,
-            "spill_failures": self.spill_failures,
-        }
+        return {"universe": universe, "records": rows}
 
     def restore(self, snapshot: dict) -> None:
         """Reset to a :meth:`snapshot` (recovery).
 
         Every row re-enters through :meth:`insert`, which grows its
-        cell's extents exactly, and re-spills under the same budget.
+        cell's extents exactly.  Keys other than ``universe`` and
+        ``records`` are ignored: the spill counters older builds wrote
+        (``cells_spilled``, ``cells_loaded``, ``spill_failures``) have
+        no state to restore.
         """
         universe = snapshot["universe"]
         self._reset(None if universe is None else Envelope(*universe))
-        # Carry the crashed run's cumulative spill counters forward
-        # *before* re-inserting, so spills triggered by the restore
-        # itself keep counting on top of them.
-        self.cells_spilled = snapshot["cells_spilled"]
-        self.cells_loaded = snapshot["cells_loaded"]
-        self.spill_failures = snapshot["spill_failures"]
         for rid, st, value, t_start, t_end in snapshot["records"]:
             self.insert(rid, st, value, t_start, t_end)
 
@@ -603,18 +281,9 @@ class KeyedStateStore:
     def iter_window(self, window: Window | None) -> Iterator[tuple[int, STObject, Any]]:
         """Every live ``(rid, STObject, value)`` whose span intersects
         *window* (all live records when *window* is None).
-
-        Spilled cells surviving the temporal prune are *peeked* from
-        disk, not loaded -- iteration is read-only and must not churn
-        the memory budget.
         """
         for cell in list(self._cells.values()):
             if window is not None and not cell.intersects_time(window.start, window.end):
-                continue
-            if isinstance(cell, SpilledCell):
-                for rid, st, value, t_start, t_end in self._peek_rows(cell):
-                    if window is None or window.intersects_span(t_start, t_end):
-                        yield rid, st, value
                 continue
             for rid, (st, value, t_start, t_end) in cell.registry.items():
                 if window is None or window.intersects_span(t_start, t_end):
@@ -642,16 +311,12 @@ class KeyedStateStore:
         predicate = relax_static(resolve_predicate(predicate))
         region = predicate.candidate_region(query.geo.envelope)
         out: list[Record] = []
-        for pid, cell in list(self._cells.items()):
+        for cell in self._cells.values():
             if not cell.extent.intersects(region):
                 continue
             if window is not None and not cell.intersects_time(window.start, window.end):
                 continue
-            if isinstance(cell, SpilledCell):
-                # Pruning failed to exclude it, so the query genuinely
-                # needs this cell's records: transparent reload on touch.
-                cell = self._load_cell(pid)
-            elif cell.stale:
+            if cell.stale:
                 cell.refresh()
             for st, value, t_start, t_end in cell.registry.values():
                 if not st.geo.envelope.intersects(region):
@@ -687,7 +352,7 @@ class KeyedStateStore:
         prune = fn is euclidean
 
         ranked = []
-        for pid, cell in list(self._cells.items()):
+        for cell in self._cells.values():
             if window is not None and not cell.intersects_time(window.start, window.end):
                 continue
             bound = (
@@ -695,7 +360,7 @@ class KeyedStateStore:
                 if prune
                 else 0.0
             )
-            ranked.append((bound, pid))
+            ranked.append((bound, cell))
         # Stable sort on the bound alone: tied cells keep store insertion
         # order, so tied records rank exactly as the batch operator's.
         ranked.sort(key=lambda pair: pair[0])
@@ -703,18 +368,10 @@ class KeyedStateStore:
         # A max-heap of the k best (negated distance, tie, record).
         best: list[tuple[float, int, Record]] = []
         tie = itertools.count()
-        for bound, pid in ranked:
+        for bound, cell in ranked:
             if prune and len(best) == k and bound > -best[0][0]:
                 break
-            cell = self._cells.get(pid)
-            if cell is None:
-                continue
-            if isinstance(cell, SpilledCell):
-                # This cell's bound beat the current k-th distance, so
-                # its records must be scanned: reload it.  Cells the
-                # bound check already rejected stay on disk.
-                cell = self._load_cell(pid)
-            for _rid, (st, value, t_start, t_end) in cell.registry.items():
+            for st, value, t_start, t_end in cell.registry.values():
                 if window is not None and not window.intersects_span(t_start, t_end):
                     continue
                 if (
@@ -986,8 +643,8 @@ class StoreBackedConsumer:
     """What ``window()``, ``continuous()`` and ``patterns()`` consume through.
 
     The part of the consumer protocol that does not depend on what is
-    computed over the records: one :class:`KeyedStateStore` wired to
-    the context's fault injector, the absorbed-batch mark that makes
+    computed over the records: one :class:`KeyedStateStore`, the
+    absorbed-batch mark that makes
     :meth:`absorb` idempotent per batch id (the retry contract), the
     ``state.update`` chaos site, the window outputs the context wires
     its sink protections into, and the registration index.  Subclasses
@@ -996,24 +653,11 @@ class StoreBackedConsumer:
     counters the context mirrors into its metrics.
     """
 
-    def __init__(
-        self,
-        node,
-        universe: Envelope | None,
-        grid: int,
-        memory_budget_bytes: int | None,
-        spill_dir: str | None,
-    ) -> None:
+    def __init__(self, node, universe: Envelope | None, grid: int) -> None:
         self.node = node
         #: The keyed store (its grid unfixed until the first record
         #: when no universe was given).
-        self.store = KeyedStateStore(
-            universe,
-            grid=grid,
-            memory_budget_bytes=memory_budget_bytes,
-            spill_dir=spill_dir,
-            injector_source=self._injector,
-        )
+        self.store = KeyedStateStore(universe, grid=grid)
         #: ``output(window, rdd)`` callables run per emitted window.
         self.outputs: list[Callable[[Window, Any], None]] = []
         self._absorbed_batch: int | None = None
@@ -1024,7 +668,7 @@ class StoreBackedConsumer:
         self.checkpoint_index: int = -1
 
     def _injector(self):
-        """The context's live fault injector (the store's chaos source)."""
+        """The context's live fault injector (the ``state.update`` site's)."""
         return self.node._ssc.spark_context.fault_injector
 
     def _begin(self, batch_id: int, records: list[Record]) -> bool:
@@ -1064,10 +708,8 @@ class StateConsumer(StoreBackedConsumer):
         lateness: float = 0.0,
         universe: Envelope | None = None,
         grid: int = 8,
-        memory_budget_bytes: int | None = None,
-        spill_dir: str | None = None,
     ) -> None:
-        super().__init__(node, universe, grid, memory_budget_bytes, spill_dir)
+        super().__init__(node, universe, grid)
         self.spec = spec
         self.state = KeyedWindowState(spec, self.store, lateness)
         self.queries: list[ContinuousQuery] = []

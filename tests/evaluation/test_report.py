@@ -33,3 +33,21 @@ class TestReportPieces:
         text = report._knn_suite(sc, 1_000, repeats=1)
         assert "full scan" in text
         assert "two-phase" in text
+
+    def test_streaming_section_accounts_for_every_record(self):
+        blocked, degraded = report.streaming_drives()
+        for metrics in (blocked, degraded):
+            assert metrics["records_ingested"] == 80
+            assert metrics["records_ingested"] == (
+                metrics["records_processed"]
+                + metrics["records_quarantined"]
+                + metrics["records_failed"]
+            )
+        assert blocked["backpressure_waits"] > 0
+        assert blocked["records_quarantined"] == 0
+        assert degraded["records_quarantined"] == 1
+        assert degraded["sink_breaker_opens"] >= 1
+        assert degraded["windows_dead_lettered"] > 0
+        text = report._streaming_robustness()
+        assert "block + poison + failing sink" in text
+        assert "windows dead-lettered" in text

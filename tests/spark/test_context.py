@@ -1,7 +1,12 @@
 """Context lifecycle, caching, metrics, broadcast, accumulators, threading."""
 
+import sys
+import threading
+import time
+
 import pytest
 
+from repro.spark.cancellation import CancelToken, TaskCancelledError, task_scope
 from repro.spark.context import SparkContext
 
 
@@ -59,6 +64,119 @@ class TestCaching:
         rdd.collect()
         rdd.collect()
         assert len(calls) == 6
+
+
+class TestSingleCompute:
+    """Two readers of one persisted split: the first computes, the second
+    waits for it.  The compute is gated, so the second reader arrives
+    while the first is still inside it."""
+
+    def _race(self, sc, gated, cancel=False):
+        entered, release, waiting = threading.Event(), threading.Event(), threading.Event()
+        calls: list = []
+        rdd = sc.parallelize(range(3), 1).map_partitions(
+            lambda it: gated(calls, entered, release, it)
+        ).cache()
+
+        class Probe(CancelToken):
+            def check(self):  # the waiting reader checks its token
+                waiting.set()
+                super().check()
+
+        probe = Probe()
+        results: dict = {}
+
+        def read(name, scope):
+            try:
+                with task_scope(scope):
+                    results[name] = list(rdd.iterator(0))
+            except Exception as exc:
+                results[name] = exc
+
+        first = threading.Thread(target=read, args=("first", CancelToken()))
+        first.start()
+        assert entered.wait(5)
+        second = threading.Thread(target=read, args=("second", probe))
+        second.start()
+        # Go on once the second reader waits, or computes as well.
+        deadline = time.monotonic() + 5
+        while not waiting.is_set() and len(calls) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        if cancel:
+            probe.cancel("reader gone")
+            second.join(5)
+        release.set()
+        first.join(5)
+        second.join(5)
+        assert not first.is_alive() and not second.is_alive()
+        return rdd, calls, results
+
+    @staticmethod
+    def _gated(calls, entered, release, it):
+        calls.append(1)
+        entered.set()
+        release.wait(5)
+        return list(it)
+
+    def test_concurrent_readers_compute_a_split_once(self, sc):
+        _rdd, calls, results = self._race(sc, self._gated)
+        assert len(calls) == 1
+        assert results == {"first": [0, 1, 2], "second": [0, 1, 2]}
+        assert sc.metrics.cache_hits == 1
+
+    def test_a_failed_compute_caches_nothing_and_the_waiter_computes(self, sc):
+        def fails_first(calls, entered, release, it):
+            calls.append(1)
+            if len(calls) == 1:
+                entered.set()
+                release.wait(5)
+                raise RuntimeError("first compute fails")
+            return list(it)
+
+        rdd, calls, results = self._race(sc, fails_first)
+        assert isinstance(results["first"], RuntimeError)
+        assert results["second"] == [0, 1, 2]
+        assert len(calls) == 2
+        assert sc.metrics.cache_hits == 0
+        assert sc._cache.get(rdd.id, 0) == [0, 1, 2]
+
+    def test_many_readers_under_fast_switching_compute_once(self, sc):
+        calls: list = []
+        # The sleep hands the interpreter to the other readers mid-compute.
+        rdd = sc.parallelize(range(50), 4).map(
+            lambda x: calls.append(x) or time.sleep(0.0005) or x
+        ).cache()
+        readers = 8
+        barrier = threading.Barrier(readers)
+        results: list = []
+
+        def read():
+            barrier.wait(5)
+            results.append([list(rdd.iterator(split)) for split in range(4)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(readers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == readers
+        assert all(sum(parts, []) == list(range(50)) for parts in results)
+        assert sorted(calls) == list(range(50))  # each split computed once
+        assert sc.metrics.cache_hits == 4 * (readers - 1)
+
+    def test_a_cancelled_waiter_stops_waiting(self, sc):
+        rdd, calls, results = self._race(sc, self._gated, cancel=True)
+        assert isinstance(results["second"], TaskCancelledError)
+        assert results["first"] == [0, 1, 2]
+        assert len(calls) == 1
+        assert list(rdd.iterator(0)) == [0, 1, 2]
+        assert sc.metrics.cache_hits == 1
 
 
 class TestMetrics:

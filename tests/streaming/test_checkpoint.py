@@ -225,12 +225,11 @@ class TestCheckpointManager:
             manager.log_batch(i, float(i), [[("r", i)]], [None])
         manager.note_emit(0, Window(0.0, 4.0))
         manager.commit_emits(4)
-        batches, emitted, shed = manager.read_tail(high_water=2)
+        batches, emitted = manager.read_tail(high_water=2)
         assert [b["batch_id"] for b in batches] == [3, 4, 5]
         assert emitted == {(0, 0.0, 4.0)}
-        assert shed == set()
         # Everything at or below the high-water mark is invisible.
-        batches_all, emitted_all, _ = manager.read_tail(high_water=5)
+        batches_all, emitted_all = manager.read_tail(high_water=5)
         assert batches_all == []
         assert emitted_all == set()
         manager.close()
@@ -242,7 +241,7 @@ class TestCheckpointManager:
         manager.note_emit(1, Window(2.0, 6.0))
         manager.commit_emits(0)
         manager.replaying = False
-        batches, emitted, _ = manager.read_tail(high_water=-1)
+        batches, emitted = manager.read_tail(high_water=-1)
         assert batches == []
         assert emitted == {(1, 2.0, 6.0)}
         manager.close()

@@ -1,28 +1,28 @@
-"""Graceful degradation under overload: the admission/spill/ladder gate.
+"""Overload and failure containment: block, the breaker, quarantine.
 
-The contract under test: a stream pushed past its capacity degrades
-*deliberately* -- sheds are policy-chosen, seeded and fully accounted
-(``records_ingested == records_processed + records_shed +
-records_quarantined + records_failed`` at every quiescent point),
-keyed state stays under its byte budget by spilling cold cells without
-changing any query answer, poison records are quarantined with
-provenance instead of failing their batch forever, and the whole
-descent is visible as the degradation ladder in the metrics.
+The contract under test: a stream pushed past its capacity blocks at
+admission and drops nothing (``records_ingested == records_processed +
+records_quarantined + records_failed`` at every quiescent point), a
+failing sink trips its circuit breaker, poison records are quarantined
+with provenance instead of failing their batch forever, and
+checkpoints written by builds that still shed load or spilled state
+are refused or read, never misread.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import pytest
 
 from repro.core.stobject import STObject
 from repro.spark.context import SparkContext
+from repro.geometry.envelope import Envelope
 from repro.streaming import (
-    DEGRADATION_LEVELS,
-    SHED_POLICIES,
     CircuitBreaker,
+    KeyedStateStore,
     StreamingContext,
-    degradation_level,
-    sample_decision,
+    StreamingError,
 )
 
 POISON = "__boom__"
@@ -46,7 +46,6 @@ def assert_accounted(metrics) -> None:
     """The no-silent-loss invariant, checked at a quiescent point."""
     assert metrics.records_ingested == (
         metrics.records_processed
-        + metrics.records_shed
         + metrics.records_quarantined
         + metrics.records_failed
     )
@@ -55,183 +54,31 @@ def assert_accounted(metrics) -> None:
 def drive_overloaded(sc, batches, **ssc_kwargs):
     """Poll every batch before processing any: a saturated admission
     queue, the worst-case ingest-to-processing ratio.  Returns
-    ``(ssc, counts_sink, admitted_flags)`` after a full drain + flush.
+    ``(ssc, counts_sink)`` after a full drain + flush.
     """
     ssc = StreamingContext(sc, max_pending_batches=2, **ssc_kwargs)
     source, events = ssc.queue_stream(batches)
     sink = events.window(length=100.0).count_windows()
-    admitted = [ssc.poll_once(batch_time=float(b)) for b in range(len(batches))]
+    for b in range(len(batches)):
+        ssc.poll_once(batch_time=float(b))
     ssc.process_pending()
     ssc.stop()
-    return ssc, sink, admitted
+    return ssc, sink
 
 
 def window_total(sink) -> int:
     return sum(value for _window, value in sink.results())
 
 
-class TestShedPolicies:
-    def test_policy_names_are_the_public_contract(self):
-        assert SHED_POLICIES == ("block", "shed_oldest", "shed_newest", "sample")
-        with pytest.raises(ValueError, match="shed_policy"):
-            StreamingContext(make_sc(), shed_policy="drop_table")
-
-    def test_block_processes_inline_and_sheds_nothing(self):
+class TestBlockAdmission:
+    def test_block_processes_inline_and_drops_nothing(self):
         batches = make_batches()
         with make_sc() as sc:
-            ssc, sink, admitted = drive_overloaded(sc, batches)
-        assert all(admitted)
+            ssc, sink = drive_overloaded(sc, batches)
         assert ssc.metrics.backpressure_waits > 0
-        assert ssc.metrics.batches_shed == 0
+        assert ssc.metrics.batches_run == len(batches)
         assert window_total(sink) == sum(len(b) for b in batches)
         assert_accounted(ssc.metrics)
-
-    def test_shed_oldest_keeps_the_freshest_batches(self):
-        batches = make_batches()
-        with make_sc() as sc:
-            ssc, sink, admitted = drive_overloaded(
-                sc, batches, shed_policy="shed_oldest"
-            )
-        # Queue bound 2: batches 0..3 are evicted as 2..5 arrive.
-        assert all(admitted)
-        assert ssc.metrics.batches_shed == 4
-        assert ssc.metrics.records_shed == sum(len(b) for b in batches[:4])
-        assert window_total(sink) == sum(len(b) for b in batches[4:])
-        assert_accounted(ssc.metrics)
-
-    def test_shed_newest_keeps_the_in_flight_batches(self):
-        batches = make_batches()
-        with make_sc() as sc:
-            ssc, sink, admitted = drive_overloaded(
-                sc, batches, shed_policy="shed_newest"
-            )
-        # Batches 0 and 1 fill the queue; every later arrival is dropped.
-        assert admitted == [True, True, False, False, False, False]
-        assert ssc.metrics.batches_shed == 4
-        assert ssc.metrics.records_shed == sum(len(b) for b in batches[2:])
-        assert window_total(sink) == sum(len(b) for b in batches[:2])
-        assert_accounted(ssc.metrics)
-
-    def test_sample_policy_is_deterministic_per_seed(self):
-        batches = make_batches(10)
-
-        def run(seed):
-            with make_sc() as sc:
-                ssc, sink, admitted = drive_overloaded(
-                    sc, batches, shed_policy="sample", shed_seed=seed
-                )
-            assert_accounted(ssc.metrics)
-            return admitted, ssc.metrics.snapshot(), window_total(sink)
-
-        first = run(29)
-        again = run(29)
-        assert first == again
-        # The coin agrees with the public decision function for every
-        # batch that actually faced a full queue.
-        admitted, metrics, _total = first
-        for batch_id in range(2, len(batches)):
-            if not admitted[batch_id]:
-                assert not sample_decision(29, batch_id, 0.5)
-
-    def test_sample_extremes_collapse_to_the_pure_policies(self):
-        batches = make_batches()
-        with make_sc() as sc:
-            ssc_keep, _, admitted_keep = drive_overloaded(
-                sc, batches, shed_policy="sample", sample_keep=1.0
-            )
-        with make_sc() as sc:
-            ssc_drop, _, admitted_drop = drive_overloaded(
-                sc, batches, shed_policy="sample", sample_keep=0.0
-            )
-        assert all(admitted_keep)  # always keep == shed_oldest
-        assert admitted_drop == [True, True, False, False, False, False]
-        assert ssc_keep.metrics.batches_shed == ssc_drop.metrics.batches_shed == 4
-
-    def test_sample_decision_is_independent_per_batch(self):
-        draws = [sample_decision(7, b, 0.5) for b in range(64)]
-        assert draws == [sample_decision(7, b, 0.5) for b in range(64)]
-        assert any(draws) and not all(draws)
-        assert all(sample_decision(7, b, 1.0) for b in range(16))
-        assert not any(sample_decision(7, b, 0.0) for b in range(16))
-
-
-class TestShedReplay:
-    """Sheds journaled on both sides of a checkpoint replay as sheds.
-
-    Each phase polls four batches into a queue of two -- the last two
-    are shed -- then drains.  With a checkpoint every three completed
-    batches, the newest epoch lands inside phase 2, so the abandoned
-    run leaves sheds the snapshot already counted (phase 1 and 2) and
-    sheds polled after it (phase 3, abandoned before its drain).
-    """
-
-    PHASES = 5
-    PER_PHASE = 4
-
-    def _declare(self, sc, batches, ck):
-        ssc = StreamingContext(
-            sc,
-            max_pending_batches=2,
-            shed_policy="shed_newest",
-            checkpoint_dir=ck,
-            checkpoint_interval=3,
-        )
-        _source, events = ssc.queue_stream(batches)
-        return ssc, events.window(length=100.0).collect_windows()
-
-    def _poll_phase(self, ssc, phase):
-        first = phase * self.PER_PHASE
-        return [ssc.poll_once(batch_time=float(b)) for b in range(first, first + 4)]
-
-    def test_restored_run_sheds_exactly_the_uninterrupted_batches(self, tmp_path):
-        batches = make_batches(self.PHASES * self.PER_PHASE)
-        with make_sc() as sc:
-            ssc, sink = self._declare(sc, batches, str(tmp_path / "ref-ck"))
-            admitted = []
-            for phase in range(self.PHASES):
-                admitted += self._poll_phase(ssc, phase)
-                ssc.process_pending()
-            ssc.stop()
-            reference = ssc.metrics
-        shed_ids = {
-            value[0]
-            for b, kept in enumerate(admitted)
-            if not kept
-            for _st, value in batches[b]
-        }
-        assert reference.batches_shed == 2 * self.PHASES
-        assert_accounted(reference)
-
-        ck = str(tmp_path / "ck")
-        with make_sc() as sc:
-            ssc, crashed_sink = self._declare(sc, batches, ck)
-            for phase in range(2):
-                self._poll_phase(ssc, phase)
-                ssc.process_pending()
-            self._poll_phase(ssc, 2)  # abandoned before this drain
-            assert ssc.metrics.checkpoints_written > 0
-            ssc.checkpoint_manager.close()
-        with make_sc() as sc:
-            ssc, sink2 = self._declare(sc, batches, ck)
-            report = ssc.restore()
-            for phase in range(3, self.PHASES):
-                self._poll_phase(ssc, phase)
-                ssc.process_pending()
-            ssc.stop()
-        m = ssc.metrics
-        assert report.sheds_replayed > 0
-        for name in ("batches_shed", "records_shed", "records_ingested", "records_processed"):
-            assert getattr(m, name) == getattr(reference, name), name
-        assert_accounted(m)
-        emitted = {
-            i
-            for results in (crashed_sink.results(), sink2.results())
-            for _window, rows in results
-            for _st, (i, _c) in rows
-        }
-        assert emitted
-        assert not emitted & shed_ids
-        assert emitted == {i for _w, rows in sink.results() for _st, (i, _c) in rows}
 
 
 class TestCircuitBreaker:
@@ -284,54 +131,6 @@ class TestCircuitBreaker:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError, match="cooldown_windows"):
             CircuitBreaker(cooldown_windows=0)
-
-
-class TestMemoryBudgetedSpill:
-    def _run(self, sc, budget=None, spill_dir=None):
-        ssc = StreamingContext(sc)
-        source, events = ssc.queue_stream(
-            [[rec(100 * b + i, float(b)) for i in range(40)] for b in range(5)]
-        )
-        cont = events.continuous(
-            length=4.0,
-            slide=2.0,
-            memory_budget_bytes=budget,
-            spill_dir=spill_dir,
-        )
-        sink = cont.range("POLYGON ((5 5, 45 5, 45 45, 5 45, 5 5))")
-        ssc.run_batches(5, batch_times=[float(b) for b in range(5)])
-        ssc.stop()
-        results = {
-            (w.start, w.end): sorted(
-                (st.geo.wkt(), value) for st, value in rows
-            )
-            for w, rows in sink.results()
-        }
-        return ssc, cont.consumer.store, results
-
-    def test_spill_engages_holds_budget_and_changes_no_answer(self, tmp_path):
-        with make_sc() as sc:
-            _ssc, _store, reference = self._run(sc)
-        budget = 2048
-        with make_sc() as sc:
-            ssc, store, budgeted = self._run(
-                sc, budget=budget, spill_dir=str(tmp_path / "spill")
-            )
-        assert store.cells_spilled > 0
-        assert store.bytes_in_memory <= budget
-        assert budgeted == reference
-        # The ladder counters mirror the live store.
-        assert ssc.metrics.state_cells_spilled == store.cells_spilled
-        assert ssc.metrics.state_cells_loaded == store.cells_loaded
-        assert ssc.metrics.state_spilled_bytes == store.spilled_bytes
-        assert store.spill_failures == 0
-
-    def test_budget_requires_a_spill_directory(self):
-        from repro.geometry.envelope import Envelope
-        from repro.streaming import KeyedStateStore
-
-        with pytest.raises(ValueError, match="spill_dir"):
-            KeyedStateStore(Envelope(0, 0, 50, 50), memory_budget_bytes=1024)
 
 
 class TestPoisonQuarantine:
@@ -417,49 +216,95 @@ class TestPoisonQuarantine:
         assert ssc.metrics.records_quarantined + ssc.metrics.records_failed == 5
 
 
-class TestDegradationLadder:
-    def test_level_ordering_and_dominance(self):
-        assert DEGRADATION_LEVELS == (
-            "healthy",
-            "shedding",
-            "spilling",
-            "circuit-open",
+class TestOldCheckpoints:
+    """Checkpoints from builds that shed batches or spilled state."""
+
+    def _declare(self, sc, batches, ck):
+        ssc = StreamingContext(sc, checkpoint_dir=ck, checkpoint_interval=2)
+        _source, events = ssc.queue_stream(batches)
+        sink = events.continuous(length=4.0, slide=2.0).range(
+            "POLYGON ((5 5, 45 5, 45 45, 5 45, 5 5))"
         )
-        assert degradation_level(False, False, False) == "healthy"
-        assert degradation_level(True, False, False) == "shedding"
-        assert degradation_level(True, True, False) == "spilling"
-        assert degradation_level(True, True, True) == "circuit-open"
+        return ssc, sink
 
-    def test_shedding_is_an_edge_signal(self):
-        batches = make_batches(8)
+    def _crash(self, ck, batches, n):
         with make_sc() as sc:
-            ssc = StreamingContext(
-                sc, max_pending_batches=2, shed_policy="shed_newest"
-            )
-            source, events = ssc.queue_stream(batches)
-            events.window(length=100.0).count_windows()
-            assert ssc.metrics.degradation == "healthy"
-            for b in range(4):  # batches 2 and 3 are shed
-                ssc.poll_once(batch_time=float(b))
-            ssc.process_pending(max_batches=1)
-            assert ssc.metrics.degradation == "shedding"
-            # No new sheds before the next refresh: back to healthy.
-            ssc.process_pending(max_batches=1)
-            assert ssc.metrics.degradation == "healthy"
-            ssc.stop()
+            ssc, _sink = self._declare(sc, batches, ck)
+            ssc.run_batches(n, batch_times=[float(b) for b in range(n)])
+            manager = ssc.checkpoint_manager
+            assert ssc.metrics.checkpoints_written > 0
+            return ssc, manager
 
-    def test_spilling_outranks_shedding(self, tmp_path):
+    def test_a_shed_record_in_the_wal_is_refused_and_nothing_moves(self, tmp_path):
+        batches = make_batches(6)
+        ck = str(tmp_path / "ck")
+        _ssc, manager = self._crash(ck, batches, 5)
+        # What a shedding build journaled after a batch it dropped.
+        manager.wal.append({"kind": "shed", "batch_id": 5, "records": 5})
+        manager.close()
         with make_sc() as sc:
-            ssc = StreamingContext(sc)
-            source, events = ssc.queue_stream(
-                [[rec(100 * b + i, float(b)) for i in range(40)] for b in range(4)]
-            )
-            events.continuous(
-                length=4.0,
-                slide=2.0,
-                memory_budget_bytes=2048,
-                spill_dir=str(tmp_path / "spill"),
-            ).range("POLYGON ((5 5, 45 5, 45 45, 5 45, 5 5))")
-            ssc.run_batches(4, batch_times=[float(b) for b in range(4)])
-            assert ssc.metrics.degradation == "spilling"
-            ssc.stop()
+            ssc, sink = self._declare(sc, batches, ck)
+            fresh = ssc.metrics.snapshot()
+            with pytest.raises(StreamingError, match="'shed'"):
+                ssc.restore()
+            assert ssc.metrics.snapshot() == fresh
+            assert ssc._windows[0].store.size == 0
+            assert ssc._inputs[0].source.pending_batches == len(batches)
+            assert sink.results() == []
+            ssc.stop(flush=False, drain=False)
+
+    def test_removed_metrics_and_spill_counters_in_a_snapshot_restore(self, tmp_path):
+        from repro.streaming.checkpoint import load_latest_checkpoint, write_checkpoint
+
+        batches = make_batches(6)
+        ck = str(tmp_path / "ck")
+        _ssc, manager = self._crash(ck, batches, 4)
+        manager.close()
+        shutil.copytree(ck, str(tmp_path / "plain"))
+        snapshot, manifest, _skipped = load_latest_checkpoint(ck)
+        snapshot["metrics"].update(
+            batches_shed=2, records_shed=10, state_cells_spilled=3,
+            state_spilled_bytes=512, degradation="shedding",
+        )
+        for consumer in snapshot["consumers"]:
+            consumer["state"]["store"].update(cells_spilled=3, cells_loaded=2, spill_failures=1)
+        write_checkpoint(ck, manifest["epoch"] + 1, snapshot, manifest["wal_high_water"])
+
+        def finish(directory):
+            with make_sc() as sc:
+                ssc, sink = self._declare(sc, batches, str(tmp_path / directory))
+                ssc.restore()
+                ssc.run_batches(2, batch_times=[4.0, 5.0])
+                ssc.stop()
+            return ssc.metrics, {
+                (w.start, w.end): sorted(value for _st, value in rows)
+                for w, rows in sink.results()
+            }
+
+        restored, restored_windows = finish("ck")
+        reference, reference_windows = finish("plain")
+        assert not hasattr(restored, "batches_shed")
+        assert not hasattr(restored, "degradation")
+        assert restored.snapshot() == reference.snapshot()
+        assert restored_windows == reference_windows
+        assert restored_windows
+        assert_accounted(restored)
+
+    def test_a_store_snapshot_with_spill_counters_answers_the_same(self):
+        universe = Envelope(0, 0, 50, 50)
+        store = KeyedStateStore(universe, grid=4)
+        for i in range(60):
+            st, value = rec(i, float(i % 7))
+            store.insert(i, st, value, float(i % 7), float(i % 7))
+        old = dict(store.snapshot(), cells_spilled=4, cells_loaded=3, spill_failures=1)
+        restored = KeyedStateStore(None, grid=4)
+        restored.restore(old)
+        query = STObject("POLYGON ((10 10, 30 10, 30 30, 10 30, 10 10))")
+        assert restored.size == store.size
+        assert sorted(v for _s, v in restored.query_range(query)) == sorted(
+            v for _s, v in store.query_range(query)
+        )
+        assert [d for d, _r in restored.query_knn(query, 5)] == [
+            d for d, _r in store.query_knn(query, 5)
+        ]
+        assert restored.snapshot() == store.snapshot()

@@ -126,7 +126,6 @@ def assert_accounting(got, want, at) -> None:
         assert getattr(got, name) == getattr(want, name), f"kill point {at}: {name}"
     assert got.records_ingested == (
         got.records_processed
-        + got.records_shed
         + got.records_quarantined
         + got.records_failed
     ), f"kill point {at}: accounting invariant"
@@ -351,11 +350,10 @@ POISON_EVERY = 17
 
 
 def build_degraded(sc, checkpoint_dir, work, out_dir=None):
-    """The overload variant of :func:`build`: same window shapes, but
-    the generator plants poison records (quarantined to the context's
-    DLQ), and the continuous query runs under a byte budget that forces
-    cell spill.  Both add fsync barriers to the crash matrix -- DLQ
-    appends and spill commits -- and both must replay to equivalence.
+    """The failure variant of :func:`build`: same window shapes, but
+    the generator plants poison records, quarantined to the context's
+    DLQ.  Its appends add fsync barriers to the crash matrix, and they
+    must replay to equivalence.
     """
     ssc = StreamingContext(
         sc,
@@ -377,11 +375,9 @@ def build_degraded(sc, checkpoint_dir, work, out_dir=None):
     win = checked.window(**WINDOW)
     sinks = {
         "counts": win.count_windows(),
-        "range": checked.continuous(
-            **WINDOW,
-            memory_budget_bytes=4096,
-            spill_dir=os.path.join(work, "spill"),
-        ).range("POLYGON ((10 10, 90 10, 90 60, 10 60, 10 10))"),
+        "range": checked.continuous(**WINDOW).range(
+            "POLYGON ((10 10, 90 10, 90 60, 10 60, 10 10))"
+        ),
     }
     if out_dir is not None:
         sinks["files"] = EventFileSink(out_dir)
@@ -390,11 +386,10 @@ def build_degraded(sc, checkpoint_dir, work, out_dir=None):
 
 
 class TestDegradedCrashMatrix:
-    """The fsync-kill matrix with spill and dead-lettering active.
+    """The fsync-kill matrix with poison quarantine and the DLQ active.
 
-    Every DLQ append and every spilled-cell commit is itself a
-    durability barrier, so the matrix now kills *inside* the degraded
-    paths too.  The contract is unchanged: byte-identical durable sink
+    Every DLQ append is itself a durability barrier, so the matrix
+    kills *inside* the quarantine path too.  The contract is unchanged: byte-identical durable sink
     output, union-equal volatile results -- plus a non-empty DLQ whose
     quarantined records carry provenance, on every kill point.
     """
@@ -414,7 +409,7 @@ class TestDegradedCrashMatrix:
         ssc.stop(flush=False)
         return ssc, sinks, report
 
-    def test_kill_between_any_two_fsyncs_with_spill_and_dlq(self, tmp_path):
+    def test_kill_between_any_two_fsyncs_with_dlq(self, tmp_path):
         from repro.streaming import DeadLetterQueue
 
         base_out = str(tmp_path / "base-out")
@@ -424,8 +419,7 @@ class TestDegradedCrashMatrix:
             ssc.run_batches(BATCHES, batch_times=TIMES)
             ssc.stop(flush=False)
             base = canon(base_sinks)
-            # The degraded paths really engaged in the baseline.
-            assert ssc.metrics.state_cells_spilled > 0
+            # The quarantine really engaged in the baseline.
             assert ssc.metrics.records_quarantined > 0
             base_metrics = ssc.metrics
         base_files = read_files(base_out)
@@ -443,7 +437,7 @@ class TestDegradedCrashMatrix:
                 str(tmp_path / "probe-out"),
             )
         )
-        # WAL + ledger + checkpoints + sink commits + DLQ + spill.
+        # WAL + ledger + checkpoints + sink commits + DLQ.
         assert n > 20
 
         for at in range(1, n + 1):
@@ -462,7 +456,7 @@ class TestDegradedCrashMatrix:
                 crashed = canon(crashed_sinks)
             # The restart reuses the crashed run's work dir, exactly as
             # a real operator would: the DLQ keeps its entries (torn
-            # tails truncated), stale spill files are reaped.
+            # tails truncated).
             with make_sc() as sc2:
                 ssc2, sinks, _report = self._resume(sc2, ck, work, out)
                 resumed = canon(sinks)

@@ -5,15 +5,12 @@ extents and scanning the survivors, so it has to stay lossless whatever
 the grid was laid out from.  One property builds the grid from one
 universe and draws records from another (overlapping it, disjoint from
 it, or larger than it): points and rectangles that stick out of their
-cell, timed by instants and spans, inserted and removed in any order,
-under a memory budget small enough that cells spill with frozen
-extents and load back.  Between the mutations, and after a removal
+cell, timed by instants and spans, inserted and removed in any order.
+Between the mutations, and after a removal
 followed by an insert outside every extent so far, ``query_range``
 (INTERSECTS, CONTAINED_BY, withinDistance), ``query_knn`` and
 ``iter_window`` must equal brute force over the live records.
 """
-
-import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,7 +98,6 @@ def scenarios(draw):
     return {
         "grid_universe": grid_universe,
         "grid": draw(st.sampled_from((1, 2, 3, 5))),
-        "budget": draw(st.integers(300, 2000)),
         "ops": ops,
         "final_query": draw(queries(universe)),
     }
@@ -130,41 +126,35 @@ def check(store, live, query, window, k):
 @given(scenarios())
 @settings(max_examples=40, deadline=None)
 def test_store_queries_equal_brute_force_under_a_foreign_grid(scenario):
-    with tempfile.TemporaryDirectory() as spill_dir:
-        store = KeyedStateStore(
-            scenario["grid_universe"],
-            grid=scenario["grid"],
-            memory_budget_bytes=scenario["budget"],
-            spill_dir=spill_dir,
-        )
-        live: dict = {}
-        inserted: list = []
+    store = KeyedStateStore(scenario["grid_universe"], grid=scenario["grid"])
+    live: dict = {}
+    inserted: list = []
 
-        def insert(st_obj, t_start, t_end):
-            rid = len(inserted)
-            store.insert(rid, st_obj, rid, t_start, t_end)
-            live[rid] = (st_obj, rid, t_start, t_end)
-            inserted.append(live[rid])
+    def insert(st_obj, t_start, t_end):
+        rid = len(inserted)
+        store.insert(rid, st_obj, rid, t_start, t_end)
+        live[rid] = (st_obj, rid, t_start, t_end)
+        inserted.append(live[rid])
 
-        for kind, arg in scenario["ops"]:
-            if kind == "insert":
-                insert(*arg)
-            elif kind == "remove" and live:
-                rid = sorted(live)[arg % len(live)]
-                store.remove(rid)
-                del live[rid]
-            elif kind == "query":
-                check(store, live, *arg)
-            assert store.size == len(live)
+    for kind, arg in scenario["ops"]:
+        if kind == "insert":
+            insert(*arg)
+        elif kind == "remove" and live:
+            rid = sorted(live)[arg % len(live)]
+            store.remove(rid)
+            del live[rid]
+        elif kind == "query":
+            check(store, live, *arg)
+        assert store.size == len(live)
 
-        # Shrink the cell of the right-most record, then grow past every
-        # extent so far with a rectangle clamped into a border cell.
-        reach = max((row[0].geo.envelope.max_x for row in inserted), default=0.0)
-        if live:
-            rightmost = max(live, key=lambda rid: live[rid][0].geo.envelope.max_x)
-            store.remove(rightmost)
-            del live[rightmost]
-        top = scenario["grid_universe"].max_y
-        insert(STObject(rectangle(reach + 1, top, reach + 4, top + 2), 1.0), 1.0, 1.0)
-        check(store, live, *scenario["final_query"])
-        check(store, live, STObject(f"POINT ({reach + 3} {top + 1})"), None, 2)
+    # Shrink the cell of the right-most record, then grow past every
+    # extent so far with a rectangle clamped into a border cell.
+    reach = max((row[0].geo.envelope.max_x for row in inserted), default=0.0)
+    if live:
+        rightmost = max(live, key=lambda rid: live[rid][0].geo.envelope.max_x)
+        store.remove(rightmost)
+        del live[rightmost]
+    top = scenario["grid_universe"].max_y
+    insert(STObject(rectangle(reach + 1, top, reach + 4, top + 2), 1.0), 1.0, 1.0)
+    check(store, live, *scenario["final_query"])
+    check(store, live, STObject(f"POINT ({reach + 3} {top + 1})"), None, 2)
