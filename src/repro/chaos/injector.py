@@ -39,12 +39,12 @@ And three fault *kinds*, each combinable with either shape:
   :class:`InjectedFault` -- the fail-fast fault the retry layer recovers.
 - **delay** (:meth:`FaultInjector.delay`): the site stalls for a fixed
   number of seconds before continuing normally -- a straggler.  The stall
-  is a *cancellable* sleep: a task whose deadline expires (or that loses
-  a speculation race) wakes immediately instead of serving the delay out.
+  is a *cancellable* sleep: a task whose deadline expires (or whose
+  job is cancelled) wakes immediately instead of serving the delay out.
 - **hang** (:meth:`FaultInjector.hang`): the site blocks "forever" -- the
-  gray failure the deadline/speculation machinery exists for.  The hang
-  waits on the current task's cancel token, so a ``task_timeout``,
-  speculation loss or ``cancel_all_jobs()`` ends it; the injector's
+  gray failure the deadline machinery exists for.  The hang waits on
+  the current task's cancel token, so a ``task_timeout``,
+  ``job_timeout`` or ``cancel_all_jobs()`` ends it; the injector's
   ``hang_limit`` (default 30s) is a backstop for runs with no deadlines
   configured, after which the "hung" site simply resumes.
 
@@ -222,7 +222,7 @@ class FaultInjector:
         """Register a straggler plan: *site* stalls *seconds*, then proceeds.
 
         The stall is served through :func:`cancellable_sleep`, so a
-        deadline or speculation loss wakes the stalled task immediately.
+        deadline or a cancelled job wakes the stalled task immediately.
         """
         if seconds <= 0:
             raise ValueError(f"delay seconds must be positive, got {seconds}")

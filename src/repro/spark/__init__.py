@@ -13,7 +13,7 @@ STARK's algorithms are built against:
 - partition-level caching (``persist``/``cache``),
 - object files (the stand-in for HDFS binary storage used by persistent
   indexing),
-- broadcast variables and accumulators,
+- broadcast variables,
 - a task scheduler executing one task per partition, with metrics
   (tasks launched, records read, shuffle volume) that the test-suite and
   benchmarks use to verify pruning behaviour,
@@ -24,8 +24,8 @@ STARK's algorithms are built against:
   for the matching fault-injection harness,
 - gray-failure resilience: cooperative cancellation
   (:mod:`repro.spark.cancellation`), per-task/per-job deadlines with
-  typed :class:`~repro.spark.errors.TaskTimeoutError`, and speculative
-  execution of stragglers (first result wins, loser cancelled).
+  typed :class:`~repro.spark.errors.TaskTimeoutError`, which reap and
+  retry stragglers (first result wins, the other attempt is cancelled).
 
 The engine runs every task in the driver process: ``executor="threads"``
 (the default) on a thread pool, ``executor="sequential"`` inline on the
@@ -35,7 +35,6 @@ identical to a distributed deployment, which is what the paper's
 evaluation shapes depend on.
 """
 
-from repro.spark.accumulator import Accumulator
 from repro.spark.broadcast import Broadcast
 from repro.spark.cancellation import CancelToken, Heartbeat, TaskCancelledError
 from repro.spark.context import SparkContext
@@ -44,7 +43,6 @@ from repro.spark.partitioner import HashPartitioner, Partitioner
 from repro.spark.rdd import RDD
 
 __all__ = [
-    "Accumulator",
     "Broadcast",
     "CancelToken",
     "HashPartitioner",

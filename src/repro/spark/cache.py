@@ -3,21 +3,14 @@
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.spark.context import Metrics
+from collections import deque
 
 
 class _CacheManager:
-    """Per-(rdd, partition) in-memory block store with an optional LRU cap.
+    """Per-(rdd, partition) in-memory block store.
 
-    ``max_entries`` bounds the number of cached partition blocks; when
-    exceeded, the least-recently-used block is dropped (and recomputed
-    from lineage on next access), with ``metrics.cache_evictions``
-    counting the drops.  Unbounded by default, matching Spark's
-    behaviour of evicting only under memory pressure.
+    A block stays until its RDD is unpersisted (:meth:`evict_rdd`) or
+    garbage-collected (:meth:`discard`), or the context stops.
 
     A missing block is computed once: :meth:`claim` hands the first
     reader the compute and every concurrent reader the in-flight
@@ -25,11 +18,9 @@ class _CacheManager:
     :meth:`abandon`.
     """
 
-    def __init__(self, max_entries: int | None = None, metrics: Metrics | None = None) -> None:
-        self._blocks: OrderedDict[tuple[int, int], list] = OrderedDict()
+    def __init__(self) -> None:
+        self._blocks: dict[tuple[int, int], list] = {}
         self._lock = threading.Lock()
-        self._max_entries = max_entries
-        self._metrics = metrics
         #: Ids of garbage-collected RDDs whose blocks nobody can read any
         #: more; dropped by the next ``put`` / ``len`` (see :meth:`discard`).
         self._dead: deque[int] = deque()
@@ -53,8 +44,6 @@ class _CacheManager:
         with self._lock:
             block = self._blocks.get(key)
             if block is not None:
-                if self._max_entries is not None:
-                    self._blocks.move_to_end(key)
                 return block, None
             event = self._computing.get(key)
             if event is None:
@@ -65,12 +54,6 @@ class _CacheManager:
         with self._lock:
             self._sweep()
             self._blocks[(rdd_id, split)] = data
-            if self._max_entries is not None:
-                self._blocks.move_to_end((rdd_id, split))
-                while len(self._blocks) > self._max_entries:
-                    self._blocks.popitem(last=False)
-                    if self._metrics is not None:
-                        self._metrics.cache_evictions += 1
             self._release(rdd_id, split)
 
     def abandon(self, rdd_id: int, split: int) -> None:

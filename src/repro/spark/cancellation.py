@@ -20,15 +20,16 @@ scheduler threads into every task attempt:
 Cancellation is *cooperative*: a task stuck in code that neither polls
 nor waits on its token cannot be preempted (Python threads cannot be
 killed).  Under ``threads`` the scheduler still stops waiting for it
--- the deadline and speculation machinery in
-:mod:`repro.spark.scheduler` records the timeout and moves on, and the
-orphaned attempt's late result is discarded.  Under ``sequential`` the
+-- the deadline in :mod:`repro.spark.scheduler` records the timeout and
+relaunches the task.  If the orphaned attempt returns before its
+relaunch, its result wins and the relaunch is cancelled; otherwise its
+late result is discarded.  Under ``sequential`` the
 attempt runs on the driver thread itself: a watchdog timer cancels its
 token, and a task that never polls holds the driver until it returns.
 
 Tokens carry a *kind* so handlers can tell retryable deadline kills
-(:data:`KIND_TIMEOUT`) from terminal aborts (:data:`KIND_ABORT`,
-:data:`KIND_STOP`) and benign speculative-loser kills
+(:data:`KIND_TIMEOUT`) from terminal aborts (:data:`KIND_ABORT`) and
+benign kills of an attempt whose task another attempt already finished
 (:data:`KIND_LOSER`).
 """
 
@@ -38,14 +39,13 @@ import threading
 import time
 from typing import Callable
 
-#: The task lost to another attempt (speculation winner / job finished).
+#: Another attempt of the task already returned its result.
 KIND_LOSER = "loser"
 #: The task or job exceeded its deadline; the attempt may be retried.
 KIND_TIMEOUT = "timeout"
-#: The job was aborted (sibling exhausted retries, driver cancelled it).
+#: The job was aborted (sibling exhausted retries, driver cancelled it,
+#: context stopped).
 KIND_ABORT = "abort"
-#: The whole context is shutting down.
-KIND_STOP = "stop"
 
 
 class TaskCancelledError(RuntimeError):
@@ -56,9 +56,9 @@ class TaskCancelledError(RuntimeError):
     reason : str
         Human-readable explanation (``"task timeout after 0.5s"``, ...).
     kind : str
-        One of :data:`KIND_LOSER` / :data:`KIND_TIMEOUT` /
-        :data:`KIND_ABORT` / :data:`KIND_STOP`; the scheduler uses it to
-        decide whether the cancellation is retryable.
+        One of :data:`KIND_TIMEOUT` / :data:`KIND_ABORT` /
+        :data:`KIND_LOSER`; the scheduler uses it to decide whether the
+        cancellation is retryable.
     """
 
     def __init__(self, reason: str = "cancelled", kind: str = KIND_ABORT) -> None:
@@ -240,7 +240,7 @@ def wait_cancelled(limit: float, token: CancelToken | None = None) -> None:
 
     The implementation of an injected *hang*: the task stalls
     indefinitely from the scheduler's point of view, but remains
-    cooperatively cancellable -- a deadline, a speculation loss or a
+    cooperatively cancellable -- a deadline, a lost race or a
     ``cancel_all_jobs()`` wakes it immediately.  The hard *limit* is a
     backstop so a hang injected into a run with no deadlines configured
     eventually returns instead of wedging the process; callers treat

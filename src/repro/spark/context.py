@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.obs import NULL_TRACER, Tracer
-from repro.spark.accumulator import Accumulator
 from repro.spark.broadcast import Broadcast
 from repro.spark.cache import _CacheManager
 from repro.spark.cancellation import (
@@ -77,16 +76,13 @@ class Metrics:
     tasks_launched: int = 0
     tasks_failed: int = 0
     tasks_retried: int = 0
-    tasks_speculated: int = 0
     tasks_cancelled: int = 0
     tasks_timed_out: int = 0
-    speculation_wins: int = 0
     jobs_run: int = 0
     jobs_failed: int = 0
     shuffles_executed: int = 0
     shuffle_records_written: int = 0
     cache_hits: int = 0
-    cache_evictions: int = 0
     partitions_pruned: int = 0
     partitions_pruned_temporal: int = 0
     index_fallbacks: int = 0
@@ -125,10 +121,6 @@ class SparkContext:
         fault_injector=None,
         task_timeout: float | None = None,
         job_timeout: float | None = None,
-        speculation: bool = False,
-        speculation_quantile: float = 0.75,
-        speculation_multiplier: float = 1.5,
-        max_cache_entries: int | None = None,
     ) -> None:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
@@ -144,18 +136,12 @@ class SparkContext:
             raise ValueError("task_timeout must be positive")
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError("job_timeout must be positive")
-        if not 0.0 < speculation_quantile <= 1.0:
-            raise ValueError("speculation_quantile must be in (0, 1]")
-        if speculation_multiplier < 1.0:
-            raise ValueError("speculation_multiplier must be >= 1.0")
-        if max_cache_entries is not None and max_cache_entries < 1:
-            raise ValueError("max_cache_entries must be >= 1")
         self.app_name = app_name
         self.default_parallelism = parallelism
         self._executor_mode = executor
         self._rdd_ids = itertools.count()
         self.metrics = Metrics()
-        self._cache = _CacheManager(max_cache_entries, self.metrics)
+        self._cache = _CacheManager()
         self._shuffle = _ShuffleManager(self)
         #: The execution tracer.  Defaults to the shared no-op tracer;
         #: pass ``tracing=True`` (or a :class:`Tracer`) to record spans.
@@ -181,14 +167,6 @@ class SparkContext:
         #: aborts with a job-scoped :class:`TaskTimeoutError` in its
         #: failure list.  Nested jobs share their parent's budget.
         self.job_timeout = job_timeout
-        #: Enable speculative execution (Spark's ``spark.speculation``):
-        #: once ``speculation_quantile`` of a job's tasks have finished,
-        #: a task running longer than ``speculation_multiplier`` x the
-        #: median runtime gets a second copy; first result wins, the
-        #: loser is cancelled.  Thread-pool executor only.
-        self.speculation = speculation
-        self.speculation_quantile = speculation_quantile
-        self.speculation_multiplier = speculation_multiplier
         self._pool: ThreadPoolExecutor | None = None
         self._in_job = threading.local()
         self._stopped = False
@@ -235,10 +213,6 @@ class SparkContext:
         """Wrap a read-only value shared by every task."""
         return Broadcast(value)
 
-    def accumulator(self, initial: U, op: Callable[[U, U], U] | None = None) -> Accumulator[U]:
-        """A write-only aggregation variable tasks can add to."""
-        return Accumulator(initial, op)
-
     # -- execution -----------------------------------------------------------
 
     def run_job(
@@ -261,15 +235,16 @@ class SparkContext:
         its partition from lineage every time; a task that keeps failing
         aborts the job with :class:`JobAbortedError`.  Every attempt
         runs under a :class:`CancelToken` descended from the job's, so
-        deadlines, speculation losses and :meth:`cancel_all_jobs` stop
-        in-flight work cooperatively.
+        deadlines, lost races and :meth:`cancel_all_jobs` stop in-flight
+        work cooperatively: a reaped attempt that returns before its
+        relaunch still wins, and the relaunch is cancelled.
 
         With tracing on, the job runs inside a ``job`` span carrying the
         operator tag and pruning attribution of the target lineage, with
         one ``task`` span per attempt beneath it (``records_in``, and
-        ``attempt`` / ``speculative`` / ``failures`` / ``last_error`` /
-        ``cancelled`` / ``timeout`` as they apply); an aborting job is
-        flagged ``aborted``.
+        ``attempt`` / ``failures`` / ``last_error`` / ``cancelled`` /
+        ``timeout`` as they apply); an aborting job is flagged
+        ``aborted``.
         """
         if self._stopped:
             raise RuntimeError(

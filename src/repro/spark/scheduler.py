@@ -7,11 +7,10 @@ from __future__ import annotations
 import heapq
 import math
 import queue as queue_mod
-import statistics
 import threading
 import time
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.spark.cancellation import (
     KIND_ABORT,
@@ -54,12 +53,11 @@ class _CountingIterator:
 class _TaskAttempt:
     """One scheduled attempt of one task."""
 
-    __slots__ = ("split", "number", "speculative", "token", "start", "span", "timed_out")
+    __slots__ = ("split", "number", "token", "start", "span", "timed_out")
 
-    def __init__(self, split: int, number: int, speculative: bool, token: CancelToken) -> None:
+    def __init__(self, split: int, number: int, token: CancelToken) -> None:
         self.split = split
         self.number = number
-        self.speculative = speculative
         self.token = token
         #: Set when the attempt actually starts running (queue time
         #: does not count against the task deadline).
@@ -80,11 +78,11 @@ class _JobLoop:
     """The event-driven driver loop of one job: the scheduler's only policy.
 
     Every scheduling decision -- launch order, retries and their
-    backoff, per-task and whole-job deadlines, speculative copies of
-    stragglers, first-result-wins resolution, abort and cancellation --
-    is made here, on the thread that called ``run_job``.  A *transport*
-    subclass contributes only how an attempt is started, stopped and
-    waited for, and how many splits may be in progress at once.
+    backoff, per-task and whole-job deadlines, first-result-wins
+    resolution, abort and cancellation -- is made here, on the thread
+    that called ``run_job``.  A *transport* subclass contributes only
+    how an attempt is started, stopped and waited for, and how many
+    splits may be in progress at once.
 
     The loop sleeps until the next scheduled event, so a job with no
     deadlines and no failures costs no polling at all, while a hung
@@ -102,9 +100,6 @@ class _JobLoop:
     _seq: Mapping[int, int] = _NONE  # latest attempt number of relaunched splits
     _failures: Mapping[int, list[TaskError]] = _NONE
     _retry_heap: Sequence[tuple[float, int]] = ()  # (ready_at, split)
-    _retry_pending: AbstractSet[int] = frozenset()
-    _speculated: AbstractSet[int] = frozenset()
-    _durations: Sequence[float] = ()
 
     def __init__(self, ctx: "SparkContext", rdd: RDD, fn, splits: list[int],
                  job_token: CancelToken, nested: bool = False) -> None:
@@ -157,7 +152,6 @@ class _JobLoop:
             heap = self._retry_heap
             while heap and heap[0][0] <= time.perf_counter():
                 split = heapq.heappop(heap)[1]
-                self._retry_pending.discard(split)
                 if split not in results:
                     self._launch(split, relaunch=True)
             while launched < total and launched - len(results) < self._window:
@@ -170,24 +164,19 @@ class _JobLoop:
             if self._job_token.cancelled:
                 self._abort_cancelled()
             now = time.perf_counter()
-            threshold = self._speculation_threshold()
             self._enforce_task_deadlines(now)
-            self._maybe_speculate(now, threshold)
-            for outcome in self._wait(self._next_wait(now, threshold)):
+            for outcome in self._wait(self._next_wait(now)):
                 self._handle(outcome)
 
     # -- launching ---------------------------------------------------------
 
-    def _launch(self, split: int, speculative: bool = False, relaunch: bool = False) -> None:
-        """Start an attempt of *split*: its first, a *relaunch* or a *speculative* copy."""
+    def _launch(self, split: int, relaunch: bool = False) -> None:
+        """Start an attempt of *split*: its first or a *relaunch*."""
         number = 1
-        if relaunch or speculative:
+        if relaunch:
             seq = self._own("_seq", dict)
             number = seq[split] = seq.get(split, 1) + 1
-        attempt = _TaskAttempt(split, number, speculative, CancelToken(parent=self._job_token))
-        if speculative:
-            self._own("_speculated", set).add(split)
-            self._ctx.metrics.tasks_speculated += 1
+        attempt = _TaskAttempt(split, number, CancelToken(parent=self._job_token))
         try:
             outcome = self._submit_attempt(attempt)
         except RuntimeError as exc:  # pool shut down beneath us (stop())
@@ -229,8 +218,6 @@ class _JobLoop:
                 attrs: dict = {"split": attempt.split}
                 if attempt.number > 1:
                     attrs["attempt"] = attempt.number
-                if attempt.speculative:
-                    attrs["speculative"] = True
                 with self._ctx.tracer.span(
                     "task", kind="task", parent=self._job_span, **attrs
                 ) as span:
@@ -287,13 +274,11 @@ class _JobLoop:
         if attempt in live:
             live.remove(attempt)
         if ok:
-            if attempt.start is not None and self._ctx.speculation:
-                self._own("_durations", list).append(time.perf_counter() - attempt.start)
             if split in self._results:
                 return  # a sibling already won; late result discarded
             self._results[split] = payload
-            if attempt.speculative:
-                self._ctx.metrics.speculation_wins += 1
+            # A reaped attempt that never polled its token can return
+            # before its relaunch: the first result wins either way.
             if live:
                 self._cancel("task superseded by a completed attempt", KIND_LOSER, live)
             return
@@ -304,12 +289,14 @@ class _JobLoop:
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             self._cancel("job interrupted", KIND_ABORT)
             raise exc
+        if attempt.timed_out:
+            return  # reaped: its deadline is booked and its relaunch is the retry
         if isinstance(exc, TaskCancelledError) and attempt.token.cancelled:
             # Whoever cancelled the token owns the accounting, and the
-            # loop did it when it reaped a deadline or resolved a race.
-            # That leaves the inline transport's watchdog, which can only
-            # cancel: its deadline is booked here.
-            if exc.kind == KIND_TIMEOUT and not attempt.timed_out:
+            # loop did it when it resolved a race.  That leaves the
+            # inline transport's watchdog, which can only cancel: its
+            # deadline is booked here.
+            if exc.kind == KIND_TIMEOUT:
                 self._task_timed_out(attempt)
             return
         if split in self._results:
@@ -318,9 +305,7 @@ class _JobLoop:
             split, TaskError(self._label, split, attempt.number, exc), exc
         )
 
-    def _record_failure(
-        self, split: int, record: TaskError, cause: BaseException, retry: bool = True
-    ) -> None:
+    def _record_failure(self, split: int, record: TaskError, cause: BaseException) -> None:
         """Charge one failed attempt to *split*'s retry budget: abort once
         it is spent, else relaunch after the exponential backoff (timed
         by the loop, so a backing-off task occupies no worker)."""
@@ -329,13 +314,11 @@ class _JobLoop:
         failures.append(record)
         if len(failures) >= self._ctx.max_task_failures:
             self._abort(JobAbortedError(self._label, split, len(failures), cause, failures))
-        if retry:
-            self._ctx.metrics.tasks_retried += 1
-            delay = self._ctx.retry_backoff * (2 ** (len(failures) - 1))
-            heapq.heappush(self._own("_retry_heap", list), (time.perf_counter() + delay, split))
-            self._own("_retry_pending", set).add(split)
+        self._ctx.metrics.tasks_retried += 1
+        delay = self._ctx.retry_backoff * (2 ** (len(failures) - 1))
+        heapq.heappush(self._own("_retry_heap", list), (time.perf_counter() + delay, split))
 
-    # -- deadlines and speculation ----------------------------------------
+    # -- deadlines -----------------------------------------------------------
 
     def _running(self) -> Iterator[_TaskAttempt]:
         """Attempts still racing for an unresolved split (overdue ones excluded)."""
@@ -368,41 +351,9 @@ class _JobLoop:
         if attempt.span is not None:
             attempt.span.note_failure(f"TaskTimeoutError: {record}")
             attempt.span.attrs["timeout"] = True
-        # Relaunch only if no healthy attempt is still racing (a live
-        # speculative copy *is* the retry).
-        covered = split in self._retry_pending or any(
-            not a.timed_out for a in self._live.get(split, ())
-        )
-        self._record_failure(split, record, record, retry=not covered)
+        self._record_failure(split, record, record)
 
-    def _speculation_threshold(self) -> float | None:
-        """The runtime past which a task is a straggler; None while
-        speculation is off or too few tasks have finished to judge."""
-        ctx = self._ctx
-        total = len(self._splits)
-        if not ctx.speculation or total < 2 or not self._durations:
-            return None
-        if len(self._results) < max(1, math.ceil(ctx.speculation_quantile * total)):
-            return None
-        return ctx.speculation_multiplier * statistics.median(self._durations)
-
-    def _speculatable(self) -> Iterator[_TaskAttempt]:
-        """Running attempts whose split may still get a speculative copy
-        (none on the inline transport: nothing runs while the loop looks,
-        so speculation there is accepted and inert)."""
-        for attempt in self._running():
-            split = attempt.split
-            if split not in self._speculated and split not in self._retry_pending:
-                yield attempt
-
-    def _maybe_speculate(self, now: float, threshold: float | None) -> None:
-        if threshold is None:
-            return
-        for attempt in list(self._speculatable()):
-            if attempt.start is not None and now - attempt.start >= threshold:
-                self._launch(attempt.split, speculative=True)
-
-    def _next_wait(self, now: float, threshold: float | None) -> float | None:
+    def _next_wait(self, now: float) -> float | None:
         """Seconds until the next scheduled event, or None to block.
 
         Whatever is due already was acted on by the caller with the same
@@ -411,16 +362,13 @@ class _JobLoop:
         candidates: list[float] = []
         if self._retry_heap:
             candidates.append(self._retry_heap[0][0] - now)
-        for limit, attempts in (
-            (self._ctx.task_timeout, self._running),
-            (threshold, self._speculatable),
-        ):
-            if limit is not None:
-                for attempt in attempts():
-                    # Queued behind a busy pool: poll for its start.
-                    candidates.append(
-                        0.02 if attempt.start is None else attempt.start + limit - now
-                    )
+        timeout = self._ctx.task_timeout
+        if timeout is not None:
+            for attempt in self._running():
+                # Queued behind a busy pool: poll for its start.
+                candidates.append(
+                    0.02 if attempt.start is None else attempt.start + timeout - now
+                )
         return max(0.0, min(candidates)) if candidates else None
 
     # -- aborting ----------------------------------------------------------

@@ -1,9 +1,11 @@
 """End-to-end straggler and hang resilience.
 
 The acceptance scenario of the gray-failure layer: with an injected
-hang/delay on a task, a job with deadlines/speculation either completes
-with results identical to the fault-free run, or aborts within its
-deadline with a typed TaskTimeoutError -- it never blocks indefinitely.
+hang/delay on a task, a job with deadlines either completes with
+results identical to the fault-free run, or aborts within its deadline
+with a typed TaskTimeoutError -- it never blocks indefinitely.  The
+deadline is the one straggler policy: an overdue attempt is reaped and
+relaunched, and whichever of the two returns first wins.
 """
 
 import threading
@@ -24,52 +26,74 @@ def _job_and_task_spans(sc) -> list:
     return [(s.name, s.attrs) for s in sc.tracer.root.walk() if s.kind in ("job", "task")]
 
 
-class TestSpeculation:
-    def test_speculative_copy_beats_straggler(self):
+class TestLateWinner:
+    def test_reaped_attempt_that_returns_first_wins_and_cancels_the_relaunch(self):
+        """A reaped attempt that ignores its token can still return before
+        its relaunch does: its result wins and the relaunch is cancelled."""
+        state = {"attempts": 0}
+
+        def first_sleeps_relaunch_blocks(it):
+            values = list(it)
+            if 0 in values:
+                state["attempts"] += 1
+                if state["attempts"] == 1:
+                    time.sleep(0.5)  # ignores its token
+                else:
+                    cancellable_sleep(5.0)
+            return sum(values)
+
         with SparkContext(
-            "speculate",
+            "late-winner",
             parallelism=4,
             executor="threads",
             retry_backoff=0.0,
-            tracing=True,
-            speculation=True,
-            speculation_quantile=0.5,
-            speculation_multiplier=1.2,
+            task_timeout=0.3,
         ) as sc:
-            state = {"straggled": False}
-
-            def slow_once(it):
-                values = list(it)
-                if 0 in values and not state["straggled"]:
-                    state["straggled"] = True
-                    cancellable_sleep(30.0)  # the straggler; cancellable
-                return sum(values)
-
-            rdd = sc.parallelize(range(12), 6)
             start = time.perf_counter()
-            totals = sc.run_job(rdd, slow_once)
+            totals = sc.run_job(sc.parallelize(range(8), 4), first_sleeps_relaunch_blocks)
             elapsed = time.perf_counter() - start
 
-        with SparkContext("speculate-clean", executor="sequential") as clean_sc:
-            expected = clean_sc.run_job(
-                clean_sc.parallelize(range(12), 6), lambda it: sum(it)
-            )
-        assert totals == expected, "speculative result differs from fault-free run"
-        assert elapsed < 10.0, "speculation failed to rescue the straggler"
-        assert sc.metrics.tasks_speculated >= 1
-        assert sc.metrics.speculation_wins >= 1
-        assert sc.metrics.tasks_cancelled >= 1
-        assert sc.metrics.tasks_timed_out == 0
-        speculative_spans = [
-            span
-            for span in sc.tracer.root.walk()
-            if span.attrs.get("speculative")
-        ]
-        assert speculative_spans, "no speculative task span recorded"
-        cancelled_spans = [
-            span for span in sc.tracer.root.walk() if span.attrs.get("cancelled")
-        ]
-        assert cancelled_spans, "losing straggler span not marked cancelled"
+        with SparkContext("late-winner-clean", executor="sequential") as clean_sc:
+            expected = clean_sc.run_job(clean_sc.parallelize(range(8), 4), sum)
+        assert totals == expected
+        assert elapsed < 2.0, "the relaunch was waited for instead of cancelled"
+        assert state["attempts"] == 2
+        assert sc.metrics.tasks_timed_out == 1
+        assert sc.metrics.tasks_retried == 1
+        assert sc.metrics.tasks_cancelled == 1
+
+    def test_reaped_attempt_that_fails_late_is_charged_once(self):
+        """A reaped attempt's deadline is its one failure: raising after
+        it was reaped books nothing more and launches no second retry."""
+        state = {"attempts": 0}
+        relaunched = threading.Event()
+
+        def first_fails_once_relaunched(it):
+            values = list(it)
+            if 0 in values:
+                state["attempts"] += 1
+                if state["attempts"] == 1:
+                    relaunched.wait(5.0)  # ignores its token
+                    raise ValueError("late failure of a reaped attempt")
+                relaunched.set()
+                time.sleep(0.1)  # the late failure arrives first
+            return sum(values)
+
+        with SparkContext(
+            "late-failure",
+            parallelism=4,
+            executor="threads",
+            retry_backoff=0.0,
+            task_timeout=0.3,
+        ) as sc:
+            totals = sc.run_job(sc.parallelize(range(8), 4), first_fails_once_relaunched)
+
+        assert totals == [1, 5, 9, 13]
+        assert state["attempts"] == 2
+        assert sc.metrics.tasks_timed_out == 1
+        assert sc.metrics.tasks_failed == 1
+        assert sc.metrics.tasks_retried == 1
+        assert sc.metrics.tasks_cancelled == 0
 
 
 @pytest.mark.parametrize("executor", ["sequential", "threads"])

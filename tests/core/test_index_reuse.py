@@ -5,10 +5,9 @@ indexes under ``(mode, order, time_slices)`` until ``unpersist``.  One
 persisted RDD of mixed timed and untimed rows takes a drawn sequence of
 live filters (every mode, two orders, two slice counts), joins and kNN
 joins reading it as the right side, interleaved with ``unpersist``,
-re-``persist`` and a chaos plan on ``cache.get``; on both executors, and
-on ``sequential`` once more under a two-block LRU cache.  Every answer
-is checked against a nested loop, every served index against the key it
-was asked for, and without the LRU cap every build is counted: one per
+re-``persist`` and a chaos plan on ``cache.get``, on both executors.
+Every answer is checked against a nested loop, every served index
+against the key it was asked for, and every build is counted: one per
 partition the first time a key is used on the persisted RDD, none after
 it.
 """
@@ -142,8 +141,7 @@ def run_step(sc, rdd, step):
 
 
 def check_sequence(sc, sequence, counter):
-    """Run *sequence* on a fresh persisted RDD; *counter* (or ``None``)
-    checks every build."""
+    """Run *sequence* on a fresh persisted RDD; *counter* checks every build."""
     grid = GridPartitioner([key for key, _i in ROWS], 2)
     rdd = sc.parallelize(ROWS, 3).partition_by(grid).persist()
     partitions = rdd.glom().collect()
@@ -162,8 +160,7 @@ def check_sequence(sc, sequence, counter):
             rdd.persist()
             persisted = True
             continue
-        if counter is not None:
-            counter.take()
+        counter.take()
         # The first two block reads fail: within any task's retry budget.
         injector = (
             FaultInjector(seed=7).fail("cache.get", times=2, per_key=False) if chaos else None
@@ -172,10 +169,9 @@ def check_sequence(sc, sequence, counter):
             got, want, key = run_step(sc, rdd, step)
         chaos = False
         assert got == want, step
-        if counter is not None and persisted:
+        if persisted:
             builds = counter.take()
             assert builds == (0 if key in built else len(partitions)), (step, builds)
-        if persisted:
             built.add(key)
         # The index served for the key is the one that key builds.
         mode, order, slices = key
@@ -187,25 +183,22 @@ def check_sequence(sc, sequence, counter):
 
 
 CONFIGS = {
-    # executor, LRU cap, builds counted, examples
-    "sequential": ("sequential", None, True, 30),
-    "sequential-lru": ("sequential", 2, False, 10),
-    "threads": ("threads", None, True, 25),
+    # executor, examples
+    "sequential": ("sequential", 30),
+    "threads": ("threads", 25),
 }
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_index_reuse_matches_nested_loops(config, monkeypatch):
-    executor, lru, counted, examples = CONFIGS[config]
-    counter = BuildCounter() if counted else None
-    if counter is not None:
-        monkeypatch.setattr(repro.index, "build_partition_index", counter)
+    executor, examples = CONFIGS[config]
+    counter = BuildCounter()
+    monkeypatch.setattr(repro.index, "build_partition_index", counter)
     with SparkContext(
         f"index-reuse-{config}",
         parallelism=4,
         executor=executor,
         retry_backoff=0.0,
-        max_cache_entries=lru,
     ) as sc:
 
         @given(st.lists(steps, min_size=4, max_size=12))

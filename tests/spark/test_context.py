@@ -1,4 +1,4 @@
-"""Context lifecycle, caching, metrics, broadcast, accumulators, threading."""
+"""Context lifecycle, caching, metrics, broadcast, threading."""
 
 import sys
 import threading
@@ -211,24 +211,6 @@ class TestBroadcast:
             _ = b.value
 
 
-class TestAccumulator:
-    def test_add(self, sc):
-        acc = sc.accumulator(0)
-        sc.parallelize(range(10), 4).foreach_partition(lambda it: [acc.add(x) for x in it])
-        assert acc.value == 45
-
-    def test_iadd(self, sc):
-        acc = sc.accumulator(0)
-        acc += 5
-        assert acc.value == 5
-
-    def test_custom_op(self, sc):
-        acc = sc.accumulator(1, op=lambda a, b: a * b)
-        for value in [2, 3, 4]:
-            acc.add(value)
-        assert acc.value == 24
-
-
 class TestThreadedExecutor:
     def test_results_match_sequential(self, threaded_sc):
         rdd = threaded_sc.parallelize(range(1000), 16)
@@ -239,13 +221,6 @@ class TestThreadedExecutor:
         right = threaded_sc.parallelize([(i, str(i)) for i in range(5)], 4)
         joined = left.join(right).map_values(lambda t: t[1]).distinct()
         assert sorted(joined.collect()) == [(i, str(i)) for i in range(5)]
-
-    def test_accumulator_thread_safe(self, threaded_sc):
-        acc = threaded_sc.accumulator(0)
-        threaded_sc.parallelize(range(10_000), 16).foreach_partition(
-            lambda it: [acc.add(1) for _ in it]
-        )
-        assert acc.value == 10_000
 
     def test_cached_partitions_shared_across_threads(self, threaded_sc):
         rdd = threaded_sc.parallelize(range(100), 8).map(lambda x: x * x).cache()

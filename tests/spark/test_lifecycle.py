@@ -1,4 +1,4 @@
-"""Context lifecycle hardening: idempotent stop, LRU cache, shuffle locks."""
+"""Context lifecycle hardening: idempotent stop, block cache, shuffle locks."""
 
 import threading
 
@@ -37,42 +37,16 @@ class TestStopSemantics:
             context.parallelize(range(4), 2).count()
 
 
-class TestCacheLRU:
-    def test_unbounded_by_default(self):
-        with SparkContext("unbounded", executor="sequential") as sc:
+class TestBlockCache:
+    def test_blocks_stay_until_unpersisted(self):
+        with SparkContext("blocks-stay", executor="sequential") as sc:
             rdd = sc.parallelize(range(100), 10).persist()
             rdd.count()
-            assert len(sc._cache) == 10
-            assert sc.metrics.cache_evictions == 0
-
-    def test_cap_evicts_least_recently_used(self):
-        with SparkContext(
-            "lru", executor="sequential", max_cache_entries=2
-        ) as sc:
-            rdd = sc.parallelize(range(8), 4).persist()
-            assert sorted(rdd.collect()) == list(range(8))
-            assert len(sc._cache) == 2
-            assert sc.metrics.cache_evictions == 2
-            # Evicted blocks recompute from lineage; results unchanged.
-            assert sorted(rdd.collect()) == list(range(8))
-
-    def test_recent_block_survives_eviction(self):
-        with SparkContext(
-            "lru-order", executor="sequential", max_cache_entries=2
-        ) as sc:
-            a = sc.parallelize(range(4), 1).persist()
-            b = sc.parallelize(range(4, 8), 1).persist()
-            c = sc.parallelize(range(8, 12), 1).persist()
-            a.count()
-            b.count()
-            a.count()  # touch a: now b is the least recently used
-            c.count()  # evicts b's block
-            assert sc._cache.get(a.id, 0) is not None
-            assert sc._cache.get(b.id, 0) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SparkContext("bad", max_cache_entries=0)
+            other = sc.parallelize(range(8), 4).persist()
+            other.count()
+            assert len(sc._cache) == 14
+            rdd.unpersist()
+            assert len(sc._cache) == 4
 
 
 class TestPerCallCachesAreReleased:
