@@ -7,13 +7,12 @@ README's "Fault tolerance & chaos testing" section for a worked example.
 """
 
 from repro.chaos.crash import CrashHarness, SimulatedCrash, crash_points
-from repro.chaos.injector import SITES, FaultInjector, InjectedFault, inject
+from repro.chaos.injector import SITES, FaultInjector, InjectedFault
 
 __all__ = [
     "SITES",
     "FaultInjector",
     "InjectedFault",
-    "inject",
     "CrashHarness",
     "SimulatedCrash",
     "crash_points",

@@ -69,7 +69,7 @@ import threading
 from contextlib import contextmanager
 from typing import Hashable, Iterator
 
-from repro.spark.cancellation import cancellable_sleep, wait_cancelled
+from repro.spark.cancellation import cancellable_sleep
 
 #: The names an injection plan may target.
 SITES = frozenset(
@@ -238,9 +238,11 @@ class FaultInjector:
     ) -> "FaultInjector":
         """Register a hang plan: *site* blocks until cancelled.
 
-        The block waits on the current task's cancel token (see
-        :func:`wait_cancelled`); ``hang_limit`` caps it as a backstop
-        when no deadline machinery is configured.
+        The block is a cancellable sleep of ``hang_limit`` seconds on the
+        current task's cancel token (see
+        :func:`~repro.spark.cancellation.cancellable_sleep`), so a
+        deadline wakes it and the limit is a backstop when no deadline
+        machinery is configured.
         """
         return self._add_rule(site, times, probability, per_key, "hang", 0.0)
 
@@ -270,10 +272,7 @@ class FaultInjector:
                 break
         if slow is None:
             return
-        if slow.kind == "delay":
-            cancellable_sleep(slow.delay)
-        else:
-            wait_cancelled(self.hang_limit)
+        cancellable_sleep(slow.delay if slow.kind == "delay" else self.hang_limit)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -383,10 +382,3 @@ class FaultInjector:
     def __repr__(self) -> str:
         plans = {site: len(rules) for site, rules in self._rules.items()}
         return f"FaultInjector(seed={self.seed}, plans={plans})"
-
-
-@contextmanager
-def inject(context, injector: FaultInjector) -> Iterator[FaultInjector]:
-    """Module-level alias for ``injector.installed(context)``."""
-    with injector.installed(context) as installed:
-        yield installed

@@ -9,7 +9,6 @@ matching STARK's usage).
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 from repro.geometry.base import Geometry
 from repro.geometry.linestring import LineString
@@ -284,11 +283,3 @@ def to_wkt(geom: Geometry) -> str:
         body = ", ".join(to_wkt(g) for g in geom.geoms)
         return f"GEOMETRYCOLLECTION ({body})"
     raise TypeError(f"cannot serialize {type(geom).__name__} to WKT")
-
-
-def iter_wkt_lines(lines) -> Iterator[Geometry]:
-    """Parse an iterable of WKT lines, skipping blank lines."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield parse_wkt(line)

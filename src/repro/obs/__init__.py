@@ -5,7 +5,6 @@ See :mod:`repro.obs.tracer` for the span model and
 """
 
 from repro.obs.report import (
-    collect_failures,
     format_duration,
     render_span,
     render_trace,
@@ -17,7 +16,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
-    "collect_failures",
     "format_duration",
     "render_span",
     "render_trace",

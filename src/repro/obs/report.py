@@ -67,11 +67,6 @@ def render_span(span: "Span", indent: int = 0) -> list[str]:
     return lines
 
 
-def collect_failures(tracer: "Tracer") -> list["Span"]:
-    """All spans in the trace that failed, aborted or fell back."""
-    return [span for span in tracer.root.walk() if _is_troubled(span)]
-
-
 def render_trace(tracer: "Tracer") -> str:
     """Render a tracer's whole tree (top-level spans, no synthetic root)."""
     lines: list[str] = []

@@ -181,25 +181,15 @@ def eval_constant(expr: ast.Expr) -> Any:
 class PigletRuntime:
     """Executes Piglet programs against a :class:`SparkContext`.
 
-    With ``cost_based_planning=True``, spatial filters on keyed
-    relations go through :class:`repro.planner.QueryPlanner` instead of
-    the fixed live-index/scan routing: the planner picks the index mode
-    and predicate order per query, and ``EXPLAIN`` shows the decision.
-    Results are identical either way -- only the execution route moves.
+    A spatial filter on a keyed relation runs through the live index
+    when the script built one (``LIVEINDEX``) and as a pruned scan
+    otherwise: the script, not a cost model, picks the route.
     """
 
-    def __init__(
-        self,
-        context: SparkContext,
-        output=None,
-        cost_based_planning: bool = False,
-    ) -> None:
+    def __init__(self, context: SparkContext, output=None) -> None:
         self.context = context
         self.relations: dict[str, Relation] = {}
         self._output = output  # file-like sink for DUMP/DESCRIBE; None = stdout
-        self.cost_based_planning = cost_based_planning
-        #: alias -> FilterPlan chosen when that alias was filtered.
-        self.filter_plans: dict[str, Any] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -269,11 +259,6 @@ class PigletRuntime:
             )
         else:
             self._print("  no spatial metadata: filters evaluate row-by-row")
-        chosen = self.filter_plans.get(alias)
-        if chosen is not None:
-            self._print("  cost-based plan:")
-            for line in chosen.explain().splitlines():
-                self._print(f"    {line}")
         self._print("  lineage:")
         for line in rel.rdd.to_debug_string().splitlines():
             self._print(f"    {line}")
@@ -348,9 +333,7 @@ class PigletRuntime:
             op.condition, source.spatial_key, eval_constant
         )
         if plan is not None and source.keyed is not None:
-            if self.cost_based_planning:
-                filtered = self._filter_cost_based(alias, source, plan)
-            elif source.index_order is not None:
+            if source.index_order is not None:
                 filtered = filter_ops.filter_live_index(
                     source.keyed, plan.query, plan.predicate, source.index_order
                 )
@@ -367,26 +350,6 @@ class PigletRuntime:
             keyed=None,
             spatial_key=None,
             index_order=None,
-        )
-
-    def _filter_cost_based(
-        self, alias: str, source: Relation, plan: "planner.SpatialFilterPlan"
-    ) -> RDD:
-        """Route one matched spatial filter through the cost-based planner.
-
-        The chosen :class:`repro.planner.FilterPlan` is remembered under
-        *alias* so a later ``EXPLAIN alias`` can show the decision.
-        """
-        from repro.planner import QueryPlanner
-
-        query_planner = QueryPlanner(
-            self.context,
-            index_order=source.index_order or 10,
-        )
-        chosen = query_planner.plan_filter(source.keyed, plan.query, plan.predicate)
-        self.filter_plans[alias] = chosen
-        return query_planner.execute(
-            source.keyed, plan.query, plan.predicate, plan=chosen
         )
 
     def _op_group(self, alias: str, op: ast.Group) -> Relation:

@@ -1,36 +1,29 @@
-"""Cost-based query planning for spatio-temporal operations.
+"""Cost-based query planning for spatio-temporal filters.
 
 STARK picks its execution strategy manually: the program author decides
-whether to index, which partitioner to use, and the predicate order is
-fixed (spatial first).  This package closes that gap with a small
-optimizer in three layers:
+whether to index and which partitioner to use, and the predicate order
+is fixed (spatial first).  This package adds one planned route on top:
+for a filter, it picks the index mode and the clause order, in three
+layers:
 
 - :mod:`~repro.planner.stats` -- reservoir-sampled dataset statistics
-  (cardinality, spatial extent and skew, temporal extent and
-  selectivity, per-partition cardinalities) collected with one cheap
-  job,
+  (cardinality, spatial extent, temporal extent and selectivity)
+  collected with one cheap job,
 - :mod:`~repro.planner.cost` -- an analytical cost model comparing the
   candidate strategies: plain scan vs live index in each mode
   (``spatial`` / ``temporal`` / ``3d``), spatial-first vs
   temporal-first refinement,
 - :mod:`~repro.planner.planner` -- :class:`QueryPlanner`, which turns
-  statistics + cost estimates into executable :class:`FilterPlan`s
-  (plus advisory join/kNN plans and partitioner recommendations), each
-  carrying a human-readable ``explain()``.
+  statistics + cost estimates into executable :class:`FilterPlan`s,
+  each carrying a human-readable ``explain()``.
 
 Entry points: ``spatial(rdd).plan(query)``, ``.explain(query)`` and
-``.filter_planned(query)`` on any spatial RDD, and
-``PigletRuntime(sc, cost_based_planning=True)`` for scripts.
+``.filter_planned(query)`` on any spatial RDD.  The partitioner stays
+the program author's choice.
 """
 
 from repro.planner.cost import CostConstants, CostModel, PlanEstimate
-from repro.planner.planner import (
-    FilterPlan,
-    JoinPlan,
-    KnnPlan,
-    PartitionerHint,
-    QueryPlanner,
-)
+from repro.planner.planner import FilterPlan, QueryPlanner
 from repro.planner.stats import DatasetStatistics, collect_statistics
 
 __all__ = [
@@ -38,9 +31,6 @@ __all__ = [
     "CostModel",
     "DatasetStatistics",
     "FilterPlan",
-    "JoinPlan",
-    "KnnPlan",
-    "PartitionerHint",
     "PlanEstimate",
     "QueryPlanner",
     "collect_statistics",

@@ -189,10 +189,6 @@ class CostModel:
         estimates.sort(key=lambda e: (e.cost, e.strategy))
         return estimates
 
-    def best_filter(self, *args, **kwargs) -> PlanEstimate:
-        """The cheapest strategy from :meth:`filter_estimates`."""
-        return self.filter_estimates(*args, **kwargs)[0]
-
     def with_constants(self, **overrides) -> "CostModel":
         """A copy of the model with some constants replaced."""
         return CostModel(constants=replace(self.constants, **overrides))

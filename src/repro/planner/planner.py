@@ -14,16 +14,15 @@ so a wrong cost estimate can only cost time, never correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core import filter as filter_ops
-from repro.core import join as join_ops
-from repro.core import knn as knn_ops
 from repro.core.predicates import STPredicate
+from repro.core.spatial_rdd import DEFAULT_INDEX_ORDER
 from repro.core.stobject import STObject
 from repro.core.summaries import driver_memo
-from repro.index import INDEX_MODES, partition_index
+from repro.index import INDEX_MODES
 from repro.planner.cost import CostModel, PlanEstimate
 from repro.planner.stats import DatasetStatistics, collect_statistics
 
@@ -33,64 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Below this many rows, index builds never amortize; scan directly.
 SMALL_DATASET_ROWS = 64
-
-#: Spatial-skew threshold above which a uniform grid loses to
-#: cost-balancing partitioners (0.25 = perfectly uniform sample).
-SKEW_THRESHOLD = 0.45
-
-#: A query is "temporally selective" below this estimated selectivity.
-TEMPORAL_SELECTIVITY_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class PartitionerHint:
-    """A partitioner recommendation: which kind, and why.
-
-    ``kind`` is one of ``"grid"``, ``"bsp"``, ``"quadtree"``,
-    ``"temporal"``, ``"spatio-temporal"`` or ``"none"`` (keep whatever
-    partitioning exists).
-    """
-
-    kind: str
-    reason: str
-
-
-def recommend_partitioner(
-    stats: DatasetStatistics, query_timed: bool, temporal_selectivity: float
-) -> PartitionerHint:
-    """Pick a partitioner family from the dataset's shape.
-
-    Skewed spatial distributions favor cost-balancing splits (BSP /
-    quadtree) over a uniform grid; datasets that are almost entirely
-    timed and queried with selective windows favor temporal slicing --
-    combined with a spatial split when the data is also skewed.
-    """
-    if stats.count < SMALL_DATASET_ROWS:
-        return PartitionerHint("none", f"only {stats.count} rows; not worth a shuffle")
-    skew = stats.spatial_skew()
-    mostly_timed = stats.timed_fraction > 0.9
-    selective = query_timed and temporal_selectivity < TEMPORAL_SELECTIVITY_THRESHOLD
-    if mostly_timed and selective:
-        if skew > SKEW_THRESHOLD:
-            return PartitionerHint(
-                "spatio-temporal",
-                f"{stats.timed_fraction:.0%} timed rows, selective window, "
-                f"spatial skew {skew:.2f}: split in space and time",
-            )
-        return PartitionerHint(
-            "temporal",
-            f"{stats.timed_fraction:.0%} timed rows and a selective time "
-            "window: whole slices prune before any task runs",
-        )
-    if skew > SKEW_THRESHOLD:
-        return PartitionerHint(
-            "bsp",
-            f"spatial skew {skew:.2f} (densest quadrant share): "
-            "cost-balanced binary splits beat a uniform grid",
-        )
-    return PartitionerHint(
-        "grid", f"near-uniform distribution (skew {skew:.2f}): grid cells suffice"
-    )
 
 
 def _render_estimate(e: PlanEstimate, chosen: bool) -> str:
@@ -111,10 +52,8 @@ class FilterPlan:
     estimate: PlanEstimate
     alternatives: list[PlanEstimate]
     stats: DatasetStatistics
-    partitioner_hint: PartitionerHint
     spatial_selectivity: float
     temporal_selectivity: float
-    index_order: int = 10
 
     @property
     def strategy(self) -> str:
@@ -139,93 +78,30 @@ class FilterPlan:
             f"({s.num_partitions} partitions)",
             f"  statistics: timed={s.timed_fraction:.0%}  "
             f"spatial_sel~{self.spatial_selectivity:.3f}  "
-            f"temporal_sel~{self.temporal_selectivity:.3f}  "
-            f"skew={s.spatial_skew():.2f}",
+            f"temporal_sel~{self.temporal_selectivity:.3f}",
             "  strategies considered:",
         ]
         lines.append(_render_estimate(self.estimate, chosen=True))
         lines.extend(_render_estimate(e, chosen=False) for e in self.alternatives)
-        lines.append(
-            f"  partitioner hint: {self.partitioner_hint.kind} "
-            f"({self.partitioner_hint.reason})"
-        )
         return "\n".join(lines)
 
 
-@dataclass
-class JoinPlan:
-    """An advisory join strategy (index order + partitioner family)."""
-
-    index_order: int | None
-    partitioner_hint: PartitionerHint
-    left_count: int
-    right_count: int
-    reason: str
-
-    def explain(self) -> str:
-        """A human-readable rendering of the join recommendation."""
-        indexing = (
-            f"live index (order {self.index_order}) on the right side"
-            if self.index_order is not None
-            else "nested-loop per partition pair (no index)"
-        )
-        return "\n".join(
-            [
-                f"JoinPlan over {self.left_count} x {self.right_count} rows",
-                f"  indexing: {indexing}",
-                f"  reason: {self.reason}",
-                f"  partitioner hint: {self.partitioner_hint.kind} "
-                f"({self.partitioner_hint.reason})",
-            ]
-        )
-
-
-@dataclass
-class KnnPlan:
-    """An advisory kNN strategy (scan vs persistent index probing)."""
-
-    use_index: bool
-    partitioner_hint: PartitionerHint
-    count: int
-    k: int
-    reason: str
-
-    def explain(self) -> str:
-        """A human-readable rendering of the kNN recommendation."""
-        route = (
-            "probe per-partition trees (persistent index)"
-            if self.use_index
-            else "scan with per-partition top-k"
-        )
-        return "\n".join(
-            [
-                f"KnnPlan for k={self.k} over {self.count} rows",
-                f"  route: {route}",
-                f"  reason: {self.reason}",
-                f"  partitioner hint: {self.partitioner_hint.kind} "
-                f"({self.partitioner_hint.reason})",
-            ]
-        )
-
-
 class QueryPlanner:
-    """Plans and executes spatio-temporal operations cost-based.
+    """Plans and executes spatio-temporal filters cost-based.
 
     One planner instance can serve many queries; statistics are memoized
     per RDD, and a persisted RDD's built indexes are priced as built.
+    Live indexes use order :data:`~repro.core.spatial_rdd.
+    DEFAULT_INDEX_ORDER`; *model* swaps in other cost constants.
     """
 
     def __init__(
         self,
         context: "SparkContext",
         model: CostModel | None = None,
-        sample_target: int = 512,
-        index_order: int = 10,
     ) -> None:
         self._context = context
         self._model = model or CostModel()
-        self._sample_target = sample_target
-        self._index_order = index_order
 
     @property
     def model(self) -> CostModel:
@@ -234,7 +110,7 @@ class QueryPlanner:
 
     def statistics(self, rdd: "RDD") -> DatasetStatistics:
         """Collect statistics for *rdd* (one job)."""
-        return collect_statistics(rdd, self._sample_target)
+        return collect_statistics(rdd)
 
     def plan_filter(
         self,
@@ -267,7 +143,7 @@ class QueryPlanner:
             partitions=stats.num_partitions,
             repetitions=repetitions,
             cached_modes=frozenset(
-                m for m in INDEX_MODES if (m, self._index_order, None) in memo
+                m for m in INDEX_MODES if (m, DEFAULT_INDEX_ORDER, None) in memo
             ),
         )
         if require_index:
@@ -287,10 +163,8 @@ class QueryPlanner:
             estimate=best,
             alternatives=alternatives,
             stats=stats,
-            partitioner_hint=recommend_partitioner(stats, query_timed, st),
             spatial_selectivity=ss,
             temporal_selectivity=st,
-            index_order=self._index_order,
         )
 
     def execute(
@@ -313,102 +187,7 @@ class QueryPlanner:
             rdd,
             plan.query,
             plan.predicate,
-            plan.index_order,
+            DEFAULT_INDEX_ORDER,
             mode=plan.mode,
             temporal_first=plan.temporal_first,
         )
-
-    def plan_join(
-        self,
-        left: "RDD",
-        right: "RDD",
-        predicate: STPredicate,
-        left_stats: DatasetStatistics | None = None,
-        right_stats: DatasetStatistics | None = None,
-    ) -> JoinPlan:
-        """Recommend a join strategy (advisory; join results never change)."""
-        left_stats = left_stats or self.statistics(left)
-        right_stats = right_stats or self.statistics(right)
-        pairs = left_stats.count * right_stats.count
-        if pairs < SMALL_DATASET_ROWS * SMALL_DATASET_ROWS:
-            order = None
-            reason = (
-                f"{pairs} candidate pairs: nested loops beat the build cost"
-            )
-        else:
-            order = self._index_order
-            reason = (
-                f"{pairs} candidate pairs: index the right side once per "
-                "partition pair"
-            )
-        timed = min(left_stats.timed_fraction, right_stats.timed_fraction)
-        hint = recommend_partitioner(
-            right_stats if right_stats.count > left_stats.count else left_stats,
-            query_timed=timed > 0.9,
-            temporal_selectivity=0.0 if timed > 0.9 else 1.0,
-        )
-        return JoinPlan(
-            index_order=order,
-            partitioner_hint=hint,
-            left_count=left_stats.count,
-            right_count=right_stats.count,
-            reason=reason,
-        )
-
-    def execute_join(
-        self,
-        left: "RDD",
-        right: "RDD",
-        predicate: STPredicate,
-        plan: JoinPlan | None = None,
-    ) -> "RDD":
-        """Run the (given or freshly computed) join plan."""
-        plan = plan or self.plan_join(left, right, predicate)
-        return join_ops.spatial_join(
-            left, right, predicate, index_order=plan.index_order
-        )
-
-    def plan_knn(
-        self,
-        rdd: "RDD",
-        query: STObject,
-        k: int,
-        stats: DatasetStatistics | None = None,
-    ) -> KnnPlan:
-        """Recommend a kNN route for *query* over *rdd*."""
-        stats = stats or self.statistics(rdd)
-        # Index probing pays off when the data dwarfs the result: the
-        # tree touches O(log n + k) entries per partition vs n for scan.
-        use_index = stats.count > max(
-            SMALL_DATASET_ROWS, 50 * max(1, k)
-        )
-        reason = (
-            f"{stats.count} rows >> k={k}: tree descent prunes most entries"
-            if use_index
-            else f"{stats.count} rows with k={k}: scanning is already cheap"
-        )
-        return KnnPlan(
-            use_index=use_index,
-            partitioner_hint=recommend_partitioner(
-                stats, query_timed=False, temporal_selectivity=1.0
-            ),
-            count=stats.count,
-            k=k,
-            reason=reason,
-        )
-
-    def execute_knn(
-        self,
-        rdd: "RDD",
-        query: STObject,
-        k: int,
-        plan: KnnPlan | None = None,
-    ) -> knn_ops.KnnResult:
-        """Run the (given or freshly computed) kNN plan."""
-        plan = plan or self.plan_knn(rdd, query, k)
-        if plan.use_index:
-            from repro.core.spatial_rdd import IndexedSpatialRDD
-
-            trees = partition_index(rdd, self._index_order)
-            return IndexedSpatialRDD(trees).knn(query, k)
-        return knn_ops.knn(rdd, query, k)

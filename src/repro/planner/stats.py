@@ -45,7 +45,6 @@ class DatasetStatistics:
 
     count: int
     num_partitions: int
-    partition_cardinalities: list[int]
     spatial_extent: Envelope
     temporal_extent: Interval | None
     timed_count: int
@@ -86,31 +85,6 @@ class DatasetStatistics:
             and time.start <= key.time.end
         )
         return hits / len(self.sample)
-
-    def spatial_skew(self) -> float:
-        """The sample share of the densest quadrant of the extent.
-
-        0.25 means perfectly uniform; 1.0 means everything clusters in
-        one quadrant.  Drives the grid-vs-BSP/quadtree recommendation.
-        """
-        if not self.sample or self.spatial_extent.is_empty:
-            return 0.25
-        ext = self.spatial_extent
-        mid_x = (ext.min_x + ext.max_x) / 2.0
-        mid_y = (ext.min_y + ext.max_y) / 2.0
-        quadrants = [0, 0, 0, 0]
-        for key in self.sample:
-            env = key.geo.envelope
-            cx = (env.min_x + env.max_x) / 2.0
-            cy = (env.min_y + env.max_y) / 2.0
-            quadrants[(cx > mid_x) * 2 + (cy > mid_y)] += 1
-        return max(quadrants) / len(self.sample)
-
-    def mean_partition_cardinality(self) -> float:
-        """Average rows per partition (0 for an empty dataset)."""
-        if not self.partition_cardinalities:
-            return 0.0
-        return self.count / len(self.partition_cardinalities)
 
 
 def _sample_partition(
@@ -164,7 +138,6 @@ def collect_statistics(
     return DatasetStatistics(
         count=sum(s.count for s in summaries),
         num_partitions=len(summaries),
-        partition_cardinalities=[s.count for s in summaries],
         spatial_extent=envelope,
         temporal_extent=Interval(t_lo, t_hi) if t_lo <= t_hi else None,
         timed_count=sum(s.timed for s in summaries),

@@ -14,8 +14,8 @@ scheduler threads into every task attempt:
   it through a :class:`Heartbeat` (or :func:`current_token` directly)
   and raise :class:`TaskCancelledError` promptly when cancelled;
 - blocking waits (retry backoff, chaos delays/hangs) go through
-  :func:`cancellable_sleep` / :func:`wait_cancelled`, which wake the
-  moment the token is cancelled instead of sleeping through it.
+  :func:`cancellable_sleep`, which wakes the moment the token is
+  cancelled instead of sleeping through it.
 
 Cancellation is *cooperative*: a task stuck in code that neither polls
 nor waits on its token cannot be preempted (Python threads cannot be
@@ -233,17 +233,3 @@ def cancellable_sleep(seconds: float, token: CancelToken | None = None) -> None:
         return
     if token.wait(seconds):
         token.check()
-
-
-def wait_cancelled(limit: float, token: CancelToken | None = None) -> None:
-    """Block until the task is cancelled (then raise), up to *limit* seconds.
-
-    The implementation of an injected *hang*: the task stalls
-    indefinitely from the scheduler's point of view, but remains
-    cooperatively cancellable -- a deadline, a lost race or a
-    ``cancel_all_jobs()`` wakes it immediately.  The hard *limit* is a
-    backstop so a hang injected into a run with no deadlines configured
-    eventually returns instead of wedging the process; callers treat
-    hitting the limit as the hang "ending".
-    """
-    cancellable_sleep(limit, token)

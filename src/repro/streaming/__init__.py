@@ -80,13 +80,12 @@ from repro.streaming.checkpoint import (
     read_wal,
 )
 from repro.streaming.context import (
-    STRAGGLER_POLICIES,
     StreamingContext,
     StreamingError,
     StreamMetrics,
 )
 from repro.streaming.dlq import DeadLetterQueue, dlq_replay
-from repro.streaming.recovery import RecoveryReport, build_snapshot, restore_context
+from repro.streaming.recovery import RecoveryReport, build_snapshot
 from repro.streaming.dstream import (
     ContinuousWindowedStream,
     DStream,
@@ -126,7 +125,6 @@ from repro.streaming.state import (
 from repro.streaming.window import Window, WindowSpec, event_span
 
 __all__ = [
-    "STRAGGLER_POLICIES",
     "StreamingContext",
     "StreamingError",
     "StreamMetrics",
@@ -161,7 +159,6 @@ __all__ = [
     "load_latest_checkpoint",
     "RecoveryReport",
     "build_snapshot",
-    "restore_context",
     "WindowSink",
     "EventFileSink",
     "GeoJSONSink",

@@ -6,28 +6,27 @@ Every batch, live or replayed by recovery, runs through
 one place the streaming package reaches :mod:`repro.obs`) recording
 records, queue depth, attempts and outcome:
 
-- the **retry envelope** mirrors the task scheduler's: non-timeout
-  failures (the ``batch.run`` chaos site among them) re-run the whole
-  batch up to ``max_batch_failures`` attempts -- window absorption is
-  idempotent per batch id, so a retry cannot double-count;
-- a per-batch **deadline** is a :class:`CancelToken` a watchdog timer
-  cancels, so every job the batch launches aborts cooperatively; the
-  *straggler policy* then drops the batch (``"skip"``) or stops the
-  stream (``"fail"``);
+- the **retry envelope** mirrors the task scheduler's: failures (the
+  ``batch.run`` chaos site among them) re-run the whole batch up to
+  ``max_batch_failures`` attempts -- window absorption is idempotent
+  per batch id, so a retry cannot double-count;
 - with a DLQ, a batch that exhausts its attempts gets a **poison
   probe**: records that crash a transformation chain on their own are
   quarantined with provenance and the cleaned batch is retried;
+- a batch that still fails is counted in ``batches_failed`` and the
+  stream goes on.  The stream has no deadline of its own: a scheduler
+  deadline (``SparkContext(task_timeout=, job_timeout=)``) that aborts
+  one of the batch's jobs fails the batch at once -- no retry, no
+  poison probe;
 - after every batch :meth:`BatchCore.refresh` mirrors the consumers'
   and sinks' counters into the metrics.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import TYPE_CHECKING
 
-from repro.spark.cancellation import KIND_TIMEOUT, CancelToken, TaskCancelledError, task_scope
 from repro.spark.errors import JobAbortedError, TaskTimeoutError
 from repro.streaming.sinks import WindowSink
 
@@ -39,16 +38,8 @@ if TYPE_CHECKING:
 class BatchCore:
     """A context's processing core (see module doc)."""
 
-    def __init__(
-        self,
-        ssc: StreamingContext,
-        batch_timeout: float | None,
-        straggler_policy: str,
-        max_batch_failures: int,
-    ) -> None:
+    def __init__(self, ssc: StreamingContext, max_batch_failures: int) -> None:
         self._ssc = ssc
-        self.batch_timeout = batch_timeout
-        self.straggler_policy = straggler_policy
         self.max_batch_failures = max_batch_failures
         #: ``(batch_id, records, latency_s, queue_depth)`` per processed
         #: batch -- latency measured from poll to completion, so queued
@@ -60,11 +51,10 @@ class BatchCore:
     def process(self, batch: _Batch) -> bool:
         """Run one batch through outputs and windows; True if it completed.
 
-        A deadline overrun goes straight to the straggler policy; other
-        failures retry, then (with a DLQ) get one poison probe and a
-        fresh attempt budget for the cleaned batch -- at most once per
-        batch.  Under ``"fail"`` a terminal failure records the stream's
-        error and every later drive call raises it.
+        A failure retries; once the attempts are spent, a batch with
+        records gets one poison probe (with a DLQ) and a fresh attempt
+        budget for the cleaned batch -- at most once per batch.  A
+        deadline abort from the scheduler is terminal at once.
         """
         ssc = self._ssc
         tracer = ssc.spark_context.tracer
@@ -82,27 +72,19 @@ class BatchCore:
             attempt = 0
             while True:
                 attempt += 1
-                token = CancelToken()
-                timer: threading.Timer | None = None
-                if self.batch_timeout is not None:
-                    why = (f"batch timeout after {self.batch_timeout:g}s", KIND_TIMEOUT)
-                    timer = threading.Timer(self.batch_timeout, token.cancel, args=why)
-                    timer.daemon = True
-                    timer.start()
                 try:
-                    with task_scope(token):
-                        if injector is not None:
-                            injector.check("batch.run", key=batch.batch_id)
-                        base = {
-                            node_id: ssc._batch_rdd(rows)
-                            for node_id, rows in batch.records.items()
-                        }
-                        for node, fn in ssc._outputs:
-                            fn(batch.batch_id, node._compute(base))
-                        for consumer in ssc._windows:
-                            rows = consumer.node._compute(base).collect()
-                            consumer.absorb(batch.batch_id, rows, batch.time)
-                        fired = self._fire(batch.batch_id, token=token)
+                    if injector is not None:
+                        injector.check("batch.run", key=batch.batch_id)
+                    base = {
+                        node_id: ssc._batch_rdd(rows)
+                        for node_id, rows in batch.records.items()
+                    }
+                    for node, fn in ssc._outputs:
+                        fn(batch.batch_id, node._compute(base))
+                    for consumer in ssc._windows:
+                        rows = consumer.node._compute(base).collect()
+                        consumer.absorb(batch.batch_id, rows, batch.time)
+                    fired = self._fire(batch.batch_id)
                     ssc.metrics.batches_run += 1
                     ssc.metrics.records_processed += batch.total_records
                     ssc._recovery.maybe_checkpoint(batch.batch_id)
@@ -115,7 +97,11 @@ class BatchCore:
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except BaseException as exc:
-                    timed_out = self._timed_out(exc, token)
+                    # A scheduler deadline (``sc.job_timeout`` or
+                    # exhausted task timeouts) aborted one of its jobs.
+                    timed_out = isinstance(exc, JobAbortedError) and isinstance(
+                        exc.cause, TaskTimeoutError
+                    )
                     if not timed_out and attempt < self.max_batch_failures:
                         ssc.metrics.batch_retries += 1
                         span.note_failure(f"{type(exc).__name__}: {exc}")
@@ -132,25 +118,15 @@ class BatchCore:
                         quarantined = True
                         attempt = 0
                         continue
-                    # Terminal: an overrun deadline or exhausted attempts.
+                    # Terminal: a deadline abort or exhausted attempts.
                     ssc.metrics.records_failed += batch.total_records
+                    ssc.metrics.batches_failed += 1
+                    span.attrs["failed"] = True
                     if timed_out:
-                        ssc.metrics.batches_skipped += 1
-                        span.attrs["skipped"] = True
                         span.attrs["timeout"] = True
-                        reason = f"exceeded its {self.batch_timeout:g}s deadline"
-                    else:
-                        ssc.metrics.batches_failed += 1
-                        span.attrs["failed"] = True
-                        span.note_failure(f"{type(exc).__name__}: {exc}")
-                        reason = f"failed after {attempt} attempt(s): {exc}"
+                    span.note_failure(f"{type(exc).__name__}: {exc}")
                     self._record_latency(batch)
-                    if self.straggler_policy == "fail":
-                        ssc._fail(f"batch {batch.batch_id} {reason}", exc)
                     return False
-                finally:
-                    if timer is not None:
-                        timer.cancel()
 
     def flush(self) -> None:
         """Close and fire every still-open window (stream shutdown)."""
@@ -163,42 +139,19 @@ class BatchCore:
         # the record out and never re-delivers the flushed windows.
         self._fire(self._ssc._ingest.next_batch_id, flush=True)
 
-    def _fire(
-        self, commit_id: int, flush: bool = False, token: CancelToken | None = None
-    ) -> int:
+    def _fire(self, commit_id: int, flush: bool = False) -> int:
         """Fire the consumers' ready windows (every open one when
         *flush*), count them, refresh the mirrors, and
         commit the emitted-window ledger under *commit_id*.
-
-        A batch passes its *token*: a deadline that expired while the
-        windows fired fails the attempt before anything is counted.
         """
         ssc = self._ssc
         fired = 0
         for consumer in ssc._windows:
             fired += consumer.flush(ssc) if flush else consumer.fire(ssc)
-        if token is not None:
-            token.check()
         ssc.metrics.windows_emitted += fired
         self.refresh()
         ssc._recovery.commit_emits(commit_id)
         return fired
-
-    @staticmethod
-    def _timed_out(exc: BaseException, token: CancelToken) -> bool:
-        """Did this failure come from a deadline rather than a fault?
-
-        Covers the batch's own deadline (the token the watchdog
-        cancelled) and job-level deadline aborts bubbling up from the
-        scheduler (``sc.job_timeout`` / exhausted task timeouts).
-        """
-        if token.cancelled and token.kind == KIND_TIMEOUT:
-            return True
-        if isinstance(exc, JobAbortedError):
-            exc = exc.cause
-            if isinstance(exc, TaskTimeoutError):
-                return True
-        return isinstance(exc, TaskCancelledError) and exc.kind == KIND_TIMEOUT
 
     def refresh(self) -> None:
         """Mirror the consumers' lateness and the sinks' delivery counters."""

@@ -7,8 +7,8 @@ engine.  A context is that loop, split along the decisions it makes:
 :mod:`repro.streaming.ingest` polls, journals and admits (blocking
 when the bounded pending queue is full),
 :mod:`repro.streaming.batch` runs each batch on the wrapped
-:class:`~repro.spark.context.SparkContext` under its retry envelope,
-deadline and poison quarantine, and :mod:`repro.streaming.recovery`
+:class:`~repro.spark.context.SparkContext` under its retry envelope
+and poison quarantine, and :mod:`repro.streaming.recovery`
 makes the stream crash-recoverable with a ``checkpoint_dir``.  Windows
 a sink cannot deliver and records that crash the pipeline on their own
 go to the dead-letter queue under ``dlq_dir``.
@@ -47,13 +47,10 @@ from repro.streaming.sources import (
 )
 from repro.streaming.state import StoreBackedConsumer
 
-#: The straggler policies: drop an overdue batch, or stop the stream.
-STRAGGLER_POLICIES = ("skip", "fail")
-
-
 class StreamingError(RuntimeError):
-    """A stream-level failure (a batch exhausted its attempts under the
-    ``"fail"`` policy, or the stream was driven after stopping)."""
+    """A stream-level failure (the threaded drive could not journal or
+    process a batch, a checkpoint could not be restored, or the stream
+    was driven after stopping)."""
 
 
 @dataclass
@@ -70,10 +67,9 @@ class StreamMetrics:
 
     #: Batches fully processed (outputs ran, window state committed).
     batches_run: int = 0
-    #: Batches abandoned after exhausting ``max_batch_failures``.
+    #: Batches abandoned after exhausting ``max_batch_failures`` or
+    #: aborted by a scheduler deadline.
     batches_failed: int = 0
-    #: Batches dropped by the straggler policy (deadline overrun).
-    batches_skipped: int = 0
     #: Re-runs of failed batches (attempt 2 and later).
     batch_retries: int = 0
     #: Source polls attempted (one per source per tick).
@@ -112,8 +108,7 @@ class StreamMetrics:
     batches_replayed: int = 0
     #: Records carried by batches that completed processing.
     records_processed: int = 0
-    #: Records carried by batches that terminally failed or were
-    #: dropped by the straggler policy.
+    #: Records carried by batches that terminally failed.
     records_failed: int = 0
     #: Records the poison probe quarantined to the dead-letter queue.
     records_quarantined: int = 0
@@ -157,16 +152,11 @@ class StreamingContext:
     max_pending_batches:
         Bound of the pending-batch queue between poller and processor;
         a full queue blocks the poller (the backpressure knob).
-    batch_timeout:
-        Per-batch deadline in seconds (None disables).  Overruns are
-        handled by *straggler_policy*.
-    straggler_policy:
-        ``"skip"`` drops an overdue batch and keeps going (counted in
-        ``metrics.batches_skipped``); ``"fail"`` stops the stream with
-        a :class:`StreamingError`.
     max_batch_failures:
-        Attempts a batch gets before it counts as failed (timeouts are
-        not retried -- the straggler policy owns those).
+        Attempts a batch gets before it counts as failed and the stream
+        moves on.  A scheduler deadline (*sc*'s ``task_timeout`` /
+        ``job_timeout``) that aborts one of the batch's jobs fails it
+        at once; the stream has no deadline of its own.
     num_slices:
         Partitions per batch RDD (default: the context's parallelism,
         capped by the batch's record count).
@@ -188,8 +178,6 @@ class StreamingContext:
         sc: SparkContext,
         batch_interval: float = 0.1,
         max_pending_batches: int = 4,
-        batch_timeout: float | None = None,
-        straggler_policy: str = "skip",
         max_batch_failures: int = 2,
         num_slices: int | None = None,
         checkpoint_dir: str | None = None,
@@ -200,13 +188,6 @@ class StreamingContext:
             raise ValueError(f"batch_interval must be positive, got {batch_interval}")
         if max_pending_batches < 1:
             raise ValueError(f"max_pending_batches must be >= 1, got {max_pending_batches}")
-        if batch_timeout is not None and batch_timeout <= 0:
-            raise ValueError(f"batch_timeout must be positive, got {batch_timeout}")
-        if straggler_policy not in STRAGGLER_POLICIES:
-            raise ValueError(
-                f"straggler_policy must be one of {STRAGGLER_POLICIES}, "
-                f"got {straggler_policy!r}"
-            )
         if max_batch_failures < 1:
             raise ValueError(f"max_batch_failures must be >= 1, got {max_batch_failures}")
         if num_slices is not None and num_slices < 1:
@@ -222,7 +203,7 @@ class StreamingContext:
         self._windows: list[StoreBackedConsumer] = []
         self._dlq = DeadLetterQueue(dlq_dir) if dlq_dir is not None else None
         self._ingest = Ingest(self, max_pending_batches)
-        self._core = BatchCore(self, batch_timeout, straggler_policy, max_batch_failures)
+        self._core = BatchCore(self, max_batch_failures)
         self._recovery = Recovery(self, checkpoint_dir, checkpoint_interval)
         self._stopped = False
         self._started = False
@@ -345,8 +326,7 @@ class StreamingContext:
 
         The processing half of :meth:`run_batch`; drains the whole
         queue when *max_batches* is None.  Returns how many batches
-        completed.  Under the ``"fail"`` policy a failed batch raises,
-        exactly like :meth:`run_batch`.
+        completed.
         """
         self._check_drivable()
         completed = taken = 0
@@ -357,9 +337,6 @@ class StreamingContext:
                 break
             taken += 1
             completed += bool(self._core.process(batch))
-            if self._error is not None:
-                self._stop_threads_only()
-                raise self._error
         return completed
 
     def run_batch(self, batch_time: float | None = None) -> bool:
@@ -367,8 +344,7 @@ class StreamingContext:
 
         *batch_time* is the event-time fallback for untimed records
         (default: wall clock).  Returns True when the batch completed,
-        False when it was skipped or failed under the ``"skip"``
-        policy; under ``"fail"`` a failed batch raises.
+        False when it failed (see ``metrics.batches_failed``).
         """
         self.poll_once(batch_time)
         return self.process_pending() > 0
@@ -485,10 +461,7 @@ class StreamingContext:
             return
         self._stop_threads_only()
         if drain and self._error is None:
-            try:
-                self.process_pending()
-            except StreamingError:
-                pass  # a batch failed under "fail": the error stays recorded
+            self.process_pending()
         if flush and self._error is None:
             self._core.flush()
         for node in self._inputs:

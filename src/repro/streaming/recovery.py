@@ -98,13 +98,6 @@ def build_snapshot(ssc: StreamingContext) -> dict:
     }
 
 
-def restore_context(
-    ssc: StreamingContext, checkpoint_dir: str | None = None
-) -> RecoveryReport:
-    """Load checkpoint + replay WAL tail; see :meth:`Recovery.restore`."""
-    return ssc._recovery.restore(checkpoint_dir)
-
-
 class Recovery:
     """A context's durable state: checkpoints, the emit ledger, restore.
 

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.chaos import FaultInjector
-from repro.spark.cancellation import cancellable_sleep, wait_cancelled
+from repro.spark.cancellation import cancellable_sleep
 from repro.spark.context import Metrics, SparkContext
 from repro.spark.errors import JobAbortedError, TaskTimeoutError
 from repro.spark.partitioner import HashPartitioner
@@ -159,7 +159,7 @@ class TestTaskDeadlines:
             if kv == (0, 0):
                 state["first_record_mapped"] += 1
                 if state["first_record_mapped"] == 1:
-                    wait_cancelled(30.0)
+                    cancellable_sleep(30.0)
             return kv
 
         # The reduce side stalls before it fetches, so the nested job's own

@@ -30,6 +30,7 @@ from repro.core.filter import filter_live_index
 from repro.core.join import spatial_join
 from repro.core.knn_join import knn_join
 from repro.core.predicates import CONTAINED_BY, INTERSECTS
+from repro.core.spatial_rdd import IndexedSpatialRDD
 from repro.core.stobject import STObject
 from repro.index import INDEX_MODES, build_partition_index, partition_index
 from repro.partitioners.grid import GridPartitioner
@@ -223,3 +224,21 @@ def test_one_job_builds_each_split_once_under_concurrent_join_tasks(threaded_sc,
     for _ in range(3):
         assert spatial_join(probes, rdd, INTERSECTS).count() == first
     assert counter.take() == 0
+
+
+def test_repeated_indexed_knn_builds_each_split_once(sc, monkeypatch):
+    """kNN through the partition index of a persisted RDD: the first
+    query builds one tree per partition, later queries probe them."""
+    counter = BuildCounter()
+    monkeypatch.setattr(repro.index, "build_partition_index", counter)
+    rdd = sc.parallelize(ROWS, 3).persist()
+    probe = STObject("POINT (17 21)")
+    want = sorted(key.geo.distance(probe.geo) for key, _i in ROWS)[:5]
+
+    def nearest():
+        return list(IndexedSpatialRDD(partition_index(rdd, 10)).knn(probe, 5))
+
+    first = nearest()
+    assert [d for d, _kv in first] == want
+    assert nearest() == first
+    assert counter.take() == rdd.num_partitions

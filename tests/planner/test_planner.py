@@ -107,26 +107,20 @@ class TestExplain:
         plan = planner.plan_filter(
             make_rdd(sc), SELECTIVE_QUERY, INTERSECTS, require_index=True
         )
-        text = plan.explain()
-        assert "FilterPlan" in text
-        assert "strategies considered" in text
-        assert "->" in text  # the chosen strategy marker
-        assert "live:temporal" in text
-        assert "partitioner hint" in text
-
-    def test_partitioner_hints(self, sc):
-        planner = QueryPlanner(sc)
-        # Mostly-timed data + selective window -> temporal slicing.
-        timed = planner.plan_filter(make_rdd(sc), SELECTIVE_QUERY, INTERSECTS)
-        assert timed.partitioner_hint.kind == "temporal"
-        # Untimed query over mixed data, uniform space -> grid.
-        untimed = planner.plan_filter(
-            make_rdd(sc, untimed_every=3), UNTIMED_QUERY, INTERSECTS
-        )
-        assert untimed.partitioner_hint.kind == "grid"
-        # Tiny data -> leave it alone.
-        tiny = planner.plan_filter(make_rdd(sc, n=10), UNTIMED_QUERY, INTERSECTS)
-        assert tiny.partitioner_hint.kind == "none"
+        lines = plan.explain().splitlines()
+        assert lines[0].startswith("FilterPlan for ")
+        assert lines[0].endswith(" on 600 rows (4 partitions)")
+        assert lines[1].startswith("  statistics: timed=100%  spatial_sel~")
+        assert "temporal_sel~" in lines[1]
+        assert lines[2] == "  strategies considered:"
+        # The chosen strategy first, under the marker, then every
+        # alternative it beat: 2 scan orders + 3 live modes in all.
+        assert lines[3].startswith("  -> live:temporal ")
+        assert len(lines) == 3 + 5
+        assert all(line.startswith("     ") for line in lines[4:])
+        for line in lines[3:]:
+            assert " cost=" in line and " candidates~" in line
+            assert "[spatial-first]" in line or "[temporal-first]" in line
 
 
 class TestExecution:
@@ -142,7 +136,7 @@ class TestExecution:
 
     def test_execute_with_forced_index_plan(self, sc):
         rdd = make_rdd(sc)
-        planner = QueryPlanner(sc, index_order=8)
+        planner = QueryPlanner(sc)
         plan = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS, require_index=True)
         naive = sorted(
             kv[1] for kv in spatial(rdd).intersects(SELECTIVE_QUERY).collect()
@@ -199,23 +193,6 @@ class TestCachedIndexes:
         planner.execute(rdd, SELECTIVE_QUERY, INTERSECTS, plan).collect()
         assert self.build_costs(planner, rdd)[1] == before
 
-    def test_execute_knn_builds_each_partition_once(self, sc, monkeypatch):
-        import repro.index
-
-        build, builds = repro.index.build_partition_index, []
-
-        def counted(*args, **kwargs):
-            builds.append(args)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(repro.index, "build_partition_index", counted)
-        rdd = make_rdd(sc, n=2000).persist()
-        planner = QueryPlanner(sc)
-        probe = STObject(Point(50, 50))
-        first = [kv[1] for _d, kv in planner.execute_knn(rdd, probe, 5)]
-        assert [kv[1] for _d, kv in planner.execute_knn(rdd, probe, 5)] == first
-        assert len(builds) == rdd.num_partitions
-
     @pytest.mark.parametrize("persisted", [False, True])
     @pytest.mark.parametrize("query", [SELECTIVE_QUERY, UNTIMED_QUERY])
     def test_every_rejected_strategy_returns_the_chosen_rows(self, sc, query, persisted):
@@ -268,7 +245,7 @@ class TestCandidateReduction:
                 rows = sorted(kv[1] for kv in filtered.collect())
                 return rows, sc.metrics.index_candidates - before
 
-            planner = QueryPlanner(sc, index_order=10)
+            planner = QueryPlanner(sc)
             plan = planner.plan_filter(rdd, query, INTERSECTS, require_index=True)
             assert plan.strategy.startswith("live:") and plan.mode != "spatial"
             planned, planned_candidates = run(
@@ -281,47 +258,3 @@ class TestCandidateReduction:
             assert sc.metrics.tasks_retried > 0
         assert planned == naive == scanned and planned
         assert naive_candidates >= 3 * planned_candidates > 0
-
-
-class TestJoinAndKnnPlans:
-    def test_join_plan_small_vs_large(self, sc):
-        planner = QueryPlanner(sc)
-        small = planner.plan_join(make_rdd(sc, n=6), make_rdd(sc, n=6), INTERSECTS)
-        assert small.index_order is None
-        large = planner.plan_join(make_rdd(sc, n=300), make_rdd(sc, n=300), INTERSECTS)
-        assert large.index_order is not None
-        assert "JoinPlan" in large.explain()
-
-    def test_join_execution_matches_direct(self, sc):
-        from repro.core.join import spatial_join
-
-        left = make_rdd(sc, n=40, seed=1)
-        right = make_rdd(sc, n=40, seed=2)
-        planner = QueryPlanner(sc)
-        direct = sorted(
-            (a[1], b[1]) for a, b in spatial_join(left, right, INTERSECTS).collect()
-        )
-        planned = sorted(
-            (a[1], b[1])
-            for a, b in planner.execute_join(left, right, INTERSECTS).collect()
-        )
-        assert planned == direct
-
-    def test_knn_plan_routes(self, sc):
-        planner = QueryPlanner(sc)
-        probe = STObject(Point(50, 50))
-        small = planner.plan_knn(make_rdd(sc, n=30), probe, k=5)
-        assert not small.use_index
-        big = planner.plan_knn(make_rdd(sc, n=2000), probe, k=5)
-        assert big.use_index
-        assert "KnnPlan" in big.explain()
-
-    def test_knn_execution_matches_direct(self, sc):
-        from repro.core.knn import knn
-
-        rdd = make_rdd(sc, n=500)
-        probe = STObject(Point(50, 50))
-        planner = QueryPlanner(sc, index_order=8)
-        direct = [kv[1] for _d, kv in knn(rdd, probe, 7)]
-        planned = [kv[1] for _d, kv in planner.execute_knn(rdd, probe, 7)]
-        assert planned == direct

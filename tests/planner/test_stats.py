@@ -5,7 +5,7 @@ import random
 from repro.core.stobject import STObject
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
-from repro.planner import DatasetStatistics, collect_statistics
+from repro.planner import collect_statistics
 from repro.temporal import Interval
 
 
@@ -30,7 +30,6 @@ class TestCollection:
         stats = collect_statistics(make_rdd(sc, n=800, untimed_every=4))
         assert stats.count == 800
         assert stats.num_partitions == 4
-        assert sum(stats.partition_cardinalities) == 800
         assert stats.timed_count == 600
         assert stats.timed_fraction == 0.75
 
@@ -94,28 +93,3 @@ class TestEstimators:
         stats = collect_statistics(make_rdd(sc, n=1000, untimed_every=5))
         assert abs(stats.temporal_selectivity(None) - 0.2) < 0.1
 
-    def test_skew_uniform_vs_clustered(self, sc):
-        uniform = collect_statistics(make_rdd(sc, n=1000))
-        # Clustered data plus one far outlier pushes everything into
-        # one quadrant of the stretched extent.
-        rng = random.Random(5)
-        rows = [
-            (STObject(Point(rng.uniform(0, 10), rng.uniform(0, 10))), i)
-            for i in range(500)
-        ]
-        rows.append((STObject(Point(100, 100)), 500))
-        clustered = collect_statistics(sc.parallelize(rows, 4))
-        assert uniform.spatial_skew() < 0.4
-        assert clustered.spatial_skew() > 0.9
-
-    def test_mean_partition_cardinality(self, sc):
-        stats = collect_statistics(make_rdd(sc, n=800, partitions=4))
-        assert stats.mean_partition_cardinality() == 200.0
-        assert DatasetStatistics(
-            count=0,
-            num_partitions=0,
-            partition_cardinalities=[],
-            spatial_extent=Envelope.empty(),
-            temporal_extent=None,
-            timed_count=0,
-        ).mean_partition_cardinality() == 0.0

@@ -17,7 +17,6 @@ from repro.spark.cancellation import (
     cancellable_sleep,
     current_token,
     task_scope,
-    wait_cancelled,
 )
 
 
@@ -228,12 +227,12 @@ class TestCancellableWaits:
 
     def test_wait_cancelled_hits_limit_and_returns(self):
         start = time.perf_counter()
-        wait_cancelled(0.05, token=CancelToken())
+        cancellable_sleep(0.05, token=CancelToken())
         assert time.perf_counter() - start >= 0.04
 
     def test_wait_cancelled_raises_on_cancel(self):
         token = CancelToken()
         threading.Timer(0.05, token.cancel, args=("reaped", KIND_TIMEOUT)).start()
         with pytest.raises(TaskCancelledError) as err:
-            wait_cancelled(30.0, token=token)
+            cancellable_sleep(30.0, token=token)
         assert err.value.kind == KIND_TIMEOUT

@@ -280,8 +280,6 @@ class TestStreamingContextLifecycle:
         for kwargs in (
             {"batch_interval": 0.0},
             {"max_pending_batches": 0},
-            {"batch_timeout": 0.0},
-            {"straggler_policy": "shrug"},
             {"max_batch_failures": 0},
             {"num_slices": 0},
         ):

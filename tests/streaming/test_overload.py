@@ -264,7 +264,7 @@ class TestOldCheckpoints:
         snapshot, manifest, _skipped = load_latest_checkpoint(ck)
         snapshot["metrics"].update(
             batches_shed=2, records_shed=10, state_cells_spilled=3,
-            state_spilled_bytes=512, degradation="shedding",
+            state_spilled_bytes=512, degradation="shedding", batches_skipped=1,
         )
         for consumer in snapshot["consumers"]:
             consumer["state"]["store"].update(cells_spilled=3, cells_loaded=2, spill_failures=1)
@@ -285,6 +285,7 @@ class TestOldCheckpoints:
         reference, reference_windows = finish("plain")
         assert not hasattr(restored, "batches_shed")
         assert not hasattr(restored, "degradation")
+        assert not hasattr(restored, "batches_skipped")
         assert restored.snapshot() == reference.snapshot()
         assert restored_windows == reference_windows
         assert restored_windows

@@ -1,12 +1,13 @@
-"""Chaos, deadlines and straggler policy on the streaming loop.
+"""Chaos and deadlines on the streaming loop.
 
 The two streaming injection sites behave like their batch cousins: a
 ``source.poll`` fault delays delivery (records stay queued at the
 source -- no data loss), a ``batch.run`` fault fails the attempt and
-the batch retries from the same polled records.  Deadlines reuse the
-cancellation layer, so a delayed batch is cancelled cooperatively and
-handed to the straggler policy.  Everything is seeded, so a scenario
-replays identically -- the property the last test pins down.
+the batch retries from the same polled records.  The stream has no
+deadline of its own: the scheduler's job deadline reaches the jobs a
+batch runs, and its abort fails the batch at once.  Everything is
+seeded, so a scenario replays identically -- the property the last
+test pins down.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from repro.chaos import FaultInjector
 from repro.core.stobject import STObject
 from repro.spark.context import SparkContext
-from repro.streaming import StreamingContext, StreamingError
+from repro.streaming import StreamingContext
 
 
 def rec(i: int, t: float):
@@ -100,9 +101,10 @@ class TestBatchRunChaos:
         assert [count for _w, count in counts.results()] == [2]
 
     def test_exhausted_retries_fail_the_batch_under_skip(self):
+        # A failed batch is counted and the stream goes on.
         injector = FaultInjector(seed=3).fail("batch.run", times=5, per_key=False)
         with make_sc(injector) as sc:
-            ssc = StreamingContext(sc, max_batch_failures=2, straggler_policy="skip")
+            ssc = StreamingContext(sc, max_batch_failures=2)
             source, events = ssc.queue_stream([[rec(0, 0.0)], [rec(1, 1.0)]])
             sink = events.count_batches()
             assert not ssc.run_batch(batch_time=0.0)  # 2 attempts, both fail
@@ -112,65 +114,28 @@ class TestBatchRunChaos:
         assert ssc.metrics.batch_retries == 2
         assert sink.results() == []
 
-    def test_fail_policy_raises_and_poisons_the_context(self):
-        injector = FaultInjector(seed=3).fail("batch.run", times=5, per_key=False)
-        with make_sc(injector) as sc:
-            ssc = StreamingContext(sc, max_batch_failures=2, straggler_policy="fail")
-            source, events = ssc.queue_stream([[rec(0, 0.0)]])
-            events.count_batches()
-            with pytest.raises(StreamingError, match="failed after 2 attempt"):
-                ssc.run_batch(batch_time=0.0)
-            with pytest.raises(StreamingError):
-                ssc.run_batch(batch_time=0.0)  # the error sticks
-            ssc.stop()
 
-
-class TestStragglerPolicy:
-    def test_deadline_skips_straggling_batch(self):
-        injector = FaultInjector(seed=3).delay(
-            "batch.run", 30.0, times=1, per_key=False
-        )
-        with make_sc(injector) as sc:
-            ssc = StreamingContext(
-                sc, batch_timeout=0.2, straggler_policy="skip"
-            )
-            source, events = ssc.queue_stream([[rec(0, 0.0)], [rec(1, 1.0)]])
-            sink = events.count_batches()
-            assert not ssc.run_batch(batch_time=0.0)  # cancelled at deadline
-            assert ssc.run_batch(batch_time=0.0)
-            ssc.stop()
-        assert ssc.metrics.batches_skipped == 1
-        assert ssc.metrics.batch_retries == 0  # timeouts are not retried
-        assert ssc.metrics.batches_run == 1
-        assert sink.results() == [(1, 1)]
-
-    def test_deadline_cancels_nested_jobs(self):
+class TestSchedulerDeadline:
+    def test_job_deadline_fails_the_batch_without_retry_or_quarantine(self, tmp_path):
         # The delay is injected at task level, inside the batch's jobs:
-        # proves the batch token reaches nested task scopes.
+        # the scheduler's job deadline aborts the job, and that abort is
+        # terminal for the batch -- no retry, no poison probe.
         injector = FaultInjector(seed=3).delay(
             "task.compute", 30.0, times=1, per_key=False
         )
-        with make_sc(injector) as sc:
-            ssc = StreamingContext(sc, batch_timeout=0.2, straggler_policy="skip")
-            source, events = ssc.queue_stream([[rec(0, 0.0)]])
-            events.count_batches()
+        with make_sc(injector, job_timeout=0.2) as sc:
+            ssc = StreamingContext(sc, dlq_dir=str(tmp_path / "dlq"))
+            source, events = ssc.queue_stream([[rec(0, 0.0)], [rec(1, 1.0)]])
+            sink = events.count_batches()
             assert not ssc.run_batch(batch_time=0.0)
+            assert ssc.run_batch(batch_time=0.0)
+            assert len(ssc.dead_letter_queue) == 0
             ssc.stop()
-        assert ssc.metrics.batches_skipped == 1
-
-    def test_fail_policy_on_deadline(self):
-        injector = FaultInjector(seed=3).delay(
-            "batch.run", 30.0, times=1, per_key=False
-        )
-        with make_sc(injector) as sc:
-            ssc = StreamingContext(
-                sc, batch_timeout=0.2, straggler_policy="fail"
-            )
-            source, events = ssc.queue_stream([[rec(0, 0.0)]])
-            events.count_batches()
-            with pytest.raises(StreamingError, match="deadline"):
-                ssc.run_batch(batch_time=0.0)
-            ssc.stop()
+        assert ssc.metrics.batches_failed == 1
+        assert ssc.metrics.batch_retries == 0
+        assert ssc.metrics.records_quarantined == 0
+        assert ssc.metrics.batches_run == 1
+        assert sink.results() == [(1, 1)]
 
 
 class TestDeterminism:
