@@ -19,9 +19,8 @@ import math
 from typing import Iterator, NamedTuple
 
 from repro.geometry.envelope import Envelope
-from repro.index.temporal_forest import temporal_extent_of
 from repro.spark.rdd import RDD
-from repro.temporal.interval import TemporalExpression
+from repro.temporal.interval import Interval, TemporalExpression
 
 _INF = float("inf")
 
@@ -60,6 +59,27 @@ def driver_memo(rdd: RDD) -> dict:
     if memo is None:
         memo = rdd._driver_memo = {}
     return memo
+
+
+def temporal_extent_of(tree) -> tuple[Interval | None, int]:
+    """``(covering interval of timed members, how many are timed)``.
+
+    Works for every partition-index kind: the forest and the 3D tree
+    keep their untimed members apart and answer from their own
+    bookkeeping; a plain spatial :class:`~repro.index.rtree.STRTree`
+    (whose items are ``(STObject, V)`` pairs) is scanned once.
+    """
+    if hasattr(tree, "untimed_count"):
+        return tree.temporal_extent, len(tree) - tree.untimed_count
+    lo, hi = _INF, -_INF
+    timed = 0
+    for _box, kv in tree._leaf_rows():  # not iter_entries: no Envelope per entry
+        key = getattr(kv[0], "time", None) if isinstance(kv, tuple) else None
+        if key is not None:
+            timed += 1
+            lo = min(lo, key.start)
+            hi = max(hi, key.end)
+    return (Interval(lo, hi) if timed else None), timed
 
 
 def _summarize(it: Iterator) -> PartitionSummary:

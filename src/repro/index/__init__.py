@@ -30,7 +30,7 @@ answers ``query_st(region, time) -> (candidates, slices_pruned)``.
 from repro.index.intervaltree import IntervalTree
 from repro.index.rtree import STRTree
 from repro.index.rtree3d import STRTree3D
-from repro.index.temporal_forest import TimeSlicedForest, temporal_extent_of
+from repro.index.temporal_forest import TimeSlicedForest
 
 #: The partition-index modes ``live_index`` / ``index`` accept.
 INDEX_MODES = ("spatial", "temporal", "3d")
@@ -99,5 +99,4 @@ __all__ = [
     "TimeSlicedForest",
     "build_partition_index",
     "partition_index",
-    "temporal_extent_of",
 ]

@@ -19,8 +19,9 @@ damage:
   holding each partition's raw ``(envelope, item)`` entries;
 - :class:`ResilientIndexRDD` reads tree part-files lazily and, when a
   part is truncated/corrupt (or a fault is injected at the
-  ``index.load`` site), **rebuilds a live STR-tree for that partition**
-  from the sidecar -- exact query results, one partition's build cost.
+  ``index.load`` site), **rebuilds that partition's index live** from
+  the sidecar, in the mode the metadata records -- exact query results,
+  one partition's build cost.
   Each fallback is counted in ``metrics.index_fallbacks`` and recorded
   as an ``index.fallback`` span in the trace;
 - ``_index_meta.pkl`` is written through
@@ -49,6 +50,7 @@ import pickle
 import zlib
 from typing import TYPE_CHECKING, Iterator
 
+from repro.index import build_partition_index
 from repro.index.rtree import DEFAULT_NODE_CAPACITY, STRTree
 from repro.spark import storage
 from repro.spark.rdd import RDD
@@ -61,9 +63,11 @@ _META_FILE = "_index_meta.pkl"
 _DATA_DIR = "_data"
 
 #: Version of the pickled tree layout; bump it with every change to the
-#: shape of :mod:`repro.index.rtree`'s nodes.  2 = ``_Node(leaf, rows)``
-#: over float-tuple boxes (1, unrecorded, was one ``Envelope`` per node).
-INDEX_LAYOUT = 2
+#: shape of :mod:`repro.index.rtree`'s nodes or of a tree object.
+#: 3 = an ``STRTree3D`` keeps its untimed entries in a second, 2D root;
+#: 2 = ``_Node(leaf, rows)`` over float-tuple boxes (1, unrecorded, was
+#: one ``Envelope`` per node).
+INDEX_LAYOUT = 3
 
 
 def save_index(
@@ -142,16 +146,23 @@ class ResilientIndexRDD(RDD[STRTree]):
     Layout-compatible with plain ``object_file`` directories: without a
     ``_data`` sidecar it behaves like :class:`ObjectFileRDD` (corrupt
     parts raise :class:`StorageError`); with one, damaged partitions are
-    rebuilt from their raw entries.
+    rebuilt from their raw entries in the saved *mode* (``spatial`` when
+    none is recorded).
     """
 
     def __init__(
-        self, context, path: str, order: int | None = None, layout: int | None = None
+        self,
+        context,
+        path: str,
+        order: int | None = None,
+        layout: int | None = None,
+        mode: str | None = None,
     ) -> None:
         super().__init__(context)
         self._path = path
         self._parts = storage._list_parts(path, ".pkl")
         self._order = order or DEFAULT_NODE_CAPACITY
+        self._mode = mode or "spatial"
         #: The layout version the directory's metadata declares.
         self._layout = layout
         data_dir = os.path.join(path, _DATA_DIR)
@@ -204,7 +215,10 @@ class ResilientIndexRDD(RDD[STRTree]):
 
     def _build_trees(self, entry_lists: list[list]) -> list[STRTree]:
         return [
-            STRTree(entries, node_capacity=self._order) for entries in entry_lists
+            build_partition_index(
+                [item for _envelope, item in entries], self._order, self._mode
+            )
+            for entries in entry_lists
         ]
 
     def _load_recovery_entries(self, split: int) -> list[list] | None:
@@ -248,7 +262,11 @@ def load_index(
             ):
                 pass
     rdd = ResilientIndexRDD(
-        context, path, order=meta.get("order"), layout=meta.get("layout")
+        context,
+        path,
+        order=meta.get("order"),
+        layout=meta.get("layout"),
+        mode=meta.get("mode"),
     )
     rdd.partitioner = meta.get("partitioner")
     summaries = meta.get("summaries")

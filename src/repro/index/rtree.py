@@ -77,7 +77,7 @@ def _cover(rows: list[tuple[tuple, object]]) -> tuple:
 
 
 def _t_center(row: tuple[tuple, object]) -> float:
-    # Unbounded t-ranges (untimed entries) center at 0.
+    # Open-ended t-ranges center at 0.
     mid = (row[0][4] + row[0][5]) / 2.0
     return mid if math.isfinite(mid) else 0.0
 
@@ -184,16 +184,20 @@ class STRTree(Generic[T]):
             ((env.min_x, env.min_y, env.max_x, env.max_y), item)
             for env, item in entries
         )
-        self._load(boxed, node_capacity, axes=2)
-
-    def _load(self, boxed: Iterable[tuple], node_capacity: int, axes: int) -> None:
-        """Bulk-load ``(box, item)`` entries; spatially empty boxes are dropped."""
-        if node_capacity < 2:
-            raise ValueError(f"node capacity must be >= 2, got {node_capacity}")
         self.node_capacity = node_capacity
+        self._size, self._root = self._pack(boxed, axes=2)
+
+    def _pack(self, boxed: Iterable[tuple], axes: int) -> tuple[int, tuple]:
+        """``(entries kept, root row)`` of one bulk load of ``(box, item)``
+        entries over *axes*; spatially empty boxes are dropped."""
+        if self.node_capacity < 2:
+            raise ValueError(f"node capacity must be >= 2, got {self.node_capacity}")
         entries = [entry for entry in boxed if entry[0][0] <= entry[0][2]]
-        self._size = len(entries)
-        self._root = _bulk_load(entries, node_capacity, axes)
+        return len(entries), _bulk_load(entries, self.node_capacity, axes)
+
+    def _roots(self) -> tuple:
+        """The root rows of the tree's bulk loads (one for a 2D tree)."""
+        return (self._root,)
 
     @staticmethod
     def for_geometries(
@@ -212,7 +216,7 @@ class STRTree(Generic[T]):
     @property
     def envelope(self) -> Envelope:
         """Spatial bounds of the whole tree (empty for an empty tree)."""
-        return Envelope(*self._root[0][:4])
+        return Envelope(*_cover(self._roots())[:4])
 
     @property
     def height(self) -> int:
@@ -244,7 +248,7 @@ class STRTree(Generic[T]):
         return self.query(Envelope.of_point(x, y))
 
     def _leaf_rows(self) -> Iterator[tuple[tuple, T]]:
-        stack = [self._root[1]]
+        stack = [node for _box, node in self._roots()]
         while stack:
             node = stack.pop()
             if node.leaf:
@@ -256,8 +260,8 @@ class STRTree(Generic[T]):
         """Every entry as ``(spatial envelope, item)`` (arbitrary order).
 
         The 2D projection is the persistence sidecar's one format for
-        every index kind, so a damaged part of any kind can be rebuilt
-        as a (spatial) live tree.
+        every index kind; a damaged part is rebuilt from its items in the
+        mode the index was saved in.
         """
         for box, item in self._leaf_rows():
             yield Envelope(*box[:4]), item
@@ -302,8 +306,9 @@ class STRTree(Generic[T]):
         # distance is final, or a node still to expand.  The heap pops
         # in ascending order, so the first k items to come off it are
         # the answer and every unexpanded node is no nearer.
-        root_box, root = self._root
-        frontier: list = [(lower_bound(root_box), next(counter), False, root)]
+        frontier: list = []
+        for box, root in self._roots():
+            heapq.heappush(frontier, (lower_bound(box), next(counter), False, root))
         best: list[tuple[float, T]] = []
         while frontier and len(best) < k:
             distance, _tie, final, payload = heapq.heappop(frontier)
@@ -318,6 +323,6 @@ class STRTree(Generic[T]):
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__name__}(size={self._size}, "
+            f"{type(self).__name__}(size={len(self)}, "
             f"capacity={self.node_capacity}, height={self.height})"
         )

@@ -1,52 +1,55 @@
 """The (x, y, t) face of the STR kernel.
 
 The hybrid spatio-temporal index model fuses the temporal dimension
-into the index itself instead of leaving it to refinement: every entry
-is boxed by its spatial envelope *and* its time interval, and a query
-descends only into nodes whose (x, y, t) box intersects the query box.
-For temporally-selective queries over long histories this prunes the
-bulk of the candidates inside the tree, before any exact predicate
-runs.
+into the index itself instead of leaving it to refinement: every timed
+entry is boxed by its spatial envelope *and* its time interval, and a
+timed query descends only into nodes whose (x, y, t) box intersects the
+query box.  For temporally-selective queries over long histories this
+prunes the bulk of the candidates inside the tree, before any exact
+predicate runs.
 
-Untimed entries are boxed with an unbounded time extent so they remain
-reachable by untimed probes; the filter operators never route a timed
-query at them (a mixed timed/untimed pair can never match under the
-paper's combined semantics, eqs. (1)-(3)).
+Untimed entries stay out of the (x, y, t) boxes: a time range of
+(-inf, inf) would widen every node above them to all time and stop a
+timed probe from pruning at all.  They live in a 2D tree beside the 3D
+one, as the forest keeps its untimed tree.  Under the paper's combined
+semantics (eqs. (1)-(3)) a mixed timed/untimed pair never matches, so a
+timed probe searches the 3D tree only and an untimed probe the 2D tree
+only; ``query``, ``nearest``, ``iter_entries``, ``envelope`` and
+``len`` see both.
 
 Everything but the boxing lives in :mod:`repro.index.rtree`: the bulk
 load tiles over three axes instead of two, the range traversal tests
-the t-range of a 6-float probe and only space for the inherited
-4-float ``query``, and ``nearest`` / ``iter_entries`` / ``envelope``
-read the spatial prefix of the boxes.
+the t-range of a 6-float probe, and ``nearest`` / ``iter_entries`` /
+``envelope`` read the spatial prefix of both trees' boxes.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, TypeVar
 
 from repro.geometry.envelope import Envelope
-from repro.index.rtree import _INF, DEFAULT_NODE_CAPACITY, STRTree, _search
+from repro.index.rtree import DEFAULT_NODE_CAPACITY, STRTree, _search
 from repro.temporal.interval import Interval, TemporalExpression
 
 T = TypeVar("T")
 
 
 def _box(envelope: Envelope, time: TemporalExpression | None) -> tuple:
-    """Box a spatial envelope with an optional (else unbounded) time range."""
-    t_range = (-_INF, _INF) if time is None else (time.start, time.end)
-    return (envelope.min_x, envelope.min_y, envelope.max_x, envelope.max_y, *t_range)
+    """Box a spatial envelope with its time range; untimed stays 2D."""
+    box = (envelope.min_x, envelope.min_y, envelope.max_x, envelope.max_y)
+    return box if time is None else (*box, time.start, time.end)
 
 
 class STRTree3D(STRTree[T]):
     """An immutable STR-packed 3D R-tree over ``(box, item)`` entries.
 
-    A box is the 6-float tuple ``(min_x, min_y, max_x, max_y, min_t,
-    max_t)``.  The bulk load extends Sort-Tile-Recursive to three
-    dimensions: entries sort by x-center into slabs, each slab by
-    y-center into runs, each run by t-center into tiles of
-    ``node_capacity`` entries.  Like the 2D tree it is build-once:
-    queries only.
+    A timed entry's box is the 6-float tuple ``(min_x, min_y, max_x,
+    max_y, min_t, max_t)``; an untimed entry's is the 4-float spatial
+    box and goes to the 2D tree beside the 3D one.  The bulk load
+    extends Sort-Tile-Recursive to three dimensions: entries sort by
+    x-center into slabs, each slab by y-center into runs, each run by
+    t-center into tiles of ``node_capacity`` entries.  Like the 2D tree
+    it is build-once: queries only.
     """
 
     def __init__(
@@ -54,7 +57,14 @@ class STRTree3D(STRTree[T]):
         entries: Iterable[tuple[tuple, T]],
         node_capacity: int = DEFAULT_NODE_CAPACITY,
     ) -> None:
-        self._load(entries, node_capacity, axes=3)
+        self.node_capacity = node_capacity
+        timed: list = []
+        untimed: list = []
+        for entry in entries:
+            (timed if len(entry[0]) == 6 else untimed).append(entry)
+        self._size, self._root = self._pack(timed, axes=3)
+        #: How many entries carry no temporal component (the 2D tree's).
+        self.untimed_count, self._untimed_root = self._pack(untimed, axes=2)
 
     @staticmethod
     def for_stobjects(
@@ -66,30 +76,33 @@ class STRTree3D(STRTree[T]):
             node_capacity,
         )
 
+    def __len__(self) -> int:
+        return self._size + self.untimed_count
+
+    def _roots(self) -> tuple:
+        return self._root, self._untimed_root
+
     @property
     def temporal_extent(self) -> Interval | None:
-        """The time range covered by the timed entries, or ``None``.
-
-        An unbounded root t-range means at least one untimed entry; the
-        extent is then computed from the timed entries directly.
-        """
+        """The time range covered by the timed entries (the 3D root's), or
+        ``None`` without timed entries."""
         lo, hi = self._root[0][4:]
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            lo, hi = _INF, -_INF
-            for box, _item in self._leaf_rows():
-                if math.isfinite(box[4]):
-                    lo = min(lo, box[4])
-                    hi = max(hi, box[5])
         return Interval(lo, hi) if lo <= hi else None
+
+    def query(self, envelope: Envelope) -> list[T]:
+        """All items, timed or not, whose envelope intersects *envelope*."""
+        probe = _box(envelope, None)
+        return _search(self._root, probe) + _search(self._untimed_root, probe)
 
     def query_st(
         self, region: Envelope, time: TemporalExpression | None
     ) -> tuple[list[T], int]:
         """``(candidates, 0)``: entries whose box intersects region x time.
 
-        An untimed query uses an unbounded time range, so it reaches
-        every entry the spatial test admits (refinement then rejects
-        the timed ones under the combined semantics).  The tree has no
-        slices to skip, so ``slices_pruned`` is always 0.
+        A timed query searches the 3D tree only and an untimed query the
+        2D tree only: under the combined semantics no other entry can
+        match.  The tree has no slices to skip, so ``slices_pruned`` is
+        always 0.
         """
-        return _search(self._root, _box(region, time)), 0
+        root = self._untimed_root if time is None else self._root
+        return _search(root, _box(region, time)), 0

@@ -226,23 +226,3 @@ class TimeSlicedForest(Generic[T]):
             f"untimed={self.untimed_count}, capacity={self.node_capacity})"
         )
 
-
-def temporal_extent_of(tree) -> tuple[Interval | None, int]:
-    """``(covering interval of timed members, how many are timed)``.
-
-    Works for every partition-index kind: the forest answers from its
-    own bookkeeping; a plain spatial :class:`~repro.index.rtree.STRTree`
-    or a 3D tree (whose items are ``(STObject, V)`` pairs) is scanned
-    once.  Partition summaries of an indexed RDD are read off it.
-    """
-    if isinstance(tree, TimeSlicedForest):
-        return tree.temporal_extent, len(tree) - tree.untimed_count
-    lo, hi = math.inf, -math.inf
-    timed = 0
-    for _box, kv in tree._leaf_rows():  # not iter_entries: no Envelope per entry
-        key = getattr(kv[0], "time", None) if isinstance(kv, tuple) else None
-        if key is not None:
-            timed += 1
-            lo = min(lo, key.start)
-            hi = max(hi, key.end)
-    return (Interval(lo, hi) if timed else None), timed

@@ -7,12 +7,11 @@ for a filter, it picks the index mode and the clause order, in three
 layers:
 
 - :mod:`~repro.planner.stats` -- reservoir-sampled dataset statistics
-  (cardinality, spatial extent, temporal extent and selectivity)
-  collected with one cheap job,
+  (cardinality, spatial extent, temporal extent; spatial, temporal and
+  joint selectivity) collected with one cheap job and memoized,
 - :mod:`~repro.planner.cost` -- an analytical cost model comparing the
-  candidate strategies: plain scan vs live index in each mode
-  (``spatial`` / ``temporal`` / ``3d``), spatial-first vs
-  temporal-first refinement,
+  candidate strategies: plain scan vs live index in the ``spatial`` and
+  ``3d`` modes, spatial-first vs temporal-first refinement,
 - :mod:`~repro.planner.planner` -- :class:`QueryPlanner`, which turns
   statistics + cost estimates into executable :class:`FilterPlan`s,
   each carrying a human-readable ``explain()``.

@@ -6,8 +6,9 @@ geometry predicate, boxing an entry into a tree).  The model only needs
 to rank strategies correctly -- absolute calibration does not matter,
 which is what keeps it portable across machines.
 
-For a filter over ``n`` rows with estimated spatial selectivity ``ss``
-and temporal selectivity ``st`` the candidate strategies are:
+For a filter over ``n`` rows with estimated spatial selectivity ``ss``,
+temporal selectivity ``st`` and joint (space *and* time) selectivity
+``sj`` the model ranks four strategies:
 
 - **scan, spatial-first** (the paper's execution): every row pays the
   envelope pre-test, survivors pay the exact spatial then temporal
@@ -15,10 +16,19 @@ and temporal selectivity ``st`` the candidate strategies are:
 - **scan, temporal-first**: every row pays the (cheaper) temporal
   clause first -- two float comparisons -- and only temporal survivors
   touch geometry at all;
-- **live index per mode**: pay the per-partition build, then only the
-  index's candidates reach refinement.  ``spatial`` admits ``n*ss``
-  candidates, the time-aware modes admit roughly ``n*ss*st`` (the
-  forest at slice granularity, the 3D tree at node granularity).
+- **live ``spatial``** (the paper's STR-tree): ``n*ss`` candidates reach
+  refinement, time is left to it;
+- **live ``3d``** (the (x, y, t) tree with untimed rows in a 2D tree
+  beside it): ``n*sj`` candidates, the rows whose box meets the region
+  and whose time meets the window under the combined semantics.
+
+Both index modes pay one build price per entry.  A persisted RDD keeps
+its indexes until ``unpersist()``, so there the build is paid once and
+the rank is the per-query cost alone; ``explain()`` still shows the
+build, and ``0`` for an index that is built already.  A tie goes to
+``spatial``: on all-untimed data ``3d`` holds nothing ``spatial`` does
+not.  The time-sliced forest (``mode="temporal"``) is not ranked: the
+3D tree's node-granular candidates never exceed its slice-granular ones.
 """
 
 from __future__ import annotations
@@ -26,11 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-#: Effective temporal pruning floors: a time-sliced forest prunes at
-#: slice granularity, a 3D tree at node granularity, so neither reaches
-#: arbitrarily small effective selectivity.
-FOREST_SELECTIVITY_FLOOR = 1.0 / 16.0
-TREE3D_SELECTIVITY_FLOOR = 1.0 / 32.0
+#: The index modes the model ranks.
+RANKED_MODES = ("spatial", "3d")
 
 
 @dataclass(frozen=True)
@@ -43,16 +50,11 @@ class CostConstants:
     temporal_test: float = 0.6
     #: One exact spatial predicate on real geometries.
     spatial_refine: float = 8.0
-    #: Boxing one entry during an index bulk load (amortized sort share
-    #: is added separately via a log factor).
+    #: Boxing one entry during an index bulk load, in every mode
+    #: (amortized sort share is added separately via a log factor).
     index_build_per_item: float = 2.0
     #: Walking the tree per admitted candidate.
     index_probe_per_candidate: float = 1.2
-    #: Extra per-item build price of the time-sliced forest (time sort,
-    #: slice packing, directory build).
-    forest_build_surcharge: float = 0.4
-    #: Extra per-item build price of the 3D STR load (third sort pass).
-    tree3d_build_surcharge: float = 0.6
 
 
 @dataclass
@@ -62,6 +64,9 @@ class PlanEstimate:
     ``strategy`` is ``"scan"`` or ``"live:<mode>"``; ``candidates`` is
     how many rows the model expects to reach exact-predicate
     refinement (for a scan: every row that survives the first clause).
+    ``cost`` is what the rank compares; ``build_cost`` is the index
+    build it includes -- or, on a persisted RDD, the one-off build it
+    leaves out.
     """
 
     strategy: str
@@ -90,31 +95,32 @@ class CostModel:
         n: int,
         spatial_selectivity: float,
         temporal_selectivity: float,
+        joint_selectivity: float,
         query_timed: bool,
-        timed_fraction: float,
         partitions: int = 1,
-        repetitions: int = 1,
-        cached_modes: frozenset[str] = frozenset(),
+        persisted: bool = False,
+        built_modes: frozenset[str] = frozenset(),
     ) -> list[PlanEstimate]:
-        """Every candidate strategy's estimate, best (cheapest) first.
+        """Every ranked strategy's estimate, best (cheapest) first.
 
-        ``temporal_selectivity`` must already follow the combined
-        semantics (untimed query -> untimed fraction; timed query ->
-        fraction of timed rows intersecting), as
-        :meth:`repro.planner.stats.DatasetStatistics.temporal_selectivity`
-        computes it.  ``repetitions`` amortizes index build cost over
-        that many queries against the same (persisted or cached)
-        handle; a scan pays full price every time.  The indexes of a
-        mode in ``cached_modes`` are built already: it pays no build.
+        The selectivities must already follow the combined semantics
+        (untimed query -> untimed rows; timed query -> timed rows whose
+        interval intersects), as
+        :meth:`repro.planner.stats.DatasetStatistics.selectivities`
+        computes them.  On a *persisted* RDD the rank leaves the index
+        build out; the indexes of a mode in ``built_modes`` are built
+        already and show no build at all.
         """
         c = self.constants
         n = max(0, n)
-        ss = min(1.0, max(0.0, spatial_selectivity))
-        st = min(1.0, max(0.0, temporal_selectivity))
+        ss, st, sj = (
+            min(1.0, max(0.0, s))
+            for s in (spatial_selectivity, temporal_selectivity, joint_selectivity)
+        )
         per_part = max(2.0, n / max(1, partitions))
         log_n = math.log2(per_part) if per_part > 1 else 1.0
         refine = c.spatial_refine + c.temporal_test
-        amortize = max(1, repetitions)
+        build = n * c.index_build_per_item * log_n
 
         estimates = [
             PlanEstimate(
@@ -132,61 +138,36 @@ class CostModel:
                 detail="temporal clause per row, geometry only for survivors",
             ),
         ]
-
-        build_spatial = n * c.index_build_per_item * log_n / amortize
-        cands_spatial = n * ss
-        estimates.append(
-            PlanEstimate(
-                strategy="live:spatial",
-                temporal_first=query_timed and st < ss,
-                cost=build_spatial
-                + cands_spatial * (c.index_probe_per_candidate + refine),
-                candidates=cands_spatial,
-                build_cost=build_spatial,
-                detail="STR-tree per partition; time left to refinement",
+        for mode, candidates, temporal_first, detail in (
+            (
+                "spatial",
+                n * ss,
+                query_timed and st < ss,
+                "STR-tree per partition; time left to refinement",
+            ),
+            (
+                "3d",
+                n * sj,
+                False,
+                "(x, y, t) STR tree, untimed rows in a 2D tree; pruning inside",
+            ),
+        ):
+            built = mode in built_modes
+            build_cost = 0.0 if built else build
+            per_query = candidates * (c.index_probe_per_candidate + refine)
+            estimates.append(
+                PlanEstimate(
+                    strategy=f"live:{mode}",
+                    temporal_first=temporal_first,
+                    cost=per_query if persisted else per_query + build_cost,
+                    candidates=candidates,
+                    build_cost=build_cost,
+                    detail=detail
+                    + (" (index cached)" if built else " (built once)" if persisted else ""),
+                )
             )
-        )
-
-        # Time-aware modes only pay off on timed rows; untimed rows are
-        # either all the candidates (untimed query) or pruned wholesale.
-        st_forest = max(st, FOREST_SELECTIVITY_FLOOR) if query_timed else st
-        cands_forest = n * ss * (st_forest if timed_fraction > 0 else 1.0)
-        build_forest = (
-            n * (c.index_build_per_item + c.forest_build_surcharge) * log_n / amortize
-        )
-        estimates.append(
-            PlanEstimate(
-                strategy="live:temporal",
-                temporal_first=False,
-                cost=build_forest
-                + cands_forest * (c.index_probe_per_candidate + refine),
-                candidates=cands_forest,
-                build_cost=build_forest,
-                detail="time-sliced forest; slices outside the window pruned",
-            )
-        )
-
-        st_3d = max(st, TREE3D_SELECTIVITY_FLOOR) if query_timed else st
-        cands_3d = n * ss * (st_3d if timed_fraction > 0 else 1.0)
-        build_3d = (
-            n * (c.index_build_per_item + c.tree3d_build_surcharge) * log_n / amortize
-        )
-        estimates.append(
-            PlanEstimate(
-                strategy="live:3d",
-                temporal_first=False,
-                cost=build_3d + cands_3d * (c.index_probe_per_candidate + refine),
-                candidates=cands_3d,
-                build_cost=build_3d,
-                detail="(x, y, t) STR bulk load; pruning inside the tree",
-            )
-        )
-
-        for e in estimates:
-            if e.mode in cached_modes:
-                e.cost, e.build_cost = e.cost - e.build_cost, 0.0
-                e.detail += " (index cached)"
-        estimates.sort(key=lambda e: (e.cost, e.strategy))
+        # Stable: a tie keeps list order -- scans first, then spatial.
+        estimates.sort(key=lambda e: e.cost)
         return estimates
 
     def with_constants(self, **overrides) -> "CostModel":

@@ -22,8 +22,7 @@ from repro.core.predicates import STPredicate
 from repro.core.spatial_rdd import DEFAULT_INDEX_ORDER
 from repro.core.stobject import STObject
 from repro.core.summaries import driver_memo
-from repro.index import INDEX_MODES
-from repro.planner.cost import CostModel, PlanEstimate
+from repro.planner.cost import RANKED_MODES, CostModel, PlanEstimate
 from repro.planner.stats import DatasetStatistics, collect_statistics
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,6 +38,7 @@ def _render_estimate(e: PlanEstimate, chosen: bool) -> str:
     order = "temporal-first" if e.temporal_first else "spatial-first"
     return (
         f"  {marker} {e.strategy:<14} cost={e.cost:>12.0f}  "
+        f"build={e.build_cost:>10.0f}  "
         f"candidates~{e.candidates:>10.0f}  [{order}] {e.detail}"
     )
 
@@ -54,6 +54,7 @@ class FilterPlan:
     stats: DatasetStatistics
     spatial_selectivity: float
     temporal_selectivity: float
+    joint_selectivity: float
 
     @property
     def strategy(self) -> str:
@@ -78,7 +79,8 @@ class FilterPlan:
             f"({s.num_partitions} partitions)",
             f"  statistics: timed={s.timed_fraction:.0%}  "
             f"spatial_sel~{self.spatial_selectivity:.3f}  "
-            f"temporal_sel~{self.temporal_selectivity:.3f}",
+            f"temporal_sel~{self.temporal_selectivity:.3f}  "
+            f"joint_sel~{self.joint_selectivity:.4f}",
             "  strategies considered:",
         ]
         lines.append(_render_estimate(self.estimate, chosen=True))
@@ -90,7 +92,8 @@ class QueryPlanner:
     """Plans and executes spatio-temporal filters cost-based.
 
     One planner instance can serve many queries; statistics are memoized
-    per RDD, and a persisted RDD's built indexes are priced as built.
+    per RDD, and on a persisted RDD, which keeps its indexes, modes are
+    ranked by per-query cost.
     Live indexes use order :data:`~repro.core.spatial_rdd.
     DEFAULT_INDEX_ORDER`; *model* swaps in other cost constants.
     """
@@ -109,7 +112,7 @@ class QueryPlanner:
         return self._model
 
     def statistics(self, rdd: "RDD") -> DatasetStatistics:
-        """Collect statistics for *rdd* (one job)."""
+        """Statistics for *rdd* (one job, the first time)."""
         return collect_statistics(rdd)
 
     def plan_filter(
@@ -119,31 +122,27 @@ class QueryPlanner:
         predicate: STPredicate,
         stats: DatasetStatistics | None = None,
         require_index: bool = False,
-        repetitions: int = 1,
     ) -> FilterPlan:
         """Choose the cheapest filter strategy for *query* on *rdd*.
 
         ``require_index=True`` restricts the choice to the live-index
         strategies -- the question becomes *which index mode*, matching
         a caller that holds (or intends to persist) an indexed handle.
-        ``repetitions`` amortizes build cost over that many queries.
         """
         stats = stats or self.statistics(rdd)
         region = predicate.candidate_region(query.geo.envelope)
-        ss = stats.spatial_selectivity(region)
-        st = stats.temporal_selectivity(query.time)
-        query_timed = query.time is not None
+        ss, st, sj = stats.selectivities(region, query.time)
         memo = driver_memo(rdd) if rdd._cached else {}
         estimates = self._model.filter_estimates(
             stats.count,
             ss,
             st,
-            query_timed,
-            stats.timed_fraction,
+            sj,
+            query.time is not None,
             partitions=stats.num_partitions,
-            repetitions=repetitions,
-            cached_modes=frozenset(
-                m for m in INDEX_MODES if (m, DEFAULT_INDEX_ORDER, None) in memo
+            persisted=rdd._cached,
+            built_modes=frozenset(
+                m for m in RANKED_MODES if (m, DEFAULT_INDEX_ORDER, None) in memo
             ),
         )
         if require_index:
@@ -165,6 +164,7 @@ class QueryPlanner:
             stats=stats,
             spatial_selectivity=ss,
             temporal_selectivity=st,
+            joint_selectivity=sj,
         )
 
     def execute(

@@ -6,8 +6,9 @@ count -- is read off the RDD's partition summaries
 fixed-size **reservoir sample** of each partition's keys.  The driver
 merges both into a :class:`DatasetStatistics`, memoized with the
 summaries (an RDD's contents never change).  Selectivity questions
-("what fraction of rows intersects this window?") are then answered
-from the sample without touching the data again.
+("what fraction of rows intersects this box, this window, both?") are
+then answered in one pass over the sample's flattened boxes without
+touching the data again.
 
 Reservoir sampling keeps the per-partition memory bounded no matter how
 large a partition grows; the driver never sees more than
@@ -34,13 +35,21 @@ DEFAULT_SAMPLE_TARGET = 512
 MIN_PARTITION_RESERVOIR = 16
 
 
-@dataclass
+def _flatten(key) -> tuple:
+    """One sample key as ``(min_x, min_y, max_x, max_y, t_lo, t_hi)``;
+    an untimed key has ``None`` time bounds."""
+    env, time = key.geo.envelope, key.time
+    t_range = (None, None) if time is None else (time.start, time.end)
+    return (env.min_x, env.min_y, env.max_x, env.max_y, *t_range)
+
+
+@dataclass(frozen=True)
 class DatasetStatistics:
     """Merged dataset statistics backing the planner's cost estimates.
 
     ``sample`` holds STObject keys drawn (approximately) uniformly; the
-    ``*_selectivity`` estimators evaluate predicates against it.  The
-    extents and counts are exact.
+    selectivity estimators evaluate predicates against its flattened
+    boxes.  The extents and counts are exact.
     """
 
     count: int
@@ -48,43 +57,67 @@ class DatasetStatistics:
     spatial_extent: Envelope
     temporal_extent: Interval | None
     timed_count: int
-    sample: list = field(default_factory=list)
+    sample: tuple = ()
+    _boxes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_boxes", tuple(map(_flatten, self.sample)))
 
     @property
     def timed_fraction(self) -> float:
         """The exact fraction of rows carrying a temporal component."""
         return self.timed_count / self.count if self.count else 0.0
 
-    def spatial_selectivity(self, region: Envelope) -> float:
-        """Estimated fraction of rows whose envelope intersects *region*.
+    def selectivities(
+        self, region: Envelope, time: TemporalExpression | None
+    ) -> tuple[float, float, float]:
+        """``(spatial, temporal, joint)`` estimated fractions of rows, in one
+        pass over the sample.
 
-        Falls back to 1.0 (no pruning assumed) when the sample is empty.
+        *spatial*: the row's envelope intersects *region*.  *temporal*:
+        the row's temporal clause can hold under the combined semantics
+        -- an untimed query matches only untimed rows, a timed query only
+        timed rows whose interval intersects.  *joint*: both at once.
+        All three are 1.0 (no pruning assumed) when the sample is empty.
+        The space test is :meth:`~repro.geometry.envelope.Envelope.
+        intersects` inlined: an empty envelope on either side meets
+        nothing.
         """
-        if not self.sample:
-            return 1.0
-        hits = sum(1 for key in self.sample if key.geo.envelope.intersects(region))
-        return hits / len(self.sample)
+        boxes = self._boxes
+        if not boxes:
+            return 1.0, 1.0, 1.0
+        r_min_x, r_min_y, r_max_x, r_max_y = (
+            region.min_x, region.min_y, region.max_x, region.max_y
+        )
+        q_lo, q_hi = (None, None) if time is None else (time.start, time.end)
+        space = when = both = 0
+        for min_x, min_y, max_x, max_y, t_lo, t_hi in boxes:
+            in_space = (
+                min_x <= r_max_x
+                and r_min_x <= max_x
+                and min_y <= r_max_y
+                and r_min_y <= max_y
+                and min_x <= max_x
+            )
+            if q_lo is None:
+                in_time = t_lo is None
+            else:
+                in_time = t_lo is not None and t_lo <= q_hi and q_lo <= t_hi
+            space += in_space
+            when += in_time
+            both += in_space and in_time
+        if region.is_empty:
+            space = both = 0
+        n = len(boxes)
+        return space / n, when / n, both / n
+
+    def spatial_selectivity(self, region: Envelope) -> float:
+        """Estimated fraction of rows whose envelope intersects *region*."""
+        return self.selectivities(region, None)[0]
 
     def temporal_selectivity(self, time: TemporalExpression | None) -> float:
-        """Estimated fraction of rows whose temporal clause can hold.
-
-        Under the combined semantics an untimed query matches only
-        untimed rows and a timed query only timed rows whose interval
-        intersects -- the estimator mirrors exactly that.
-        """
-        if not self.sample:
-            return 1.0
-        if time is None:
-            untimed = sum(1 for key in self.sample if key.time is None)
-            return untimed / len(self.sample)
-        hits = sum(
-            1
-            for key in self.sample
-            if key.time is not None
-            and key.time.start <= time.end
-            and time.start <= key.time.end
-        )
-        return hits / len(self.sample)
+        """Estimated fraction of rows whose temporal clause can hold."""
+        return self.selectivities(self.spatial_extent, time)[1]
 
 
 def _sample_partition(
@@ -116,30 +149,31 @@ def collect_statistics(
     filter or join already paid for it) and the sampling pass.  Each
     task returns a constant-size result, so the driver-side cost is
     proportional to the partition count and the sample size, never the
-    data size.  Asking again for the same sample runs no job.
+    data size.  The statistics are memoized on the driver (an RDD's
+    contents never change): asking again returns the same object.
     """
     per_partition = max(
         MIN_PARTITION_RESERVOIR,
         -(-sample_target // max(1, rdd.num_partitions)),
     )
     memo = driver_memo(rdd)
-    sample = memo.get(("sample", per_partition, seed))
-    if sample is None:
-        draw = partial(_sample_partition, reservoir_size=per_partition, seed=seed)
-        reservoirs = rdd.map_partitions_with_index(draw).collect()
-        sample = [key for reservoir in reservoirs for key in reservoir]
-        memo[("sample", per_partition, seed)] = sample
+    stats = memo.get(("statistics", per_partition, seed))
+    if stats is not None:
+        return stats
+    draw = partial(_sample_partition, reservoir_size=per_partition, seed=seed)
+    reservoirs = rdd.map_partitions_with_index(draw).collect()
     summaries = partition_summaries(rdd)
     envelope = Envelope.empty()
     for s in summaries:
         envelope = envelope.merge(s.envelope)
     t_lo = min(s.t_lo for s in summaries)
     t_hi = max(s.t_hi for s in summaries)
-    return DatasetStatistics(
+    stats = memo[("statistics", per_partition, seed)] = DatasetStatistics(
         count=sum(s.count for s in summaries),
         num_partitions=len(summaries),
         spatial_extent=envelope,
         temporal_extent=Interval(t_lo, t_hi) if t_lo <= t_hi else None,
         timed_count=sum(s.timed for s in summaries),
-        sample=list(sample),
+        sample=tuple(key for reservoir in reservoirs for key in reservoir),
     )
+    return stats

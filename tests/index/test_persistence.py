@@ -12,7 +12,7 @@ import pytest
 from repro.core.spatial_rdd import IndexedSpatialRDD, spatial
 from repro.core.stobject import STObject
 from repro.geometry.point import Point
-from repro.index import partition_index, persistence
+from repro.index import STRTree3D, partition_index, persistence
 from repro.partitioners.grid import GridPartitioner
 from repro.spark.context import SparkContext
 from repro.spark.errors import JobAbortedError
@@ -82,7 +82,7 @@ class TestTreeLayoutVersion:
                     f.write(b"crepro.index.rtree3d\n_Node3\n.")
         return path
 
-    @pytest.mark.parametrize("layout", [None, 1])
+    @pytest.mark.parametrize("layout", [None, 1, 2])
     def test_old_or_missing_version_rebuilds_from_sidecar(self, sc, tmp_path, layout):
         path = self.old_layout_dir(sc, tmp_path, layout)
         loaded = IndexedSpatialRDD.load(sc, path)
@@ -90,6 +90,19 @@ class TestTreeLayoutVersion:
         assert got == ids(spatial(make_rdd(sc)).intersects(QUERY))
         assert sc.metrics.index_fallbacks == loaded.tree_rdd.num_partitions
         assert sorted(loaded.tree_rdd.fallbacks) == list(range(4))
+
+    def test_damaged_part_is_rebuilt_in_the_saved_mode(self, sc, tmp_path):
+        path = str(tmp_path / "idx")
+        spatial(make_rdd(sc)).index(order=8, mode="3d").save(path)
+        with open(os.path.join(path, "part-00001.pkl"), "wb") as f:
+            f.write(b"not a pickle")
+        loaded = IndexedSpatialRDD.load(sc, path)
+        window = STObject(QUERY.geo, Interval(200, 260))
+        assert ids(loaded.intersects(window)) == ids(spatial(make_rdd(sc)).intersects(window))
+        assert loaded.tree_rdd.fallbacks == [1]
+        trees = loaded.tree_rdd.collect()
+        assert {type(tree) for tree in trees} == {STRTree3D}
+        assert len(trees[1]) == 100
 
     def test_old_version_without_sidecar_is_a_storage_error(self, sc, tmp_path):
         path = self.old_layout_dir(sc, tmp_path, layout=1)

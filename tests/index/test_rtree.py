@@ -170,9 +170,10 @@ def _stobject(x, y, w, h, when):
 
 
 def _times_meet(entry_time, probe_time):
-    """Closed-bound overlap on the time axis; an untimed side is unbounded."""
+    """The combined semantics on the time axis: an untimed side meets only
+    an untimed side, two timed sides meet on closed-bound overlap."""
     if entry_time is None or probe_time is None:
-        return True
+        return entry_time is probe_time
     return entry_time.start <= probe_time.end and probe_time.start <= entry_time.end
 
 
@@ -198,7 +199,7 @@ class TestEveryKindAgainstBruteForce:
         timed = {i for i in spatial if entries[i][0].time is not None}
         if kind == "spatial":  # time is left to refinement
             assert (got, pruned) == (spatial, 0)
-        elif kind == "3d":  # box test in x, y and t
+        elif kind == "3d":  # box test in x, y and t; untimed rows in the 2D tree
             in_time = [i for i in spatial if _times_meet(entries[i][0].time, probe_time)]
             assert (got, pruned) == (in_time, 0)
         elif probe_time is None:  # the forest keeps untimed entries apart

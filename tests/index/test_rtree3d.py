@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core.stobject import STObject
+from repro.core.summaries import temporal_extent_of
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -46,21 +47,20 @@ class TestBoxing:
         assert tree.query_st(Envelope(0, 10.1, 10, 20), Interval(0, 10)) == ([], 0)
         assert tree.query_st(Envelope(0, 0, 10, 10), Interval(10.1, 20)) == ([], 0)
 
-    def test_untimed_entries_are_unbounded_in_t(self):
+    def test_untimed_entries_stay_out_of_the_3d_boxes(self):
         rows = [
             (boxed(0, 0, 1, 1), "untimed"),
             (boxed(0, 0, 1, 1, Interval(0, 10)), "timed"),
         ]
         tree = STRTree3D.for_stobjects(rows)
         region = Envelope(0, 0, 1, 1)
-        # An untimed probe is unbounded as well: it reaches every entry.
-        everything, _pruned = tree.query_st(region, None)
-        assert sorted(kv[1] for kv in everything) == ["timed", "untimed"]
-        # A probe far outside the timed entry's range still meets the
-        # unbounded box (refinement rejects the mixed pair later).
-        late, _pruned = tree.query_st(region, Interval(500, 600))
-        assert [kv[1] for kv in late] == ["untimed"]
+        # Under the combined semantics each probe reaches its own kind.
+        assert [kv[1] for kv in tree.query_st(region, None)[0]] == ["untimed"]
+        assert [kv[1] for kv in tree.query_st(region, Interval(0, 1))[0]] == ["timed"]
+        assert tree.query_st(region, Interval(500, 600)) == ([], 0)
+        # The 3D root's t-range is the timed entries' alone: finite.
         assert tree.temporal_extent == Interval(0, 10)
+        assert len(tree) == 2 and tree.untimed_count == 1
 
     def test_spatial_projection_for_nearest_and_iter_entries(self):
         rows = [
@@ -101,16 +101,39 @@ class TestQueries:
         expected = {kv[1] for kv in rows if kv[0].geo.envelope.intersects(REGION)}
         assert got == expected
 
-    def test_timed_query_skips_untimed_boxes_never(self):
-        # Untimed entries are boxed unbounded, so a timed probe still
-        # admits them as candidates; refinement rejects them later.
+    def test_timed_query_skips_untimed_entries(self):
+        # Untimed entries sit in the 2D tree, which a timed probe never
+        # opens: a mixed pair cannot match, so none is a candidate.
         rows = make_entries(200, seed=4, untimed_every=3)
         tree = STRTree3D.for_stobjects(rows)
         got = {kv[1] for kv in tree.query_st(REGION, Interval(0, 1000))[0]}
-        spatial_hits = {
-            kv[1] for kv in rows if kv[0].geo.envelope.intersects(REGION)
+        timed_hits = {
+            kv[1]
+            for kv in rows
+            if kv[0].time is not None and kv[0].geo.envelope.intersects(REGION)
         }
-        assert spatial_hits == got
+        assert timed_hits == got
+
+    def test_half_timed_probes_reach_only_their_own_kind(self):
+        rows = make_entries(800, seed=12, untimed_every=2)
+        tree = STRTree3D.for_stobjects(rows, node_capacity=6)
+        untimed = {kv[1] for kv in rows if kv[0].time is None}
+        assert len(untimed) == 400 and tree.untimed_count == 400
+        for window in (Interval(0, 5), Interval(400, 450), Interval(-10, 2000)):
+            got = {kv[1] for kv in tree.query_st(REGION, window)[0]}
+            assert not got & untimed
+            assert got == {
+                kv[1]
+                for kv in rows
+                if kv[0].time is not None
+                and kv[0].geo.envelope.intersects(REGION)
+                and kv[0].time.start <= window.end
+                and window.start <= kv[0].time.end
+            }
+        got = {kv[1] for kv in tree.query_st(REGION, None)[0]}
+        assert got == {
+            kv[1] for kv in rows if kv[1] in untimed and kv[0].geo.envelope.intersects(REGION)
+        }
 
     def test_empty(self):
         tree = STRTree3D([])
@@ -142,6 +165,16 @@ class TestTemporalExtent:
         assert extent.start == pytest.approx(min(t.start for t in timed))
         assert extent.end == pytest.approx(max(t.end for t in timed))
 
+    def test_summaries_read_the_extent_off_the_root(self, monkeypatch):
+        rows = make_entries(150, seed=6, untimed_every=5)
+        tree = STRTree3D.for_stobjects(rows)
+        monkeypatch.setattr(
+            STRTree3D, "_leaf_rows", lambda self: pytest.fail("scanned the leaves")
+        )
+        extent, timed = temporal_extent_of(tree)
+        assert extent == tree.temporal_extent
+        assert timed == sum(kv[0].time is not None for kv in rows) == 120
+
     def test_all_untimed(self):
         rows = make_entries(40, seed=7, untimed_every=1)
         tree = STRTree3D.for_stobjects(rows)
@@ -172,6 +205,16 @@ class TestStructure:
             for kv in rows
         )[:9]
         assert [pair[1][1] for pair in got] == [pair[1] for pair in brute]
+
+    def test_nearest_merges_the_timed_and_untimed_trees(self):
+        # The untimed entries sit nearer the probe than every timed one,
+        # so the untimed root must be expanded first.
+        timed = [(boxed(50 + i, 50, 51 + i, 51, Interval(i, i + 1)), i) for i in range(30)]
+        untimed = [(boxed(i, 0, i + 0.5, 0.5), 100 + i) for i in range(30)]
+        tree = STRTree3D.for_stobjects(timed + untimed, node_capacity=4)
+        got = [kv[1] for _d, kv in tree.nearest(0.0, 0.0, k=5)]
+        assert got == [100, 101, 102, 103, 104]
+        assert [kv[1] for _d, kv in tree.nearest(51.2, 50.5, k=2)] == [1, 0]
 
     def test_deep_tree_queries(self):
         rows = make_entries(3000, seed=10)

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from repro.core.stobject import STObject
+from repro.core.summaries import temporal_extent_of
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
 from repro.index.temporal_forest import (
     DEFAULT_MAX_SLICES,
     TimeSlicedForest,
     auto_slice_count,
-    temporal_extent_of,
 )
 from repro.temporal import Interval
 

@@ -35,22 +35,23 @@ UNTIMED_QUERY = STObject("POLYGON((10 10, 90 10, 90 90, 10 90, 10 10))")
 
 
 class TestCostModelDirection:
-    def test_selective_timed_prefers_temporal_index(self, sc):
+    def test_selective_timed_prefers_3d_index(self, sc):
         planner = QueryPlanner(sc)
         plan = planner.plan_filter(
             make_rdd(sc), SELECTIVE_QUERY, INTERSECTS, require_index=True
         )
-        assert plan.strategy == "live:temporal"
-        assert plan.mode == "temporal"
+        assert plan.strategy == "live:3d"
+        assert plan.mode == "3d"
 
     def test_all_untimed_data_prefers_spatial_index(self, sc):
         planner = QueryPlanner(sc)
         plan = planner.plan_filter(
             make_rdd(sc, untimed_every=1), UNTIMED_QUERY, INTERSECTS, require_index=True
         )
-        # No timed rows at all: the time-aware structures cannot prune
-        # anything and only add build surcharge, so plain STR wins.
+        # No timed rows at all: the 3D tree holds nothing the plain one
+        # does not, the two cost the same, and a tie goes to spatial.
         assert plan.strategy == "live:spatial"
+        assert plan.alternatives[0].cost == plan.estimate.cost
 
     def test_mixed_data_untimed_query_exploits_segregation(self, sc):
         planner = QueryPlanner(sc)
@@ -58,30 +59,15 @@ class TestCostModelDirection:
             make_rdd(sc, untimed_every=3), UNTIMED_QUERY, INTERSECTS, require_index=True
         )
         # Under the combined semantics an untimed query matches only
-        # untimed rows; the forest keeps those in a separate tree, so a
-        # time-aware mode legitimately beats the all-in-one STR tree.
-        assert plan.strategy in ("live:temporal", "live:3d")
+        # untimed rows; the 3D tree keeps those in a 2D tree of their
+        # own, so it legitimately beats the all-in-one STR tree.
+        assert plan.strategy == "live:3d"
         assert plan.estimate.candidates < 600  # fewer than a full spatial probe
 
     def test_tiny_dataset_pins_scan(self, sc):
         planner = QueryPlanner(sc)
         plan = planner.plan_filter(make_rdd(sc, n=20), SELECTIVE_QUERY, INTERSECTS)
         assert plan.strategy == "scan"
-
-    def test_repetitions_amortize_build_cost(self, sc):
-        planner = QueryPlanner(sc)
-        rdd = make_rdd(sc)
-        stats = planner.statistics(rdd)
-        once = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS, stats=stats)
-        many = planner.plan_filter(
-            rdd, SELECTIVE_QUERY, INTERSECTS, stats=stats, repetitions=1000
-        )
-        amortized = [e for e in [many.estimate] + many.alternatives if e.mode]
-        one_shot = [e for e in [once.estimate] + once.alternatives if e.mode]
-        assert all(e.build_cost > 0 for e in one_shot)
-        assert max(e.build_cost for e in amortized) < min(
-            e.build_cost for e in one_shot
-        )
 
     def test_alternatives_are_ranked(self, sc):
         planner = QueryPlanner(sc)
@@ -90,7 +76,7 @@ class TestCostModelDirection:
         # The winner is cheapest; pinning (tiny data / require_index)
         # does not apply here so the full list is sorted.
         assert costs == sorted(costs)
-        assert len(costs) == 5  # 2 scan orders + 3 live modes
+        assert len(costs) == 4  # 2 scan orders + 2 live modes
 
     def test_custom_constants_change_the_choice(self, sc):
         # Make index probing absurdly expensive: scans must win even
@@ -114,12 +100,12 @@ class TestExplain:
         assert "temporal_sel~" in lines[1]
         assert lines[2] == "  strategies considered:"
         # The chosen strategy first, under the marker, then every
-        # alternative it beat: 2 scan orders + 3 live modes in all.
-        assert lines[3].startswith("  -> live:temporal ")
-        assert len(lines) == 3 + 5
+        # alternative it beat: 2 scan orders + 2 live modes in all.
+        assert lines[3].startswith("  -> live:3d ")
+        assert len(lines) == 3 + 4
         assert all(line.startswith("     ") for line in lines[4:])
         for line in lines[3:]:
-            assert " cost=" in line and " candidates~" in line
+            assert " cost=" in line and " build=" in line and " candidates~" in line
             assert "[spatial-first]" in line or "[temporal-first]" in line
 
 
@@ -186,6 +172,19 @@ class TestCachedIndexes:
         rdd.unpersist()
         assert self.build_costs(planner, rdd)[1] == before
 
+    def test_a_built_index_does_not_stick(self, sc):
+        rdd = make_rdd(sc).persist()
+        planner = QueryPlanner(sc)
+        spatial(rdd).live_index(mode="spatial").intersects(SELECTIVE_QUERY).collect()
+        plan, builds = self.build_costs(planner, rdd)
+        assert builds["spatial"] == 0.0 < builds["3d"]
+        # The 3D build is paid once on a persisted RDD: the rank is the
+        # per-query cost, which the built spatial tree loses.
+        assert plan.strategy == "live:3d"
+        assert plan.estimate.cost < plan.estimate.build_cost
+        free = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS)
+        assert free.strategy == "live:3d"
+
     def test_unpersisted_rdd_keeps_paying_for_the_build(self, sc):
         rdd = make_rdd(sc)
         planner = QueryPlanner(sc)
@@ -247,7 +246,7 @@ class TestCandidateReduction:
 
             planner = QueryPlanner(sc)
             plan = planner.plan_filter(rdd, query, INTERSECTS, require_index=True)
-            assert plan.strategy.startswith("live:") and plan.mode != "spatial"
+            assert plan.mode == "3d"
             planned, planned_candidates = run(
                 planner.execute(rdd, query, INTERSECTS, plan)
             )
@@ -258,3 +257,12 @@ class TestCandidateReduction:
             assert sc.metrics.tasks_retried > 0
         assert planned == naive == scanned and planned
         assert naive_candidates >= 3 * planned_candidates > 0
+
+    def test_joint_estimate_tracks_the_counted_candidates(self, sc):
+        rdd = make_rdd(sc, n=6_000, span=100_000.0).persist()
+        plan = QueryPlanner(sc).plan_filter(rdd, self.HISTORY_QUERY, INTERSECTS)
+        before = sc.metrics.index_candidates
+        QueryPlanner(sc).execute(rdd, self.HISTORY_QUERY, INTERSECTS, plan).collect()
+        counted = sc.metrics.index_candidates - before
+        assert plan.mode == "3d" and counted > 0
+        assert counted / 1.5 <= plan.estimate.candidates <= counted * 1.5
