@@ -18,7 +18,7 @@ the envelope pre-filter used by indexes and partition pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from repro.core.stobject import STObject
 from repro.geometry import predicates as geo_predicates
@@ -40,13 +40,8 @@ def combine(
     query: STObject,
 ) -> bool:
     """Evaluate the combined semantics for (item, query)."""
-    # clause (1), then clauses (2)/(3)
-    return spatial(item.geo, query.geo) and _temporal_clause(temporal, item, query)
-
-
-def _temporal_clause(
-    temporal: TemporalPredicate, item: STObject, query: STObject
-) -> bool:
+    if not spatial(item.geo, query.geo):  # clause (1)
+        return False
     if item.time is None:
         return query.time is None  # clause (2); a mixed pair never matches
     return query.time is not None and temporal(item.time, query.time)  # clause (3)
@@ -81,21 +76,40 @@ class STPredicate:
         default=_identity_region
     )
 
+    #: Whether a mixed pair (exactly one side timed) passes the temporal
+    #: clause.  Eqs. (2)/(3) say no.  The static-side relaxation
+    #: (:class:`~repro.streaming.operators.StaticPredicate`) says yes, and
+    #: overriding this is the one step it changes.
+    mixed_pair_matches: ClassVar[bool] = False
+
+    # The three methods below decide the temporal clause inline from the
+    # STObject slots: refinement calls one of them per candidate.
+
     def evaluate(self, item: STObject, query: STObject) -> bool:
         """Full predicate with the combined temporal semantics."""
-        return self.spatial(item.geo, query.geo) and _temporal_clause(self.temporal, item, query)
+        item_t = item._time
+        query_t = query._time
+        if item_t is None or query_t is None:
+            if item_t is not query_t and not self.mixed_pair_matches:
+                return False
+            return self.spatial(item._geo, query._geo)
+        return self.spatial(item._geo, query._geo) and self.temporal(item_t, query_t)
 
     def temporal_clause(self, item: STObject, query: STObject) -> bool:
         """The temporal half of the combined semantics on its own.
 
         True when both temporal components are undefined, or both are
         defined and the temporal predicate holds; a mixed pair never
-        matches.  Evaluating this clause *first* is the planner's
-        temporal-first predicate order: for a temporally-selective
-        query it rejects most items with two float comparisons before
-        any geometry work runs.
+        matches (unless :attr:`mixed_pair_matches`).  Evaluating this
+        clause *first* is the planner's temporal-first predicate order:
+        for a temporally-selective query it rejects most items with two
+        float comparisons before any geometry work runs.
         """
-        return _temporal_clause(self.temporal, item, query)
+        item_t = item._time
+        query_t = query._time
+        if item_t is None or query_t is None:
+            return item_t is query_t or self.mixed_pair_matches
+        return self.temporal(item_t, query_t)
 
     def evaluate_ordered(
         self, item: STObject, query: STObject, temporal_first: bool
@@ -106,11 +120,15 @@ class STPredicate:
         independent); the order only decides which side pays for the
         rejections, which is what the cost-based planner optimizes.
         """
+        item_t = item._time
+        query_t = query._time
+        if item_t is None or query_t is None:
+            if item_t is not query_t and not self.mixed_pair_matches:
+                return False
+            return self.spatial(item._geo, query._geo)
         if temporal_first:
-            return self.temporal_clause(item, query) and self.spatial(
-                item.geo, query.geo
-            )
-        return combine(self.spatial, self.temporal, item, query)
+            return self.temporal(item_t, query_t) and self.spatial(item._geo, query._geo)
+        return self.spatial(item._geo, query._geo) and self.temporal(item_t, query_t)
 
     def __repr__(self) -> str:
         return f"STPredicate({self.name})"

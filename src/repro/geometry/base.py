@@ -42,13 +42,15 @@ class Geometry(ABC):
 
     #: Topological dimension: 0 for points, 1 for lines, 2 for polygons;
     #: a collection's is the largest among its non-empty members (-1 when
-    #: it has none).  Predicate dispatch is keyed on it.
+    #: it has none).  Containment, overlaps and crosses branch on it; the
+    #: symmetric relations find their kernel by the pair of types.
     dimension: int
 
     #: True for the multi-geometries and geometry collections, whose
-    #: predicates distribute over their members.  Dispatch reads it on
-    #: every call: an ``isinstance`` test against this abstract class
-    #: costs several times more when the answer is no.
+    #: predicates distribute over their members.  Read wherever a pair
+    #: misses the per-type tables and by containment on every call: an
+    #: ``isinstance`` test against this abstract class costs several
+    #: times more when the answer is no.
     is_collection = False
 
     @property

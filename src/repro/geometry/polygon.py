@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from repro.geometry import algorithms
@@ -19,7 +20,7 @@ class Polygon(Geometry):
     the empty polygon.
     """
 
-    __slots__ = ("_shell", "_holes")
+    __slots__ = ("_shell", "_holes", "_is_rectangle")
     dimension = 2
 
     def __init__(
@@ -34,6 +35,7 @@ class Polygon(Geometry):
         if self._shell.is_empty and self._holes:
             raise ValueError("empty polygon cannot have holes")
         self._envelope = self._shell.envelope
+        self._is_rectangle = self._detect_rectangle()
 
     @property
     def shell(self) -> LinearRing:
@@ -44,6 +46,35 @@ class Polygon(Geometry):
     def holes(self) -> tuple[LinearRing, ...]:
         """The interior rings."""
         return self._holes
+
+    @property
+    def is_rectangle(self) -> bool:
+        """True for a hole-free, axis-aligned rectangle of finite extent.
+
+        Its four distinct vertices are its envelope's corners and every
+        edge is axis-parallel, so a point lies in it exactly when it lies
+        in the closed envelope (JTS ``Polygon.isRectangle``).
+        """
+        return self._is_rectangle
+
+    def _detect_rectangle(self) -> bool:
+        coords = self._shell.coords
+        if self._holes or len(coords) != 5:
+            return False
+        env = self._envelope
+        # A finite extent keeps every difference ``locate`` takes finite,
+        # so it answers INTERIOR or BOUNDARY all over the closed envelope.
+        if not (math.isfinite(env.max_x - env.min_x) and math.isfinite(env.max_y - env.min_y)):
+            return False
+        corners = {
+            (env.min_x, env.min_y),
+            (env.max_x, env.min_y),
+            (env.max_x, env.max_y),
+            (env.min_x, env.max_y),
+        }
+        if len(corners) != 4 or set(coords) != corners:
+            return False
+        return all(s[0] == e[0] or s[1] == e[1] for s, e in zip(coords, coords[1:]))
 
     @property
     def geom_type(self) -> str:
@@ -128,6 +159,7 @@ class Polygon(Geometry):
     def __setstate__(self, state: tuple) -> None:
         self._shell, self._holes = state
         self._envelope = self._shell.envelope
+        self._is_rectangle = self._detect_rectangle()
 
     @staticmethod
     def from_envelope(env: Envelope) -> "Polygon":

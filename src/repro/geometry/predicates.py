@@ -22,9 +22,15 @@ set STARK exposes:
 Every boolean predicate starts with an envelope test, so callers can
 pass arbitrary geometries without pre-filtering; with the box tests of
 :mod:`~repro.geometry.algorithms` exact, refinement never accepts a pair
-that test rejects.  Dispatch is by the pair of
-:attr:`~repro.geometry.base.Geometry.dimension` values; a collection
-distributes over its non-empty parts (:func:`_parts`).  Line tests probe
+that test rejects.  The symmetric relations (intersects, distance, the
+interiors test behind touches/overlaps/crosses) find the kernel for a
+pair of simple geometries by ``(type(a), type(b))`` in one dict lookup,
+resolved once when the module loads (JTS resolves each pair of classes
+once, too); a collection distributes over its non-empty parts
+(:func:`_parts`).  Each :func:`intersects` kernel runs the envelope test
+itself, and a point against a rectangle (:attr:`Polygon.is_rectangle`)
+is answered by that test alone.  Containment branches on
+:attr:`~repro.geometry.base.Geometry.dimension`.  Line tests probe
 vertices plus segment midpoints, which is exact for the straight-edge
 geometries this engine represents.
 """
@@ -62,20 +68,21 @@ def _parts(geom: Geometry) -> list[Geometry]:
 
 
 def _dispatch_symmetric(a: Geometry, b: Geometry, table: dict) -> bool | float:
-    """Apply a symmetric relation, looked up by the pair of dimensions.
+    """Apply a symmetric relation, looked up by the pair of types.
 
     A collection's answer combines its parts' answers: the minimum for
     distance, *any* for the boolean relations.
     """
-    if a.is_collection or b.is_collection:
-        answers = (
-            _dispatch_symmetric(pa, pb, table) for pa in _parts(a) for pb in _parts(b)
-        )
-        return min(answers) if table is _DISTANCE_TABLE else any(answers)
-    da, db = a.dimension, b.dimension
-    if da <= db:
-        return table[da, db](a, b)
-    return table[db, da](b, a)
+    entry = table.get((type(a), type(b)))
+    if entry is not None:
+        kernel, swapped = entry
+        return kernel(b, a) if swapped else kernel(a, b)
+    if not (a.is_collection or b.is_collection):
+        raise TypeError(f"no relation for {type(a).__name__} and {type(b).__name__}")
+    answers = (
+        _dispatch_symmetric(pa, pb, table) for pa in _parts(a) for pb in _parts(b)
+    )
+    return min(answers) if table is _DISTANCE else any(answers)
 
 
 # ---------------------------------------------------------------------------
@@ -85,25 +92,47 @@ def _dispatch_symmetric(a: Geometry, b: Geometry, table: dict) -> bool | float:
 
 def intersects(a: Geometry, b: Geometry) -> bool:
     """True when *a* and *b* share at least one point."""
-    # The envelope test also rejects empty geometries (empty envelopes).
-    if not a.envelope.intersects(b.envelope):
-        return False
-    return _dispatch_symmetric(a, b, _INTERSECTS_TABLE)
+    # _dispatch_symmetric's lookup, inlined: refinement calls this once
+    # per candidate.
+    entry = _INTERSECTS.get((type(a), type(b)))
+    if entry is not None:
+        # Each kernel starts with the envelope test, which also rejects
+        # empty geometries (NaN coordinates, empty envelopes).
+        kernel, swapped = entry
+        return kernel(b, a) if swapped else kernel(a, b)
+    return a.envelope.intersects(b.envelope) and _dispatch_symmetric(a, b, _INTERSECTS)
 
 
 def _point_point_intersects(a: Point, b: Point) -> bool:
-    return a.coord == b.coord
+    return a._x == b._x and a._y == b._y
 
 
 def _point_line_intersects(p: Point, line: LineString) -> bool:
-    return any(algorithms.on_segment(p.coord, s, e) for s, e in line.segments())
+    x, y = p._x, p._y
+    env = line._envelope
+    if not (env.min_x <= x <= env.max_x and env.min_y <= y <= env.max_y):
+        return False
+    return any(algorithms.on_segment((x, y), s, e) for s, e in line.segments())
 
 
 def _point_polygon_intersects(p: Point, poly: Polygon) -> bool:
-    return poly.locate(p.x, p.y) != EXTERIOR
+    # Polygon.locate with its envelope test inlined: refinement runs this
+    # once per point-in-polygon candidate.
+    x, y = p._x, p._y
+    env = poly._envelope
+    if not (env.min_x <= x <= env.max_x and env.min_y <= y <= env.max_y):
+        return False
+    if poly._is_rectangle:
+        return True  # in the closed envelope is in the rectangle
+    if poly._holes:
+        return poly.locate(x, y) != EXTERIOR
+    shell = poly._shell
+    return algorithms.locate_in_edges(x, y, shell._edges or shell._prepare_edges()) != EXTERIOR
 
 
 def _line_line_intersects(a: LineString, b: LineString) -> bool:
+    if not a._envelope.intersects(b._envelope):
+        return False
     for s1, e1 in a.segments():
         seg_env_min_x = min(s1[0], e1[0])
         seg_env_max_x = max(s1[0], e1[0])
@@ -123,6 +152,8 @@ def _line_line_intersects(a: LineString, b: LineString) -> bool:
 
 
 def _line_polygon_intersects(line: LineString, poly: Polygon) -> bool:
+    if not line._envelope.intersects(poly._envelope):
+        return False
     # Any crossing with any ring means contact.
     for ring in poly.rings():
         if _line_line_intersects(line, ring):
@@ -134,6 +165,8 @@ def _line_polygon_intersects(line: LineString, poly: Polygon) -> bool:
 
 
 def _polygon_polygon_intersects(a: Polygon, b: Polygon) -> bool:
+    if not a._envelope.intersects(b._envelope):
+        return False
     for ring_a in a.rings():
         for ring_b in b.rings():
             if _line_line_intersects(ring_a, ring_b):
@@ -333,7 +366,7 @@ def distance(a: Geometry, b: Geometry) -> float:
     """Minimum Euclidean distance between *a* and *b* (0 when intersecting)."""
     if a.is_empty or b.is_empty:
         raise ValueError("distance undefined for empty geometries")
-    return _dispatch_symmetric(a, b, _DISTANCE_TABLE)
+    return _dispatch_symmetric(a, b, _DISTANCE)
 
 
 def _point_point_distance(a: Point, b: Point) -> float:
@@ -479,7 +512,7 @@ def touches(a: Geometry, b: Geometry) -> bool:
 
     Two equal points do not touch (point interiors are the points).
     """
-    return intersects(a, b) and not _dispatch_symmetric(a, b, _INTERIORS_TABLE)
+    return intersects(a, b) and not _dispatch_symmetric(a, b, _INTERIORS)
 
 
 def overlaps(a: Geometry, b: Geometry) -> bool:
@@ -500,7 +533,7 @@ def overlaps(a: Geometry, b: Geometry) -> bool:
         return any(
             _collinear_overlap_length(la, lb) for la in _lines(a) for lb in _lines(b)
         )
-    return _dispatch_symmetric(a, b, _INTERIORS_TABLE)
+    return _dispatch_symmetric(a, b, _INTERIORS)
 
 
 def crosses(a: Geometry, b: Geometry) -> bool:
@@ -519,7 +552,7 @@ def crosses(a: Geometry, b: Geometry) -> bool:
         # some point inside a line or polygon of b, some point off b
         points = _parts(a)
         inside = any(
-            _dispatch_symmetric(p, q, _INTERIORS_TABLE)
+            _dispatch_symmetric(p, q, _INTERIORS)
             for p in points
             for q in _parts(b)
             if q.dimension > 0
@@ -533,42 +566,61 @@ def crosses(a: Geometry, b: Geometry) -> bool:
         # Not covered: some part lies outside, even one leaving and
         # re-entering between sample points (a proper boundary crossing).
         outside = any(not covers(b, line) for line in _lines(a))
-        return outside and _dispatch_symmetric(a, b, _INTERIORS_TABLE)
+        return outside and _dispatch_symmetric(a, b, _INTERIORS)
     return False  # equal-dimension areal crossing does not exist
 
 
 # ---------------------------------------------------------------------------
-# dispatch tables: (lower dimension, higher dimension) -> f(lower, higher)
+# dispatch tables: (type, type) -> (kernel, swapped)
 # ---------------------------------------------------------------------------
 
 
-_INTERSECTS_TABLE: dict[tuple[int, int], Callable] = {
-    (0, 0): _point_point_intersects,
-    (0, 1): _point_line_intersects,
-    (0, 2): _point_polygon_intersects,
-    (1, 1): _line_line_intersects,
-    (1, 2): _line_polygon_intersects,
-    (2, 2): _polygon_polygon_intersects,
-}
+def _by_type_pair(kernels: dict[tuple[type, type], Callable]) -> dict:
+    """Key each kernel by both orders of its pair of simple types.
 
-_DISTANCE_TABLE: dict[tuple[int, int], Callable] = {
-    (0, 0): _point_point_distance,
-    (0, 1): _point_line_distance,
-    (0, 2): _point_polygon_distance,
-    (1, 1): _line_line_distance,
-    (1, 2): _line_polygon_distance,
-    (2, 2): _polygon_polygon_distance,
-}
+    A kernel takes its operands in the listed order, so the reversed
+    pair maps to it with ``swapped`` set; a :class:`LinearRing` is keyed
+    wherever a :class:`LineString` is.
+    """
+    table: dict[tuple[type, type], tuple[Callable, bool]] = {}
+    for (type_a, type_b), kernel in kernels.items():
+        for ta in _SUBTYPES.get(type_a, (type_a,)):
+            for tb in _SUBTYPES.get(type_b, (type_b,)):
+                table[ta, tb] = (kernel, False)
+                table.setdefault((tb, ta), (kernel, True))
+    return table
+
+
+_SUBTYPES = {LineString: (LineString, LinearRing)}
+
+#: Every kernel here runs the envelope test first.
+_INTERSECTS = _by_type_pair({
+    (Point, Point): _point_point_intersects,
+    (Point, LineString): _point_line_intersects,
+    (Point, Polygon): _point_polygon_intersects,
+    (LineString, LineString): _line_line_intersects,
+    (LineString, Polygon): _line_polygon_intersects,
+    (Polygon, Polygon): _polygon_polygon_intersects,
+})
+
+_DISTANCE = _by_type_pair({
+    (Point, Point): _point_point_distance,
+    (Point, LineString): _point_line_distance,
+    (Point, Polygon): _point_polygon_distance,
+    (LineString, LineString): _line_line_distance,
+    (LineString, Polygon): _line_polygon_distance,
+    (Polygon, Polygon): _polygon_polygon_distance,
+})
 
 #: Do the interiors meet?  Point interiors are the points themselves.
-_INTERIORS_TABLE: dict[tuple[int, int], Callable] = {
-    (0, 0): _point_point_intersects,
-    (0, 1): lambda p, line: _point_is_line_interior(p.coord, line),
-    (0, 2): _point_polygon_interiors,
-    (1, 1): _line_line_interiors,
-    (1, 2): _line_polygon_interiors,
-    (2, 2): _polygon_polygon_interiors,
-}
+_INTERIORS = _by_type_pair({
+    (Point, Point): _point_point_intersects,
+    (Point, LineString): lambda p, line: _point_is_line_interior(p.coord, line),
+    (Point, Polygon): _point_polygon_interiors,
+    (LineString, LineString): _line_line_interiors,
+    (LineString, Polygon): _line_polygon_interiors,
+    (Polygon, Polygon): _polygon_polygon_interiors,
+})
 
 # Geometry's predicate methods delegate here; hand them this module now
 # that it is complete.

@@ -1,9 +1,12 @@
 """The combined spatio-temporal predicate semantics (paper eqs. (1)-(3))."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.filter import filter_no_index
 from repro.core.predicates import (
     CONTAINED_BY,
     CONTAINS,
@@ -13,7 +16,9 @@ from repro.core.predicates import (
     within_distance_predicate,
 )
 from repro.core.stobject import STObject
+from repro.geometry import parse_wkt
 from repro.geometry.envelope import Envelope
+from repro.streaming.operators import relax_static
 
 POLY = "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))"
 
@@ -202,3 +207,67 @@ class TestSemanticsProperties:
         b = STObject("POLYGON ((-50 -50, 50 -50, 50 50, -50 50, -50 -50))", tb)
         if CONTAINED_BY.evaluate(a, b):
             assert INTERSECTS.evaluate(a, b)
+
+
+class TestStaticRelaxation:
+    """The static-side relaxation changes the temporal clause, so every
+    entry point refinement uses sees it, in either clause order."""
+
+    def test_mixed_pair_passes_in_every_order(self):
+        relaxed = relax_static(INTERSECTS)
+        timed, untimed = STObject("POINT (5 5)", 5), STObject(POLY)
+        for item, query in ((timed, untimed), (untimed, timed)):
+            assert relaxed.temporal_clause(item, query)
+            assert relaxed.evaluate(item, query)
+            assert relaxed.evaluate_ordered(item, query, False)
+            assert relaxed.evaluate_ordered(item, query, True)
+
+    def test_scan_keeps_the_same_rows_temporal_first(self, sc):
+        rows = [(STObject("POINT (5 5)", 5), 1), (STObject("POINT (50 50)", 5), 2)]
+        rdd = sc.parallelize(rows, 2)
+        relaxed = relax_static(INTERSECTS)
+        for temporal_first in (False, True):
+            kept = filter_no_index(rdd, STObject(POLY), relaxed, temporal_first=temporal_first)
+            assert [v for _st, v in kept.collect()] == [1], temporal_first
+
+
+#: Points, a rectangle, a general polygon, a line and collections, placed
+#: so that some pairs meet and some do not.
+LATTICE_GEOMETRIES = [
+    parse_wkt(text)
+    for text in (
+        "POINT (2 2)",
+        "POINT (50 50)",
+        "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))",
+        "POLYGON ((1 0, 5 1, 4 5, 0 4, -1 1, 1 0))",
+        "LINESTRING (0 0, 4 4)",
+        "MULTIPOINT ((2 2), (60 60))",
+        "GEOMETRYCOLLECTION (POINT (50 50), LINESTRING (3 0, 3 9))",
+    )
+]
+#: Untimed, instants and intervals, meeting and missing one another.
+LATTICE_TIMES = [None, 5, 50, (0, 10), (4, 6)]
+STRICT = [INTERSECTS, CONTAINS, CONTAINED_BY, within_distance_predicate(1.0)]
+
+
+@pytest.mark.parametrize(
+    "predicate", STRICT + [relax_static(p) for p in STRICT], ids=lambda p: p.name
+)
+def test_every_entry_point_agrees_with_the_definition(predicate):
+    relaxed = predicate.name.startswith("static(")
+    objects = [
+        STObject(geo, time) for geo in LATTICE_GEOMETRIES for time in LATTICE_TIMES
+    ]
+    outcomes = set()
+    for item, query in itertools.product(objects, objects):
+        if item.time is None or query.time is None:
+            clause = relaxed or item.time is query.time
+        else:
+            clause = predicate.temporal(item.time, query.time)
+        want = predicate.spatial(item.geo, query.geo) and clause
+        assert predicate.temporal_clause(item, query) == clause, (item, query)
+        assert predicate.evaluate(item, query) == want, (item, query)
+        assert predicate.evaluate_ordered(item, query, True) == want, (item, query)
+        assert predicate.evaluate_ordered(item, query, False) == want, (item, query)
+        outcomes.add((bool(clause), want))
+    assert outcomes == {(False, False), (True, False), (True, True)}

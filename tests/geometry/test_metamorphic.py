@@ -57,8 +57,11 @@ RELATIONS = {
 }
 
 
-def rectangle(x0, y0, x1, y1):
-    return Polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+def rectangle(x0, y0, x1, y1, clockwise=False, start=0):
+    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    if clockwise:
+        corners.reverse()
+    return Polygon(corners[start:] + corners[:start])
 
 
 points = coords.map(lambda c: Point(*c))
@@ -79,13 +82,15 @@ def lines(draw):
 def polygons(draw):
     x0, x1 = sorted(draw(st.lists(grid, min_size=2, max_size=2, unique=True)))
     y0, y1 = sorted(draw(st.lists(grid, min_size=2, max_size=2, unique=True)))
-    kind = draw(st.sampled_from(("rectangle", "triangle", "holed")))
+    kind = draw(st.sampled_from(("rectangle", "clockwise", "rotated", "triangle", "holed")))
     if kind == "triangle":  # collinear vertices make a zero-area ring
         return Polygon(draw(st.lists(coords, min_size=3, max_size=3, unique=True)))
     if kind == "holed" and x1 - x0 > 1 and y1 - y0 > 1:
         hole = rectangle(x0 + 0.5, y0 + 0.5, x1 - 0.5, y1 - 0.5).shell
         return Polygon(rectangle(x0, y0, x1, y1).shell, [hole])
-    return rectangle(x0, y0, x1, y1)
+    # Either winding, from any corner: every one takes the rectangle shortcut.
+    start = draw(st.integers(1, 3)) if kind == "rotated" else 0
+    return rectangle(x0, y0, x1, y1, clockwise=kind == "clockwise", start=start)
 
 
 simple = st.one_of(points, lines(), polygons())
@@ -160,6 +165,7 @@ def near_edge_pairs(draw):
         st.sampled_from(
             (
                 rectangle(x0, y0, x1, y1),
+                rectangle(x0, y0, x1, y1, clockwise=True, start=2),
                 Polygon([(x0, y0), (x1, y0), (x1, y1)]),
                 LineString([(x0, y0), (x1, y1)]),
                 LineString([(x0, y0), (x1, y0)]),
