@@ -50,25 +50,17 @@ class TestPartitionerBuild:
 
 class TestPartitionerQuality:
     def test_balance_bsp_beats_grid(self, benchmark, world_rdd, sizes):
-        from repro.partitioners.quadtree import QuadTreePartitioner
-
         keys = world_rdd.keys().collect()
         budget = max(64, sizes["filter_points"] // 16)
         grid = GridPartitioner(keys, 4)
         bsp = BSPartitioner(keys, max_cost_per_partition=budget)
-        quad = QuadTreePartitioner(keys, max_cost_per_partition=budget)
         grid_imbalance = benchmark.pedantic(lambda: grid.imbalance(keys), rounds=1)
         bsp_imbalance = bsp.imbalance(keys)
-        quad_imbalance = quad.imbalance(keys)
         print(
             f"\nimbalance (max/mean): grid={grid_imbalance:.2f} "
-            f"bsp={bsp_imbalance:.2f} ({bsp.num_partitions} parts) "
-            f"quadtree={quad_imbalance:.2f} ({quad.num_partitions} parts)"
+            f"bsp={bsp_imbalance:.2f} ({bsp.num_partitions} parts)"
         )
         assert bsp_imbalance < grid_imbalance
-        # same item budget: BSP reaches it with no more partitions than
-        # the blind center-splitting quadtree
-        assert bsp.num_partitions <= quad.num_partitions
 
     @pytest.mark.parametrize("ppd", [2, 4, 8])
     def test_grid_granularity_sweep(self, benchmark, world_rdd, ppd):

@@ -1,60 +1,14 @@
-"""Extension benchmarks: skyline and co-location analytics."""
+"""Extension benchmark: co-location analytics."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.colocation import colocation_patterns
-from repro.core.skyline import skyline
 from repro.core.stobject import STObject
-from repro.io.datagen import clustered_points, timed_stobjects
-from repro.partitioners.bsp import BSPartitioner
+from repro.io.datagen import clustered_points
 
 ROUNDS = 3
-
-
-@pytest.fixture(scope="module")
-def analytics_rdd(sc, sizes):
-    n = sizes["filter_points"]
-    objs = list(
-        timed_stobjects(
-            clustered_points(n, num_clusters=10, seed=1714),
-            time_range=(0, 1_000_000),
-            seed=1714,
-        )
-    )
-    categories = ("accident", "concert", "protest", "market")
-    rdd = sc.parallelize(
-        [(o, (i, categories[i % 4])) for i, o in enumerate(objs)], 8
-    ).persist()
-    rdd.count()
-    return rdd
-
-
-class TestSkylineBench:
-    def test_skyline_scan(self, benchmark, analytics_rdd):
-        query = STObject("POINT (500 500)", 500_000)
-        result = benchmark.pedantic(
-            lambda: skyline(analytics_rdd, query), rounds=ROUNDS
-        )
-        assert len(result) >= 1
-        # dominance invariant on the front
-        for a in result:
-            assert not any(b.dominates(a) for b in result if b is not a)
-
-    def test_skyline_partitioned(self, benchmark, analytics_rdd, sizes):
-        bsp = BSPartitioner.from_rdd(
-            analytics_rdd,
-            max_cost_per_partition=max(64, sizes["filter_points"] // 16),
-        )
-        partitioned = analytics_rdd.partition_by(bsp).persist()
-        partitioned.count()
-        query = STObject("POINT (500 500)", 500_000)
-        scan = {e.value for e in skyline(analytics_rdd, query)}
-        result = benchmark.pedantic(
-            lambda: skyline(partitioned, query), rounds=ROUNDS
-        )
-        assert {e.value for e in result} == scan
 
 
 class TestColocationBench:

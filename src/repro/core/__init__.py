@@ -13,7 +13,6 @@ from repro.core.predicates import (
     STPredicate,
     within_distance_predicate,
 )
-from repro.core.skyline import SkylineEntry, skyline
 from repro.core.spatial_rdd import (
     IndexedSpatialRDD,
     SpatialRDDFunctions,
@@ -30,12 +29,10 @@ __all__ = [
     "IndexedSpatialRDD",
     "STObject",
     "STPredicate",
-    "SkylineEntry",
     "SpatialRDDFunctions",
     "colocation_patterns",
     "install_rdd_integration",
     "knn_join",
-    "skyline",
     "spatial",
     "within_distance_predicate",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, TypeVar
 
+from repro.core.knn import query_radius
 from repro.core.stobject import STObject
 from repro.core.summaries import partition_summaries
 from repro.index import partition_index
@@ -59,13 +60,7 @@ class KnnJoinRDD(RDD[tuple]):
             # For extended probe geometries the exact distance can
             # undercut envelope-to-centroid bounds by up to the
             # geometry's radius; slacken every bound by it.
-            radius = max(
-                (
-                    ((vx - cx) ** 2 + (vy - cy) ** 2) ** 0.5
-                    for vx, vy in left_geom.coordinates()
-                ),
-                default=0.0,
-            )
+            radius = query_radius(left_geom)
             # Probe right partitions nearest-extent-first; once the k-th
             # best beats the next extent's lower bound, stop.
             order = sorted(

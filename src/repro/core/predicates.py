@@ -33,20 +33,6 @@ TemporalPredicate = Callable[[TemporalExpression, TemporalExpression], bool]
 EnvelopeTest = Callable[[Envelope, Envelope], bool]
 
 
-def combine(
-    spatial: SpatialPredicate,
-    temporal: TemporalPredicate,
-    item: STObject,
-    query: STObject,
-) -> bool:
-    """Evaluate the combined semantics for (item, query)."""
-    if not spatial(item.geo, query.geo):  # clause (1)
-        return False
-    if item.time is None:
-        return query.time is None  # clause (2); a mixed pair never matches
-    return query.time is not None and temporal(item.time, query.time)  # clause (3)
-
-
 def _identity_region(env: Envelope) -> Envelope:
     """Default candidate region: the query envelope itself."""
     return env

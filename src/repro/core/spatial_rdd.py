@@ -45,7 +45,6 @@ from repro.core.predicates import (
     resolve_predicate,
     within_distance_predicate,
 )
-from repro.core.skyline import skyline as skyline_op
 from repro.core.stobject import STObject
 from repro.core.summaries import partition_summaries, restore_summaries
 from repro.geometry.distance import DistanceFunction, euclidean
@@ -163,11 +162,6 @@ class SpatialRDDFunctions(_PredicateFilters):
     ) -> RDD:
         """DBSCAN; returns ``RDD[(STObject, (V, cluster_label))]``."""
         return dbscan(self._rdd, eps, min_pts, partitioner)
-
-    def skyline(self, query: STObject | str) -> list:
-        """The (spatial, temporal) trade-off front relative to *query*;
-        see :func:`repro.core.skyline.skyline`."""
-        return skyline_op(self._rdd, _as_query(query))
 
     def colocation(self, distance: float, min_participation: float = 0.0) -> list:
         """Co-location patterns over ``RDD[(STObject, category)]``;
@@ -439,7 +433,6 @@ _RDD_METHODS = {
     "spatial_join": "join",
     "kNNJoin": "knn_join",
     "knn_join": "knn_join",
-    "skyline": "skyline",
     "colocation": "colocation",
     "stPlan": "plan",
     "st_plan": "plan",

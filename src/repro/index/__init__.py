@@ -8,17 +8,13 @@ three faces:
   loaded R-tree, the reproduction of the JTS STRtree STARK uses for
   partition-local indexing (paper section 2.2),
 - :class:`~repro.index.temporal_forest.TimeSlicedForest` -- the hybrid
-  temporal index: equi-depth time slices of STR-trees behind an
-  interval-tree slice directory (``mode="temporal"``),
+  temporal index: equi-depth time slices of STR-trees, routed to by a
+  scan of the slice extents (``mode="temporal"``),
 - :class:`~repro.index.rtree3d.STRTree3D` -- the same tree tiled over
   (x, y, t) boxes, fusing the time dimension into it (``mode="3d"``),
 
-and beside them:
-
-- :class:`~repro.index.intervaltree.IntervalTree` -- a static interval
-  tree for temporal lookups; it backs the forest's slice directory,
-- :mod:`~repro.index.persistence` -- save/load helpers implementing the
-  *persistent indexing* mode.
+and beside them :mod:`~repro.index.persistence`, the save/load helpers
+implementing the *persistent indexing* mode.
 
 :func:`build_partition_index` is the one factory every indexing call
 path goes through, so ``live_index(mode=...)`` / ``index(mode=...)``
@@ -27,7 +23,6 @@ and the cost-based planner all agree on what each mode means;
 answers ``query_st(region, time) -> (candidates, slices_pruned)``.
 """
 
-from repro.index.intervaltree import IntervalTree
 from repro.index.rtree import STRTree
 from repro.index.rtree3d import STRTree3D
 from repro.index.temporal_forest import TimeSlicedForest
@@ -93,7 +88,6 @@ def partition_index(
 
 __all__ = [
     "INDEX_MODES",
-    "IntervalTree",
     "STRTree",
     "STRTree3D",
     "TimeSlicedForest",

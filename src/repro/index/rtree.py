@@ -199,17 +199,6 @@ class STRTree(Generic[T]):
         """The root rows of the tree's bulk loads (one for a 2D tree)."""
         return (self._root,)
 
-    @staticmethod
-    def for_geometries(
-        items: Iterable[T],
-        envelope_of: Callable[[T], Envelope],
-        node_capacity: int = DEFAULT_NODE_CAPACITY,
-    ) -> "STRTree[T]":
-        """Build from items using *envelope_of* to extract bounds."""
-        return STRTree(
-            ((envelope_of(item), item) for item in items), node_capacity
-        )
-
     def __len__(self) -> int:
         return self._size
 
@@ -242,10 +231,6 @@ class STRTree(Generic[T]):
         predicate) and prunes no slices.
         """
         return self.query(region), 0
-
-    def query_point(self, x: float, y: float) -> list[T]:
-        """Items whose envelope covers the point."""
-        return self.query(Envelope.of_point(x, y))
 
     def _leaf_rows(self) -> Iterator[tuple[tuple, T]]:
         stack = [node for _box, node in self._roots()]

@@ -10,9 +10,10 @@ following the HBase hybrid spatio-temporal index model:
   at start-time quantiles, so skewed histories stay balanced),
 - each slice owns its own :class:`~repro.index.rtree.STRTree` over the
   members' spatial envelopes,
-- an :class:`~repro.index.intervaltree.IntervalTree` over the slice
-  *extents* (each slice's true covering interval, grown by its
-  members) routes a timed query to the few slices that can contribute,
+- the slice *extents* (each slice's true covering interval, grown by
+  its members) route a timed query to the few slices that can
+  contribute; at most ``DEFAULT_MAX_SLICES`` of them, so an in-order
+  scan is the whole directory,
 - untimed entries live in one extra spatial-only tree, consulted only
   by untimed queries (a mixed timed/untimed pair never matches under
   the paper's combined semantics, eqs. (1)-(3)).
@@ -27,7 +28,6 @@ import math
 from typing import Callable, Generic, Iterator, TypeVar
 
 from repro.geometry.envelope import Envelope
-from repro.index.intervaltree import IntervalTree
 from repro.index.rtree import DEFAULT_NODE_CAPACITY, STRTree
 from repro.temporal.interval import Interval, TemporalExpression
 
@@ -41,8 +41,8 @@ def auto_slice_count(timed_entries: int, node_capacity: int) -> int:
     """A reasonable slice count for *timed_entries* members.
 
     Grows with the square root of the number of leaf-sized groups so
-    both the per-slice trees and the slice directory stay shallow;
-    clamped to ``[1, DEFAULT_MAX_SLICES]``.
+    the per-slice trees stay shallow and the scan over slice extents
+    short; clamped to ``[1, DEFAULT_MAX_SLICES]``.
     """
     if timed_entries <= 0:
         return 1
@@ -99,9 +99,6 @@ class TimeSlicedForest(Generic[T]):
             # an interval can stick out of its slice's start range
             # exactly like a polygon sticks out of its grid cell.
             self._extents.append(Interval(lo, hi))
-        self._directory: IntervalTree[int] = IntervalTree(
-            (extent, idx) for idx, extent in enumerate(self._extents)
-        )
         self._untimed: STRTree | None = (
             STRTree(
                 ((kv[0].geo.envelope, kv) for kv in untimed),
@@ -157,16 +154,22 @@ class TimeSlicedForest(Generic[T]):
     ) -> tuple[list[T], int]:
         """``(candidates, slices_pruned)`` for a spatio-temporal probe.
 
-        A timed query is routed through the slice directory and never
-        opens the untimed tree; an untimed query consults *only* the
-        untimed tree -- both directions follow the combined semantics
-        where a mixed timed/untimed pair cannot match.
+        A timed query opens only the slices whose extents meet its
+        interval (closed bounds) and never opens the untimed tree; an
+        untimed query consults *only* the untimed tree -- both
+        directions follow the combined semantics where a mixed
+        timed/untimed pair cannot match.
         """
         if time is None:
             if self._untimed is None:
                 return [], len(self._slices)
             return self._untimed.query(region), len(self._slices)
-        keep = sorted(self._directory.query(time))
+        lo, hi = time.start, time.end
+        keep = [
+            idx
+            for idx, extent in enumerate(self._extents)
+            if extent.start <= hi and lo <= extent.end
+        ]
         out: list[T] = []
         for idx in keep:
             out.extend(self._slices[idx].query(region))

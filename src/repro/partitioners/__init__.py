@@ -14,7 +14,6 @@ partition pruning at query time -- is measured from the partitioned RDD
 from repro.partitioners.base import SpatialPartitioner
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
-from repro.partitioners.quadtree import QuadTreePartitioner
 from repro.partitioners.temporal import (
     SpatioTemporalPartitioner,
     TemporalRangePartitioner,
@@ -23,7 +22,6 @@ from repro.partitioners.temporal import (
 __all__ = [
     "BSPartitioner",
     "GridPartitioner",
-    "QuadTreePartitioner",
     "SpatialPartitioner",
     "SpatioTemporalPartitioner",
     "TemporalRangePartitioner",

@@ -55,7 +55,7 @@ class SpatialPartitioner(Partitioner):
     Invariant: any two cells are separated along ``x`` or ``y`` -- one
     cell's max edge is ``<=`` the other's min edge on that axis, with
     shared edges as the same float -- so cells have pairwise disjoint
-    interiors.  Grid, BSP and quadtree cells all are.  MR-DBSCAN relies
+    interiors.  Grid and BSP cells both are.  MR-DBSCAN relies
     on it: a point more than ``eps`` inside its home cell on all four
     sides is, on the same float subtraction, more than ``eps`` from
     every other cell.

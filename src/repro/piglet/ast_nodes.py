@@ -190,13 +190,6 @@ class Sample:
 
 
 @dataclass(frozen=True)
-class Skyline:
-    rel: str
-    key: Expr
-    query: Expr
-
-
-@dataclass(frozen=True)
 class CrossOp:
     left: str
     right: str
@@ -205,7 +198,6 @@ class CrossOp:
 RelationOp = Union[
     Load, Foreach, Filter, Group, EquiJoin, SpatialJoin, SpatialPartition,
     LiveIndex, Cluster, Knn, Distinct, Limit, OrderBy, UnionOp, Sample, CrossOp,
-    Skyline,
 ]
 
 

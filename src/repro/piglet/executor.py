@@ -524,22 +524,6 @@ class PigletRuntime:
             spatial_key=None,
         )
 
-    def _op_skyline(self, alias: str, op: ast.Skyline) -> Relation:
-        from repro.core.skyline import skyline
-
-        source = self.relation(op.rel)
-        keyed = self._keyed_for(source, op.key)
-        query = _to_stobject(eval_constant(op.query))
-        entries = skyline(keyed, query)
-        rows = [
-            entry.value + (entry.spatial_distance, entry.temporal_distance)
-            for entry in entries
-        ]
-        return Relation(
-            self.context.parallelize(rows, max(1, min(len(rows), 4))),
-            source.schema + ("spatial_distance", "temporal_distance"),
-        )
-
     def _op_crossop(self, alias: str, op: ast.CrossOp) -> Relation:
         left = self.relation(op.left)
         right = self.relation(op.right)

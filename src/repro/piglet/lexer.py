@@ -10,7 +10,7 @@ KEYWORDS = {
     "JOIN", "DUMP", "STORE", "INTO", "LIMIT", "ORDER", "DESC", "ASC",
     "DISTINCT", "AND", "OR", "NOT", "SPATIAL_JOIN", "SPATIAL_PARTITION",
     "CLUSTER", "KNN", "QUERY", "K", "LIVEINDEX", "DESCRIBE", "UNION",
-    "ON", "SAMPLE", "CROSS", "EXPLAIN", "SKYLINE",
+    "ON", "SAMPLE", "CROSS", "EXPLAIN",
 }
 
 

@@ -102,7 +102,6 @@ class _Parser:
             "UNION": self._union,
             "SAMPLE": self._sample,
             "CROSS": self._cross,
-            "SKYLINE": self._skyline,
         }
         handler = handlers.get(tok.value)
         if handler is None:
@@ -290,14 +289,6 @@ class _Parser:
         self._expect("OP", ",")
         right = self._expect("NAME").value
         return ast.CrossOp(left, right)
-
-    def _skyline(self) -> ast.Skyline:
-        rel = self._expect("NAME").value
-        self._keyword("BY")
-        key = self.expression()
-        self._keyword("QUERY")
-        query = self.expression()
-        return ast.Skyline(rel, key, query)
 
     # -- expressions ---------------------------------------------------------------
 

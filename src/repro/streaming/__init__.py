@@ -104,8 +104,6 @@ from repro.streaming.operators import (
 from repro.streaming.sinks import (
     CircuitBreaker,
     EventFileSink,
-    GeoJSONSink,
-    ObjectFileSink,
     WindowSink,
 )
 from repro.streaming.sources import (
@@ -161,8 +159,6 @@ __all__ = [
     "build_snapshot",
     "WindowSink",
     "EventFileSink",
-    "GeoJSONSink",
-    "ObjectFileSink",
     "CircuitBreaker",
     "DeadLetterQueue",
     "dlq_replay",

@@ -12,23 +12,16 @@ counting the dedup in :attr:`WindowSink.skipped`.  Crashed half-writes
 live under a ``._tmp`` name that the atomic commit never exposes, so
 a restart simply overwrites them.
 
-Three sinks ship, all registered with
+One sink ships, :class:`EventFileSink`, which writes the paper's flat
+event schema via :mod:`repro.io.readers`; it is registered with
 :meth:`~repro.streaming.dstream.WindowedStream.for_each_window`::
 
     events.window(length=8.0).for_each_window(
         EventFileSink(out_dir)          # one id;category;time;wkt file
     )                                    # per closed window
 
-- :class:`EventFileSink` -- the paper's flat event schema via
-  :mod:`repro.io.readers`;
-- :class:`GeoJSONSink` -- one FeatureCollection per window via
-  :mod:`repro.io.geojson`;
-- :class:`ObjectFileSink` -- pickle part-files through
-  :func:`repro.spark.storage.save_object_file`, whose committed
-  directory (with its ``_SUCCESS`` marker) is itself the dedup marker.
-
-All three funnel their durability through :mod:`repro.spark.storage`'s
-fsync helpers, so the chaos crash harness counts their barriers too.
+It commits through :mod:`repro.spark.storage`'s fsync helpers, so the
+chaos crash harness counts its barriers too.
 
 **Degraded delivery.**  A sink is the stream's most failure-prone edge
 (full disks, flaky mounts, injected ``sink.write`` chaos), so each
@@ -49,11 +42,9 @@ import os
 import time
 from typing import Any
 
-from repro.core.stobject import STObject
-from repro.io.geojson import write_geojson
 from repro.io.readers import DEFAULT_DELIMITER, format_event_line
 from repro.spark.rdd import RDD
-from repro.spark.storage import durable_replace, save_object_file
+from repro.spark.storage import durable_replace
 from repro.streaming.window import Window
 
 _TMP_SUFFIX = "._tmp"
@@ -369,37 +360,3 @@ class EventFileSink(WindowSink):
             )
         self._commit_file(path, "".join(line + "\n" for line in lines))
 
-
-class GeoJSONSink(WindowSink):
-    """One GeoJSON FeatureCollection per closed window.
-
-    Dict-valued records become the feature's properties directly;
-    anything else is wrapped as ``{"value": ...}`` so every record
-    stays representable.
-    """
-
-    suffix = ".geojson"
-
-    def write(self, window: Window, rdd: RDD, path: str) -> None:
-        rows: list[tuple[STObject, dict[str, Any]]] = []
-        for st, value in rdd.collect():
-            rows.append((st, value if isinstance(value, dict) else {"value": value}))
-        tmp = path + _TMP_SUFFIX
-        write_geojson(rows, tmp)
-        durable_replace(tmp, path)
-
-
-class ObjectFileSink(WindowSink):
-    """One pickle object-file directory per closed window.
-
-    Delegates to :func:`repro.spark.storage.save_object_file`, which is
-    already atomic and durable; the committed directory doubles as the
-    dedup marker, so this sink adds only the per-window naming.
-    Windows re-read with :func:`repro.spark.storage.object_file_rdd`
-    restore the exact partitioning.
-    """
-
-    suffix = ""
-
-    def write(self, window: Window, rdd: RDD, path: str) -> None:
-        save_object_file(rdd, path)

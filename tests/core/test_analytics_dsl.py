@@ -1,4 +1,4 @@
-"""Skyline and co-location through the DSL / RDD integration."""
+"""Co-location through the DSL / RDD integration."""
 
 from repro.core.spatial_rdd import spatial
 from repro.core.stobject import STObject
@@ -6,17 +6,6 @@ from repro.geometry.point import Point
 
 
 class TestAnalyticsViaDsl:
-    def test_skyline_via_wrapper_and_rdd(self, sc):
-        rows = [
-            (STObject(Point(i * 10.0, 0), 1000.0 - 100.0 * (4 - i)), i)
-            for i in range(5)
-        ]
-        rdd = sc.parallelize(rows, 2)
-        query = STObject("POINT (0 0)", 1000)
-        via_wrapper = {e.value for e in spatial(rdd).skyline(query)}
-        via_rdd = {e.value for e in rdd.skyline(query)}
-        assert via_wrapper == via_rdd == {0, 1, 2, 3, 4}
-
     def test_colocation_via_rdd(self, sc):
         rows = []
         for i in range(6):

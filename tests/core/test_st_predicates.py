@@ -11,7 +11,7 @@ from repro.core.predicates import (
     CONTAINED_BY,
     CONTAINS,
     INTERSECTS,
-    combine,
+    STPredicate,
     resolve_predicate,
     within_distance_predicate,
 )
@@ -54,9 +54,13 @@ class TestCombinedSemantics:
         never = lambda a, b: False
         a = STObject("POINT (0 0)", 1)
         b = STObject("POINT (0 0)", 1)
-        assert combine(always, always, a, b)
-        assert not combine(always, never, a, b)
-        assert not combine(never, always, a, b)
+
+        def evaluate(spatial, temporal):
+            return STPredicate("probe", spatial, temporal, always).evaluate(a, b)
+
+        assert evaluate(always, always)
+        assert not evaluate(always, never)
+        assert not evaluate(never, always)
 
 
 class TestDirections:

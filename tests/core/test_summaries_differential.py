@@ -30,7 +30,6 @@ from repro.index import INDEX_MODES
 from repro.partitioners import (
     BSPartitioner,
     GridPartitioner,
-    QuadTreePartitioner,
     SpatioTemporalPartitioner,
     TemporalRangePartitioner,
 )
@@ -40,7 +39,6 @@ from repro.temporal import Interval
 SPATIAL_KINDS = {
     "grid": lambda keys: GridPartitioner(keys, 3),
     "bsp": lambda keys: BSPartitioner(keys, max_cost_per_partition=4),
-    "quadtree": lambda keys: QuadTreePartitioner(keys, 4),
 }
 TIMED_KINDS = ("temporal", "spatio-temporal")
 #: Handle method -> the predicate it evaluates.

@@ -1,6 +1,4 @@
-"""Constructive operations: clipping, simplification, hulls, transforms."""
-
-import math
+"""Constructive operations: simplification, hulls, transforms."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,128 +6,18 @@ from hypothesis import strategies as st
 
 from repro.geometry import (
     LineString,
-    MultiLineString,
     MultiPoint,
-    MultiPolygon,
     Point,
     Polygon,
     parse_wkt,
 )
 from repro.geometry.envelope import Envelope
 from repro.geometry.ops import (
-    clip_to_envelope,
     convex_hull_of,
-    rotate,
     scale,
     simplify,
     translate,
 )
-
-WINDOW = Envelope(0, 0, 10, 10)
-
-
-class TestClipPolygon:
-    def test_fully_inside_unchanged_area(self):
-        poly = Polygon([(2, 2), (8, 2), (8, 8), (2, 8)])
-        clipped = clip_to_envelope(poly, WINDOW)
-        assert clipped.area == pytest.approx(poly.area)
-
-    def test_fully_outside_is_empty(self):
-        poly = Polygon([(20, 20), (30, 20), (30, 30), (20, 30)])
-        assert clip_to_envelope(poly, WINDOW).is_empty
-
-    def test_half_overlap(self):
-        poly = Polygon([(5, 0), (15, 0), (15, 10), (5, 10)])
-        clipped = clip_to_envelope(poly, WINDOW)
-        assert clipped.area == pytest.approx(50.0)
-        assert clipped.envelope == Envelope(5, 0, 10, 10)
-
-    def test_window_inside_polygon_yields_window(self):
-        poly = Polygon([(-10, -10), (20, -10), (20, 20), (-10, 20)])
-        clipped = clip_to_envelope(poly, WINDOW)
-        assert clipped.area == pytest.approx(100.0)
-
-    def test_triangle_corner_cut(self):
-        # hypotenuse x+y=22 never enters the window: the clip is the
-        # full [8,10]^2 square
-        poly = Polygon([(8, 8), (14, 8), (8, 14)])
-        clipped = clip_to_envelope(poly, WINDOW)
-        assert clipped.area == pytest.approx(4.0)
-
-    def test_triangle_hypotenuse_cut(self):
-        # hypotenuse x+y=18 cuts through the window: the clip is the
-        # [6,10]^2 square (16) minus the corner triangle beyond the
-        # hypotenuse (legs 2 -> area 2)
-        poly = Polygon([(6, 6), (12, 6), (6, 12)])
-        clipped = clip_to_envelope(poly, WINDOW)
-        assert clipped.area == pytest.approx(14.0)
-
-    def test_edge_touch_is_empty(self):
-        # triangle touching the window only along the x=0 edge
-        poly = Polygon([(0, 0), (0, 1), (-1, 0)])
-        assert clip_to_envelope(poly, WINDOW).is_empty
-
-    def test_hole_survives_when_inside(self):
-        poly = Polygon(
-            [(-5, -5), (15, -5), (15, 15), (-5, 15)],
-            holes=[[(2, 2), (4, 2), (4, 4), (2, 4)]],
-        )
-        clipped = clip_to_envelope(poly, WINDOW)
-        assert clipped.area == pytest.approx(100.0 - 4.0)
-
-    def test_hole_outside_window_dropped(self):
-        poly = Polygon(
-            [(-5, -5), (15, -5), (15, 15), (-5, 15)],
-            holes=[[(12, 12), (13, 12), (13, 13), (12, 13)]],
-        )
-        clipped = clip_to_envelope(poly, WINDOW)
-        assert clipped.area == pytest.approx(100.0)
-
-    def test_clipped_stays_within_window(self):
-        poly = Polygon([(-3, 5), (5, -3), (13, 5), (5, 13)])
-        clipped = clip_to_envelope(poly, WINDOW)
-        env = clipped.envelope
-        assert env.min_x >= -1e-9 and env.max_x <= 10 + 1e-9
-        assert env.min_y >= -1e-9 and env.max_y <= 10 + 1e-9
-
-
-class TestClipOthers:
-    def test_point_inside_kept(self):
-        assert clip_to_envelope(Point(5, 5), WINDOW) == Point(5, 5)
-
-    def test_point_outside_empty(self):
-        assert clip_to_envelope(Point(50, 5), WINDOW).is_empty
-
-    def test_multipoint_filtered(self):
-        mp = MultiPoint([Point(1, 1), Point(50, 50), Point(9, 9)])
-        assert len(clip_to_envelope(mp, WINDOW)) == 2
-
-    def test_linestring_crossing(self):
-        ls = LineString([(-5, 5), (15, 5)])
-        clipped = clip_to_envelope(ls, WINDOW)
-        assert isinstance(clipped, LineString)
-        assert clipped.length == pytest.approx(10.0)
-
-    def test_linestring_split_into_runs(self):
-        # in, out, back in: two surviving runs
-        ls = LineString([(1, 5), (5, 5), (5, 50), (9, 50), (9, 5), (9.5, 5)])
-        clipped = clip_to_envelope(ls, WINDOW)
-        assert isinstance(clipped, MultiLineString)
-        assert len(clipped) == 2
-
-    def test_linestring_outside_empty(self):
-        assert clip_to_envelope(LineString([(20, 20), (30, 30)]), WINDOW).is_empty
-
-    def test_multipolygon(self):
-        mp = MultiPolygon([
-            Polygon([(1, 1), (3, 1), (3, 3), (1, 3)]),
-            Polygon([(50, 50), (60, 50), (60, 60), (50, 60)]),
-        ])
-        clipped = clip_to_envelope(mp, WINDOW)
-        assert len(clipped) == 1
-
-    def test_empty_window(self):
-        assert clip_to_envelope(Point(1, 1), Envelope.empty()).is_empty
 
 
 class TestSimplify:
@@ -247,42 +135,7 @@ class TestTransforms:
         scaled = scale(poly, 4, 2)
         assert scaled.envelope == Envelope(0, 0, 4, 2)
 
-    def test_rotate_quarter_turn(self):
-        p = rotate(Point(1, 0), math.pi / 2)
-        assert p.x == pytest.approx(0.0, abs=1e-12)
-        assert p.y == pytest.approx(1.0)
-
-    def test_rotate_preserves_area(self):
-        poly = Polygon([(0, 0), (4, 0), (4, 2), (0, 2)])
-        rotated = rotate(poly, 0.7, origin=(2, 1))
-        assert abs(rotated.shell.signed_area) == pytest.approx(8.0)
-
     def test_transform_multigeometry(self):
         mp = MultiPoint([Point(0, 0), Point(1, 1)])
         assert translate(mp, 5, 5) == MultiPoint([Point(5, 5), Point(6, 6)])
 
-
-class TestClipProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-20, max_value=30, allow_nan=False),
-                st.floats(min_value=-20, max_value=30, allow_nan=False),
-            ),
-            min_size=3,
-            max_size=10,
-            unique=True,
-        )
-    )
-    @settings(max_examples=60)
-    def test_clip_convex_polygon_area_bounded(self, pts):
-        from repro.geometry import algorithms
-
-        hull = algorithms.convex_hull(pts)
-        if len(hull) < 3:
-            return
-        poly = Polygon(hull)
-        clipped = clip_to_envelope(poly, WINDOW)
-        if not clipped.is_empty:
-            assert clipped.area <= poly.area + 1e-6
-            assert clipped.area <= WINDOW.area + 1e-6

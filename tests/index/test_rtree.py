@@ -55,14 +55,6 @@ class TestConstruction:
         for x, y in pts:
             assert tree.envelope.contains_point(x, y)
 
-    def test_for_geometries_constructor(self):
-        from repro.geometry.point import Point
-
-        tree = STRTree.for_geometries(
-            [Point(0, 0), Point(5, 5)], lambda p: p.envelope
-        )
-        assert len(tree) == 2
-
     def test_iter_entries_complete(self):
         _, entries = point_entries(50)
         tree = STRTree(entries)
@@ -97,8 +89,8 @@ class TestRangeQuery:
 
     def test_query_point(self):
         tree = STRTree([(Envelope(0, 0, 10, 10), "box")])
-        assert tree.query_point(5, 5) == ["box"]
-        assert tree.query_point(11, 5) == []
+        assert tree.query(Envelope.of_point(5, 5)) == ["box"]
+        assert tree.query(Envelope.of_point(11, 5)) == []
 
     def test_rectangle_entries(self):
         rng = random.Random(5)

@@ -4,7 +4,7 @@
 ``x`` or ``y`` (one's max edge ``<=`` the other's min edge, shared edges
 as the same float).  ``replication_targets`` skips the per-cell scan for
 a point more than eps inside its home cell; the differential below holds
-it to the full scan on grid, BSP and quadtree partitioners.
+it to the full scan on grid and BSP partitioners.
 """
 
 from itertools import combinations
@@ -17,7 +17,6 @@ from repro.core.stobject import STObject
 from repro.geometry.point import Point
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
-from repro.partitioners.quadtree import QuadTreePartitioner
 
 _COORD = st.one_of(
     st.integers(0, 100).map(float), st.floats(0, 100, allow_nan=False)
@@ -26,20 +25,18 @@ _COORD = st.one_of(
 
 @st.composite
 def partitioners(draw):
-    """A grid, BSP or quadtree over drawn data, maybe a zero-width universe."""
+    """A grid or BSP over drawn data, maybe a zero-width universe."""
     sample = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=60))
     flat = draw(st.sampled_from([None, 0, 1]))  # collapse x or y to one value
     if flat is not None:
         sample = [(p[0], 50.0) if flat else (50.0, p[1]) for p in sample]
     keys = [STObject(Point(x, y)) for x, y in sample]
-    kind = draw(st.sampled_from(["grid", "bsp", "quadtree"]))
+    kind = draw(st.sampled_from(["grid", "bsp"]))
     budget = draw(st.integers(1, 12))
     if kind == "grid":
         return GridPartitioner(keys, draw(st.integers(1, 5)))
-    if kind == "bsp":
-        side = draw(st.sampled_from([None, 1.0, 7.5]))
-        return BSPartitioner(keys, max_cost_per_partition=budget, side_length=side)
-    return QuadTreePartitioner(keys, max_cost_per_partition=budget, max_depth=5)
+    side = draw(st.sampled_from([None, 1.0, 7.5]))
+    return BSPartitioner(keys, max_cost_per_partition=budget, side_length=side)
 
 
 def _cells(part):

@@ -14,7 +14,6 @@ from repro.io.datagen import clustered_points, uniform_points
 from repro.core.summaries import partition_summaries
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
-from repro.partitioners.quadtree import QuadTreePartitioner
 from tests.partitioners import matching_partitions, partition_keys
 
 
@@ -23,12 +22,11 @@ def keys_of(points):
 
 
 _LOOKUP_KEYS = keys_of(clustered_points(400, num_clusters=5, seed=61))
-#: Cells with exact (grid) and fractional (BSP, quadtree) edges.
+#: Cells with exact (grid) and fractional (BSP) edges.
 LOOKUP_PARTITIONERS = [
     GridPartitioner((), 4, universe=Envelope(0, 0, 100, 100)),
     GridPartitioner(_LOOKUP_KEYS, 3),
     BSPartitioner(_LOOKUP_KEYS, max_cost_per_partition=60, side_length=7.0),
-    QuadTreePartitioner(_LOOKUP_KEYS, max_cost_per_partition=40),
 ]
 
 

@@ -122,6 +122,10 @@ class TestStatements:
         with pytest.raises(PigletSyntaxError):
             parse("x = EXPLODE r;")
 
+    def test_skyline_is_not_a_statement(self):
+        with pytest.raises(PigletSyntaxError, match="relational operator"):
+            parse("s = SKYLINE r BY obj QUERY STOBJECT('POINT (0 0)');")
+
 
 class TestExpressions:
     def parse_expr(self, text):

@@ -1,8 +1,8 @@
-"""Durable per-window sinks: write format, commit markers, dedup.
+"""The durable per-window sink: write format, commit markers, dedup.
 
-The recovery kill matrix (test_recovery.py) proves these sinks absorb
+The recovery kill matrix (test_recovery.py) proves the sink absorbs
 re-delivered windows end-to-end; this suite pins the mechanics in
-isolation -- target naming, each format's round-trip, the
+isolation -- target naming, the event format's round-trip, the
 existing-target skip path, and that orphaned ``._tmp`` staging files
 from a crashed write are invisible and get overwritten.
 """
@@ -14,11 +14,9 @@ import os
 import pytest
 
 from repro.core.stobject import STObject
-from repro.io.geojson import read_geojson
 from repro.io.readers import parse_event_line
 from repro.spark.context import SparkContext
-from repro.spark.storage import object_file_rdd
-from repro.streaming import EventFileSink, GeoJSONSink, ObjectFileSink
+from repro.streaming import EventFileSink
 from repro.streaming.window import Window
 
 
@@ -85,43 +83,8 @@ class TestEventFileSink:
         assert not os.path.exists(orphan)
         assert len(open(sink.target(WINDOW)).read().splitlines()) == 2
 
-
-class TestGeoJSONSink:
-    def test_feature_collection_roundtrip(self, tmp_path, sc):
-        sink = GeoJSONSink(str(tmp_path))
-        rows = [
-            (STObject("POINT (1 2)", 1.0), {"name": "a"}),
-            (STObject("POINT (3 4)", 2.0), "bare"),
-        ]
-        sink(WINDOW, window_rdd(sc, rows))
-        loaded = read_geojson(sink.target(WINDOW))
-        props = sorted((p for _st, p in loaded), key=str)
-        assert props == sorted([{"name": "a"}, {"value": "bare"}], key=str)
-
-    def test_redelivery_skips(self, tmp_path, sc):
-        sink = GeoJSONSink(str(tmp_path))
-        rows = [(STObject("POINT (1 2)", 1.0), {"name": "a"})]
-        sink(WINDOW, window_rdd(sc, rows))
-        sink(WINDOW, window_rdd(sc, rows))
-        assert (sink.committed, sink.skipped) == (1, 1)
-
-
-class TestObjectFileSink:
-    def test_object_directory_roundtrip_and_dedup(self, tmp_path, sc):
-        sink = ObjectFileSink(str(tmp_path))
-        rows = events(4)
-        sink(WINDOW, window_rdd(sc, rows))
-        target = sink.target(WINDOW)
-        assert os.path.isdir(target)
-        loaded = object_file_rdd(sc, target).collect()
-        assert sorted(v for _st, v in loaded) == sorted(v for _st, v in rows)
-        # The committed directory (with _SUCCESS) is the dedup marker --
-        # without it save_object_file would refuse the existing path.
-        sink(WINDOW, window_rdd(sc, rows))
-        assert (sink.committed, sink.skipped) == (1, 1)
-
     def test_distinct_windows_get_distinct_targets(self, tmp_path, sc):
-        sink = ObjectFileSink(str(tmp_path))
+        sink = EventFileSink(str(tmp_path))
         sink(Window(0.0, 4.0), window_rdd(sc, events(2)))
         sink(Window(2.0, 6.0), window_rdd(sc, events(3)))
         assert sink.committed == 2
