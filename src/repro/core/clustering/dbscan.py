@@ -87,8 +87,9 @@ def local_dbscan(
                     rows += cells.get((cx, cy), ())
         return [j for j, xj, yj in rows if hypot(xj - x, yj - y) <= eps]
 
-    # Expansion can touch every point many times on dense data; poll for
-    # cancellation so a deadline can stop a runaway partition.
+    # Expansion runs a neighbour search per queued point, each as long as
+    # the cluster is dense; poll for cancellation once per pop so a
+    # deadline can stop a runaway partition.
     heartbeat = Heartbeat(every=256)
     next_label = 0
     for seed in range(n):
@@ -99,22 +100,23 @@ def local_dbscan(
         if len(seed_neighbours) < min_pts:
             labels[seed] = NOISE  # may later become a border point
             continue
-        # Start a new cluster and expand it breadth-first.
+        # Start a new cluster and expand it breadth-first.  A point is
+        # labelled when it is queued, so each is queued at most once.
         label = next_label
         next_label += 1
         labels[seed] = label
-        core[seed] = True
-        queue = deque(seed_neighbours)
+        queue = deque([seed])
         while queue:
             heartbeat.beat()
             j = queue.popleft()
-            if labels[j] == NOISE:
-                labels[j] = label  # border point adoption
-            if labels[j] != _UNVISITED:
-                continue
-            labels[j] = label
-            j_neighbours = neighbours(j)
-            if len(j_neighbours) >= min_pts:
-                core[j] = True
-                queue.extend(j_neighbours)
+            j_neighbours = seed_neighbours if j == seed else neighbours(j)
+            if len(j_neighbours) < min_pts:
+                continue  # a border point: labelled, not expanded
+            core[j] = True
+            for k in j_neighbours:
+                if labels[k] == _UNVISITED:
+                    labels[k] = label
+                    queue.append(k)
+                elif labels[k] == NOISE:
+                    labels[k] = label  # border point adoption
     return labels, core

@@ -28,7 +28,7 @@ Output labels: dense non-negative integers per final cluster;
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Collection, Iterator, TypeVar
+from typing import Collection, Iterator, Sequence, TypeVar
 
 from repro.core.clustering.dbscan import NOISE, local_dbscan
 from repro.core.clustering.union_find import UnionFind
@@ -52,15 +52,46 @@ def _default_partitioner(keys: list[STObject], eps: float) -> SpatialPartitioner
     return BSPartitioner(keys, max_cost_per_partition=max_cost, side_length=2 * eps)
 
 
+def home_neighbours(part: SpatialPartitioner, eps: float) -> list[tuple[int, ...]]:
+    """Per home cell, the cells (home included) whose bounds come within
+    *eps* of its bounds along both axes.
+
+    They are all the cells a point inside its home's bounds can reach:
+    for ``x <= home.max_x``, ``fl(c.min_x - home.max_x) <= fl(c.min_x -
+    x)`` because rounding is monotone, so every axis test that
+    :meth:`~SpatialPartitioner.partitions_within_distance` passes for
+    the point passes here for its home, and likewise on the other three
+    sides.
+    """
+    cells = [part.partition_bounds(pid) for pid in range(part.num_partitions)]
+    return [
+        tuple(
+            pid
+            for pid, c in enumerate(cells)
+            if c.min_x - h.max_x <= eps and h.min_x - c.max_x <= eps
+            and c.min_y - h.max_y <= eps and h.min_y - c.max_y <= eps
+        )
+        for h in cells
+    ]
+
+
 def replication_targets(
-    part: SpatialPartitioner, x: float, y: float, eps: float
+    part: SpatialPartitioner, x: float, y: float, eps: float,
+    near: Sequence[Sequence[int]],
 ) -> tuple[int, Collection[int]]:
     """A point's home cell, and all cells within *eps* of it plus home (a
-    point outside the universe is clamped into a home it is not in)."""
+    point outside the universe is clamped into a home it is not in).
+
+    *near* is :func:`home_neighbours` for *part* and *eps*: a point
+    inside its home's bounds tests only its home's neighbours, a clamped
+    one every cell.
+    """
     home = part.partition_of_point(x, y)
     b = part.partition_bounds(home)
     if min(x - b.min_x, b.max_x - x, y - b.min_y, b.max_y - y) > eps:
         return home, (home,)  # cells are separated: no other one is within eps
+    if b.min_x <= x <= b.max_x and b.min_y <= y <= b.max_y:
+        return home, part.partitions_within_distance(x, y, eps, near[home])
     return home, {home, *part.partitions_within_distance(x, y, eps)}
 
 
@@ -93,17 +124,22 @@ def dbscan(
         num_partitions = partitioner.num_partitions
 
         # -- step 0: stable ids, replication assignments -------------------
-        def assign(row: tuple[tuple[STObject, V], int]) -> Iterator[tuple[int, tuple]]:
-            (key, value), gid = row
-            c = key.geo.centroid()
-            home, targets = replication_targets(partitioner, c.x, c.y, eps)
-            shared = len(targets) > 1
-            for pid in targets:
-                native = pid == home
-                payload = (key, value) if native else None
-                yield (pid, (gid, c.x, c.y, native, shared, payload))
+        near = home_neighbours(partitioner, eps)
+        num_input_partitions = rdd.num_partitions
 
-        routed = rdd.zip_with_index().flat_map(assign)
+        def assign(split: int, rows: Iterator[tuple[STObject, V]]) -> Iterator[tuple[int, tuple]]:
+            for i, (key, value) in enumerate(rows):
+                # Unique and stable: partitions recompute in the same order.
+                gid = i * num_input_partitions + split
+                c = key.geo.centroid()
+                home, targets = replication_targets(partitioner, c.x, c.y, eps, near)
+                shared = len(targets) > 1
+                for pid in targets:
+                    native = pid == home
+                    payload = (key, value) if native else None
+                    yield (pid, (gid, c.x, c.y, native, shared, payload))
+
+        routed = rdd.map_partitions_with_index(assign)
         routed = routed.partition_by(_IdentityPartitioner(num_partitions))
 
         # -- step 1: local DBSCAN per partition -----------------------------
@@ -123,16 +159,16 @@ def dbscan(
             "dbscan.local"
         )
         with context.tracer.span("dbscan.local", partitions=num_partitions):
-            # Materialize the cached local clusterings so their cost is
-            # attributed here rather than to the first merge-phase read.
-            local.foreach_partition(lambda _it: None)
+            # One job clusters every partition into the cache and reads
+            # back the cluster counts ("C") and the shared rows ("S");
+            # the relabel reads the native rows from the cache.
+            merge_rows = local.filter(lambda r: r[0] != "N").collect()
 
         # -- step 2: merge on the driver ------------------------------------
         with context.tracer.span("dbscan.merge") as merge_span:
-            # One job reads the cluster counts ("C") and the shared rows ("S").
             counts: dict[int, int] = {}
             by_gid: dict[int, list[tuple[int, int, bool]]] = defaultdict(list)
-            for row in local.filter(lambda r: r[0] != "N").collect():
+            for row in merge_rows:
                 if row[0] == "C":
                     counts[row[1]] = row[2]
                 else:

@@ -102,27 +102,29 @@ def _str_tiles(rows: list, cap: int, axes: int) -> Iterator[list]:
     """
     # Bulk-loading a large partition's index can take seconds; one
     # beat per tile keeps the build cancellable under a deadline.
-    heartbeat = Heartbeat(every=64)
+    return _tile(rows, 0, cap, axes, Heartbeat(every=64))
 
-    def tile(run: list, axis: int) -> Iterator[list]:
-        ordered = sorted(run, key=_CENTER_OF_AXIS[axis])
-        to_go = axes - axis
+
+def _tile(run: list, axis: int, cap: int, axes: int, heartbeat: Heartbeat) -> Iterator[list]:
+    """:func:`_str_tiles` from *axis* on.  A module function, not a
+    closure: a recursive closure is a reference cycle, which would leave
+    every build's closure and heartbeat to the cyclic collector."""
+    ordered = sorted(run, key=_CENTER_OF_AXIS[axis])
+    to_go = axes - axis
+    if to_go == 1:
+        size = cap
+    else:
+        leaf_count = math.ceil(len(ordered) / cap)
+        # sqrt, not ** 0.5: the 2-axis tiling is frozen to the last bit.
+        root = math.sqrt(leaf_count) if to_go == 2 else leaf_count ** (1.0 / to_go)
+        size = math.ceil(len(ordered) / max(1, math.ceil(root)))
+    for start in range(0, len(ordered), size):
+        chunk = ordered[start : start + size]
         if to_go == 1:
-            size = cap
+            heartbeat.beat()
+            yield chunk
         else:
-            leaf_count = math.ceil(len(ordered) / cap)
-            # sqrt, not ** 0.5: the 2-axis tiling is frozen to the last bit.
-            root = math.sqrt(leaf_count) if to_go == 2 else leaf_count ** (1.0 / to_go)
-            size = math.ceil(len(ordered) / max(1, math.ceil(root)))
-        for start in range(0, len(ordered), size):
-            chunk = ordered[start : start + size]
-            if to_go == 1:
-                heartbeat.beat()
-                yield chunk
-            else:
-                yield from tile(chunk, axis + 1)
-
-    return tile(rows, 0)
+            yield from _tile(chunk, axis + 1, cap, axes, heartbeat)
 
 
 def _bulk_load(entries: list[tuple[tuple, T]], cap: int, axes: int):

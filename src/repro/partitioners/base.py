@@ -91,20 +91,24 @@ class SpatialPartitioner(Partitioner):
         return self._bounds[pid]
 
     def partitions_within_distance(
-        self, x: float, y: float, max_distance: float
+        self, x: float, y: float, max_distance: float,
+        among: Iterable[int] | None = None,
     ) -> list[int]:
         """Partition ids whose bounds come within *max_distance* of a point.
 
         Which cells a point's neighbourhood reaches into (MR-DBSCAN's
         eps-border replication); where the *members* of a partition
-        reach is :func:`repro.core.summaries.partitions_within`.
+        reach is :func:`repro.core.summaries.partitions_within`.  With
+        *among*, only those ids are tested (in that order).
 
         Cells are tested inline on :meth:`Envelope.distance_to_point`'s
         arithmetic, and a cell farther away along one axis is rejected
         before ``hypot`` runs: the answer is the same bit for bit.
         """
         found = []
-        for pid, bounds in enumerate(self._bounds):
+        cells = self._bounds
+        for pid in range(len(cells)) if among is None else among:
+            bounds = cells[pid]
             min_x, max_x = bounds.min_x, bounds.max_x
             if min_x > max_x:
                 raise ValueError("distance undefined for empty envelopes")

@@ -80,8 +80,9 @@ class BSPartitioner(SpatialPartitioner):
         if side_length is None:
             # Default granularity: 1/64 of the longest side -- fine
             # enough to separate clusters, coarse enough to keep the
-            # histogram small.
-            side_length = longest_side / 64.0 if longest_side > 0 else 1.0
+            # histogram small (1.0 when that is zero or underflows).
+            side_length = longest_side / 64.0
+            side_length = side_length if side_length > 0 else 1.0
         if side_length <= 0:
             raise ValueError("side_length must be positive")
         self._side_length = side_length
@@ -181,8 +182,12 @@ class BSPartitioner(SpatialPartitioner):
         u = self._universe
         step_x = u.width / self._nx if u.width > 0 else 1.0
         step_y = u.height / self._ny if u.height > 0 else 1.0
-        ix = int((x - u.min_x) / step_x) if step_x > 0 else 0
-        iy = int((y - u.min_y) / step_y) if step_y > 0 else 0
+        fx = (x - u.min_x) / step_x if step_x > 0 else 0.0
+        fy = (y - u.min_y) / step_y if step_y > 0 else 0.0
+        # A subnormal step overflows the ratio for far-away points: an
+        # infinite ratio is past the edge, and the clamp below keeps it.
+        ix = int(fx) if not math.isinf(fx) else (-1 if fx < 0 else self._nx)
+        iy = int(fy) if not math.isinf(fy) else (-1 if fy < 0 else self._ny)
         return (min(max(ix, 0), self._nx - 1), min(max(iy, 0), self._ny - 1))
 
     def _partition_of_point(self, x: float, y: float) -> int:

@@ -49,9 +49,11 @@ class GridPartitioner(SpatialPartitioner):
 
         ppd = self._ppd
         u = self._universe
-        # Guard degenerate (zero-width/height) universes.
-        self._cell_w = (u.width / ppd) if u.width > 0 else 1.0
-        self._cell_h = (u.height / ppd) if u.height > 0 else 1.0
+        # Guard degenerate universes: zero-width/height, or so thin (a
+        # subnormal side) that a cell's side underflows to zero.
+        cell_w, cell_h = u.width / ppd, u.height / ppd
+        self._cell_w = cell_w if cell_w > 0 else 1.0
+        self._cell_h = cell_h if cell_h > 0 else 1.0
         bounds = []
         for iy in range(ppd):
             for ix in range(ppd):

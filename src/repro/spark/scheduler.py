@@ -4,6 +4,7 @@ two transports its attempts travel by -- :class:`_InlineJob` and
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import queue as queue_mod
@@ -453,7 +454,10 @@ class _ThreadJob(_JobLoop):
                  job_token: CancelToken) -> None:
         super().__init__(ctx, rdd, fn, splits, job_token)
         self._outcomes: queue_mod.Queue = queue_mod.Queue()
-        job_token.add_callback(lambda: self._outcomes.put(_WAKE))
+        # Bound to the queue, not the job: a closure over self would make
+        # job -> token -> callback -> job a cycle, keeping every job's
+        # lineage and blocks alive until a full collection.
+        job_token.add_callback(functools.partial(self._outcomes.put, _WAKE))
 
     def _submit_attempt(self, attempt: _TaskAttempt) -> None:
         self._ctx._ensure_pool().submit(

@@ -324,16 +324,18 @@ class TestDistributedDBSCAN:
             if is_core:
                 assert (got_labels[i] == NOISE) == (ref_labels[i] == NOISE)
 
-    def test_one_clustering_runs_five_jobs(self, sc):
-        # zip_with_index's count, the replication shuffle's map side, the
-        # local clustering, one merge read of the "C" and "S" rows, and
-        # the collect.
+    def test_one_clustering_runs_three_jobs(self, sc):
+        # The replication shuffle's map side, one job that clusters every
+        # partition into the cache and reads back the "C" and "S" rows,
+        # and the collect.
         pts = clustered_points(300, seed=57)
         rdd = sc.parallelize([(STObject(p), i) for i, p in enumerate(pts)], 4)
         grid = GridPartitioner.from_rdd(rdd, 3)
         sc.metrics.reset()
         dbscan(rdd, 12.0, 5, partitioner=grid).collect()
-        assert sc.metrics.jobs_run == 5
+        assert sc.metrics.jobs_run == 3
+        # 4 map tasks, then 9 local and 9 relabel tasks over the 3x3 grid.
+        assert sc.metrics.tasks_launched == 4 + 9 + 9
 
     def test_every_input_appears_exactly_once(self, sc):
         pts = clustered_points(300, seed=52)

@@ -71,6 +71,17 @@ class TestAssignment:
         for probe in [Point(-1e6, -1e6), Point(1e6, 1e6), Point(0, 0)]:
             assert 0 <= bsp.get_partition(STObject(probe)) < bsp.num_partitions
 
+    def test_total_over_a_subnormal_universe(self):
+        # The default side underflows to 0 and, given a subnormal side,
+        # a far point's cell ratio overflows: neither may raise.
+        thin = keys_of([Point(0.0, 0.0), Point(0.0, 5e-324 * 2**40)])
+        for bsp in (
+            BSPartitioner(keys_of([Point(0.0, 0.0), Point(0.0, 5e-324)]), 1),
+            BSPartitioner(thin, 1, side_length=5e-324 * 2**38),
+        ):
+            for probe in [Point(0, 1e300), Point(0, -1e300), Point(0, 0)]:
+                assert 0 <= bsp.get_partition(STObject(probe)) < bsp.num_partitions
+
     def test_assignment_matches_leaf_bounds(self):
         keys = keys_of(uniform_points(500, seed=4))
         bsp = BSPartitioner(keys, max_cost_per_partition=100)

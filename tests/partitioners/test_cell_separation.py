@@ -3,8 +3,10 @@
 ``SpatialPartitioner`` promises that any two cells are separated along
 ``x`` or ``y`` (one's max edge ``<=`` the other's min edge, shared edges
 as the same float).  ``replication_targets`` skips the per-cell scan for
-a point more than eps inside its home cell; the differential below holds
-it to the full scan on grid and BSP partitioners.
+a point more than eps inside its home cell, and scans only its home's
+neighbours (``home_neighbours``) for a point inside its home's bounds;
+the differentials below hold both routes to the full scan on grid and
+BSP partitioners, clamped points included.
 """
 
 from itertools import combinations
@@ -12,7 +14,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clustering.mr_dbscan import replication_targets
+from repro.core.clustering.mr_dbscan import home_neighbours, replication_targets
 from repro.core.stobject import STObject
 from repro.geometry.point import Point
 from repro.partitioners.bsp import BSPartitioner
@@ -63,17 +65,50 @@ def probes(draw, part, eps):
     return draw(st.lists(st.tuples(axis(edges_x), axis(edges_y)), min_size=1, max_size=25))
 
 
+def _assert_routes_like_the_full_scan(part, x, y, eps, near):
+    home, targets = replication_targets(part, x, y, eps, near)
+    assert home == part.partition_of_point(x, y)
+    assert len(set(targets)) == len(targets)
+    full = set(part.partitions_within_distance(x, y, eps)) | {home}
+    assert set(targets) == full, (part, x, y, eps)
+    b = part.partition_bounds(home)
+    if b.min_x <= x <= b.max_x and b.min_y <= y <= b.max_y:
+        # The lemma the route rests on, without the clamped fallback.
+        assert full <= set(near[home]), (part, x, y, eps)
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_replication_targets_equal_the_full_scan(data):
     part = data.draw(partitioners())
-    eps = data.draw(st.sampled_from([0.1, 1 / 3, 1.0, 2.0, 7.5]))
+    # Up to wider than a cell: a home's neighbours then go past the ring.
+    eps = data.draw(st.sampled_from([0.1, 1 / 3, 1.0, 2.0, 7.5, 30.0]))
+    near = home_neighbours(part, eps)
+    assert all(pid in cells for pid, cells in enumerate(near))
     for x, y in data.draw(probes(part, eps)):
-        home, targets = replication_targets(part, x, y, eps)
-        assert home == part.partition_of_point(x, y)
-        assert len(set(targets)) == len(targets)
-        full = set(part.partitions_within_distance(x, y, eps)) | {home}
-        assert set(targets) == full, (part, x, y, eps)
+        _assert_routes_like_the_full_scan(part, x, y, eps, near)
+
+
+def test_clamped_points_route_like_the_full_scan():
+    """Points outside the universe land in a border home they are not
+    in, and take the full scan: the neighbour lists are only proven for
+    points inside their home's bounds."""
+    keys = [STObject(Point(x, y)) for x in range(0, 101, 5) for y in range(0, 101, 7)]
+    clamped = 0
+    for part in (
+        GridPartitioner(keys, 4),
+        BSPartitioner(keys, max_cost_per_partition=20, side_length=1.0),
+    ):
+        u = part.universe
+        for eps in (0.5, 3.0, 30.0):
+            near = home_neighbours(part, eps)
+            for dx in (-eps, -eps / 2, 0.0, eps / 2, eps):
+                for x in (u.min_x + dx, u.max_x + dx, (u.min_x + u.max_x) / 2):
+                    for y in (u.min_y - eps / 2, u.max_y + eps / 2, u.min_y + dx):
+                        b = part.partition_bounds(part.partition_of_point(x, y))
+                        clamped += not (b.min_x <= x <= b.max_x and b.min_y <= y <= b.max_y)
+                        _assert_routes_like_the_full_scan(part, x, y, eps, near)
+    assert clamped > 100
 
 
 @given(partitioners())

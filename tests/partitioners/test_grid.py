@@ -188,6 +188,11 @@ class TestPruning:
         ]
         assert part.partitions_within_distance(x, y, eps) == reference
 
+    def test_a_cell_side_that_underflows_is_guarded(self):
+        grid = GridPartitioner((), 2, universe=Envelope(0.0, 0.0, 0.0, 5e-324))
+        for x, y in [(0.0, 0.0), (0.0, 5e-324), (3.0, -1e300)]:
+            assert 0 <= grid.partition_of_point(x, y) < grid.num_partitions
+
     def test_partitions_within_distance_rejects_an_empty_cell(self):
         grid = GridPartitioner((), 2, universe=Envelope(0, 0, 100, 100))
         grid._bounds[3] = Envelope.empty()

@@ -1,6 +1,10 @@
 """Context lifecycle hardening: idempotent stop, block cache, shuffle locks."""
 
+import gc
+import random
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -128,6 +132,68 @@ class TestPerCallCachesAreReleased:
             del derived
             gc.collect()
             assert len(sc._cache) == 0
+
+
+def _eventually(probe, timeout: float = 5.0) -> bool:
+    """Poll *probe* until it holds: a pool thread lets go of a task it
+    ran a moment after reporting the outcome."""
+    deadline = time.monotonic() + timeout
+    while not probe():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestJobsDieByReferenceCount:
+    """A finished job, and everything it held, goes when its last
+    reference does: with the cyclic collector off, under the pool."""
+
+    @pytest.fixture
+    def sc(self):
+        with SparkContext("refcount", parallelism=4, executor="threads") as sc:
+            sc.parallelize(range(8), 4).count()  # start the pool
+            enabled = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                yield sc
+            finally:
+                if enabled:
+                    gc.enable()
+
+    def test_a_dropped_result_rdd_is_freed(self, sc):
+        rdd = sc.parallelize(range(40), 4).map(lambda v: v + 1)
+        assert rdd.count() == 40
+        ref = weakref.ref(rdd)
+        del rdd
+        assert _eventually(lambda: ref() is None)
+
+    def test_a_dropped_persisted_rdd_sweeps_its_blocks(self, sc):
+        rdd = sc.parallelize(range(40), 4).persist()
+        assert rdd.count() == 40
+        assert len(sc._cache) == 4
+        del rdd
+        assert _eventually(lambda: len(sc._cache) == 0)
+
+    def test_clusterings_and_joins_leave_no_cyclic_garbage(self, sc):
+        from repro.core.spatial_rdd import spatial
+        from repro.core.stobject import STObject
+        from repro.geometry.point import Point
+
+        rng = random.Random(11)
+        rows = [
+            (STObject(Point(rng.uniform(0, 50), rng.uniform(0, 50))), i)
+            for i in range(120)
+        ]
+        rdd = sc.parallelize(rows, 4)
+        for _ in range(3):
+            assert spatial(rdd).cluster(eps=3.0, min_pts=3).count() == len(rows)
+            assert spatial(rdd).join(rdd, "intersects").count() == len(rows)
+        assert _eventually(lambda: len(sc._cache) == 0)
+        assert gc.collect() == 0
+        # A dead shuffle's outputs go at the next registration.
+        assert len(sc._shuffle._outputs) <= 1
 
 
 class TestShuffleLockGranularity:
