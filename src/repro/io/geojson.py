@@ -1,22 +1,23 @@
-"""GeoJSON input/output (RFC 7946).
+"""GeoJSON input (RFC 7946).
 
 The paper's event data comes from text extraction; modern pipelines
-exchange such data as GeoJSON.  This module maps between the engine's
-geometries/STObjects and GeoJSON:
+exchange such data as GeoJSON.  This module decodes it into the
+engine's geometries/STObjects -- what
+:class:`~repro.streaming.sources.DirectorySource` reads with
+``format="geojson"``:
 
-- geometry <-> ``{"type": "Point", "coordinates": [...]}`` for all seven
+- ``{"type": "Point", "coordinates": [...]}`` -> geometry for all seven
   OGC types plus GeometryCollection,
-- ``(STObject, properties)`` <-> GeoJSON *Feature* -- the temporal
-  component travels in the reserved properties ``repro:time_start`` /
-  ``repro:time_end`` (an instant has equal values),
-- feature collections <-> files, plus :func:`load_geojson` producing the
-  standard ``RDD[(STObject, dict)]`` shape.
+- a GeoJSON *Feature* -> ``(STObject, properties)``, the temporal
+  component read from the reserved properties ``repro:time_start`` /
+  ``repro:time_end`` (an instant has equal values or no end),
+- a FeatureCollection file -> a list of such pairs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, TYPE_CHECKING
+from typing import Any
 
 from repro.core.stobject import STObject
 from repro.geometry.base import Geometry
@@ -32,10 +33,6 @@ from repro.geometry.polygon import Polygon
 from repro.temporal.instant import Instant
 from repro.temporal.interval import Interval
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.spark.context import SparkContext
-    from repro.spark.rdd import RDD
-
 TIME_START_KEY = "repro:time_start"
 TIME_END_KEY = "repro:time_end"
 
@@ -45,52 +42,8 @@ class GeoJSONError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# geometry <-> geojson
+# geometry
 # ---------------------------------------------------------------------------
-
-
-def geometry_to_geojson(geom: Geometry) -> dict[str, Any]:
-    """Encode a geometry as a GeoJSON geometry object."""
-    if isinstance(geom, Point):
-        if geom.is_empty:
-            return {"type": "Point", "coordinates": []}
-        return {"type": "Point", "coordinates": [geom.x, geom.y]}
-    if isinstance(geom, Polygon):
-        return {
-            "type": "Polygon",
-            "coordinates": [
-                [list(c) for c in ring.coords] for ring in geom.rings()
-            ],
-        }
-    if isinstance(geom, LineString):  # after Polygon check (LinearRing!)
-        return {
-            "type": "LineString",
-            "coordinates": [list(c) for c in geom.coords],
-        }
-    if isinstance(geom, MultiPoint):
-        return {
-            "type": "MultiPoint",
-            "coordinates": [[p.x, p.y] for p in geom.geoms],
-        }
-    if isinstance(geom, MultiLineString):
-        return {
-            "type": "MultiLineString",
-            "coordinates": [[list(c) for c in ls.coords] for ls in geom.geoms],
-        }
-    if isinstance(geom, MultiPolygon):
-        return {
-            "type": "MultiPolygon",
-            "coordinates": [
-                [[list(c) for c in ring.coords] for ring in poly.rings()]
-                for poly in geom.geoms
-            ],
-        }
-    if isinstance(geom, GeometryCollection):
-        return {
-            "type": "GeometryCollection",
-            "geometries": [geometry_to_geojson(g) for g in geom.geoms],
-        }
-    raise TypeError(f"cannot encode {type(geom).__name__} as GeoJSON")
 
 
 def geojson_to_geometry(obj: dict[str, Any]) -> Geometry:
@@ -132,19 +85,6 @@ def geojson_to_geometry(obj: dict[str, Any]) -> Geometry:
 # ---------------------------------------------------------------------------
 
 
-def feature_from(st_object: STObject, properties: dict[str, Any] | None = None) -> dict:
-    """Encode an STObject (and payload properties) as a GeoJSON Feature."""
-    props = dict(properties or {})
-    if st_object.time is not None:
-        props[TIME_START_KEY] = st_object.time.start
-        props[TIME_END_KEY] = st_object.time.end
-    return {
-        "type": "Feature",
-        "geometry": geometry_to_geojson(st_object.geo),
-        "properties": props,
-    }
-
-
 def feature_to(obj: dict[str, Any]) -> tuple[STObject, dict[str, Any]]:
     """Decode a GeoJSON Feature into (STObject, properties)."""
     if obj.get("type") != "Feature":
@@ -162,16 +102,6 @@ def feature_to(obj: dict[str, Any]) -> tuple[STObject, dict[str, Any]]:
     return (STObject(geom, time), props)
 
 
-def write_geojson(rows, path: str) -> None:
-    """Write ``(STObject, properties)`` pairs as a FeatureCollection file."""
-    collection = {
-        "type": "FeatureCollection",
-        "features": [feature_from(st, props) for st, props in rows],
-    }
-    with open(path, "w") as f:
-        json.dump(collection, f)
-
-
 def read_geojson(path: str) -> list[tuple[STObject, dict[str, Any]]]:
     """Read a FeatureCollection file into ``(STObject, properties)`` pairs."""
     with open(path) as f:
@@ -181,11 +111,3 @@ def read_geojson(path: str) -> list[tuple[STObject, dict[str, Any]]]:
             f"expected a FeatureCollection, got {data.get('type')!r}"
         )
     return [feature_to(feature) for feature in data.get("features", [])]
-
-
-def load_geojson(
-    context: "SparkContext", path: str, num_slices: int | None = None
-) -> "RDD":
-    """Load a FeatureCollection as ``RDD[(STObject, dict)]``."""
-    rows = read_geojson(path)
-    return context.parallelize(rows, num_slices or context.default_parallelism)

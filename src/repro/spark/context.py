@@ -115,7 +115,6 @@ class SparkContext:
         parallelism: int = 4,
         executor: str = "threads",
         tracing: bool = False,
-        tracer: Tracer | None = None,
         max_task_failures: int = 4,
         retry_backoff: float = 0.05,
         fault_injector=None,
@@ -144,8 +143,9 @@ class SparkContext:
         self._cache = _CacheManager()
         self._shuffle = _ShuffleManager(self)
         #: The execution tracer.  Defaults to the shared no-op tracer;
-        #: pass ``tracing=True`` (or a :class:`Tracer`) to record spans.
-        self.tracer: Tracer = tracer or (Tracer() if tracing else NULL_TRACER)
+        #: pass ``tracing=True`` (or call :meth:`enable_tracing`) to
+        #: record spans.
+        self.tracer: Tracer = Tracer() if tracing else NULL_TRACER
         #: Attempts a task gets before the job aborts (Spark's
         #: ``spark.task.maxFailures``); each attempt recomputes the
         #: partition from lineage.
@@ -178,11 +178,6 @@ class SparkContext:
         if not self.tracer.enabled:
             self.tracer = Tracer()
         return self.tracer
-
-    def install_fault_injector(self, injector):
-        """Install a :class:`repro.chaos.FaultInjector` (None to remove)."""
-        self.fault_injector = injector
-        return injector
 
     # -- RDD creation --------------------------------------------------------
 

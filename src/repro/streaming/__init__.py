@@ -5,11 +5,16 @@ operators over Spark Streaming's discretized-stream model, and this
 package is that model over the local batch engine.  A
 :class:`StreamingContext` wraps a :class:`~repro.spark.context.
 SparkContext` and chops unbounded sources into micro-batches; each
-batch flows through lazy :class:`DStream` transformation chains whose
-spatial face (:class:`SpatialDStream`) carries the paper's predicate
-filters, stream-static joins against a broadcast R-tree, and
-event-time windows over which the batch kNN and DBSCAN operators run
-unchanged.
+batch flows through lazy :class:`SpatialDStream` transformation chains
+carrying the paper's predicate filters, stream-static joins against a
+broadcast R-tree, and event-time windows.
+
+There is one stream class and one windowed-stream class.
+``window()`` and ``continuous()`` both return a :class:`WindowedStream`
+whose range, kNN and stream-static join queries answer each closed
+window from the store and whose DBSCAN runs the batch operator over
+the window's records; they differ only in the store's grid (one cell
+for ``window()``).
 
 There is one window state.  ``window()``, ``continuous()`` and
 ``patterns()`` all hold their records once each in a grid-keyed
@@ -86,14 +91,7 @@ from repro.streaming.context import (
 )
 from repro.streaming.dlq import DeadLetterQueue, dlq_replay
 from repro.streaming.recovery import RecoveryReport, build_snapshot
-from repro.streaming.dstream import (
-    ContinuousWindowedStream,
-    DStream,
-    Sink,
-    SpatialDStream,
-    SpatialWindowedStream,
-    WindowedStream,
-)
+from repro.streaming.dstream import Sink, SpatialDStream, WindowedStream
 from repro.streaming.operators import (
     StaticPredicate,
     build_static_index,
@@ -126,11 +124,8 @@ __all__ = [
     "StreamingContext",
     "StreamingError",
     "StreamMetrics",
-    "DStream",
     "SpatialDStream",
     "WindowedStream",
-    "SpatialWindowedStream",
-    "ContinuousWindowedStream",
     "Sink",
     "CellState",
     "KeyedStateStore",

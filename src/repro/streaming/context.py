@@ -36,7 +36,7 @@ from repro.spark.context import SparkContext
 from repro.spark.rdd import RDD
 from repro.streaming.batch import BatchCore
 from repro.streaming.dlq import DeadLetterQueue
-from repro.streaming.dstream import DStream, SpatialDStream
+from repro.streaming.dstream import SpatialDStream
 from repro.streaming.ingest import Ingest
 from repro.streaming.recovery import Recovery
 from repro.streaming.sources import (
@@ -135,9 +135,6 @@ class _InputDStream(SpatialDStream):
         super().__init__(ssc, parent=None, transform_fn=None, name=f"input:{source.name}")
         self.source = source
 
-    def _derived_type(self) -> type:
-        return SpatialDStream
-
 
 class StreamingContext:
     """Micro-batch streaming over a :class:`SparkContext` (see module doc).
@@ -199,7 +196,7 @@ class StreamingContext:
         self.num_slices = num_slices
         self.metrics = StreamMetrics()
         self._inputs: list[_InputDStream] = []
-        self._outputs: list[tuple[DStream, object]] = []
+        self._outputs: list[tuple[SpatialDStream, object]] = []
         self._windows: list[StoreBackedConsumer] = []
         self._dlq = DeadLetterQueue(dlq_dir) if dlq_dir is not None else None
         self._ingest = Ingest(self, max_pending_batches)
@@ -270,9 +267,9 @@ class StreamingContext:
         :class:`~repro.streaming.sources.GeneratorSource`)."""
         return self.stream(GeneratorSource(**kwargs))
 
-    # -- registration hooks (called by DStream) ----------------------------
+    # -- registration hooks (called by SpatialDStream) ---------------------
 
-    def _register_output(self, node: DStream, fn) -> None:
+    def _register_output(self, node: SpatialDStream, fn) -> None:
         self._outputs.append((node, fn))
 
     def _register_window(self, consumer: StoreBackedConsumer) -> None:

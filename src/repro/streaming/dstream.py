@@ -1,19 +1,22 @@
 """Discretized streams: per-batch transformation chains and windows.
 
-A :class:`DStream` is a lazy description of what to do with every
-micro-batch: a chain of RDD transformations rooted at an input stream.
-Nothing runs at definition time -- the context's batch core
-(:mod:`repro.streaming.batch`) walks the registered *outputs* once per
-batch, building each batch's RDD through the chain and running the
-output action, exactly like Spark Streaming's ``foreachRDD`` model.
+A :class:`SpatialDStream` is a lazy description of what to do with
+every micro-batch of ``(STObject, value)`` records: a chain of RDD
+transformations rooted at an input stream.  Nothing runs at definition
+time -- the context's batch core (:mod:`repro.streaming.batch`) walks
+the registered *outputs* once per batch, building each batch's RDD
+through the chain and running the output action, exactly like Spark
+Streaming's ``foreachRDD`` model.  Per-batch predicate filters reuse
+:mod:`repro.core.filter` and the stream-static joins reuse
+:mod:`repro.streaming.operators`.
 
-:class:`SpatialDStream` is the spatio-temporal face of the same idea
-(streams here are ``(STObject, value)`` pairs): per-batch predicate
-filters reuse :mod:`repro.core.filter`, the stream-static joins reuse
-:mod:`repro.streaming.operators`, and :meth:`SpatialDStream.window`
-moves from per-batch to per-event-time-window processing, where the
-windowed kNN and DBSCAN operators run the batch implementations over
-each closed window's records.
+:meth:`SpatialDStream.window` and :meth:`SpatialDStream.continuous`
+move from per-batch to per-event-time-window processing.  Both return
+a :class:`WindowedStream` over one :class:`~repro.streaming.state.
+StateConsumer` -- ``window()`` with a one-cell store, ``continuous()``
+with a grid -- so every windowed operator works on either: range, kNN
+and the stream-static join answer each closed window from the store,
+DBSCAN and the window outputs run over the window's records.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import threading
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core import filter as filter_ops
-from repro.core import knn as knn_ops
 from repro.core.clustering.mr_dbscan import dbscan
 from repro.core.predicates import (
     CONTAINED_BY,
@@ -33,7 +35,7 @@ from repro.core.predicates import (
     within_distance_predicate,
 )
 from repro.core.stobject import STObject
-from repro.geometry.distance import DistanceFunction, euclidean
+from repro.geometry.distance import DistanceFunction, euclidean, resolve
 from repro.spark.rdd import RDD
 from repro.geometry.envelope import Envelope
 from repro.streaming.operators import (
@@ -79,18 +81,27 @@ class Sink:
             return len(self._items)
 
 
-class DStream:
-    """A lazy per-batch transformation chain (see module docstring).
+class SpatialDStream:
+    """A lazy per-batch chain over ``(STObject, value)`` records with the
+    STARK operators (see module docstring).
 
     Instances are immutable descriptions; every transformation returns
-    a new node pointing back at its parent.  Subclasses propagate their
-    type so :class:`SpatialDStream` chains stay spatial.
+    a new node pointing back at its parent.  Per-batch filters mirror
+    :class:`~repro.core.spatial_rdd.SpatialRDDFunctions`; the
+    ``*_static`` joins match every incoming event against a broadcast
+    R-tree over a fixed reference dataset.  Both camelCase
+    (paper-faithful) and snake_case spellings exist.
+
+    All predicates carry the static-side temporal relaxation
+    (:func:`~repro.streaming.operators.relax_static`): an untimed query
+    or reference object matches timed events on the spatial component
+    alone, while two timed sides keep the paper's combined semantics.
     """
 
     def __init__(
         self,
         ssc,
-        parent: "DStream | None" = None,
+        parent: "SpatialDStream | None" = None,
         transform_fn: Callable[[RDD], RDD] | None = None,
         name: str = "dstream",
     ) -> None:
@@ -108,34 +119,28 @@ class DStream:
         rdd = self._parent._compute(base_rdds)
         return self._transform_fn(rdd) if self._transform_fn else rdd
 
-    def _derived_type(self) -> type:
-        """The class derived nodes take (input roots override: their
-        constructor signature differs, but their children are ordinary
-        chain nodes)."""
-        return type(self)
-
-    def _derive(self, transform_fn: Callable[[RDD], RDD], name: str) -> "DStream":
-        return self._derived_type()(self._ssc, self, transform_fn, name=name)
+    def _derive(self, transform_fn: Callable[[RDD], RDD], name: str) -> "SpatialDStream":
+        return SpatialDStream(self._ssc, self, transform_fn, name=name)
 
     # -- transformations ---------------------------------------------------
 
-    def map(self, fn: Callable) -> "DStream":
+    def map(self, fn: Callable) -> "SpatialDStream":
         """Apply *fn* to every record of every batch."""
         return self._derive(lambda rdd: rdd.map(fn), f"{self.name}.map")
 
-    def filter(self, pred: Callable) -> "DStream":
+    def filter(self, pred: Callable) -> "SpatialDStream":
         """Keep the records of every batch that satisfy *pred*."""
         return self._derive(lambda rdd: rdd.filter(pred), f"{self.name}.filter")
 
-    def flat_map(self, fn: Callable) -> "DStream":
+    def flat_map(self, fn: Callable) -> "SpatialDStream":
         """Map each record to zero or more records."""
         return self._derive(lambda rdd: rdd.flat_map(fn), f"{self.name}.flat_map")
 
-    def map_partitions(self, fn: Callable[[Iterator], Iterable]) -> "DStream":
+    def map_partitions(self, fn: Callable[[Iterator], Iterable]) -> "SpatialDStream":
         """Apply a per-partition transformation to every batch."""
         return self._derive(lambda rdd: rdd.map_partitions(fn), f"{self.name}.map_partitions")
 
-    def transform(self, fn: Callable[[RDD], RDD]) -> "DStream":
+    def transform(self, fn: Callable[[RDD], RDD]) -> "SpatialDStream":
         """Apply an arbitrary RDD-to-RDD function to every batch.
 
         The escape hatch into the full batch API: anything expressible
@@ -149,7 +154,7 @@ class DStream:
     def for_each_rdd(self, fn: Callable[[int, RDD], None]) -> None:
         """Run ``fn(batch_id, rdd)`` on every batch (the terminal output).
 
-        Registering an output is what makes a chain *run*; a DStream
+        Registering an output is what makes a chain *run*; a stream
         with no outputs (and no window consumers) is never computed.
         """
         self._ssc._register_output(self, fn)
@@ -169,49 +174,8 @@ class DStream:
         self.for_each_rdd(lambda batch_id, rdd: sink.append(batch_id, rdd.count()))
         return sink
 
-    # -- windowing ---------------------------------------------------------
-
-    def window(
-        self,
-        length: float,
-        slide: float | None = None,
-        lateness: float = 0.0,
-        origin: float = 0.0,
-    ) -> "WindowedStream":
-        """Group this stream's records into event-time windows.
-
-        ``length``/``slide`` select tumbling (default) or sliding
-        windows; ``lateness`` is how far the watermark trails the
-        maximum event time seen, i.e. how much out-of-order arrival the
-        stream absorbs before a window closes.  The temporal component
-        of each record decides membership (interval-timed events join
-        every window they overlap -- the paper's eq. (1) semantics);
-        untimed records fall back to their batch's ingestion time.
-        A closing window hands its outputs its records in arrival order.
-        """
-        # window() never asks its store a spatial question, so the store
-        # is a single cell: an insert is one dict write plus extent growth.
-        consumer = StateConsumer(self, WindowSpec(length, slide, origin), lateness, grid=1)
-        self._ssc._register_window(consumer)
-        return WindowedStream(self._ssc, consumer)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
-
-
-class SpatialDStream(DStream):
-    """A stream of ``(STObject, value)`` records with the STARK operators.
-
-    Per-batch filters mirror :class:`~repro.core.spatial_rdd.
-    SpatialRDDFunctions`; the ``*_static`` joins match every incoming
-    event against a broadcast R-tree over a fixed reference dataset.
-    Both camelCase (paper-faithful) and snake_case spellings exist.
-
-    All predicates carry the static-side temporal relaxation
-    (:func:`~repro.streaming.operators.relax_static`): an untimed query
-    or reference object matches timed events on the spatial component
-    alone, while two timed sides keep the paper's combined semantics.
-    """
 
     # -- per-batch predicate filters --------------------------------------
 
@@ -284,16 +248,30 @@ class SpatialDStream(DStream):
         predicate = within_distance_predicate(max_distance, distance_fn)
         return self.join_static(reference, predicate, order)
 
+    # -- windowing ---------------------------------------------------------
+
     def window(
         self,
         length: float,
         slide: float | None = None,
         lateness: float = 0.0,
         origin: float = 0.0,
-    ) -> "SpatialWindowedStream":
-        """Event-time windows with the spatio-temporal window operators."""
-        plain = super().window(length, slide, lateness, origin)
-        return SpatialWindowedStream(self._ssc, plain._consumer)
+    ) -> "WindowedStream":
+        """Group this stream's records into event-time windows.
+
+        ``length``/``slide`` select tumbling (default) or sliding
+        windows; ``lateness`` is how far the watermark trails the
+        maximum event time seen, i.e. how much out-of-order arrival the
+        stream absorbs before a window closes.  The temporal component
+        of each record decides membership (interval-timed events join
+        every window they overlap -- the paper's eq. (1) semantics);
+        untimed records fall back to their batch's ingestion time.
+        A closing window hands its outputs its records in arrival order.
+
+        The records live in a one-cell store: an insert is one dict
+        write plus extent growth, and a standing query scans the cell.
+        """
+        return self.continuous(length, slide, lateness, origin, grid=1)
 
     def continuous(
         self,
@@ -303,36 +281,25 @@ class SpatialDStream(DStream):
         origin: float = 0.0,
         universe: "Envelope | None" = None,
         grid: int = 8,
-    ) -> "ContinuousWindowedStream":
-        """Continuous queries over keyed, grid-partitioned window state.
+    ) -> "WindowedStream":
+        """:meth:`window` over a grid-partitioned store.
 
-        The incremental alternative to :meth:`window` for sliding
-        windows: instead of recomputing each closed window with the
-        batch operators over its full record list, records are
-        assigned to grid cells at ingest and held in a
+        Records are assigned to grid cells at ingest and held in a
         :class:`~repro.streaming.state.KeyedStateStore` -- one copy
-        each -- and the standing queries registered on the returned
-        stream answer each closing window by scanning the grid cells
-        their extents cannot prune.  Window membership is the same state
-        :meth:`window` runs on; results are identical to the batch
-        recomputation, only the query cost profile changes (a window
-        advance touches entering/leaving records, not the whole
-        window).
+        each, however many sliding windows they span -- and the
+        standing queries registered on the returned stream answer each
+        closing window by scanning only the grid cells their extents
+        cannot prune.  Window membership and results are those of
+        :meth:`window`; only the query cost profile changes.
 
         ``universe`` fixes the grid up front (``grid`` cells per
         dimension); without it the first non-empty batch's bounding box
         is used -- placement only affects pruning granularity, never
         results.
         """
-        consumer = StateConsumer(
-            self,
-            WindowSpec(length, slide, origin),
-            lateness=lateness,
-            universe=universe,
-            grid=grid,
-        )
+        consumer = StateConsumer(self, WindowSpec(length, slide, origin), lateness, universe, grid)
         self._ssc._register_window(consumer)
-        return ContinuousWindowedStream(self._ssc, consumer)
+        return WindowedStream(consumer)
 
     def patterns(
         self,
@@ -383,22 +350,35 @@ class SpatialDStream(DStream):
 
 
 class WindowedStream:
-    """Outputs over closed event-time windows.
+    """Outputs and standing queries over closed event-time windows.
 
-    Each method registers one output that runs when a window closes;
-    the operator methods return a :class:`Sink` that accumulates
-    ``(window, result)`` pairs.  Windows with no records are never
+    Returned by :meth:`SpatialDStream.window` and
+    :meth:`SpatialDStream.continuous`; every method registers one
+    output or :class:`~repro.streaming.state.ContinuousQuery` on the
+    stream's :class:`~repro.streaming.state.StateConsumer` and runs
+    when a window closes.  The operator methods return a :class:`Sink`
+    accumulating ``(window, result)`` pairs, and every result equals
+    the corresponding batch operator over exactly that window's records
+    -- the contract the streaming tests pin down.  Arguments are
+    checked here, at registration.  Windows with no records are never
     emitted (window state is allocated by arriving records).
     """
 
-    def __init__(self, ssc, consumer: StateConsumer) -> None:
-        self._ssc = ssc
+    def __init__(self, consumer: StateConsumer) -> None:
         self._consumer = consumer
 
     @property
     def spec(self) -> WindowSpec:
         """The window shape this stream groups by."""
         return self._consumer.spec
+
+    @property
+    def consumer(self) -> StateConsumer:
+        """The underlying :class:`~repro.streaming.state.StateConsumer`
+        (store access for tests, metrics and dashboards)."""
+        return self._consumer
+
+    # -- window outputs ----------------------------------------------------
 
     def for_each_window(self, fn: Callable[[Window, RDD], None]) -> None:
         """Run ``fn(window, rdd)`` for every closed window."""
@@ -434,15 +414,22 @@ class WindowedStream:
         """Collect each closed window's record count."""
         return self.apply(lambda _window, rdd: rdd.count())
 
+    # -- standing queries over the store -----------------------------------
 
-class SpatialWindowedStream(WindowedStream):
-    """Windowed spatio-temporal operators (kNN, DBSCAN hotspots).
+    def range(self, query: "STObject | str", predicate: "str | STPredicate" = INTERSECTS) -> Sink:
+        """Per closed window: its records matching *predicate* against
+        *query* (default: paper eq. (1)).
 
-    Every operator runs the *batch* implementation from
-    :mod:`repro.core` over the closed window's records, so a window's
-    result is identical to a batch job over the same data -- the
-    correctness contract the streaming tests pin down.
-    """
+        Answered by :meth:`~repro.streaming.state.KeyedStateStore.
+        query_range` (one scan of each cell the extents cannot prune)
+        -- equal to :func:`repro.core.filter.filter_no_index` over the
+        window under the static-side temporal relaxation.
+        """
+        query_obj = query if isinstance(query, STObject) else STObject(query)
+        pred = resolve_predicate(predicate)
+        return self._consumer.add_query(
+            ContinuousQuery(lambda store, window: store.query_range(query_obj, pred, window))
+        ).sink
 
     def knn(
         self,
@@ -453,12 +440,44 @@ class SpatialWindowedStream(WindowedStream):
         """Per closed window: the k records nearest *query*.
 
         Sink values are ascending ``[(distance, (STObject, value))]``
-        lists -- :func:`repro.core.knn.knn` run over the window.
+        lists equal to :func:`repro.core.knn.knn` over the window,
+        answered by :meth:`~repro.streaming.state.KeyedStateStore.
+        query_knn` from a best-k heap fed cells in ascending bound order.
         """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        fn = resolve(distance_fn)
         query_obj = query if isinstance(query, STObject) else STObject(query)
-        return self.apply(
-            lambda _window, rdd: knn_ops.knn(rdd, query_obj, k, distance_fn)
-        )
+        return self._consumer.add_query(
+            ContinuousQuery(lambda store, window: store.query_knn(query_obj, k, window, fn))
+        ).sink
+
+    def intersects_static(
+        self,
+        reference: "RDD | list[Record]",
+        predicate: "str | STPredicate" = INTERSECTS,
+        order: int = 10,
+    ) -> Sink:
+        """Per closed window: the stream-static join of its records
+        against a fixed reference set.
+
+        Each record is probed against the reference R-tree exactly once
+        at ingest; per closed window the cached matches of the window's
+        records are emitted -- ``((stream_st, stream_v), (ref_st,
+        ref_v))`` pairs, equal to :func:`~repro.streaming.operators.
+        stream_static_join` over the window's records.
+        """
+        rows = reference.collect() if isinstance(reference, RDD) else list(reference)
+        return self._consumer.add_query(ContinuousJoinStatic(rows, predicate, order)).sink
+
+    # -- DBSCAN over the window's records ----------------------------------
+
+    def _clustered(self, eps: float, min_pts: int, summarize: Callable[[list], Any]) -> Sink:
+        if eps <= 0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        if min_pts < 1:
+            raise ValueError(f"min_pts must be >= 1, got {min_pts}")
+        return self.apply(lambda _window, rdd: summarize(dbscan(rdd, eps, min_pts).collect()))
 
     def cluster(self, eps: float, min_pts: int) -> Sink:
         """Per closed window: DBSCAN labels for every window record.
@@ -467,9 +486,7 @@ class SpatialWindowedStream(WindowedStream):
         is labelled ``-1``), from :func:`repro.core.clustering.
         mr_dbscan.dbscan` over the window.
         """
-        return self.apply(
-            lambda _window, rdd: dbscan(rdd, eps, min_pts).collect()
-        )
+        return self._clustered(eps, min_pts, lambda labelled: labelled)
 
     def hotspots(self, eps: float, min_pts: int, min_size: int = 1) -> Sink:
         """Per closed window: the emerging event hotspots.
@@ -480,8 +497,7 @@ class SpatialWindowedStream(WindowedStream):
         of the paper's event-cluster analysis.
         """
 
-        def summarize(_window: Window, rdd: RDD) -> list[tuple[int, int, tuple[float, float]]]:
-            labelled = dbscan(rdd, eps, min_pts).collect()
+        def summarize(labelled: list) -> list[tuple[int, int, tuple[float, float]]]:
             clusters: dict[int, list[STObject]] = {}
             for st, (_value, label) in labelled:
                 if label >= 0:
@@ -496,90 +512,7 @@ class SpatialWindowedStream(WindowedStream):
             out.sort(key=lambda row: (-row[1], row[0]))
             return out
 
-        return self.apply(summarize)
+        return self._clustered(eps, min_pts, summarize)
 
     kNN = knn
-
-
-class ContinuousWindowedStream:
-    """Standing queries over the keyed state store (see
-    :meth:`SpatialDStream.continuous`).
-
-    Each method registers one :class:`~repro.streaming.state.
-    ContinuousQuery` and returns its :class:`Sink` of ``(window,
-    result)`` pairs.  Every result is pinned equal to running the
-    corresponding batch operator over exactly that window's records --
-    the contract the streaming state tests assert -- while the engine
-    only ever touches records entering or leaving the window set.
-    """
-
-    def __init__(self, ssc, consumer) -> None:
-        self._ssc = ssc
-        self._consumer = consumer
-
-    @property
-    def spec(self) -> WindowSpec:
-        """The window shape this stream groups by."""
-        return self._consumer.spec
-
-    @property
-    def consumer(self):
-        """The underlying :class:`~repro.streaming.state.StateConsumer`
-        (store access for tests, metrics and dashboards)."""
-        return self._consumer
-
-    def range(self, query: "STObject | str", predicate: "str | STPredicate" = INTERSECTS) -> Sink:
-        """Continuous range/predicate query (default: paper eq. (1)).
-
-        Per closed window: the window's records matching *predicate*
-        against *query*, answered by :meth:`~repro.streaming.state.
-        KeyedStateStore.query_range` (one scan of each cell the extents
-        cannot prune) -- equal to :func:`repro.core.filter.
-        filter_no_index` over the window under the static-side temporal
-        relaxation.
-        """
-        query_obj = query if isinstance(query, STObject) else STObject(query)
-        pred = resolve_predicate(predicate)
-        return self._consumer.add_query(
-            ContinuousQuery(lambda store, window: store.query_range(query_obj, pred, window))
-        ).sink
-
-    def knn(
-        self,
-        query: "STObject | str",
-        k: int,
-        distance_fn: "str | DistanceFunction" = euclidean,
-    ) -> Sink:
-        """Continuous k-nearest-neighbours of *query*.
-
-        Per closed window: ascending ``[(distance, (STObject, value))]``
-        equal to :func:`repro.core.knn.knn` over the window, answered
-        from a per-query heap fed cells in ascending bound order.
-        """
-        query_obj = query if isinstance(query, STObject) else STObject(query)
-        return self._consumer.add_query(
-            ContinuousQuery(
-                lambda store, window: store.query_knn(query_obj, k, window, distance_fn)
-            )
-        ).sink
-
-    def intersects_static(
-        self,
-        reference: "RDD | list[Record]",
-        predicate: "str | STPredicate" = INTERSECTS,
-        order: int = 10,
-    ) -> Sink:
-        """Continuous stream-static join against a fixed reference set.
-
-        Each record is probed against the reference R-tree exactly once
-        at ingest; per closed window the cached matches of the window's
-        records are emitted -- ``((stream_st, stream_v), (ref_st,
-        ref_v))`` pairs, equal to :func:`~repro.streaming.operators.
-        stream_static_join` over the window's records.
-        """
-        rows = reference.collect() if isinstance(reference, RDD) else list(reference)
-        return self._consumer.add_query(
-            ContinuousJoinStatic(rows, predicate, order)
-        ).sink
-
     intersectsStatic = intersects_static

@@ -55,7 +55,6 @@ assert record for record.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import deque
 from typing import Any, Callable, Iterator, Sequence
@@ -343,6 +342,10 @@ class KeyedStateStore:
         cannot beat the current k-th distance.  Non-Euclidean metrics
         make envelope bounds inadmissible, so they scan every live cell
         -- correctness over speed, matching the batch operator.
+
+        Equal distances rank by record id, i.e. arrival order, whatever
+        the grid: the answer is the batch operator's over the window's
+        records in arrival order, for a one-cell store and a grid alike.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -361,17 +364,16 @@ class KeyedStateStore:
                 else 0.0
             )
             ranked.append((bound, cell))
-        # Stable sort on the bound alone: tied cells keep store insertion
-        # order, so tied records rank exactly as the batch operator's.
         ranked.sort(key=lambda pair: pair[0])
 
-        # A max-heap of the k best (negated distance, tie, record).
+        # A max-heap of the k best (negated distance, negated rid, record):
+        # its top is the worst kept, the latest arrival among equal
+        # distances, so a tie seen in a later cell still wins by arrival.
         best: list[tuple[float, int, Record]] = []
-        tie = itertools.count()
         for bound, cell in ranked:
             if prune and len(best) == k and bound > -best[0][0]:
                 break
-            for st, value, t_start, t_end in cell.registry.values():
+            for rid, (st, value, t_start, t_end) in cell.registry.items():
                 if window is not None and not window.intersects_span(t_start, t_end):
                     continue
                 if (
@@ -383,10 +385,10 @@ class KeyedStateStore:
                     continue  # envelope bound already beaten
                 d = fn(st.geo, query.geo)
                 if len(best) < k:
-                    heapq.heappush(best, (-d, next(tie), (st, value)))
-                elif d < -best[0][0]:
-                    heapq.heapreplace(best, (-d, next(tie), (st, value)))
-        return sorted(((-nd, record) for nd, _t, record in best), key=lambda p: p[0])
+                    heapq.heappush(best, (-d, -rid, (st, value)))
+                elif d < -best[0][0] or (d == -best[0][0] and rid < -best[0][1]):
+                    heapq.heapreplace(best, (-d, -rid, (st, value)))
+        return [(-nd, record) for nd, _rid, record in sorted(best, reverse=True)]
 
 
 class KeyedWindowState:
@@ -693,7 +695,7 @@ class StoreBackedConsumer:
 class StateConsumer(StoreBackedConsumer):
     """The event-time window consumer behind ``window()`` and ``continuous()``.
 
-    Bridges one DStream node to a :class:`KeyedWindowState`: per batch
+    Bridges one stream node to a :class:`KeyedWindowState`: per batch
     the streaming context collects the chain's records and calls
     :meth:`absorb`, and :meth:`fire` emits every ready window -- the
     registered continuous queries answer from the store, the window

@@ -91,12 +91,13 @@ class TestInstall:
                 assert sc.fault_injector is inj
             assert sc.fault_injector is None
 
-    def test_install_method(self):
-        with SparkContext("chaos-test", executor="sequential") as sc:
-            inj = sc.install_fault_injector(FaultInjector())
+    def test_constructor_installs_and_installed_restores(self):
+        inj, other = FaultInjector(), FaultInjector()
+        with SparkContext("chaos-test", executor="sequential", fault_injector=inj) as sc:
             assert sc.fault_injector is inj
-            sc.install_fault_injector(None)
-            assert sc.fault_injector is None
+            with other.installed(sc):
+                assert sc.fault_injector is other
+            assert sc.fault_injector is inj
 
 
 class TestEnvWiring:

@@ -1,4 +1,4 @@
-"""GeoJSON encoding, decoding, file and RDD round trips."""
+"""GeoJSON decoding from literal documents, files and into RDDs."""
 
 import json
 
@@ -10,50 +10,84 @@ from repro.core.stobject import STObject
 from repro.geometry import parse_wkt
 from repro.io.geojson import (
     GeoJSONError,
-    feature_from,
     feature_to,
     geojson_to_geometry,
-    geometry_to_geojson,
-    load_geojson,
     read_geojson,
-    write_geojson,
 )
 from repro.temporal import Instant, Interval
 
-WKTS = [
-    "POINT (1 2)",
-    "LINESTRING (0 0, 1 1, 2 0)",
-    "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))",
-    "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (4 4, 6 4, 6 6, 4 6, 4 4))",
-    "MULTIPOINT ((1 2), (3 4))",
-    "MULTILINESTRING ((0 0, 1 1), (2 2, 3 3))",
-    "MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), ((5 5, 6 5, 6 6, 5 5)))",
-    "GEOMETRYCOLLECTION (POINT (1 2), LINESTRING (0 0, 1 1))",
-]
+#: WKT -> the GeoJSON geometry object naming the same geometry.
+DOCUMENTS = {
+    "POINT (1 2)": {"type": "Point", "coordinates": [1, 2]},
+    "LINESTRING (0 0, 1 1, 2 0)": {
+        "type": "LineString",
+        "coordinates": [[0, 0], [1, 1], [2, 0]],
+    },
+    "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))": {
+        "type": "Polygon",
+        "coordinates": [[[0, 0], [10, 0], [10, 10], [0, 10], [0, 0]]],
+    },
+    "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (4 4, 6 4, 6 6, 4 6, 4 4))": {
+        "type": "Polygon",
+        "coordinates": [
+            [[0, 0], [10, 0], [10, 10], [0, 10], [0, 0]],
+            [[4, 4], [6, 4], [6, 6], [4, 6], [4, 4]],
+        ],
+    },
+    "MULTIPOINT ((1 2), (3 4))": {"type": "MultiPoint", "coordinates": [[1, 2], [3, 4]]},
+    "MULTILINESTRING ((0 0, 1 1), (2 2, 3 3))": {
+        "type": "MultiLineString",
+        "coordinates": [[[0, 0], [1, 1]], [[2, 2], [3, 3]]],
+    },
+    "MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), ((5 5, 6 5, 6 6, 5 5)))": {
+        "type": "MultiPolygon",
+        "coordinates": [
+            [[[0, 0], [1, 0], [1, 1], [0, 0]]],
+            [[[5, 5], [6, 5], [6, 6], [5, 5]]],
+        ],
+    },
+    "GEOMETRYCOLLECTION (POINT (1 2), LINESTRING (0 0, 1 1))": {
+        "type": "GeometryCollection",
+        "geometries": [
+            {"type": "Point", "coordinates": [1, 2]},
+            {"type": "LineString", "coordinates": [[0, 0], [1, 1]]},
+        ],
+    },
+}
+WKTS = list(DOCUMENTS)
+
+
+def collection(*features):
+    return {"type": "FeatureCollection", "features": list(features)}
+
+
+def write(path, document):
+    path.write_text(json.dumps(document))
+    return str(path)
 
 
 class TestGeometryRoundtrip:
     @pytest.mark.parametrize("wkt", WKTS)
     def test_roundtrip(self, wkt):
-        geom = parse_wkt(wkt)
-        encoded = geometry_to_geojson(geom)
-        assert geojson_to_geometry(encoded) == geom
+        assert geojson_to_geometry(DOCUMENTS[wkt]) == parse_wkt(wkt)
 
     @pytest.mark.parametrize("wkt", WKTS)
-    def test_json_serializable(self, wkt):
-        encoded = geometry_to_geojson(parse_wkt(wkt))
-        assert geojson_to_geometry(json.loads(json.dumps(encoded))) == parse_wkt(wkt)
+    def test_json_serializable(self, wkt, tmp_path):
+        """The document as JSON text, inside a FeatureCollection file."""
+        feature = {"type": "Feature", "geometry": DOCUMENTS[wkt], "properties": {}}
+        path = write(tmp_path / "one.geojson", collection(feature))
+        assert read_geojson(path) == [(STObject(parse_wkt(wkt)), {})]
 
     def test_point_structure(self):
-        assert geometry_to_geojson(parse_wkt("POINT (1 2)")) == {
-            "type": "Point",
-            "coordinates": [1.0, 2.0],
-        }
+        point = geojson_to_geometry({"type": "Point", "coordinates": [1.0, 2.0]})
+        assert (point.x, point.y) == (1.0, 2.0)
 
     def test_polygon_rings_explicitly_closed(self):
-        encoded = geometry_to_geojson(parse_wkt("POLYGON ((0 0, 1 0, 1 1, 0 0))"))
-        ring = encoded["coordinates"][0]
-        assert ring[0] == ring[-1]
+        closed = {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]}
+        polygon = geojson_to_geometry(closed)
+        assert polygon == parse_wkt("POLYGON ((0 0, 1 0, 1 1, 0 0))")
+        ring = list(next(polygon.rings()).coords)
+        assert ring[0] == ring[-1] and len(ring) == 4
 
     def test_z_coordinates_truncated(self):
         geom = geojson_to_geometry({"type": "Point", "coordinates": [1, 2, 99]})
@@ -73,26 +107,41 @@ class TestGeometryRoundtrip:
             geojson_to_geometry(bad)
 
 
+POINT = {"type": "Point", "coordinates": [1, 2]}
+
+
 class TestFeatures:
     def test_spatial_only_feature(self):
-        st_obj = STObject("POINT (1 2)")
-        back, props = feature_to(feature_from(st_obj, {"name": "x"}))
-        assert back == st_obj
+        back, props = feature_to({"type": "Feature", "geometry": POINT, "properties": {"name": "x"}})
+        assert back == STObject("POINT (1 2)")
         assert props == {"name": "x"}
 
     def test_instant_travels_in_properties(self):
-        st_obj = STObject("POINT (1 2)", 1000)
-        back, _props = feature_to(feature_from(st_obj))
+        feature = {
+            "type": "Feature",
+            "geometry": POINT,
+            "properties": {"repro:time_start": 1000, "repro:time_end": 1000},
+        }
+        back, _props = feature_to(feature)
         assert back.time == Instant(1000)
 
     def test_interval_travels_in_properties(self):
-        st_obj = STObject("POINT (1 2)", 10, 20)
-        back, _props = feature_to(feature_from(st_obj))
+        feature = {
+            "type": "Feature",
+            "geometry": POINT,
+            "properties": {"repro:time_start": 10, "repro:time_end": 20},
+        }
+        back, _props = feature_to(feature)
         assert back.time == Interval(10, 20)
 
     def test_time_keys_stripped_from_properties(self):
-        st_obj = STObject("POINT (1 2)", 5)
-        _back, props = feature_to(feature_from(st_obj, {"a": 1}))
+        feature = {
+            "type": "Feature",
+            "geometry": POINT,
+            "properties": {"a": 1, "repro:time_start": 5},
+        }
+        back, props = feature_to(feature)
+        assert back.time == Instant(5)
         assert props == {"a": 1}
 
     def test_non_feature_rejected(self):
@@ -102,21 +151,29 @@ class TestFeatures:
 
 class TestFiles:
     def test_file_roundtrip(self, tmp_path):
-        rows = [
+        document = collection(
+            {
+                "type": "Feature",
+                "geometry": POINT,
+                "properties": {
+                    "id": 1,
+                    "category": "accident",
+                    "repro:time_start": 100,
+                    "repro:time_end": 100,
+                },
+            },
+            {
+                "type": "Feature",
+                "geometry": DOCUMENTS["POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))"],
+                "properties": {"id": 2, "repro:time_start": 10, "repro:time_end": 20},
+            },
+            {"type": "Feature", "geometry": DOCUMENTS["LINESTRING (0 0, 1 1, 2 0)"], "properties": {}},
+        )
+        assert read_geojson(write(tmp_path / "events.geojson", document)) == [
             (STObject("POINT (1 2)", 100), {"id": 1, "category": "accident"}),
-            (STObject("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))", 10, 20), {"id": 2}),
-            (STObject("LINESTRING (0 0, 5 5)"), {}),
+            (STObject("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))", 10, 20), {"id": 2}),
+            (STObject("LINESTRING (0 0, 1 1, 2 0)"), {}),
         ]
-        path = str(tmp_path / "events.geojson")
-        write_geojson(rows, path)
-        assert read_geojson(path) == rows
-
-    def test_output_is_valid_json(self, tmp_path):
-        path = str(tmp_path / "e.geojson")
-        write_geojson([(STObject("POINT (0 0)"), {})], path)
-        with open(path) as f:
-            data = json.load(f)
-        assert data["type"] == "FeatureCollection"
 
     def test_non_collection_rejected(self, tmp_path):
         path = tmp_path / "bad.geojson"
@@ -125,12 +182,17 @@ class TestFiles:
             read_geojson(str(path))
 
     def test_load_as_rdd(self, sc, tmp_path):
-        rows = [
-            (STObject(f"POINT ({i} {i})", i * 10.0), {"id": i}) for i in range(50)
-        ]
-        path = str(tmp_path / "events.geojson")
-        write_geojson(rows, path)
-        rdd = load_geojson(sc, path)
+        document = collection(
+            *(
+                {
+                    "type": "Feature",
+                    "geometry": {"type": "Point", "coordinates": [i, i]},
+                    "properties": {"id": i, "repro:time_start": i * 10.0},
+                }
+                for i in range(50)
+            )
+        )
+        rdd = sc.parallelize(read_geojson(write(tmp_path / "events.geojson", document)))
         assert rdd.count() == 50
         # the loaded RDD is queryable like any event RDD
         # JTS contains semantics: the boundary points (0,0) and (10,10)
@@ -146,8 +208,13 @@ class TestGeoJSONProperties:
     @given(coords, coords, st.one_of(st.none(), st.floats(0, 1e6, allow_nan=False)))
     @settings(max_examples=60)
     def test_point_feature_roundtrip(self, x, y, t):
-        st_obj = STObject(f"POINT ({x} {y})", t)
-        back, _ = feature_to(json.loads(json.dumps(feature_from(st_obj))))
+        properties = {} if t is None else {"repro:time_start": t, "repro:time_end": t}
+        feature = {
+            "type": "Feature",
+            "geometry": {"type": "Point", "coordinates": [x, y]},
+            "properties": properties,
+        }
+        back, _ = feature_to(json.loads(json.dumps(feature)))
         assert back.geo.centroid().x == pytest.approx(x)
         assert back.geo.centroid().y == pytest.approx(y)
         if t is None:

@@ -1,11 +1,12 @@
 """The keyed streaming-state correctness gate.
 
-The continuous-query layer's contract mirrors the buffered window
-path's: every closed window's answer must equal a batch recomputation
-over exactly that window's records -- while the keyed store holds one
-copy of each record no matter how many sliding windows it spans.  This
-suite pins the equality for range, kNN and stream-static join under
-the sequential and threads executors, checks the store's incremental
+The standing queries' contract: every closed window's answer must
+equal a batch recomputation over exactly that window's records -- while
+the keyed store holds one copy of each record no matter how many
+sliding windows it spans.  This suite pins the equality for range, kNN
+and stream-static join on ``continuous()`` and ``window()`` (the same
+queries over a one-cell store), with tied distances and a non-Euclidean
+metric, under the sequential and threads executors, checks the store's incremental
 bookkeeping (single-copy inserts, watermark-driven eviction, cell
 extents that removals loosen and the next scan makes exact), and
 replays the whole pipeline under seeded chaos to show absorption stays
@@ -51,8 +52,12 @@ KNN_QUERY = STObject("POINT (25 25)")
 K = 7
 
 
-def make_batches(seed: int = 29):
-    """Seeded clustered event batches with advancing, out-of-order times."""
+def make_batches(seed: int = 29, tied: bool = False):
+    """Seeded clustered event batches with advancing, out-of-order times.
+
+    ``tied`` snaps coordinates to integers: many records then share a
+    distance to the kNN query, across grid cells too.
+    """
     rng = random.Random(seed)
     centers = [(10.0, 10.0), (40.0, 15.0), (25.0, 40.0)]
     batches = []
@@ -62,6 +67,8 @@ def make_batches(seed: int = 29):
             cx, cy = centers[rng.randrange(len(centers))]
             x = cx + rng.uniform(-3.0, 3.0)
             y = cy + rng.uniform(-3.0, 3.0)
+            if tied:
+                x, y = round(x), round(y)
             t = b * LENGTH / 2 + rng.uniform(0.0, LENGTH)
             rows.append((STObject(f"POINT ({x} {y})", t), (b, i)))
         batches.append(rows)
@@ -97,15 +104,16 @@ def exec_sc(request):
         yield context
 
 
-def run_continuous(sc, batches):
-    """Feed *batches* through one continuous stream; returns the sinks
-    and the consumer (store access) after a full run + flush."""
+def run_continuous(sc, batches, handle="continuous", distance_fn="euclidean"):
+    """Feed *batches* through one ``continuous()`` (or ``window()``)
+    stream; returns the sinks and the consumer (store access) after a
+    full run + flush."""
     ssc = StreamingContext(sc)
     source, events = ssc.queue_stream(batches)
-    cont = events.continuous(length=LENGTH, slide=SLIDE)
+    cont = getattr(events, handle)(length=LENGTH, slide=SLIDE)
     sinks = {
         "range": cont.range(RANGE_QUERY),
-        "knn": cont.knn(KNN_QUERY, K),
+        "knn": cont.knn(KNN_QUERY, K, distance_fn),
         "join": cont.intersects_static(REFERENCE),
     }
     ssc.run_batches(len(batches), batch_times=[0.0] * len(batches))
@@ -114,10 +122,18 @@ def run_continuous(sc, batches):
 
 
 class TestContinuousEqualsBatchRecompute:
-    def test_range_knn_join_pinned_to_batch(self, exec_sc):
-        batches = make_batches()
-        sinks, consumer, _ssc = run_continuous(exec_sc, batches)
+    @pytest.mark.parametrize(
+        "distance_fn, tied", [("euclidean", False), ("euclidean", True), ("haversine", True)]
+    )
+    @pytest.mark.parametrize("handle", ["continuous", "window"])
+    def test_range_knn_join_pinned_to_batch(self, exec_sc, handle, distance_fn, tied):
+        batches = make_batches(tied=tied)
+        sinks, consumer, _ssc = run_continuous(exec_sc, batches, handle, distance_fn)
         expected = expected_windows(batches, consumer.spec)
+        if handle == "window":
+            # The one-cell store answers as the grid does, tie for tie.
+            grid_sinks, _consumer, _ssc = run_continuous(exec_sc, batches, "continuous", distance_fn)
+            assert sinks["knn"].results() == grid_sinks["knn"].results()
 
         range_got = dict(sinks["range"].results())
         knn_got = dict(sinks["knn"].results())
@@ -136,7 +152,7 @@ class TestContinuousEqualsBatchRecompute:
 
             batch_rdd = exec_sc.parallelize(rows, min(2, len(rows)))
             assert canon_knn(knn_got[window]) == canon_knn(
-                knn(batch_rdd, KNN_QUERY, K)
+                knn(batch_rdd, KNN_QUERY, K, distance_fn)
             ), f"kNN mismatch in {window}"
 
             want_join = sorted(

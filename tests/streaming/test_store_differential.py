@@ -115,11 +115,10 @@ def check(store, live, query, window, k):
         want = sorted(rid for rid, row in in_window.items() if relaxed.evaluate(row[0], query))
         got = sorted(value for _st, value in store.query_range(query, predicate, window))
         assert got == want, (predicate.name, window)
+    # Equal distances rank by rid (arrival), whatever the grid.
     nearest = store.query_knn(query, k, window)
-    brute = sorted(euclidean(row[0].geo, query.geo) for row in in_window.values())
-    assert [d for d, _record in nearest] == brute[:k]
-    for d, (st_obj, rid) in nearest:
-        assert rid in in_window and d == euclidean(st_obj.geo, query.geo)
+    brute = sorted((euclidean(row[0].geo, query.geo), rid) for rid, row in in_window.items())
+    assert [(d, rid) for d, (_st, rid) in nearest] == brute[:k]
     assert sorted(rid for rid, _st, _value in store.iter_window(window)) == sorted(in_window)
 
 

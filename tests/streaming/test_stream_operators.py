@@ -231,3 +231,30 @@ def test_hotspots_summarize_windowed_dbscan(sc):
             assert cy == pytest.approx(
                 sum(m.geo.centroid().y for m in members) / size
             )
+
+
+@pytest.mark.parametrize("handle", ["window", "continuous"])
+@pytest.mark.parametrize(
+    "register, message",
+    [
+        (lambda w: w.knn(QUERY, 0), "k must be >= 1, got 0"),
+        (lambda w: w.knn(QUERY, 2, distance_fn="nope"), "unknown distance function 'nope'"),
+        (lambda w: w.hotspots(-1.0, 3), "eps must be positive, got -1.0"),
+        (lambda w: w.hotspots(1.0, 0), "min_pts must be >= 1, got 0"),
+        (lambda w: w.cluster(0.0, 3), "eps must be positive, got 0.0"),
+    ],
+    ids=["k0", "distance_fn", "eps", "min_pts", "cluster_eps"],
+)
+def test_windowed_operator_arguments_rejected_at_registration(sc, handle, register, message):
+    """A bad argument fails the registering call, not every batch that
+    closes a window."""
+    ssc = StreamingContext(sc)
+    source, events = ssc.queue_stream()
+    windowed = getattr(events, handle)(length=2.0)
+    with pytest.raises(ValueError, match=message):
+        register(windowed)
+    for t in range(4):
+        source.push([(STObject(f"POINT ({t} {t})", float(t)), t)])
+    assert ssc.run_batches(4, batch_times=[0.0] * 4) == 4
+    ssc.stop()
+    assert (ssc.metrics.batches_failed, ssc.metrics.batch_retries) == (0, 0)
