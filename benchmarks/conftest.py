@@ -26,7 +26,12 @@ import pytest
 
 from repro.chaos import FaultInjector
 from repro.core.stobject import STObject
-from repro.io.datagen import clustered_points, random_polygons, timed_stobjects
+from repro.io.datagen import (
+    clustered_points,
+    random_polygons,
+    self_join_pairs,
+    timed_stobjects,
+)
 from repro.spark.context import SparkContext
 
 SCALES = {
@@ -97,15 +102,26 @@ def _bench_trace_span(request, sc):
 
 
 @pytest.fixture(scope="session")
-def fig4_points_rdd(sc, sizes):
+def fig4_points(sizes):
     """The Figure-4 input: clustered points (the paper's 1M-point set,
-    scaled), already cached."""
-    pts = clustered_points(sizes["fig4_points"], num_clusters=10, seed=1704)
+    scaled)."""
+    return clustered_points(sizes["fig4_points"], num_clusters=10, seed=1704)
+
+
+@pytest.fixture(scope="session")
+def fig4_points_rdd(sc, fig4_points):
+    """The Figure-4 points as a cached RDD."""
     rdd = sc.parallelize(
-        [(STObject(p), i) for i, p in enumerate(pts)], 8
+        [(STObject(p), i) for i, p in enumerate(fig4_points)], 8
     ).persist()
     rdd.count()
     return rdd
+
+
+@pytest.fixture(scope="session")
+def fig4_pairs(fig4_points):
+    """The pairs every correct Figure-4 self-join returns."""
+    return self_join_pairs(fig4_points)
 
 
 @pytest.fixture(scope="session")

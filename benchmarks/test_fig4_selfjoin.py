@@ -41,19 +41,19 @@ def bsp_partitioned(sc, fig4_points_rdd, sizes):
 
 
 class TestFig4:
-    def test_stark_no_partitioning(self, benchmark, fig4_points_rdd, sizes):
+    def test_stark_no_partitioning(self, benchmark, fig4_points_rdd, fig4_pairs):
         count = benchmark.pedantic(
             lambda: spatial_join(fig4_points_rdd, fig4_points_rdd, INTERSECTS).count(),
             rounds=ROUNDS,
         )
-        assert count == sizes["fig4_points"]
+        assert count == fig4_pairs
 
-    def test_stark_bsp(self, benchmark, bsp_partitioned, sizes):
+    def test_stark_bsp(self, benchmark, bsp_partitioned, fig4_pairs):
         count = benchmark.pedantic(
             lambda: spatial_join(bsp_partitioned, bsp_partitioned, INTERSECTS).count(),
             rounds=ROUNDS,
         )
-        assert count == sizes["fig4_points"]
+        assert count == fig4_pairs
 
     def test_geospark_no_partitioning_is_na(self, benchmark, fig4_points_rdd):
         def attempt():
@@ -64,7 +64,7 @@ class TestFig4:
 
         benchmark.pedantic(attempt, rounds=1)
 
-    def test_geospark_voronoi(self, benchmark, fig4_points_rdd, sizes):
+    def test_geospark_voronoi(self, benchmark, fig4_points_rdd, fig4_pairs):
         engine = GeoSparkStyle()
         count = benchmark.pedantic(
             lambda: engine.spatial_join(
@@ -72,9 +72,9 @@ class TestFig4:
             ).count(),
             rounds=ROUNDS,
         )
-        assert count == sizes["fig4_points"]
+        assert count == fig4_pairs
 
-    def test_geospark_grid(self, benchmark, fig4_points_rdd, sizes):
+    def test_geospark_grid(self, benchmark, fig4_points_rdd, fig4_pairs):
         engine = GeoSparkStyle()
         count = benchmark.pedantic(
             lambda: engine.spatial_join(
@@ -82,9 +82,9 @@ class TestFig4:
             ).count(),
             rounds=ROUNDS,
         )
-        assert count == sizes["fig4_points"]
+        assert count == fig4_pairs
 
-    def test_spatialspark_no_partitioning(self, benchmark, fig4_points_rdd, sizes):
+    def test_spatialspark_no_partitioning(self, benchmark, fig4_points_rdd, fig4_pairs):
         engine = SpatialSparkStyle()
         count = benchmark.pedantic(
             lambda: engine.broadcast_join(
@@ -92,9 +92,9 @@ class TestFig4:
             ).count(),
             rounds=ROUNDS,
         )
-        assert count == sizes["fig4_points"]
+        assert count == fig4_pairs
 
-    def test_spatialspark_tile(self, benchmark, fig4_points_rdd, sizes):
+    def test_spatialspark_tile(self, benchmark, fig4_points_rdd, fig4_pairs):
         engine = SpatialSparkStyle()
         count = benchmark.pedantic(
             lambda: engine.tile_join(
@@ -102,7 +102,7 @@ class TestFig4:
             ).count(),
             rounds=ROUNDS,
         )
-        assert count == sizes["fig4_points"]
+        assert count == fig4_pairs
 
 
 class TestFig4Shape:

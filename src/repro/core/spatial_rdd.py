@@ -180,7 +180,6 @@ class SpatialRDDFunctions(_PredicateFilters):
         partitioner: SpatialPartitioner | None = None,
         mode: str = "spatial",
         time_slices: int | None = None,
-        temporal_first: bool = False,
     ) -> "LiveIndexedSpatialRDDFunctions":
         """Live indexing mode: build an R-tree per partition at query time.
 
@@ -188,16 +187,13 @@ class SpatialRDDFunctions(_PredicateFilters):
         matching the paper's ``liveIndex(order, partitioner)`` signature.
         *mode* picks the partition-index structure (``"spatial"``,
         ``"temporal"`` or ``"3d"``; see
-        :func:`repro.index.build_partition_index`), *time_slices* sizes
-        the temporal forest, and *temporal_first* flips the refinement
-        clause order -- the knobs the cost-based planner turns.
+        :func:`repro.index.build_partition_index`), and *time_slices* sizes
+        the temporal forest.
         """
         if mode not in INDEX_MODES:
             raise ValueError(f"unknown index mode {mode!r}; known: {INDEX_MODES}")
         rdd = self._rdd if partitioner is None else self._rdd.partition_by(partitioner)
-        return LiveIndexedSpatialRDDFunctions(
-            rdd, order, mode=mode, time_slices=time_slices, temporal_first=temporal_first
-        )
+        return LiveIndexedSpatialRDDFunctions(rdd, order, mode=mode, time_slices=time_slices)
 
     def index(
         self,
@@ -220,12 +216,12 @@ class SpatialRDDFunctions(_PredicateFilters):
             trees = trees.map_partitions(iter, preserves_partitioning=True)
         return IndexedSpatialRDD(trees.persist(), order=order, mode=mode)
 
-    # -- cost-based planning ----------------------------------------------
+    # -- planning ----------------------------------------------------------
 
     def plan(
         self, query: STObject | str, predicate: str | STPredicate = INTERSECTS
     ):
-        """The cost-based plan for filtering this RDD with *query*.
+        """The planner's plan for filtering this RDD with *query*.
 
         Returns a :class:`repro.planner.FilterPlan`; inspect it with
         ``.explain()`` or run it with :meth:`filter_planned`.
@@ -245,7 +241,7 @@ class SpatialRDDFunctions(_PredicateFilters):
     def filter_planned(
         self, query: STObject | str, predicate: str | STPredicate = INTERSECTS
     ) -> RDD:
-        """Filter with the execution strategy the cost model picks.
+        """Filter with the execution strategy the planner's rule picks.
 
         Equivalent results to the unplanned operators -- the plan only
         decides index mode, predicate order and pruning route.
@@ -267,10 +263,8 @@ class LiveIndexedSpatialRDDFunctions(_PredicateFilters):
 
     Nothing is materialized here: each operation builds the per-
     partition trees while it runs (once, for a persisted RDD), queries
-    them, and refines candidates.
-    The handle carries the planner's knobs (index *mode*, forest
-    *time_slices*, refinement clause order) so a plan is just a
-    configured handle.
+    them, and refines candidates.  The handle carries the index *mode*
+    and the forest's *time_slices*.
     """
 
     def __init__(
@@ -279,7 +273,6 @@ class LiveIndexedSpatialRDDFunctions(_PredicateFilters):
         order: int,
         mode: str = "spatial",
         time_slices: int | None = None,
-        temporal_first: bool = False,
     ) -> None:
         if order < 2:
             raise ValueError(f"index order must be >= 2, got {order}")
@@ -287,7 +280,6 @@ class LiveIndexedSpatialRDDFunctions(_PredicateFilters):
         self._order = order
         self._mode = mode
         self._time_slices = time_slices
-        self._temporal_first = temporal_first
 
     @property
     def rdd(self) -> RDD:
@@ -307,7 +299,6 @@ class LiveIndexedSpatialRDDFunctions(_PredicateFilters):
             self._order,
             mode=self._mode,
             time_slices=self._time_slices,
-            temporal_first=self._temporal_first,
         )
 
     def join(

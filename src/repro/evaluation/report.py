@@ -23,7 +23,12 @@ from repro.core.spatial_rdd import spatial
 from repro.core.stobject import STObject
 from repro.evaluation.features import render_feature_table
 from repro.evaluation.harness import render_table, time_call
-from repro.io.datagen import clustered_points, timed_stobjects, world_events
+from repro.io.datagen import (
+    clustered_points,
+    self_join_pairs,
+    timed_stobjects,
+    world_events,
+)
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
 from repro.spark.context import SparkContext
@@ -43,9 +48,11 @@ def figure4(sc: SparkContext, n: int, repeats: int) -> str:
     """The paper's Figure 4 as a table: the self-join on *n* clustered
     points, per system without spatial partitioning and with that
     system's best partitioner.  Every timed join is warmed up once and
-    must return exactly *n* pairs (each point matches only itself).
+    must return the pairs :func:`~repro.io.datagen.self_join_pairs`
+    counts -- *n* when no two points coincide.
     """
     points = clustered_points(n, num_clusters=10, seed=1704)
+    pairs = self_join_pairs(points)
     rdd = sc.parallelize([(STObject(p), i) for i, p in enumerate(points)], 8).persist()
     rdd.count()
     bsp = BSPartitioner.from_rdd(rdd, max_cost_per_partition=max(64, n // 16))
@@ -56,7 +63,7 @@ def figure4(sc: SparkContext, n: int, repeats: int) -> str:
 
     def measure(join) -> str:
         result = time_call(lambda: join().count(), repeats=repeats, warmup=1)
-        assert result.payload == n, f"wrong result count {result.payload}"
+        assert result.payload == pairs, f"wrong result count {result.payload}"
         return _fmt(result)
 
     geospark, spatialspark = GeoSparkStyle(), SpatialSparkStyle()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from typing import Iterator, Sequence
 
 from repro.core.stobject import STObject
@@ -70,6 +71,15 @@ def clustered_points(
             y = min(max(rng.gauss(cy, sigma), bounds.min_y), bounds.max_y)
         points.append(Point(x, y))
     return points
+
+
+def self_join_pairs(points: Sequence[Point]) -> int:
+    """The pairs an intersects self-join of *points* returns.
+
+    A point meets exactly the points at its coordinates, itself
+    included, so *m* coincident points add ``m * m`` pairs.
+    """
+    return sum(m * m for m in Counter((p.x, p.y) for p in points).values())
 
 
 #: Hand-placed "continents" (fractions of the universe) used by

@@ -1,4 +1,4 @@
-"""Dataset statistics for the cost-based planner.
+"""Dataset statistics for the query planner.
 
 The exact part -- cardinality, spatial/temporal bounds, timed-member
 count -- is read off the RDD's partition summaries
@@ -45,7 +45,7 @@ def _flatten(key) -> tuple:
 
 @dataclass(frozen=True)
 class DatasetStatistics:
-    """Merged dataset statistics backing the planner's cost estimates.
+    """Merged dataset statistics behind the planner's rule and estimates.
 
     ``sample`` holds STObject keys drawn (approximately) uniformly; the
     selectivity estimators evaluate predicates against its flattened

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.core.filter import filter_live_index
+from repro.core.predicates import INTERSECTS
 from repro.core.spatial_rdd import spatial
 from repro.core.stobject import STObject
 from repro.core.summaries import (
@@ -67,9 +69,7 @@ class TestLiveModeEquality:
         rdd = make_rdd(sc)
         default = ids(spatial(rdd).live_index(order=8).intersects(TIMED_QUERY))
         reordered = ids(
-            spatial(rdd)
-            .live_index(order=8, temporal_first=True)
-            .intersects(TIMED_QUERY)
+            filter_live_index(rdd, TIMED_QUERY, INTERSECTS, 8, temporal_first=True)
         )
         assert reordered == default
 

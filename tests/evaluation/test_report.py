@@ -4,6 +4,8 @@ benchmarks/)."""
 import pytest
 
 from repro.evaluation import report
+from repro.geometry.point import Point
+from repro.io.datagen import clustered_points
 
 
 class TestReportPieces:
@@ -51,3 +53,17 @@ class TestReportPieces:
         text = report._streaming_robustness()
         assert "block + poison + failing sink" in text
         assert "windows dead-lettered" in text
+
+
+class TestFigure4:
+    def test_coincident_points_add_pairs(self, sc, monkeypatch):
+        # Two of the 1,000,000 points figure4 draws at full scale
+        # coincide, and the self-join returns n + 2 pairs; here two
+        # pairs of points coincide, and every join returns n + 4.
+        def with_duplicates(n, **kwargs):
+            points = clustered_points(n - 3, **kwargs)
+            return points + [Point(0.0, 1000.0)] * 2 + [points[0]]
+
+        monkeypatch.setattr(report, "clustered_points", with_duplicates)
+        text = report.figure4(sc, 200, repeats=1)
+        assert "self-join on 200 clustered points" in text

@@ -1,5 +1,6 @@
-"""Cost-model direction and planned execution equivalence."""
+"""The planner's rule and planned execution equivalence."""
 
+import dataclasses
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from repro.core.predicates import INTERSECTS
 from repro.core.spatial_rdd import spatial
 from repro.core.stobject import STObject
 from repro.geometry.point import Point
-from repro.planner import CostModel, QueryPlanner
+from repro.planner import QueryPlanner
 from repro.spark.context import SparkContext
 from repro.temporal import Interval
 
@@ -34,57 +35,60 @@ SELECTIVE_QUERY = STObject(
 UNTIMED_QUERY = STObject("POLYGON((10 10, 90 10, 90 90, 10 90, 10 10))")
 
 
-class TestCostModelDirection:
-    def test_selective_timed_prefers_3d_index(self, sc):
-        planner = QueryPlanner(sc)
-        plan = planner.plan_filter(
-            make_rdd(sc), SELECTIVE_QUERY, INTERSECTS, require_index=True
-        )
-        assert plan.strategy == "live:3d"
-        assert plan.mode == "3d"
+#: The rule's picks on the 600-row fixture, per data and query: the
+#: index it probes once it probes at all (persisted or require_index),
+#: and whether a scan or an STR-tree probe refines temporal-first --
+#: exactly when temporal_sel < spatial_sel.  A 3D probe refines
+#: spatial-first.
+RULE_TABLE = [
+    # untimed_every, query,      probe,       temporal-first
+    (None, SELECTIVE_QUERY, "live:3d", True),  # st ~0.04 < ss ~0.64
+    (None, UNTIMED_QUERY, "live:3d", True),  # st = 0: no row is untimed
+    (3, SELECTIVE_QUERY, "live:3d", True),  # st ~0.03
+    (3, UNTIMED_QUERY, "live:3d", True),  # st ~0.33: the untimed third
+    (1, SELECTIVE_QUERY, "live:spatial", True),  # st = 0: no row is timed
+    (1, UNTIMED_QUERY, "live:spatial", False),  # st = 1
+]
+DATA_NAMES = {None: "timed", 3: "third-untimed", 1: "untimed"}
+RULE_IDS = [
+    f"{DATA_NAMES[untimed]}-{'timed' if query.time else 'untimed'}-q"
+    for untimed, query, *_ in RULE_TABLE
+]
 
-    def test_all_untimed_data_prefers_spatial_index(self, sc):
-        planner = QueryPlanner(sc)
-        plan = planner.plan_filter(
-            make_rdd(sc, untimed_every=1), UNTIMED_QUERY, INTERSECTS, require_index=True
-        )
-        # No timed rows at all: the 3D tree holds nothing the plain one
-        # does not, the two cost the same, and a tie goes to spatial.
-        assert plan.strategy == "live:spatial"
-        assert plan.alternatives[0].cost == plan.estimate.cost
 
-    def test_mixed_data_untimed_query_exploits_segregation(self, sc):
-        planner = QueryPlanner(sc)
-        plan = planner.plan_filter(
-            make_rdd(sc, untimed_every=3), UNTIMED_QUERY, INTERSECTS, require_index=True
+class TestRule:
+    @pytest.mark.parametrize("persisted", [False, True], ids=["unpersisted", "persisted"])
+    @pytest.mark.parametrize("require_index", [False, True], ids=["free", "index"])
+    @pytest.mark.parametrize(
+        "untimed_every, query, probe, temporal_first", RULE_TABLE, ids=RULE_IDS
+    )
+    def test_rule_table(
+        self, sc, untimed_every, query, probe, temporal_first, require_index, persisted
+    ):
+        rdd = make_rdd(sc, untimed_every=untimed_every)
+        if persisted:
+            rdd.persist()
+        plan = QueryPlanner(sc).plan_filter(
+            rdd, query, INTERSECTS, require_index=require_index
         )
-        # Under the combined semantics an untimed query matches only
-        # untimed rows; the 3D tree keeps those in a 2D tree of their
-        # own, so it legitimately beats the all-in-one STR tree.
-        assert plan.strategy == "live:3d"
-        assert plan.estimate.candidates < 600  # fewer than a full spatial probe
+        strategy = probe if persisted or require_index else "scan"
+        assert plan.strategy == strategy
+        assert plan.temporal_first == (temporal_first and strategy != "live:3d")
+        assert (plan.temporal_selectivity < plan.spatial_selectivity) == temporal_first
+        assert plan.estimate.reason == (
+            "not persisted" if strategy == "scan"
+            else "no row timed" if untimed_every == 1
+            else f"{plan.stats.timed_count} of 600 rows timed"
+        )
 
     def test_tiny_dataset_pins_scan(self, sc):
         planner = QueryPlanner(sc)
-        plan = planner.plan_filter(make_rdd(sc, n=20), SELECTIVE_QUERY, INTERSECTS)
+        rdd = make_rdd(sc, n=20).persist()
+        plan = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS)
         assert plan.strategy == "scan"
-
-    def test_alternatives_are_ranked(self, sc):
-        planner = QueryPlanner(sc)
-        plan = planner.plan_filter(make_rdd(sc), SELECTIVE_QUERY, INTERSECTS)
-        costs = [plan.estimate.cost] + [e.cost for e in plan.alternatives]
-        # The winner is cheapest; pinning (tiny data / require_index)
-        # does not apply here so the full list is sorted.
-        assert costs == sorted(costs)
-        assert len(costs) == 4  # 2 scan orders + 2 live modes
-
-    def test_custom_constants_change_the_choice(self, sc):
-        # Make index probing absurdly expensive: scans must win even
-        # under require_index-free planning on large data.
-        model = CostModel().with_constants(index_probe_per_candidate=1e9)
-        planner = QueryPlanner(sc, model=model)
-        plan = planner.plan_filter(make_rdd(sc), SELECTIVE_QUERY, INTERSECTS)
-        assert plan.strategy == "scan"
+        assert plan.estimate.reason == "fewer than 64 rows"
+        forced = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS, require_index=True)
+        assert forced.strategy == "live:3d"
 
 
 class TestExplain:
@@ -97,15 +101,22 @@ class TestExplain:
         assert lines[0].startswith("FilterPlan for ")
         assert lines[0].endswith(" on 600 rows (4 partitions)")
         assert lines[1].startswith("  statistics: timed=100%  spatial_sel~")
-        assert "temporal_sel~" in lines[1]
-        assert lines[2] == "  strategies considered:"
-        # The chosen strategy first, under the marker, then every
-        # alternative it beat: 2 scan orders + 2 live modes in all.
-        assert lines[3].startswith("  -> live:3d ")
-        assert len(lines) == 3 + 4
-        assert all(line.startswith("     ") for line in lines[4:])
-        for line in lines[3:]:
-            assert " cost=" in line and " build=" in line and " candidates~" in line
+        assert "temporal_sel~" in lines[1] and "joint_sel~" in lines[1]
+        # The clause that fired, then the chosen strategy under the
+        # marker and every other one with the clause that ruled it out.
+        assert lines[2] == (
+            "  rule: 600 of 600 rows timed -> live:3d, "
+            "spatial-first (the 3D probe pruned on time)"
+        )
+        assert lines[3] == "  strategies:"
+        assert lines[4].startswith("  -> live:3d ")
+        assert len(lines) == 4 + 3
+        assert all(line.startswith("     ") for line in lines[5:])
+        assert lines[5].startswith("     scan ") and lines[5].endswith(" require_index")
+        assert lines[6].startswith("     live:spatial ")
+        assert lines[6].endswith("[temporal-first] 600 of 600 rows timed")
+        for line in lines[4:]:
+            assert " candidates~" in line
             assert "[spatial-first]" in line or "[temporal-first]" in line
 
 
@@ -150,68 +161,42 @@ class TestExecution:
 
 
 class TestCachedIndexes:
-    """A persisted RDD keeps its live indexes; the planner prices that."""
-
-    @staticmethod
-    def build_costs(planner, rdd):
-        plan = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS, require_index=True)
-        estimates = [plan.estimate, *plan.alternatives]
-        return plan, {e.mode: e.build_cost for e in estimates if e.mode}
-
-    def test_build_cost_is_zero_once_the_mode_is_cached(self, sc):
-        rdd = make_rdd(sc).persist()
-        planner = QueryPlanner(sc)
-        plan, before = self.build_costs(planner, rdd)
-        assert all(cost > 0 for cost in before.values())
-        assert "(index cached)" not in plan.explain()
-        planner.execute(rdd, SELECTIVE_QUERY, INTERSECTS, plan).collect()
-        again, after = self.build_costs(planner, rdd)
-        assert after == {**before, plan.mode: 0.0}
-        cached = [line for line in again.explain().splitlines() if "(index cached)" in line]
-        assert len(cached) == 1 and f"live:{plan.mode}" in cached[0]
-        rdd.unpersist()
-        assert self.build_costs(planner, rdd)[1] == before
+    """A persisted RDD keeps its live indexes; none of them sways the rule."""
 
     def test_a_built_index_does_not_stick(self, sc):
         rdd = make_rdd(sc).persist()
         planner = QueryPlanner(sc)
         spatial(rdd).live_index(mode="spatial").intersects(SELECTIVE_QUERY).collect()
-        plan, builds = self.build_costs(planner, rdd)
-        assert builds["spatial"] == 0.0 < builds["3d"]
-        # The 3D build is paid once on a persisted RDD: the rank is the
-        # per-query cost, which the built spatial tree loses.
+        plan = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS, require_index=True)
         assert plan.strategy == "live:3d"
-        assert plan.estimate.cost < plan.estimate.build_cost
         free = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS)
         assert free.strategy == "live:3d"
 
-    def test_unpersisted_rdd_keeps_paying_for_the_build(self, sc):
-        rdd = make_rdd(sc)
-        planner = QueryPlanner(sc)
-        plan, before = self.build_costs(planner, rdd)
-        planner.execute(rdd, SELECTIVE_QUERY, INTERSECTS, plan).collect()
-        assert self.build_costs(planner, rdd)[1] == before
-
-    @pytest.mark.parametrize("persisted", [False, True])
+    @pytest.mark.parametrize("persisted", [False, True], ids=["unpersisted", "persisted"])
+    @pytest.mark.parametrize("require_index", [False, True], ids=["free", "index"])
+    @pytest.mark.parametrize("untimed_every", list(DATA_NAMES), ids=list(DATA_NAMES.values()))
     @pytest.mark.parametrize("query", [SELECTIVE_QUERY, UNTIMED_QUERY])
-    def test_every_rejected_strategy_returns_the_chosen_rows(self, sc, query, persisted):
-        import dataclasses
-
-        rdd = make_rdd(sc, untimed_every=5)
+    def test_every_rejected_strategy_returns_the_chosen_rows(
+        self, sc, query, untimed_every, require_index, persisted
+    ):
+        rdd = make_rdd(sc, untimed_every=untimed_every)
         if persisted:
             rdd.persist()
         planner = QueryPlanner(sc)
-        plan = planner.plan_filter(rdd, query, INTERSECTS)
-
-        def rows(estimate):
-            forced = dataclasses.replace(plan, estimate=estimate)
-            executed = planner.execute(rdd, query, INTERSECTS, forced)
-            return sorted(kv[1] for kv in executed.collect())
-
-        chosen = rows(plan.estimate)
-        assert chosen
-        for alternative in plan.alternatives:
-            assert rows(alternative) == chosen, alternative.strategy
+        plan = planner.plan_filter(rdd, query, INTERSECTS, require_index=require_index)
+        scanned = sorted(kv[1] for kv in filter_no_index(rdd, query, INTERSECTS).collect())
+        # A timed query matches only timed rows, an untimed one only
+        # untimed rows.
+        assert bool(scanned) == (untimed_every != 1 if query.time else bool(untimed_every))
+        for estimate in (plan.estimate, *plan.alternatives):
+            for temporal_first in (False, True):
+                forced = dataclasses.replace(
+                    plan,
+                    estimate=dataclasses.replace(estimate, temporal_first=temporal_first),
+                )
+                executed = planner.execute(rdd, query, INTERSECTS, forced)
+                rows = sorted(kv[1] for kv in executed.collect())
+                assert rows == scanned, (estimate.strategy, temporal_first)
 
 
 class TestCandidateReduction:
