@@ -182,18 +182,28 @@ class SparkContext:
     # -- RDD creation --------------------------------------------------------
 
     def parallelize(self, data: Iterable[T], num_slices: int | None = None) -> RDD[T]:
-        """Create an RDD from an in-memory collection."""
-        return ParallelCollectionRDD(self, data, num_slices or self.default_parallelism)
+        """Create an RDD from an in-memory collection in *num_slices*
+        partitions (omitted: the context's parallelism; below 1 raises
+        ``ValueError``)."""
+        if num_slices is None:
+            num_slices = self.default_parallelism
+        return ParallelCollectionRDD(self, data, num_slices)
 
     def empty_rdd(self) -> RDD[Any]:
         """An RDD with a single empty partition."""
         return ParallelCollectionRDD(self, [], 1)
 
     def text_file(self, path: str, num_slices: int | None = None) -> RDD[str]:
-        """Read a text file (or directory of part-files) as an RDD of lines."""
+        """Read a text file (or directory of part-files) as an RDD of lines.
+
+        A single file is cut into *num_slices* byte ranges (omitted: the
+        context's parallelism; below 1 raises ``ValueError``).
+        """
         from repro.spark import storage
 
-        return storage.text_file_rdd(self, path, num_slices or self.default_parallelism)
+        if num_slices is None:
+            num_slices = self.default_parallelism
+        return storage.text_file_rdd(self, path, num_slices)
 
     def object_file(self, path: str) -> RDD[Any]:
         """Read a directory written by ``save_as_object_file``.

@@ -263,6 +263,8 @@ class TextFileRDD(RDD[str]):
 
     def __init__(self, context, path: str, num_slices: int) -> None:
         super().__init__(context)
+        if num_slices < 1:
+            raise ValueError("need at least 1 slice")
         self._splits: list[tuple[str, int, int]] = []
         if os.path.isdir(path):
             for name in _list_parts(path, ".txt"):
@@ -270,7 +272,6 @@ class TextFileRDD(RDD[str]):
                 self._splits.append((full, 0, os.path.getsize(full)))
         else:
             size = os.path.getsize(path)
-            num_slices = max(1, num_slices)
             step = max(1, size // num_slices)
             offsets = list(range(0, size, step))[:num_slices]
             for i, start in enumerate(offsets):

@@ -155,8 +155,14 @@ class StreamingContext:
         ``job_timeout``) that aborts one of the batch's jobs fails it
         at once; the stream has no deadline of its own.
     num_slices:
-        Partitions per batch RDD (default: the context's parallelism,
-        capped by the batch's record count).
+        Partitions per batch, window and CEP match RDD, capped by the
+        record count.  The default (None) is one partition: a
+        micro-batch is one poll, as a Spark Streaming batch with one
+        receiver block is one partition, so each of its jobs is one
+        task and runs inline on the driver rather than paying a
+        thread-pool round trip per slice.  An explicit count splits
+        every RDD into that many slices (and, under ``threads``, sends
+        its jobs through the pool).
     checkpoint_dir:
         Directory for the write-ahead log and checkpoint epochs; None
         (the default) disables durability entirely -- zero overhead.
@@ -279,11 +285,10 @@ class StreamingContext:
         self._windows.append(consumer)
 
     def _batch_rdd(self, records: list) -> RDD:
-        """Build one batch's (or window's) RDD from collected records."""
-        if not records:
-            return self._sc.parallelize([], 1)
-        slices = self.num_slices or self._sc.default_parallelism
-        return self._sc.parallelize(records, min(slices, len(records)))
+        """Build one batch's (or window's) RDD from collected records:
+        one partition unless ``num_slices`` asks for more."""
+        slices = 1 if self.num_slices is None else min(self.num_slices, len(records))
+        return self._sc.parallelize(records, max(1, slices))
 
     def _fail(self, message: str, cause: BaseException) -> None:
         """Record the stream's terminal error; every later drive raises it."""

@@ -35,6 +35,39 @@ class TestLifecycle:
         assert sc._cache.get(rdd.id, 0) is None
 
 
+class TestSliceCounts:
+    """Only an omitted slice count defaults to the parallelism; zero is
+    as invalid as a negative count on every path that takes one."""
+
+    def test_none_takes_the_default_parallelism(self, sc, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_text("".join(f"line-{i}\n" for i in range(40)))
+        assert sc.parallelize([1, 2, 3, 4, 5]).num_partitions == sc.default_parallelism
+        assert sc.text_file(str(path)).num_partitions == sc.default_parallelism
+
+    @pytest.mark.parametrize("slices", [0, -1])
+    def test_parallelize_rejects_fewer_than_one_slice(self, sc, slices):
+        with pytest.raises(ValueError, match="at least 1 slice"):
+            sc.parallelize([1, 2, 3], slices)
+
+    @pytest.mark.parametrize("slices", [0, -1])
+    def test_text_file_rejects_fewer_than_one_slice(self, sc, tmp_path, slices):
+        path = tmp_path / "lines.txt"
+        path.write_text("a\nb\n")
+        with pytest.raises(ValueError, match="at least 1 slice"):
+            sc.text_file(str(path), slices)
+        with pytest.raises(ValueError, match="at least 1 slice"):
+            sc.text_file(str(tmp_path), slices)
+
+    def test_load_event_file_rejects_zero_slices(self, sc, tmp_path):
+        from repro.io.readers import load_event_file
+
+        path = tmp_path / "events.csv"
+        path.write_text("1;a;0;POINT (1 1)\n")
+        with pytest.raises(ValueError, match="at least 1 slice"):
+            load_event_file(sc, str(path), num_slices=0)
+
+
 class TestCaching:
     def test_cache_hit_counted(self, sc):
         rdd = sc.parallelize(range(10), 2).map(lambda x: x).cache()

@@ -107,8 +107,9 @@ def exec_sc(request):
 def run_continuous(sc, batches, handle="continuous", distance_fn="euclidean"):
     """Feed *batches* through one ``continuous()`` (or ``window()``)
     stream; returns the sinks and the consumer (store access) after a
-    full run + flush."""
-    ssc = StreamingContext(sc)
+    full run + flush.  Four slices per batch and window send every job
+    of the ``threads`` run through the pool (one slice runs inline)."""
+    ssc = StreamingContext(sc, num_slices=4)
     source, events = ssc.queue_stream(batches)
     cont = getattr(events, handle)(length=LENGTH, slide=SLIDE)
     sinks = {

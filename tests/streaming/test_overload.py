@@ -134,6 +134,9 @@ class TestCircuitBreaker:
 
 
 class TestPoisonQuarantine:
+    """Each context slices its batches four ways, so a poison record
+    fails one task of a pooled job while its sibling tasks run."""
+
     def _pipeline(self, ssc, batches):
         source, events = ssc.queue_stream(batches)
 
@@ -157,7 +160,7 @@ class TestPoisonQuarantine:
         batches = self._poisoned_batches()
         total = sum(len(b) for b in batches)
         with make_sc() as sc:
-            ssc = StreamingContext(sc, dlq_dir=str(tmp_path / "dlq"))
+            ssc = StreamingContext(sc, num_slices=4, dlq_dir=str(tmp_path / "dlq"))
             sink = self._pipeline(ssc, batches)
             ssc.run_batches(len(batches), batch_times=[float(b) for b in range(6)])
             dlq = ssc.dead_letter_queue
@@ -178,7 +181,7 @@ class TestPoisonQuarantine:
     def test_without_a_dlq_the_batch_fails_as_before(self):
         batches = self._poisoned_batches()
         with make_sc() as sc:
-            ssc = StreamingContext(sc)
+            ssc = StreamingContext(sc, num_slices=4)
             self._pipeline(ssc, batches)
             ssc.run_batches(len(batches), batch_times=[float(b) for b in range(6)])
             ssc.stop()
@@ -190,7 +193,7 @@ class TestPoisonQuarantine:
         """A failure that needs batch-mates convicts nobody."""
         batches = make_batches(3)
         with make_sc() as sc:
-            ssc = StreamingContext(sc, dlq_dir=str(tmp_path / "dlq"))
+            ssc = StreamingContext(sc, num_slices=4, dlq_dir=str(tmp_path / "dlq"))
             source, events = ssc.queue_stream(batches)
             seen: list = []
 

@@ -39,6 +39,8 @@ from repro.spark.context import SparkContext
 from repro.streaming import EventFileSink, QueueSource, StreamingContext, StreamingError
 
 BACKENDS = ["threads"]
+#: Slices per batch and window for the runs on the thread pool.
+SLICES = 4
 
 BATCHES = 8
 CRASH_AT = 5
@@ -61,14 +63,16 @@ def make_sc(executor: str = "sequential", injector=None):
     )
 
 
-def build(sc, checkpoint_dir, out_dir=None):
+def build(sc, checkpoint_dir, out_dir=None, num_slices=None):
     """One standard pipeline: generator -> sliding window -> sinks.
 
     Returns ``(ssc, sinks)`` where sinks collects window counts plus a
     continuous range query -- both the buffered and the keyed state
     paths, so recovery is proven for each.
     """
-    ssc = StreamingContext(sc, checkpoint_dir=checkpoint_dir, checkpoint_interval=2)
+    ssc = StreamingContext(
+        sc, num_slices=num_slices, checkpoint_dir=checkpoint_dir, checkpoint_interval=2
+    )
     events = ssc.generator_stream(rate=RATE, time_step=1.0, seed=11)
     win = events.window(**WINDOW)
     sinks = {
@@ -131,17 +135,17 @@ def assert_accounting(got, want, at) -> None:
     ), f"kill point {at}: accounting invariant"
 
 
-def baseline(executor: str = "sequential") -> dict:
+def baseline(executor: str = "sequential", num_slices=None) -> dict:
     with make_sc(executor) as sc:
-        ssc, sinks = build(sc, None)
+        ssc, sinks = build(sc, None, num_slices=num_slices)
         ssc.run_batches(BATCHES, batch_times=TIMES)
         ssc.stop(flush=False)
         return canon(sinks)
 
 
-def resume_and_finish(sc, checkpoint_dir, out_dir=None, injector_retries=0):
+def resume_and_finish(sc, checkpoint_dir, out_dir=None, injector_retries=0, num_slices=None):
     """Fresh pipeline + restore + the remaining batches; returns canon."""
-    ssc, sinks = build(sc, checkpoint_dir, out_dir)
+    ssc, sinks = build(sc, checkpoint_dir, out_dir, num_slices)
     report = None
     for attempt in range(injector_retries + 1):
         try:
@@ -158,21 +162,22 @@ def resume_and_finish(sc, checkpoint_dir, out_dir=None, injector_retries=0):
 
 
 class TestChaosKillPoints:
-    """Injected faults at each instrumented site, on the thread pool."""
+    """Injected faults at each instrumented site, on the thread pool:
+    four slices per batch and window keep every job there."""
 
     @pytest.mark.chaos
     @pytest.mark.parametrize("executor", BACKENDS)
     def test_wal_append_fault_then_recover(self, tmp_path, executor):
-        base = baseline(executor)
+        base = baseline(executor, SLICES)
         ck = str(tmp_path / "ck")
         injector = FaultInjector(seed=5).fail("wal.append", times=1, per_key=False)
         with make_sc(executor, injector) as sc:
-            ssc, crashed_sinks = build(sc, ck)
+            ssc, crashed_sinks = build(sc, ck, num_slices=SLICES)
             with pytest.raises(InjectedFault):
                 ssc.run_batches(BATCHES, batch_times=TIMES)
             crashed = canon(crashed_sinks)  # abandoned, no stop/flush
         with make_sc(executor) as sc2:
-            _ssc, sinks, report = resume_and_finish(sc2, ck)
+            _ssc, sinks, report = resume_and_finish(sc2, ck, num_slices=SLICES)
             resumed = canon(sinks)
         assert not (set(crashed) & set(resumed))
         assert {**crashed, **resumed} == base
@@ -183,20 +188,20 @@ class TestChaosKillPoints:
     def test_checkpoint_write_fault_is_graceful_and_recoverable(
         self, tmp_path, executor
     ):
-        base = baseline(executor)
+        base = baseline(executor, SLICES)
         ck = str(tmp_path / "ck")
         injector = FaultInjector(seed=5).fail(
             "checkpoint.write", times=1, per_key=False
         )
         with make_sc(executor, injector) as sc:
-            ssc, crashed_sinks = build(sc, ck)
+            ssc, crashed_sinks = build(sc, ck, num_slices=SLICES)
             # A failed checkpoint never stops the stream -- it only
             # lengthens the WAL tail a later recovery replays.
             ssc.run_batches(CRASH_AT, batch_times=TIMES[:CRASH_AT])
             assert ssc.metrics.checkpoint_failures == 1
             crashed = canon(crashed_sinks)  # crash here: abandon
         with make_sc(executor) as sc2:
-            _ssc, sinks, report = resume_and_finish(sc2, ck)
+            _ssc, sinks, report = resume_and_finish(sc2, ck, num_slices=SLICES)
             resumed = canon(sinks)
         assert not (set(crashed) & set(resumed))
         assert {**crashed, **resumed} == base
@@ -207,10 +212,10 @@ class TestChaosKillPoints:
     @pytest.mark.chaos
     @pytest.mark.parametrize("executor", BACKENDS)
     def test_recovery_load_fault_leaves_restore_retryable(self, tmp_path, executor):
-        base = baseline(executor)
+        base = baseline(executor, SLICES)
         ck = str(tmp_path / "ck")
         with make_sc(executor) as sc:
-            ssc, crashed_sinks = build(sc, ck)
+            ssc, crashed_sinks = build(sc, ck, num_slices=SLICES)
             ssc.run_batches(CRASH_AT, batch_times=TIMES[:CRASH_AT])
             crashed = canon(crashed_sinks)
         injector = FaultInjector(seed=5).fail("recovery.load", times=1, per_key=False)
@@ -218,7 +223,7 @@ class TestChaosKillPoints:
             # First restore attempt faults before any mutation; the retry
             # on the very same context must succeed and reach equality.
             _ssc, sinks, report = resume_and_finish(
-                sc2, ck, injector_retries=1
+                sc2, ck, injector_retries=1, num_slices=SLICES
             )
             resumed = canon(sinks)
         assert not (set(crashed) & set(resumed))

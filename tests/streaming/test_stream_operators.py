@@ -104,7 +104,9 @@ def exec_sc(request):
 
 def test_windowed_operators_equal_batch_recompute(exec_sc):
     batches = make_batches()
-    ssc = StreamingContext(exec_sc)
+    # Four slices per batch and window: the ``threads`` run's jobs go
+    # through the pool (a one-slice batch runs inline on either).
+    ssc = StreamingContext(exec_sc, num_slices=4)
     source, events = ssc.queue_stream(batches)
 
     joined = events.join_static(REFERENCE, INTERSECTS).collect_batches()
@@ -146,7 +148,7 @@ def test_windowed_operators_equal_batch_recompute(exec_sc):
 def test_within_distance_static_equals_exhaustive(exec_sc):
     batches = make_batches(seed=31)
     max_distance = 6.0
-    ssc = StreamingContext(exec_sc)
+    ssc = StreamingContext(exec_sc, num_slices=4)
     source, events = ssc.queue_stream(batches)
     sink = events.within_distance_static(REFERENCE, max_distance).collect_batches()
     ssc.run_batches(BATCHES, batch_times=[0.0] * BATCHES)
