@@ -26,17 +26,13 @@ import pytest
 
 from repro.chaos import FaultInjector
 from repro.core.stobject import STObject
-from repro.io.datagen import (
-    clustered_points,
-    random_polygons,
-    self_join_pairs,
-    timed_stobjects,
-)
+from repro.evaluation.report import SCALES as FIG4_POINTS
+from repro.io.datagen import clustered_points, random_polygons, timed_stobjects
 from repro.spark.context import SparkContext
 
 SCALES = {
     "small": {
-        "fig4_points": 2_000,
+        "fig4_points": FIG4_POINTS["small"],
         "filter_points": 5_000,
         "join_points": 3_000,
         "join_polygons": 150,
@@ -44,7 +40,7 @@ SCALES = {
         "cluster_points": 1_500,
     },
     "medium": {
-        "fig4_points": 8_000,
+        "fig4_points": FIG4_POINTS["medium"],
         "filter_points": 20_000,
         "join_points": 10_000,
         "join_polygons": 400,
@@ -52,7 +48,7 @@ SCALES = {
         "cluster_points": 4_000,
     },
     "large": {
-        "fig4_points": 50_000,
+        "fig4_points": FIG4_POINTS["large"],
         "filter_points": 100_000,
         "join_points": 50_000,
         "join_polygons": 2_000,
@@ -99,29 +95,6 @@ def _bench_trace_span(request, sc):
         return
     with sc.tracer.span(request.node.nodeid, kind="benchmark"):
         yield
-
-
-@pytest.fixture(scope="session")
-def fig4_points(sizes):
-    """The Figure-4 input: clustered points (the paper's 1M-point set,
-    scaled)."""
-    return clustered_points(sizes["fig4_points"], num_clusters=10, seed=1704)
-
-
-@pytest.fixture(scope="session")
-def fig4_points_rdd(sc, fig4_points):
-    """The Figure-4 points as a cached RDD."""
-    rdd = sc.parallelize(
-        [(STObject(p), i) for i, p in enumerate(fig4_points)], 8
-    ).persist()
-    rdd.count()
-    return rdd
-
-
-@pytest.fixture(scope="session")
-def fig4_pairs(fig4_points):
-    """The pairs every correct Figure-4 self-join returns."""
-    return self_join_pairs(fig4_points)
 
 
 @pytest.fixture(scope="session")

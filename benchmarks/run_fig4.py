@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.evaluation.report import figure4
+from repro.evaluation.report import figure4, render_figure4
 from repro.spark.context import SparkContext
 
 
@@ -28,7 +28,7 @@ def main() -> None:
 
     with SparkContext("fig4", parallelism=args.parallelism) as sc:
         print()
-        print(figure4(sc, args.points, args.repeats))
+        print(render_figure4(args.points, figure4(sc, args.points, args.repeats)))
 
 
 if __name__ == "__main__":

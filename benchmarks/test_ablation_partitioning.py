@@ -15,6 +15,7 @@ import pytest
 from repro.core import filter as filter_ops
 from repro.core.predicates import INTERSECTS
 from repro.core.stobject import STObject
+from repro.evaluation import bsp_budget
 from repro.io.datagen import world_events
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
@@ -41,7 +42,7 @@ class TestPartitionerBuild:
     def test_build_bsp(self, benchmark, world_rdd, sizes):
         partitioner = benchmark.pedantic(
             lambda: BSPartitioner.from_rdd(
-                world_rdd, max_cost_per_partition=max(64, sizes["filter_points"] // 16)
+                world_rdd, max_cost_per_partition=bsp_budget(sizes["filter_points"])
             ),
             rounds=ROUNDS,
         )
@@ -51,7 +52,7 @@ class TestPartitionerBuild:
 class TestPartitionerQuality:
     def test_balance_bsp_beats_grid(self, benchmark, world_rdd, sizes):
         keys = world_rdd.keys().collect()
-        budget = max(64, sizes["filter_points"] // 16)
+        budget = bsp_budget(sizes["filter_points"])
         grid = GridPartitioner(keys, 4)
         bsp = BSPartitioner(keys, max_cost_per_partition=budget)
         grid_imbalance = benchmark.pedantic(lambda: grid.imbalance(keys), rounds=1)
@@ -99,7 +100,7 @@ class TestExtentPruningAblation:
         from repro.evaluation.harness import time_call
 
         bsp = BSPartitioner.from_rdd(
-            world_rdd, max_cost_per_partition=max(64, sizes["filter_points"] // 16)
+            world_rdd, max_cost_per_partition=bsp_budget(sizes["filter_points"])
         )
         partitioned = world_rdd.partition_by(bsp).persist()
         partitioned.count()
@@ -125,7 +126,7 @@ class TestExtentPruningAblation:
         from repro.evaluation.harness import time_call
 
         bsp = BSPartitioner.from_rdd(
-            world_rdd, max_cost_per_partition=max(64, sizes["filter_points"] // 16)
+            world_rdd, max_cost_per_partition=bsp_budget(sizes["filter_points"])
         )
         partitioned = world_rdd.partition_by(bsp).persist()
         partitioned.count()

@@ -6,7 +6,8 @@ repository (footnote 4, dbis-ilm/spatialbm).  All configurations must
 return identical results; the benchmark shows what partition pruning
 and per-partition indexing are worth.  The live-index rows query an
 unpersisted view, so that every query builds its trees as in the
-paper's live mode (a persisted RDD keeps them after the first query).
+paper's live mode; ``test_live_index_bsp_persisted_reused`` queries the
+persisted RDD, which keeps its trees after the first query.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.core import filter as filter_ops
 from repro.core.predicates import CONTAINED_BY, INTERSECTS
 from repro.core.spatial_rdd import spatial
 from repro.core.stobject import STObject
+from repro.evaluation import bsp_budget
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
 
@@ -39,7 +41,7 @@ def grid_partitioned(filter_events_rdd):
 @pytest.fixture(scope="module")
 def bsp_partitioned(filter_events_rdd, sizes):
     bsp = BSPartitioner.from_rdd(
-        filter_events_rdd, max_cost_per_partition=max(64, sizes["filter_points"] // 16)
+        filter_events_rdd, max_cost_per_partition=bsp_budget(sizes["filter_points"])
     )
     rdd = filter_events_rdd.partition_by(bsp).persist()
     rdd.count()
@@ -85,6 +87,15 @@ class TestFilterModes:
         )
         assert count == expected_count
 
+    def test_scan_bsp_partitioned(self, benchmark, bsp_partitioned, expected_count):
+        count = benchmark.pedantic(
+            lambda: filter_ops.filter_no_index(
+                bsp_partitioned, QUERY, CONTAINED_BY
+            ).count(),
+            rounds=ROUNDS,
+        )
+        assert count == expected_count
+
     def test_live_index_grid_partitioned(self, benchmark, grid_partitioned, expected_count):
         live = unpersisted(grid_partitioned)
         count = benchmark.pedantic(
@@ -100,6 +111,19 @@ class TestFilterModes:
         count = benchmark.pedantic(
             lambda: filter_ops.filter_live_index(
                 live, QUERY, CONTAINED_BY, order=10
+            ).count(),
+            rounds=ROUNDS,
+        )
+        assert count == expected_count
+
+    def test_live_index_bsp_persisted_reused(
+        self, benchmark, bsp_partitioned, expected_count
+    ):
+        # A persisted RDD keeps its live trees: only the first query builds.
+        filter_ops.filter_live_index(bsp_partitioned, QUERY, CONTAINED_BY, order=10).count()
+        count = benchmark.pedantic(
+            lambda: filter_ops.filter_live_index(
+                bsp_partitioned, QUERY, CONTAINED_BY, order=10
             ).count(),
             rounds=ROUNDS,
         )

@@ -7,6 +7,7 @@ import pytest
 from repro.baselines import GeoSparkStyle, SpatialSparkStyle
 from repro.core.join import spatial_join
 from repro.core.predicates import CONTAINED_BY
+from repro.evaluation import bsp_budget
 from repro.partitioners.bsp import BSPartitioner
 
 ROUNDS = 3
@@ -29,7 +30,7 @@ class TestPointInPolygonJoin:
     def test_stark_bsp_partitioned(self, benchmark, join_inputs, expected_count, sizes):
         points, polys = join_inputs
         bsp = BSPartitioner.from_rdd(
-            points, max_cost_per_partition=max(64, sizes["join_points"] // 16)
+            points, max_cost_per_partition=bsp_budget(sizes["join_points"])
         )
         p_points = points.partition_by(bsp).persist()
         p_polys = polys.partition_by(bsp).persist()

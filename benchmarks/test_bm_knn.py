@@ -7,6 +7,7 @@ import pytest
 from repro.core.knn import knn, knn_indexed
 from repro.core.spatial_rdd import spatial
 from repro.core.stobject import STObject
+from repro.evaluation import bsp_budget
 from repro.io.datagen import clustered_points
 from repro.partitioners.bsp import BSPartitioner
 
@@ -25,7 +26,7 @@ def knn_rdd(sc, sizes):
 @pytest.fixture(scope="module")
 def knn_partitioned(knn_rdd, sizes):
     bsp = BSPartitioner.from_rdd(
-        knn_rdd, max_cost_per_partition=max(64, sizes["knn_points"] // 16)
+        knn_rdd, max_cost_per_partition=bsp_budget(sizes["knn_points"])
     )
     rdd = knn_rdd.partition_by(bsp).persist()
     rdd.count()

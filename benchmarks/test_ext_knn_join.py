@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.knn_join import knn_join
 from repro.core.stobject import STObject
+from repro.evaluation import bsp_budget
 from repro.io.datagen import clustered_points, uniform_points
 from repro.partitioners.bsp import BSPartitioner
 
@@ -33,7 +34,7 @@ def target_rdd(sc, sizes):
 @pytest.fixture(scope="module")
 def target_partitioned(target_rdd, sizes):
     bsp = BSPartitioner.from_rdd(
-        target_rdd, max_cost_per_partition=max(64, sizes["join_points"] // 16)
+        target_rdd, max_cost_per_partition=bsp_budget(sizes["join_points"])
     )
     rdd = target_rdd.partition_by(bsp).persist()
     rdd.count()

@@ -14,6 +14,7 @@ import pytest
 from repro.core import filter as filter_ops
 from repro.core.predicates import INTERSECTS
 from repro.core.stobject import STObject
+from repro.evaluation import bsp_budget
 from repro.io.datagen import clustered_points, timed_stobjects
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.temporal import (
@@ -53,7 +54,7 @@ def expected_count(timed_events):
 @pytest.fixture(scope="module")
 def spatial_partitioned(timed_events, sizes):
     bsp = BSPartitioner.from_rdd(
-        timed_events, max_cost_per_partition=max(64, sizes["filter_points"] // 16)
+        timed_events, max_cost_per_partition=bsp_budget(sizes["filter_points"])
     )
     rdd = timed_events.partition_by(bsp).persist()
     rdd.count()

@@ -4,136 +4,30 @@ Paper values (1M points, cluster): GeoSpark N/A without partitioning /
 51.9 s with Voronoi; SpatialSpark 31.1 s without / 95.9 s with Tile;
 STARK 19.8 s without / 6.3 s with BSP.
 
-Expected shape (what the assertions check):
+The bars are :func:`repro.evaluation.report.figure4`'s, the same ones
+``python benchmarks/run_fig4.py`` prints as a table; it checks every
+bar's pair count and that GeoSpark's un-partitioned join is N/A.  This
+test asserts the figure's shape on them:
 
 - STARK outperforms the other frameworks in both configurations,
 - STARK + BSP is the fastest configuration overall, a multiple faster
-  than STARK without partitioning,
-- GeoSpark simply has no un-partitioned join (N/A),
-- result counts are identical across all engines (except the
-  reproduced GeoSpark duplicate bug, benchmarked in the baselines
-  tests).
-
-``python benchmarks/run_fig4.py`` prints the bar values as a table.
+  than STARK without partitioning.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.baselines import GeoSparkStyle, SpatialSparkStyle
-from repro.baselines.geospark import UnsupportedOperation
-from repro.core.join import spatial_join
-from repro.core.predicates import INTERSECTS
-from repro.partitioners.bsp import BSPartitioner
-
-ROUNDS = 3
-
-
-@pytest.fixture(scope="module")
-def bsp_partitioned(sc, fig4_points_rdd, sizes):
-    bsp = BSPartitioner.from_rdd(
-        fig4_points_rdd, max_cost_per_partition=max(64, sizes["fig4_points"] // 16)
-    )
-    rdd = fig4_points_rdd.partition_by(bsp).persist()
-    rdd.count()
-    return rdd
-
-
-class TestFig4:
-    def test_stark_no_partitioning(self, benchmark, fig4_points_rdd, fig4_pairs):
-        count = benchmark.pedantic(
-            lambda: spatial_join(fig4_points_rdd, fig4_points_rdd, INTERSECTS).count(),
-            rounds=ROUNDS,
-        )
-        assert count == fig4_pairs
-
-    def test_stark_bsp(self, benchmark, bsp_partitioned, fig4_pairs):
-        count = benchmark.pedantic(
-            lambda: spatial_join(bsp_partitioned, bsp_partitioned, INTERSECTS).count(),
-            rounds=ROUNDS,
-        )
-        assert count == fig4_pairs
-
-    def test_geospark_no_partitioning_is_na(self, benchmark, fig4_points_rdd):
-        def attempt():
-            with pytest.raises(UnsupportedOperation):
-                GeoSparkStyle().spatial_join(
-                    fig4_points_rdd, fig4_points_rdd, INTERSECTS, partitioning=None
-                )
-
-        benchmark.pedantic(attempt, rounds=1)
-
-    def test_geospark_voronoi(self, benchmark, fig4_points_rdd, fig4_pairs):
-        engine = GeoSparkStyle()
-        count = benchmark.pedantic(
-            lambda: engine.spatial_join(
-                fig4_points_rdd, fig4_points_rdd, INTERSECTS, "voronoi", num_cells=16
-            ).count(),
-            rounds=ROUNDS,
-        )
-        assert count == fig4_pairs
-
-    def test_geospark_grid(self, benchmark, fig4_points_rdd, fig4_pairs):
-        engine = GeoSparkStyle()
-        count = benchmark.pedantic(
-            lambda: engine.spatial_join(
-                fig4_points_rdd, fig4_points_rdd, INTERSECTS, "grid", num_cells=64
-            ).count(),
-            rounds=ROUNDS,
-        )
-        assert count == fig4_pairs
-
-    def test_spatialspark_no_partitioning(self, benchmark, fig4_points_rdd, fig4_pairs):
-        engine = SpatialSparkStyle()
-        count = benchmark.pedantic(
-            lambda: engine.broadcast_join(
-                fig4_points_rdd, fig4_points_rdd, INTERSECTS
-            ).count(),
-            rounds=ROUNDS,
-        )
-        assert count == fig4_pairs
-
-    def test_spatialspark_tile(self, benchmark, fig4_points_rdd, fig4_pairs):
-        engine = SpatialSparkStyle()
-        count = benchmark.pedantic(
-            lambda: engine.tile_join(
-                fig4_points_rdd, fig4_points_rdd, INTERSECTS, tiles_per_dimension=16
-            ).count(),
-            rounds=ROUNDS,
-        )
-        assert count == fig4_pairs
+from repro.evaluation.report import figure4
 
 
 class TestFig4Shape:
-    """The figure's qualitative claims, asserted on fresh measurements."""
+    """The figure's qualitative claims, asserted on :func:`figure4`'s bars."""
 
-    def test_stark_wins_and_bsp_speedup(
-        self, benchmark, sc, fig4_points_rdd, bsp_partitioned
-    ):
-        from repro.evaluation.harness import time_call
-
-        stark_nopart = time_call(
-            lambda: spatial_join(fig4_points_rdd, fig4_points_rdd, INTERSECTS).count(),
-            repeats=2,
-        ).best
-        benchmark.pedantic(
-            lambda: spatial_join(bsp_partitioned, bsp_partitioned, INTERSECTS).count(),
-            rounds=2,
+    def test_stark_wins_and_bsp_speedup(self, benchmark, sc, sizes):
+        bars = benchmark.pedantic(
+            lambda: figure4(sc, sizes["fig4_points"], repeats=2), rounds=1
         )
-        stark_bsp = benchmark.stats.stats.min
-        spatialspark_nopart = time_call(
-            lambda: SpatialSparkStyle()
-            .broadcast_join(fig4_points_rdd, fig4_points_rdd, INTERSECTS)
-            .count(),
-            repeats=2,
-        ).best
-        geospark_best = time_call(
-            lambda: GeoSparkStyle()
-            .spatial_join(fig4_points_rdd, fig4_points_rdd, INTERSECTS, "grid", 64)
-            .count(),
-            repeats=2,
-        ).best
+        stark_nopart, stark_bsp = bars["STARK", None], bars["STARK", "BSP"]
+        spatialspark_nopart = bars["SpatialSpark", None]
 
         # STARK outperforms SpatialSpark without partitioning (paper:
         # 19.8 s vs 31.1 s).
@@ -141,7 +35,7 @@ class TestFig4Shape:
         # STARK's best partitioner beats every other configuration
         # (paper: 6.3 s vs everything else).
         assert stark_bsp < stark_nopart
-        assert stark_bsp < geospark_best
+        assert stark_bsp < bars["GeoSpark", "Voronoi"]
         assert stark_bsp < spatialspark_nopart
         # BSP gives a clear multiple over STARK's own un-partitioned run
         # (paper: ~3.1x).

@@ -1,4 +1,5 @@
-"""Timing helpers shared by the benchmark suite and its standalone runners."""
+"""Timing helpers and the BSP budget shared by the benchmark suite and its
+standalone runners."""
 
 from __future__ import annotations
 
@@ -24,10 +25,6 @@ class BenchmarkResult:
     def mean(self) -> float:
         return statistics.fmean(self.seconds)
 
-    @property
-    def stdev(self) -> float:
-        return statistics.stdev(self.seconds) if len(self.seconds) > 1 else 0.0
-
 
 def time_call(
     fn: Callable[[], Any], repeats: int = 1, warmup: int = 0, label: str = ""
@@ -43,6 +40,12 @@ def time_call(
         result.payload = fn()
         result.seconds.append(time.perf_counter() - start)
     return result
+
+
+def bsp_budget(n: int) -> int:
+    """The experiments' BSP cost budget for *n* records: a sixteenth of
+    the data per partition, never below 64 (``max(64, n // 16)``)."""
+    return max(64, n // 16)
 
 
 def render_table(

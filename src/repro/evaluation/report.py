@@ -1,10 +1,11 @@
-"""The one-shot evaluation report: every reproduced experiment, one run.
+"""The one-shot evaluation report: the feature table, Figure 4 and the
+streaming robustness drives, in one run.
 
-:func:`generate_report` executes a compact version of the full
-benchmark suite (Figure 4, the feature table, the spatialbm micro
-benchmarks and the ablations) and renders the results as plain text --
-the "More results of the performance evaluation" companion the paper
-keeps in its GitHub repository.
+:func:`figure4` is the one definition of the paper's Figure 4: its
+input, partitioners, timed joins and checks.  ``benchmarks/run_fig4.py``
+prints its table and ``benchmarks/test_fig4_selfjoin.py`` asserts the
+paper's shape on its bars.  The spatialbm micro benchmarks and the
+ablations are timed by ``benchmarks/`` alone.
 
 Entry point: ``python benchmarks/run_report.py [--scale small|medium]``.
 """
@@ -14,78 +15,88 @@ from __future__ import annotations
 import os
 
 from repro.baselines import GeoSparkStyle, SpatialSparkStyle
+from repro.baselines.geospark import UnsupportedOperation
 from repro.core import filter as filter_ops
-from repro.core.clustering import dbscan, local_dbscan
 from repro.core.join import spatial_join
 from repro.core.knn import knn
-from repro.core.predicates import CONTAINED_BY, INTERSECTS
-from repro.core.spatial_rdd import spatial
+from repro.core.predicates import INTERSECTS
 from repro.core.stobject import STObject
 from repro.evaluation.features import render_feature_table
-from repro.evaluation.harness import render_table, time_call
-from repro.io.datagen import (
-    clustered_points,
-    self_join_pairs,
-    timed_stobjects,
-    world_events,
-)
+from repro.evaluation.harness import bsp_budget, render_table, time_call
+from repro.io.datagen import clustered_points, self_join_pairs
 from repro.partitioners.bsp import BSPartitioner
-from repro.partitioners.grid import GridPartitioner
 from repro.spark.context import SparkContext
 
-SCALES = {
-    "small": {"join": 3_000, "filter": 8_000, "cluster": 1_500},
-    "medium": {"join": 10_000, "filter": 20_000, "cluster": 4_000},
-    "large": {"join": 40_000, "filter": 80_000, "cluster": 15_000},
-}
+#: Figure 4's point count per scale; the benchmark suite's
+#: ``fig4_points`` reads the same table.
+SCALES = {"small": 2_000, "medium": 8_000, "large": 50_000}
+
+#: One Figure-4 bar: ``(system, partitioner)``, the partitioner None
+#: for the system's un-partitioned join.
+Bar = tuple[str, str | None]
 
 
-def _fmt(result) -> str:
-    return f"{result.best:.3f}s"
+def figure4(sc: SparkContext, n: int, repeats: int) -> dict[Bar, float | None]:
+    """Time the paper's Figure 4: the self-join on *n* clustered points,
+    per system without spatial partitioning and with its best
+    partitioner (GeoSpark's Voronoi, SpatialSpark's Tile, STARK's BSP).
 
-
-def figure4(sc: SparkContext, n: int, repeats: int) -> str:
-    """The paper's Figure 4 as a table: the self-join on *n* clustered
-    points, per system without spatial partitioning and with that
-    system's best partitioner.  Every timed join is warmed up once and
-    must return the pairs :func:`~repro.io.datagen.self_join_pairs`
-    counts -- *n* when no two points coincide.
+    Returns each bar's best-of-*repeats* seconds, or None where the
+    system raised :class:`~repro.baselines.geospark.UnsupportedOperation`
+    (the paper's N/A).  Every join is warmed up once and must return the
+    :func:`~repro.io.datagen.self_join_pairs` count (*n* unless points
+    coincide), and GeoSpark's un-partitioned join must be the one N/A
+    bar; anything else raises ``AssertionError``.
     """
     points = clustered_points(n, num_clusters=10, seed=1704)
     pairs = self_join_pairs(points)
     rdd = sc.parallelize([(STObject(p), i) for i, p in enumerate(points)], 8).persist()
     rdd.count()
-    bsp = BSPartitioner.from_rdd(rdd, max_cost_per_partition=max(64, n // 16))
+    bsp = BSPartitioner.from_rdd(rdd, max_cost_per_partition=bsp_budget(n))
     partitioned = rdd.partition_by(bsp).persist()
     partitioned.count()
     # Unpersisted views: like the baselines', every STARK join builds.
     live, live_partitioned = rdd.map(lambda kv: kv), partitioned.map(lambda kv: kv)
-
-    def measure(join) -> str:
-        result = time_call(lambda: join().count(), repeats=repeats, warmup=1)
-        assert result.payload == pairs, f"wrong result count {result.payload}"
-        return _fmt(result)
-
     geospark, spatialspark = GeoSparkStyle(), SpatialSparkStyle()
+    joins = {
+        ("GeoSpark", None): lambda: geospark.spatial_join(rdd, rdd, INTERSECTS, partitioning=None),
+        ("GeoSpark", "Voronoi"): lambda: geospark.spatial_join(rdd, rdd, INTERSECTS, "voronoi", 16),
+        ("SpatialSpark", None): lambda: spatialspark.broadcast_join(rdd, rdd, INTERSECTS),
+        ("SpatialSpark", "Tile"): lambda: spatialspark.tile_join(rdd, rdd, INTERSECTS, 16),
+        ("STARK", None): lambda: spatial_join(rdd, live, INTERSECTS),
+        ("STARK", "BSP"): lambda: spatial_join(partitioned, live_partitioned, INTERSECTS),
+    }
+
+    def measure(bar: Bar, join) -> float | None:
+        try:
+            result = time_call(lambda: join().count(), repeats=repeats, warmup=1)
+        except UnsupportedOperation:
+            return None
+        if result.payload != pairs:
+            raise AssertionError(f"{bar}: {result.payload} pairs, expected {pairs}")
+        return result.best
+
+    bars = {bar: measure(bar, join) for bar, join in joins.items()}
+    unsupported = [bar for bar, seconds in bars.items() if seconds is None]
+    if unsupported != [("GeoSpark", None)]:
+        raise AssertionError(
+            f"N/A bars {unsupported}; the paper's only one is GeoSpark's un-partitioned join"
+        )
+    return bars
+
+
+def render_figure4(n: int, bars: dict[Bar, float | None]) -> str:
+    """The :func:`figure4` bars of an *n*-point run as the paper's table."""
+
+    def cell(bar: Bar) -> str:
+        seconds = bars[bar]
+        text = "N/A" if seconds is None else f"{seconds:.3f}s"
+        return text if bar[1] is None else f"{text} ({bar[1]})"
+
     rows = [
-        [
-            "GeoSpark",
-            "N/A",
-            measure(lambda: geospark.spatial_join(rdd, rdd, INTERSECTS, "voronoi", 16))
-            + " (Voronoi)",
-        ],
-        [
-            "SpatialSpark",
-            measure(lambda: spatialspark.broadcast_join(rdd, rdd, INTERSECTS)),
-            measure(lambda: spatialspark.tile_join(rdd, rdd, INTERSECTS, 16))
-            + " (Tile)",
-        ],
-        [
-            "STARK",
-            measure(lambda: spatial_join(rdd, live, INTERSECTS)),
-            measure(lambda: spatial_join(partitioned, live_partitioned, INTERSECTS))
-            + " (BSP)",
-        ],
+        [system, cell((system, None)), cell((system, best))]
+        for system, best in bars
+        if best is not None
     ]
     return render_table(
         ["system", "no partitioning", "best partitioner"],
@@ -93,119 +104,6 @@ def figure4(sc: SparkContext, n: int, repeats: int) -> str:
         title=f"Figure 4 reproduction: self-join on {n:,} clustered points "
         "(paper, 1,000,000 points on a cluster: GeoSpark N/A / 51.9s; "
         "SpatialSpark 31.1 / 95.9s; STARK 19.8 / 6.3s)",
-    )
-
-
-def _filter_suite(sc: SparkContext, n: int, repeats: int) -> str:
-    objs = list(
-        timed_stobjects(clustered_points(n, num_clusters=12, seed=1705), seed=1705)
-    )
-    rdd = sc.parallelize([(o, i) for i, o in enumerate(objs)], 8).persist()
-    rdd.count()
-    query = STObject(
-        "POLYGON ((100 100, 350 100, 350 350, 100 350, 100 100))", 0, 1_000_000
-    )
-    bsp = BSPartitioner.from_rdd(rdd, max_cost_per_partition=max(64, n // 16))
-    partitioned = rdd.partition_by(bsp).persist()
-    partitioned.count()
-    indexed = spatial(partitioned).index(order=10)
-    indexed.intersects(query).count()
-    # Live mode as in the paper: an unpersisted view builds per query.
-    live = partitioned.map_values(lambda v: v)
-    filter_ops.filter_live_index(live, query, CONTAINED_BY).count()
-
-    rows = [
-        [
-            "scan, no partitioning",
-            _fmt(time_call(lambda: filter_ops.filter_no_index(rdd, query, CONTAINED_BY).count(), repeats=repeats)),
-        ],
-        [
-            "scan, BSP (pruned)",
-            _fmt(time_call(lambda: filter_ops.filter_no_index(partitioned, query, CONTAINED_BY).count(), repeats=repeats)),
-        ],
-        [
-            "live index, BSP",
-            _fmt(time_call(lambda: filter_ops.filter_live_index(live, query, CONTAINED_BY).count(), repeats=repeats)),
-        ],
-        [
-            "live index, BSP, persisted RDD (reused)",
-            _fmt(time_call(lambda: filter_ops.filter_live_index(partitioned, query, CONTAINED_BY).count(), repeats=repeats)),
-        ],
-        [
-            "persistent index, BSP",
-            _fmt(time_call(lambda: indexed.contained_by(query).count(), repeats=repeats)),
-        ],
-    ]
-    return render_table(
-        ["configuration", "time"],
-        rows,
-        title=f"spatialbm filter: containedBy window over {n:,} timed events",
-    )
-
-
-def _knn_suite(sc: SparkContext, n: int, repeats: int) -> str:
-    pts = clustered_points(n, num_clusters=10, seed=1707)
-    rdd = sc.parallelize([(STObject(p), i) for i, p in enumerate(pts)], 8).persist()
-    rdd.count()
-    bsp = BSPartitioner.from_rdd(rdd, max_cost_per_partition=max(64, n // 16))
-    partitioned = rdd.partition_by(bsp).persist()
-    partitioned.count()
-    query = STObject("POINT (500 500)")
-    rows = []
-    for k in (1, 10, 100):
-        rows.append(
-            [
-                str(k),
-                _fmt(time_call(lambda: knn(rdd, query, k), repeats=repeats)),
-                _fmt(time_call(lambda: knn(partitioned, query, k), repeats=repeats)),
-            ]
-        )
-    return render_table(
-        ["k", "full scan", "two-phase (BSP)"],
-        rows,
-        title=f"spatialbm kNN over {n:,} points",
-    )
-
-
-def _clustering_suite(sc: SparkContext, n: int, repeats: int) -> str:
-    pts = clustered_points(n, num_clusters=6, seed=1708, noise_fraction=0.05)
-    coords = [(p.x, p.y) for p in pts]
-    rdd = sc.parallelize([(STObject(p), i) for i, p in enumerate(pts)], 8).persist()
-    rdd.count()
-    eps, min_pts = 12.0, 5
-    rows = [
-        [
-            "sequential reference",
-            _fmt(time_call(lambda: local_dbscan(coords, eps, min_pts), repeats=repeats)),
-        ],
-        [
-            "MR-DBSCAN (BSP)",
-            _fmt(time_call(lambda: dbscan(rdd, eps, min_pts).collect(), repeats=repeats)),
-        ],
-    ]
-    return render_table(
-        ["mode", "time"],
-        rows,
-        title=f"spatialbm clustering: DBSCAN eps={eps} minPts={min_pts} on {n:,} points",
-    )
-
-
-def _partitioning_ablation(sc: SparkContext, n: int) -> str:
-    keys = [STObject(p) for p in world_events(n, seed=1709)]
-    grid = GridPartitioner(keys, 4)
-    bsp = BSPartitioner(keys, max_cost_per_partition=max(64, n // 16))
-    rows = [
-        ["grid 4x4", "16", f"{grid.imbalance(keys):.2f}"],
-        [
-            "cost-based BSP",
-            str(bsp.num_partitions),
-            f"{bsp.imbalance(keys):.2f}",
-        ],
-    ]
-    return render_table(
-        ["partitioner", "partitions", "imbalance (max/mean)"],
-        rows,
-        title=f"partitioning ablation on skewed world data ({n:,} events)",
     )
 
 
@@ -329,7 +227,7 @@ def _traced_example(n: int) -> str:
     ) as sc:
         pts = clustered_points(n, num_clusters=10, seed=1704)
         rdd = sc.parallelize([(STObject(p), i) for i, p in enumerate(pts)], 8)
-        bsp = BSPartitioner.from_rdd(rdd, max_cost_per_partition=max(64, n // 16))
+        bsp = BSPartitioner.from_rdd(rdd, max_cost_per_partition=bsp_budget(n))
         partitioned = rdd.partition_by(bsp).persist()
         partitioned.count()
         sc.tracer.reset()  # scope the trace to the example queries
@@ -347,13 +245,13 @@ def _traced_example(n: int) -> str:
 
 
 def generate_report(scale: str = "small", repeats: int = 2, trace: bool = False) -> str:
-    """Run every experiment once and render the full text report.
+    """Run the report's experiments once and render the full text report.
 
     With ``trace=True`` a traced example query mix is appended, showing
     the execution-span tree of one filter + kNN run.
     """
-    sizes = SCALES.get(scale)
-    if sizes is None:
+    n = SCALES.get(scale)
+    if n is None:
         raise ValueError(f"scale must be one of {sorted(SCALES)}")
     sections = [
         "STARK reproduction -- evaluation report",
@@ -362,12 +260,8 @@ def generate_report(scale: str = "small", repeats: int = 2, trace: bool = False)
         render_feature_table(),
     ]
     with SparkContext("report", parallelism=4) as sc:
-        sections += ["", figure4(sc, sizes["join"], repeats)]
-        sections += ["", _filter_suite(sc, sizes["filter"], repeats)]
-        sections += ["", _knn_suite(sc, sizes["filter"], repeats)]
-        sections += ["", _clustering_suite(sc, sizes["cluster"], repeats)]
-        sections += ["", _partitioning_ablation(sc, sizes["filter"])]
+        sections += ["", render_figure4(n, figure4(sc, n, repeats))]
     sections += ["", _streaming_robustness()]
     if trace:
-        sections += ["", _traced_example(sizes["join"])]
+        sections += ["", _traced_example(n)]
     return "\n".join(sections)

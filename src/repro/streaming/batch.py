@@ -82,7 +82,14 @@ class BatchCore:
                     for node, fn in ssc._outputs:
                         fn(batch.batch_id, node._compute(base))
                     for consumer in ssc._windows:
-                        rows = consumer.node._compute(base).collect()
+                        # An input node's RDD is the batch's own rows:
+                        # hand them over without a job to read them back.
+                        node = consumer.node
+                        rows = (
+                            batch.records[id(node)]
+                            if node._parent is None
+                            else node._compute(base).collect()
+                        )
                         consumer.absorb(batch.batch_id, rows, batch.time)
                     fired = self._fire(batch.batch_id)
                     ssc.metrics.batches_run += 1
@@ -203,7 +210,8 @@ class BatchCore:
 
         Each record is probed alone (empty RDDs for every other input)
         through every output node's and window consumer's
-        transformation chain.  ``_compute`` is pure -- no output
+        transformation chain (a consumer on an input node has none,
+        so it is not probed).  ``_compute`` is pure -- no output
         function runs, no state is absorbed -- so probing mutates
         nothing and a probe crash convicts exactly one record.  A
         record whose failure needs batch-mates (a genuine cross-record
@@ -226,7 +234,8 @@ class BatchCore:
                     for node, _fn in ssc._outputs:
                         node._compute(base).collect()
                     for consumer in ssc._windows:
-                        consumer.node._compute(base).collect()
+                        if consumer.node._parent is not None:
+                            consumer.node._compute(base).collect()
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as exc:

@@ -696,7 +696,8 @@ class StateConsumer(StoreBackedConsumer):
     """The event-time window consumer behind ``window()`` and ``continuous()``.
 
     Bridges one stream node to a :class:`KeyedWindowState`: per batch
-    the streaming context collects the chain's records and calls
+    the streaming context collects the chain's records (an input
+    node's are the batch's own rows, read without a job) and calls
     :meth:`absorb`, and :meth:`fire` emits every ready window -- the
     registered continuous queries answer from the store, the window
     outputs receive the window's records as an RDD -- before the

@@ -1,8 +1,9 @@
-"""The evaluation report generator (structure checks; timing lives in
-benchmarks/)."""
+"""The evaluation report generator (structure checks; the shape
+assertions on Figure 4's bars live in benchmarks/)."""
 
 import pytest
 
+from repro.baselines import GeoSparkStyle
 from repro.evaluation import report
 from repro.geometry.point import Point
 from repro.io.datagen import clustered_points
@@ -14,27 +15,7 @@ class TestReportPieces:
             report.generate_report("huge")
 
     def test_scales_are_ordered(self):
-        assert (
-            report.SCALES["small"]["join"]
-            < report.SCALES["medium"]["join"]
-            < report.SCALES["large"]["join"]
-        )
-
-    def test_partitioning_ablation_section(self, sc):
-        text = report._partitioning_ablation(sc, 2_000)
-        assert "grid 4x4" in text
-        assert "cost-based BSP" in text
-        assert "imbalance" in text
-
-    def test_filter_section_runs(self, sc):
-        text = report._filter_suite(sc, 1_000, repeats=1)
-        assert "persistent index" in text
-        assert text.count("s") > 0
-
-    def test_knn_section_runs(self, sc):
-        text = report._knn_suite(sc, 1_000, repeats=1)
-        assert "full scan" in text
-        assert "two-phase" in text
+        assert report.SCALES["small"] < report.SCALES["medium"] < report.SCALES["large"]
 
     def test_streaming_section_accounts_for_every_record(self):
         blocked, degraded = report.streaming_drives()
@@ -65,5 +46,24 @@ class TestFigure4:
             return points + [Point(0.0, 1000.0)] * 2 + [points[0]]
 
         monkeypatch.setattr(report, "clustered_points", with_duplicates)
-        text = report.figure4(sc, 200, repeats=1)
+        bars = report.figure4(sc, 200, repeats=1)
+        text = report.render_figure4(200, bars)
         assert "self-join on 200 clustered points" in text
+
+    def test_geospark_na_is_measured(self, sc):
+        bars = report.figure4(sc, 200, repeats=1)
+        assert bars["GeoSpark", None] is None
+        assert all(s > 0 for bar, s in bars.items() if bar != ("GeoSpark", None))
+        assert "GeoSpark     | N/A " in report.render_figure4(200, bars)
+
+    def test_geospark_join_that_runs_fails_the_figure(self, sc, monkeypatch):
+        # A GeoSpark that joins without a partitioner is not the paper's
+        # N/A bar: figure4 must refuse it rather than print a time.
+        join = GeoSparkStyle.spatial_join
+
+        def unpartitioned_grid(self, left, right, predicate, partitioning="grid", *args):
+            return join(self, left, right, predicate, partitioning or "grid", *args)
+
+        monkeypatch.setattr(GeoSparkStyle, "spatial_join", unpartitioned_grid)
+        with pytest.raises(AssertionError, match="N/A"):
+            report.figure4(sc, 200, repeats=1)

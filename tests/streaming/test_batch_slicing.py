@@ -123,3 +123,23 @@ class TestBatchPartitions:
             ssc.stop()
             assert sc.metrics.jobs_run - jobs == 1
             assert sc.metrics.tasks_launched - tasks == 1
+
+
+class TestInputWindowReadsNoJob:
+    """A window consumer on an input stream absorbs the batch's own
+    rows; no job reads them back, and range / kNN answer from the store."""
+
+    @pytest.mark.parametrize("num_slices", [None, 4])
+    @pytest.mark.parametrize("handle", ["window", "continuous"])
+    def test_range_and_knn_run_no_job(self, handle, num_slices):
+        with SparkContext("input-window", parallelism=4, executor="threads") as sc:
+            ssc = StreamingContext(sc, num_slices=num_slices)
+            _source, events = ssc.queue_stream(make_batches())
+            sliding = getattr(events, handle)(length=4.0, slide=1.0)
+            sinks = [sliding.range(RANGE_BOX), sliding.knn(KNN_POINT, 7)]
+            jobs = sc.metrics.jobs_run
+            ssc.run_batches(BATCHES, batch_times=[float(b) for b in range(BATCHES)])
+            ssc.stop()
+            assert ssc.metrics.batches_run == BATCHES
+            assert sc.metrics.jobs_run == jobs
+        assert all(len(sink) > 0 for sink in sinks)
