@@ -97,26 +97,28 @@ class TestExtentPruningAblation:
     """Design decision 2 in DESIGN.md: what is extent pruning worth?"""
 
     def test_filter_with_vs_without_pruning(self, benchmark, world_rdd, sizes):
-        from repro.evaluation.harness import time_call
+        from repro.evaluation.harness import time_pair
 
         bsp = BSPartitioner.from_rdd(
             world_rdd, max_cost_per_partition=bsp_budget(sizes["filter_points"])
         )
         partitioned = world_rdd.partition_by(bsp).persist()
         partitioned.count()
-        benchmark.pedantic(
-            lambda: filter_ops.filter_no_index(partitioned, QUERY, INTERSECTS).count(),
-            rounds=3,
-        )
-        with_pruning = benchmark.stats.stats.min
-        without_pruning = time_call(
-            lambda: filter_ops.filter_no_index(
+
+        def pruned():
+            return filter_ops.filter_no_index(partitioned, QUERY, INTERSECTS).count()
+
+        def unpruned():
+            return filter_ops.filter_no_index(
                 partitioned, QUERY, INTERSECTS, prune=False
-            ).count(),
-            repeats=3,
-        ).best
+            ).count()
+
+        # A few milliseconds each: the sides alternate, each sample
+        # lasts >= 20 ms and each side keeps its best of 5.
+        with_pruning, without_pruning = time_pair(pruned, unpruned)
+        benchmark.pedantic(pruned, rounds=1)
         print(
-            f"\nextent pruning: {without_pruning:.3f}s -> {with_pruning:.3f}s "
+            f"\nextent pruning: {without_pruning:.4f}s -> {with_pruning:.4f}s "
             f"({without_pruning / max(with_pruning, 1e-9):.1f}x)"
         )
         assert with_pruning < without_pruning

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.geometry.base import Geometry
+from repro.geometry.point import Point
 from repro.geometry.wkt import parse_wkt
 from repro.temporal.interval import Interval, TemporalExpression, make_temporal
 
@@ -38,13 +39,20 @@ class STObject:
         time=None,
         end=None,
     ) -> None:
-        if isinstance(geo, str):
+        kind = type(geo)
+        if kind is str:
             geo = parse_wkt(geo)
-        if not isinstance(geo, Geometry):
+            kind = type(geo)
+        # A point is by far the common case: its type is tested before
+        # the Geometry ABC, and its emptiness read from its slot.
+        if kind is Point:
+            if geo._empty:
+                raise ValueError("STObject requires a non-empty geometry")
+        elif not isinstance(geo, Geometry):
             raise TypeError(
-                f"geo must be a Geometry or WKT string, got {type(geo).__name__}"
+                f"geo must be a Geometry or WKT string, got {kind.__name__}"
             )
-        if geo.is_empty:
+        elif geo.is_empty:
             raise ValueError("STObject requires a non-empty geometry")
         if end is not None:
             # STObject(wkt, begin, end) form from the paper's query example.

@@ -3,6 +3,7 @@ standalone runners."""
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -40,6 +41,41 @@ def time_call(
         result.payload = fn()
         result.seconds.append(time.perf_counter() - start)
     return result
+
+
+def time_pair(
+    first: Callable[[], Any],
+    second: Callable[[], Any],
+    samples: int = 5,
+    min_sample_s: float = 0.02,
+) -> tuple[float, float]:
+    """The best per-call seconds of two callables, measured side by side.
+
+    For comparing two timings of a few milliseconds each, where one
+    best-of-3 per side lets a burst of host noise decide the order.
+    Each sample repeats its callable until it lasts *min_sample_s*
+    (the call count is fixed per side by a first run), the two sides'
+    samples alternate so drift hits both alike, and each side keeps
+    its best of *samples*.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    calls = [_calls_per_sample(fn, min_sample_s) for fn in (first, second)]
+    best = [float("inf"), float("inf")]
+    for _ in range(samples):
+        for side, fn in enumerate((first, second)):
+            start = time.perf_counter()
+            for _ in range(calls[side]):
+                fn()
+            best[side] = min(best[side], (time.perf_counter() - start) / calls[side])
+    return best[0], best[1]
+
+
+def _calls_per_sample(fn: Callable[[], Any], min_sample_s: float) -> int:
+    start = time.perf_counter()
+    fn()
+    once = max(time.perf_counter() - start, 1e-9)
+    return max(1, math.ceil(min_sample_s / once))
 
 
 def bsp_budget(n: int) -> int:

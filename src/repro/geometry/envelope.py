@@ -9,11 +9,10 @@ for the cheap reject test before the exact predicate runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, slots=True)
 class Envelope:
     """An immutable, closed, axis-aligned rectangle ``[min_x, max_x] x [min_y, max_y]``.
 
@@ -24,12 +23,56 @@ class Envelope:
     :meth:`empty` returns, so :attr:`is_empty` is a single comparison.
     All operations treat the empty envelope as the identity for
     :meth:`merge` and as disjoint from everything.
+
+    Every point a reader builds makes one, so the class is written out
+    rather than generated: ``__init__`` stores the four fields through
+    their slot descriptors (``__setattr__`` refuses every write, as a
+    frozen dataclass's does), equality and hashing are those of the
+    field tuple, and the pickled state is the dataclass's field list,
+    so envelopes pickled by either form load under the other.
     """
 
-    min_x: float
-    min_y: float
-    max_x: float
-    max_y: float
+    __slots__ = ("min_x", "min_y", "max_x", "max_y")
+
+    def __init__(self, min_x: float, min_y: float, max_x: float, max_y: float) -> None:
+        if not (min_x <= max_x and min_y <= max_y):
+            if min_x != min_x or min_y != min_y or max_x != max_x or max_y != max_y:
+                raise ValueError("envelope coordinates must not be NaN")
+            min_x = min_y = math.inf
+            max_x = max_y = -math.inf
+        _set_min_x(self, min_x)
+        _set_min_y(self, min_y)
+        _set_max_x(self, max_x)
+        _set_max_y(self, max_y)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Envelope:
+            return NotImplemented
+        return (
+            self.min_x == other.min_x
+            and self.min_y == other.min_y
+            and self.max_x == other.max_x
+            and self.max_y == other.max_y
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.min_x, self.min_y, self.max_x, self.max_y))
+
+    def __getstate__(self) -> list:
+        return [self.min_x, self.min_y, self.max_x, self.max_y]
+
+    def __setstate__(self, state: list) -> None:
+        min_x, min_y, max_x, max_y = state
+        _set_min_x(self, min_x)
+        _set_min_y(self, min_y)
+        _set_max_x(self, max_x)
+        _set_max_y(self, max_y)
 
     @staticmethod
     def empty() -> "Envelope":
@@ -52,17 +95,6 @@ class Envelope:
             max_x = max(max_x, x)
             max_y = max(max_y, y)
         return Envelope(min_x, min_y, max_x, max_y)
-
-    def __post_init__(self) -> None:
-        if self.min_x <= self.max_x and self.min_y <= self.max_y:
-            return
-        for value in (self.min_x, self.min_y, self.max_x, self.max_y):
-            if math.isnan(value):
-                raise ValueError("envelope coordinates must not be NaN")
-        for name in ("min_x", "min_y"):
-            object.__setattr__(self, name, math.inf)
-        for name in ("max_x", "max_y"):
-            object.__setattr__(self, name, -math.inf)
 
     @property
     def is_empty(self) -> bool:
@@ -235,3 +267,9 @@ class Envelope:
             f"Envelope({self.min_x!r}, {self.min_y!r}, "
             f"{self.max_x!r}, {self.max_y!r})"
         )
+
+
+_set_min_x = Envelope.min_x.__set__
+_set_min_y = Envelope.min_y.__set__
+_set_max_x = Envelope.max_x.__set__
+_set_max_y = Envelope.max_y.__set__

@@ -8,6 +8,10 @@ from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
 
 
+#: Every empty point shares the one immutable empty envelope.
+_EMPTY = Envelope.empty()
+
+
 class Point(Geometry):
     """An immutable 2D point.
 
@@ -19,22 +23,23 @@ class Point(Geometry):
     dimension = 0
 
     def __init__(self, x: float | None = None, y: float | None = None) -> None:
-        if (x is None) != (y is None):
-            raise ValueError("provide both coordinates or neither")
-        if x is None:
+        if x is None or y is None:
+            if x is not y:
+                raise ValueError("provide both coordinates or neither")
             self._empty = True
             self._x = math.nan
             self._y = math.nan
-            self._envelope = Envelope.empty()
+            self._envelope = _EMPTY
             return
         x = float(x)
         y = float(y)
-        if math.isnan(x) or math.isnan(y):
+        if x != x or y != y:
             raise ValueError("point coordinates must not be NaN")
         self._empty = False
         self._x = x
         self._y = y
-        self._envelope = Envelope.of_point(x, y)
+        # Eager: the stream store and the join read it once per record.
+        self._envelope = Envelope(x, y, x, y)
 
     @property
     def x(self) -> float:
@@ -84,6 +89,4 @@ class Point(Geometry):
 
     def __setstate__(self, state: tuple) -> None:
         self._x, self._y, self._empty = state
-        self._envelope = (
-            Envelope.empty() if self._empty else Envelope.of_point(self._x, self._y)
-        )
+        self._envelope = _EMPTY if self._empty else Envelope(self._x, self._y, self._x, self._y)

@@ -4,6 +4,15 @@ Supports the seven OGC geometry types plus ``GEOMETRYCOLLECTION`` and the
 ``EMPTY`` keyword, with arbitrary whitespace and scientific-notation
 numbers.  Z/M ordinates are not supported (the engine is strictly 2D,
 matching STARK's usage).
+
+The reader is one recursive-descent parser over a list of token
+strings, read by index.  A token's kind is never stored: the parser
+knows what it expects at each index, and ``float`` decides whether a
+number is one.  The list comes from ``str.split`` where that cuts the
+text into tokens and from one regular-expression scan otherwise (see
+:func:`parse_wkt`); token positions are computed only to report an
+error.  Geometry collections nest at most :data:`MAX_COLLECTION_DEPTH`
+deep.
 """
 
 from __future__ import annotations
@@ -21,6 +30,10 @@ from repro.geometry.multi import (
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 
+#: Deepest nesting of ``GEOMETRYCOLLECTION`` the reader accepts; deeper
+#: input is a :class:`WKTParseError`, not a ``RecursionError``.
+MAX_COLLECTION_DEPTH = 100
+
 
 class WKTParseError(ValueError):
     """Raised for malformed WKT input, with position information."""
@@ -31,60 +44,30 @@ class WKTParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<word>[A-Za-z]+)
-  | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<comma>,)
-  | (?P<ws>\s+)
-    """,
-    re.VERBOSE,
+_WORD = r"[A-Za-z]+"
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
+#: Words, maximal-munch numbers, punctuation, and any other single
+#: non-space character (which no production accepts).  ``findall``
+#: skips exactly the whitespace between tokens.
+_TOKEN_RE = re.compile(f"{_WORD}|{_NUMBER}|[(),]|\\S")
+_KIND_RE = re.compile(
+    f"(?P<word>{_WORD})|(?P<number>{_NUMBER})|(?P<punct>[(),])|(?P<stray>.)", re.S
 )
 
 
-class _Tokens:
-    """A tiny cursor over the WKT token stream."""
+def _kind(token: str) -> str | None:
+    """A token's kind; ``None`` for the sentinel or a multi-token chunk."""
+    match = _KIND_RE.fullmatch(token)
+    return match.lastgroup if match else None
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise WKTParseError("unexpected character", pos, text)
-            kind = m.lastgroup or ""
-            if kind != "ws":
-                self.tokens.append((kind, m.group(), pos))
-            pos = m.end()
-        self.index = 0
 
-    def peek(self) -> tuple[str, str, int] | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
+class _Stop(Exception):
+    """The parse failed at token ``index`` while expecting ``expected``."""
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise WKTParseError("unexpected end of input", len(self.text), self.text)
-        self.index += 1
-        return tok
-
-    def expect(self, kind: str) -> str:
-        tok_kind, value, pos = self.next()
-        if tok_kind != kind:
-            raise WKTParseError(f"expected {kind}, got {value!r}", pos, self.text)
-        return value
-
-    def accept_word(self, word: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok[0] == "word" and tok[1].upper() == word:
-            self.index += 1
-            return True
-        return False
+    def __init__(self, index: int, expected: str) -> None:
+        self.index = index
+        self.expected = expected
 
 
 def parse_wkt(text: str) -> Geometry:
@@ -93,150 +76,227 @@ def parse_wkt(text: str) -> Geometry:
     Raises :class:`WKTParseError` on malformed input, including trailing
     garbage after a complete geometry.
     """
-    tokens = _Tokens(text)
-    geom = _parse_geometry(tokens)
-    trailing = tokens.peek()
-    if trailing is not None:
-        raise WKTParseError("trailing input after geometry", trailing[2], text)
-    return geom
+    try:
+        if text.isascii() and "_" not in text:
+            # Cut at blanks and around punctuation.  Where every chunk is
+            # one token -- all well-formed input that puts a blank,
+            # bracket or comma between tokens -- this is the token list;
+            # a chunk that is not one token (``1-2``, ``(1.2.3)``,
+            # ``inf``) is accepted by no production, and the regular
+            # expression reads the text instead.
+            tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+            tokens.append("")  # the end: equal to nothing a production accepts
+            try:
+                geom, i = _geometry(tokens, 0, 0)
+                if not tokens[i]:
+                    return geom
+            except _Stop:
+                pass
+        tokens = _TOKEN_RE.findall(text)
+        tokens.append("")
+        geom, i = _geometry(tokens, 0, 0)
+        if tokens[i]:
+            raise _Stop(i, "end")
+        return geom
+    except _Stop as stop:
+        raise _error(text, tokens, stop) from None
+    except ValueError:
+        # A geometry refused its coordinates; a stray character fails
+        # the read first, wherever it stands.
+        stray = _stray(text)
+        if stray is None:
+            raise
+        raise WKTParseError("unexpected character", stray, text) from None
 
 
-def _parse_geometry(tokens: _Tokens) -> Geometry:
-    kind, value, pos = tokens.next()
-    if kind != "word":
-        raise WKTParseError(f"expected geometry type, got {value!r}", pos, tokens.text)
-    tag = value.upper()
-    parser = _PARSERS.get(tag)
-    if parser is None:
-        raise WKTParseError(f"unknown geometry type {tag!r}", pos, tokens.text)
-    return parser(tokens)
+def _stray(text: str) -> int | None:
+    """The position of the first character no token matches, if any."""
+    for match in _TOKEN_RE.finditer(text):
+        if _kind(match.group()) == "stray":
+            return match.start()
+    return None
 
 
-def _parse_coord(tokens: _Tokens) -> tuple[float, float]:
-    x = float(tokens.expect("number"))
-    y = float(tokens.expect("number"))
-    # Reject Z/M ordinates explicitly rather than silently mis-parsing.
-    tok = tokens.peek()
-    if tok is not None and tok[0] == "number":
-        raise WKTParseError("only 2D coordinates are supported", tok[2], tokens.text)
-    return (x, y)
+def _error(text: str, tokens: list[str], stop: _Stop) -> WKTParseError:
+    """The error for a failed parse, positioned at the offending token."""
+    stray = _stray(text)
+    if stray is not None:
+        return WKTParseError("unexpected character", stray, text)
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    index, expected = stop.index, stop.expected
+    if index >= len(starts):
+        return WKTParseError("unexpected end of input", len(text), text)
+    token, pos, kind = tokens[index], starts[index], _kind(tokens[index])
+    if expected == "geometry type" and kind == "word":
+        message = f"unknown geometry type {token.upper()!r}"
+    elif expected == "coordinate end" and kind == "number":
+        message = "only 2D coordinates are supported"
+    elif expected == "coordinate end":
+        message = f"expected rparen, got {token!r}"
+    elif expected == "end":
+        message = "trailing input after geometry"
+    elif expected == "depth":
+        message = f"geometry collections nest deeper than {MAX_COLLECTION_DEPTH}"
+    else:
+        message = f"expected {expected}, got {token!r}"
+    return WKTParseError(message, pos, text)
 
 
-def _parse_coord_list(tokens: _Tokens) -> list[tuple[float, float]]:
-    tokens.expect("lparen")
-    coords = [_parse_coord(tokens)]
-    while tokens.peek() is not None and tokens.peek()[0] == "comma":
-        tokens.next()
-        coords.append(_parse_coord(tokens))
-    tokens.expect("rparen")
-    return coords
+def _geometry(tokens: list[str], i: int, depth: int) -> tuple[Geometry, int]:
+    """The tagged geometry at ``tokens[i]`` and the index after it."""
+    tag = tokens[i]
+    entry = _TYPES.get(tag) or _TYPES.get(tag.upper())
+    if entry is None:
+        raise _Stop(i, "geometry type")
+    empty, body = entry
+    nxt = tokens[i + 1]
+    if nxt != "(" and nxt.upper() == "EMPTY":
+        return empty(), i + 2
+    return body(tokens, i + 1, depth)
 
 
-def _parse_point(tokens: _Tokens) -> Point:
-    if tokens.accept_word("EMPTY"):
-        return Point()
-    tokens.expect("lparen")
-    x, y = _parse_coord(tokens)
-    tokens.expect("rparen")
+def _point_at(tokens: list[str], i: int) -> Point:
+    """The point whose ``x y`` stand at ``tokens[i]`` and ``tokens[i + 1]``."""
+    try:
+        x = float(tokens[i])
+        y = float(tokens[i + 1])
+    except ValueError:
+        _check_coords(tokens, i, single=True)
+        raise
+    if x - x or y - y:  # inf or nan: "1e999" spells one, but so do "inf", "nan"
+        _check_coords(tokens, i, single=True)
     return Point(x, y)
 
 
-def _parse_linestring(tokens: _Tokens) -> LineString:
-    if tokens.accept_word("EMPTY"):
-        return LineString()
-    return LineString(_parse_coord_list(tokens))
+def _check_coords(tokens: list[str], i: int, single: bool = False) -> None:
+    """Raise where the ``x y, x y, ...`` run at ``tokens[i]`` breaks.
 
-
-def _parse_polygon(tokens: _Tokens) -> Polygon:
-    if tokens.accept_word("EMPTY"):
-        return Polygon()
-    tokens.expect("lparen")
-    rings = [_parse_coord_list(tokens)]
-    while tokens.peek() is not None and tokens.peek()[0] == "comma":
-        tokens.next()
-        rings.append(_parse_coord_list(tokens))
-    tokens.expect("rparen")
-    return Polygon(rings[0], rings[1:])
-
-
-def _parse_multipoint(tokens: _Tokens) -> MultiPoint:
-    if tokens.accept_word("EMPTY"):
-        return MultiPoint()
-    tokens.expect("lparen")
-    points: list[Point] = []
+    The slow, token-by-token statement of the coordinate grammar: the
+    fast paths call it only when their own checks fail, and it returns
+    only for a valid run that spelled an infinite ordinate.
+    """
     while True:
-        # Both MULTIPOINT ((1 2), (3 4)) and MULTIPOINT (1 2, 3 4) occur
-        # in the wild; accept either.
-        tok = tokens.peek()
-        if tok is not None and tok[0] == "lparen":
-            tokens.next()
-            points.append(Point(*_parse_coord(tokens)))
-            tokens.expect("rparen")
+        for j in (i, i + 1):
+            if _kind(tokens[j]) != "number":
+                raise _Stop(j, "number")
+        i += 2
+        if single or tokens[i] != ",":
+            break
+        i += 1
+    if not single and tokens[i] != ")":
+        raise _Stop(i, "coordinate end")
+
+
+def _coord_list(tokens: list[str], i: int, depth: int = 0) -> tuple[list, int]:
+    """The ``(x y, x y, ...)`` at ``tokens[i]`` and the index after it.
+
+    A valid list ends at the first ``)`` and has a number at every x and
+    y index and a comma between coordinates, so the list is read with
+    slices; any failed check hands over to :func:`_check_coords`.
+    """
+    if tokens[i] != "(":
+        raise _Stop(i, "lparen")
+    try:
+        end = tokens.index(")", i)
+        xs = [*map(float, tokens[i + 1 : end : 3])]
+        ys = [*map(float, tokens[i + 2 : end : 3])]
+    except ValueError:
+        _check_coords(tokens, i + 1)
+        raise
+    separators = tokens[i + 3 : end : 3]
+    total = sum(xs) + sum(ys)
+    if (end - i) % 3 or separators.count(",") != len(separators) or not xs or total - total:
+        _check_coords(tokens, i + 1)
+    return [*zip(xs, ys)], end + 1
+
+
+def _sequence(item, tokens: list[str], i: int, depth: int) -> tuple[list, int]:
+    """``(item, item, ...)`` at ``tokens[i]``, each read by *item*."""
+    if tokens[i] != "(":
+        raise _Stop(i, "lparen")
+    items = []
+    while True:
+        value, i = item(tokens, i + 1, depth)
+        items.append(value)
+        if tokens[i] != ",":
+            break
+    if tokens[i] != ")":
+        raise _Stop(i, "rparen")
+    return items, i + 1
+
+
+def _point(tokens: list[str], i: int, depth: int) -> tuple[Point, int]:
+    if tokens[i] != "(":
+        raise _Stop(i, "lparen")
+    point = _point_at(tokens, i + 1)
+    if tokens[i + 3] != ")":
+        raise _Stop(i + 3, "coordinate end")
+    return point, i + 4
+
+
+def _linestring(tokens: list[str], i: int, depth: int) -> tuple[LineString, int]:
+    coords, i = _coord_list(tokens, i)
+    return LineString(coords), i
+
+
+def _polygon(tokens: list[str], i: int, depth: int) -> tuple[Polygon, int]:
+    rings, i = _sequence(_coord_list, tokens, i, depth)
+    return Polygon(rings[0], rings[1:]), i
+
+
+def _multipoint(tokens: list[str], i: int, depth: int) -> tuple[MultiPoint, int]:
+    # Both MULTIPOINT ((1 2), (3 4)) and MULTIPOINT (1 2, 3 4) occur in
+    # the wild, mixed even; accept either per member.
+    if tokens[i] != "(":
+        raise _Stop(i, "lparen")
+    points = []
+    while True:
+        if tokens[i + 1] == "(":
+            points.append(_point_at(tokens, i + 2))
+            if tokens[i + 4] != ")":
+                raise _Stop(i + 4, "coordinate end")
+            i += 5
+            if tokens[i] != ",":
+                if tokens[i] != ")":
+                    raise _Stop(i, "rparen")
+                break
         else:
-            points.append(Point(*_parse_coord(tokens)))
-        if tokens.peek() is not None and tokens.peek()[0] == "comma":
-            tokens.next()
-            continue
-        break
-    tokens.expect("rparen")
-    return MultiPoint(points)
+            points.append(_point_at(tokens, i + 1))
+            i += 3
+            if tokens[i] != ",":
+                if tokens[i] != ")":
+                    raise _Stop(i, "coordinate end")
+                break
+    return MultiPoint(points), i + 1
 
 
-def _parse_multilinestring(tokens: _Tokens) -> MultiLineString:
-    if tokens.accept_word("EMPTY"):
-        return MultiLineString()
-    tokens.expect("lparen")
-    lines = [LineString(_parse_coord_list(tokens))]
-    while tokens.peek() is not None and tokens.peek()[0] == "comma":
-        tokens.next()
-        lines.append(LineString(_parse_coord_list(tokens)))
-    tokens.expect("rparen")
-    return MultiLineString(lines)
+def _multilinestring(tokens: list[str], i: int, depth: int) -> tuple[MultiLineString, int]:
+    lines, i = _sequence(_linestring, tokens, i, depth)
+    return MultiLineString(lines), i
 
 
-def _parse_multipolygon(tokens: _Tokens) -> MultiPolygon:
-    if tokens.accept_word("EMPTY"):
-        return MultiPolygon()
-    tokens.expect("lparen")
-    polys = [_parse_polygon_body(tokens)]
-    while tokens.peek() is not None and tokens.peek()[0] == "comma":
-        tokens.next()
-        polys.append(_parse_polygon_body(tokens))
-    tokens.expect("rparen")
-    return MultiPolygon(polys)
+def _multipolygon(tokens: list[str], i: int, depth: int) -> tuple[MultiPolygon, int]:
+    polygons, i = _sequence(_polygon, tokens, i, depth)
+    return MultiPolygon(polygons), i
 
 
-def _parse_polygon_body(tokens: _Tokens) -> Polygon:
-    tokens.expect("lparen")
-    rings = [_parse_coord_list(tokens)]
-    while tokens.peek() is not None and tokens.peek()[0] == "comma":
-        tokens.next()
-        rings.append(_parse_coord_list(tokens))
-    tokens.expect("rparen")
-    return Polygon(rings[0], rings[1:])
+def _collection(tokens: list[str], i: int, depth: int) -> tuple[GeometryCollection, int]:
+    if depth == MAX_COLLECTION_DEPTH:
+        raise _Stop(i - 1, "depth")
+    geoms, i = _sequence(_geometry, tokens, i, depth + 1)
+    return GeometryCollection(geoms), i
 
 
-def _parse_geometrycollection(tokens: _Tokens) -> GeometryCollection:
-    if tokens.accept_word("EMPTY"):
-        return GeometryCollection()
-    tokens.expect("lparen")
-    geoms = [_parse_geometry(tokens)]
-    while tokens.peek() is not None and tokens.peek()[0] == "comma":
-        tokens.next()
-        geoms.append(_parse_geometry(tokens))
-    tokens.expect("rparen")
-    return GeometryCollection(geoms)
-
-
-_PARSERS = {
-    "POINT": _parse_point,
-    "LINESTRING": _parse_linestring,
-    "LINEARRING": _parse_linestring,
-    "POLYGON": _parse_polygon,
-    "MULTIPOINT": _parse_multipoint,
-    "MULTILINESTRING": _parse_multilinestring,
-    "MULTIPOLYGON": _parse_multipolygon,
-    "GEOMETRYCOLLECTION": _parse_geometrycollection,
+#: Tag -> (the empty geometry's constructor, the body parser).
+_TYPES = {
+    "POINT": (Point, _point),
+    "LINESTRING": (LineString, _linestring),
+    "LINEARRING": (LineString, _linestring),
+    "POLYGON": (Polygon, _polygon),
+    "MULTIPOINT": (MultiPoint, _multipoint),
+    "MULTILINESTRING": (MultiLineString, _multilinestring),
+    "MULTIPOLYGON": (MultiPolygon, _multipolygon),
+    "GEOMETRYCOLLECTION": (GeometryCollection, _collection),
 }
 
 
@@ -246,9 +306,15 @@ _PARSERS = {
 
 
 def _fmt(value: float) -> str:
-    """Render a coordinate without a trailing ``.0`` for whole numbers."""
-    if value == int(value) and abs(value) < 1e16:
+    """Render a coordinate without a trailing ``.0`` for whole numbers.
+
+    An infinite ordinate renders as ``1e999`` / ``-1e999``: a number the
+    reader's grammar accepts and that overflows back to the same value.
+    """
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
+    if value - value:  # only inf (NaN never reaches a geometry)
+        return "1e999" if value > 0 else "-1e999"
     return repr(value)
 
 
@@ -258,7 +324,9 @@ def _coords_body(coords) -> str:
 
 def to_wkt(geom: Geometry) -> str:
     """Serialize a geometry to WKT.  Round-trips with :func:`parse_wkt`."""
-    if geom.is_empty:
+    if geom.is_empty and not (isinstance(geom, GeometryCollection) and geom.geoms):
+        # A collection keeps its empty members: ``POINT EMPTY`` may
+        # stand in one, and reads back as one.
         return f"{geom.geom_type} EMPTY"
     if isinstance(geom, Point):
         return f"POINT ({_fmt(geom.x)} {_fmt(geom.y)})"

@@ -35,16 +35,27 @@ def parse_event_line(
         raise EventParseError(
             f"expected 4 fields separated by {delimiter!r}, got {len(parts)}: {line!r}"
         )
-    id_text, category, time_text, wkt = (p.strip() for p in parts)
+    # ``int`` and ``float`` skip surrounding blanks themselves; only the
+    # separators ``\x1c``-``\x1f``, which ``strip`` removes and they do
+    # not, need the second, stripped attempt.
+    id_text, category, time_text, wkt = parts
     try:
         event_id = int(id_text)
     except ValueError:
-        raise EventParseError(f"bad id {id_text!r} in line {line!r}") from None
+        event_id = _stripped(int, id_text, "id", line)
     try:
         time = float(time_text)
     except ValueError:
-        raise EventParseError(f"bad time {time_text!r} in line {line!r}") from None
-    return (event_id, category, time, wkt)
+        time = _stripped(float, time_text, "time", line)
+    return (event_id, category.strip(), time, wkt.strip())
+
+
+def _stripped(convert, text: str, field: str, line: str):
+    text = text.strip()
+    try:
+        return convert(text)
+    except ValueError:
+        raise EventParseError(f"bad {field} {text!r} in line {line!r}") from None
 
 
 def format_event_line(

@@ -2,33 +2,58 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from numbers import Real
 from typing import Union
 
 from repro.temporal.instant import Instant
 
 
-@dataclass(frozen=True, slots=True)
 class Interval:
     """An immutable closed time interval ``[start, end]``.
 
     Intervals are never empty: ``start <= end`` is enforced.  A
     zero-length interval is a valid value distinct from an
     :class:`Instant` only in type; the predicates treat them alike.
+    Written out like :class:`Instant`, with the dataclass's equality,
+    hash and pickled state.
     """
 
-    start: float
-    end: float
+    __slots__ = ("start", "end")
 
-    def __post_init__(self) -> None:
-        for bound in (self.start, self.end):
-            if not isinstance(bound, Real):
-                raise TypeError(f"interval bounds must be numbers, got {type(bound).__name__}")
+    def __init__(self, start: float, end: float) -> None:
+        for bound in (start, end):
+            kind = type(bound)
+            if kind is not float and kind is not int and not isinstance(bound, Real):
+                raise TypeError(f"interval bounds must be numbers, got {kind.__name__}")
             if bound != bound:  # NaN
                 raise ValueError("interval bounds must not be NaN")
-        if self.start > self.end:
-            raise ValueError(f"interval start {self.start} after end {self.end}")
+        if start > end:
+            raise ValueError(f"interval start {start} after end {end}")
+        _set_start(self, start)
+        _set_end(self, end)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.start == other.start and self.end == other.end
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
+    def __getstate__(self) -> list:
+        return [self.start, self.end]
+
+    def __setstate__(self, state: list) -> None:
+        start, end = state
+        _set_start(self, start)
+        _set_end(self, end)
 
     @property
     def length(self) -> float:
@@ -58,6 +83,9 @@ class Interval:
         return f"Interval({self.start!r}, {self.end!r})"
 
 
+_set_start = Interval.start.__set__
+_set_end = Interval.end.__set__
+
 TemporalExpression = Union[Instant, Interval]
 
 
@@ -70,9 +98,10 @@ def make_temporal(value) -> TemporalExpression | None:
     ``STObject`` constructor applies so users can write
     ``STObject(wkt, time)`` exactly as in the paper's example.
     """
-    if value is None:
-        return None
-    if isinstance(value, (Instant, Interval)):
+    kind = type(value)
+    if kind is float or kind is int:
+        return Instant(value)
+    if value is None or kind is Instant or kind is Interval:
         return value
     if isinstance(value, Real):
         return Instant(value)

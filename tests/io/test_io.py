@@ -98,6 +98,21 @@ class TestEventLines:
         row = (1, "x", 5.0, "POLYGON ((0 0, 1 0, 1 1, 0 0))")
         assert parse_event_line(format_event_line(row))[3] == row[3]
 
+    @pytest.mark.parametrize(
+        "line, row",
+        [
+            (" 7 ; cat ;\t1.5 ; POINT (1 2) \n", (7, "cat", 1.5, "POINT (1 2)")),
+            ("\x1c7\x1c;cat;\x1f2e3\x1f;POINT (1 2)", (7, "cat", 2000.0, "POINT (1 2)")),
+            ("1_000;cat;1_0.5;POINT (1 2)", (1000, "cat", 10.5, "POINT (1 2)")),
+        ],
+    )
+    def test_fields_read_as_stripped(self, line, row):
+        assert parse_event_line(line) == row
+
+    def test_bad_field_reported_stripped(self):
+        with pytest.raises(EventParseError, match="bad time 'noon'"):
+            parse_event_line("1;cat; noon ;POINT (0 0)")
+
     def test_custom_delimiter(self):
         line = format_event_line((1, "c", 2.0, "POINT (0 0)"), delimiter="|")
         assert parse_event_line(line, delimiter="|")[0] == 1
@@ -128,6 +143,15 @@ class TestLoadEventFile:
         path = tmp_path / "ev.csv"
         path.write_text("1;c;5;POINT (0 0)\n\n2;d;6;POINT (1 1)\n\n")
         assert load_event_file(sc, str(path)).count() == 2
+
+    def test_skip_mode_drops_hostile_nesting(self, sc, tmp_path):
+        # Deep nesting is a parse error like any other malformed WKT,
+        # not a RecursionError that aborts the job.
+        hostile = "GEOMETRYCOLLECTION (" * 600 + "POINT (0 0)" + ")" * 600
+        path = tmp_path / "ev.csv"
+        path.write_text(f"1;c;5;POINT (0 0)\n2;c;6;{hostile}\n3;d;7;POINT (1 1)\n")
+        events = load_event_file(sc, str(path), on_error="skip").collect()
+        assert [payload for _, payload in events] == [(1, "c"), (3, "d")]
 
     def test_partitioned_load(self, sc, tmp_path):
         rows = event_rows(uniform_points(100, seed=10), seed=10)

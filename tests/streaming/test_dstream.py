@@ -146,6 +146,17 @@ class TestSources:
         assert sink.values() == [1]
         assert ssc.metrics.poll_failures == 0
 
+    def test_directory_source_skips_hostile_nesting(self, ssc, tmp_path):
+        hostile = "GEOMETRYCOLLECTION (" * 600 + "POINT (0 0)" + ")" * 600
+        (tmp_path / "dirty.events").write_text(
+            f"1;accident;5.0;POINT (1 1)\n2;accident;6.0;{hostile}\n"
+        )
+        stream = ssc.directory_stream(str(tmp_path), on_error="skip")
+        sink = stream.count_batches()
+        ssc.run_batch(batch_time=0.0)
+        assert sink.values() == [1]
+        assert ssc.metrics.poll_failures == 0
+
     def test_directory_source_raise_surfaces_as_poll_failure(self, ssc, tmp_path):
         (tmp_path / "dirty.events").write_text("not-a-row\n")
         stream = ssc.directory_stream(str(tmp_path), on_error="raise")
