@@ -43,26 +43,24 @@ def time_call(
     return result
 
 
-def time_pair(
-    first: Callable[[], Any],
-    second: Callable[[], Any],
-    samples: int = 5,
-    min_sample_s: float = 0.02,
-) -> tuple[float, float]:
+#: ``time_pair``'s samples per side, and the least time one sample lasts.
+PAIR_SAMPLES = 5
+PAIR_SAMPLE_S = 0.02
+
+
+def time_pair(first: Callable[[], Any], second: Callable[[], Any]) -> tuple[float, float]:
     """The best per-call seconds of two callables, measured side by side.
 
     For comparing two timings of a few milliseconds each, where one
     best-of-3 per side lets a burst of host noise decide the order.
-    Each sample repeats its callable until it lasts *min_sample_s*
+    Each sample repeats its callable until it lasts ``PAIR_SAMPLE_S``
     (the call count is fixed per side by a first run), the two sides'
     samples alternate so drift hits both alike, and each side keeps
-    its best of *samples*.
+    its best of ``PAIR_SAMPLES``.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    calls = [_calls_per_sample(fn, min_sample_s) for fn in (first, second)]
+    calls = [_calls_per_sample(fn) for fn in (first, second)]
     best = [float("inf"), float("inf")]
-    for _ in range(samples):
+    for _ in range(PAIR_SAMPLES):
         for side, fn in enumerate((first, second)):
             start = time.perf_counter()
             for _ in range(calls[side]):
@@ -71,11 +69,11 @@ def time_pair(
     return best[0], best[1]
 
 
-def _calls_per_sample(fn: Callable[[], Any], min_sample_s: float) -> int:
+def _calls_per_sample(fn: Callable[[], Any]) -> int:
     start = time.perf_counter()
     fn()
     once = max(time.perf_counter() - start, 1e-9)
-    return max(1, math.ceil(min_sample_s / once))
+    return max(1, math.ceil(PAIR_SAMPLE_S / once))
 
 
 def bsp_budget(n: int) -> int:

@@ -6,11 +6,10 @@ numbers.  Z/M ordinates are not supported (the engine is strictly 2D,
 matching STARK's usage).
 
 The reader is one recursive-descent parser over a list of token
-strings, read by index.  A token's kind is never stored: the parser
-knows what it expects at each index, and ``float`` decides whether a
-number is one.  The list comes from ``str.split`` where that cuts the
-text into tokens and from one regular-expression scan otherwise (see
-:func:`parse_wkt`); token positions are computed only to report an
+strings, read by index.  The list comes from one regular-expression
+scan (``findall``); a token's kind is never stored: the parser knows
+what it expects at each index, and ``float`` decides whether a number
+is one.  Token kinds and positions are computed only to report an
 error.  Geometry collections nest at most :data:`MAX_COLLECTION_DEPTH`
 deep.
 """
@@ -18,6 +17,7 @@ deep.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from repro.geometry.base import Geometry
 from repro.geometry.linestring import LineString
@@ -44,20 +44,24 @@ class WKTParseError(ValueError):
         self.position = position
 
 
-_WORD = r"[A-Za-z]+"
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-
-#: Words, maximal-munch numbers, punctuation, and any other single
-#: non-space character (which no production accepts).  ``findall``
-#: skips exactly the whitespace between tokens.
-_TOKEN_RE = re.compile(f"{_WORD}|{_NUMBER}|[(),]|\\S")
-_KIND_RE = re.compile(
-    f"(?P<word>{_WORD})|(?P<number>{_NUMBER})|(?P<punct>[(),])|(?P<stray>.)", re.S
-)
+#: The token grammar by kind: words, maximal-munch numbers, punctuation,
+#: and any other single non-space character (which no production accepts).
+_GRAMMAR = {
+    "word": r"[A-Za-z]+",
+    "number": r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?",
+    "punct": r"[(),]",
+    "stray": r"\S",
+}
+#: The tokenizer: ``findall`` returns the tokens and skips exactly the
+#: whitespace between them.
+_tokenize = re.compile("|".join(_GRAMMAR.values())).findall
+#: The grammar with a named group per kind: a match's ``lastgroup`` is
+#: its token's kind.
+_KIND_RE = re.compile("|".join(f"(?P<{kind}>{p})" for kind, p in _GRAMMAR.items()))
 
 
 def _kind(token: str) -> str | None:
-    """A token's kind; ``None`` for the sentinel or a multi-token chunk."""
+    """A token's kind; ``None`` for the end-of-input sentinel."""
     match = _KIND_RE.fullmatch(token)
     return match.lastgroup if match else None
 
@@ -76,57 +80,40 @@ def parse_wkt(text: str) -> Geometry:
     Raises :class:`WKTParseError` on malformed input, including trailing
     garbage after a complete geometry.
     """
+    tokens = _tokenize(text)
+    tokens.append("")  # the end: equal to nothing a production accepts
     try:
-        if text.isascii() and "_" not in text:
-            # Cut at blanks and around punctuation.  Where every chunk is
-            # one token -- all well-formed input that puts a blank,
-            # bracket or comma between tokens -- this is the token list;
-            # a chunk that is not one token (``1-2``, ``(1.2.3)``,
-            # ``inf``) is accepted by no production, and the regular
-            # expression reads the text instead.
-            tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
-            tokens.append("")  # the end: equal to nothing a production accepts
-            try:
-                geom, i = _geometry(tokens, 0, 0)
-                if not tokens[i]:
-                    return geom
-            except _Stop:
-                pass
-        tokens = _TOKEN_RE.findall(text)
-        tokens.append("")
         geom, i = _geometry(tokens, 0, 0)
         if tokens[i]:
             raise _Stop(i, "end")
         return geom
     except _Stop as stop:
-        raise _error(text, tokens, stop) from None
+        raise _error(text, stop) from None
     except ValueError:
         # A geometry refused its coordinates; a stray character fails
         # the read first, wherever it stands.
-        stray = _stray(text)
+        stray = _first_stray(_KIND_RE.finditer(text))
         if stray is None:
             raise
-        raise WKTParseError("unexpected character", stray, text) from None
+        raise WKTParseError("unexpected character", stray.start(), text) from None
 
 
-def _stray(text: str) -> int | None:
-    """The position of the first character no token matches, if any."""
-    for match in _TOKEN_RE.finditer(text):
-        if _kind(match.group()) == "stray":
-            return match.start()
-    return None
+def _first_stray(matches: Iterable[re.Match]) -> re.Match | None:
+    """The first token no production accepts, if any."""
+    return next((m for m in matches if m.lastgroup == "stray"), None)
 
 
-def _error(text: str, tokens: list[str], stop: _Stop) -> WKTParseError:
+def _error(text: str, stop: _Stop) -> WKTParseError:
     """The error for a failed parse, positioned at the offending token."""
-    stray = _stray(text)
+    matches = list(_KIND_RE.finditer(text))
+    stray = _first_stray(matches)
     if stray is not None:
-        return WKTParseError("unexpected character", stray, text)
-    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+        return WKTParseError("unexpected character", stray.start(), text)
     index, expected = stop.index, stop.expected
-    if index >= len(starts):
+    if index >= len(matches):
         return WKTParseError("unexpected end of input", len(text), text)
-    token, pos, kind = tokens[index], starts[index], _kind(tokens[index])
+    match = matches[index]
+    token, pos, kind = match.group(), match.start(), match.lastgroup
     if expected == "geometry type" and kind == "word":
         message = f"unknown geometry type {token.upper()!r}"
     elif expected == "coordinate end" and kind == "number":
@@ -326,7 +313,9 @@ def to_wkt(geom: Geometry) -> str:
     """Serialize a geometry to WKT.  Round-trips with :func:`parse_wkt`."""
     if geom.is_empty and not (isinstance(geom, GeometryCollection) and geom.geoms):
         # A collection keeps its empty members: ``POINT EMPTY`` may
-        # stand in one, and reads back as one.
+        # stand in one, and reads back as one.  The multi types' grammar
+        # has no empty member, so ``MultiPoint([Point()])`` still writes
+        # ``MULTIPOINT EMPTY``.
         return f"{geom.geom_type} EMPTY"
     if isinstance(geom, Point):
         return f"POINT ({_fmt(geom.x)} {_fmt(geom.y)})"
