@@ -33,12 +33,14 @@ correctness over speed.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Iterator, TypeVar
 
 from repro.core.stobject import STObject
 from repro.core.summaries import partition_summaries, partitions_within
 from repro.geometry.base import Geometry
 from repro.geometry.distance import DistanceFunction, euclidean, resolve
+from repro.geometry.point import Point
 from repro.partitioners.base import SpatialPartitioner
 from repro.spark.rdd import RDD, PartitionPruningRDD
 
@@ -53,11 +55,27 @@ def query_radius(geom: Geometry) -> float:
     The slack every centroid-anchored kNN bound needs to stay
     admissible for extended query geometries.
     """
+    if type(geom) is Point:
+        return 0.0
     c = geom.centroid()
     return max(
         (((x - c.x) ** 2 + (y - c.y) ** 2) ** 0.5 for x, y in geom.coordinates()),
         default=0.0,
     )
+
+
+def exact_distance_to(query: Geometry) -> Callable[[tuple], float]:
+    """A row's exact distance to *query*, as kNN refines in a tree: point
+    to point inline, by the predicate kernel's formula (the same float)."""
+    point = type(query) is Point
+
+    def distance(kv: tuple) -> float:
+        geo = kv[0].geo
+        if point and type(geo) is Point:
+            return math.hypot(geo.x - query.x, geo.y - query.y)
+        return geo.distance(query)
+
+    return distance
 
 
 LocalBest = Callable[[Iterator], KnnResult]
@@ -155,19 +173,12 @@ def knn_indexed(
         raise ValueError(f"k must be >= 1, got {k}")
     centroid = query.geo.centroid()
     radius = query_radius(query.geo)
+    exact = exact_distance_to(query.geo)
 
     def local_best(trees: Iterator) -> KnnResult:
-        best: KnnResult = []
-        for tree in trees:
-            best.extend(
-                tree.nearest(
-                    centroid.x,
-                    centroid.y,
-                    k,
-                    exact_distance=lambda kv: kv[0].geo.distance(query.geo),
-                    bound_slack=radius,
-                )
-            )
+        best = [
+            pair for tree in trees for pair in tree.nearest(centroid.x, centroid.y, k, exact, radius)
+        ]
         return heapq.nsmallest(k, best, key=lambda p: p[0])
 
     with index_rdd.context.tracer.span("knn.indexed", k=k) as span:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, TypeVar
 
-from repro.core.knn import query_radius
+from repro.core.knn import exact_distance_to, query_radius
 from repro.core.stobject import STObject
 from repro.core.summaries import partition_summaries
 from repro.index import partition_index
@@ -61,6 +61,7 @@ class KnnJoinRDD(RDD[tuple]):
             # undercut envelope-to-centroid bounds by up to the
             # geometry's radius; slacken every bound by it.
             radius = query_radius(left_geom)
+            exact = exact_distance_to(left_geom)
             # Probe right partitions nearest-extent-first; once the k-th
             # best beats the next extent's lower bound, stop.
             order = sorted(
@@ -75,13 +76,7 @@ class KnnJoinRDD(RDD[tuple]):
                 if tree is None:
                     tree = next(self._right_trees.iterator(pid))
                     trees[pid] = tree
-                local = tree.nearest(
-                    cx,
-                    cy,
-                    k,
-                    exact_distance=lambda kv: kv[0].geo.distance(left_geom),
-                    bound_slack=radius,
-                )
+                local = tree.nearest(cx, cy, k, exact_distance=exact, bound_slack=radius)
                 best = heapq.nsmallest(k, best + local, key=lambda p: p[0])
             yield (left_kv, best)
 

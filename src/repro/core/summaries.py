@@ -180,9 +180,9 @@ def partitions_within(
     """Partitions with members' envelope within *distance* of ``(x, y)``:
     kNN's bound phase (kNN has no temporal predicate)."""
     keep = []
-    for pid, s in enumerate(summaries):
-        dx = max(s.min_x - x, x - s.max_x, 0.0)
-        dy = max(s.min_y - y, y - s.max_y, 0.0)
-        if s.count and math.hypot(dx, dy) <= distance:
+    for pid, (count, _, min_x, min_y, max_x, max_y, _, _) in enumerate(summaries):
+        dx = min_x - x if min_x > x else x - max_x if x > max_x else 0.0
+        dy = min_y - y if min_y > y else y - max_y if y > max_y else 0.0
+        if count and math.hypot(dx, dy) <= distance:
             keep.append(pid)
     return keep

@@ -242,28 +242,36 @@ def _multipoint(tokens: list[str], i: int, depth: int) -> tuple[MultiPoint, int]
             points.append(_point_at(tokens, i + 2))
             if tokens[i + 4] != ")":
                 raise _Stop(i + 4, "coordinate end")
-            i += 5
-            if tokens[i] != ",":
-                if tokens[i] != ")":
-                    raise _Stop(i, "rparen")
-                break
+            i, end = i + 5, "rparen"
+        elif tokens[i + 1].upper() == "EMPTY":
+            points.append(Point())
+            i, end = i + 2, "rparen"
         else:
             points.append(_point_at(tokens, i + 1))
-            i += 3
-            if tokens[i] != ",":
-                if tokens[i] != ")":
-                    raise _Stop(i, "coordinate end")
-                break
+            i, end = i + 3, "coordinate end"
+        if tokens[i] != ",":
+            if tokens[i] != ")":
+                raise _Stop(i, end)
+            break
     return MultiPoint(points), i + 1
 
 
+def _or_empty(item, empty):
+    """A multi type's member reader: *item*, or ``EMPTY`` for ``empty()``."""
+    return lambda tokens, i, depth: (
+        (empty(), i + 1)
+        if tokens[i] != "(" and tokens[i].upper() == "EMPTY"
+        else item(tokens, i, depth)
+    )
+
+
 def _multilinestring(tokens: list[str], i: int, depth: int) -> tuple[MultiLineString, int]:
-    lines, i = _sequence(_linestring, tokens, i, depth)
+    lines, i = _sequence(_or_empty(_linestring, LineString), tokens, i, depth)
     return MultiLineString(lines), i
 
 
 def _multipolygon(tokens: list[str], i: int, depth: int) -> tuple[MultiPolygon, int]:
-    polygons, i = _sequence(_polygon, tokens, i, depth)
+    polygons, i = _sequence(_or_empty(_polygon, Polygon), tokens, i, depth)
     return MultiPolygon(polygons), i
 
 
@@ -311,11 +319,9 @@ def _coords_body(coords) -> str:
 
 def to_wkt(geom: Geometry) -> str:
     """Serialize a geometry to WKT.  Round-trips with :func:`parse_wkt`."""
-    if geom.is_empty and not (isinstance(geom, GeometryCollection) and geom.geoms):
-        # A collection keeps its empty members: ``POINT EMPTY`` may
-        # stand in one, and reads back as one.  The multi types' grammar
-        # has no empty member, so ``MultiPoint([Point()])`` still writes
-        # ``MULTIPOINT EMPTY``.
+    if geom.is_empty and not (geom.is_collection and geom.geoms):
+        # A collection keeps its empty members, as the grammar allows:
+        # ``MultiPoint([Point()])`` writes ``MULTIPOINT (EMPTY)``.
         return f"{geom.geom_type} EMPTY"
     if isinstance(geom, Point):
         return f"POINT ({_fmt(geom.x)} {_fmt(geom.y)})"
@@ -324,19 +330,12 @@ def to_wkt(geom: Geometry) -> str:
         return f"POLYGON ({rings})"
     if isinstance(geom, LineString):  # includes LinearRing
         return f"LINESTRING ({_coords_body(geom.coords)})"
-    if isinstance(geom, MultiPoint):
-        body = ", ".join(f"({_fmt(p.x)} {_fmt(p.y)})" for p in geom.geoms)
-        return f"MULTIPOINT ({body})"
-    if isinstance(geom, MultiLineString):
-        body = ", ".join(f"({_coords_body(ls.coords)})" for ls in geom.geoms)
-        return f"MULTILINESTRING ({body})"
-    if isinstance(geom, MultiPolygon):
-        parts = []
-        for poly in geom.geoms:
-            rings = ", ".join(f"({_coords_body(r.coords)})" for r in poly.rings())
-            parts.append(f"({rings})")
-        return f"MULTIPOLYGON ({', '.join(parts)})"
     if isinstance(geom, GeometryCollection):
         body = ", ".join(to_wkt(g) for g in geom.geoms)
         return f"GEOMETRYCOLLECTION ({body})"
+    if geom.is_collection:  # a multi type: its members' bodies, untagged
+        body = ", ".join(
+            "EMPTY" if g.is_empty else to_wkt(g).split(" ", 1)[1] for g in geom.geoms
+        )
+        return f"{geom.geom_type} ({body})"
     raise TypeError(f"cannot serialize {type(geom).__name__} to WKT")

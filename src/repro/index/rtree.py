@@ -55,6 +55,14 @@ _INF = float("inf")
 #: canonical empty box (t-range included, for the 3-axis face).
 _EMPTY_ROOT_BOX = (_INF, _INF, -_INF, -_INF, _INF, -_INF)
 
+#: ``nearest``'s heap rows: a node, an item under its box bound, a final item.
+_NODE, _BOUNDED, _FINAL = range(3)
+#: How far under its box bound, relative to the magnitudes in play, an
+#: item waits for refinement.  Rounded, an exact distance can come out an
+#: ulp under the bound; keyed at the bound, the item could pop after a
+#: row that refining it on arrival would have put behind it.
+_KEY_MARGIN = 2.0**-32
+
 
 class _Node:
     """``rows`` of ``(box, child)``: the children are the stored items in a
@@ -263,11 +271,11 @@ class STRTree(Generic[T]):
     ) -> list[tuple[float, T]]:
         """The *k* items nearest to ``(x, y)``, as (distance, item) ascending.
 
-        Branch-and-bound over node boxes: a node is expanded only when
-        its box distance beats the current k-th best.  With
-        *exact_distance* the true geometry distance ranks items (the
-        box distance remains the admissible lower bound); without it,
-        box distance is the metric -- exact for points, a candidate
+        Best-first branch-and-bound over box lower bounds.  With
+        *exact_distance* the true geometry distance ranks items; it is
+        computed only for an item that reaches the top of the heap, so
+        only items that can still make the answer are refined.  Without
+        it, box distance is the metric -- exact for points, a candidate
         ranking for extended geometries.  Only the spatial prefix of a
         box is read: kNN has no temporal predicate, and the spatial
         projection of a 3-axis box is a valid lower bound for every
@@ -282,30 +290,33 @@ class STRTree(Generic[T]):
         """
         if k < 1:
             return []
-
-        def lower_bound(box: tuple) -> float:
-            dx = max(box[0] - x, x - box[2], 0.0)
-            dy = max(box[1] - y, y - box[3], 0.0)
-            return math.hypot(dx, dy) - bound_slack
-
+        hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
         counter = itertools.count()  # tie-break, keeps heap entries comparable
-        # Heap rows are (distance, tie, final, payload): an item whose
-        # distance is final, or a node still to expand.  The heap pops
-        # in ascending order, so the first k items to come off it are
-        # the answer and every unexpanded node is no nearer.
-        frontier: list = []
-        for box, root in self._roots():
-            heapq.heappush(frontier, (lower_bound(box), next(counter), False, root))
+        # Heap rows are (key, tie, state, payload); the roots are the
+        # rows of one virtual node.  Refining an item never lowers its
+        # key and keeps its tie, so the heap pops in the order that
+        # refining on arrival would: the first k final items are the answer.
+        frontier = [(0.0, next(counter), _NODE, _Node(False, self._roots()))]
+        inner = (_NODE, 1.0, bound_slack)
+        if exact_distance is None:
+            leaf = (_FINAL, 1.0, bound_slack)
+        else:
+            margin = _KEY_MARGIN * (abs(x) + abs(y) + bound_slack)
+            leaf = (_BOUNDED, 1.0 - _KEY_MARGIN, bound_slack + margin)
         best: list[tuple[float, T]] = []
         while frontier and len(best) < k:
-            distance, _tie, final, payload = heapq.heappop(frontier)
-            if final:
-                best.append((distance, payload))
-                continue
-            exact = exact_distance if payload.leaf else None
-            for box, child in payload.rows:
-                d = lower_bound(box) if exact is None else exact(child)
-                heapq.heappush(frontier, (d, next(counter), payload.leaf, child))
+            key, tie, state, payload = frontier[0]
+            if state == _FINAL:
+                best.append((key, pop(frontier)[3]))
+            elif state == _BOUNDED:
+                heapq.heapreplace(frontier, (exact_distance(payload), tie, _FINAL, payload))
+            else:
+                pop(frontier)
+                state, scale, slack = leaf if payload.leaf else inner
+                for box, child in payload.rows:  # the box bound, inlined
+                    dx = box[0] - x if box[0] > x else x - box[2] if x > box[2] else 0.0
+                    dy = box[1] - y if box[1] > y else y - box[3] if y > box[3] else 0.0
+                    push(frontier, (hypot(dx, dy) * scale - slack, next(counter), state, child))
         return best
 
     def __repr__(self) -> str:

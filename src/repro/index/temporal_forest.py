@@ -24,6 +24,7 @@ slice trees; the rest are pruned without touching a single envelope.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable, Generic, Iterator, TypeVar
 
@@ -127,14 +128,16 @@ class TimeSlicedForest(Generic[T]):
         """How many entries carry no temporal component."""
         return len(self._untimed) if self._untimed is not None else 0
 
+    def _trees(self) -> list[STRTree]:
+        """Every member tree: the slices, then the untimed tree if any."""
+        return self._slices + ([self._untimed] if self._untimed is not None else [])
+
     @property
     def envelope(self) -> Envelope:
         """Spatial bounds over every member tree."""
         env = Envelope.empty()
-        for tree in self._slices:
+        for tree in self._trees():
             env = env.merge(tree.envelope)
-        if self._untimed is not None:
-            env = env.merge(self._untimed.envelope)
         return env
 
     @property
@@ -181,19 +184,12 @@ class TimeSlicedForest(Generic[T]):
         This is the spatial-index contract, used by operators that have
         no temporal component to route on (e.g. flattening, joins).
         """
-        out: list[T] = []
-        for tree in self._slices:
-            out.extend(tree.query(region))
-        if self._untimed is not None:
-            out.extend(self._untimed.query(region))
-        return out
+        return [item for tree in self._trees() for item in tree.query(region)]
 
     def iter_entries(self) -> Iterator[tuple[Envelope, T]]:
         """Every (envelope, item) entry across all member trees."""
-        for tree in self._slices:
+        for tree in self._trees():
             yield from tree.iter_entries()
-        if self._untimed is not None:
-            yield from self._untimed.iter_entries()
 
     def nearest(
         self,
@@ -209,18 +205,11 @@ class TimeSlicedForest(Generic[T]):
         the forest merges the lists.  kNN carries no temporal predicate,
         so every tree participates.
         """
-        import heapq
-
-        best: list[tuple[float, T]] = []
-        trees = list(self._slices)
-        if self._untimed is not None:
-            trees.append(self._untimed)
-        for tree in trees:
-            best.extend(
-                tree.nearest(
-                    x, y, k, exact_distance=exact_distance, bound_slack=bound_slack
-                )
-            )
+        best = [
+            pair
+            for tree in self._trees()
+            for pair in tree.nearest(x, y, k, exact_distance, bound_slack)
+        ]
         return heapq.nsmallest(k, best, key=lambda pair: pair[0])
 
     def __repr__(self) -> str:

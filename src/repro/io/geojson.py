@@ -87,27 +87,35 @@ def geojson_to_geometry(obj: dict[str, Any]) -> Geometry:
 
 def feature_to(obj: dict[str, Any]) -> tuple[STObject, dict[str, Any]]:
     """Decode a GeoJSON Feature into (STObject, properties)."""
-    if obj.get("type") != "Feature":
-        raise GeoJSONError(f"not a GeoJSON Feature: {obj.get('type')!r}")
+    kind = obj.get("type") if isinstance(obj, dict) else type(obj).__name__
+    if kind != "Feature":
+        raise GeoJSONError(f"not a GeoJSON Feature: {kind!r}")
     geom = geojson_to_geometry(obj.get("geometry") or {})
-    props = dict(obj.get("properties") or {})
-    start = props.pop(TIME_START_KEY, None)
-    end = props.pop(TIME_END_KEY, None)
-    if start is None:
-        time = None
-    elif end is None or end == start:
-        time = Instant(start)
-    else:
-        time = Interval(start, end)
+    try:
+        props = dict(obj.get("properties") or {})
+        start = props.pop(TIME_START_KEY, None)
+        end = props.pop(TIME_END_KEY, None)
+        if start is None:
+            time = None
+        elif end is None or end == start:
+            time = Instant(start)
+        else:
+            time = Interval(start, end)
+    except (TypeError, ValueError) as error:
+        raise GeoJSONError(f"malformed Feature properties: {error}") from error
     return (STObject(geom, time), props)
+
+
+def read_features(path: str) -> list:
+    """A FeatureCollection file's features, undecoded; raises for any other file."""
+    with open(path) as f:
+        data = json.load(f)
+    kind = data.get("type") if isinstance(data, dict) else type(data).__name__
+    if kind != "FeatureCollection":
+        raise GeoJSONError(f"expected a FeatureCollection, got {kind!r}")
+    return data.get("features", [])
 
 
 def read_geojson(path: str) -> list[tuple[STObject, dict[str, Any]]]:
     """Read a FeatureCollection file into ``(STObject, properties)`` pairs."""
-    with open(path) as f:
-        data = json.load(f)
-    if data.get("type") != "FeatureCollection":
-        raise GeoJSONError(
-            f"expected a FeatureCollection, got {data.get('type')!r}"
-        )
-    return [feature_to(feature) for feature in data.get("features", [])]
+    return [feature_to(feature) for feature in read_features(path)]

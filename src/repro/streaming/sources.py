@@ -30,8 +30,8 @@ from typing import Any, Iterable, Sequence
 from repro.core.stobject import STObject
 from repro.geometry.envelope import Envelope
 from repro.io.datagen import DEFAULT_BOUNDS
-from repro.io.geojson import read_geojson
-from repro.io.readers import DEFAULT_DELIMITER, EventParseError, parse_event_line
+from repro.io.geojson import feature_to, read_features
+from repro.io.readers import DEFAULT_DELIMITER, parse_event_line
 
 Record = tuple[STObject, Any]
 
@@ -191,20 +191,29 @@ class DirectorySource(StreamSource):
         self._seen: set[str] = set()
         self._last_delta: list[str] | None = None
 
-    def _parse_event_file(self, full: str) -> list[Record]:
+    def _read_file(self, full: str) -> list[Record]:
+        """The file's records.  ``on_error="skip"`` drops a malformed row
+        (an event line, a GeoJSON feature); a file that cannot be read as
+        a whole (a partial write) still raises, so the poll commits
+        nothing and the next one reads the file again."""
+        if self.format == "geojson":
+            rows, decode = read_features(full), feature_to
+        else:
+            with open(full) as fh:
+                rows = [line for line in map(str.strip, fh) if line]
+            decode = self._event_record
         records: list[Record] = []
-        with open(full) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event_id, category, time, wkt = parse_event_line(line, self.delimiter)
-                    records.append((STObject(wkt, time), (event_id, category)))
-                except (EventParseError, ValueError):
-                    if self.on_error == "raise":
-                        raise
+        for row in rows:
+            try:
+                records.append(decode(row))
+            except ValueError:  # EventParseError and GeoJSONError among them
+                if self.on_error == "raise":
+                    raise
         return records
+
+    def _event_record(self, line: str) -> Record:
+        event_id, category, time, wkt = parse_event_line(line, self.delimiter)
+        return STObject(wkt, time), (event_id, category)
 
     def poll(self) -> list[Record]:
         # A failed poll leaves no delta: the cursor never moved, so the
@@ -223,10 +232,7 @@ class DirectorySource(StreamSource):
             full = os.path.join(self.path, entry)
             if not os.path.isfile(full):
                 continue
-            if self.format == "geojson":
-                records.extend(read_geojson(full))
-            else:
-                records.extend(self._parse_event_file(full))
+            records.extend(self._read_file(full))
             staged.append(entry)
         # Files are marked seen only after the whole poll parsed: a
         # transient read failure (partially-written file, injected

@@ -141,6 +141,10 @@ class TestWriter:
             "GEOMETRYCOLLECTION EMPTY",
             "GEOMETRYCOLLECTION (POINT EMPTY)",
             "GEOMETRYCOLLECTION (POINT (0 0), GEOMETRYCOLLECTION (POINT EMPTY))",
+            "MULTIPOINT (EMPTY)",
+            "MULTIPOINT (EMPTY, (1 2))",
+            "MULTILINESTRING (EMPTY, (0 0, 1 1))",
+            "MULTIPOLYGON (EMPTY, ((0 0, 1 0, 1 1, 0 0)))",
         ],
     )
     def test_roundtrip_canonical(self, text):
@@ -157,6 +161,13 @@ class TestWriter:
 
     def test_repr_is_wkt(self):
         assert repr(Point(1, 2)) == "POINT (1 2)"
+
+    def test_empty_members_of_multi_types_write_as_empty(self):
+        assert repr(MultiPoint([Point(), Point(1, 2)])) == "MULTIPOINT (EMPTY, (1 2))"
+        assert repr(MultiPoint([Point()])) == "MULTIPOINT (EMPTY)"
+        lines = MultiLineString([LineString(), LineString([(0, 0), (1, 1)])])
+        assert to_wkt(lines) == "MULTILINESTRING (EMPTY, (0 0, 1 1))"
+        assert parse_wkt(to_wkt(lines)) == lines
 
 
 def _nested(depth: int) -> str:
@@ -367,22 +378,29 @@ def _wkt(draw, depth=0):
     if kind == "polygon":
         text, polygon = draw(_polygon_body())
         return f"{_tag(draw, 'POLYGON')}{gap}{text}", polygon
+    # A multi type's member may be EMPTY (drawn as None), in any case.
     if kind == "multipoint":
-        coords = draw(st.lists(st.tuples(_coord(), st.booleans()), min_size=1, max_size=4))
-        body = ",".join(f"({t})" if wrapped else t for (t, _), wrapped in coords)
+        forms = st.sampled_from(["wrapped", "bare", "empty"])
+        coords = draw(st.lists(st.tuples(_coord(), forms), min_size=1, max_size=4))
+        body = ",".join(
+            _tag(draw, "EMPTY") if form == "empty" else f"({t})" if form == "wrapped" else t
+            for (t, _), form in coords
+        )
         return f"{_tag(draw, 'MULTIPOINT')}{gap}({body})", MultiPoint(
-            [Point(*c) for (_, c), _ in coords]
+            [Point() if form == "empty" else Point(*c) for (_, c), form in coords]
         )
     if kind == "multiline":
-        lines = draw(st.lists(_coord_list(2), min_size=1, max_size=3))
-        body = ",".join(t for t, _ in lines)
+        lines = draw(st.lists(st.none() | _coord_list(2), min_size=1, max_size=3))
+        body = ",".join(_tag(draw, "EMPTY") if line is None else line[0] for line in lines)
         return f"{_tag(draw, 'MULTILINESTRING')}{gap}({body})", MultiLineString(
-            [LineString(c) for _, c in lines]
+            [LineString() if line is None else LineString(line[1]) for line in lines]
         )
     if kind == "multipolygon":
-        polygons = draw(st.lists(_polygon_body(), min_size=1, max_size=2))
-        body = ",".join(t for t, _ in polygons)
-        return f"{_tag(draw, 'MULTIPOLYGON')}{gap}({body})", MultiPolygon([p for _, p in polygons])
+        polygons = draw(st.lists(st.none() | _polygon_body(), min_size=1, max_size=2))
+        body = ",".join(_tag(draw, "EMPTY") if p is None else p[0] for p in polygons)
+        return f"{_tag(draw, 'MULTIPOLYGON')}{gap}({body})", MultiPolygon(
+            [Polygon() if p is None else p[1] for p in polygons]
+        )
     if kind == "collection":
         members = draw(st.lists(_wkt(depth + 1), min_size=1, max_size=3))
         body = ",".join(f"{draw(_BLANKS)}{t}{draw(_BLANKS)}" for t, _ in members)

@@ -15,6 +15,7 @@ from repro.geometry.polygon import Polygon
 from repro.index import INDEX_MODES, build_partition_index
 from repro.index.rtree import STRTree
 from repro.temporal import Interval
+from tests.index import assert_matches_oracle, mixed_rows, nearest_queries, probe, square
 
 
 def point_entries(n, seed=1, extent=100.0):
@@ -141,6 +142,69 @@ class TestNearest:
         exact = {"A": 10.0, "B": 0.5}
         result = tree.nearest(0, 0, 1, exact_distance=lambda item: exact[item])
         assert result == [(0.5, "B")]
+
+
+class TestNearestRefinesLazily:
+    """Exact distances are deferred until an item tops the heap; answers,
+    ties included, are those of refining every item of an opened leaf."""
+
+    @pytest.mark.parametrize("capacity", [2, 10])
+    def test_distances_equal_a_scan(self, capacity):
+        rows = mixed_rows(120, seed=capacity)
+        rows += [(STObject(Point(5.0, 5.0)), 120 + i) for i in range(6)]  # duplicates
+        tree = build_partition_index(rows, capacity)
+        for geo, k in nearest_queries(12, seed=capacity) + [(Point(5.0, 5.0), 3)]:
+            assert_matches_oracle(tree, rows, geo, k)
+        assert_matches_oracle(tree, rows, Point(30.0, -4.5), len(rows) + 5)
+
+    def test_empty_tree_and_k_past_the_size(self):
+        assert probe(build_partition_index([], 4), Point(1.0, 1.0), 3) == []
+        rows = mixed_rows(7, seed=3)
+        tree = build_partition_index(rows, 4)
+        assert_matches_oracle(tree, rows, Polygon(square(2.0, 2.0, 3.0, 3.0)), 20)
+
+    #: ``(distance, id)`` per query, recorded with refinement at leaf
+    #: opening.  The squares' bounds are an ulp over some exact
+    #: distances here (rows on a corner's diagonal), so a key that lets
+    #: the rounding through pops a tied row too late (id 4 for id 14).
+    GOLDEN = [
+        [(0.0, 57), (0.0, 48), (0.0, 49), (1.0, 52), (1.0, 42), (2.0, 16), (2.0, 46),
+         (2.23606797749979, 35)],
+        [(0.5, 9), (0.7071067811865476, 37), (1.5, 29), (1.5811388300841898, 21),
+         (1.5811388300841898, 0), (2.5495097567963922, 17), (2.9154759474226504, 19),
+         (3.5355339059327378, 13)],
+        [(0.0, 22), (0.5, 49), (0.5, 52), (1.5, 39), (1.5, 20), (2.9154759474226504, 31),
+         (2.9154759474226504, 46), (3.5, 48), (3.5355339059327378, 38),
+         (3.5355339059327378, 30), (3.5355339059327378, 14)],
+        [(1.118033988749895, 22), (1.8027756377319946, 20), (2.5, 39), (3.0413812651491097, 4),
+         (4.6097722286464435, 38), (4.6097722286464435, 5), (4.716990566028302, 49),
+         (4.716990566028302, 52), (5.5901699437494745, 31), (6.020797289396148, 33),
+         (6.5, 36), (6.5, 6)],
+        [(1.5, 58)],
+        [(0.0, 7), (0.0, 41), (0.5, 45), (1.0, 59)],
+    ]
+
+    def test_golden_answers_and_tie_order(self):
+        tree = build_partition_index(mixed_rows(60, seed=52), 10)
+        got = [
+            [(d, kv[1]) for d, kv in probe(tree, geo, k)]
+            for geo, k in nearest_queries(6, seed=1052)
+        ]
+        assert got == self.GOLDEN
+
+    def test_refines_about_k_items(self):
+        _, entries = point_entries(1000, seed=4)
+        tree = STRTree(entries)
+        calls = []
+
+        def exact(item):
+            calls.append(item)
+            return math.hypot(item[0] - 50.0, item[1] - 50.0)
+
+        assert [item for _d, item in tree.nearest(50.0, 50.0, 10, exact)] == [
+            item for _d, item in tree.nearest(50.0, 50.0, 10)
+        ]
+        assert len(calls) <= 2 * 10
 
 
 # -- every index kind against brute force -------------------------------------

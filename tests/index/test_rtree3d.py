@@ -12,6 +12,7 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.index.rtree3d import STRTree3D
 from repro.temporal import Interval
+from tests.index import assert_matches_oracle, mixed_rows, nearest_queries
 
 
 def make_entries(n, seed=1, untimed_every=None, span=1000.0):
@@ -205,6 +206,14 @@ class TestStructure:
             for kv in rows
         )[:9]
         assert [pair[1][1] for pair in got] == [pair[1] for pair in brute]
+
+    def test_nearest_with_exact_distances_matches_a_scan(self):
+        # Points, lines and boxes, 70% timed: both trees hold some.
+        rows = mixed_rows(120, seed=5, timed_share=0.7)
+        tree = STRTree3D.for_stobjects(rows, node_capacity=4)
+        for geo, k in nearest_queries(12, seed=5):
+            assert_matches_oracle(tree, rows, geo, k)
+        assert_matches_oracle(tree, rows, Point(3.0, 3.0), len(rows) + 1)
 
     def test_nearest_merges_the_timed_and_untimed_trees(self):
         # The untimed entries sit nearer the probe than every timed one,

@@ -136,6 +136,49 @@ class TestSources:
         assert len(rows) == 1
         assert rows[0][1] == {"name": "site"}
 
+    @staticmethod
+    def _geojson_with_one_bad_feature(tmp_path):
+        point = {"type": "Point", "coordinates": [1.0, 2.0]}
+        features = [
+            {"type": "Feature", "geometry": point, "properties": {"name": "good"}},
+            {"type": "Feature", "geometry": {**point, "type": "Pointy"}, "properties": {}},
+            {"type": "Feature", "geometry": point, "properties": {"repro:time_start": "x"}},
+        ]
+        doc = {"type": "FeatureCollection", "features": features}
+        (tmp_path / "x.geojson").write_text(json.dumps(doc))
+
+    def test_directory_source_geojson_skips_exactly_the_bad_features(self, tmp_path):
+        from repro.streaming import DirectorySource
+
+        self._geojson_with_one_bad_feature(tmp_path)
+        source = DirectorySource(str(tmp_path), format="geojson", on_error="skip")
+        [(st, properties)] = source.poll()
+        assert (st.geo.wkt(), properties) == ("POINT (1 2)", {"name": "good"})
+        assert source.last_poll_delta() == ["x.geojson"]
+
+    def test_directory_source_geojson_raise_still_raises(self, tmp_path):
+        from repro.io.geojson import GeoJSONError
+        from repro.streaming import DirectorySource
+
+        self._geojson_with_one_bad_feature(tmp_path)
+        source = DirectorySource(str(tmp_path), format="geojson")
+        with pytest.raises(GeoJSONError, match="Pointy"):
+            source.poll()
+        assert source.last_poll_delta() is None
+
+    @pytest.mark.parametrize("text", ['{"type": "FeatureCollection", "feat', "[]"])
+    def test_directory_source_geojson_skip_keeps_an_unreadable_file(self, tmp_path, text):
+        # A partial write commits nothing: the next poll reads it again.
+        from repro.streaming import DirectorySource
+
+        (tmp_path / "x.geojson").write_text(text)
+        source = DirectorySource(str(tmp_path), format="geojson", on_error="skip")
+        with pytest.raises(ValueError):
+            source.poll()
+        assert source.cursor() == []
+        self._geojson_with_one_bad_feature(tmp_path)
+        assert len(source.poll()) == 1
+
     def test_directory_source_skips_bad_rows_when_asked(self, ssc, tmp_path):
         (tmp_path / "dirty.events").write_text(
             "1;accident;5.0;POINT (1 1)\nnot-a-row\n"
