@@ -214,7 +214,9 @@ class SpatialRDDFunctions(_PredicateFilters):
         trees = partition_index(rdd, order, mode, time_slices)
         if rdd._cached:
             trees = trees.map_partitions(iter, preserves_partitioning=True)
-        return IndexedSpatialRDD(trees.persist(), order=order, mode=mode)
+        return IndexedSpatialRDD(
+            trees.persist(), order=order, mode=mode, time_slices=time_slices
+        )
 
     # -- planning ----------------------------------------------------------
 
@@ -327,11 +329,16 @@ class IndexedSpatialRDD(_PredicateFilters):
     """
 
     def __init__(
-        self, tree_rdd: RDD, order: int | None = None, mode: str = "spatial"
+        self,
+        tree_rdd: RDD,
+        order: int | None = None,
+        mode: str = "spatial",
+        time_slices: int | None = None,
     ) -> None:
         self._trees = tree_rdd
         self._order = order
         self._mode = mode
+        self._time_slices = time_slices
 
     @property
     def tree_rdd(self) -> RDD:
@@ -358,15 +365,13 @@ class IndexedSpatialRDD(_PredicateFilters):
 
     def entries(self) -> RDD:
         """Flatten back to the underlying ``RDD[(STObject, V)]``."""
-        flattened = self._trees.flat_map(
-            lambda tree: [kv for _env, kv in tree.iter_entries()]
-        )
+        flattened = self._trees.flat_map(lambda tree: tree.items())
         flattened.partitioner = self._trees.partitioner
         return flattened
 
     def save(self, path: str) -> None:
-        """Persist the trees, partitioner and partition summaries, so a
-        reloaded index prunes without touching the data again."""
+        """Persist the trees' rows, partitioner and partition summaries,
+        so a reloaded index prunes without touching the data again."""
         persistence.save_index(
             self._trees,
             path,
@@ -374,23 +379,27 @@ class IndexedSpatialRDD(_PredicateFilters):
             order=self._order,
             summaries=partition_summaries(self._trees),
             mode=self._mode,
+            time_slices=self._time_slices,
         )
 
     @staticmethod
     def load(context, path: str) -> "IndexedSpatialRDD":
         """Reload an index written by :meth:`save`.
 
-        Tolerant of damage: corrupt tree parts are rebuilt live from the
-        recovery sidecar and corrupt metadata merely disables pruning
-        (see :mod:`repro.index.persistence`).  The trees are persisted:
-        they stay in the context's block cache until ``unpersist()``.
+        Each tree is bulk-loaded from its saved rows, in the saved mode.
+        Tolerant of damage: an unreadable part is read from the recovery
+        copy and corrupt metadata merely disables pruning (see
+        :mod:`repro.index.persistence`).  The trees are persisted: they
+        stay in the context's block cache until ``unpersist()``.
         """
         tree_rdd, summaries, mode = persistence.load_index(context, path)
-        order = getattr(tree_rdd, "_order", None)
         if summaries is not None:
             restore_summaries(tree_rdd, summaries)
         return IndexedSpatialRDD(
-            tree_rdd.persist(), order=order, mode=mode or "spatial"
+            tree_rdd.persist(),
+            order=tree_rdd._order,
+            mode=mode or "spatial",
+            time_slices=tree_rdd._time_slices,
         )
 
     kNN = knn

@@ -23,8 +23,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.geometry.base import Geometry
+from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
 from repro.geometry.wkt import parse_wkt
+from repro.temporal.instant import Instant
 from repro.temporal.interval import Interval, TemporalExpression, make_temporal
 
 
@@ -106,13 +108,63 @@ class STObject:
     def __hash__(self) -> int:
         return hash((self._geo, self._time))
 
+    def __reduce_ex__(self, protocol):
+        # A point event -- nearly every row a reader or an index stores --
+        # pickles as one call over its numbers, not as a class, a Point
+        # and a temporal object rebuilt through three state hooks.
+        geo, time = self._geo, self._time
+        if type(geo) is Point and not geo._empty:
+            kind = type(time)
+            if time is None:
+                return _point_stobject, (geo._x, geo._y)
+            if kind is Instant:
+                return _point_stobject, (geo._x, geo._y, time.value)
+            if kind is Interval:
+                return _point_stobject, (geo._x, geo._y, time.start, time.end)
+        return object.__reduce_ex__(self, protocol)
+
     def __getstate__(self) -> tuple:
         return (self._geo, self._time)
 
     def __setstate__(self, state: tuple) -> None:
+        # Also what every pickle of a point event written before
+        # ``_point_stobject`` existed loads through.
         self._geo, self._time = state
 
     def __repr__(self) -> str:
         if self._time is None:
             return f"STObject({self._geo.wkt()})"
         return f"STObject({self._geo.wkt()}, {self._time!r})"
+
+
+_new_stobject = STObject.__new__
+_new_point = Point.__new__
+_new_instant = Instant.__new__
+_new_interval = Interval.__new__
+_set_instant = Instant.value.__set__
+_set_start = Interval.start.__set__
+_set_end = Interval.end.__set__
+
+
+def _point_stobject(x: float, y: float, *time) -> STObject:
+    """Rebuild a point event from the numbers :meth:`STObject.__reduce_ex__`
+    wrote: none, one (an :class:`Instant`) or two (an :class:`Interval`)
+    time values after the coordinates.  They come from a valid object,
+    so nothing is checked again.  Pickles name this function: keep it.
+    """
+    obj = _new_stobject(STObject)
+    obj._geo = point = _new_point(Point)
+    point._x = x
+    point._y = y
+    point._empty = False
+    point._envelope = Envelope(x, y, x, y)
+    if not time:
+        obj._time = None
+    elif len(time) == 1:
+        obj._time = instant = _new_instant(Instant)
+        _set_instant(instant, time[0])
+    else:
+        obj._time = interval = _new_interval(Interval)
+        _set_start(interval, time[0])
+        _set_end(interval, time[1])
+    return obj

@@ -1,43 +1,34 @@
-"""Persistent indexing: save and reload per-partition R-trees.
+"""Persistent indexing: save per-partition index rows, reload them as trees.
 
 Reproduces the paper's third indexing mode (section 2.2): an indexed
-RDD -- an RDD whose elements are partition-local STR-trees -- is written
-as binary objects ("using Spark's method to save binary objects") and
-can be loaded by the same or another program without rebuilding.
+RDD -- one partition-local tree per partition -- is saved by one program
+and loaded by another.  The paper writes the trees as binary objects,
+because a JVM reads one back cheaply.  Here unpickling a tree's nodes
+cost more than bulk-loading it again from its entries, so a saved index
+*is* its entries: :func:`save_index` writes each partition's
+``(STObject, V)`` rows in :meth:`~repro.index.rtree.STRTree.items` order
+as the part-files, and the same rows again to ``_rows_copy``, the
+recovery copy.  :class:`ResilientIndexRDD` bulk-loads each tree from its
+rows in the saved mode and capacity; rebuilt from that order it is the
+tree that was saved, so a reloaded index answers with the same lists.
+The partitioner and the partition *summaries* are stored in
+``_index_meta.pkl``, so a reloaded index prunes before opening a tree.
 
-The partitioner and the per-partition *summaries* (what each tree
-covers in space and time) are stored alongside the trees, so a reloaded
-index prunes whole partitions before a single tree is opened.
+Loading degrades instead of dying on damage:
 
-Fault model
------------
-A persisted index is the one artifact the paper's multi-program workflow
-shares across runs, so loading degrades gracefully instead of dying on
-damage:
-
-- :func:`save_index` additionally writes a ``_data`` sidecar directory
-  holding each partition's raw ``(envelope, item)`` entries;
-- :class:`ResilientIndexRDD` reads tree part-files lazily and, when a
-  part is truncated/corrupt (or a fault is injected at the
-  ``index.load`` site), **rebuilds that partition's index live** from
-  the sidecar, in the mode the metadata records -- exact query results,
-  one partition's build cost.
-  Each fallback is counted in ``metrics.index_fallbacks`` and recorded
-  as an ``index.fallback`` span in the trace;
-- ``_index_meta.pkl`` is written through
-  :func:`~repro.spark.storage.durable_replace` behind a CRC32 of its
-  pickled bytes; a missing file, a checksum mismatch or any failure to
-  read it degrades to an unpartitioned load (pruning disabled, queries
-  still exact) instead of raising or pruning on damaged summaries;
-- only when a part is corrupt *and* no recovery data exists does the
-  load fail, with a :class:`~repro.spark.storage.StorageError` naming
-  the path (pre-sidecar layouts written by older versions);
-- pickled tree parts have the shape of the kernel's node layout, so the
-  metadata records :data:`INDEX_LAYOUT`.  A directory whose metadata
-  names another layout -- or none, or is unreadable -- is never
-  unpickled: every partition takes the sidecar rebuild above (the
-  sidecar's ``(Envelope, item)`` rows do not depend on the layout), or
-  fails with the same :class:`~repro.spark.storage.StorageError`.
+- a part that cannot be read (or a fault injected at the ``index.load``
+  site) is read from the recovery copy: exact results, counted in
+  ``metrics.index_fallbacks``, listed in the RDD's ``fallbacks`` and
+  recorded as an ``index.fallback`` span;
+- the metadata is a CRC32 of its pickle followed by the pickle; any
+  damage degrades to an unpartitioned load (pruning disabled, trees
+  built as ``spatial``, queries still exact).  Which files are read is
+  decided by the directory's names alone, never by the metadata;
+- a directory in the older tree layout holds pickled trees beside a
+  ``_data`` sidecar of ``(Envelope, item)`` entry lists.  Its trees are
+  never unpickled: every partition is read from ``_data``, as a fallback;
+- when a part and its recovery data are both unreadable the load fails
+  with a :class:`~repro.spark.storage.StorageError` naming the path.
 
 A loaded index lives where any persisted RDD's blocks live: in the
 context's block cache, freed by ``unpersist()``.
@@ -60,14 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.spark.context import SparkContext
 
 _META_FILE = "_index_meta.pkl"
-_DATA_DIR = "_data"
-
-#: Version of the pickled tree layout; bump it with every change to the
-#: shape of :mod:`repro.index.rtree`'s nodes or of a tree object.
-#: 3 = an ``STRTree3D`` keeps its untimed entries in a second, 2D root;
-#: 2 = ``_Node(leaf, rows)`` over float-tuple boxes (1, unrecorded, was
-#: one ``Envelope`` per node).
-INDEX_LAYOUT = 3
+#: The recovery copy: the same ``(STObject, V)`` rows as the parts.
+_ROWS_COPY_DIR = "_rows_copy"
+#: The tree layout's sidecar: per partition, one row of ``(Envelope,
+#: item)`` entry lists, beside part-files of pickled trees.
+_TREE_SIDECAR_DIR = "_data"
 
 
 def save_index(
@@ -77,34 +65,17 @@ def save_index(
     order: int | None = None,
     summaries: list | None = None,
     mode: str | None = None,
+    time_slices: int | None = None,
 ) -> None:
-    """Persist an RDD of per-partition index trees plus its partitioner.
-
-    Alongside the pickled trees, every partition's raw entries are
-    written to a ``_data`` sidecar so a damaged tree part can be rebuilt
-    live on load.  *order* (the tree's node capacity), the index *mode*
-    and the partition *summaries* (one per partition) are stored in the
-    metadata; the summaries power whole-partition pruning after a reload.
-    """
-    indexed_rdd.save_as_object_file(path)
-
-    def extract_entries(trees: Iterator[STRTree]) -> Iterator[list]:
-        # One row per partition: the entry lists of its trees, in order.
-        yield [list(tree.iter_entries()) for tree in trees]
-
-    indexed_rdd.map_partitions(extract_entries).save_as_object_file(
-        os.path.join(path, _DATA_DIR)
-    )
-    _write_meta(
-        path,
-        {
-            "partitioner": partitioner,
-            "order": order,
-            "mode": mode,
-            "summaries": summaries,
-            "layout": INDEX_LAYOUT,
-        },
-    )
+    """Persist an RDD of per-partition index trees as their rows, twice:
+    the part-files and the ``_rows_copy`` recovery copy.  *order* (the
+    node capacity), *mode*, the forest's *time_slices* and the partition
+    *summaries* go to the metadata."""
+    rows = indexed_rdd.flat_map(lambda tree: tree.items())
+    rows.save_as_object_file(path)
+    rows.save_as_object_file(os.path.join(path, _ROWS_COPY_DIR))
+    _write_meta(path, dict(partitioner=partitioner, order=order, mode=mode,
+                           time_slices=time_slices, summaries=summaries))
 
 
 def _write_meta(path: str, meta: dict) -> None:
@@ -140,34 +111,50 @@ def _read_meta(path: str) -> dict:
         raise StorageError(f"corrupt index metadata {meta_path!r}: {exc}") from exc
 
 
-class ResilientIndexRDD(RDD[STRTree]):
-    """Reads persisted trees with per-partition live-rebuild fallback.
+def _read_rows(part: str) -> list:
+    """A rows part-file's ``(STObject, V)`` rows; :class:`StorageError`
+    if it cannot be read or holds something else (such as trees)."""
+    rows = storage.read_object_part(part)
+    if type(rows) is not list or (rows and type(rows[0]) is not tuple):
+        raise StorageError(f"index part {part!r} holds no (STObject, value) rows")
+    return rows
 
-    Layout-compatible with plain ``object_file`` directories: without a
-    ``_data`` sidecar it behaves like :class:`ObjectFileRDD` (corrupt
-    parts raise :class:`StorageError`); with one, damaged partitions are
-    rebuilt from their raw entries in the saved *mode* (``spatial`` when
-    none is recorded).
-    """
+
+def _read_tree_sidecar(part: str) -> list:
+    """The items of a tree-layout ``_data`` part: its one row holds an
+    ``(Envelope, item)`` entry list per tree."""
+    (entry_lists,) = storage.read_object_part(part)
+    return [item for entries in entry_lists for _env, item in entries]
+
+
+class ResilientIndexRDD(RDD[STRTree]):
+    """Reads a saved index's rows and bulk-loads one tree per partition,
+    in the saved *mode*, capacity *order* and *time_slices* (``spatial``
+    and the default capacity when none is recorded)."""
 
     def __init__(
         self,
         context,
         path: str,
         order: int | None = None,
-        layout: int | None = None,
         mode: str | None = None,
+        time_slices: int | None = None,
     ) -> None:
         super().__init__(context)
         self._path = path
         self._parts = storage._list_parts(path, ".pkl")
         self._order = order or DEFAULT_NODE_CAPACITY
         self._mode = mode or "spatial"
-        #: The layout version the directory's metadata declares.
-        self._layout = layout
-        data_dir = os.path.join(path, _DATA_DIR)
-        self._data_dir = data_dir if os.path.isdir(data_dir) else None
-        #: Splits that were rebuilt live instead of unpickled.
+        self._time_slices = time_slices
+        sidecar = os.path.join(path, _TREE_SIDECAR_DIR)
+        #: Whether the part-files hold pickled trees, which are never read.
+        self._tree_layout = os.path.isdir(sidecar)
+        #: ``(directory, reader)`` of the recovery data.
+        self._recovery = (
+            (sidecar, _read_tree_sidecar) if self._tree_layout
+            else (os.path.join(path, _ROWS_COPY_DIR), _read_rows)
+        )
+        #: Splits that were read from recovery data, not from their part.
         self.fallbacks: list[int] = []
 
     @property
@@ -176,25 +163,26 @@ class ResilientIndexRDD(RDD[STRTree]):
 
     def compute(self, split: int) -> Iterator[STRTree]:
         part = os.path.join(self._path, self._parts[split])
-        if self._layout != INDEX_LAYOUT:
-            stale = StorageError(
-                f"index part {part!r} has tree layout {self._layout!r}, "
-                f"this version reads layout {INDEX_LAYOUT}"
-            )
-            return iter(self._rebuild_live(split, part, stale))
         try:
+            if self._tree_layout:
+                raise StorageError(f"index part {part!r} holds a pickled tree")
             injector = self.context.fault_injector
             if injector is not None:
                 injector.check("index.load", key=(part, split))
-            trees = storage.read_object_part(part)
+            rows = _read_rows(part)
         except Exception as exc:
-            return iter(self._rebuild_live(split, part, exc))
-        return iter(trees)
+            rows = self._recover(split, part, exc)
+        return iter(
+            [build_partition_index(rows, self._order, self._mode, self._time_slices)]
+        )
 
-    def _rebuild_live(self, split: int, part: str, cause: Exception) -> list[STRTree]:
-        """Build the partition's trees from the recovery sidecar."""
-        entry_lists = self._load_recovery_entries(split)
-        if entry_lists is None:
+    def _recover(self, split: int, part: str, cause: Exception) -> list:
+        """The partition's rows, read from its recovery data."""
+        directory, read = self._recovery
+        try:
+            rows = read(os.path.join(directory, f"part-{split:05d}.pkl"))
+        except Exception:
+            # Missing or damaged too: nothing left to recover from.
             if isinstance(cause, StorageError):
                 raise cause
             raise StorageError(
@@ -204,35 +192,9 @@ class ResilientIndexRDD(RDD[STRTree]):
         self.fallbacks.append(split)
         tracer = self.context.tracer
         if tracer.enabled:
-            with tracer.span(
-                "index.fallback",
-                split=split,
-                path=part,
-                entries=sum(len(entries) for entries in entry_lists),
-            ):
-                return self._build_trees(entry_lists)
-        return self._build_trees(entry_lists)
-
-    def _build_trees(self, entry_lists: list[list]) -> list[STRTree]:
-        return [
-            build_partition_index(
-                [item for _envelope, item in entries], self._order, self._mode
-            )
-            for entries in entry_lists
-        ]
-
-    def _load_recovery_entries(self, split: int) -> list[list] | None:
-        """The sidecar's entry lists for *split*, or None if unavailable."""
-        if self._data_dir is None:
-            return None
-        data_part = os.path.join(self._data_dir, f"part-{split:05d}.pkl")
-        if not os.path.exists(data_part):
-            return None
-        try:
-            rows = storage.read_object_part(data_part)
-        except StorageError:
-            return None  # sidecar damaged too; nothing left to recover from
-        return rows[0] if rows else []
+            with tracer.span("index.fallback", split=split, path=part, entries=len(rows)):
+                pass
+        return rows
 
 
 def load_index(
@@ -244,7 +206,7 @@ def load_index(
     Damage is absorbed where possible: corrupt metadata degrades to an
     unpartitioned load with pruning disabled (recorded on the trace as
     ``index.meta_fallback`` and in ``metrics.index_fallbacks``), and
-    corrupt tree parts rebuild live per partition (see
+    unreadable parts are read from the recovery data (see
     :class:`ResilientIndexRDD`).  The summaries are ``None`` when the
     directory records none (or as many as it no longer has parts): they
     are an optimisation, and can always be measured again from the trees.
@@ -265,8 +227,8 @@ def load_index(
         context,
         path,
         order=meta.get("order"),
-        layout=meta.get("layout"),
         mode=meta.get("mode"),
+        time_slices=meta.get("time_slices"),
     )
     rdd.partitioner = meta.get("partitioner")
     summaries = meta.get("summaries")

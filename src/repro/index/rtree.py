@@ -136,18 +136,21 @@ def _tile(run: list, axis: int, cap: int, axes: int, heartbeat: Heartbeat) -> It
 
 
 def _bulk_load(entries: list[tuple[tuple, T]], cap: int, axes: int):
-    """Pack *entries* bottom-up; returns the root's ``(box, node)`` row."""
+    """Pack *entries* bottom-up; returns the root's ``(box, node)`` row
+    and the leaves in the order the tiling packed them (the levels above
+    sort them again)."""
     if not entries:
-        return _EMPTY_ROOT_BOX, _Node(True, [])
+        return (_EMPTY_ROOT_BOX, _Node(True, [])), []
 
     def pack(rows: list, leaf: bool) -> list[tuple[tuple, _Node]]:
         tiles = _str_tiles(rows, cap, axes)
         return [(_cover(tile), _Node(leaf, tile)) for tile in tiles]
 
     level = pack(entries, leaf=True)
+    leaves = [node for _box, node in level]
     while len(level) > 1:
         level = pack(level, leaf=False)
-    return level[0]
+    return level[0], leaves
 
 
 def _search(root, probe: tuple) -> list:
@@ -195,6 +198,8 @@ class STRTree(Generic[T]):
             for env, item in entries
         )
         self.node_capacity = node_capacity
+        #: Every bulk load's leaves, in the order its tiling packed them.
+        self._leaves: list[_Node] = []
         self._size, self._root = self._pack(boxed, axes=2)
 
     def _pack(self, boxed: Iterable[tuple], axes: int) -> tuple[int, tuple]:
@@ -203,7 +208,9 @@ class STRTree(Generic[T]):
         if self.node_capacity < 2:
             raise ValueError(f"node capacity must be >= 2, got {self.node_capacity}")
         entries = [entry for entry in boxed if entry[0][0] <= entry[0][2]]
-        return len(entries), _bulk_load(entries, self.node_capacity, axes)
+        root, leaves = _bulk_load(entries, self.node_capacity, axes)
+        self._leaves += leaves
+        return len(entries), root
 
     def _roots(self) -> tuple:
         """The root rows of the tree's bulk loads (one for a 2D tree)."""
@@ -243,21 +250,24 @@ class STRTree(Generic[T]):
         return self.query(region), 0
 
     def _leaf_rows(self) -> Iterator[tuple[tuple, T]]:
-        stack = [node for _box, node in self._roots()]
-        while stack:
-            node = stack.pop()
-            if node.leaf:
-                yield from node.rows
-            else:
-                stack.extend(child for _box, child in node.rows)
+        """Every leaf row, in the order the tiling packed them."""
+        for leaf in self._leaves:
+            yield from leaf.rows
+
+    def items(self) -> list[T]:
+        """Every stored item, in the order the leaf tiling packed them.
+
+        Bulk-loading these items again with the same kind and capacity
+        packs the same tree: every sort of the tiling is stable, and in
+        this order two items whose keys tie come in the order that put
+        them in their tiles.  (Not so in the tree's left-to-right order:
+        the levels above the leaves sort the leaves again.)  A persisted
+        index stores these items and rebuilds from them.
+        """
+        return [item for leaf in self._leaves for _box, item in leaf.rows]
 
     def iter_entries(self) -> Iterator[tuple[Envelope, T]]:
-        """Every entry as ``(spatial envelope, item)`` (arbitrary order).
-
-        The 2D projection is the persistence sidecar's one format for
-        every index kind; a damaged part is rebuilt from its items in the
-        mode the index was saved in.
-        """
+        """Every entry as ``(spatial envelope, item)``, in :meth:`items` order."""
         for box, item in self._leaf_rows():
             yield Envelope(*box[:4]), item
 

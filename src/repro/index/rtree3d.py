@@ -58,6 +58,7 @@ class STRTree3D(STRTree[T]):
         node_capacity: int = DEFAULT_NODE_CAPACITY,
     ) -> None:
         self.node_capacity = node_capacity
+        self._leaves = []
         timed: list = []
         untimed: list = []
         for entry in entries:

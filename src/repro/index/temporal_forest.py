@@ -186,6 +186,12 @@ class TimeSlicedForest(Generic[T]):
         """
         return [item for tree in self._trees() for item in tree.query(region)]
 
+    def items(self) -> list[T]:
+        """Every stored item: the slices' in slice order, then the
+        untimed tree's, each in its tiling order.  A forest built from
+        them with the same capacity and slice count is this forest."""
+        return [item for tree in self._trees() for item in tree.items()]
+
     def iter_entries(self) -> Iterator[tuple[Envelope, T]]:
         """Every (envelope, item) entry across all member trees."""
         for tree in self._trees():

@@ -2,8 +2,44 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 from collections import deque
+from contextlib import contextmanager
+from typing import Iterator
+
+_pause_lock = threading.Lock()
+#: How many :func:`collector_paused` blocks are open, in any thread.
+_pauses = 0
+#: Whether the collector was enabled when the first open block began.
+_enabled_before = False
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector off.
+
+    Materializing a persisted partition allocates objects that all stay
+    alive, so every collection the allocations trigger walks a growing
+    heap and frees nothing.  The collector is one switch per process
+    and tasks run on pool threads, so the pauses are counted under a
+    lock: blocks may nest or overlap, the first one in switches the
+    collector off, and the last one out restores the state the first
+    one found -- a caller that had disabled it keeps it disabled.
+    """
+    global _pauses, _enabled_before
+    with _pause_lock:
+        if _pauses == 0:
+            _enabled_before = gc.isenabled()
+            gc.disable()
+        _pauses += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pauses -= 1
+            if _pauses == 0 and _enabled_before:
+                gc.enable()
 
 
 class _CacheManager:

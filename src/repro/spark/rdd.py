@@ -29,6 +29,7 @@ from typing import (
     TypeVar,
 )
 
+from repro.spark.cache import collector_paused
 from repro.spark.cancellation import Heartbeat, current_token
 from repro.spark.partitioner import HashPartitioner, Partitioner
 
@@ -110,10 +111,11 @@ class RDD(ABC, Generic[T]):
     def iterator(self, split: int) -> Iterator[T]:
         """Compute a partition, transparently consulting the cache.
 
-        A persisted split is computed once: a concurrent reader waits
-        for the one computing it (cancellably) and counts a hit.  If
-        that compute raises, nothing is cached and a waiter computes
-        the split itself.
+        A persisted split is computed once, with the cyclic collector
+        paused (:func:`~repro.spark.cache.collector_paused`): a
+        concurrent reader waits for the one computing it (cancellably)
+        and counts a hit.  If that compute raises, nothing is cached and
+        a waiter computes the split itself.
         """
         if not self._cached:
             return self.compute(split)
@@ -137,7 +139,8 @@ class RDD(ABC, Generic[T]):
             while not computing.wait(None if token is None else 0.05):
                 token.check()
         try:
-            data = list(self.compute(split))
+            with collector_paused():
+                data = list(self.compute(split))
         except BaseException:
             cache.abandon(self.id, split)
             raise

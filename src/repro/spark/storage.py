@@ -223,15 +223,21 @@ def save_text_file(rdd: RDD[T], path: str) -> None:
 def read_object_part(part: str) -> list:
     """Unpickle one part-file, mapping corruption to :class:`StorageError`.
 
-    Truncated or garbage pickles raise ``UnpicklingError``/``EOFError``
-    deep inside the pickle module; callers (and their retry loops) get a
-    typed error naming the offending path instead.
+    A damaged pickle can raise almost anything from deep inside the
+    pickle module -- ``UnpicklingError``, ``EOFError``, but also
+    ``AttributeError`` or ``ModuleNotFoundError`` for a name that does
+    not resolve, ``UnicodeDecodeError``, ``ValueError`` -- so every
+    exception the load raises reaches callers (and their retry loops)
+    as one typed error naming the path.  The file is read whole first:
+    a damaged length field is then checked against the bytes there are,
+    instead of sizing a read from the file.
     """
+    with open(part, "rb") as f:
+        blob = f.read()
     try:
-        with open(part, "rb") as f:
-            return pickle.load(f)
-    except (pickle.UnpicklingError, EOFError) as exc:
-        raise StorageError(f"corrupt part-file {part!r}: {exc}") from exc
+        return pickle.loads(blob)
+    except Exception as exc:
+        raise StorageError(f"corrupt part-file {part!r}: {exc!r}") from exc
 
 
 class ObjectFileRDD(RDD[Any]):

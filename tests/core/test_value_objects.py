@@ -13,7 +13,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro.core.stobject import STObject
+from repro.core.stobject import STObject, _point_stobject
 from repro.geometry import Point, Polygon
 from repro.geometry.envelope import Envelope
 from repro.temporal import Instant, Interval
@@ -82,6 +82,64 @@ class TestDataclassPickles:
     def test_round_trip(self, value):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(value, protocol=protocol)) == value
+
+
+#: ``pickle.dumps(_POINT_EVENTS, protocol=pickle.HIGHEST_PROTOCOL)`` as
+#: written when every STObject pickled through its state hooks.
+_STATE_HOOK_PICKLE = base64.b64decode(
+    """
+gAWVkwEAAAAAAABdlCiME3JlcHJvLmNvcmUuc3RvYmplY3SUjAhTVE9iamVjdJSTlCmBlIwUcmVw
+cm8uZ2VvbWV0cnkucG9pbnSUjAVQb2ludJSTlCmBlEc/+AAAAAAAAEfAAAAAAAAAAImHlGJOhpRi
+aAMpgZRoBymBlEdACAAAAAAAAEdAEAAAAAAAAImHlGKMFnJlcHJvLnRlbXBvcmFsLmluc3RhbnSU
+jAdJbnN0YW50lJOUKYGUXZRLB2FihpRiaAMpgZRoBymBlEdAFAAAAAAAAEdAGAAAAAAAAImHlGKM
+F3JlcHJvLnRlbXBvcmFsLmludGVydmFslIwISW50ZXJ2YWyUk5QpgZRdlChHP/QAAAAAAABHQAQA
+AAAAAABlYoaUYmgDKYGUjBlyZXByby5nZW9tZXRyeS5saW5lc3RyaW5nlIwKTGluZVN0cmluZ5ST
+lCmBlEcAAAAAAAAAAEcAAAAAAAAAAIaURz/wAAAAAAAARz/wAAAAAAAAhpSGlIWUYmgQKYGUXZRH
+QAgAAAAAAABhYoaUYmUu
+"""
+)
+
+_POINT_EVENTS = [
+    STObject("POINT (1.5 -2)"),
+    STObject("POINT (3 4)", 7),
+    STObject("POINT (5 6)", 1.25, 2.5),
+    STObject("LINESTRING (0 0, 1 1)", 3.0),
+]
+
+
+class TestPointEventPickle:
+    """A point event pickles as one call over its numbers; every other
+    STObject, and every pickle written before, goes through the state hooks."""
+
+    def test_state_hook_pickles_load_equal(self):
+        loaded = pickle.loads(_STATE_HOOK_PICKLE)
+        assert loaded == _POINT_EVENTS
+        assert [hash(v) for v in loaded] == [hash(v) for v in _POINT_EVENTS]
+        assert type(loaded[1].time.value) is int
+        assert loaded[2].geo.envelope == Envelope(5, 6, 5, 6)
+
+    @pytest.mark.parametrize(
+        "time", [None, Instant(7), Instant(2.5), Interval(1, 2.5), Interval(3.0, 3.0)]
+    )
+    def test_point_event_is_one_call(self, time):
+        value = STObject(Point(-0.25, 1e300), time)
+        function, _args = value.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        assert function is _point_stobject
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol=protocol))
+            assert back == value and hash(back) == hash(value)
+            assert type(back.time) is type(time)
+            assert back.geo.envelope == Envelope(-0.25, 1e300, -0.25, 1e300)
+        if time is not None:
+            kept = back.time.value if type(time) is Instant else (back.time.start, back.time.end)
+            wanted = time.value if type(time) is Instant else (time.start, time.end)
+            assert kept == wanted and type(kept) is type(wanted)
+
+    def test_other_events_keep_their_state_hooks(self):
+        value = STObject("POLYGON ((0 0, 1 0, 1 1, 0 0))", 10, 20)
+        assert value.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[0] is not _point_stobject
+        assert b"_point_stobject" not in pickle.dumps(value)
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 class TestValueSemantics:

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.core.stobject import STObject
 from repro.io.datagen import event_rows, uniform_points
 from repro.io.readers import EventParseError, load_event_file, write_event_file
 from repro.spark.errors import JobAbortedError
-from repro.spark.storage import StorageError
+from repro.spark.storage import StorageError, read_object_part
 
 
 @pytest.fixture
@@ -94,6 +95,51 @@ class TestCorruptedStorage:
         assert isinstance(excinfo.value.cause.__cause__, pickle.UnpicklingError)
         assert "part-00000.pkl" in str(excinfo.value.cause)
 
+    @pytest.mark.parametrize(
+        "blob, raised",
+        [
+            (b"crepro.core.stobject\nNoSuchClass\n.", AttributeError),
+            (b"crepro.no_such_module\nThing\n.", ModuleNotFoundError),
+        ],
+    )
+    def test_unresolvable_name_is_typed(self, sc, tmp_path, blob, raised):
+        path = str(tmp_path / "data")
+        sc.parallelize([1], 1).save_as_object_file(path)
+        with open(os.path.join(path, "part-00000.pkl"), "wb") as f:
+            f.write(blob)
+        with pytest.raises(JobAbortedError) as excinfo:
+            sc.object_file(path).collect()
+        assert isinstance(excinfo.value.cause, StorageError)
+        assert isinstance(excinfo.value.cause.__cause__, raised)
+        assert "part-00000.pkl" in str(excinfo.value.cause)
+
+    def test_random_byte_flips_fail_typed(self, sc, tmp_path):
+        # Whatever a damaged part makes the unpickler raise, the reader
+        # raises one StorageError naming the part.
+        path = str(tmp_path / "data")
+        rows = [
+            (STObject("POINT (1 2)", i), {"id": i, "name": f"n{i}"}, [i * 0.5, None])
+            for i in range(4)
+        ] + [STObject("POLYGON ((0 0, 1 0, 1 1, 0 0))", 1.0, 2.0)]
+        sc.parallelize(rows, 1).save_as_object_file(path)
+        part = os.path.join(path, "part-00000.pkl")
+        with open(part, "rb") as f:
+            original = f.read()
+        rng = random.Random(2024)
+        typed = 0
+        for trial in range(300):
+            damaged = bytearray(original)
+            for _ in range(3):
+                damaged[rng.randrange(len(damaged))] = rng.randrange(256)
+            with open(part, "wb") as f:
+                f.write(damaged)
+            try:
+                read_object_part(part)
+            except StorageError as exc:
+                assert "part-00000.pkl" in str(exc), trial
+                typed += 1
+        assert typed > 150
+
     def test_file_instead_of_directory(self, sc, tmp_path):
         path = tmp_path / "plainfile"
         path.write_text("hello")
@@ -130,8 +176,8 @@ class TestIndexPersistenceFaults:
             spatial(rdd).index(order=4).save(saved_index)
 
     def test_truncated_part_falls_back_to_live_index(self, sc, saved_index):
-        # Damage one tree part; the load rebuilds that partition live
-        # from the recovery sidecar and query results stay exact.
+        # Damage one part; the load reads that partition's rows from the
+        # recovery copy and query results stay exact.
         part = os.path.join(saved_index, "part-00001.pkl")
         with open(part, "rb") as f:
             blob = f.read()
@@ -153,16 +199,17 @@ class TestIndexPersistenceFaults:
         assert reloaded.partitioner is None  # pruning disabled, queries work
         query = STObject("POLYGON ((0 0, 1000 0, 1000 1000, 0 1000, 0 0))")
         assert reloaded.intersects(query).count() == 50
-        # One fallback for the metadata, and -- the tree layout version
-        # being unknown without it -- one sidecar rebuild per partition.
-        assert sc.metrics.index_fallbacks == 1 + 2
+        # One fallback for the metadata; the parts are read as they
+        # would be with it.
+        assert sc.metrics.index_fallbacks == 1
+        assert reloaded.tree_rdd.fallbacks == []
 
     def test_corrupt_part_without_sidecar_raises_storage_error(self, sc, saved_index):
-        # Pre-sidecar layouts (or a damaged sidecar) cannot recover: the
+        # Without its recovery copy a corrupt part cannot recover: the
         # error is a typed StorageError naming the path, not raw pickle.
         import shutil
 
-        shutil.rmtree(os.path.join(saved_index, "_data"))
+        shutil.rmtree(os.path.join(saved_index, "_rows_copy"))
         part = os.path.join(saved_index, "part-00000.pkl")
         with open(part, "wb") as f:
             f.write(b"not a pickle")
