@@ -70,7 +70,7 @@ class Unsplit3D:
             env, t = kv[0].geo.envelope, kv[0].time
             t_range = (-inf, inf) if t is None else (t.start, t.end)
             boxed.append(((env.min_x, env.min_y, env.max_x, env.max_y, *t_range), kv))
-        self._root = _bulk_load(boxed, NODE_CAPACITY, 3)
+        self._root = _bulk_load(boxed, NODE_CAPACITY, 3)[0]
 
     def query_st(self, region, when):
         t_range = (-math.inf, math.inf) if when is None else (when.start, when.end)

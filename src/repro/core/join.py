@@ -13,9 +13,9 @@
   Figure-4 speed-up comes from.
 - **Local join.**  Each task probes the right block's STR-tree (live
   indexing, built once per join or per persisted right RDD) with every
-  left item's candidate region and refines candidates exactly.  With
-  ``index_order=None`` a nested loop with envelope pre-test runs
-  instead.
+  left item's candidate region that meets the tree's bounds and refines
+  candidates exactly.  With ``index_order=None`` a nested loop with
+  envelope pre-test runs instead.
 
 Because STARK assigns each item to exactly one partition (centroid
 assignment, no replication), every qualifying pair is produced by
@@ -109,8 +109,13 @@ class SpatialJoinRDD(RDD[tuple]):
             tree: STRTree = next(self._right_trees.iterator(right_split))
             if len(tree) == 0:
                 return
+            # Unpartitioned sides pair every left item with every tree:
+            # a region that misses the tree's bounds skips the probe.
+            bounds = tree.envelope
             for left_kv in self._left.iterator(left_split):
                 region = predicate.candidate_region(left_kv[0].geo.envelope)
+                if not bounds.intersects(region):
+                    continue
                 for right_kv in tree.query(region):
                     heartbeat.beat()
                     if predicate.evaluate(left_kv[0], right_kv[0]):

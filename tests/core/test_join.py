@@ -7,6 +7,7 @@ from repro.core.predicates import CONTAINED_BY, CONTAINS, INTERSECTS, within_dis
 from repro.core.stobject import STObject
 from repro.core.summaries import partition_summaries
 from repro.geometry.envelope import Envelope
+from repro.index.rtree import STRTree
 from repro.io.datagen import clustered_points, random_polygons, uniform_points
 from repro.partitioners.bsp import BSPartitioner
 from repro.partitioners.grid import GridPartitioner
@@ -126,6 +127,19 @@ class TestPairPruning:
     def test_unpartitioned_join_evaluates_all_pairs(self, sc, points_rdd):
         join = spatial_join(points_rdd, points_rdd, INTERSECTS, prune_pairs=False)
         assert join.num_partitions == points_rdd.num_partitions ** 2
+
+    def test_a_region_missing_the_trees_bounds_skips_its_probe(self, sc, monkeypatch):
+        rows = lambda sign: [(STObject(f"POINT ({x} {x})"), sign * x) for x in (1, 2, 101, 102)]
+        left, right = sc.parallelize(rows(1), 2), sc.parallelize(rows(-1), 2)
+        probes = []
+        query = STRTree.query
+        monkeypatch.setattr(
+            STRTree, "query", lambda tree, region: probes.append(region) or query(tree, region)
+        )
+        got = result_pairs(spatial_join(left, right, INTERSECTS, prune_pairs=False))
+        assert got == [(1, -1), (2, -2), (101, -101), (102, -102)]
+        # 4 partition pairs x 2 left items; only a point's own tree is probed.
+        assert len(probes) == 4
 
     def test_pruning_preserves_results(self, sc, points_rdd, polys_rdd):
         pruned = result_pairs(spatial_join(points_rdd, polys_rdd, CONTAINED_BY))

@@ -11,6 +11,7 @@ from repro.io.readers import load_event_file, write_event_file
 from repro.spark import cache
 from repro.spark.context import SparkContext
 from repro.spark.errors import JobAbortedError
+from repro.streaming.sources import DirectorySource
 
 
 @pytest.fixture
@@ -133,3 +134,41 @@ class TestCollectorPause:
         finally:
             sc.stop()
         assert gc.isenabled()
+
+
+def source_over(tmp_path, lines=(), **kwargs):
+    """A directory source over one event file (200 events, then *lines*)
+    whose decoder records whether the collector was on for each row."""
+    path = tmp_path / "events.txt"
+    write_event_file(event_rows(uniform_points(200, seed=5), seed=5), str(path))
+    with open(path, "a") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    source = DirectorySource(str(tmp_path), **kwargs)
+    seen = []
+    decode = source._event_record
+    source._event_record = lambda line: seen.append(gc.isenabled()) or decode(line)
+    return source, seen
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestDirectorySourcePause:
+    def test_decodes_paused_and_turns_it_back_on(self, tmp_path):
+        source, seen = source_over(tmp_path)
+        assert len(source.poll()) == 200
+        assert seen == [False] * 200
+        assert gc.isenabled()
+
+    def test_a_callers_disabled_collector_stays_disabled(self, tmp_path):
+        source, seen = source_over(tmp_path)
+        gc.disable()
+        assert len(source.poll()) == 200
+        assert seen == [False] * 200
+        assert not gc.isenabled()
+
+    def test_a_raised_parse_failure_restores_it(self, tmp_path):
+        source, seen = source_over(tmp_path, lines=["not;an;event"], on_error="raise")
+        with pytest.raises(ValueError):
+            source.poll()
+        assert seen == [False] * 201
+        assert gc.isenabled()
+        assert source.last_poll_delta() is None
