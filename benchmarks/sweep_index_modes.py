@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Sweep the time-aware partition indexes against each other.
+"""Sweep the partition index modes against each other.
 
 Compares the best of *R* runs per query (probe plus exact refinement,
 one partition-sized index, single thread):
 
-- ``forest`` -- :class:`~repro.index.temporal_forest.TimeSlicedForest`;
+- ``spatial`` -- the 2D :class:`~repro.index.rtree.STRTree` that
+  ``build_partition_index(mode="spatial")`` builds: time is left to
+  refinement;
 - ``3d-unsplit`` -- the (x, y, t) tree as it was before untimed entries
   got a 2D tree of their own: every untimed entry boxed with the time
   range (-inf, inf) in the one 3D tree (rebuilt here from the kernel's
@@ -28,9 +30,10 @@ Usage::
     PYTHONPATH=src python benchmarks/sweep_index_modes.py [--queries Q]
         [--repeats R] [--seed S] [--full]
 
-Prints a summary per timed fraction (forest time / 3D time, min and
-max over the cells; above 1 the 3D tree is faster) and, with
-``--full``, every cell.
+Prints a summary per timed fraction (spatial time / 3D time, min and
+max over the cells; above 1 the 3D tree is faster, the choice the
+planner's rule makes whenever a row is timed) and, with ``--full``,
+every cell.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import time
 from repro.core.predicates import INTERSECTS
 from repro.core.stobject import STObject
 from repro.geometry.point import Point
-from repro.index import STRTree3D, TimeSlicedForest
+from repro.index import STRTree3D, build_partition_index
 from repro.index.rtree import _bulk_load, _search
 from repro.temporal import Interval
 
@@ -75,11 +78,11 @@ class Unsplit3D:
     def query_st(self, region, when):
         t_range = (-math.inf, math.inf) if when is None else (when.start, when.end)
         probe = (region.min_x, region.min_y, region.max_x, region.max_y, *t_range)
-        return _search(self._root, probe), 0
+        return _search(self._root, probe)
 
 
 STRUCTURES = (
-    ("forest", lambda rows: TimeSlicedForest(rows, node_capacity=NODE_CAPACITY)),
+    ("spatial", lambda rows: build_partition_index(rows, NODE_CAPACITY, "spatial")),
     ("3d-unsplit", Unsplit3D),
     ("3d", lambda rows: STRTree3D.for_stobjects(rows, node_capacity=NODE_CAPACITY)),
 )
@@ -135,7 +138,7 @@ def run_queries(index, queries):
     answers = []
     began = time.perf_counter()
     for q in queries:
-        candidates, _ = index.query_st(q.geo.envelope, q.time)
+        candidates = index.query_st(q.geo.envelope, q.time)
         answers.append(sorted(kv[1] for kv in candidates if INTERSECTS.evaluate(kv[0], q)))
     return (time.perf_counter() - began) / len(queries), answers
 
@@ -172,24 +175,24 @@ def _cell_name(cell):
 
 
 def report(cells, full):
-    lines = ["| timed | cells | forest / 3d-unsplit (min, median, max)"
-             " | forest / 3d (min, median, max) | slowest 3d cell |",
+    lines = ["| timed | cells | spatial / 3d-unsplit (min, median, max)"
+             " | spatial / 3d (min, median, max) | slowest 3d cell |",
              "|---|---|---|---|---|"]
     for timed_share in TIMED:
         group = [c for c in cells if c["timed"] == timed_share]
-        old = sorted(c["forest"] / c["3d-unsplit"] for c in group)
-        new = sorted(c["forest"] / c["3d"] for c in group)
-        worst = min(group, key=lambda c: c["forest"] / c["3d"])
+        old = sorted(c["spatial"] / c["3d-unsplit"] for c in group)
+        new = sorted(c["spatial"] / c["3d"] for c in group)
+        worst = min(group, key=lambda c: c["spatial"] / c["3d"])
         lines.append(
             f"| {timed_share:.0%} | {len(group)} "
             f"| {old[0]:.2f}, {statistics.median(old):.2f}, {old[-1]:.2f} "
             f"| {new[0]:.2f}, {statistics.median(new):.2f}, {new[-1]:.2f} "
-            f"| {_cell_name(worst)}: {worst['forest'] * 1e3:.3f} vs {worst['3d'] * 1e3:.3f} ms |"
+            f"| {_cell_name(worst)}: {worst['spatial'] * 1e3:.3f} vs {worst['3d'] * 1e3:.3f} ms |"
         )
     if full:
-        lines += ["", "| cell | forest ms | 3d-unsplit ms | 3d ms |", "|---|---|---|---|"]
+        lines += ["", "| cell | spatial ms | 3d-unsplit ms | 3d ms |", "|---|---|---|---|"]
         lines += [
-            f"| {_cell_name(c)} | {c['forest'] * 1e3:.3f} | {c['3d-unsplit'] * 1e3:.3f}"
+            f"| {_cell_name(c)} | {c['spatial'] * 1e3:.3f} | {c['3d-unsplit'] * 1e3:.3f}"
             f" | {c['3d'] * 1e3:.3f} |"
             for c in cells
         ]

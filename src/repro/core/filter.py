@@ -15,21 +15,18 @@ the hybrid-index extension:
    predicate (after the cheap envelope pre-test).
 3. **Live indexing** -- each partition's content is bulk-loaded into a
    partition-local index first (``mode="spatial"`` for the paper's
-   STR-tree, ``"temporal"`` for the time-sliced forest, ``"3d"`` for
-   the (x, y, t) STR bulk load), the index is queried for candidates,
-   and the candidates are refined with the exact spatial *and* temporal
-   predicate.  A persisted RDD is bulk-loaded once and its indexes are
-   reused by every later query.
+   STR-tree, ``"3d"`` for the (x, y, t) STR bulk load), the index is
+   queried for candidates, and the candidates are refined with the
+   exact spatial *and* temporal predicate.  A persisted RDD is
+   bulk-loaded once and its indexes are reused by every later query.
 4. **Predicate order** -- refinement evaluates spatial-first (the
    paper's behaviour) or temporal-first (two float comparisons before
    any geometry work), chosen by the cost-based planner.
 
 Attribution: every index probe adds its candidate count to
 ``metrics.index_candidates`` and the current task span
-(``index.candidates``); time-sliced probes additionally record the
-slices skipped (``metrics.index_slices_pruned``,
-``index.temporal_pruned``), and whole-partition temporal pruning
-counts into ``metrics.partitions_pruned_temporal``.
+(``index.candidates``), and whole-partition temporal pruning counts
+into ``metrics.partitions_pruned_temporal``.
 """
 
 from __future__ import annotations
@@ -54,14 +51,10 @@ from repro.spark.rdd import RDD, PartitionPruningRDD
 V = TypeVar("V")
 
 
-def _note_probe(context, candidates: int, slices_pruned: int) -> None:
+def _note_probe(context, candidates: int) -> None:
     """Attribute one index probe to metrics and the current task span."""
     context.metrics.index_candidates += candidates
     tracer = context.tracer
-    if slices_pruned:
-        context.metrics.index_slices_pruned += slices_pruned
-        if tracer.enabled:
-            tracer.add("index.temporal_pruned", slices_pruned)
     if tracer.enabled and candidates:
         tracer.add("index.candidates", candidates)
 
@@ -152,8 +145,8 @@ def _probe_and_refine(
             # Candidates match on bounding boxes (and, for time-aware
             # modes, time ranges) only; refinement applies the exact
             # spatial and temporal predicates.
-            candidates, slices_pruned = tree.query_st(region, query_time)
-            _note_probe(context, len(candidates), slices_pruned)
+            candidates = tree.query_st(region, query_time)
+            _note_probe(context, len(candidates))
             for kv in candidates:
                 if predicate.evaluate_ordered(kv[0], query, temporal_first):
                     yield kv
@@ -168,7 +161,6 @@ def filter_live_index(
     order: int = 10,
     prune: bool = True,
     mode: str = "spatial",
-    time_slices: int | None = None,
     temporal_first: bool = False,
 ) -> RDD:
     """Filter with live indexing: build, query, refine -- per partition.
@@ -179,7 +171,7 @@ def filter_live_index(
     pruned candidates are never materialized at all.  A persisted *rdd*
     builds its indexes once (:func:`repro.index.partition_index`).
     """
-    trees = partition_index(rdd, order, mode, time_slices)
+    trees = partition_index(rdd, order, mode)
     if prune:
         trees = prune_partitions(rdd, query, predicate, trees)
     return _probe_and_refine(trees, query, predicate, temporal_first).set_name(
@@ -195,11 +187,10 @@ def filter_indexed(
 ) -> RDD:
     """Filter an RDD of per-partition indexes (persistent index mode).
 
-    ``index_rdd`` holds one partition-local index (STR-tree, time-
-    sliced forest or 3D tree) per partition whose entries are
-    ``(STObject, V)`` pairs.  Partitions are pruned on their summaries
-    -- read off the trees, or restored with a reloaded index -- before
-    any index is opened.
+    ``index_rdd`` holds one partition-local index (STR-tree or 3D tree)
+    per partition whose entries are ``(STObject, V)`` pairs.  Partitions
+    are pruned on their summaries -- read off the trees, or restored
+    with a reloaded index -- before any index is opened.
     """
     base = prune_partitions(index_rdd, query, predicate)
     return _probe_and_refine(base, query, predicate, temporal_first).set_name(

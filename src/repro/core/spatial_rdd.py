@@ -179,28 +179,24 @@ class SpatialRDDFunctions(_PredicateFilters):
         order: int = DEFAULT_INDEX_ORDER,
         partitioner: SpatialPartitioner | None = None,
         mode: str = "spatial",
-        time_slices: int | None = None,
     ) -> "LiveIndexedSpatialRDDFunctions":
         """Live indexing mode: build an R-tree per partition at query time.
 
         The optional *partitioner* repartitions the RDD before indexing,
         matching the paper's ``liveIndex(order, partitioner)`` signature.
-        *mode* picks the partition-index structure (``"spatial"``,
-        ``"temporal"`` or ``"3d"``; see
-        :func:`repro.index.build_partition_index`), and *time_slices* sizes
-        the temporal forest.
+        *mode* picks the partition-index structure (``"spatial"`` or
+        ``"3d"``; see :func:`repro.index.build_partition_index`).
         """
         if mode not in INDEX_MODES:
             raise ValueError(f"unknown index mode {mode!r}; known: {INDEX_MODES}")
         rdd = self._rdd if partitioner is None else self._rdd.partition_by(partitioner)
-        return LiveIndexedSpatialRDDFunctions(rdd, order, mode=mode, time_slices=time_slices)
+        return LiveIndexedSpatialRDDFunctions(rdd, order, mode=mode)
 
     def index(
         self,
         order: int = DEFAULT_INDEX_ORDER,
         partitioner: SpatialPartitioner | None = None,
         mode: str = "spatial",
-        time_slices: int | None = None,
     ) -> "IndexedSpatialRDD":
         """Persistent-index mode: materialize one index tree per partition.
 
@@ -211,12 +207,10 @@ class SpatialRDDFunctions(_PredicateFilters):
         share, so unpersisting the handle frees nothing they use.
         """
         rdd = self._rdd if partitioner is None else self._rdd.partition_by(partitioner)
-        trees = partition_index(rdd, order, mode, time_slices)
+        trees = partition_index(rdd, order, mode)
         if rdd._cached:
             trees = trees.map_partitions(iter, preserves_partitioning=True)
-        return IndexedSpatialRDD(
-            trees.persist(), order=order, mode=mode, time_slices=time_slices
-        )
+        return IndexedSpatialRDD(trees.persist(), order=order, mode=mode)
 
     # -- planning ----------------------------------------------------------
 
@@ -265,23 +259,15 @@ class LiveIndexedSpatialRDDFunctions(_PredicateFilters):
 
     Nothing is materialized here: each operation builds the per-
     partition trees while it runs (once, for a persisted RDD), queries
-    them, and refines candidates.  The handle carries the index *mode*
-    and the forest's *time_slices*.
+    them, and refines candidates.  The handle carries the index *mode*.
     """
 
-    def __init__(
-        self,
-        rdd: RDD,
-        order: int,
-        mode: str = "spatial",
-        time_slices: int | None = None,
-    ) -> None:
+    def __init__(self, rdd: RDD, order: int, mode: str = "spatial") -> None:
         if order < 2:
             raise ValueError(f"index order must be >= 2, got {order}")
         self._rdd = rdd
         self._order = order
         self._mode = mode
-        self._time_slices = time_slices
 
     @property
     def rdd(self) -> RDD:
@@ -295,12 +281,7 @@ class LiveIndexedSpatialRDDFunctions(_PredicateFilters):
 
     def _filter(self, query: STObject, predicate: STPredicate) -> RDD:
         return filter_ops.filter_live_index(
-            self._rdd,
-            query,
-            predicate,
-            self._order,
-            mode=self._mode,
-            time_slices=self._time_slices,
+            self._rdd, query, predicate, self._order, mode=self._mode
         )
 
     def join(
@@ -329,16 +310,11 @@ class IndexedSpatialRDD(_PredicateFilters):
     """
 
     def __init__(
-        self,
-        tree_rdd: RDD,
-        order: int | None = None,
-        mode: str = "spatial",
-        time_slices: int | None = None,
+        self, tree_rdd: RDD, order: int | None = None, mode: str = "spatial"
     ) -> None:
         self._trees = tree_rdd
         self._order = order
         self._mode = mode
-        self._time_slices = time_slices
 
     @property
     def tree_rdd(self) -> RDD:
@@ -379,7 +355,6 @@ class IndexedSpatialRDD(_PredicateFilters):
             order=self._order,
             summaries=partition_summaries(self._trees),
             mode=self._mode,
-            time_slices=self._time_slices,
         )
 
     @staticmethod
@@ -396,10 +371,7 @@ class IndexedSpatialRDD(_PredicateFilters):
         if summaries is not None:
             restore_summaries(tree_rdd, summaries)
         return IndexedSpatialRDD(
-            tree_rdd.persist(),
-            order=tree_rdd._order,
-            mode=mode or "spatial",
-            time_slices=tree_rdd._time_slices,
+            tree_rdd.persist(), order=tree_rdd._order, mode=mode or "spatial"
         )
 
     kNN = knn

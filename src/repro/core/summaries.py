@@ -64,16 +64,16 @@ def driver_memo(rdd: RDD) -> dict:
 def temporal_extent_of(tree) -> tuple[Interval | None, int]:
     """``(covering interval of timed members, how many are timed)``.
 
-    Works for every partition-index kind: the forest and the 3D tree
-    keep their untimed members apart and answer from their own
-    bookkeeping; a plain spatial :class:`~repro.index.rtree.STRTree`
-    (whose items are ``(STObject, V)`` pairs) is scanned once.
+    Works for both partition-index kinds: the 3D tree keeps its untimed
+    members apart and answers from its own bookkeeping; a plain spatial
+    :class:`~repro.index.rtree.STRTree` (whose items are ``(STObject,
+    V)`` pairs) is scanned once.
     """
     if hasattr(tree, "untimed_count"):
         return tree.temporal_extent, len(tree) - tree.untimed_count
     lo, hi = _INF, -_INF
     timed = 0
-    for _box, kv in tree._leaf_rows():  # not iter_entries: no Envelope per entry
+    for _box, kv in tree._leaf_rows():
         key = getattr(kv[0], "time", None) if isinstance(kv, tuple) else None
         if key is not None:
             timed += 1

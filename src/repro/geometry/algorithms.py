@@ -221,21 +221,31 @@ def ring_is_ccw(ring: Sequence[Coord]) -> bool:
 
 
 def ring_centroid(ring: Sequence[Coord]) -> Coord:
-    """Area centroid of a closed ring (falls back to vertex mean if degenerate)."""
-    area = ring_signed_area(ring)
-    if abs(area) <= _EPS:
-        xs = [c[0] for c in ring[:-1]]
-        ys = [c[1] for c in ring[:-1]]
-        return (sum(xs) / len(xs), sum(ys) / len(ys))
-    cx = cy = 0.0
-    for i in range(len(ring) - 1):
-        x1, y1 = ring[i]
-        x2, y2 = ring[i + 1]
+    """Area centroid of a closed ring (falls back to vertex mean if degenerate).
+
+    The shoelace sums run relative to the first vertex, so they are the
+    fan triangles' centroids weighted by the fan triangles' areas, and
+    the weights' own sum is the divisor.  Over a convex ring every weight
+    has one sign and the result is a weighted mean of points inside the
+    ring: a sliver's centroid stays inside it.  With absolute coordinates
+    the cross products cancel, and for a triangle 1e-7 wide at y ~ 23
+    the error (~2e-7) exceeds its width.
+    """
+    x0, y0 = ring[0]
+    cx = cy = twice_area = 0.0
+    for i in range(1, len(ring) - 2):
+        x1, y1 = ring[i][0] - x0, ring[i][1] - y0
+        x2, y2 = ring[i + 1][0] - x0, ring[i + 1][1] - y0
         cross = x1 * y2 - x2 * y1
         cx += (x1 + x2) * cross
         cy += (y1 + y2) * cross
-    factor = 1.0 / (6.0 * area)
-    return (cx * factor, cy * factor)
+        twice_area += cross
+    if abs(twice_area) <= 2.0 * _EPS:
+        xs = [c[0] for c in ring[:-1]]
+        ys = [c[1] for c in ring[:-1]]
+        return (sum(xs) / len(xs), sum(ys) / len(ys))
+    factor = 1.0 / (3.0 * twice_area)
+    return (x0 + cx * factor, y0 + cy * factor)
 
 
 def convex_hull(points: Sequence[Coord]) -> list[Coord]:

@@ -28,7 +28,10 @@ Loading degrades instead of dying on damage:
   ``_data`` sidecar of ``(Envelope, item)`` entry lists.  Its trees are
   never unpickled: every partition is read from ``_data``, as a fallback;
 - when a part and its recovery data are both unreadable the load fails
-  with a :class:`~repro.spark.storage.StorageError` naming the path.
+  with a :class:`~repro.spark.storage.StorageError` naming the path;
+- metadata naming a mode this version does not build (``temporal``, the
+  time-sliced forest earlier versions saved) fails the load with a
+  :class:`~repro.spark.storage.StorageError` naming the mode.
 
 A loaded index lives where any persisted RDD's blocks live: in the
 context's block cache, freed by ``unpersist()``.
@@ -41,7 +44,7 @@ import pickle
 import zlib
 from typing import TYPE_CHECKING, Iterator
 
-from repro.index import build_partition_index
+from repro.index import INDEX_MODES, build_partition_index
 from repro.index.rtree import DEFAULT_NODE_CAPACITY, STRTree
 from repro.spark import storage
 from repro.spark.rdd import RDD
@@ -65,17 +68,16 @@ def save_index(
     order: int | None = None,
     summaries: list | None = None,
     mode: str | None = None,
-    time_slices: int | None = None,
 ) -> None:
     """Persist an RDD of per-partition index trees as their rows, twice:
     the part-files and the ``_rows_copy`` recovery copy.  *order* (the
-    node capacity), *mode*, the forest's *time_slices* and the partition
-    *summaries* go to the metadata."""
+    node capacity), *mode* and the partition *summaries* go to the
+    metadata."""
     rows = indexed_rdd.flat_map(lambda tree: tree.items())
     rows.save_as_object_file(path)
     rows.save_as_object_file(os.path.join(path, _ROWS_COPY_DIR))
     _write_meta(path, dict(partitioner=partitioner, order=order, mode=mode,
-                           time_slices=time_slices, summaries=summaries))
+                           summaries=summaries))
 
 
 def _write_meta(path: str, meta: dict) -> None:
@@ -129,8 +131,8 @@ def _read_tree_sidecar(part: str) -> list:
 
 class ResilientIndexRDD(RDD[STRTree]):
     """Reads a saved index's rows and bulk-loads one tree per partition,
-    in the saved *mode*, capacity *order* and *time_slices* (``spatial``
-    and the default capacity when none is recorded)."""
+    in the saved *mode* and capacity *order* (``spatial`` and the default
+    capacity when none is recorded)."""
 
     def __init__(
         self,
@@ -138,14 +140,12 @@ class ResilientIndexRDD(RDD[STRTree]):
         path: str,
         order: int | None = None,
         mode: str | None = None,
-        time_slices: int | None = None,
     ) -> None:
         super().__init__(context)
         self._path = path
         self._parts = storage._list_parts(path, ".pkl")
         self._order = order or DEFAULT_NODE_CAPACITY
         self._mode = mode or "spatial"
-        self._time_slices = time_slices
         sidecar = os.path.join(path, _TREE_SIDECAR_DIR)
         #: Whether the part-files hold pickled trees, which are never read.
         self._tree_layout = os.path.isdir(sidecar)
@@ -172,9 +172,7 @@ class ResilientIndexRDD(RDD[STRTree]):
             rows = _read_rows(part)
         except Exception as exc:
             rows = self._recover(split, part, exc)
-        return iter(
-            [build_partition_index(rows, self._order, self._mode, self._time_slices)]
-        )
+        return iter([build_partition_index(rows, self._order, self._mode)])
 
     def _recover(self, split: int, part: str, cause: Exception) -> list:
         """The partition's rows, read from its recovery data."""
@@ -210,6 +208,8 @@ def load_index(
     :class:`ResilientIndexRDD`).  The summaries are ``None`` when the
     directory records none (or as many as it no longer has parts): they
     are an optimisation, and can always be measured again from the trees.
+    An index saved in a mode this version does not build is refused here,
+    with a :class:`StorageError` naming the mode, not at its first query.
     """
     try:
         meta = _read_meta(path)
@@ -223,15 +223,15 @@ def load_index(
                 "index.meta_fallback", path=os.path.join(path, _META_FILE)
             ):
                 pass
-    rdd = ResilientIndexRDD(
-        context,
-        path,
-        order=meta.get("order"),
-        mode=meta.get("mode"),
-        time_slices=meta.get("time_slices"),
-    )
+    mode = meta.get("mode")
+    if mode is not None and mode not in INDEX_MODES:
+        raise StorageError(
+            f"index {path!r} was saved in mode {mode!r}, which this version "
+            f"cannot build; known: {INDEX_MODES}"
+        )
+    rdd = ResilientIndexRDD(context, path, order=meta.get("order"), mode=mode)
     rdd.partitioner = meta.get("partitioner")
     summaries = meta.get("summaries")
     if summaries is not None and len(summaries) != rdd.num_partitions:
         summaries = None  # stale metadata; pruning must stay conservative
-    return rdd, summaries, meta.get("mode")
+    return rdd, summaries, mode

@@ -7,9 +7,8 @@ runs of *node_capacity* entries into nodes, recursing until a single
 root remains.  The tree is build-once (like JTS): queries are available
 after construction, inserts are not.
 
-Every partition index is a face over this module: :class:`STRTree`
-(2D), :class:`~repro.index.rtree3d.STRTree3D` (x, y, t) and the slice
-trees of :class:`~repro.index.temporal_forest.TimeSlicedForest`.  A
+Both partition indexes are faces over this module: :class:`STRTree`
+(2D) and :class:`~repro.index.rtree3d.STRTree3D` (x, y, t).  A
 tree's kind shows only in how its entry boxes are made and in how many
 axes the tiling sorts on; the bulk load, the box merge, the range
 traversal and the branch-and-bound ``nearest`` below exist once.
@@ -18,7 +17,7 @@ traversal and the branch-and-bound ``nearest`` below exist once.
 traversal loops: ``(min_x, min_y, max_x, max_y)`` in a 2-axis tree,
 ``(min_x, min_y, max_x, max_y, min_t, max_t)`` in a 3-axis one.  The
 spatial prefix is shared, so whatever looks at space alone
-(``nearest``, ``envelope``, ``iter_entries``) reads both kinds alike.
+(``nearest``, ``envelope``) reads both kinds alike.
 
 **The 2-axis tiling order is frozen** -- sort keys ``(min + max) / 2.0``,
 same slice and chunk sizes -- because the order of range candidates and
@@ -255,13 +254,12 @@ class STRTree(Generic[T]):
             self._root, (envelope.min_x, envelope.min_y, envelope.max_x, envelope.max_y)
         )
 
-    def query_st(self, region: Envelope, time) -> tuple[list[T], int]:
-        """``(candidates, slices_pruned)``: the partition-index contract.
-
-        A spatial tree ignores *time* (refinement applies the temporal
-        predicate) and prunes no slices.
+    def query_st(self, region: Envelope, time) -> list[T]:
+        """The candidates for a probe by *region* and *time*: the
+        partition-index contract.  A spatial tree ignores *time*
+        (refinement applies the temporal predicate).
         """
-        return self.query(region), 0
+        return self.query(region)
 
     def _leaf_rows(self) -> Iterator[tuple[tuple, T]]:
         """Every leaf row, in the order the tiling packed them."""
@@ -279,11 +277,6 @@ class STRTree(Generic[T]):
         index stores these items and rebuilds from them.
         """
         return [item for leaf in self._leaves for _box, item in leaf.rows]
-
-    def iter_entries(self) -> Iterator[tuple[Envelope, T]]:
-        """Every entry as ``(spatial envelope, item)``, in :meth:`items` order."""
-        for box, item in self._leaf_rows():
-            yield Envelope(*box[:4]), item
 
     def nearest(
         self,

@@ -11,16 +11,15 @@ predicate runs.
 Untimed entries stay out of the (x, y, t) boxes: a time range of
 (-inf, inf) would widen every node above them to all time and stop a
 timed probe from pruning at all.  They live in a 2D tree beside the 3D
-one, as the forest keeps its untimed tree.  Under the paper's combined
-semantics (eqs. (1)-(3)) a mixed timed/untimed pair never matches, so a
-timed probe searches the 3D tree only and an untimed probe the 2D tree
-only; ``query``, ``nearest``, ``iter_entries``, ``envelope`` and
-``len`` see both.
+one.  Under the paper's combined semantics (eqs. (1)-(3)) a mixed
+timed/untimed pair never matches, so a timed probe searches the 3D tree
+only and an untimed probe the 2D tree only; ``query``, ``nearest``,
+``items``, ``envelope`` and ``len`` see both.
 
 Everything but the boxing lives in :mod:`repro.index.rtree`: the bulk
 load tiles over three axes instead of two, the range traversal tests
-the t-range of a 6-float probe, and ``nearest`` / ``iter_entries`` /
-``envelope`` read the spatial prefix of both trees' boxes.
+the t-range of a 6-float probe, and ``nearest`` / ``envelope`` read
+the spatial prefix of both trees' boxes.
 """
 
 from __future__ import annotations
@@ -95,15 +94,12 @@ class STRTree3D(STRTree[T]):
         probe = _box(envelope, None)
         return _search(self._root, probe) + _search(self._untimed_root, probe)
 
-    def query_st(
-        self, region: Envelope, time: TemporalExpression | None
-    ) -> tuple[list[T], int]:
-        """``(candidates, 0)``: entries whose box intersects region x time.
+    def query_st(self, region: Envelope, time: TemporalExpression | None) -> list[T]:
+        """The entries whose box intersects region x time.
 
         A timed query searches the 3D tree only and an untimed query the
         2D tree only: under the combined semantics no other entry can
-        match.  The tree has no slices to skip, so ``slices_pruned`` is
-        always 0.
+        match.
         """
         root = self._untimed_root if time is None else self._root
-        return _search(root, _box(region, time)), 0
+        return _search(root, _box(region, time))

@@ -88,6 +88,7 @@ class Metrics:
     index_fallbacks: int = 0
     index_cache_hits: int = 0
     index_candidates: int = 0
+    # Always 0: no index prunes slices.  bench/harness.py reads it; a bench change drops both.
     index_slices_pruned: int = 0
 
     def reset(self) -> None:

@@ -73,25 +73,13 @@ class TestLiveModeEquality:
         )
         assert reordered == default
 
-    def test_forest_prunes_slices(self, sc):
-        rdd = make_rdd(sc)
-        ids(spatial(rdd).live_index(order=8, mode="temporal").intersects(TIMED_QUERY))
-        assert sc.metrics.index_slices_pruned > 0
-
-    def test_time_slices_override(self, sc):
-        rdd = make_rdd(sc)
-        naive = ids(spatial(rdd).intersects(TIMED_QUERY))
-        forest = ids(
-            spatial(rdd)
-            .live_index(order=8, mode="temporal", time_slices=3)
-            .intersects(TIMED_QUERY)
-        )
-        assert forest == naive
-
     def test_bad_mode_rejected(self, sc):
         rdd = make_rdd(sc, n=20)
-        with pytest.raises(ValueError):
-            spatial(rdd).live_index(order=8, mode="octree")
+        for mode in ("octree", "temporal"):
+            with pytest.raises(ValueError, match=f"unknown index mode '{mode}'"):
+                spatial(rdd).live_index(order=8, mode=mode)
+            with pytest.raises(ValueError, match=f"unknown index mode '{mode}'"):
+                spatial(rdd).index(order=8, mode=mode)
 
 
 class TestPersistentModeEquality:

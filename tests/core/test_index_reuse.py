@@ -1,11 +1,11 @@
 """Differential test of index reuse: a persisted RDD is indexed once.
 
 :func:`repro.index.partition_index` keeps a persisted RDD's partition
-indexes under ``(mode, order, time_slices)`` until ``unpersist``.  One
-persisted RDD of mixed timed and untimed rows takes a drawn sequence of
-live filters (every mode, two orders, two slice counts), joins and kNN
-joins reading it as the right side, interleaved with ``unpersist``,
-re-``persist`` and a chaos plan on ``cache.get``, on both executors.
+indexes under ``(mode, order)`` until ``unpersist``.  One persisted RDD
+of mixed timed and untimed rows takes a drawn sequence of live filters
+(every mode, two orders), joins and kNN joins reading it as the right
+side, interleaved with ``unpersist``, re-``persist`` and a chaos plan on
+``cache.get``, on both executors.
 Every answer is checked against a nested loop, every served index
 against the key it was asked for, and every build is counted: one per
 partition the first time a key is used on the persisted RDD, none after
@@ -38,8 +38,6 @@ from repro.spark.context import SparkContext
 from repro.temporal import Interval
 
 ORDERS = (3, 5)
-#: ``None`` (auto) packs the 10+ timed rows of a partition into 2+ slices.
-TIME_SLICES = (None, 1)
 PREDICATES = {"intersects": INTERSECTS, "contained_by": CONTAINED_BY}
 
 
@@ -76,7 +74,6 @@ steps = st.one_of(
         st.just("filter"),
         st.sampled_from(INDEX_MODES),
         st.sampled_from(ORDERS),
-        st.sampled_from(TIME_SLICES),
         st.integers(0, len(QUERIES) - 1),
         st.sampled_from(sorted(PREDICATES)),
     ),
@@ -90,7 +87,7 @@ steps = st.one_of(
 
 def shape(tree):
     """What distinguishes the index of one key from another's."""
-    return type(tree).__name__, tree.node_capacity, getattr(tree, "num_slices", None)
+    return type(tree).__name__, tree.node_capacity
 
 
 class BuildCounter:
@@ -119,18 +116,18 @@ def run_step(sc, rdd, step):
     ``(got, want, key)``, *key* being the index key the query reads."""
     kind = step[0]
     if kind == "filter":
-        _, mode, order, slices, q, name = step
+        _, mode, order, q, name = step
         query, predicate = QUERIES[q], PREDICATES[name]
-        got = filter_live_index(rdd, query, predicate, order, mode=mode, time_slices=slices)
+        got = filter_live_index(rdd, query, predicate, order, mode=mode)
         want = sorted(i for key, i in ROWS if predicate.evaluate(key, query))
-        return sorted(i for _k, i in got.collect()), want, (mode, order, slices)
+        return sorted(i for _k, i in got.collect()), want, (mode, order)
     probes = sc.parallelize(PROBES, 2)
     if kind == "join":
         got = spatial_join(probes, rdd, INTERSECTS, index_order=step[1]).collect()
         want = sorted(
             (p, i) for probe, p in PROBES for key, i in ROWS if INTERSECTS.evaluate(probe, key)
         )
-        return sorted((left[1], right[1]) for left, right in got), want, ("spatial", step[1], None)
+        return sorted((left[1], right[1]) for left, right in got), want, ("spatial", step[1])
     _, order, k = step
     got = knn_join(probes, rdd, k, index_order=order).collect()
     want = sorted(
@@ -138,7 +135,7 @@ def run_step(sc, rdd, step):
         for probe, p in PROBES
     )
     got = sorted((left[1], tuple(d for d, _kv in best)) for left, best in got)
-    return got, want, ("spatial", order, None)
+    return got, want, ("spatial", order)
 
 
 def check_sequence(sc, sequence, counter):
@@ -175,10 +172,10 @@ def check_sequence(sc, sequence, counter):
             assert builds == (0 if key in built else len(partitions)), (step, builds)
             built.add(key)
         # The index served for the key is the one that key builds.
-        mode, order, slices = key
-        served = partition_index(rdd, order, mode, slices).collect()
+        mode, order = key
+        served = partition_index(rdd, order, mode).collect()
         assert [shape(tree) for tree in served] == [
-            shape(build_partition_index(rows, order, mode, slices)) for rows in partitions
+            shape(build_partition_index(rows, order, mode)) for rows in partitions
         ], step
     rdd.unpersist()
 

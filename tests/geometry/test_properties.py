@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Polygon, parse_wkt, to_wkt
@@ -90,6 +90,7 @@ class TestWktRoundtrip:
 
 class TestPredicateProperties:
     @given(convex_polygons(), points)
+    @example(Polygon([(0, 23.059907243433827), (1, 0), (1, 1.192092896e-07)]), (0, 0))
     @settings(max_examples=60)
     def test_centroid_of_convex_polygon_is_covered(self, poly, _p):
         c = poly.centroid()

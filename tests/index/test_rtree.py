@@ -56,13 +56,6 @@ class TestConstruction:
         for x, y in pts:
             assert tree.envelope.contains_point(x, y)
 
-    def test_iter_entries_complete(self):
-        _, entries = point_entries(50)
-        tree = STRTree(entries)
-        assert sorted(item for _e, item in tree.iter_entries()) == sorted(
-            item for _e, item in entries
-        )
-
 
 class TestRangeQuery:
     @pytest.mark.parametrize("capacity", [2, 4, 10, 50])
@@ -250,22 +243,12 @@ class TestEveryKindAgainstBruteForce:
         probe_time = None if when is None else Interval(when[0], when[0] + when[1])
         spatial = [i for st_obj, i in entries if st_obj.geo.envelope.intersects(region)]
         assert sorted(kv[1] for kv in tree.query(region)) == spatial
-        candidates, pruned = tree.query_st(region, probe_time)
-        got = sorted(kv[1] for kv in candidates)
-        timed = {i for i in spatial if entries[i][0].time is not None}
+        got = sorted(kv[1] for kv in tree.query_st(region, probe_time))
         if kind == "spatial":  # time is left to refinement
-            assert (got, pruned) == (spatial, 0)
-        elif kind == "3d":  # box test in x, y and t; untimed rows in the 2D tree
-            in_time = [i for i in spatial if _times_meet(entries[i][0].time, probe_time)]
-            assert (got, pruned) == (in_time, 0)
-        elif probe_time is None:  # the forest keeps untimed entries apart
-            assert (got, pruned) == (sorted(set(spatial) - timed), tree.num_slices)
-        else:  # ... and routes a timed probe to whole slices
-            in_time = {i for i in timed if _times_meet(entries[i][0].time, probe_time)}
-            assert in_time <= set(got) <= timed
-            assert 0 <= pruned <= tree.num_slices
-            assert pruned < tree.num_slices or not got
-        assert sorted(kv[1] for _env, kv in tree.iter_entries()) == list(range(len(entries)))
+            assert got == spatial
+        else:  # box test in x, y and t; untimed rows in the 2D tree
+            assert got == [i for i in spatial if _times_meet(entries[i][0].time, probe_time)]
+        assert sorted(kv[1] for kv in tree.items()) == list(range(len(entries)))
 
     @given(
         st.lists(_row, max_size=60),
@@ -292,10 +275,10 @@ class TestEveryKindAgainstBruteForce:
         empty = build_partition_index([], 2, kind)
         assert len(empty) == 0 and empty.envelope.is_empty
         assert empty.query(Envelope(0, 0, 9, 9)) == []
-        assert empty.query_st(Envelope(0, 0, 9, 9), Interval(0, 1)) == ([], 0)
+        assert empty.query_st(Envelope(0, 0, 9, 9), Interval(0, 1)) == []
         assert empty.nearest(0, 0, 3) == []
         entry = (_stobject(1.0, 2.0, 0.0, 0.0, (5.0, 1.0)), "only")
         single = build_partition_index([entry], 2, kind)
         assert single.envelope == Envelope(1, 2, 1, 2)
-        assert single.query_st(Envelope(1, 2, 1, 2), Interval(6, 7))[0] == [entry]
+        assert single.query_st(Envelope(1, 2, 1, 2), Interval(6, 7)) == [entry]
         assert single.nearest(4, 6, 5) == [(5.0, entry)]

@@ -10,6 +10,7 @@ from repro.core.summaries import temporal_extent_of
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.index import build_partition_index
 from repro.index.rtree3d import STRTree3D
 from repro.temporal import Interval
 from tests.index import assert_matches_oracle, mixed_rows, nearest_queries
@@ -43,10 +44,10 @@ class TestBoxing:
         row = (boxed(0, 0, 10, 10, Interval(0, 10)), "a")
         tree = STRTree3D.for_stobjects([row])
         touching = tree.query_st(Envelope(10, 10, 20, 20), Interval(10, 20))
-        assert touching == ([row], 0)
-        assert tree.query_st(Envelope(10.1, 0, 20, 10), Interval(0, 10)) == ([], 0)
-        assert tree.query_st(Envelope(0, 10.1, 10, 20), Interval(0, 10)) == ([], 0)
-        assert tree.query_st(Envelope(0, 0, 10, 10), Interval(10.1, 20)) == ([], 0)
+        assert touching == [row]
+        assert tree.query_st(Envelope(10.1, 0, 20, 10), Interval(0, 10)) == []
+        assert tree.query_st(Envelope(0, 10.1, 10, 20), Interval(0, 10)) == []
+        assert tree.query_st(Envelope(0, 0, 10, 10), Interval(10.1, 20)) == []
 
     def test_untimed_entries_stay_out_of_the_3d_boxes(self):
         rows = [
@@ -56,23 +57,19 @@ class TestBoxing:
         tree = STRTree3D.for_stobjects(rows)
         region = Envelope(0, 0, 1, 1)
         # Under the combined semantics each probe reaches its own kind.
-        assert [kv[1] for kv in tree.query_st(region, None)[0]] == ["untimed"]
-        assert [kv[1] for kv in tree.query_st(region, Interval(0, 1))[0]] == ["timed"]
-        assert tree.query_st(region, Interval(500, 600)) == ([], 0)
+        assert [kv[1] for kv in tree.query_st(region, None)] == ["untimed"]
+        assert [kv[1] for kv in tree.query_st(region, Interval(0, 1))] == ["timed"]
+        assert tree.query_st(region, Interval(500, 600)) == []
         # The 3D root's t-range is the timed entries' alone: finite.
         assert tree.temporal_extent == Interval(0, 10)
         assert len(tree) == 2 and tree.untimed_count == 1
 
-    def test_spatial_projection_for_nearest_and_iter_entries(self):
+    def test_spatial_projection_for_nearest_and_envelope(self):
         rows = [
             (boxed(0, 0, 10, 10, Interval(0, 1)), "near"),
             (boxed(13, 14, 20, 20, Interval(900, 901)), "far"),
         ]
         tree = STRTree3D.for_stobjects(rows)
-        assert sorted((kv[1], env) for env, kv in tree.iter_entries()) == [
-            ("far", Envelope(13, 14, 20, 20)),
-            ("near", Envelope(0, 0, 10, 10)),
-        ]
         assert tree.envelope == Envelope(0, 0, 20, 20)
         # Distance is to the (x, y) projection; time plays no part.
         got = [(d, kv[1]) for d, kv in tree.nearest(10, 10, k=2)]
@@ -85,7 +82,7 @@ class TestQueries:
         tree = STRTree3D.for_stobjects(rows, node_capacity=8)
         for lo in (0.0, 300.0, 950.0):
             window = Interval(lo, lo + 50)
-            got = {kv[1] for kv in tree.query_st(REGION, window)[0]}
+            got = {kv[1] for kv in tree.query_st(REGION, window)}
             expected = {
                 kv[1]
                 for kv in rows
@@ -107,7 +104,7 @@ class TestQueries:
         # opens: a mixed pair cannot match, so none is a candidate.
         rows = make_entries(200, seed=4, untimed_every=3)
         tree = STRTree3D.for_stobjects(rows)
-        got = {kv[1] for kv in tree.query_st(REGION, Interval(0, 1000))[0]}
+        got = {kv[1] for kv in tree.query_st(REGION, Interval(0, 1000))}
         timed_hits = {
             kv[1]
             for kv in rows
@@ -121,7 +118,7 @@ class TestQueries:
         untimed = {kv[1] for kv in rows if kv[0].time is None}
         assert len(untimed) == 400 and tree.untimed_count == 400
         for window in (Interval(0, 5), Interval(400, 450), Interval(-10, 2000)):
-            got = {kv[1] for kv in tree.query_st(REGION, window)[0]}
+            got = {kv[1] for kv in tree.query_st(REGION, window)}
             assert not got & untimed
             assert got == {
                 kv[1]
@@ -131,7 +128,7 @@ class TestQueries:
                 and kv[0].time.start <= window.end
                 and window.start <= kv[0].time.end
             }
-        got = {kv[1] for kv in tree.query_st(REGION, None)[0]}
+        got = {kv[1] for kv in tree.query_st(REGION, None)}
         assert got == {
             kv[1] for kv in rows if kv[1] in untimed and kv[0].geo.envelope.intersects(REGION)
         }
@@ -139,7 +136,7 @@ class TestQueries:
     def test_empty(self):
         tree = STRTree3D([])
         assert len(tree) == 0
-        assert tree.query_st(REGION, Interval(0, 1)) == ([], 0)
+        assert tree.query_st(REGION, Interval(0, 1)) == []
         assert tree.temporal_extent is None
         assert tree.nearest(0, 0, 3) == []
 
@@ -176,6 +173,13 @@ class TestTemporalExtent:
         assert extent == tree.temporal_extent
         assert timed == sum(kv[0].time is not None for kv in rows) == 120
 
+    def test_summaries_scan_a_spatial_tree(self):
+        rows = make_entries(100, seed=10, untimed_every=10)
+        tree = build_partition_index(rows, mode="spatial")
+        extent, timed = temporal_extent_of(tree)
+        assert timed == sum(kv[0].time is not None for kv in rows) == 90
+        assert extent == STRTree3D.for_stobjects(rows).temporal_extent
+
     def test_all_untimed(self):
         rows = make_entries(40, seed=7, untimed_every=1)
         tree = STRTree3D.for_stobjects(rows)
@@ -183,13 +187,10 @@ class TestTemporalExtent:
 
 
 class TestStructure:
-    def test_iter_entries_projects_2d(self):
+    def test_items_hold_timed_and_untimed_rows(self):
         rows = make_entries(120, seed=8, untimed_every=6)
         tree = STRTree3D.for_stobjects(rows)
-        entries = list(tree.iter_entries())
-        assert sorted(kv[1] for _env, kv in entries) == list(range(120))
-        for env, _kv in entries:
-            assert isinstance(env, Envelope)
+        assert sorted(kv[1] for kv in tree.items()) == list(range(120))
 
     def test_nearest_matches_brute_force(self):
         rows = make_entries(400, seed=9)
@@ -229,7 +230,7 @@ class TestStructure:
         rows = make_entries(3000, seed=10)
         tree = STRTree3D.for_stobjects(rows, node_capacity=4)
         window = Interval(200, 260)
-        got = {kv[1] for kv in tree.query_st(REGION, window)[0]}
+        got = {kv[1] for kv in tree.query_st(REGION, window)}
         expected = {
             kv[1]
             for kv in rows

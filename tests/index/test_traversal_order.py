@@ -133,5 +133,5 @@ class TestSameAnswersAsTheFixedOrder:
             expected = fixed_order_search(tree._untimed_root, box)
         else:
             expected = fixed_order_search(tree._root, (*box, time.start, time.end))
-        assert tree.query_st(region, time) == (expected, 0)
+        assert tree.query_st(region, time) == expected
 
