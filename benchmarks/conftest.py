@@ -1,7 +1,7 @@
 """Shared fixtures and workload sizes for the benchmark suite.
 
 Every benchmark regenerates a row/series of the paper's evaluation (see
-DESIGN.md's per-experiment index).  Sizes are laptop-scale by default;
+DESIGN.md, "Per-experiment index").  Sizes are laptop-scale by default;
 set ``REPRO_BENCH_SCALE=large`` to get closer to paper-scale inputs, or
 ``small`` for a quick smoke run.
 

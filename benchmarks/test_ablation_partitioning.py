@@ -4,8 +4,8 @@ The paper's motivating example: with a fixed grid on world-like data
 there are "empty cells on sea and overfilled partitions in densely
 populated areas"; the cost-based BSP equalizes partition cost.  This
 benchmark quantifies build cost, balance and downstream query time for
-both partitioners, plus the centroid-assignment vs replication design
-decision from DESIGN.md.
+both partitioners, plus centroid assignment vs replication
+(DESIGN.md, "Partitioning and pruning").
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class TestPartitionerQuality:
 
 
 class TestExtentPruningAblation:
-    """Design decision 2 in DESIGN.md: what is extent pruning worth?"""
+    """What is extent pruning worth?  (DESIGN.md, "Partition summaries")"""
 
     def test_filter_with_vs_without_pruning(self, benchmark, world_rdd, sizes):
         from repro.evaluation.harness import time_pair

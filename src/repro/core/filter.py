@@ -21,7 +21,7 @@ the hybrid-index extension:
    bulk-loaded once and its indexes are reused by every later query.
 4. **Predicate order** -- refinement evaluates spatial-first (the
    paper's behaviour) or temporal-first (two float comparisons before
-   any geometry work), chosen by the cost-based planner.
+   any geometry work), chosen by the planner's rule (``st < ss``).
 
 Attribution: every index probe adds its candidate count to
 ``metrics.index_candidates`` and the current task span

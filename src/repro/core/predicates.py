@@ -103,8 +103,9 @@ class STPredicate:
         """:meth:`evaluate` with an explicit clause order.
 
         Both orders compute the same truth value (the clauses are
-        independent); the order only decides which side pays for the
-        rejections, which is what the cost-based planner optimizes.
+        independent); the order only decides which clause pays for the
+        rejections.  For a scan or a 2D probe the planner puts the
+        temporal clause first exactly when ``st < ss``.
         """
         item_t = item._time
         query_t = query._time

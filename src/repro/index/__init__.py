@@ -15,9 +15,12 @@ implementing the *persistent indexing* mode.
 
 :func:`build_partition_index` is the one factory every indexing call
 path goes through, so ``live_index(mode=...)`` / ``index(mode=...)``
-and the cost-based planner all agree on what each mode means;
-:func:`partition_index` is the one place it is called from.  Both kinds
-answer ``query_st(region, time) -> candidates``.
+and the planner's rule all agree on what each mode means.  Two callers
+build with it: :func:`partition_index`, for every index built from an
+RDD's partitions, and ``ResilientIndexRDD.compute``
+(:mod:`~repro.index.persistence`), which rebuilds a saved index from
+its rows on load.  Both kinds answer
+``query_st(region, time) -> candidates``.
 """
 
 from repro.index.rtree import STRTree

@@ -1,11 +1,22 @@
-"""Every repository path README.md and DESIGN.md name in backticks exists.
+"""The docs name what exists, point at sections that exist, and stay small.
 
-A backticked word with a ``/`` is a path, resolved from the repository
-root, ``src/`` or ``src/repro/`` (a ``::name`` suffix is dropped, a
-``*`` globs); a bare ``*.py`` name must be some file's basename.  Words
-inside a backticked command are checked one by one.  What the docs name
-that is not a repository path -- a directory the program writes, an
-abbreviation, another project -- is listed in ``NOT_REPOSITORY_PATHS``.
+Paths: a backticked word with a ``/`` is a path, resolved from the
+repository root, ``src/`` or ``src/repro/`` (a ``::name`` suffix is
+dropped, a ``*`` globs); a bare ``*.py`` name must be some file's
+basename.  Words inside a backticked command are checked one by one.
+What the docs name that is not a repository path -- a directory the
+program writes, an abbreviation, another project -- is listed in
+``NOT_REPOSITORY_PATHS``.
+
+Section pointers: ``DESIGN.md, "<title>"`` (the comma is optional, the
+title may wrap) must match the start of a ``##`` or ``###`` heading of
+the file it names.  A pointer by PR number (``EXPERIMENTS.md PR 48``)
+names no section; the ledger's rows are found by their PR under the
+ledger's own title.  Pointers in the code's docstrings and comments
+(``CODE_DIRS``) are held to the same rule.
+
+Size: DESIGN.md and EXPERIMENTS.md are read at every change, so each
+has a byte budget (``BUDGET``).
 """
 
 import glob
@@ -15,8 +26,10 @@ import re
 import pytest
 
 REPO = __file__.rsplit("/tests/", 1)[0]
-DOCS = ("README.md", "DESIGN.md")
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 ROOTS = ("", "src", "src/repro")
+BUDGET = {"DESIGN.md": 60_000, "EXPERIMENTS.md": 50_000}
+CODE_DIRS = ("src", "benchmarks", "examples")
 
 NOT_REPOSITORY_PATHS = {
     "_rows_copy/",  # written inside a saved index
@@ -29,13 +42,20 @@ NOT_REPOSITORY_PATHS = {
 
 _PATH = re.compile(r"[\w.*<>-]+(/[\w.*<>-]*)+|[\w-]+\.py")
 _SPAN = re.compile(r"`([^`\n]+)`")
+_POINTER = re.compile(
+    r"\b((?:README|DESIGN|EXPERIMENTS)\.md),?\s+(?:\"([^\"]+)\"|(PR\s+\d+))"
+)
+_HEADING = re.compile(r"^#{2,3} (.+)$", re.MULTILINE)
+
+
+def read(doc):
+    with open(os.path.join(REPO, doc)) as f:
+        return f.read()
 
 
 def named_paths(doc):
     """The path-like words of *doc*'s backticked spans, ``::`` dropped."""
-    with open(os.path.join(REPO, doc)) as f:
-        text = f.read()
-    words = {word for span in _SPAN.findall(text) for word in span.split()}
+    words = {word for span in _SPAN.findall(read(doc)) for word in span.split()}
     return sorted(
         {
             word
@@ -57,6 +77,21 @@ def exists(path):
     return any(glob.glob(os.path.join(REPO, root, path)) for root in ROOTS)
 
 
+def dangling_pointers(text, headings_of):
+    """The pointers in *text* that match no heading of the file they name."""
+    dangling = []
+    for target, title, by_number in _POINTER.findall(text):
+        title = " ".join(title.split())
+        if by_number or not any(h.startswith(title) for h in headings_of(target)):
+            pointer = title or " ".join(by_number.split())
+            dangling.append(f"{target}: {pointer}")
+    return dangling
+
+
+def headings(doc):
+    return [" ".join(h.split()) for h in _HEADING.findall(read(doc))]
+
+
 @pytest.mark.parametrize("doc", DOCS)
 def test_every_backticked_path_exists(doc):
     files = basenames()
@@ -72,3 +107,37 @@ def test_the_check_sees_paths():
     paths = named_paths("DESIGN.md")
     assert "bench/layers.py" in paths and "rtree3d.py" in paths
     assert not exists("index/no_such_module.py")
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_section_pointer_names_a_heading(doc):
+    assert dangling_pointers(read(doc), headings) == []
+
+
+def test_every_section_pointer_in_the_code_names_a_heading():
+    dangling = []
+    for top in CODE_DIRS:
+        pattern = os.path.join(REPO, top, "**", "*.py")
+        for path in sorted(glob.glob(pattern, recursive=True)):
+            with open(path) as f:
+                found = dangling_pointers(f.read(), headings)
+            dangling += [f"{os.path.relpath(path, REPO)}: {p}" for p in found]
+    assert dangling == []
+
+
+def test_the_pointer_check_sees_pointers():
+    text = (
+        'see DESIGN.md, "Fault\n  model" and EXPERIMENTS.md "Ledger", '
+        'but not EXPERIMENTS.md, "No such section" or DESIGN.md PR 7'
+    )
+    known = {"DESIGN.md": ["Fault model (retry)"], "EXPERIMENTS.md": ["Ledger"]}
+    assert dangling_pointers(text, known.get) == [
+        "EXPERIMENTS.md: No such section",
+        "DESIGN.md: PR 7",
+    ]
+
+
+@pytest.mark.parametrize("doc", sorted(BUDGET))
+def test_doc_stays_within_its_size_budget(doc):
+    size = os.path.getsize(os.path.join(REPO, doc))
+    assert size <= BUDGET[doc], f"{doc} is {size} bytes, budget {BUDGET[doc]}"

@@ -1,1 +1,1 @@
-"""Tests for the cost-based query planner."""
+"""Tests for the rule-based query planner."""
