@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sweep the partition index modes against each other.
+"""Sweep the two partition index structures against each other.
 
 Compares the best of *R* runs per query (probe plus exact refinement,
 one partition-sized index, single thread):
@@ -7,10 +7,6 @@ one partition-sized index, single thread):
 - ``spatial`` -- the 2D :class:`~repro.index.rtree.STRTree` that
   ``build_partition_index(mode="spatial")`` builds: time is left to
   refinement;
-- ``3d-unsplit`` -- the (x, y, t) tree as it was before untimed entries
-  got a 2D tree of their own: every untimed entry boxed with the time
-  range (-inf, inf) in the one 3D tree (rebuilt here from the kernel's
-  ``_bulk_load`` / ``_search``);
 - ``3d`` -- :class:`~repro.index.rtree3d.STRTree3D`.
 
 over the grid
@@ -49,7 +45,6 @@ from repro.core.predicates import INTERSECTS
 from repro.core.stobject import STObject
 from repro.geometry.point import Point
 from repro.index import STRTree3D, build_partition_index
-from repro.index.rtree import _bulk_load, _search
 from repro.temporal import Interval
 
 EXTENT = 1000.0
@@ -63,27 +58,8 @@ WINDOWS = (0.001, 0.01, 0.2)
 BOXES = (0.01, 0.72, 1.0)
 
 
-class Unsplit3D:
-    """The one-tree 3D index: untimed entries span all time."""
-
-    def __init__(self, rows) -> None:
-        inf = math.inf
-        boxed = []
-        for kv in rows:
-            env, t = kv[0].geo.envelope, kv[0].time
-            t_range = (-inf, inf) if t is None else (t.start, t.end)
-            boxed.append(((env.min_x, env.min_y, env.max_x, env.max_y, *t_range), kv))
-        self._root = _bulk_load(boxed, NODE_CAPACITY, 3)[0]
-
-    def query_st(self, region, when):
-        t_range = (-math.inf, math.inf) if when is None else (when.start, when.end)
-        probe = (region.min_x, region.min_y, region.max_x, region.max_y, *t_range)
-        return _search(self._root, probe)
-
-
 STRUCTURES = (
     ("spatial", lambda rows: build_partition_index(rows, NODE_CAPACITY, "spatial")),
-    ("3d-unsplit", Unsplit3D),
     ("3d", lambda rows: STRTree3D.for_stobjects(rows, node_capacity=NODE_CAPACITY)),
 )
 
@@ -154,7 +130,7 @@ def sweep(queries_per_cell, repeats, seed):
             queries = make_queries(rng, queries_per_cell, box, window, timed_share > 0)
             expected = [scan(rows, q) for q in queries]
             # Round-robin over the structures, best of the repeats: host
-            # drift hits all three alike.
+            # drift hits both alike.
             seconds = {name: math.inf for name in built}
             for _ in range(repeats):
                 for name, index in built.items():
@@ -175,25 +151,21 @@ def _cell_name(cell):
 
 
 def report(cells, full):
-    lines = ["| timed | cells | spatial / 3d-unsplit (min, median, max)"
-             " | spatial / 3d (min, median, max) | slowest 3d cell |",
-             "|---|---|---|---|---|"]
+    lines = ["| timed | cells | spatial / 3d (min, median, max) | slowest 3d cell |",
+             "|---|---|---|---|"]
     for timed_share in TIMED:
         group = [c for c in cells if c["timed"] == timed_share]
-        old = sorted(c["spatial"] / c["3d-unsplit"] for c in group)
-        new = sorted(c["spatial"] / c["3d"] for c in group)
+        ratios = sorted(c["spatial"] / c["3d"] for c in group)
         worst = min(group, key=lambda c: c["spatial"] / c["3d"])
         lines.append(
             f"| {timed_share:.0%} | {len(group)} "
-            f"| {old[0]:.2f}, {statistics.median(old):.2f}, {old[-1]:.2f} "
-            f"| {new[0]:.2f}, {statistics.median(new):.2f}, {new[-1]:.2f} "
+            f"| {ratios[0]:.2f}, {statistics.median(ratios):.2f}, {ratios[-1]:.2f} "
             f"| {_cell_name(worst)}: {worst['spatial'] * 1e3:.3f} vs {worst['3d'] * 1e3:.3f} ms |"
         )
     if full:
-        lines += ["", "| cell | spatial ms | 3d-unsplit ms | 3d ms |", "|---|---|---|---|"]
+        lines += ["", "| cell | spatial ms | 3d ms |", "|---|---|---|"]
         lines += [
-            f"| {_cell_name(c)} | {c['spatial'] * 1e3:.3f} | {c['3d-unsplit'] * 1e3:.3f}"
-            f" | {c['3d'] * 1e3:.3f} |"
+            f"| {_cell_name(c)} | {c['spatial'] * 1e3:.3f} | {c['3d'] * 1e3:.3f} |"
             for c in cells
         ]
     return "\n".join(lines)

@@ -14,8 +14,8 @@ the hybrid-index extension:
 2. **No indexing** -- every surviving item is checked with the exact
    predicate (after the cheap envelope pre-test).
 3. **Live indexing** -- each partition's content is bulk-loaded into a
-   partition-local index first (``mode="spatial"`` for the paper's
-   STR-tree, ``"3d"`` for the (x, y, t) STR bulk load), the index is
+   partition-local index first (the paper's 2D STR-tree; the planner
+   may pick ``mode="3d"``, the (x, y, t) STR bulk load), the index is
    queried for candidates, and the candidates are refined with the
    exact spatial *and* temporal predicate.  A persisted RDD is
    bulk-loaded once and its indexes are reused by every later query.

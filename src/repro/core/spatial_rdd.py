@@ -48,7 +48,7 @@ from repro.core.predicates import (
 from repro.core.stobject import STObject
 from repro.core.summaries import partition_summaries, restore_summaries
 from repro.geometry.distance import DistanceFunction, euclidean
-from repro.index import INDEX_MODES, partition_index, persistence
+from repro.index import partition_index, persistence
 from repro.partitioners.base import SpatialPartitioner
 from repro.spark.rdd import RDD
 
@@ -178,39 +178,34 @@ class SpatialRDDFunctions(_PredicateFilters):
         self,
         order: int = DEFAULT_INDEX_ORDER,
         partitioner: SpatialPartitioner | None = None,
-        mode: str = "spatial",
     ) -> "LiveIndexedSpatialRDDFunctions":
         """Live indexing mode: build an R-tree per partition at query time.
 
         The optional *partitioner* repartitions the RDD before indexing,
         matching the paper's ``liveIndex(order, partitioner)`` signature.
-        *mode* picks the partition-index structure (``"spatial"`` or
-        ``"3d"``; see :func:`repro.index.build_partition_index`).
+        The trees are the paper's 2D STR-trees; only :meth:`filter_planned`
+        builds the (x, y, t) tree.
         """
-        if mode not in INDEX_MODES:
-            raise ValueError(f"unknown index mode {mode!r}; known: {INDEX_MODES}")
         rdd = self._rdd if partitioner is None else self._rdd.partition_by(partitioner)
-        return LiveIndexedSpatialRDDFunctions(rdd, order, mode=mode)
+        return LiveIndexedSpatialRDDFunctions(rdd, order)
 
     def index(
         self,
         order: int = DEFAULT_INDEX_ORDER,
         partitioner: SpatialPartitioner | None = None,
-        mode: str = "spatial",
     ) -> "IndexedSpatialRDD":
-        """Persistent-index mode: materialize one index tree per partition.
+        """Persistent-index mode: materialize one 2D STR-tree per partition.
 
         The returned handle answers queries immediately *and* can be
         saved, so no extra run is needed just to persist the index.
-        *mode* picks the structure exactly as for :meth:`live_index`.
         Over a persisted RDD it owns a view of the trees live queries
         share, so unpersisting the handle frees nothing they use.
         """
         rdd = self._rdd if partitioner is None else self._rdd.partition_by(partitioner)
-        trees = partition_index(rdd, order, mode)
+        trees = partition_index(rdd, order)
         if rdd._cached:
             trees = trees.map_partitions(iter, preserves_partitioning=True)
-        return IndexedSpatialRDD(trees.persist(), order=order, mode=mode)
+        return IndexedSpatialRDD(trees.persist(), order=order)
 
     # -- planning ----------------------------------------------------------
 
@@ -240,7 +235,7 @@ class SpatialRDDFunctions(_PredicateFilters):
         """Filter with the execution strategy the planner's rule picks.
 
         Equivalent results to the unplanned operators -- the plan only
-        decides index mode, predicate order and pruning route.
+        decides the index structure, predicate order and pruning route.
         """
         from repro.planner import QueryPlanner
 
@@ -259,30 +254,22 @@ class LiveIndexedSpatialRDDFunctions(_PredicateFilters):
 
     Nothing is materialized here: each operation builds the per-
     partition trees while it runs (once, for a persisted RDD), queries
-    them, and refines candidates.  The handle carries the index *mode*.
+    them, and refines candidates.
     """
 
-    def __init__(self, rdd: RDD, order: int, mode: str = "spatial") -> None:
+    def __init__(self, rdd: RDD, order: int) -> None:
         if order < 2:
             raise ValueError(f"index order must be >= 2, got {order}")
         self._rdd = rdd
         self._order = order
-        self._mode = mode
 
     @property
     def rdd(self) -> RDD:
         """The underlying (possibly repartitioned) RDD."""
         return self._rdd
 
-    @property
-    def mode(self) -> str:
-        """The partition-index mode this handle builds."""
-        return self._mode
-
     def _filter(self, query: STObject, predicate: STPredicate) -> RDD:
-        return filter_ops.filter_live_index(
-            self._rdd, query, predicate, self._order, mode=self._mode
-        )
+        return filter_ops.filter_live_index(self._rdd, query, predicate, self._order)
 
     def join(
         self,
@@ -309,12 +296,9 @@ class IndexedSpatialRDD(_PredicateFilters):
     before a single tree is opened, exactly as the unindexed path does.
     """
 
-    def __init__(
-        self, tree_rdd: RDD, order: int | None = None, mode: str = "spatial"
-    ) -> None:
+    def __init__(self, tree_rdd: RDD, order: int | None = None) -> None:
         self._trees = tree_rdd
         self._order = order
-        self._mode = mode
 
     @property
     def tree_rdd(self) -> RDD:
@@ -326,11 +310,6 @@ class IndexedSpatialRDD(_PredicateFilters):
         """The spatial partitioner the trees were laid out by, if one was."""
         partitioner = self._trees.partitioner
         return partitioner if isinstance(partitioner, SpatialPartitioner) else None
-
-    @property
-    def mode(self) -> str:
-        """The partition-index mode the trees were built with."""
-        return self._mode
 
     def _filter(self, query: STObject, predicate: STPredicate) -> RDD:
         return filter_ops.filter_indexed(self._trees, query, predicate)
@@ -354,25 +333,22 @@ class IndexedSpatialRDD(_PredicateFilters):
             self.partitioner,
             order=self._order,
             summaries=partition_summaries(self._trees),
-            mode=self._mode,
         )
 
     @staticmethod
     def load(context, path: str) -> "IndexedSpatialRDD":
         """Reload an index written by :meth:`save`.
 
-        Each tree is bulk-loaded from its saved rows, in the saved mode.
+        Each tree is bulk-loaded again from its saved rows as a 2D STR-tree.
         Tolerant of damage: an unreadable part is read from the recovery
         copy and corrupt metadata merely disables pruning (see
         :mod:`repro.index.persistence`).  The trees are persisted: they
         stay in the context's block cache until ``unpersist()``.
         """
-        tree_rdd, summaries, mode = persistence.load_index(context, path)
+        tree_rdd, summaries = persistence.load_index(context, path)
         if summaries is not None:
             restore_summaries(tree_rdd, summaries)
-        return IndexedSpatialRDD(
-            tree_rdd.persist(), order=tree_rdd._order, mode=mode or "spatial"
-        )
+        return IndexedSpatialRDD(tree_rdd.persist(), order=tree_rdd._order)
 
     kNN = knn
 

@@ -64,13 +64,10 @@ def driver_memo(rdd: RDD) -> dict:
 def temporal_extent_of(tree) -> tuple[Interval | None, int]:
     """``(covering interval of timed members, how many are timed)``.
 
-    Works for both partition-index kinds: the 3D tree keeps its untimed
-    members apart and answers from its own bookkeeping; a plain spatial
-    :class:`~repro.index.rtree.STRTree` (whose items are ``(STObject,
-    V)`` pairs) is scanned once.
+    One scan over the leaves of a partition index whose items are
+    ``(STObject, V)`` pairs; the leaf walk covers both roots of a 3D
+    tree.
     """
-    if hasattr(tree, "untimed_count"):
-        return tree.temporal_extent, len(tree) - tree.untimed_count
     lo, hi = _INF, -_INF
     timed = 0
     for _box, kv in tree._leaf_rows():

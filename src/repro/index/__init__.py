@@ -6,27 +6,26 @@ faces:
 
 - :class:`~repro.index.rtree.STRTree` -- the Sort-Tile-Recursive bulk-
   loaded R-tree, the reproduction of the JTS STRtree STARK uses for
-  partition-local indexing (paper section 2.2, ``mode="spatial"``),
+  partition-local indexing (paper section 2.2, ``mode="spatial"``), the
+  tree of every live and persistent index handle,
 - :class:`~repro.index.rtree3d.STRTree3D` -- the same tree tiled over
-  (x, y, t) boxes, fusing the time dimension into it (``mode="3d"``),
+  (x, y, t) boxes (``mode="3d"``), built when the planner picks it,
 
 and beside them :mod:`~repro.index.persistence`, the save/load helpers
 implementing the *persistent indexing* mode.
 
-:func:`build_partition_index` is the one factory every indexing call
-path goes through, so ``live_index(mode=...)`` / ``index(mode=...)``
-and the planner's rule all agree on what each mode means.  Two callers
-build with it: :func:`partition_index`, for every index built from an
-RDD's partitions, and ``ResilientIndexRDD.compute``
+:func:`build_partition_index` is the one factory every index goes
+through.  Two callers build with it: :func:`partition_index`, for every
+index built from an RDD's partitions, and ``ResilientIndexRDD.compute``
 (:mod:`~repro.index.persistence`), which rebuilds a saved index from
-its rows on load.  Both kinds answer
+its rows as 2D trees.  Both kinds answer
 ``query_st(region, time) -> candidates``.
 """
 
 from repro.index.rtree import STRTree
 from repro.index.rtree3d import STRTree3D
 
-#: The partition-index modes ``live_index`` / ``index`` accept.
+#: The partition-index modes ``build_partition_index`` builds.
 INDEX_MODES = ("spatial", "3d")
 
 

@@ -8,11 +8,18 @@ cost more than bulk-loading it again from its entries, so a saved index
 *is* its entries: :func:`save_index` writes each partition's
 ``(STObject, V)`` rows in :meth:`~repro.index.rtree.STRTree.items` order
 as the part-files, and the same rows again to ``_rows_copy``, the
-recovery copy.  :class:`ResilientIndexRDD` bulk-loads each tree from its
-rows in the saved mode and capacity; rebuilt from that order it is the
-tree that was saved, so a reloaded index answers with the same lists.
-The partitioner and the partition *summaries* are stored in
-``_index_meta.pkl``, so a reloaded index prunes before opening a tree.
+recovery copy.  :class:`ResilientIndexRDD` bulk-loads a 2D
+:class:`~repro.index.rtree.STRTree` from each partition's rows in the
+saved capacity.  ``index()`` saves such trees, and rebuilt from that
+order a 2D tree is the tree that was saved, so a reloaded index answers
+with the same lists.  The partitioner and the partition *summaries* are
+stored in ``_index_meta.pkl``, so a reloaded index prunes before opening
+a tree.
+
+Earlier versions also saved ``3d`` and ``temporal`` (time-sliced
+forest) indexes and recorded the mode in the metadata.  Their parts hold
+the same ``(STObject, V)`` rows, so such a directory loads as 2D trees:
+exact answers, though not necessarily in the lists the saved trees gave.
 
 Loading degrades instead of dying on damage:
 
@@ -22,16 +29,14 @@ Loading degrades instead of dying on damage:
   recorded as an ``index.fallback`` span;
 - the metadata is a CRC32 of its pickle followed by the pickle; any
   damage degrades to an unpartitioned load (pruning disabled, trees
-  built as ``spatial``, queries still exact).  Which files are read is
-  decided by the directory's names alone, never by the metadata;
+  built with the default capacity, queries still exact).  Which files
+  are read is decided by the directory's names alone, never by the
+  metadata;
 - a directory in the older tree layout holds pickled trees beside a
   ``_data`` sidecar of ``(Envelope, item)`` entry lists.  Its trees are
   never unpickled: every partition is read from ``_data``, as a fallback;
 - when a part and its recovery data are both unreadable the load fails
-  with a :class:`~repro.spark.storage.StorageError` naming the path;
-- metadata naming a mode this version does not build (``temporal``, the
-  time-sliced forest earlier versions saved) fails the load with a
-  :class:`~repro.spark.storage.StorageError` naming the mode.
+  with a :class:`~repro.spark.storage.StorageError` naming the path.
 
 A loaded index lives where any persisted RDD's blocks live: in the
 context's block cache, freed by ``unpersist()``.
@@ -44,7 +49,7 @@ import pickle
 import zlib
 from typing import TYPE_CHECKING, Iterator
 
-from repro.index import INDEX_MODES, build_partition_index
+from repro.index import build_partition_index
 from repro.index.rtree import DEFAULT_NODE_CAPACITY, STRTree
 from repro.spark import storage
 from repro.spark.rdd import RDD
@@ -67,17 +72,14 @@ def save_index(
     partitioner=None,
     order: int | None = None,
     summaries: list | None = None,
-    mode: str | None = None,
 ) -> None:
     """Persist an RDD of per-partition index trees as their rows, twice:
     the part-files and the ``_rows_copy`` recovery copy.  *order* (the
-    node capacity), *mode* and the partition *summaries* go to the
-    metadata."""
+    node capacity) and the partition *summaries* go to the metadata."""
     rows = indexed_rdd.flat_map(lambda tree: tree.items())
     rows.save_as_object_file(path)
     rows.save_as_object_file(os.path.join(path, _ROWS_COPY_DIR))
-    _write_meta(path, dict(partitioner=partitioner, order=order, mode=mode,
-                           summaries=summaries))
+    _write_meta(path, dict(partitioner=partitioner, order=order, summaries=summaries))
 
 
 def _write_meta(path: str, meta: dict) -> None:
@@ -130,22 +132,15 @@ def _read_tree_sidecar(part: str) -> list:
 
 
 class ResilientIndexRDD(RDD[STRTree]):
-    """Reads a saved index's rows and bulk-loads one tree per partition,
-    in the saved *mode* and capacity *order* (``spatial`` and the default
-    capacity when none is recorded)."""
+    """Reads a saved index's rows and bulk-loads one 2D tree per
+    partition, in the saved capacity *order* (the default capacity when
+    none is recorded)."""
 
-    def __init__(
-        self,
-        context,
-        path: str,
-        order: int | None = None,
-        mode: str | None = None,
-    ) -> None:
+    def __init__(self, context, path: str, order: int | None = None) -> None:
         super().__init__(context)
         self._path = path
         self._parts = storage._list_parts(path, ".pkl")
         self._order = order or DEFAULT_NODE_CAPACITY
-        self._mode = mode or "spatial"
         sidecar = os.path.join(path, _TREE_SIDECAR_DIR)
         #: Whether the part-files hold pickled trees, which are never read.
         self._tree_layout = os.path.isdir(sidecar)
@@ -172,7 +167,7 @@ class ResilientIndexRDD(RDD[STRTree]):
             rows = _read_rows(part)
         except Exception as exc:
             rows = self._recover(split, part, exc)
-        return iter([build_partition_index(rows, self._order, self._mode)])
+        return iter([build_partition_index(rows, self._order)])
 
     def _recover(self, split: int, part: str, cause: Exception) -> list:
         """The partition's rows, read from its recovery data."""
@@ -195,11 +190,9 @@ class ResilientIndexRDD(RDD[STRTree]):
         return rows
 
 
-def load_index(
-    context: "SparkContext", path: str
-) -> tuple[RDD, list | None, str | None]:
-    """Load a persisted index: (trees, summaries, mode); the trees carry
-    the partitioner they were laid out by.
+def load_index(context: "SparkContext", path: str) -> tuple[RDD, list | None]:
+    """Load a persisted index: (trees, summaries); the trees carry the
+    partitioner they were laid out by.
 
     Damage is absorbed where possible: corrupt metadata degrades to an
     unpartitioned load with pruning disabled (recorded on the trace as
@@ -208,8 +201,8 @@ def load_index(
     :class:`ResilientIndexRDD`).  The summaries are ``None`` when the
     directory records none (or as many as it no longer has parts): they
     are an optimisation, and can always be measured again from the trees.
-    An index saved in a mode this version does not build is refused here,
-    with a :class:`StorageError` naming the mode, not at its first query.
+    A ``mode`` an earlier version recorded is ignored: every saved
+    directory holds rows, and they load as 2D trees.
     """
     try:
         meta = _read_meta(path)
@@ -223,15 +216,9 @@ def load_index(
                 "index.meta_fallback", path=os.path.join(path, _META_FILE)
             ):
                 pass
-    mode = meta.get("mode")
-    if mode is not None and mode not in INDEX_MODES:
-        raise StorageError(
-            f"index {path!r} was saved in mode {mode!r}, which this version "
-            f"cannot build; known: {INDEX_MODES}"
-        )
-    rdd = ResilientIndexRDD(context, path, order=meta.get("order"), mode=mode)
+    rdd = ResilientIndexRDD(context, path, order=meta.get("order"))
     rdd.partitioner = meta.get("partitioner")
     summaries = meta.get("summaries")
     if summaries is not None and len(summaries) != rdd.num_partitions:
         summaries = None  # stale metadata; pruning must stay conservative
-    return rdd, summaries, mode
+    return rdd, summaries

@@ -28,7 +28,7 @@ from typing import Iterable, TypeVar
 
 from repro.geometry.envelope import Envelope
 from repro.index.rtree import DEFAULT_NODE_CAPACITY, STRTree, _search
-from repro.temporal.interval import Interval, TemporalExpression
+from repro.temporal.interval import TemporalExpression
 
 T = TypeVar("T")
 
@@ -81,13 +81,6 @@ class STRTree3D(STRTree[T]):
 
     def _roots(self) -> tuple:
         return self._root, self._untimed_root
-
-    @property
-    def temporal_extent(self) -> Interval | None:
-        """The time range covered by the timed entries (the 3D root's), or
-        ``None`` without timed entries."""
-        lo, hi = self._root[0][4:]
-        return Interval(lo, hi) if lo <= hi else None
 
     def query(self, envelope: Envelope) -> list[T]:
         """All items, timed or not, whose envelope intersects *envelope*."""

@@ -12,8 +12,8 @@ class TimeSlicedForest:
     """Never built: every mode is ``spatial`` or ``3d``."""
 
     def __init__(self, *args, **kwargs):
-        raise NotImplementedError("the time-sliced forest index was removed; use mode='3d'")
+        raise NotImplementedError("the time-sliced forest index was removed")
 
     def query_st(self, region, time):
         """Raise: there is no forest to probe."""
-        raise NotImplementedError("the time-sliced forest index was removed; use mode='3d'")
+        raise NotImplementedError("the time-sliced forest index was removed")

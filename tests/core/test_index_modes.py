@@ -1,4 +1,6 @@
-"""All index modes must agree with the naive scan, timed and untimed."""
+"""Both tree kinds must agree with the naive scan, timed and untimed, and
+the structure each entry point builds is pinned: the handles build 2D
+trees, a planned filter over timed rows the 3D tree."""
 
 import random
 
@@ -6,7 +8,7 @@ import pytest
 
 from repro.core.filter import filter_live_index
 from repro.core.predicates import INTERSECTS
-from repro.core.spatial_rdd import spatial
+from repro.core.spatial_rdd import IndexedSpatialRDD, spatial
 from repro.core.stobject import STObject
 from repro.core.summaries import (
     known_summaries,
@@ -14,7 +16,7 @@ from repro.core.summaries import (
     partitions_matching,
 )
 from repro.geometry.point import Point
-from repro.index import INDEX_MODES
+from repro.index import INDEX_MODES, STRTree, STRTree3D, partition_index
 from repro.partitioners import GridPartitioner
 from repro.partitioners.temporal import TemporalRangePartitioner
 from repro.temporal import Instant, Interval
@@ -53,16 +55,14 @@ class TestLiveModeEquality:
     def test_mode_equals_naive_sequential(self, sc, mode, query):
         rdd = make_rdd(sc)
         naive = ids(spatial(rdd).intersects(query))
-        indexed = ids(spatial(rdd).live_index(order=8, mode=mode).intersects(query))
+        indexed = ids(filter_live_index(rdd, query, INTERSECTS, 8, mode=mode))
         assert indexed == naive
 
     @pytest.mark.parametrize("mode", INDEX_MODES)
     def test_mode_equals_naive_threaded(self, threaded_sc, mode):
         rdd = make_rdd(threaded_sc)
         naive = ids(spatial(rdd).intersects(TIMED_QUERY))
-        indexed = ids(
-            spatial(rdd).live_index(order=8, mode=mode).intersects(TIMED_QUERY)
-        )
+        indexed = ids(filter_live_index(rdd, TIMED_QUERY, INTERSECTS, 8, mode=mode))
         assert indexed == naive
 
     def test_temporal_first_equals_default(self, sc):
@@ -77,26 +77,87 @@ class TestLiveModeEquality:
         rdd = make_rdd(sc, n=20)
         for mode in ("octree", "temporal"):
             with pytest.raises(ValueError, match=f"unknown index mode '{mode}'"):
-                spatial(rdd).live_index(order=8, mode=mode)
-            with pytest.raises(ValueError, match=f"unknown index mode '{mode}'"):
-                spatial(rdd).index(order=8, mode=mode)
+                filter_live_index(rdd, TIMED_QUERY, INTERSECTS, 8, mode=mode)
+        # The handles take no mode at all: the code picks the structure.
+        with pytest.raises(TypeError):
+            spatial(rdd).live_index(order=8, mode="3d")
+        with pytest.raises(TypeError):
+            spatial(rdd).index(order=8, mode="3d")
 
 
 class TestPersistentModeEquality:
     @pytest.mark.parametrize("mode", INDEX_MODES)
     def test_persisted_mode_equals_naive(self, sc, tmp_path, mode):
+        # A persistent handle over either tree kind answers like a scan,
+        # and its save reloads as 2D trees that still do.
         rdd = make_rdd(sc)
         naive = ids(spatial(rdd).intersects(TIMED_QUERY))
-        persisted = spatial(rdd).index(order=8, mode=mode)
+        persisted = IndexedSpatialRDD(partition_index(rdd, 8, mode).persist(), order=8)
         assert ids(persisted.intersects(TIMED_QUERY)) == naive
-
-        from repro.core.spatial_rdd import IndexedSpatialRDD
 
         path = str(tmp_path / f"idx-{mode}")
         persisted.save(path)
         loaded = IndexedSpatialRDD.load(sc, path)
-        assert loaded.mode == mode
+        assert {type(tree) for tree in loaded.tree_rdd.collect()} == {STRTree}
         assert ids(loaded.intersects(TIMED_QUERY)) == naive
+        assert [d for d, _kv in loaded.knn(TIMED_QUERY, 9)] == [
+            d for d, _kv in spatial(rdd).knn(TIMED_QUERY, 9)
+        ]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The class of every partition tree built while the test runs."""
+    kinds = []
+    for cls in (STRTree, STRTree3D):
+
+        def record(tree, *args, _init=cls.__init__, **kwargs):
+            kinds.append(type(tree))
+            _init(tree, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", record)
+    return kinds
+
+
+class TestRouting:
+    """Callers do not pick the structure: the handles build the paper's
+    2D tree, and only the planner builds the 3D tree."""
+
+    def test_handles_build_2d_trees_over_timed_rows(self, sc, built):
+        rdd = make_rdd(sc)
+        naive = ids(spatial(rdd).intersects(TIMED_QUERY))
+        assert ids(spatial(rdd).live_index(order=8).intersects(TIMED_QUERY)) == naive
+        persisted = make_rdd(sc).persist()
+        assert ids(spatial(persisted).live_index(order=8).intersects(TIMED_QUERY)) == naive
+        assert ids(spatial(rdd).index(order=8).intersects(TIMED_QUERY)) == naive
+        assert built and set(built) == {STRTree}
+
+    def test_knn_on_the_persisted_handle_probes_only_2d_trees(
+        self, sc, tmp_path, monkeypatch
+    ):
+        probed = []
+        nearest = STRTree.nearest
+
+        def record(tree, *args, **kwargs):
+            probed.append(type(tree))
+            return nearest(tree, *args, **kwargs)
+
+        monkeypatch.setattr(STRTree, "nearest", record)
+        rdd = make_rdd(sc)
+        expected = [d for d, _kv in spatial(rdd).knn(TIMED_QUERY, 9)]
+        indexed = spatial(rdd).index(order=8)
+        indexed.save(str(tmp_path / "idx"))
+        loaded = IndexedSpatialRDD.load(sc, str(tmp_path / "idx"))
+        for handle in (indexed, loaded):
+            assert [d for d, _kv in handle.knn(TIMED_QUERY, 9)] == expected
+        assert probed and set(probed) == {STRTree}
+
+    def test_planned_filter_over_timed_rows_builds_the_3d_tree(self, sc, built):
+        rdd = make_rdd(sc).persist()
+        naive = ids(spatial(rdd).intersects(TIMED_QUERY))
+        assert spatial(rdd).plan(TIMED_QUERY).strategy == "live:3d"
+        assert ids(spatial(rdd).filter_planned(TIMED_QUERY)) == naive
+        assert built and set(built) == {STRTree3D}
 
 
 class TestTemporalPartitionPruning:

@@ -23,10 +23,10 @@ from repro.core.predicates import (
     INTERSECTS,
     within_distance_predicate,
 )
-from repro.core.spatial_rdd import IndexedSpatialRDD, spatial
+from repro.core.filter import filter_live_index
+from repro.core.spatial_rdd import IndexedSpatialRDD, _PredicateFilters, spatial
 from repro.core.stobject import STObject
 from repro.core.summaries import partition_summaries
-from repro.index import INDEX_MODES
 from repro.partitioners import (
     BSPartitioner,
     GridPartitioner,
@@ -125,11 +125,24 @@ def context():
     sc.stop()
 
 
+class Live3D(_PredicateFilters):
+    """The live handle's filters through the 3D tree, the structure only
+    the planner builds."""
+
+    def __init__(self, rdd):
+        self._rdd = rdd
+
+    def _filter(self, query, predicate):
+        return filter_live_index(self._rdd, query, predicate, 3, mode="3d")
+
+
 def handles_for(context, rdd):
     """One query handle per indexing mode over *rdd*."""
-    handles = {"none": spatial(rdd)}
-    for mode in INDEX_MODES:
-        handles[f"live:{mode}"] = spatial(rdd).live_index(order=3, mode=mode)
+    handles = {
+        "none": spatial(rdd),
+        "live:spatial": spatial(rdd).live_index(order=3),
+        "live:3d": Live3D(rdd),
+    }
     handles["persistent"] = indexed = spatial(rdd).index(order=3)
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "index")

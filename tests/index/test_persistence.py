@@ -1,6 +1,7 @@
-"""Persistent indexes: round trips, recovery, the tree layout written
-before rows were saved, the metadata checksum, and where a loaded index
-lives."""
+"""Persistent indexes: round trips, recovery, directories earlier
+versions wrote (a recorded ``3d`` or ``temporal`` mode, the tree layout
+written before rows were saved), the metadata checksum, and where a
+loaded index lives."""
 
 import gc
 import os
@@ -13,8 +14,9 @@ import pytest
 
 from repro.core.spatial_rdd import IndexedSpatialRDD, spatial
 from repro.core.stobject import STObject
+from repro.core.summaries import partition_summaries
 from repro.geometry.point import Point
-from repro.index import STRTree3D, build_partition_index, partition_index, persistence
+from repro.index import STRTree, build_partition_index, partition_index, persistence
 from repro.partitioners.grid import GridPartitioner
 from repro.spark.context import SparkContext
 from repro.spark.errors import JobAbortedError
@@ -141,35 +143,25 @@ class TestRoundTrip:
     """A saved index is its rows in tiling order; the trees rebuilt from
     them answer with the lists the saved trees gave, order included."""
 
-    @pytest.mark.parametrize("mode", ["spatial", "3d"])
-    def test_reloaded_index_answers_with_the_same_lists(self, sc, tmp_path, mode):
+    def test_reloaded_index_answers_with_the_same_lists(self, sc, tmp_path):
         rdd = mixed_rows(sc)
         partitioner = GridPartitioner.from_rdd(rdd, 2)
-        index = spatial(rdd).index(order=4, partitioner=partitioner, mode=mode)
+        index = spatial(rdd).index(order=4, partitioner=partitioner)
         before = query_answers(index, ROUND_TRIP_QUERIES)
         path = str(tmp_path / "idx")
         index.save(path)
+        assert "mode" not in persistence._read_meta(path)
         # Earlier versions recorded the forest's slice count in every mode.
         rewrite_meta(path, time_slices=3)
         loaded = IndexedSpatialRDD.load(sc, path)
-        assert loaded.mode == mode
         assert query_answers(loaded, ROUND_TRIP_QUERIES) == before
         assert [tree.items() for tree in loaded.tree_rdd.collect()] == [
             tree.items() for tree in index.tree_rdd.collect()
         ]
         assert sc.metrics.index_fallbacks == 0
 
-    def test_a_time_sliced_forest_save_is_refused_at_load(self, sc, tmp_path):
-        # The metadata an earlier version wrote for a forest index, beside
-        # parts that hold rows: refused by load, not at the first query.
-        path = str(tmp_path / "idx")
-        spatial(mixed_rows(sc)).index(order=4).save(path)
-        rewrite_meta(path, mode="temporal", time_slices=3)
-        with pytest.raises(StorageError, match="mode 'temporal'"):
-            IndexedSpatialRDD.load(sc, path)
-
     def test_parts_and_copy_hold_the_rows(self, sc, tmp_path):
-        index = spatial(mixed_rows(sc)).index(order=4, mode="3d")
+        index = spatial(mixed_rows(sc)).index(order=4)
         path = str(tmp_path / "idx")
         index.save(path)
         rows = [tree.items() for tree in index.tree_rdd.collect()]
@@ -178,7 +170,7 @@ class TestRoundTrip:
         assert not os.path.exists(os.path.join(path, "_data"))
 
     def test_damaged_part_loads_the_same_lists_from_the_copy(self, sc, tmp_path):
-        index = spatial(mixed_rows(sc)).index(order=4, mode="3d")
+        index = spatial(mixed_rows(sc)).index(order=4)
         before = query_answers(index, ROUND_TRIP_QUERIES)
         path = str(tmp_path / "idx")
         index.save(path)
@@ -203,7 +195,7 @@ class TestRoundTrip:
                 f.write(b"garbage")
         loaded = IndexedSpatialRDD.load(sc, path)
         assert loaded.partitioner is None
-        # Saved as ``spatial`` with order 4; rebuilt with the defaults,
+        # Saved with order 4; rebuilt with the default capacity,
         # the same rows answer with the same sets.
         found, nearest = query_answers(loaded, ROUND_TRIP_QUERIES)
         assert [sorted(kv[1] for kv in rows) for rows in found] == [
@@ -216,21 +208,86 @@ class TestRoundTrip:
         assert sc.metrics.index_fallbacks == (1 if damage == "garbage" else 0)
 
 
+def save_as_an_earlier_version(rdd, path, mode, order=4, **meta):
+    """Save *rdd* the way an earlier version saved an index in *mode*:
+    each partition's rows in its tree's order as the parts and the
+    recovery copy, and metadata recording the mode (and *meta*)."""
+    if mode == "temporal":
+        # The forest listed a partition's rows slice by slice, in time.
+        def listed(it):
+            return sorted(it, key=lambda kv: -1.0 if kv[0].time is None else kv[0].time.start)
+
+        rows = rdd.map_partitions(listed, preserves_partitioning=True)
+    else:
+        rows = partition_index(rdd, order, mode).flat_map(lambda tree: tree.items())
+    rows.save_as_object_file(path)
+    rows.save_as_object_file(os.path.join(path, "_rows_copy"))
+    persistence._write_meta(
+        path,
+        dict(partitioner=rdd.partitioner, order=order, mode=mode,
+             summaries=partition_summaries(rdd), **meta),
+    )
+    return path
+
+
+def assert_answers_like_a_scan(handle, rdd):
+    """Every filter and kNN of *handle* equals the scan's over *rdd*."""
+    scan = spatial(rdd)
+    for q in ROUND_TRIP_QUERIES:
+        for op in ("intersects", "contains", "contained_by"):
+            assert ids(getattr(handle, op)(q)) == ids(getattr(scan, op)(q)), (op, q)
+        assert ids(handle.within_distance(q, 7.5)) == ids(scan.within_distance(q, 7.5))
+        probe = STObject(q.geo.centroid())
+        assert [d for d, _kv in handle.knn(probe, 7)] == [
+            d for d, _kv in scan.knn(probe, 7)
+        ]
+
+
+class TestEarlierModes:
+    """Earlier versions also saved ``3d`` and ``temporal`` (time-sliced
+    forest) indexes and recorded the mode.  Their parts hold the same
+    ``(STObject, V)`` rows, so they load as 2D trees and answer exactly."""
+
+    @pytest.mark.parametrize("mode", ["3d", "temporal"])
+    def test_an_earlier_mode_save_loads_exactly(self, sc, tmp_path, mode):
+        rdd = mixed_rows(sc)
+        rdd = rdd.partition_by(GridPartitioner.from_rdd(rdd, 2))
+        extra = {"time_slices": 3} if mode == "temporal" else {}
+        path = save_as_an_earlier_version(rdd, str(tmp_path / "idx"), mode, **extra)
+        assert persistence._read_meta(path)["mode"] == mode
+        loaded = IndexedSpatialRDD.load(sc, path)
+        assert loaded.partitioner is not None
+        assert {type(tree) for tree in loaded.tree_rdd.collect()} == {STRTree}
+        assert_answers_like_a_scan(loaded, rdd)
+        assert sc.metrics.index_fallbacks == 0
+
+    def test_a_damaged_3d_save_part_is_read_from_the_copy(self, sc, tmp_path):
+        rdd = make_rdd(sc)
+        path = save_as_an_earlier_version(rdd, str(tmp_path / "idx"), "3d", order=8)
+        with open(os.path.join(path, "part-00001.pkl"), "wb") as f:
+            f.write(b"not a pickle")
+        loaded = IndexedSpatialRDD.load(sc, path)
+        assert_answers_like_a_scan(loaded, rdd)
+        assert loaded.tree_rdd.fallbacks == [1]
+        trees = loaded.tree_rdd.collect()
+        assert {type(tree) for tree in trees} == {STRTree}
+        assert len(trees[1]) == 100
+
+
 class TestTreeLayoutVersion:
     """Directories written when the parts were pickled trees: the trees
     are never unpickled, every partition is rebuilt from the ``_data``
     sidecar of ``(Envelope, item)`` entry lists."""
 
     def old_layout_dir(self, sc, tmp_path, layout):
-        """A saved index in the tree layout, its metadata naming *layout*.
-        Its parts are what layout 1 pickled: they name a class
+        """A saved ``3d`` index in the tree layout, its metadata naming
+        *layout*.  Its parts are what layout 1 pickled: they name a class
         (``_Node3``) this version does not have."""
         path = str(tmp_path / "idx")
-        index = spatial(make_rdd(sc)).index(order=8, mode="3d")
-        index.save(path)
-        assert sc.metrics.index_fallbacks == 0
+        rdd = make_rdd(sc)
+        save_as_an_earlier_version(rdd, path, "3d", order=8)
         shutil.rmtree(os.path.join(path, "_rows_copy"))
-        entry_lists = index.tree_rdd.map(
+        entry_lists = partition_index(rdd, 8, "3d").map(
             lambda tree: [[(kv[0].geo.envelope, kv) for kv in tree.items()]]
         )
         entry_lists.save_as_object_file(os.path.join(path, "_data"))
@@ -249,20 +306,7 @@ class TestTreeLayoutVersion:
         assert got == ids(spatial(make_rdd(sc)).intersects(QUERY))
         assert sc.metrics.index_fallbacks == loaded.tree_rdd.num_partitions
         assert sorted(loaded.tree_rdd.fallbacks) == list(range(4))
-        assert {type(tree) for tree in loaded.tree_rdd.collect()} == {STRTree3D}
-
-    def test_damaged_part_is_rebuilt_in_the_saved_mode(self, sc, tmp_path):
-        path = str(tmp_path / "idx")
-        spatial(make_rdd(sc)).index(order=8, mode="3d").save(path)
-        with open(os.path.join(path, "part-00001.pkl"), "wb") as f:
-            f.write(b"not a pickle")
-        loaded = IndexedSpatialRDD.load(sc, path)
-        window = STObject(QUERY.geo, Interval(200, 260))
-        assert ids(loaded.intersects(window)) == ids(spatial(make_rdd(sc)).intersects(window))
-        assert loaded.tree_rdd.fallbacks == [1]
-        trees = loaded.tree_rdd.collect()
-        assert {type(tree) for tree in trees} == {STRTree3D}
-        assert len(trees[1]) == 100
+        assert {type(tree) for tree in loaded.tree_rdd.collect()} == {STRTree}
 
     def test_old_version_without_sidecar_is_a_storage_error(self, sc, tmp_path):
         path = self.old_layout_dir(sc, tmp_path, layout=1)

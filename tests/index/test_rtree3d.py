@@ -61,7 +61,7 @@ class TestBoxing:
         assert [kv[1] for kv in tree.query_st(region, Interval(0, 1))] == ["timed"]
         assert tree.query_st(region, Interval(500, 600)) == []
         # The 3D root's t-range is the timed entries' alone: finite.
-        assert tree.temporal_extent == Interval(0, 10)
+        assert tree._root[0][4:] == (0, 10)
         assert len(tree) == 2 and tree.untimed_count == 1
 
     def test_spatial_projection_for_nearest_and_envelope(self):
@@ -137,7 +137,7 @@ class TestQueries:
         tree = STRTree3D([])
         assert len(tree) == 0
         assert tree.query_st(REGION, Interval(0, 1)) == []
-        assert tree.temporal_extent is None
+        assert temporal_extent_of(tree) == (None, 0)
         assert tree.nearest(0, 0, 3) == []
 
     def test_rejects_bad_capacity(self):
@@ -146,44 +146,35 @@ class TestQueries:
 
 
 class TestTemporalExtent:
+    """The partition summaries' one scan covers both tree kinds: a 3D
+    tree's leaf walk holds the timed and the untimed root's leaves."""
+
     def test_all_timed(self):
         rows = make_entries(150, seed=5)
-        tree = STRTree3D.for_stobjects(rows)
-        extent = tree.temporal_extent
-        starts = [kv[0].time.start for kv in rows]
-        ends = [kv[0].time.end for kv in rows]
-        assert extent.start == pytest.approx(min(starts))
-        assert extent.end == pytest.approx(max(ends))
+        extent, timed = temporal_extent_of(STRTree3D.for_stobjects(rows))
+        assert timed == 150
+        assert extent == Interval(
+            min(kv[0].time.start for kv in rows), max(kv[0].time.end for kv in rows)
+        )
 
     def test_mixed_untimed_scans_for_extent(self):
         rows = make_entries(150, seed=6, untimed_every=5)
-        tree = STRTree3D.for_stobjects(rows)
-        extent = tree.temporal_extent
-        timed = [kv[0].time for kv in rows if kv[0].time is not None]
-        assert extent.start == pytest.approx(min(t.start for t in timed))
-        assert extent.end == pytest.approx(max(t.end for t in timed))
-
-    def test_summaries_read_the_extent_off_the_root(self, monkeypatch):
-        rows = make_entries(150, seed=6, untimed_every=5)
-        tree = STRTree3D.for_stobjects(rows)
-        monkeypatch.setattr(
-            STRTree3D, "_leaf_rows", lambda self: pytest.fail("scanned the leaves")
-        )
-        extent, timed = temporal_extent_of(tree)
-        assert extent == tree.temporal_extent
-        assert timed == sum(kv[0].time is not None for kv in rows) == 120
+        extent, timed = temporal_extent_of(STRTree3D.for_stobjects(rows))
+        stamps = [kv[0].time for kv in rows if kv[0].time is not None]
+        assert timed == len(stamps) == 120
+        assert extent == Interval(min(t.start for t in stamps), max(t.end for t in stamps))
 
     def test_summaries_scan_a_spatial_tree(self):
         rows = make_entries(100, seed=10, untimed_every=10)
         tree = build_partition_index(rows, mode="spatial")
-        extent, timed = temporal_extent_of(tree)
-        assert timed == sum(kv[0].time is not None for kv in rows) == 90
-        assert extent == STRTree3D.for_stobjects(rows).temporal_extent
+        assert temporal_extent_of(tree) == temporal_extent_of(
+            STRTree3D.for_stobjects(rows)
+        )
+        assert temporal_extent_of(tree)[1] == 90
 
     def test_all_untimed(self):
         rows = make_entries(40, seed=7, untimed_every=1)
-        tree = STRTree3D.for_stobjects(rows)
-        assert tree.temporal_extent is None
+        assert temporal_extent_of(STRTree3D.for_stobjects(rows)) == (None, 0)
 
 
 class TestStructure:

@@ -166,7 +166,7 @@ class TestCachedIndexes:
     def test_a_built_index_does_not_stick(self, sc):
         rdd = make_rdd(sc).persist()
         planner = QueryPlanner(sc)
-        spatial(rdd).live_index(mode="spatial").intersects(SELECTIVE_QUERY).collect()
+        spatial(rdd).live_index().intersects(SELECTIVE_QUERY).collect()
         plan = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS, require_index=True)
         assert plan.strategy == "live:3d"
         free = planner.plan_filter(rdd, SELECTIVE_QUERY, INTERSECTS)
