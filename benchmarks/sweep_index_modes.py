@@ -12,7 +12,9 @@ one partition-sized index, single thread):
 over the grid
 
 - *n*: 4k and 16k rows;
-- interval length: instants, 20 units, 20% of the span;
+- interval length: instants, 20 units, 20% of the span, and instants
+  with 1% of rows 20% of the span long (a long row among short ones in
+  a 3D column);
 - timed fraction: 0, 50% and 100%;
 - window share: 0.1%, 1% and 20% of the span;
 - box: 1%, 72% and 100% of the area.
@@ -52,7 +54,13 @@ SPAN = 100_000.0
 NODE_CAPACITY = 10
 
 SIZES = (4_000, 16_000)
-INTERVALS = (("instant", 0.0), ("20", 20.0), ("20%", 0.2 * SPAN))
+#: Name and per-row length draw of each interval case.
+INTERVALS = (
+    ("instant", lambda rng: 0.0),
+    ("20", lambda rng: 20.0),
+    ("20%", lambda rng: 0.2 * SPAN),
+    ("mixed", lambda rng: 0.2 * SPAN if rng.random() < 0.01 else 0.0),
+)
 TIMED = (0.0, 0.5, 1.0)
 WINDOWS = (0.001, 0.01, 0.2)
 BOXES = (0.01, 0.72, 1.0)
@@ -64,13 +72,13 @@ STRUCTURES = (
 )
 
 
-def make_rows(rng, n, length, timed_share):
+def make_rows(rng, n, length_of, timed_share):
     rows = []
     for i in range(n):
         geo = Point(rng.uniform(0, EXTENT), rng.uniform(0, EXTENT))
         if rng.random() < timed_share:
             start = rng.uniform(0, SPAN)
-            rows.append((STObject(geo, Interval(start, start + length)), i))
+            rows.append((STObject(geo, Interval(start, start + length_of(rng))), i))
         else:
             rows.append((STObject(geo), i))
     return rows
@@ -121,9 +129,9 @@ def run_queries(index, queries):
 
 def sweep(queries_per_cell, repeats, seed):
     cells = []
-    for n, (length_name, length), timed_share in itertools.product(SIZES, INTERVALS, TIMED):
+    for n, (length_name, length_of), timed_share in itertools.product(SIZES, INTERVALS, TIMED):
         rng = random.Random(f"{seed}-{n}-{length_name}-{timed_share}")
-        rows = make_rows(rng, n, length, timed_share)
+        rows = make_rows(rng, n, length_of, timed_share)
         built = {name: build(rows) for name, build in STRUCTURES}
         windows = WINDOWS if timed_share else WINDOWS[:1]
         for window, box in itertools.product(windows, BOXES):

@@ -9,7 +9,8 @@ faces:
   partition-local indexing (paper section 2.2, ``mode="spatial"``), the
   tree of every live and persistent index handle,
 - :class:`~repro.index.rtree3d.STRTree3D` -- the same tree tiled over
-  (x, y, t) boxes (``mode="3d"``), built when the planner picks it,
+  (x, y, t) boxes, its leaves columns sorted by t-start
+  (``mode="3d"``), built when the planner picks it,
 
 and beside them :mod:`~repro.index.persistence`, the save/load helpers
 implementing the *persistent indexing* mode.

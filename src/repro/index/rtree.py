@@ -8,10 +8,13 @@ root remains.  The tree is build-once (like JTS): queries are available
 after construction, inserts are not.
 
 Both partition indexes are faces over this module: :class:`STRTree`
-(2D) and :class:`~repro.index.rtree3d.STRTree3D` (x, y, t).  A
-tree's kind shows only in how its entry boxes are made and in how many
-axes the tiling sorts on; the bulk load, the box merge, the range
-traversal and the branch-and-bound ``nearest`` below exist once.
+(2D) and :class:`~repro.index.rtree3d.STRTree3D` (x, y, t).  The bulk
+load, the box merge, the range traversal and the branch-and-bound
+``nearest`` below exist once.  A tree's kind shows in how its entry
+boxes are made, in how many axes the tiling sorts on, and in its
+leaves: a 3-axis tree's leaves are *columns* (:class:`_Column`), one
+per x/y run of the tiling, their rows sorted by t-start, so a timed
+probe finds the rows of a column it can match by two bisections.
 
 **Box layout.**  Boxes are plain float tuples tested inline in the
 traversal loops: ``(min_x, min_y, max_x, max_y)`` in a 2-axis tree,
@@ -39,6 +42,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 from repro.geometry.envelope import Envelope
@@ -74,6 +78,24 @@ class _Node:
         self.rows = rows
 
 
+class _Column(_Node):
+    """A 3-axis tree's leaf: one x/y run of the tiling, its rows sorted
+    by t-start.  ``starts`` lists those starts and ``reach[i]`` is the
+    latest end among rows ``0..i``.  Both lists are sorted, so the rows
+    that can meet a window ``(min_t, max_t)`` -- those from the first
+    whose reach is ``min_t`` or later to the last that starts by
+    ``max_t`` -- are one slice, found by two bisections.  (A bound of
+    ``min_t`` minus the longest row's extent is never tighter, and one
+    long row would widen every window's slice.)"""
+
+    __slots__ = ("starts", "reach")
+
+    def __init__(self, rows: list[tuple[tuple, object]]) -> None:
+        super().__init__(True, rows)
+        self.starts = [box[4] for box, _child in rows]
+        self.reach = list(itertools.accumulate((box[5] for box, _child in rows), max))
+
+
 def _cover(rows: list[tuple[tuple, object]]) -> tuple:
     """The smallest box covering every row's box (the one box merge)."""
     columns = list(zip(*[box for box, _child in rows]))
@@ -83,29 +105,28 @@ def _cover(rows: list[tuple[tuple, object]]) -> tuple:
     return cover
 
 
-def _t_center(row: tuple[tuple, object]) -> float:
-    # Open-ended t-ranges center at 0.
-    mid = (row[0][4] + row[0][5]) / 2.0
-    return mid if math.isfinite(mid) else 0.0
+def _t_start(row: tuple[tuple, object]) -> float:
+    return row[0][4]
 
 
-#: Sort key per tiling axis: the center of a row's box along x, y, t.
+#: Sort key per cut axis: the center of a row's box along x, y.
 _CENTER_OF_AXIS = (
     lambda row: (row[0][0] + row[0][2]) / 2.0,
     lambda row: (row[0][1] + row[0][3]) / 2.0,
-    _t_center,
 )
 
 
 def _str_tiles(rows: list, cap: int, axes: int) -> Iterator[list]:
-    """Group rows into runs of *cap* by Sort-Tile-Recursive order.
+    """Group rows into tiles by Sort-Tile-Recursive order.
 
     A run of n rows with d axes to go holds ``P = ceil(n / cap)`` tiles:
     sort it by the current axis' center, cut it into ``ceil(P ** (1/d))``
-    slabs and tile each slab over the other ``d - 1`` axes; on the last
-    axis cut into tiles of *cap*.  Over 2 axes these are the classic
-    sqrt(P) vertical slices, over 3 roughly cubic slabs.  Two or more
-    rows always come back as fewer tiles, so packing ends in one root.
+    slabs and tile each slab over the other ``d - 1`` axes.  Over 2 axes
+    these are the classic sqrt(P) vertical slices, cut into tiles of
+    *cap* on y.  Over 3 axes there are about ``P ** (1/3)`` cuts on x
+    and as many on y, and t is not cut: each x/y run is one tile, a
+    column sorted by t-start (see :class:`_Column`).  Two or more rows
+    always come back as fewer tiles, so packing ends in one root.
     """
     # Bulk-loading a large partition's index can take seconds; one
     # beat per tile keeps the build cancellable under a deadline.
@@ -116,6 +137,10 @@ def _tile(run: list, axis: int, cap: int, axes: int, heartbeat: Heartbeat) -> It
     """:func:`_str_tiles` from *axis* on.  A module function, not a
     closure: a recursive closure is a reference cycle, which would leave
     every build's closure and heartbeat to the cyclic collector."""
+    if axis == 2:  # t: the run is one column
+        heartbeat.beat()
+        yield sorted(run, key=_t_start)
+        return
     ordered = sorted(run, key=_CENTER_OF_AXIS[axis])
     to_go = axes - axis
     if to_go == 1:
@@ -137,18 +162,16 @@ def _tile(run: list, axis: int, cap: int, axes: int, heartbeat: Heartbeat) -> It
 def _bulk_load(entries: list[tuple[tuple, T]], cap: int, axes: int):
     """Pack *entries* bottom-up; returns the root's ``(box, node)`` row
     and the leaves in the order the tiling packed them (the levels above
-    sort them again)."""
+    sort them again).  A column spans its x/y cell's whole time range,
+    so the levels above a 3-axis tree's columns tile x and y only."""
+    columns = axes == 3
     if not entries:
-        return (_EMPTY_ROOT_BOX, _Node(True, [])), []
-
-    def pack(rows: list, leaf: bool) -> list[tuple[tuple, _Node]]:
-        tiles = _str_tiles(rows, cap, axes)
-        return [(_cover(tile), _Node(leaf, tile)) for tile in tiles]
-
-    level = pack(entries, leaf=True)
+        return (_EMPTY_ROOT_BOX, _Column([]) if columns else _Node(True, [])), []
+    tiles = _str_tiles(entries, cap, axes)
+    level = [(_cover(tile), _Column(tile) if columns else _Node(True, tile)) for tile in tiles]
     leaves = [node for _box, node in level]
     while len(level) > 1:
-        level = pack(level, leaf=False)
+        level = [(_cover(tile), _Node(False, tile)) for tile in _str_tiles(level, cap, 2)]
     return level[0], leaves
 
 
@@ -156,13 +179,12 @@ def _search(root, probe: tuple) -> list:
     """Items whose box intersects *probe*, closed bounds on every axis.
 
     The one range traversal.  A 6-float probe tests the t-range too
-    and needs a 3-axis tree; a 4-float probe is spatial only.  A 6-float
-    probe tests t first: a query's window is a small share of the
-    timeline while a leaf spans many times it, so most rows a timed
-    query reads fail on t, and fail there in one or two comparisons
-    instead of after four spatial ones.  The test is a pure conjunction
-    and rows are visited in the same order, so the list and its order do
-    not depend on the axis order.
+    and needs a 3-axis tree, whose leaves are columns: it reads only the
+    slice of a column's rows that :class:`_Column` bisects out for its
+    window, and no row of a column whose slice is empty.  It tests a
+    row on x and y before t: few rows in a slice fail on t, and the
+    nodes above the columns span the whole timeline.  A 4-float probe
+    is spatial only.
     """
     out: list = []
     min_x, min_y, max_x, max_y = probe[:4]
@@ -180,15 +202,22 @@ def _search(root, probe: tuple) -> list:
     min_t, max_t = probe[4:]
     while stack:
         node = stack.pop()
-        hits = out if node.leaf else stack
-        for box, child in node.rows:
+        if node.leaf:
+            first = bisect_left(node.reach, min_t)
+            last = bisect_right(node.starts, max_t)
+            if first >= last:
+                continue
+            rows, hits = node.rows[first:last], out
+        else:
+            rows, hits = node.rows, stack
+        for box, child in rows:
             if (
-                box[4] <= max_t
-                and min_t <= box[5]
-                and box[0] <= max_x
+                box[0] <= max_x
                 and min_x <= box[2]
                 and box[1] <= max_y
                 and min_y <= box[3]
+                and box[4] <= max_t
+                and min_t <= box[5]
             ):
                 hits.append(child)
     return out

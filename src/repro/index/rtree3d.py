@@ -17,9 +17,10 @@ only and an untimed probe the 2D tree only; ``query``, ``nearest``,
 ``items``, ``envelope`` and ``len`` see both.
 
 Everything but the boxing lives in :mod:`repro.index.rtree`: the bulk
-load tiles over three axes instead of two, the range traversal tests
-the t-range of a 6-float probe, and ``nearest`` / ``envelope`` read
-the spatial prefix of both trees' boxes.
+load tiles over three axes and makes each x/y run one leaf, a *column*
+sorted by t-start; a 6-float probe reads only the slice of a column
+whose starts can meet its window, found by two bisections; and
+``nearest`` / ``envelope`` read the spatial prefix of both trees' boxes.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ class STRTree3D(STRTree[T]):
     max_y, min_t, max_t)``; an untimed entry's is the 4-float spatial
     box and goes to the 2D tree beside the 3D one.  The bulk load
     extends Sort-Tile-Recursive to three dimensions: entries sort by
-    x-center into slabs, each slab by y-center into runs, each run by
-    t-center into tiles of ``node_capacity`` entries.  Like the 2D tree
-    it is build-once: queries only.
+    x-center into slabs, each slab by y-center into runs, and each run
+    is one leaf, its rows sorted by t-start; the levels above tile the
+    leaves over x and y into nodes of ``node_capacity``.  Like the 2D
+    tree it is build-once: queries only.
     """
 
     def __init__(

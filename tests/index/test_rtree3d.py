@@ -2,8 +2,11 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.stobject import STObject
 from repro.core.summaries import temporal_extent_of
@@ -30,6 +33,7 @@ def make_entries(n, seed=1, untimed_every=None, span=1000.0):
 
 
 REGION = Envelope(20, 20, 70, 70)
+INF = math.inf
 
 
 def boxed(x0, y0, x1, y1, time=None):
@@ -230,3 +234,96 @@ class TestStructure:
             and window.start <= kv[0].time.end
         }
         assert got == expected
+
+
+# A small integer grid makes instants, duplicate starts and zero-extent
+# boxes common; a long extent puts a column's ends out of start order,
+# and the open ends put infinities in its bounds.
+_EXTENTS = (0.0, 0.0, 1.0, 6.0)
+_OPEN_TIMES = ((0.0, INF), (-INF, 4.0), (-INF, INF), (INF, INF), (-INF, -INF))
+
+
+#: Per row field, how many values it takes: x, y, w, h, t on a small
+#: grid, and the time's kind (None, instant, interval, open).
+_FIELDS = (9, 9, 4, 4, 9, 10)
+
+
+def _row(code):
+    """``(x, y, w, h, time)`` decoded from one integer: one draw per row
+    keeps a few hundred examples of a hundred rows fast."""
+    fields = []
+    for size in _FIELDS:
+        code, field = divmod(code, size)
+        fields.append(field)
+    x, y, w, h, t, kind = fields
+    if kind == 0:
+        time = None
+    elif kind <= 2:
+        time = (float(t), float(t))
+    elif kind <= 8:
+        time = (float(t), t + _EXTENTS[kind % 4])
+    else:
+        time = _OPEN_TIMES[t % len(_OPEN_TIMES)]
+    return float(x), float(y), _EXTENTS[w], _EXTENTS[h], time
+
+
+_rows_of = st.integers(min_value=0, max_value=math.prod(_FIELDS) - 1).map(_row)
+
+
+def _halves(values):
+    """A sorted axis' lower and upper half, sharing the middle value:
+    a bound drawn from each makes an ordered pair."""
+    middle = len(values) // 2
+    return values[: middle + 1], values[middle:]
+
+
+@st.composite
+def _st_cases(draw):
+    """``(rows, region, time)``: rows ``(x, y, w, h, time)``, some drawn
+    twice, and a probe whose bounds come from the rows' own bounds."""
+    size = draw(st.integers(min_value=0, max_value=60))
+    rows = draw(st.lists(_rows_of, min_size=size, max_size=size))
+    rows += rows[: draw(st.integers(min_value=0, max_value=len(rows)))]
+    xs = sorted({0.0, 15.0} | {v for x, _y, w, _h, _t in rows for v in (x, x + w)})
+    ys = sorted({0.0, 15.0} | {v for _x, y, _w, h, _t in rows for v in (y, y + h)})
+    ts = sorted({0.0, 15.0} | {v for *_, t in rows if t is not None for v in t if abs(v) < INF})
+    x0, x1, y0, y1, t0, t1 = (
+        draw(st.sampled_from(half)) for axis in (xs, ys, ts) for half in _halves(axis)
+    )
+    empty = draw(st.integers(min_value=0, max_value=9)) == 0
+    region = Envelope.empty() if empty else Envelope(x0, y0, x1, y1)
+    time = draw(
+        st.sampled_from(
+            [None, Interval(t0, t1), Interval(t0, t0), Interval(0.0, INF),
+             Interval(-INF, t1), Interval(-INF, INF), Interval(INF, INF)]
+        )
+    )
+    return rows, region, time
+
+
+class TestColumnSearchOracle:
+    """A timed probe reads a slice of each column, found by bisecting its
+    starts and its running latest end; whatever the slice skips must be
+    a row no scan returns."""
+
+    @given(_st_cases(), st.sampled_from([2, 3, 4, 10]))
+    @settings(max_examples=200, deadline=None)
+    def test_query_st_returns_what_a_scan_returns(self, case, capacity):
+        rows, region, time = case
+        entries = []
+        for i, (x, y, w, h, row_time) in enumerate(rows):
+            box = (x, y, x + w, y + h)
+            entries.append((box if row_time is None else (*box, *row_time), i))
+        tree = STRTree3D(entries, capacity)
+        want = []
+        if not region.is_empty:
+            for box, i in entries:
+                if (len(box) == 6) != (time is not None):
+                    continue  # combined semantics: a mixed pair never matches
+                if not (box[0] <= region.max_x and region.min_x <= box[2]):
+                    continue
+                if not (box[1] <= region.max_y and region.min_y <= box[3]):
+                    continue
+                if time is None or (box[4] <= time.end and time.start <= box[5]):
+                    want.append(i)
+        assert Counter(tree.query_st(region, time)) == Counter(want)

@@ -1,11 +1,13 @@
-"""The range traversal answers alike whatever axis order it tests in.
+"""The range traversal answers alike however it reads a node's rows.
 
-``_search`` tests a 6-float probe's t-range before its box.  These tests
-hold ``STRTree.query`` and ``STRTree3D.query`` / ``query_st`` to a copy
-of the x, y, t loop it replaced: the same list in the same order, over
-timed and untimed mixes, zero-extent and duplicate boxes, rows on a
-probe's closed bounds, empty probes, open-ended intervals, and probes
-narrowest on each axis in turn.
+``_search`` reads only the slice of a 3D column that bisecting its
+starts and its running latest end leaves.  These tests hold
+``STRTree.query`` and ``STRTree3D.query`` to a copy of an earlier
+x, y, t loop, and a timed ``query_st`` to a walk of the packed columns
+that tests every row: the same list in the same order, over timed and
+untimed mixes, zero-extent and duplicate boxes, rows on a probe's
+closed bounds, empty probes, open-ended intervals, and probes narrowest
+on each axis in turn.
 """
 
 import math
@@ -43,6 +45,22 @@ def fixed_order_search(root, probe):
             ):
                 hits.append(child)
     return out
+
+
+def column_walk(root, probe):
+    """A timed probe's reference answer: the x, y, t loop, which tests
+    every row of every column, once each column is checked to hold its
+    rows in start order under their running latest end."""
+    nodes = [root[1]]
+    for node in nodes:
+        if not node.leaf:
+            nodes.extend(child for _box, child in node.rows)
+            continue
+        starts = [box[4] for box, _item in node.rows]
+        assert starts == sorted(starts) == node.starts
+        ends = [box[5] for box, _item in node.rows]
+        assert node.reach == [max(ends[: i + 1]) for i in range(len(ends))]
+    return fixed_order_search(root, probe)
 
 
 # A small integer grid makes zero-extent and duplicate boxes common.
@@ -132,6 +150,6 @@ class TestSameAnswersAsTheFixedOrder:
         if time is None:
             expected = fixed_order_search(tree._untimed_root, box)
         else:
-            expected = fixed_order_search(tree._root, (*box, time.start, time.end))
+            expected = column_walk(tree._root, (*box, time.start, time.end))
         assert tree.query_st(region, time) == expected
 
