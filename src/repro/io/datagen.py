@@ -164,23 +164,15 @@ def event_rows(
     time_range: tuple[float, float] = (0.0, 1_000_000.0),
     categories: Sequence[str] = ("accident", "concert", "protest", "sports"),
     seed: int = 17,
-    interval_fraction: float = 0.0,
 ) -> list[tuple[int, str, float, str]]:
-    """Wrap points into the paper's input schema ``(id, category, time, wkt)``.
-
-    ``interval_fraction`` of rows get a duration (the reader turns those
-    into Interval-timed STObjects); the rest are instants.
-    """
+    """Wrap points into the paper's input schema ``(id, category, time, wkt)``,
+    each row timed by an instant."""
     rng = random.Random(seed)
     lo, hi = time_range
     rows = []
     for i, point in enumerate(points):
         t = rng.uniform(lo, hi)
         rows.append((i, rng.choice(categories), t, point.wkt()))
-    if interval_fraction > 0:
-        # Durations are encoded out-of-band by the caller; rows stay
-        # instant-shaped for schema fidelity.
-        pass
     return rows
 
 

@@ -188,14 +188,6 @@ SPATIAL_PREDICATE_FUNCTIONS = {
 }
 
 
-def _bag_values(bag: Any, column: int | None) -> list[Any]:
-    if not isinstance(bag, list):
-        raise PigletRuntimeError("aggregate applied to a non-bag value")
-    if column is None:
-        return bag
-    return [row[column] for row in bag]
-
-
 AGGREGATE_FUNCTIONS: dict[str, Callable[[list[Any]], Any]] = {
     "COUNT": lambda values: len(values),
     "SUM": lambda values: sum(values),

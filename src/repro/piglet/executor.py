@@ -64,14 +64,6 @@ class Relation:
     index_order: Optional[int] = None
     bags: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def field_index(self, name: str) -> int:
-        try:
-            return self.schema.index(name)
-        except ValueError:
-            raise PigletRuntimeError(
-                f"unknown field {name!r}; schema is {list(self.schema)}"
-            ) from None
-
 
 class _Evaluator:
     """Row-expression evaluation against a relation's schema."""

@@ -41,6 +41,7 @@ the ledger append.
 from __future__ import annotations
 
 import heapq
+import pickle
 from collections import deque
 from typing import Any, Callable
 
@@ -56,6 +57,11 @@ _INF = float("inf")
 
 Record = tuple[STObject, Any]
 
+#: The consumer's own checkpointed attributes (see
+#: :meth:`CepConsumer.snapshot_state`).
+_FIELDS = ("_absorbed_batch", "_watermark", "_horizon", "_next_rid", "_next_seq",
+           "late_dropped", "_pending", "_eviction", "_ready")
+
 
 class CepConsumer(StoreBackedConsumer):
     """Keyed NFA pattern matching as a streaming window consumer.
@@ -65,9 +71,7 @@ class CepConsumer(StoreBackedConsumer):
     node.  The store is the shared core's: its ``universe`` is fixed
     lazily from the first non-empty batch when not given, ``grid``
     shapes it, and ``lateness`` is the event-time slack the watermark
-    trails behind the frontier.  ``max_partials`` bounds live partial matches per
-    sequence group (see :class:`~repro.streaming.cep.nfa.
-    SequenceMatcher`).
+    trails behind the frontier.
     """
 
     def __init__(
@@ -77,7 +81,6 @@ class CepConsumer(StoreBackedConsumer):
         lateness: float = 0.0,
         universe: Envelope | None = None,
         grid: int = 8,
-        max_partials: int = 256,
     ) -> None:
         rules = list(rules)
         if not rules:
@@ -92,8 +95,7 @@ class CepConsumer(StoreBackedConsumer):
         super().__init__(node, universe, grid)
         self.rules = tuple(rules)
         self.lateness = lateness
-        self.max_partials = max_partials
-        self._matchers = [compile_rule(rule, max_partials) for rule in rules]
+        self._matchers = [compile_rule(rule) for rule in rules]
         #: Event-time watermark (frontier minus lateness).
         self._watermark = -_INF
         #: Processed frontier: every event with ``t_start <= horizon``
@@ -104,8 +106,8 @@ class CepConsumer(StoreBackedConsumer):
         self._pending: list[tuple[float, int]] = []
         #: Min-heap of ``(expiry, rid)`` -- store eviction schedule.
         self._eviction: list[tuple[float, int]] = []
-        # Plain ints (not itertools.count): both counters are part of
-        # checkpointed state and must snapshot/restore exactly.
+        # Plain ints (not itertools.count): both counters are
+        # checkpointed (:data:`_FIELDS`).
         self._next_rid = 0
         self._next_seq = 0
         #: Completed matches awaiting emission (at-least-once queue).
@@ -278,29 +280,21 @@ class CepConsumer(StoreBackedConsumer):
     def snapshot_state(self) -> dict:
         """Picklable consumer state for checkpoint epochs.
 
-        Self-contained: the store's own snapshot is embedded (see
-        :meth:`~repro.streaming.state.KeyedStateStore.snapshot`),
-        matcher state rides as pure structure (group anchors keep their
-        STObjects -- pickle handles those), and pending matches are
-        serialized field by field.
+        One pickle holds the consumer's :data:`_FIELDS`, each matcher's
+        :meth:`~repro.streaming.cep.nfa.Matcher.state` and the store's
+        :meth:`~repro.streaming.state.KeyedStateStore.snapshot`, so an
+        STObject both the store and a group anchor hold is written once,
+        and the snapshot shares nothing with the live state.
         """
+        state = (
+            {name: getattr(self, name) for name in _FIELDS},
+            [matcher.state() for matcher in self._matchers],
+            self.store.snapshot(),
+        )
         return {
             "kind": "cep",
-            "absorbed": self._absorbed_batch,
-            "watermark": self._watermark,
-            "horizon": self._horizon,
-            "next_rid": self._next_rid,
-            "next_seq": self._next_seq,
-            "late_dropped": self.late_dropped,
-            "pending": sorted(self._pending),
-            "eviction": sorted(self._eviction),
-            "ready": [
-                (m.rule, m.group, list(m.events), m.start, m.end, m.value, m.seq)
-                for m in self._ready
-            ],
             "rules": [rule.name for rule in self.rules],
-            "matchers": [matcher.snapshot() for matcher in self._matchers],
-            "store": self.store.snapshot(),
+            "state": pickle.dumps(state, pickle.HIGHEST_PROTOCOL),
         }
 
     def restore_state(self, snapshot: dict) -> None:
@@ -310,39 +304,30 @@ class CepConsumer(StoreBackedConsumer):
         name and in order: matcher states are positional, so a changed
         rule set would silently graft one rule's partial matches onto
         another.  Recovery's re-declare-identically contract makes this
-        an error here, same as the pipeline-shape check upstream.
+        an error here, same as the pipeline-shape check upstream, and so
+        is a pickled state whose field names differ from the live
+        objects' -- refused before any of it is applied.
         """
         recorded = snapshot.get("rules")
         declared = [rule.name for rule in self.rules]
-        if recorded is not None and recorded != declared:
+        if recorded != declared:
             raise ValueError(
                 "CEP rules must be re-declared identically to restore: "
                 f"checkpoint recorded {recorded}, pipeline declares {declared}"
             )
-        self._absorbed_batch = snapshot["absorbed"]
-        self._watermark = snapshot["watermark"]
-        self._horizon = snapshot["horizon"]
-        self._next_rid = snapshot["next_rid"]
-        self._next_seq = snapshot["next_seq"]
-        self.late_dropped = snapshot["late_dropped"]
-        # Both were snapshotted sorted, and a sorted list is a heap.
-        self._pending = list(snapshot["pending"])
-        self._eviction = list(snapshot["eviction"])
-        self._ready = deque(
-            Match(
-                rule=rule,
-                group=group,
-                events=tuple(tuple(ev) for ev in events),
-                start=start,
-                end=end,
-                value=value,
-                seq=seq,
+        fields, matchers, store = pickle.loads(snapshot["state"])
+        recorded = [sorted(fields)] + [sorted(state) for state in matchers]
+        live = [sorted(_FIELDS)] + [sorted(m.state()) for m in self._matchers]
+        if recorded != live:
+            raise ValueError(
+                "CEP state must be re-declared identically to restore: "
+                f"checkpoint holds fields {recorded}, this build keeps {live}"
             )
-            for rule, group, events, start, end, value, seq in snapshot["ready"]
-        )
-        for matcher, state in zip(self._matchers, snapshot["matchers"]):
-            matcher.restore(state)
-        self.store.restore(snapshot["store"])
+        for name, value in fields.items():
+            setattr(self, name, value)
+        for matcher, state in zip(self._matchers, matchers):
+            vars(matcher).update(state)
+        self.store.restore(store)
 
 
 class PatternStream:

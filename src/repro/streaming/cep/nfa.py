@@ -30,10 +30,11 @@ Two entry points drive every matcher:
   of time* (absence deadlines, closing count/aggregate windows) and
   prunes state that can no longer contribute.
 
-``snapshot()`` / ``restore()`` round-trip a matcher through plain
-containers (dict state is serialized as insertion-ordered lists),
-which is how partial-match state rides the pickled checkpoint epochs
-of the recovery subsystem across crashes.
+A matcher's checkpoint state is :meth:`~Matcher.state`: every
+attribute but ``rule``, whose user callables do not pickle and which
+the re-declared pipeline supplies again.  The consumer pickles those
+dicts, as they are, together with its own fields and the store (see
+:meth:`~repro.streaming.cep.consumer.CepConsumer.snapshot_state`).
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ Completion = tuple
 #: ``fetch(rid) -> (STObject, value, t_start, t_end)`` or None.
 Fetch = Callable[[int], tuple]
 
+#: Live partial matches kept per sequence group (see
+#: :class:`SequenceMatcher`).
+MAX_PARTIALS = 256
+
 
 def _freeze_group(group: Any) -> Any:
     """Groups must be hashable dict keys; lists are user convenience."""
@@ -68,8 +73,7 @@ class _GroupAnchors:
     anchor ``(t, rid, st)``; the ``entered``/``exited`` transition
     guards compare the current event against the anchor's geometry.
     The anchor is one record per *group* (bounded by group
-    cardinality, not stream length), so its STObject is held inline
-    and snapshot/restore round-trips it through pickle untouched.
+    cardinality, not stream length), so its STObject is held inline.
     """
 
     def __init__(self) -> None:
@@ -84,19 +88,21 @@ class _GroupAnchors:
         """Record the group's new previous event."""
         self._last[group] = (t, rid, st)
 
-    def snapshot(self) -> list:
-        """Insertion-ordered pure-structure form (STObjects inline)."""
-        return [[group, [t, rid, st]] for group, (t, rid, st) in self._last.items()]
 
-    def restore(self, rows: list) -> None:
-        """Rebuild from :meth:`snapshot` output."""
-        self._last = {
-            _freeze_group(group): (float(row[0]), int(row[1]), row[2])
-            for group, row in rows
-        }
+class Matcher:
+    """The checkpoint rule every matcher shares.
+
+    A matcher's state is every attribute except ``rule``: rules hold
+    user callables (``where``, ``group_by``, ``field``) that do not
+    pickle, and the re-declared pipeline supplies them again.
+    """
+
+    def state(self) -> dict:
+        """The live checkpoint state (not a copy: the caller pickles it)."""
+        return {name: value for name, value in vars(self).items() if name != "rule"}
 
 
-class SequenceMatcher:
+class SequenceMatcher(Matcher):
     """All-matches skip-till-any-match NFA for a :class:`SequenceRule`.
 
     A *partial match* is ``[first_t, last_t, last_rid, rids]`` -- the
@@ -111,18 +117,17 @@ class SequenceMatcher:
     contiguity in the group's event order.  A partial reaching the last
     step completes immediately and is emitted on the event.
 
-    Per group at most ``max_partials`` live partials are kept; overflow
-    drops the oldest and is counted in :attr:`overflowed` (a bounded-
-    memory safety valve, surfaced in the consumer's snapshot).
+    Per group at most :data:`MAX_PARTIALS` live partials are kept;
+    overflow drops the oldest and is counted in :attr:`overflowed` (a
+    bounded-memory safety valve, checkpointed with the matcher).
     """
 
-    def __init__(self, rule: SequenceRule, max_partials: int = 256) -> None:
+    def __init__(self, rule: SequenceRule) -> None:
         self.rule = rule
-        self.max_partials = max_partials
         #: group -> list of partials ``[first_t, last_t, last_rid, [rids]]``.
         self._partials: dict[Any, list[list]] = {}
         self._anchors = _GroupAnchors()
-        #: Partials dropped by the ``max_partials`` cap.
+        #: Partials dropped by the :data:`MAX_PARTIALS` cap.
         self.overflowed = 0
 
     def advance(
@@ -179,8 +184,8 @@ class SequenceMatcher:
             else:
                 survivors.append([t, t, rid, [rid]])
 
-        if len(survivors) > self.max_partials:
-            dropped = len(survivors) - self.max_partials
+        if len(survivors) > MAX_PARTIALS:
+            dropped = len(survivors) - MAX_PARTIALS
             self.overflowed += dropped
             survivors = survivors[dropped:]
         if survivors:
@@ -202,32 +207,8 @@ class SequenceMatcher:
                 del self._partials[group]
         return []
 
-    def snapshot(self) -> dict:
-        """Pure-structure form of the matcher state (checkpointable)."""
-        return {
-            "partials": [
-                [group, [list(p[:3]) + [list(p[3])] for p in partials]]
-                for group, partials in self._partials.items()
-            ],
-            "anchors": self._anchors.snapshot(),
-            "overflowed": self.overflowed,
-        }
 
-    def restore(self, state: dict) -> None:
-        """Rebuild the matcher from :meth:`snapshot` output."""
-        self._partials = {
-            _freeze_group(group): [
-                [float(p[0]), float(p[1]), int(p[2]), [int(r) for r in p[3]]]
-                for p in partials
-            ]
-            for group, partials in state["partials"]
-        }
-        self._anchors = _GroupAnchors()
-        self._anchors.restore(state["anchors"])
-        self.overflowed = int(state["overflowed"])
-
-
-class AbsenceMatcher:
+class AbsenceMatcher(Matcher):
     """Deadline triggers for an :class:`AbsenceRule`.
 
     Every event matching the rule's ``after`` pattern arms a trigger
@@ -291,29 +272,8 @@ class AbsenceMatcher:
             for deadline, t, rid, group in due
         ]
 
-    def snapshot(self) -> dict:
-        """Pure-structure form of the matcher state (checkpointable)."""
-        return {
-            "triggers": [
-                [group, [list(trg) for trg in triggers]]
-                for group, triggers in self._triggers.items()
-            ],
-            "anchors": self._anchors.snapshot(),
-        }
 
-    def restore(self, state: dict) -> None:
-        """Rebuild the matcher from :meth:`snapshot` output."""
-        self._triggers = {
-            _freeze_group(group): [
-                [float(trg[0]), float(trg[1]), int(trg[2])] for trg in triggers
-            ]
-            for group, triggers in state["triggers"]
-        }
-        self._anchors = _GroupAnchors()
-        self._anchors.restore(state["anchors"])
-
-
-class WindowedMatcher:
+class WindowedMatcher(Matcher):
     """Per-window, per-group accumulation for count / aggregate rules.
 
     Matching events are assigned to every window of the rule's
@@ -374,41 +334,11 @@ class WindowedMatcher:
                     completions.append((group, rids, key[0], key[1], value))
         return completions
 
-    def snapshot(self) -> dict:
-        """Pure-structure form of the matcher state (checkpointable)."""
-        return {
-            "windows": [
-                [
-                    list(key),
-                    [
-                        [group, [list(r) for r in rows]]
-                        for group, rows in groups.items()
-                    ],
-                ]
-                for key, groups in self._windows.items()
-            ],
-            "anchors": self._anchors.snapshot(),
-        }
 
-    def restore(self, state: dict) -> None:
-        """Rebuild the matcher from :meth:`snapshot` output."""
-        self._windows = {
-            (float(key[0]), float(key[1])): {
-                _freeze_group(group): [
-                    [float(r[0]), int(r[1]), float(r[2])] for r in rows
-                ]
-                for group, rows in groups
-            }
-            for key, groups in state["windows"]
-        }
-        self._anchors = _GroupAnchors()
-        self._anchors.restore(state["anchors"])
-
-
-def compile_rule(rule: Rule, max_partials: int = 256):
+def compile_rule(rule: Rule) -> Matcher:
     """Compile a rule to its incremental matcher."""
     if isinstance(rule, SequenceRule):
-        return SequenceMatcher(rule, max_partials=max_partials)
+        return SequenceMatcher(rule)
     if isinstance(rule, AbsenceRule):
         return AbsenceMatcher(rule)
     if isinstance(rule, (CountRule, AggregateRule)):

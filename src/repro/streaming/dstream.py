@@ -307,7 +307,6 @@ class SpatialDStream:
         lateness: float = 0.0,
         universe: "Envelope | None" = None,
         grid: int = 8,
-        max_partials: int = 256,
     ):
         """Complex event processing: declarative rules over this stream.
 
@@ -326,8 +325,6 @@ class SpatialDStream:
         matcher state checkpoints with the stream,
         and ``lateness`` is the event-time slack before the watermark
         -- events later than that are dropped and counted.
-        ``max_partials`` bounds live partial sequence matches per
-        group.
         """
         from repro.streaming.cep.consumer import CepConsumer, PatternStream
 
@@ -337,7 +334,6 @@ class SpatialDStream:
             lateness=lateness,
             universe=universe,
             grid=grid,
-            max_partials=max_partials,
         )
         self._ssc._register_window(consumer)
         return PatternStream(consumer)

@@ -53,7 +53,9 @@ if TYPE_CHECKING:
 #: The :func:`build_snapshot` layout this build writes and reads.
 #: 2: every consumer snapshot (kinds ``"keyed"`` and ``"cep"``) embeds
 #: one :meth:`~repro.streaming.state.KeyedStateStore.snapshot`.
-SNAPSHOT_FORMAT = 2
+#: 3: a ``"cep"`` consumer's state is one pickle of its fields, its
+#: matchers' states and that store snapshot.
+SNAPSHOT_FORMAT = 3
 
 
 @dataclass

@@ -13,6 +13,7 @@ deterministic too.
 
 from __future__ import annotations
 
+import pickle
 import random
 from collections import Counter
 
@@ -31,6 +32,7 @@ from repro.streaming import (
     step,
 )
 from repro.streaming.cep import RuleError, canonical
+from repro.streaming.cep.nfa import MAX_PARTIALS
 
 BACKENDS = ["sequential", "threads"]
 
@@ -437,3 +439,72 @@ class TestSnapshotRoundtrip:
         for name, match in sink.results():
             got[name].append(match)
         assert_equal_to_oracle(rows, rules, got)
+
+    def test_state_with_other_field_names_is_refused_whole(self):
+        """A pickled state whose field names differ from the live
+        consumer's or a live matcher's is refused with the rule-name
+        check's error, and none of it is applied."""
+        rows = make_events(83, n=48)
+        with SparkContext("cep-fields", parallelism=2, retry_backoff=0.0) as sc:
+            ssc = StreamingContext(sc)
+            source, events = ssc.queue_stream()
+            stream = events.patterns(*all_rules(), lateness=1.0)
+            source.push(rows)
+            ssc.run_batch(batch_time=0.0)
+            snapshot = stream.consumer.snapshot_state()
+            fields, matchers, store = pickle.loads(snapshot["state"])
+            damaged = [
+                (dict(fields, extra=1), matchers),
+                ({k: v for k, v in fields.items() if k != "_ready"}, matchers),
+                (fields, matchers[:-1] + [dict(matchers[-1], extra=1)]),
+                (fields, [{k: v for k, v in matchers[0].items() if k != "_anchors"}]
+                 + matchers[1:]),
+            ]
+
+            ssc2 = StreamingContext(sc)
+            fresh = ssc2.queue_stream()[1].patterns(*all_rules(), lateness=1.0).consumer
+            before = fresh.snapshot_state()
+            for bad_fields, bad_matchers in damaged:
+                state = pickle.dumps((bad_fields, bad_matchers, store))
+                with pytest.raises(ValueError, match="re-declared identically"):
+                    fresh.restore_state({**snapshot, "state": state})
+                assert fresh.snapshot_state() == before
+            ssc.stop()
+            ssc2.stop()
+
+
+class TestPartialCap:
+    def test_cap_keeps_the_newest_partials_across_a_restore(self):
+        """One group's 300 first steps inside ``within`` keep the newest
+        256 partials; the next second step completes with exactly those,
+        and the overflow count crosses a snapshot and restore."""
+        firsts = [(STObject("POINT (1 1)", 0.01 * i), (i, "ping")) for i in range(300)]
+        closing = (STObject("POINT (2 2)", 3.5), (300, "alert"))
+        pair = sequence(
+            "pair", steps=[step(category="ping"), step(category="alert")], within=10.0
+        )
+        with SparkContext("cep-cap", parallelism=2, retry_backoff=0.0) as sc:
+            ssc = StreamingContext(sc)
+            source, events = ssc.queue_stream()
+            stream = events.patterns(pair)
+            source.push(firsts)
+            ssc.run_batch(batch_time=0.0)
+            matcher = stream.consumer.matchers[0]
+            assert len(matcher.state()["_partials"][None]) == MAX_PARTIALS == 256
+            assert matcher.overflowed == 44
+            snapshot = stream.consumer.snapshot_state()
+
+            ssc2 = StreamingContext(sc)
+            source2, events2 = ssc2.queue_stream()
+            stream2 = events2.patterns(pair)
+            sink = stream2.matches()
+            stream2.consumer.restore_state(snapshot)
+            ssc2._ingest.next_batch_id = ssc._ingest.next_batch_id
+            assert stream2.consumer.matchers[0].overflowed == 44
+            source2.push([closing])
+            ssc2.run_batch(batch_time=1.0)
+            ssc.stop()
+            ssc2.stop()
+        matches = [match for _name, match in sink.results()]
+        assert sorted(match.events[0][1][0] for match in matches) == list(range(44, 300))
+        assert {match.events[1][1][0] for match in matches} == {300}

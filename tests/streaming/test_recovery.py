@@ -691,12 +691,72 @@ class TestRestoreContract:
             ssc = StreamingContext(sc, checkpoint_dir=ck)
             _source, events = ssc.queue_stream([])
             sink = events.window(**WINDOW).collect_windows()
-            with pytest.raises(StreamingError, match=r"format 1\b.*format 2\b"):
+            with pytest.raises(StreamingError, match=r"format 1\b.*format 3\b"):
                 ssc.restore()
             assert ssc._ingest.next_batch_id == 0
             assert ssc.metrics.batches_run == 0
             assert ssc.metrics.batches_replayed == 0
             assert sink.results() == []
+            ssc.stop()
+        # The epoch is intact, not "corrupt": it still loads and validates.
+        _snapshot, manifest, skipped = load_latest_checkpoint(ck)
+        assert (manifest["epoch"], skipped) == (1, 0)
+
+    def test_newer_build_refuses_a_format_2_cep_snapshot(self, tmp_path):
+        """A checkpoint whose CEP consumer state is hand-encoded lists
+        (snapshot format 2: ``"matchers"``, ``"pending"``, ``"ready"``)
+        is refused with a typed error that names both formats, and the
+        fresh context is left exactly as declared."""
+        from repro.streaming import sequence, step
+        from repro.streaming.checkpoint import load_latest_checkpoint, write_checkpoint
+
+        ck = str(tmp_path / "ck")
+        cep = {
+            "kind": "cep",
+            "absorbed": 2,
+            "watermark": 2.5,
+            "horizon": 2.5,
+            "next_rid": 1,
+            "next_seq": 0,
+            "late_dropped": 0,
+            "pending": [],
+            "eviction": [(8.5, 0)],
+            "ready": [],
+            "rules": ["pair"],
+            "matchers": [
+                {"partials": [[None, [[0.5, 0.5, 0, [0]]]]], "anchors": [], "overflowed": 0}
+            ],
+            "store": {"universe": (0.0, 0.0, 50.0, 50.0), "records": []},
+        }
+        write_checkpoint(
+            ck,
+            epoch=1,
+            snapshot={
+                "format": 2,
+                "next_batch_id": 3,
+                "metrics": {"batches_run": 3},
+                "consumers": [cep],
+                "sources": [None],
+            },
+            high_water=2,
+        )
+        with make_sc() as sc:
+            ssc = StreamingContext(sc, checkpoint_dir=ck)
+            _source, events = ssc.queue_stream([])
+            stream = events.patterns(
+                sequence("pair", steps=[step(), step()], within=6.0)
+            )
+            sink = stream.matches()
+            with pytest.raises(StreamingError, match=r"format 2\b.*format 3\b"):
+                ssc.restore()
+            assert ssc._ingest.next_batch_id == 0
+            assert ssc.metrics.batches_run == 0
+            assert ssc.metrics.batches_replayed == 0
+            assert sink.results() == []
+            consumer = stream.consumer
+            assert consumer.watermark == float("-inf")
+            assert consumer.store.size == 0
+            assert consumer.matchers[0].state()["_partials"] == {}
             ssc.stop()
         # The epoch is intact, not "corrupt": it still loads and validates.
         _snapshot, manifest, skipped = load_latest_checkpoint(ck)
