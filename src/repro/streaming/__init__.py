@@ -112,8 +112,6 @@ from repro.streaming.sources import (
 )
 from repro.streaming.state import (
     CellState,
-    ContinuousJoinStatic,
-    ContinuousQuery,
     KeyedStateStore,
     KeyedWindowState,
     StateConsumer,
@@ -131,8 +129,6 @@ __all__ = [
     "KeyedStateStore",
     "KeyedWindowState",
     "StateConsumer",
-    "ContinuousQuery",
-    "ContinuousJoinStatic",
     "Window",
     "WindowSpec",
     "event_span",

@@ -40,10 +40,12 @@ from repro.spark.rdd import RDD
 from repro.geometry.envelope import Envelope
 from repro.streaming.operators import (
     broadcast_static_index,
+    build_static_index,
+    probe_static,
     relax_static,
     stream_static_join,
 )
-from repro.streaming.state import ContinuousJoinStatic, ContinuousQuery, StateConsumer
+from repro.streaming.state import StateConsumer
 from repro.streaming.window import Window, WindowSpec
 
 Record = tuple[STObject, Any]
@@ -350,7 +352,7 @@ class WindowedStream:
 
     Returned by :meth:`SpatialDStream.window` and
     :meth:`SpatialDStream.continuous`; every method registers one
-    output or :class:`~repro.streaming.state.ContinuousQuery` on the
+    output or one standing query ``evaluate(store, window)`` on the
     stream's :class:`~repro.streaming.state.StateConsumer` and runs
     when a window closes.  The operator methods return a :class:`Sink`
     accumulating ``(window, result)`` pairs, and every result equals
@@ -424,8 +426,8 @@ class WindowedStream:
         query_obj = query if isinstance(query, STObject) else STObject(query)
         pred = resolve_predicate(predicate)
         return self._consumer.add_query(
-            ContinuousQuery(lambda store, window: store.query_range(query_obj, pred, window))
-        ).sink
+            lambda store, window: store.query_range(query_obj, pred, window)
+        )
 
     def knn(
         self,
@@ -445,8 +447,8 @@ class WindowedStream:
         fn = resolve(distance_fn)
         query_obj = query if isinstance(query, STObject) else STObject(query)
         return self._consumer.add_query(
-            ContinuousQuery(lambda store, window: store.query_knn(query_obj, k, window, fn))
-        ).sink
+            lambda store, window: store.query_knn(query_obj, k, window, fn)
+        )
 
     def intersects_static(
         self,
@@ -457,14 +459,23 @@ class WindowedStream:
         """Per closed window: the stream-static join of its records
         against a fixed reference set.
 
-        Each record is probed against the reference R-tree exactly once
-        at ingest; per closed window the cached matches of the window's
-        records are emitted -- ``((stream_st, stream_v), (ref_st,
-        ref_v))`` pairs, equal to :func:`~repro.streaming.operators.
-        stream_static_join` over the window's records.
+        The reference is R-tree-indexed once, here; per closed window
+        each of its records probes the tree through
+        :func:`~repro.streaming.operators.probe_static`, the rule
+        :meth:`SpatialDStream.join_static` applies per batch -- so the
+        ``((stream_st, stream_v), (ref_st, ref_v))`` pairs equal
+        :func:`~repro.streaming.operators.stream_static_join` over the
+        window's records.
         """
-        rows = reference.collect() if isinstance(reference, RDD) else list(reference)
-        return self._consumer.add_query(ContinuousJoinStatic(rows, predicate, order)).sink
+        tree = build_static_index(reference, order)
+        pred = relax_static(resolve_predicate(predicate))
+        return self._consumer.add_query(
+            lambda store, window: [
+                ((st, value), ref)
+                for _rid, st, value in store.iter_window(window)
+                for ref in probe_static(tree, pred, st)
+            ]
+        )
 
     # -- DBSCAN over the window's records ----------------------------------
 

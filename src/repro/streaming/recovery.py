@@ -15,10 +15,10 @@ that never crashed:
    epoch on corruption; with none, recovery starts from empty state
    and the whole WAL is the tail.
 2. **Restore** the snapshot into a freshly declared, identical
-   pipeline: batch-id counter, stream metrics (not those mirroring
-   counters other objects own -- one refresh at the end reads them),
-   every consumer's state (records re-inserted, cell extents regrown) and every
-   source's cursor.
+   pipeline: every consumer's state (records re-inserted, cell extents
+   regrown), then the batch-id counter, stream metrics (not those
+   mirroring counters other objects own -- one refresh at the end
+   reads them) and every source's cursor.
 3. **Replay** the WAL tail through the ordinary batch core -- batches
    polled after the snapshot re-run their poll's cursor deltas and
    counters through the ingest edge -- while the emitted-window ledger
@@ -34,7 +34,8 @@ mismatch fails loudly rather than mis-wiring state.  The
 a failed restore leaves the fresh context untouched and retryable, and
 so does a refused one: a WAL tail this build cannot replay (the
 ``kind="shed"`` records of builds that shed load at admission) is
-rejected before the snapshot is applied.
+rejected before the snapshot is applied, and a consumer that refuses
+its state does so before the batch counter and the metrics move.
 """
 
 from __future__ import annotations
@@ -321,13 +322,16 @@ class Recovery:
                 f"checkpoint has {len(sources)} source cursor(s) but the "
                 f"declared pipeline registers {len(ssc._inputs)} input(s)"
             )
+        # Consumers first: one that refuses its state (a ValueError)
+        # leaves the batch counter and the metrics fresh, so the context
+        # still reads as fresh to a corrected retry.
+        for consumer, state in zip(ssc._windows, consumers):
+            consumer.restore_state(state)
         ssc._ingest.next_batch_id = snapshot["next_batch_id"]
         metrics = ssc.metrics
         for name, value in snapshot["metrics"].items():
             if name in metrics.__dataclass_fields__ and name not in metrics.MIRRORED:
                 setattr(metrics, name, value)
-        for consumer, state in zip(ssc._windows, consumers):
-            consumer.restore_state(state)
         for node, cursor in zip(ssc._inputs, sources):
             if cursor is not None:
                 node.source.restore_cursor(cursor)

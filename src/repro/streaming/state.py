@@ -44,20 +44,21 @@ keeps it: an insert grows the extents exactly, only a removal makes
 them stale, and the range scan that next reads a stale cell recomputes
 them exactly -- conservative in between, never lossy.
 
-The standing queries (:class:`ContinuousQuery`, and
-:class:`ContinuousJoinStatic` for the stream-static join) pin their
-results to the batch operators: a fired window's answer is equal to
-running the corresponding :mod:`repro.core` operator over exactly that
-window's records, which is the property the streaming state tests
-assert record for record.
+A standing query is one callable ``evaluate(store, window)`` that
+:class:`StateConsumer` runs as each window closes -- range and kNN are
+one :meth:`KeyedStateStore.query_range` / :meth:`KeyedStateStore.
+query_knn` call, the stream-static join one reference probe per window
+record.  Each pins its result to the batch operators: a fired window's
+answer is equal to running the corresponding :mod:`repro.core`
+operator over exactly that window's records, which is the property the
+streaming state tests assert record for record.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from typing import Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.core.knn import query_radius
 from repro.core.predicates import INTERSECTS, STPredicate, resolve_predicate
@@ -65,8 +66,11 @@ from repro.core.stobject import STObject
 from repro.geometry.distance import DistanceFunction, euclidean, resolve
 from repro.geometry.envelope import Envelope
 from repro.partitioners.grid import GridPartitioner
-from repro.streaming.operators import build_static_index, probe_static, relax_static
+from repro.streaming.operators import relax_static
 from repro.streaming.window import Window, WindowSpec, event_span
+
+if TYPE_CHECKING:
+    from repro.streaming.dstream import Sink
 
 Record = tuple[STObject, Any]
 
@@ -279,9 +283,10 @@ class KeyedStateStore:
 
     def iter_window(self, window: Window | None) -> Iterator[tuple[int, STObject, Any]]:
         """Every live ``(rid, STObject, value)`` whose span intersects
-        *window* (all live records when *window* is None).
+        *window* (all live records when *window* is None, as for the
+        store's queries).
         """
-        for cell in list(self._cells.values()):
+        for cell in self._cells.values():
             if window is not None and not cell.intersects_time(window.start, window.end):
                 continue
             for rid, (st, value, t_start, t_end) in cell.registry.items():
@@ -445,15 +450,10 @@ class KeyedWindowState:
             self._open.update(live)
         return rids
 
-    def add_batch(
-        self, records: list[Record], batch_time: float
-    ) -> list[tuple[int, STObject, Any]]:
-        """Insert *records* into the store and advance the watermark.
-
-        Returns the inserted ``(rid, STObject, value)`` rows so per-record
-        query hooks (the stream-static join's ingest-time probe) run
-        exactly once per accepted record.
-        """
+    def add_batch(self, records: list[Record], batch_time: float) -> None:
+        """Insert *records* into the store, each listed in its pane, and
+        advance the watermark; records too late for every window are
+        counted, not inserted."""
         max_end = self.watermark + self.lateness
         staged: list[tuple[STObject, Any, float, float, list[Window]]] = []
         late_records = late_windows = missed = 0
@@ -479,7 +479,6 @@ class KeyedWindowState:
                 late_records += 1
                 continue
             staged.append((st, value, t_start, t_end, live))
-        inserted: list[tuple[int, STObject, Any]] = []
         insert = self.store.insert
         listed = rids = None
         for st, value, t_start, t_end, live in staged:
@@ -489,11 +488,9 @@ class KeyedWindowState:
             if live is not listed:
                 listed, rids = live, self._pane(live)
             rids.append(rid)
-            inserted.append((rid, st, value))
         self.late_dropped += late_records
         self.late_window_drops += late_windows
         self.watermark = max(self.watermark, max_end - self.lateness)
-        return inserted
 
     def ready_windows(self) -> list[Window]:
         """Windows the watermark has passed, ascending (not yet closed --
@@ -565,82 +562,6 @@ class KeyedWindowState:
             rids.append(rid)
 
 
-# -- continuous queries ----------------------------------------------------
-
-
-class ContinuousQuery:
-    """One standing query evaluated against the store per closed window.
-
-    ``evaluate(store, window)`` computes a closed window's result (a
-    range or kNN query is one call of :meth:`KeyedStateStore.
-    query_range` / :meth:`KeyedStateStore.query_knn`); :meth:`on_insert`
-    / :meth:`on_evict` are the incremental hooks (the stream-static
-    join matches each record once, at ingest).  Results accumulate in
-    ``sink`` as ``(window, result)`` pairs, the windowed-sink contract.
-    """
-
-    def __init__(self, evaluate: Callable[[KeyedStateStore, Window], Any]) -> None:
-        from repro.streaming.dstream import Sink
-
-        self.sink = Sink()
-        self.evaluate = evaluate
-
-    def on_insert(self, rid: int, st: STObject, value: Any) -> None:
-        """Incremental per-record hook at ingest (base: none, not called)."""
-
-    def on_evict(self, rid: int) -> None:
-        """Incremental per-record hook at eviction (base: none, not called)."""
-
-    def emit(self, store: KeyedStateStore, window: Window) -> None:
-        """Evaluate and record one closed window."""
-        self.sink.append(window, self.evaluate(store, window))
-
-
-class ContinuousJoinStatic(ContinuousQuery):
-    """Continuous stream-static join against a fixed reference dataset.
-
-    The reference is R-tree-indexed once; each stream record is probed
-    against it exactly *once*, at ingest, through the same rule as
-    :func:`repro.streaming.operators.stream_static_join`
-    (:func:`~repro.streaming.operators.probe_static`), and the matches
-    are cached by record id -- a window's join result is then just the
-    union of the cached matches of the records in the window, however
-    many sliding windows the record lives through.  Same output
-    contract as the per-batch join.
-    """
-
-    def __init__(
-        self,
-        reference: Sequence[Record],
-        predicate: "str | STPredicate" = INTERSECTS,
-        order: int = 10,
-    ) -> None:
-        super().__init__(self.window_matches)
-        self.predicate = relax_static(resolve_predicate(predicate))
-        self._tree = build_static_index(reference, order)
-        self._matches: dict[int, list[Record]] = {}
-        self.probes = 0
-
-    def on_insert(self, rid: int, st: STObject, value: Any) -> None:
-        """Probe the reference once and cache the record's matches."""
-        self.probes += 1
-        matched = probe_static(self._tree, self.predicate, st)
-        if matched:
-            self._matches[rid] = matched
-
-    def on_evict(self, rid: int) -> None:
-        """Forget an evicted record's cached matches."""
-        self._matches.pop(rid, None)
-
-    def window_matches(self, store: KeyedStateStore, window: Window) -> list[tuple[Record, Record]]:
-        """The cached matches of the window's records, as join pairs."""
-        out: list[tuple[Record, Record]] = []
-        for rid, st, value in store.iter_window(window):
-            for ref_st, ref_value in self._matches.get(rid, ()):
-                out.append(((st, value), (ref_st, ref_value)))
-        return out
-
-
 class StoreBackedConsumer:
     """What ``window()``, ``continuous()`` and ``patterns()`` consume through.
 
@@ -698,10 +619,10 @@ class StateConsumer(StoreBackedConsumer):
     Bridges one stream node to a :class:`KeyedWindowState`: per batch
     the streaming context collects the chain's records (an input
     node's are the batch's own rows, read without a job) and calls
-    :meth:`absorb`, and :meth:`fire` emits every ready window -- the
-    registered continuous queries answer from the store, the window
-    outputs receive the window's records as an RDD -- before the
-    window's leavers are evicted.
+    :meth:`absorb`, and :meth:`fire` emits every ready window -- each
+    registered standing query ``evaluate(store, window)`` answers from
+    the store into its sink, the window outputs receive the window's
+    records as an RDD -- before the window's leavers are evicted.
     """
 
     def __init__(
@@ -715,8 +636,8 @@ class StateConsumer(StoreBackedConsumer):
         super().__init__(node, universe, grid)
         self.spec = spec
         self.state = KeyedWindowState(spec, self.store, lateness)
-        self.queries: list[ContinuousQuery] = []
-        self._pending_hooks: deque[tuple[int, STObject, Any]] = deque()
+        #: ``(evaluate, sink)`` per standing query, in registration order.
+        self.queries: list[tuple[Callable[[KeyedStateStore, Window], Any], Sink]] = []
 
     @property
     def late_dropped(self) -> int:
@@ -728,15 +649,14 @@ class StateConsumer(StoreBackedConsumer):
         """Per-window contributions lost to already-fired windows."""
         return self.state.late_window_drops
 
-    def add_query(self, query: ContinuousQuery) -> ContinuousQuery:
-        """Register one standing query; returns it for sink access."""
-        self.queries.append(query)
-        return query
+    def add_query(self, evaluate: Callable[[KeyedStateStore, Window], Any]) -> Sink:
+        """Register one standing query; returns the sink that collects
+        its ``(window, evaluate(store, window))`` pairs."""
+        from repro.streaming.dstream import Sink
 
-    def _hooked(self, hook: str) -> list[ContinuousQuery]:
-        """The queries overriding *hook*: only they run it per record."""
-        base = getattr(ContinuousQuery, hook)
-        return [query for query in self.queries if getattr(type(query), hook) is not base]
+        sink = Sink()
+        self.queries.append((evaluate, sink))
+        return sink
 
     def absorb(self, batch_id: int, records: list[Record], batch_time: float) -> None:
         """Insert one batch into keyed state (idempotent per batch id).
@@ -748,22 +668,8 @@ class StateConsumer(StoreBackedConsumer):
         """
         if not self._begin(batch_id, records):
             return
-        inserted = self.state.add_batch(records, batch_time)
+        self.state.add_batch(records, batch_time)
         self._absorbed_batch = batch_id
-        if self._hooked("on_insert"):
-            self._pending_hooks.extend(inserted)
-
-    def _run_insert_hooks(self) -> None:
-        # Drained before any window evaluates; a record is popped only
-        # after every query's hook ran, and re-running a hook for the
-        # same rid just overwrites the same cached result, so a failure
-        # mid-drain replays safely on the batch retry.
-        hooked = self._hooked("on_insert")
-        while self._pending_hooks:
-            rid, st, value = self._pending_hooks[0]
-            for query in hooked:
-                query.on_insert(rid, st, value)
-            self._pending_hooks.popleft()
 
     def fire(self, ssc) -> int:
         """Emit each ready window, ascending, then evict its leavers.
@@ -774,25 +680,21 @@ class StateConsumer(StoreBackedConsumer):
         records in arrival order.
         The context's emit gate suppresses windows a crashed process
         already delivered: the window's state transitions (closed
-        horizon, eviction, ``on_evict``) still run, only the query
-        evaluation, the outputs and the ledger note are skipped.
+        horizon, eviction) still run, only the query evaluation, the
+        outputs and the ledger note are skipped.
         """
-        self._run_insert_hooks()
         fired = 0
         for window in self.state.ready_windows():
             if ssc._recovery.emit_allowed(self, window):
-                for query in self.queries:
-                    query.emit(self.store, window)
+                for evaluate, sink in self.queries:
+                    sink.append(window, evaluate(self.store, window))
                 if self.outputs:
                     rdd = ssc._batch_rdd(self.state.window_records(window))
                     for output in self.outputs:
                         output(window, rdd)
                 ssc._recovery.note_emitted(self, window)
                 fired += 1
-            evicted = self.state.close_window(window)
-            for query in self._hooked("on_evict"):
-                for rid in evicted:
-                    query.on_evict(rid)
+            self.state.close_window(window)
         return fired
 
     def flush(self, ssc) -> int:
@@ -807,22 +709,25 @@ class StateConsumer(StoreBackedConsumer):
         return {
             "kind": "keyed",
             "absorbed": self._absorbed_batch,
-            "pending_hooks": list(self._pending_hooks),
             "state": self.state.snapshot(),
         }
 
     def restore_state(self, snapshot: dict) -> None:
         """Reset to a :meth:`snapshot_state` (recovery entry point).
 
-        After the registry is rebuilt, every query's ``on_insert`` hook
-        re-runs over the live records to reconstruct incremental caches
-        (the stream-static join's per-record match cache).  The hooks
-        are idempotent -- re-probing a record overwrites the same cached
-        result -- so overlap with still-pending hooks is harmless.
+        Another consumer kind's state (a ``"cep"`` snapshot where the
+        re-declared pipeline has a window) is refused before anything
+        is touched.  Keys other than ``absorbed`` and ``state`` are
+        ignored: the ``pending_hooks`` rows older builds wrote are
+        already in the store, and their matches are computed when their
+        windows close.
         """
+        kind = snapshot.get("kind")
+        if kind != "keyed":
+            raise ValueError(
+                "a window consumer restores 'keyed' state, but the checkpoint "
+                f"holds {kind!r} state at its position -- restore requires the "
+                "pipeline to be re-declared identically"
+            )
         self._absorbed_batch = snapshot["absorbed"]
-        self._pending_hooks = deque(tuple(row) for row in snapshot["pending_hooks"])
         self.state.restore(snapshot["state"])
-        for query in self._hooked("on_insert"):
-            for rid, st, value in self.store.iter_window(None):
-                query.on_insert(rid, st, value)

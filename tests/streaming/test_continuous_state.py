@@ -33,7 +33,6 @@ from repro.streaming import (
     WindowSpec,
 )
 from repro.streaming.operators import relax_static
-from repro.streaming.state import ContinuousJoinStatic, ContinuousQuery
 
 BACKENDS = ["sequential", "threads"]
 
@@ -176,17 +175,64 @@ class TestContinuousEqualsBatchRecompute:
         assert store.removes == total
         assert store.size == 0
 
-    def test_only_overriding_hooks_run_per_record(self, exec_sc, monkeypatch):
-        calls = []
-        monkeypatch.setattr(ContinuousQuery, "on_insert", lambda _q, *row: calls.append(row))
-        monkeypatch.setattr(ContinuousQuery, "on_evict", lambda _q, rid: calls.append(rid))
-        batches = make_batches(seed=37)
-        _sinks, consumer, _ssc = run_continuous(exec_sc, batches)
-        # Range and kNN inherit the base hooks: neither runs.  The join
-        # overrides both and probes each record once.
-        assert calls == []
-        joins = [q for q in consumer.queries if isinstance(q, ContinuousJoinStatic)]
-        assert [q.probes for q in joins] == [sum(len(rows) for rows in batches)]
+
+class TestOlderSnapshotLayout:
+    """A ``"keyed"`` snapshot from a build that cached stream-static
+    matches at ingest carries ``pending_hooks``: rows already in the
+    store whose reference probe had not run.  It restores exactly --
+    each window's matches are computed when it closes."""
+
+    def declare(self, sc, batches, ck):
+        ssc = StreamingContext(sc, checkpoint_dir=ck, checkpoint_interval=2)
+        _source, events = ssc.queue_stream(batches)
+        cont = events.continuous(length=LENGTH, slide=SLIDE)
+        sinks = {
+            "range": cont.range(RANGE_QUERY),
+            "knn": cont.knn(KNN_QUERY, K),
+            "join": cont.intersects_static(REFERENCE),
+        }
+        return ssc, sinks
+
+    @staticmethod
+    def canon(sinks):
+        rows = {"range": lambda r: sorted(v for _st, v in r), "knn": canon_knn, "join": canon_join}
+        return {
+            (name, w.start, w.end): rows[name](result)
+            for name, sink in sinks.items()
+            for w, result in sink.results()
+        }
+
+    def test_pending_hooks_restore_to_the_uninterrupted_sinks(self, tmp_path):
+        from repro.streaming.checkpoint import load_latest_checkpoint, write_checkpoint
+
+        batches = make_batches(seed=41)
+        times = [0.0] * BATCHES
+        with SparkContext("state-old-layout", parallelism=2, executor="sequential") as sc:
+            ssc, sinks = self.declare(sc, batches, None)
+            ssc.run_batches(BATCHES, batch_times=times)
+            ssc.stop()
+            want = self.canon(sinks)
+            ck = str(tmp_path / "ck")
+            ssc, sinks = self.declare(sc, batches, ck)
+            ssc.run_batches(4, batch_times=times[:4])
+            ssc.checkpoint_manager.close()
+            crashed = self.canon(sinks)
+        snapshot, manifest, _skipped = load_latest_checkpoint(ck)
+        (keyed,) = snapshot["consumers"]
+        records = keyed["state"]["store"]["records"]
+        keyed["pending_hooks"] = [(rid, st, value) for rid, st, value, _s, _e in records[-5:]]
+        assert keyed["pending_hooks"]
+        write_checkpoint(ck, manifest["epoch"] + 1, snapshot, manifest["wal_high_water"])
+        with SparkContext("state-old-layout", parallelism=2, executor="sequential") as sc:
+            ssc, sinks = self.declare(sc, batches, ck)
+            report = ssc.restore()
+            assert (report.epoch, report.resumed_batch_id) == (manifest["epoch"] + 1, 4)
+            ssc.run_batches(BATCHES - 4, batch_times=times[4:])
+            ssc.stop()
+            resumed = self.canon(sinks)
+        assert not set(crashed) & set(resumed)
+        assert {**crashed, **resumed} == want
+        assert any(rows for (name, _s, _e), rows in resumed.items() if name == "join")
 
 
 class TestKeyedStoreUnit:

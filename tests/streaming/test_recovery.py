@@ -761,3 +761,51 @@ class TestRestoreContract:
         # The epoch is intact, not "corrupt": it still loads and validates.
         _snapshot, manifest, skipped = load_latest_checkpoint(ck)
         assert (manifest["epoch"], skipped) == (1, 0)
+
+
+class TestRefusedRestore:
+    """A consumer that refuses its snapshot state leaves the context fresh.
+
+    The batch counter, the metrics and the source cursors move only
+    after every consumer accepted its state, so a refusal reads as a
+    fresh context (and ``restore()`` stays callable) and is a typed
+    ``ValueError``, never a ``KeyError`` from a half-read snapshot.
+    """
+
+    def _declare(self, sc, ck, order, rule):
+        from repro.streaming import sequence, step
+
+        ssc = StreamingContext(sc, checkpoint_dir=ck, checkpoint_interval=2)
+        events = ssc.generator_stream(rate=RATE, time_step=1.0, seed=11)
+        for kind in order:
+            if kind == "window":
+                events.window(**WINDOW).count_windows()
+            else:
+                events.patterns(sequence(rule, steps=[step(), step()], within=2.0)).matches()
+        return ssc
+
+    def _refused(self, tmp_path, written, declared, match):
+        ck = str(tmp_path / "ck")
+        with make_sc() as sc:
+            ssc = self._declare(sc, ck, written, "pair")
+            ssc.run_batches(4, batch_times=TIMES[:4])
+            assert ssc.metrics.checkpoints_written > 0
+            ssc.checkpoint_manager.close()
+        with make_sc() as sc:
+            ssc = self._declare(sc, ck, *declared)
+            with pytest.raises(ValueError, match=match):
+                ssc.restore()
+            assert ssc._ingest.next_batch_id == 0
+            assert ssc.metrics.batches_run == 0
+            assert ssc.metrics.batches_replayed == 0
+            ssc.stop(flush=False)
+
+    def test_other_cep_rules_leave_the_context_fresh(self, tmp_path):
+        self._refused(
+            tmp_path, ["window", "cep"], (["window", "cep"], "other"), "re-declared identically"
+        )
+
+    def test_a_window_handed_cep_state_refuses_with_a_typed_error(self, tmp_path):
+        self._refused(
+            tmp_path, ["cep", "window"], (["window", "cep"], "pair"), r"'keyed'.*'cep'"
+        )
