@@ -87,6 +87,26 @@ def sc():
     context.stop()
 
 
+@pytest.fixture
+def best_pair(benchmark):
+    """``best_pair(measured, other, rounds)``: the best seconds of both
+    callables, for a shape test that compares them.
+
+    pytest-benchmark times *measured* and ``time_call`` the other side;
+    under ``--benchmark-disable`` the benchmark keeps no stats, so
+    :func:`~repro.evaluation.harness.time_pair` times the two together.
+    """
+    from repro.evaluation.harness import time_call, time_pair
+
+    def pair(measured, other, rounds: int = 2) -> tuple[float, float]:
+        benchmark.pedantic(measured, rounds=rounds)
+        if benchmark.stats is None:
+            return time_pair(measured, other)
+        return benchmark.stats.stats.min, time_call(other, repeats=rounds).best
+
+    return pair
+
+
 @pytest.fixture(autouse=True)
 def _bench_trace_span(request, sc):
     """Group each benchmark's spans under a span named after the test."""

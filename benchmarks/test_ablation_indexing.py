@@ -123,43 +123,32 @@ class TestIndexingModes:
 
 class TestIndexingShape:
     def test_persistent_beats_live_for_query_sequences(
-        self, benchmark, unpersisted_events, indexed_handle
+        self, best_pair, unpersisted_events, indexed_handle
     ):
-        from repro.evaluation.harness import time_call
-
-        live = time_call(
+        persistent, live = best_pair(
+            lambda: [indexed_handle.intersects(q).count() for q in QUERIES],
             lambda: [
                 filter_ops.filter_live_index(
                     unpersisted_events, q, INTERSECTS, order=10
                 ).count()
                 for q in QUERIES
             ],
-            repeats=2,
-        ).best
-        benchmark.pedantic(
-            lambda: [indexed_handle.intersects(q).count() for q in QUERIES],
-            rounds=2,
         )
-        persistent = benchmark.stats.stats.min
         print(f"\n5-query sequence: live={live:.3f}s persistent={persistent:.3f}s")
         assert persistent < live
 
     def test_reloaded_index_as_fast_as_fresh(
-        self, benchmark, sc, indexed_handle, expected_counts, tmp_path_factory
+        self, best_pair, sc, indexed_handle, expected_counts, tmp_path_factory
     ):
         from repro.core.spatial_rdd import IndexedSpatialRDD
-        from repro.evaluation.harness import time_call
 
         path = str(tmp_path_factory.mktemp("bench") / "idx")
         indexed_handle.save(path)
         reloaded = IndexedSpatialRDD.load(sc, path)
         counts = [reloaded.intersects(q).count() for q in QUERIES]  # warm cache
         assert counts == expected_counts
-        fresh = time_call(
-            lambda: [indexed_handle.intersects(q).count() for q in QUERIES], repeats=2
-        ).best
-        benchmark.pedantic(
-            lambda: [reloaded.intersects(q).count() for q in QUERIES], rounds=2
+        warm, fresh = best_pair(
+            lambda: [reloaded.intersects(q).count() for q in QUERIES],
+            lambda: [indexed_handle.intersects(q).count() for q in QUERIES],
         )
-        warm = benchmark.stats.stats.min
         assert warm < fresh * 3  # same order of magnitude

@@ -123,25 +123,19 @@ class TestExtentPruningAblation:
         )
         assert with_pruning < without_pruning
 
-    def test_join_pair_pruning(self, benchmark, world_rdd, sizes):
+    def test_join_pair_pruning(self, best_pair, world_rdd, sizes):
         from repro.core.join import spatial_join
-        from repro.evaluation.harness import time_call
 
         bsp = BSPartitioner.from_rdd(
             world_rdd, max_cost_per_partition=bsp_budget(sizes["filter_points"])
         )
         partitioned = world_rdd.partition_by(bsp).persist()
         partitioned.count()
-        benchmark.pedantic(
+        pruned, unpruned = best_pair(
             lambda: spatial_join(partitioned, partitioned, INTERSECTS).count(),
-            rounds=2,
-        )
-        pruned = benchmark.stats.stats.min
-        unpruned = time_call(
             lambda: spatial_join(
                 partitioned, partitioned, INTERSECTS, prune_pairs=False
             ).count(),
-            repeats=2,
-        ).best
+        )
         print(f"\npair pruning: {unpruned:.3f}s -> {pruned:.3f}s")
         assert pruned < unpruned

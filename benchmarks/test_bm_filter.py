@@ -170,21 +170,14 @@ class TestFilterShape:
         assert pruned_tasks < full_tasks
 
     def test_partitioned_filter_faster_than_full_scan(
-        self, benchmark, filter_events_rdd, bsp_partitioned
+        self, best_pair, filter_events_rdd, bsp_partitioned
     ):
-        from repro.evaluation.harness import time_call
-
-        full = time_call(
-            lambda: filter_ops.filter_no_index(
-                filter_events_rdd, QUERY, CONTAINED_BY
-            ).count(),
-            repeats=2,
-        ).best
-        benchmark.pedantic(
+        pruned, full = best_pair(
             lambda: filter_ops.filter_no_index(
                 bsp_partitioned, QUERY, CONTAINED_BY
             ).count(),
-            rounds=2,
+            lambda: filter_ops.filter_no_index(
+                filter_events_rdd, QUERY, CONTAINED_BY
+            ).count(),
         )
-        pruned = benchmark.stats.stats.min
         assert pruned < full

@@ -97,21 +97,14 @@ class TestPointInPolygonJoin:
 
 
 class TestJoinShape:
-    def test_indexed_local_join_beats_nested_loop(self, benchmark, join_inputs):
-        from repro.evaluation.harness import time_call
-
+    def test_indexed_local_join_beats_nested_loop(self, best_pair, join_inputs):
         points, polys = join_inputs
-        benchmark.pedantic(
+        indexed, nested = best_pair(
             lambda: spatial_join(
                 fresh(points), fresh(polys), CONTAINED_BY, index_order=10
             ).count(),
-            rounds=2,
-        )
-        indexed = benchmark.stats.stats.min
-        nested = time_call(
             lambda: spatial_join(
                 fresh(points), fresh(polys), CONTAINED_BY, index_order=None
             ).count(),
-            repeats=2,
-        ).best
+        )
         assert indexed < nested

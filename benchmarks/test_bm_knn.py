@@ -62,20 +62,18 @@ class TestKnnModes:
 
 
 class TestKnnShape:
-    def test_partitioned_knn_beats_scan(self, benchmark, knn_rdd, knn_partitioned):
-        from repro.evaluation.harness import time_call
-
-        scan = time_call(lambda: knn(knn_rdd, QUERY, 10), repeats=3).best
-        benchmark.pedantic(lambda: knn(knn_partitioned, QUERY, 10), rounds=3)
-        pruned = benchmark.stats.stats.min
+    def test_partitioned_knn_beats_scan(self, best_pair, knn_rdd, knn_partitioned):
+        pruned, scan = best_pair(
+            lambda: knn(knn_partitioned, QUERY, 10), lambda: knn(knn_rdd, QUERY, 10), rounds=3
+        )
         assert pruned < scan
 
     def test_indexed_knn_beats_partitioned_scan(
-        self, benchmark, knn_partitioned, knn_indexed_rdd
+        self, best_pair, knn_partitioned, knn_indexed_rdd
     ):
-        from repro.evaluation.harness import time_call
-
-        scan = time_call(lambda: knn(knn_partitioned, QUERY, 10), repeats=3).best
-        benchmark.pedantic(lambda: knn_indexed_rdd.knn(QUERY, 10), rounds=3)
-        indexed = benchmark.stats.stats.min
+        indexed, scan = best_pair(
+            lambda: knn_indexed_rdd.knn(QUERY, 10),
+            lambda: knn(knn_partitioned, QUERY, 10),
+            rounds=3,
+        )
         assert indexed < scan * 1.5  # at minimum competitive; usually faster

@@ -297,8 +297,8 @@ class CepConsumer(StoreBackedConsumer):
             "state": pickle.dumps(state, pickle.HIGHEST_PROTOCOL),
         }
 
-    def restore_state(self, snapshot: dict) -> None:
-        """Reset to a :meth:`snapshot_state` (recovery entry point).
+    def stage_state(self, snapshot: dict) -> tuple:
+        """Check and decode a :meth:`snapshot_state` for :meth:`install_state`.
 
         The re-declared rule list must match the snapshot's, name for
         name and in order: matcher states are positional, so a changed
@@ -306,7 +306,7 @@ class CepConsumer(StoreBackedConsumer):
         another.  Recovery's re-declare-identically contract makes this
         an error here, same as the pipeline-shape check upstream, and so
         is a pickled state whose field names differ from the live
-        objects' -- refused before any of it is applied.
+        objects'.
         """
         recorded = snapshot.get("rules")
         declared = [rule.name for rule in self.rules]
@@ -315,7 +315,7 @@ class CepConsumer(StoreBackedConsumer):
                 "CEP rules must be re-declared identically to restore: "
                 f"checkpoint recorded {recorded}, pipeline declares {declared}"
             )
-        fields, matchers, store = pickle.loads(snapshot["state"])
+        fields, matchers, store = staged = pickle.loads(snapshot["state"])
         recorded = [sorted(fields)] + [sorted(state) for state in matchers]
         live = [sorted(_FIELDS)] + [sorted(m.state()) for m in self._matchers]
         if recorded != live:
@@ -323,6 +323,11 @@ class CepConsumer(StoreBackedConsumer):
                 "CEP state must be re-declared identically to restore: "
                 f"checkpoint holds fields {recorded}, this build keeps {live}"
             )
+        return staged
+
+    def install_state(self, staged: tuple) -> None:
+        """Reset to a :meth:`stage_state` result."""
+        fields, matchers, store = staged
         for name, value in fields.items():
             setattr(self, name, value)
         for matcher, state in zip(self._matchers, matchers):

@@ -15,13 +15,17 @@ move from per-batch to per-event-time-window processing.  Both return
 a :class:`WindowedStream` over one :class:`~repro.streaming.state.
 StateConsumer` -- ``window()`` with a one-cell store, ``continuous()``
 with a grid -- so every windowed operator works on either: range, kNN
-and the stream-static join answer each closed window from the store,
-DBSCAN and the window outputs run over the window's records.
+and the stream-static join answer each pane of the store once and each
+closed window by combining its panes' answers, DBSCAN and the window
+outputs run over the window's records.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
+from itertools import islice
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core import filter as filter_ops
@@ -49,6 +53,21 @@ from repro.streaming.state import StateConsumer
 from repro.streaming.window import Window, WindowSpec
 
 Record = tuple[STObject, Any]
+
+#: The order panes' partials merge in: record id, or (distance, record id).
+_RID = itemgetter(0)
+_RANK = itemgetter(0, 1)
+
+
+def _merged_hits(partials: list[list]) -> list:
+    """A window's hits from its panes' ``(rid, hit)`` lists, by record
+    id: panes whose ids do not interleave (an in-order stream's) are
+    concatenated, the others merged."""
+    parts = [part for part in partials if part]
+    if all(a[-1][0] < b[0][0] for a, b in zip(parts, parts[1:])):
+        return [hit for part in parts for _rid, hit in part]
+    return [hit for _rid, hit in heapq.merge(*parts, key=_RID)]
+
 
 class Sink:
     """A thread-safe ordered collector for stream results.
@@ -271,7 +290,7 @@ class SpatialDStream:
         A closing window hands its outputs its records in arrival order.
 
         The records live in a one-cell store: an insert is one dict
-        write plus extent growth, and a standing query scans the cell.
+        write plus extent growth.
         """
         return self.continuous(length, slide, lateness, origin, grid=1)
 
@@ -288,11 +307,11 @@ class SpatialDStream:
 
         Records are assigned to grid cells at ingest and held in a
         :class:`~repro.streaming.state.KeyedStateStore` -- one copy
-        each, however many sliding windows they span -- and the
-        standing queries registered on the returned stream answer each
-        closing window by scanning only the grid cells their extents
-        cannot prune.  Window membership and results are those of
-        :meth:`window`; only the query cost profile changes.
+        each, however many sliding windows they span.  Window
+        membership and results are those of :meth:`window`: the
+        standing queries registered on the returned stream evaluate
+        each pane once and combine a closing window's panes, on either
+        store; the grid serves the store's own whole-store queries.
 
         ``universe`` fixes the grid up front (``grid`` cells per
         dimension); without it the first non-empty batch's bounding box
@@ -352,14 +371,15 @@ class WindowedStream:
 
     Returned by :meth:`SpatialDStream.window` and
     :meth:`SpatialDStream.continuous`; every method registers one
-    output or one standing query ``evaluate(store, window)`` on the
-    stream's :class:`~repro.streaming.state.StateConsumer` and runs
-    when a window closes.  The operator methods return a :class:`Sink`
-    accumulating ``(window, result)`` pairs, and every result equals
-    the corresponding batch operator over exactly that window's records
-    -- the contract the streaming tests pin down.  Arguments are
-    checked here, at registration.  Windows with no records are never
-    emitted (window state is allocated by arriving records).
+    output or one standing query (a per-pane partial and a per-window
+    combine) on the stream's :class:`~repro.streaming.state.
+    StateConsumer` and runs when a window closes.  The operator methods
+    return a :class:`Sink` accumulating ``(window, result)`` pairs, and
+    every result equals the corresponding batch operator over exactly
+    that window's records -- the contract the streaming tests pin down.
+    Arguments are checked here, at registration.  Windows with no
+    records are never emitted (window state is allocated by arriving
+    records).
     """
 
     def __init__(self, consumer: StateConsumer) -> None:
@@ -416,17 +436,18 @@ class WindowedStream:
 
     def range(self, query: "STObject | str", predicate: "str | STPredicate" = INTERSECTS) -> Sink:
         """Per closed window: its records matching *predicate* against
-        *query* (default: paper eq. (1)).
+        *query* (default: paper eq. (1)), in arrival order.
 
-        Answered by :meth:`~repro.streaming.state.KeyedStateStore.
-        query_range` (one scan of each cell the extents cannot prune)
-        -- equal to :func:`repro.core.filter.filter_no_index` over the
-        window under the static-side temporal relaxation.
+        Each pane is answered once by :meth:`~repro.streaming.state.
+        KeyedStateStore.query_range` over its rows, and a window merges
+        its panes' hits by record id -- equal to :func:`repro.core.
+        filter.filter_no_index` over the window under the static-side
+        temporal relaxation.
         """
         query_obj = query if isinstance(query, STObject) else STObject(query)
         pred = resolve_predicate(predicate)
         return self._consumer.add_query(
-            lambda store, window: store.query_range(query_obj, pred, window)
+            lambda store, rows: store.query_range(query_obj, pred, rows), _merged_hits
         )
 
     def knn(
@@ -438,16 +459,23 @@ class WindowedStream:
         """Per closed window: the k records nearest *query*.
 
         Sink values are ascending ``[(distance, (STObject, value))]``
-        lists equal to :func:`repro.core.knn.knn` over the window,
-        answered by :meth:`~repro.streaming.state.KeyedStateStore.
-        query_knn` from a best-k heap fed cells in ascending bound order.
+        lists equal to :func:`repro.core.knn.knn` over the window, equal
+        distances in arrival order.  Each pane's k best come from one
+        :meth:`~repro.streaming.state.KeyedStateStore.query_knn` call
+        over its rows, and a window keeps the k smallest of its panes'
+        by (distance, record id).
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         fn = resolve(distance_fn)
         query_obj = query if isinstance(query, STObject) else STObject(query)
+
+        def combine(partials: list[list]) -> list[tuple[float, Record]]:
+            best = partials[0] if len(partials) == 1 else heapq.merge(*partials, key=_RANK)
+            return [(d, record) for d, _rid, record in islice(best, k)]
+
         return self._consumer.add_query(
-            lambda store, window: store.query_knn(query_obj, k, window, fn)
+            lambda store, rows: store.query_knn(query_obj, k, rows, fn), combine
         )
 
     def intersects_static(
@@ -457,25 +485,27 @@ class WindowedStream:
         order: int = 10,
     ) -> Sink:
         """Per closed window: the stream-static join of its records
-        against a fixed reference set.
+        against a fixed reference set, in arrival order.
 
-        The reference is R-tree-indexed once, here; per closed window
-        each of its records probes the tree through
-        :func:`~repro.streaming.operators.probe_static`, the rule
-        :meth:`SpatialDStream.join_static` applies per batch -- so the
-        ``((stream_st, stream_v), (ref_st, ref_v))`` pairs equal
-        :func:`~repro.streaming.operators.stream_static_join` over the
-        window's records.
+        The reference is R-tree-indexed once, here; each pane record
+        probes the tree once through :func:`~repro.streaming.operators.
+        probe_static`, the rule :meth:`SpatialDStream.join_static`
+        applies per batch, and a window merges its panes' pairs by
+        record id -- so the ``((stream_st, stream_v), (ref_st, ref_v))``
+        pairs equal :func:`~repro.streaming.operators.stream_static_join`
+        over the window's records.
         """
         tree = build_static_index(reference, order)
         pred = relax_static(resolve_predicate(predicate))
-        return self._consumer.add_query(
-            lambda store, window: [
-                ((st, value), ref)
-                for _rid, st, value in store.iter_window(window)
+
+        def partial(_store, rows: list) -> list:
+            return [
+                (rid, ((st, value), ref))
+                for rid, (st, value, _t_start, _t_end) in rows
                 for ref in probe_static(tree, pred, st)
             ]
-        )
+
+        return self._consumer.add_query(partial, _merged_hits)
 
     # -- DBSCAN over the window's records ----------------------------------
 

@@ -35,7 +35,8 @@ a failed restore leaves the fresh context untouched and retryable, and
 so does a refused one: a WAL tail this build cannot replay (the
 ``kind="shed"`` records of builds that shed load at admission) is
 rejected before the snapshot is applied, and a consumer that refuses
-its state does so before the batch counter and the metrics move.
+its state does so before any consumer, the batch counter or the
+metrics move.
 """
 
 from __future__ import annotations
@@ -322,11 +323,13 @@ class Recovery:
                 f"checkpoint has {len(sources)} source cursor(s) but the "
                 f"declared pipeline registers {len(ssc._inputs)} input(s)"
             )
-        # Consumers first: one that refuses its state (a ValueError)
-        # leaves the batch counter and the metrics fresh, so the context
-        # still reads as fresh to a corrected retry.
-        for consumer, state in zip(ssc._windows, consumers):
-            consumer.restore_state(state)
+        # Every consumer checks its part before any is installed: one
+        # that refuses its state (a ValueError) leaves every consumer,
+        # the batch counter and the metrics fresh, so the context still
+        # reads as fresh to a corrected retry.
+        staged = [consumer.stage_state(state) for consumer, state in zip(ssc._windows, consumers)]
+        for consumer, state in zip(ssc._windows, staged):
+            consumer.install_state(state)
         ssc._ingest.next_batch_id = snapshot["next_batch_id"]
         metrics = ssc.metrics
         for name, value in snapshot["metrics"].items():

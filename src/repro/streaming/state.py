@@ -15,19 +15,20 @@ is stored exactly once no matter how many windows it spans.
 There is no per-cell tree.  A tree built once pays off when it is
 probed many times, but in a sliding window every cell changes every
 batch, so a per-cell tree would be rebuilt for about one probe each.
-Like GeoFlink, the store answers standing queries from the plain grid:
-prune cells on extent and time, then scan the surviving cells.
+Like GeoFlink, the store answers a query over all its records from the
+plain grid: prune cells on extent, then scan the surviving cells.  The
+standing queries read no cell: each evaluates a pane's rows once (see
+below), so a record costs one test however many windows it spans.
 
 Four layers live here:
 
 - :class:`CellState` -- one grid cell: a registry of live records and
-  their spatial + temporal extents for pruning (the hybrid-index
-  motivation: temporal extents prune cells in time as well as space);
+  the spatial extent of its members for pruning;
 - :class:`KeyedStateStore` -- the keyed store: cell assignment by
   centroid (reusing the grid partitioner's arithmetic), insert/remove
-  by record id, and the continuous query algorithms -- cell-pruned
-  range queries by one scan of each surviving cell, and kNN with a
-  per-query best-k heap fed cell by cell in ascending lower-bound order;
+  by record id, and the two query algorithms, over a pane's rows or
+  over every live record -- range by one envelope test and one exact
+  predicate per candidate row, kNN with a best-k heap;
 - :class:`KeyedWindowState` -- the one event-time windowing contract
   (watermark, lateness, closed horizon, late counters) over the store:
   each record is listed once, in its pane (the records sharing its
@@ -40,16 +41,19 @@ Four layers live here:
 Pruning stays *correct* under the paper's centroid assignment rule: a
 non-point geometry can stick out of its cell, so queries prune on the
 cell's **live extent** (bounds grown by member envelopes).  One rule
-keeps it: an insert grows the extents exactly, only a removal makes
-them stale, and the range scan that next reads a stale cell recomputes
-them exactly -- conservative in between, never lossy.
+keeps it: an insert grows the extent exactly, only a removal makes it
+stale, and the range scan that next reads a stale cell recomputes it
+exactly -- conservative in between, never lossy.
 
-A standing query is one callable ``evaluate(store, window)`` that
-:class:`StateConsumer` runs as each window closes -- range and kNN are
-one :meth:`KeyedStateStore.query_range` / :meth:`KeyedStateStore.
-query_knn` call, the stream-static join one reference probe per window
-record.  Each pins its result to the batch operators: a fired window's
-answer is equal to running the corresponding :mod:`repro.core`
+A standing query is a per-pane *partial* plus a *combine* step
+(:meth:`StateConsumer.add_query`; "No pane, no gain", Li et al.): a
+window's answer is combined from the partials of the panes covering
+it, and each pane is evaluated once, when the first window covering it
+fires, however many windows it sits in.  Range and kNN partials are one
+:meth:`KeyedStateStore.query_range` / :meth:`KeyedStateStore.query_knn`
+call over the pane's rows, the stream-static join's one reference probe
+per pane record.  Each pins its result to the batch operators: a fired
+window's answer is equal to running the corresponding :mod:`repro.core`
 operator over exactly that window's records, which is the property the
 streaming state tests assert record for record.
 """
@@ -58,13 +62,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.core.knn import query_radius
 from repro.core.predicates import INTERSECTS, STPredicate, resolve_predicate
 from repro.core.stobject import STObject
 from repro.geometry.distance import DistanceFunction, euclidean, resolve
 from repro.geometry.envelope import Envelope
+from repro.geometry.point import Point
 from repro.partitioners.grid import GridPartitioner
 from repro.streaming.operators import relax_static
 from repro.streaming.window import Window, WindowSpec, event_span
@@ -73,48 +79,46 @@ if TYPE_CHECKING:
     from repro.streaming.dstream import Sink
 
 Record = tuple[STObject, Any]
+#: A store row as a cell registers it: ``(rid, (st, value, t_start, t_end))``.
+Row = tuple[int, tuple[STObject, Any, float, float]]
+#: A pane's identity: ``(first open window, last window)``.
+PaneKey = tuple[Window, Window]
+#: A standing query over one pane: ``partial(store, rows) -> partial``.
+Partial = Callable[["KeyedStateStore", list[Row]], list]
 
 _INF = float("inf")
 
 
 class CellState:
-    """One grid cell: a registry of live records and their extents.
+    """One grid cell: a registry of live records and their extent.
 
-    The extents are what queries prune a cell on.  The spatial extent
-    is kept as bare floats: growing four numbers on insert, the store's
-    hottest path, beats allocating a new Envelope per record.  A store
-    never holds an empty cell, so the extents alone decide.  An insert
-    grows the extents exactly; a removal leaves them covering the
-    members but possibly larger, and sets ``stale`` until
-    :meth:`refresh` makes them exact again.
+    The extent is what whole-store queries prune a cell on.  It is kept
+    as bare floats: growing four numbers on insert, the store's hottest
+    path, beats allocating a new Envelope per record.  A store never
+    holds an empty cell, so the extent alone decides.  An insert grows
+    the extent exactly; a removal leaves it covering the members but
+    possibly larger, and sets ``stale`` until :meth:`refresh` makes it
+    exact again.
     """
 
-    __slots__ = ("registry", "stale", "_min_x", "_min_y", "_max_x", "_max_y", "t_min", "t_max")
+    __slots__ = ("registry", "stale", "_min_x", "_min_y", "_max_x", "_max_y")
 
     def __init__(self) -> None:
         #: rid -> (STObject, value, t_start, t_end)
         self.registry: dict[int, tuple[STObject, Any, float, float]] = {}
-        self.refresh()  # the exact extents of no members; not stale
+        self.refresh()  # the exact extent of no members; not stale
 
     @property
     def extent(self) -> Envelope:
         """The spatial extent: covers every live member, exact unless stale."""
         return Envelope(self._min_x, self._min_y, self._max_x, self._max_y)
 
-    def intersects_time(self, t_start: float, t_end: float) -> bool:
-        """Can any live member's span intersect ``[t_start, t_end]``?
-
-        Uses the cell's temporal extent -- the per-cell analogue of the
-        hybrid spatio-temporal index's partition time pruning.
-        """
-        return self.t_min <= t_end and self.t_max >= t_start
-
     def insert(self, rid: int, st: STObject, value: Any, t_start: float, t_end: float) -> None:
-        """Add one record; the extents grow to cover it."""
+        """Add one record; the extent grows to cover it."""
         self.registry[rid] = (st, value, t_start, t_end)
-        self._grow(st.geo.envelope, t_start, t_end)
+        self._grow(st.geo.envelope)
 
-    def _grow(self, env: Envelope, t_start: float, t_end: float) -> None:
+    def _grow(self, env: Envelope) -> None:
         if env.min_x < self._min_x:
             self._min_x = env.min_x
         if env.min_y < self._min_y:
@@ -123,22 +127,18 @@ class CellState:
             self._max_x = env.max_x
         if env.max_y > self._max_y:
             self._max_y = env.max_y
-        if t_start < self.t_min:
-            self.t_min = t_start
-        if t_end > self.t_max:
-            self.t_max = t_end
 
     def remove(self, rid: int) -> None:
-        """Drop one record; the extents go stale."""
+        """Drop one record; the extent goes stale."""
         self.registry.pop(rid, None)
         self.stale = True
 
     def refresh(self) -> None:
-        """Recompute the exact extents of the live members."""
-        self._min_x = self._min_y = self.t_min = _INF
-        self._max_x = self._max_y = self.t_max = -_INF
-        for st, _value, t_start, t_end in self.registry.values():
-            self._grow(st.geo.envelope, t_start, t_end)
+        """Recompute the exact extent of the live members."""
+        self._min_x = self._min_y = _INF
+        self._max_x = self._max_y = -_INF
+        for st, _value, _t_start, _t_end in self.registry.values():
+            self._grow(st.geo.envelope)
         self.stale = False
 
 
@@ -225,16 +225,20 @@ class KeyedStateStore:
         self._locations[rid] = pid
         self.inserts += 1
 
-    def remove(self, rid: int) -> None:
-        """Evict one record by id (no-op for unknown ids)."""
-        pid = self._locations.pop(rid, None)
-        if pid is None:
-            return
-        cell = self._cells[pid]
-        cell.remove(rid)
-        if not cell.registry:
-            del self._cells[pid]
-        self.removes += 1
+    def remove(self, *rids: int) -> None:
+        """Evict records by id (unknown ids are skipped)."""
+        cells, locations = self._cells, self._locations
+        removed = 0
+        for rid in rids:
+            pid = locations.pop(rid, None)
+            if pid is None:
+                continue
+            cell = cells[pid]
+            cell.remove(rid)
+            if not cell.registry:
+                del cells[pid]
+            removed += 1
+        self.removes += removed
 
     def get(self, rid: int) -> tuple[STObject, Any, float, float] | None:
         """Look up one live record: ``(st, value, t_start, t_end)``.
@@ -279,121 +283,158 @@ class KeyedStateStore:
         for rid, st, value, t_start, t_end in snapshot["records"]:
             self.insert(rid, st, value, t_start, t_end)
 
-    # -- window membership -------------------------------------------------
+    def rows(self, rids: Iterable[int]) -> list[Row]:
+        """The live rows of *rids*, in the given order."""
+        cells, locations = self._cells, self._locations
+        return [(rid, cells[locations[rid]].registry[rid]) for rid in rids]
 
-    def iter_window(self, window: Window | None) -> Iterator[tuple[int, STObject, Any]]:
-        """Every live ``(rid, STObject, value)`` whose span intersects
-        *window* (all live records when *window* is None, as for the
-        store's queries).
-        """
-        for cell in self._cells.values():
-            if window is not None and not cell.intersects_time(window.start, window.end):
-                continue
-            for rid, (st, value, t_start, t_end) in cell.registry.items():
-                if window is None or window.intersects_span(t_start, t_end):
-                    yield rid, st, value
-
-    # -- continuous queries ------------------------------------------------
+    # -- queries -----------------------------------------------------------
 
     def query_range(
         self,
         query: STObject,
         predicate: STPredicate = INTERSECTS,
-        window: Window | None = None,
-    ) -> list[Record]:
-        """Records matching *predicate* against *query* inside *window*.
+        rows: Sequence[Row] | None = None,
+    ) -> list[tuple[int, Record]]:
+        """``(rid, record)`` of each record matching *predicate* against
+        *query*, ascending by rid (arrival order).
 
-        Cells are pruned by live extent against the predicate's
-        candidate region (and by temporal extent against the window);
-        each surviving cell is scanned once, testing every member's
-        envelope against the candidate region, then its span against
-        the window, then the exact predicate.  A stale cell gets its
-        exact extents back from the same visit.  Equal to the batch
-        filter over the window's records under the static-side
-        relaxation.
+        With *rows* (a pane's, ascending by rid: :meth:`rows`) those
+        records are tested: each row's envelope against the predicate's
+        candidate region, inline, then the exact predicate.  Without,
+        every live record is: cells are pruned by live extent against
+        the candidate region and each surviving cell's rows are tested
+        the same way; a stale cell gets its exact extent back from the
+        same visit.  Equal to the batch filter over the same records
+        under the static-side relaxation.
         """
         predicate = relax_static(resolve_predicate(predicate))
         region = predicate.candidate_region(query.geo.envelope)
-        out: list[Record] = []
+        if rows is not None:
+            return _matches(rows, region, predicate, query)
+        out: list[tuple[int, Record]] = []
         for cell in self._cells.values():
             if not cell.extent.intersects(region):
                 continue
-            if window is not None and not cell.intersects_time(window.start, window.end):
-                continue
             if cell.stale:
                 cell.refresh()
-            for st, value, t_start, t_end in cell.registry.values():
-                if not st.geo.envelope.intersects(region):
-                    continue
-                if window is not None and not window.intersects_span(t_start, t_end):
-                    continue
-                if predicate.evaluate(st, query):
-                    out.append((st, value))
+            out += _matches(cell.registry.items(), region, predicate, query)
+        out.sort(key=itemgetter(0))
         return out
 
     def query_knn(
         self,
         query: STObject,
         k: int,
-        window: Window | None = None,
+        rows: Sequence[Row] | None = None,
         distance_fn: "str | DistanceFunction" = euclidean,
-    ) -> list[tuple[float, Record]]:
-        """The *k* records nearest *query* inside *window*, ascending.
-
-        A per-query best-k heap is fed cell by cell in ascending
-        lower-bound order (cell extent distance to the query centroid,
-        slackened by the query radius exactly like :func:`repro.core.
-        knn.knn`); the search stops as soon as the next cell's bound
-        cannot beat the current k-th distance.  Non-Euclidean metrics
-        make envelope bounds inadmissible, so they scan every live cell
-        -- correctness over speed, matching the batch operator.
-
-        Equal distances rank by record id, i.e. arrival order, whatever
-        the grid: the answer is the batch operator's over the window's
+    ) -> list[tuple[float, int, Record]]:
+        """The *k* records nearest *query*: ``(distance, rid, record)``,
+        ascending by distance and equal distances by rid (arrival
+        order), so the answer is the batch operator's over the same
         records in arrival order, for a one-cell store and a grid alike.
+
+        With *rows* (a pane's: :meth:`rows`) those records are ranked.
+        Without, every live record is: a best-k heap is fed cell by cell
+        in ascending lower-bound order (cell extent distance to the query
+        centroid, slackened by the query radius exactly like
+        :func:`repro.core.knn.knn`), and the search stops as soon as the
+        next cell's bound cannot beat the current k-th distance.
+        Non-Euclidean metrics make envelope bounds inadmissible, so they
+        scan every live cell -- correctness over speed, matching the
+        batch operator.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        fn = resolve(distance_fn)
-        centroid = query.geo.centroid()
-        slack = query_radius(query.geo)
-        prune = fn is euclidean
-
+        ranker = _Ranker(query, k, resolve(distance_fn))
+        if rows is not None:
+            ranker.offer(rows)
+            return ranker.ranked()
+        centroid = ranker.centroid
         ranked = []
         for cell in self._cells.values():
-            if window is not None and not cell.intersects_time(window.start, window.end):
-                continue
             bound = (
-                max(0.0, cell.extent.distance_to_point(centroid.x, centroid.y) - slack)
-                if prune
+                max(0.0, cell.extent.distance_to_point(centroid.x, centroid.y) - ranker.slack)
+                if ranker.prune
                 else 0.0
             )
             ranked.append((bound, cell))
-        ranked.sort(key=lambda pair: pair[0])
-
-        # A max-heap of the k best (negated distance, negated rid, record):
-        # its top is the worst kept, the latest arrival among equal
-        # distances, so a tie seen in a later cell still wins by arrival.
-        best: list[tuple[float, int, Record]] = []
+        ranked.sort(key=itemgetter(0))
         for bound, cell in ranked:
-            if prune and len(best) == k and bound > -best[0][0]:
+            if ranker.prune and bound > ranker.worst:
                 break
-            for rid, (st, value, t_start, t_end) in cell.registry.items():
-                if window is not None and not window.intersects_span(t_start, t_end):
-                    continue
-                if (
-                    prune
-                    and len(best) == k
-                    and st.geo.envelope.distance_to_point(centroid.x, centroid.y) - slack
-                    > -best[0][0]
-                ):
-                    continue  # envelope bound already beaten
-                d = fn(st.geo, query.geo)
-                if len(best) < k:
-                    heapq.heappush(best, (-d, -rid, (st, value)))
-                elif d < -best[0][0] or (d == -best[0][0] and rid < -best[0][1]):
-                    heapq.heapreplace(best, (-d, -rid, (st, value)))
-        return [(-nd, record) for nd, _rid, record in sorted(best, reverse=True)]
+            ranker.offer(cell.registry.items())
+        return ranker.ranked()
+
+
+def _matches(
+    rows: Iterable[Row], region: Envelope, predicate: STPredicate, query: STObject
+) -> list[tuple[int, Record]]:
+    """``(rid, record)`` of each row whose envelope meets *region* and
+    that satisfies *predicate* against *query*, in row order."""
+    min_x, min_y, max_x, max_y = region.min_x, region.min_y, region.max_x, region.max_y
+    evaluate = predicate.evaluate
+    out = []
+    for rid, (st, value, _t_start, _t_end) in rows:
+        env = st.geo.envelope
+        if (
+            env.min_x <= max_x
+            and min_x <= env.max_x
+            and env.min_y <= max_y
+            and min_y <= env.max_y
+            and evaluate(st, query)
+        ):
+            out.append((rid, (st, value)))
+    return out
+
+
+class _Ranker:
+    """One kNN query's best-k heap, fed rows by :meth:`offer`."""
+
+    __slots__ = ("query", "k", "fn", "centroid", "slack", "prune", "best", "worst")
+
+    def __init__(self, query: STObject, k: int, fn: DistanceFunction) -> None:
+        self.query, self.k, self.fn = query, k, fn
+        self.centroid = query.geo.centroid()
+        self.slack = query_radius(query.geo)
+        self.prune = fn is euclidean
+        #: A max-heap of the k best (negated distance, negated rid,
+        #: record): its top is the worst kept, the latest arrival among
+        #: equal distances, so a tie offered later still wins by arrival.
+        self.best: list[tuple[float, int, Record]] = []
+        #: The k-th distance so far (+inf until k rows are kept).
+        self.worst = _INF
+
+    def offer(self, rows: Iterable[Row]) -> None:
+        """Rank *rows*; a point's distance to a point query is computed
+        inline, as :func:`repro.core.knn.exact_distance_to` does (the
+        same float), any other's after its envelope bound."""
+        best, k, fn, geom = self.best, self.k, self.fn, self.query.geo
+        prune, slack, worst = self.prune, self.slack, self.worst
+        cx, cy = self.centroid.x, self.centroid.y
+        inline = prune and type(geom) is Point
+        for rid, (st, value, _t_start, _t_end) in rows:
+            geo = st.geo
+            if inline and type(geo) is Point:
+                d = math.hypot(geo.x - cx, geo.y - cy)
+            elif prune and geo.envelope.distance_to_point(cx, cy) - slack > worst:
+                continue  # envelope bound already beaten
+            else:
+                d = fn(geo, geom)
+            if d > worst:
+                continue
+            if len(best) < k:
+                heapq.heappush(best, (-d, -rid, (st, value)))
+                if len(best) == k:
+                    worst = -best[0][0]
+            elif d < worst or (d == worst and rid < -best[0][1]):
+                heapq.heapreplace(best, (-d, -rid, (st, value)))
+                worst = -best[0][0]
+        self.worst = worst
+
+    def ranked(self) -> list[tuple[float, int, Record]]:
+        """The kept rows, ascending by (distance, rid)."""
+        return [(-nd, -nrid, record) for nd, nrid, record in sorted(self.best, reverse=True)]
 
 
 class KeyedWindowState:
@@ -411,8 +452,8 @@ class KeyedWindowState:
 
     ``assign`` can leave an instant in a one-ulp gap between two
     tumbling windows and then names the nearest one; such a record is
-    stored with its span moved inside that window, so the store's span
-    views (the continuous queries) agree with the panes.
+    stored with its span moved inside that window, so every stored span
+    meets each window its record is listed in.
     ``late_dropped`` counts records whose every window had fired,
     ``late_window_drops`` each fired window a partially-late record
     missed (it still lands in its open ones).  ``add_batch`` stages all
@@ -430,7 +471,7 @@ class KeyedWindowState:
         self.watermark = -_INF
         self._closed_horizon = -_INF
         #: (first open window, last window) -> its records' ids, in arrival order.
-        self._panes: dict[tuple[Window, Window], list[int]] = {}
+        self._panes: dict[PaneKey, list[int]] = {}
         #: Windows with records that have not closed.
         self._open: set[Window] = set()
         # A plain int rather than itertools.count: the counter is part
@@ -497,26 +538,35 @@ class KeyedWindowState:
         their records stay queryable until :meth:`close_window`)."""
         return sorted(w for w in self._open if w.end <= self.watermark)
 
+    def panes_of(self, window: Window) -> list[tuple[PaneKey, list[int]]]:
+        """``(key, rids)`` of each pane covering an open *window*: the
+        window's records are their merge by rid.
+
+        A pane is sealed once its first window has closed: a record
+        arriving later has a later first open window, so it is listed
+        in another pane.
+        """
+        if window not in self._open:
+            return []
+        return [(key, rids) for key, rids in self._panes.items() if key[0] <= window <= key[1]]
+
     def window_records(self, window: Window) -> list[Record]:
         """An open window's ``(STObject, value)`` records, in arrival
         order -- what the window outputs are handed."""
-        if window not in self._open:
-            return []
-        lists = [rids for (first, last), rids in self._panes.items() if first <= window <= last]
+        lists = [rids for _key, rids in self.panes_of(window)]
         rids = lists[0] if len(lists) == 1 else heapq.merge(*lists)
         return [row[:2] for row in map(self.store.get, rids)]
 
-    def close_window(self, window: Window) -> list[int]:
+    def close_window(self, window: Window) -> list[PaneKey]:
         """Mark *window* fired: advance the closed horizon and evict every
-        pane whose last window has now closed.  Returns evicted rids."""
+        pane whose last window has now closed.  Returns their keys."""
         self._open.discard(window)
         if window.end > self._closed_horizon:
             self._closed_horizon = window.end
         closed = [key for key in self._panes if key[1].end <= self._closed_horizon]
-        evicted = [rid for key in closed for rid in self._panes.pop(key)]
-        for rid in evicted:
-            self.store.remove(rid)
-        return evicted
+        for key in closed:
+            self.store.remove(*self._panes.pop(key))
+        return closed
 
     @property
     def open_windows(self) -> int:
@@ -572,8 +622,11 @@ class StoreBackedConsumer:
     ``state.update`` chaos site, the window outputs the context wires
     its sink protections into, and the registration index.  Subclasses
     supply ``absorb`` / ``fire`` / ``flush`` / ``snapshot_state`` /
-    ``restore_state`` and the ``late_dropped`` / ``late_window_drops``
-    counters the context mirrors into its metrics.
+    ``stage_state`` / ``install_state`` and the ``late_dropped`` /
+    ``late_window_drops`` counters the context mirrors into its metrics.
+    A restore is two phases: recovery stages every consumer's part of a
+    snapshot, which checks and decodes it and refuses it with a
+    ``ValueError`` without side effects, before it installs any.
     """
 
     def __init__(self, node, universe: Envelope | None, grid: int) -> None:
@@ -612,6 +665,10 @@ class StoreBackedConsumer:
         self.store.cover(records)
         return True
 
+    def restore_state(self, snapshot: dict) -> None:
+        """Reset to a ``snapshot_state``: stage it, then install it."""
+        self.install_state(self.stage_state(snapshot))
+
 
 class StateConsumer(StoreBackedConsumer):
     """The event-time window consumer behind ``window()`` and ``continuous()``.
@@ -620,9 +677,10 @@ class StateConsumer(StoreBackedConsumer):
     the streaming context collects the chain's records (an input
     node's are the batch's own rows, read without a job) and calls
     :meth:`absorb`, and :meth:`fire` emits every ready window -- each
-    registered standing query ``evaluate(store, window)`` answers from
-    the store into its sink, the window outputs receive the window's
-    records as an RDD -- before the window's leavers are evicted.
+    registered standing query combines its partials of the panes
+    covering the window into its sink, the window outputs receive the
+    window's records as an RDD -- before the window's leavers are
+    evicted.
     """
 
     def __init__(
@@ -636,8 +694,11 @@ class StateConsumer(StoreBackedConsumer):
         super().__init__(node, universe, grid)
         self.spec = spec
         self.state = KeyedWindowState(spec, self.store, lateness)
-        #: ``(evaluate, sink)`` per standing query, in registration order.
-        self.queries: list[tuple[Callable[[KeyedStateStore, Window], Any], Sink]] = []
+        #: ``(partial, combine, sink)`` per standing query, in registration order.
+        self.queries: list[tuple[Partial, Callable[[list[list]], Any], Sink]] = []
+        #: Pane key -> (its row count when evaluated, one partial per
+        #: query).  Dropped with the pane, never checkpointed.
+        self._partials: dict[PaneKey, tuple[int, list[list]]] = {}
 
     @property
     def late_dropped(self) -> int:
@@ -649,13 +710,23 @@ class StateConsumer(StoreBackedConsumer):
         """Per-window contributions lost to already-fired windows."""
         return self.state.late_window_drops
 
-    def add_query(self, evaluate: Callable[[KeyedStateStore, Window], Any]) -> Sink:
+    def add_query(
+        self,
+        partial: Partial,
+        combine: Callable[[list[list]], Any],
+    ) -> Sink:
         """Register one standing query; returns the sink that collects
-        its ``(window, evaluate(store, window))`` pairs."""
+        its ``(window, combine(partials))`` pairs.
+
+        ``partial(store, rows)`` answers the query over one pane's
+        rows (:meth:`KeyedStateStore.rows`, ascending by rid) and
+        ``combine`` turns the partials of the panes covering a window,
+        in pane order, into the window's answer.
+        """
         from repro.streaming.dstream import Sink
 
         sink = Sink()
-        self.queries.append((evaluate, sink))
+        self.queries.append((partial, combine, sink))
         return sink
 
     def absorb(self, batch_id: int, records: list[Record], batch_time: float) -> None:
@@ -670,6 +741,24 @@ class StateConsumer(StoreBackedConsumer):
             return
         self.state.add_batch(records, batch_time)
         self._absorbed_batch = batch_id
+
+    def _pane_partials(self, window: Window) -> list[list[list]]:
+        """Each covering pane's partials, evaluated on first use.
+
+        A pane is sealed when its first window closes, which is after
+        that window's fire: a fire that fails first leaves the window
+        open to records of later batches, so a partial is reused only
+        while its pane holds the rows it was computed over.
+        """
+        out = []
+        for key, rids in self.state.panes_of(window):
+            cached = self._partials.get(key)
+            if cached is None or cached[0] != len(rids):
+                rows = self.store.rows(rids)
+                partials = [partial(self.store, rows) for partial, _combine, _sink in self.queries]
+                cached = self._partials[key] = (len(rids), partials)
+            out.append(cached[1])
+        return out
 
     def fire(self, ssc) -> int:
         """Emit each ready window, ascending, then evict its leavers.
@@ -686,15 +775,18 @@ class StateConsumer(StoreBackedConsumer):
         fired = 0
         for window in self.state.ready_windows():
             if ssc._recovery.emit_allowed(self, window):
-                for evaluate, sink in self.queries:
-                    sink.append(window, evaluate(self.store, window))
+                if self.queries:
+                    panes = self._pane_partials(window)
+                    for i, (_partial, combine, sink) in enumerate(self.queries):
+                        sink.append(window, combine([pane[i] for pane in panes]))
                 if self.outputs:
                     rdd = ssc._batch_rdd(self.state.window_records(window))
                     for output in self.outputs:
                         output(window, rdd)
                 ssc._recovery.note_emitted(self, window)
                 fired += 1
-            self.state.close_window(window)
+            for key in self.state.close_window(window):
+                self._partials.pop(key, None)
         return fired
 
     def flush(self, ssc) -> int:
@@ -712,15 +804,14 @@ class StateConsumer(StoreBackedConsumer):
             "state": self.state.snapshot(),
         }
 
-    def restore_state(self, snapshot: dict) -> None:
-        """Reset to a :meth:`snapshot_state` (recovery entry point).
+    def stage_state(self, snapshot: dict) -> dict:
+        """Check a :meth:`snapshot_state` for :meth:`install_state`.
 
         Another consumer kind's state (a ``"cep"`` snapshot where the
-        re-declared pipeline has a window) is refused before anything
-        is touched.  Keys other than ``absorbed`` and ``state`` are
-        ignored: the ``pending_hooks`` rows older builds wrote are
-        already in the store, and their matches are computed when their
-        windows close.
+        re-declared pipeline has a window) is refused.  Keys other than
+        ``absorbed`` and ``state`` are ignored: the ``pending_hooks``
+        rows older builds wrote are already in the store, and their
+        matches are computed when their windows close.
         """
         kind = snapshot.get("kind")
         if kind != "keyed":
@@ -729,5 +820,11 @@ class StateConsumer(StoreBackedConsumer):
                 f"holds {kind!r} state at its position -- restore requires the "
                 "pipeline to be re-declared identically"
             )
+        return snapshot
+
+    def install_state(self, snapshot: dict) -> None:
+        """Reset to a staged snapshot.  No pane partial survives it: each
+        is evaluated again when a window covering its pane fires."""
         self._absorbed_batch = snapshot["absorbed"]
         self.state.restore(snapshot["state"])
+        self._partials = {}

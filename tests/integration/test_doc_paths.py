@@ -16,7 +16,8 @@ ledger's own title.  Pointers in the code's docstrings and comments
 (``CODE_DIRS``) are held to the same rule.
 
 Size: DESIGN.md and EXPERIMENTS.md are read at every change, so each
-has a byte budget (``BUDGET``).
+has a byte budget (``BUDGET``), and so does each CHANGES.md entry from
+PR 56 on (``ENTRY_BUDGET``; git keeps the long form).
 """
 
 import glob
@@ -29,6 +30,7 @@ REPO = __file__.rsplit("/tests/", 1)[0]
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 ROOTS = ("", "src", "src/repro")
 BUDGET = {"DESIGN.md": 60_000, "EXPERIMENTS.md": 50_000}
+ENTRY_BUDGET, FIRST_BUDGETED_PR = 1_500, 56
 CODE_DIRS = ("src", "benchmarks", "examples")
 
 NOT_REPOSITORY_PATHS = {
@@ -141,3 +143,16 @@ def test_the_pointer_check_sees_pointers():
 def test_doc_stays_within_its_size_budget(doc):
     size = os.path.getsize(os.path.join(REPO, doc))
     assert size <= BUDGET[doc], f"{doc} is {size} bytes, budget {BUDGET[doc]}"
+
+
+def test_each_changes_entry_stays_within_its_budget():
+    with open(os.path.join(REPO, "CHANGES.md"), encoding="utf-8") as f:
+        entries = [
+            line.rstrip("\n")
+            for line in f
+            if (number := re.match(r"PR (\d+):", line)) and int(number[1]) >= FIRST_BUDGETED_PR
+        ]
+    assert entries, f"no CHANGES.md entry from PR {FIRST_BUDGETED_PR} on"
+    for entry in entries:
+        size = len(entry.encode())
+        assert size <= ENTRY_BUDGET, f"{entry[:40]}... is {size} bytes, budget {ENTRY_BUDGET}"

@@ -263,7 +263,7 @@ class TestKeyedStoreUnit:
         rows = self.fill(store)
         got = store.query_knn(KNN_QUERY, 5)
         brute = sorted((euclidean(st.geo, KNN_QUERY.geo), v) for st, v in rows)[:5]
-        assert [(round(d, 9), v) for d, (_st, v) in got] == [
+        assert [(round(d, 9), v) for d, _rid, (_st, v) in got] == [
             (round(d, 9), v) for d, v in brute
         ]
 
@@ -276,18 +276,23 @@ class TestKeyedStoreUnit:
         brute = sorted(
             (haversine(st.geo, KNN_QUERY.geo), v) for st, v in rows
         )[:3]
-        assert [(round(d, 6), v) for d, (_st, v) in got] == [
+        assert [(round(d, 6), v) for d, _rid, (_st, v) in got] == [
             (round(d, 6), v) for d, v in brute
         ]
 
-    def test_temporal_extent_prunes_cells_per_window(self):
-        from repro.streaming.window import Window
-
+    def test_rows_scope_both_queries(self):
+        # A pane's rows: only those are tested or ranked, and a range
+        # answer keeps their order.
         store = self.make_store()
-        self.fill(store)
-        early = store.iter_window(Window(0.0, 3.0))
-        assert sorted(v for _rid, _st, v in early) == [0, 1, 2]
-        assert list(store.iter_window(Window(100.0, 200.0))) == []
+        rows = self.fill(store)
+        whole = STObject("POLYGON ((0 0, 50 0, 50 50, 0 50, 0 0))")
+        pane = store.rows([2, 5, 9])
+        assert [rid for rid, _record in store.query_range(whole, rows=pane)] == [2, 5, 9]
+        assert [rid for rid, _record in store.query_range(whole)] == list(range(len(rows)))
+        assert store.query_range(whole, rows=[]) == []
+        nearest = store.query_knn(KNN_QUERY, 2, store.rows([0, 1, 2, 3]))
+        brute = sorted((euclidean(rows[i][0].geo, KNN_QUERY.geo), i) for i in range(4))[:2]
+        assert [(d, rid) for d, rid, _record in nearest] == brute
 
     def test_remove_retires_cells(self):
         store = self.make_store(grid=2)
@@ -300,11 +305,10 @@ class TestKeyedStoreUnit:
 
     def test_extent_exact_after_scan(self):
         def members(cell):
-            rows = cell.registry.values()
             env = Envelope.empty()
-            for st, _value, _t_start, _t_end in rows:
+            for st, _value, _t_start, _t_end in cell.registry.values():
                 env = env.merge(st.geo.envelope)
-            return env, min(row[2] for row in rows), max(row[3] for row in rows)
+            return env
 
         store = KeyedStateStore(Envelope(0.0, 0.0, 50.0, 50.0), grid=1)
         self.fill(store, n=12)
@@ -313,15 +317,12 @@ class TestKeyedStoreUnit:
         for rid in (50, 0, 11):
             store.remove(rid)
         (cell,) = store._cells.values()
-        live, t_min, t_max = members(cell)
+        live = members(cell)
         # Stale: never smaller than the live members' extent.
         assert cell.extent.contains(live) and cell.extent != live
-        assert cell.t_min <= t_min and cell.t_max >= t_max
-        assert (cell.t_min, cell.t_max) != (t_min, t_max)
-        # A range query scans the cell and makes its extents exact again.
+        # A range query scans the cell and makes its extent exact again.
         store.query_range(STObject("POINT (7 11)"))
         assert cell.extent == live
-        assert (cell.t_min, cell.t_max) == (t_min, t_max)
 
     def test_window_state_eviction_follows_watermark(self):
         store = self.make_store()
@@ -334,8 +335,8 @@ class TestKeyedStoreUnit:
         assert [w.start for w in ready] == [-5.0, 0.0]
         assert state.close_window(ready[0]) == []
         assert store.size == 2
-        evicted = state.close_window(ready[1])
-        assert len(evicted) == 1
+        # "a"'s pane leaves whole with its last window.
+        assert state.close_window(ready[1]) == [(ready[0], ready[1])]
         assert store.size == 1  # only "b" remains
 
 

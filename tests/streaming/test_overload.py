@@ -305,10 +305,6 @@ class TestOldCheckpoints:
         restored.restore(old)
         query = STObject("POLYGON ((10 10, 30 10, 30 30, 10 30, 10 10))")
         assert restored.size == store.size
-        assert sorted(v for _s, v in restored.query_range(query)) == sorted(
-            v for _s, v in store.query_range(query)
-        )
-        assert [d for d, _r in restored.query_knn(query, 5)] == [
-            d for d, _r in store.query_knn(query, 5)
-        ]
+        assert restored.query_range(query) == store.query_range(query)
+        assert restored.query_knn(query, 5) == store.query_knn(query, 5)
         assert restored.snapshot() == store.snapshot()

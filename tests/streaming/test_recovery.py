@@ -766,10 +766,11 @@ class TestRestoreContract:
 class TestRefusedRestore:
     """A consumer that refuses its snapshot state leaves the context fresh.
 
-    The batch counter, the metrics and the source cursors move only
-    after every consumer accepted its state, so a refusal reads as a
-    fresh context (and ``restore()`` stays callable) and is a typed
-    ``ValueError``, never a ``KeyError`` from a half-read snapshot.
+    Every consumer checks its state before any is installed, and the
+    batch counter, the metrics and the source cursors move only after
+    that, so a refusal reads as a fresh context (and ``restore()`` stays
+    callable) and is a typed ``ValueError``, never a ``KeyError`` from a
+    half-read snapshot.
     """
 
     def _declare(self, sc, ck, order, rule):
@@ -798,7 +799,33 @@ class TestRefusedRestore:
             assert ssc._ingest.next_batch_id == 0
             assert ssc.metrics.batches_run == 0
             assert ssc.metrics.batches_replayed == 0
+            fresh = self._declare(sc, None, *declared)
+            assert [c.snapshot_state() for c in ssc._windows] == [
+                c.snapshot_state() for c in fresh._windows
+            ]
             ssc.stop(flush=False)
+            fresh.stop(flush=False)
+        return ck
+
+    def test_a_refusal_restores_no_consumer(self, tmp_path):
+        """A CEP consumer declared after a window refuses its rules: the
+        window, checked and accepted first, is not restored either, so
+        the next batches see only their own records."""
+        ck = self._refused(
+            tmp_path, ["window", "cep"], (["window", "cep"], "other"), "re-declared identically"
+        )
+        counts = []
+        with make_sc() as sc:
+            for directory in (ck, None):
+                ssc = self._declare(sc, directory, ["window", "cep"], "other")
+                if directory is not None:
+                    with pytest.raises(ValueError):
+                        ssc.restore()
+                ssc.run_batches(2, batch_times=TIMES[:2])
+                (window,) = [c for c in ssc._windows if hasattr(c, "state")]
+                counts.append(window.store.size)
+                ssc.stop(flush=False)
+        assert counts[0] == counts[1] > 0
 
     def test_other_cep_rules_leave_the_context_fresh(self, tmp_path):
         self._refused(

@@ -8,8 +8,9 @@ it, or larger than it): points and rectangles that stick out of their
 cell, timed by instants and spans, inserted and removed in any order.
 Between the mutations, and after a removal
 followed by an insert outside every extent so far, ``query_range``
-(INTERSECTS, CONTAINED_BY, withinDistance), ``query_knn`` and
-``iter_window`` must equal brute force over the live records.
+(INTERSECTS, CONTAINED_BY, withinDistance) and ``query_knn`` must equal
+brute force over the live records, and over the rows of the live
+records in a window (what a pane hands them).
 """
 
 from hypothesis import given, settings
@@ -104,22 +105,26 @@ def scenarios(draw):
 
 
 def check(store, live, query, window, k):
-    """Every store query against brute force over *live*."""
+    """Every store query against brute force over *live*: all of it,
+    or the rows of its records in *window* when one is drawn."""
     in_window = {
         rid: row
-        for rid, row in live.items()
+        for rid, row in sorted(live.items())
         if window is None or window.intersects_span(row[2], row[3])
     }
+    rows = None if window is None else store.rows(in_window)
     for predicate in PREDICATES:
         relaxed = relax_static(predicate)
-        want = sorted(rid for rid, row in in_window.items() if relaxed.evaluate(row[0], query))
-        got = sorted(value for _st, value in store.query_range(query, predicate, window))
-        assert got == want, (predicate.name, window)
+        want = [rid for rid, row in in_window.items() if relaxed.evaluate(row[0], query)]
+        got = store.query_range(query, predicate, rows)
+        assert [(rid, value) for rid, (_st, value) in got] == [(rid, rid) for rid in want], (
+            predicate.name,
+            window,
+        )
     # Equal distances rank by rid (arrival), whatever the grid.
-    nearest = store.query_knn(query, k, window)
+    nearest = store.query_knn(query, k, rows)
     brute = sorted((euclidean(row[0].geo, query.geo), rid) for rid, row in in_window.items())
-    assert [(d, rid) for d, (_st, rid) in nearest] == brute[:k]
-    assert sorted(rid for rid, _st, _value in store.iter_window(window)) == sorted(in_window)
+    assert [(d, rid) for d, rid, (_st, _value) in nearest] == brute[:k]
 
 
 @given(scenarios())
