@@ -10,16 +10,16 @@ carrying the paper's predicate filters, stream-static joins against a
 broadcast R-tree, and event-time windows.
 
 There is one stream class and one windowed-stream class.
-``window()`` and ``continuous()`` both return a :class:`WindowedStream`
-whose range, kNN and stream-static join queries answer each closed
-window from the store and whose DBSCAN runs the batch operator over
-the window's records; they differ only in the store's grid (one cell
-for ``window()``).
+``window()`` and ``continuous()`` are one call returning a
+:class:`WindowedStream` whose range, kNN and stream-static join queries
+answer each closed window from the store and whose DBSCAN runs the
+batch operator over the window's records.
 
 There is one window state.  ``window()``, ``continuous()`` and
-``patterns()`` all hold their records once each in a grid-keyed
-:class:`KeyedStateStore`; :class:`KeyedWindowState` keeps the
-watermark, lateness and late counters over it, a closing window is a
+``patterns()`` all hold their records once each in a
+:class:`KeyedStateStore`, one dict keyed by record id;
+:class:`KeyedWindowState` keeps the watermark, lateness and late
+counters over it, a closing window is a
 *view* over the store, and :class:`StateConsumer` (``window()`` and
 ``continuous()``) and :class:`CepConsumer` share one store-backed
 consumer core (:mod:`repro.streaming.state`).
@@ -111,7 +111,6 @@ from repro.streaming.sources import (
     StreamSource,
 )
 from repro.streaming.state import (
-    CellState,
     KeyedStateStore,
     KeyedWindowState,
     StateConsumer,
@@ -125,7 +124,6 @@ __all__ = [
     "SpatialDStream",
     "WindowedStream",
     "Sink",
-    "CellState",
     "KeyedStateStore",
     "KeyedWindowState",
     "StateConsumer",

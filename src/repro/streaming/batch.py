@@ -54,7 +54,10 @@ class BatchCore:
         A failure retries; once the attempts are spent, a batch with
         records gets one poison probe (with a DLQ) and a fresh attempt
         budget for the cleaned batch -- at most once per batch.  A
-        deadline abort from the scheduler is terminal at once.
+        deadline abort from the scheduler is terminal at once.  A batch
+        that fails terminally after every consumer absorbed it counts
+        in ``batches_failed``, but its records in ``records_processed``:
+        later windows still emit them.
         """
         ssc = self._ssc
         tracer = ssc.spark_context.tracer
@@ -70,6 +73,10 @@ class BatchCore:
             queue_depth=batch.queue_depth,
         ) as span:
             attempt = 0
+            # Every consumer absorbed the batch (in this or an earlier
+            # attempt): its records reach later windows even if the
+            # batch fails after.
+            landed = False
             while True:
                 attempt += 1
                 try:
@@ -91,6 +98,7 @@ class BatchCore:
                             else node._compute(base).collect()
                         )
                         consumer.absorb(batch.batch_id, rows, batch.time)
+                    landed = True
                     fired = self._fire(batch.batch_id)
                     ssc.metrics.batches_run += 1
                     ssc.metrics.records_processed += batch.total_records
@@ -126,7 +134,10 @@ class BatchCore:
                         attempt = 0
                         continue
                     # Terminal: a deadline abort or exhausted attempts.
-                    ssc.metrics.records_failed += batch.total_records
+                    if landed:
+                        ssc.metrics.records_processed += batch.total_records
+                    else:
+                        ssc.metrics.records_failed += batch.total_records
                     ssc.metrics.batches_failed += 1
                     span.attrs["failed"] = True
                     if timed_out:

@@ -5,7 +5,7 @@ The pattern layer the paper's title promises: declarative rules over
 counts and aggregates -- extended with spatial guards over
 :class:`~repro.core.stobject.STObject` (geofence containment,
 entry/exit transitions, pairwise proximity), compiled to incremental
-matchers whose event payloads live in the grid-keyed
+matchers whose event payloads live in the keyed
 :class:`~repro.streaming.state.KeyedStateStore` and whose partial-match
 state checkpoints and recovers with the rest of the stream.
 

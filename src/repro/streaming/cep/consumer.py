@@ -11,8 +11,8 @@ absorbs, :meth:`~CepConsumer.flush` at shutdown, and
 :meth:`~CepConsumer.snapshot_state` / :meth:`~CepConsumer.restore_state`
 around checkpoints.
 
-**Where the state lives.**  Event payloads go exactly once into a
-grid-keyed :class:`~repro.streaming.state.KeyedStateStore`; the
+**Where the state lives.**  Event payloads go exactly once into the
+keyed :class:`~repro.streaming.state.KeyedStateStore`; the
 matchers hold only rid references plus the per-group anchors.  Everything -- store records, matcher state, heaps,
 pending matches -- rides :meth:`~CepConsumer.snapshot_state` into the
 checkpoint epochs, and recovery replays the WAL tail through the normal
@@ -68,10 +68,9 @@ class CepConsumer(StoreBackedConsumer):
 
     One consumer evaluates a set of uniquely named
     :class:`~repro.streaming.cep.rules.Rule` objects over one stream
-    node.  The store is the shared core's: its ``universe`` is fixed
-    lazily from the first non-empty batch when not given, ``grid``
-    shapes it, and ``lateness`` is the event-time slack the watermark
-    trails behind the frontier.
+    node.  The store is the shared core's (``universe`` is kept for its
+    snapshot only), and ``lateness`` is the event-time slack the
+    watermark trails behind the frontier.
     """
 
     def __init__(
@@ -80,7 +79,6 @@ class CepConsumer(StoreBackedConsumer):
         rules: "list[Rule] | tuple[Rule, ...]",
         lateness: float = 0.0,
         universe: Envelope | None = None,
-        grid: int = 8,
     ) -> None:
         rules = list(rules)
         if not rules:
@@ -92,7 +90,7 @@ class CepConsumer(StoreBackedConsumer):
             raise ValueError(f"rule names must be unique, got {names}")
         if lateness < 0:
             raise ValueError(f"lateness must be >= 0, got {lateness}")
-        super().__init__(node, universe, grid)
+        super().__init__(node, universe)
         self.rules = tuple(rules)
         self.lateness = lateness
         self._matchers = [compile_rule(rule) for rule in rules]

@@ -10,7 +10,7 @@ The matchers hold only the *minimal* incremental state (partial-match
 rid tuples, absence trigger deadlines, per-window contribution lists,
 one previous-event anchor per group); the event payloads themselves --
 geometry, value, timestamps -- live exactly once in the consumer's
-grid-keyed :class:`~repro.streaming.state.KeyedStateStore` and are
+keyed :class:`~repro.streaming.state.KeyedStateStore` and are
 looked up through the ``fetch`` callback only when a guard needs them,
 so every payload is stored once however many matchers reference it.
 The per-group anchor (for the

@@ -106,9 +106,11 @@ class StreamMetrics:
     windows_suppressed: int = 0
     #: WAL-journaled batches re-processed by :meth:`StreamingContext.restore`.
     batches_replayed: int = 0
-    #: Records carried by batches that completed processing.
+    #: Records carried by batches that completed processing, or that
+    #: terminally failed only after every window consumer absorbed them.
     records_processed: int = 0
-    #: Records carried by batches that terminally failed.
+    #: Records carried by batches that terminally failed before every
+    #: window consumer absorbed them.
     records_failed: int = 0
     #: Records the poison probe quarantined to the dead-letter queue.
     records_quarantined: int = 0

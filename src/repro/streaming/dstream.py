@@ -11,13 +11,12 @@ Streaming's ``foreachRDD`` model.  Per-batch predicate filters reuse
 :mod:`repro.streaming.operators`.
 
 :meth:`SpatialDStream.window` and :meth:`SpatialDStream.continuous`
-move from per-batch to per-event-time-window processing.  Both return
-a :class:`WindowedStream` over one :class:`~repro.streaming.state.
-StateConsumer` -- ``window()`` with a one-cell store, ``continuous()``
-with a grid -- so every windowed operator works on either: range, kNN
-and the stream-static join answer each pane of the store once and each
-closed window by combining its panes' answers, DBSCAN and the window
-outputs run over the window's records.
+move from per-batch to per-event-time-window processing.  They are one
+call: a :class:`WindowedStream` over one :class:`~repro.streaming.state.
+StateConsumer`, whose range, kNN and stream-static join answer each
+pane of the store once and each closed window by combining its panes'
+answers, and whose DBSCAN and window outputs run over the window's
+records.
 """
 
 from __future__ import annotations
@@ -289,10 +288,12 @@ class SpatialDStream:
         untimed records fall back to their batch's ingestion time.
         A closing window hands its outputs its records in arrival order.
 
-        The records live in a one-cell store: an insert is one dict
-        write plus extent growth.
+        The records live once each in a :class:`~repro.streaming.state.
+        KeyedStateStore` however many sliding windows they span, and the
+        standing queries registered on the returned stream evaluate each
+        pane once and combine a closing window's panes.
         """
-        return self.continuous(length, slide, lateness, origin, grid=1)
+        return self.continuous(length, slide, lateness, origin)
 
     def continuous(
         self,
@@ -301,24 +302,14 @@ class SpatialDStream:
         lateness: float = 0.0,
         origin: float = 0.0,
         universe: "Envelope | None" = None,
-        grid: int = 8,
     ) -> "WindowedStream":
-        """:meth:`window` over a grid-partitioned store.
+        """:meth:`window`, naming the universe the store's checkpoint
+        records.
 
-        Records are assigned to grid cells at ingest and held in a
-        :class:`~repro.streaming.state.KeyedStateStore` -- one copy
-        each, however many sliding windows they span.  Window
-        membership and results are those of :meth:`window`: the
-        standing queries registered on the returned stream evaluate
-        each pane once and combine a closing window's panes, on either
-        store; the grid serves the store's own whole-store queries.
-
-        ``universe`` fixes the grid up front (``grid`` cells per
-        dimension); without it the first non-empty batch's bounding box
-        is used -- placement only affects pruning granularity, never
-        results.
+        ``universe`` changes no result; without it the checkpoint
+        records the first non-empty batch's bounding box.
         """
-        consumer = StateConsumer(self, WindowSpec(length, slide, origin), lateness, universe, grid)
+        consumer = StateConsumer(self, WindowSpec(length, slide, origin), lateness, universe)
         self._ssc._register_window(consumer)
         return WindowedStream(consumer)
 
@@ -327,7 +318,6 @@ class SpatialDStream:
         *rules,
         lateness: float = 0.0,
         universe: "Envelope | None" = None,
-        grid: int = 8,
     ):
         """Complex event processing: declarative rules over this stream.
 
@@ -341,11 +331,11 @@ class SpatialDStream:
         ``.matches()``, callbacks via ``.for_each_match()``, durable
         per-match sinks via ``.deliver_to()``.
 
-        Event payloads are held in the same grid-keyed state store as
-        :meth:`continuous` (``universe``/``grid`` fix the grid),
-        matcher state checkpoints with the stream,
-        and ``lateness`` is the event-time slack before the watermark
-        -- events later than that are dropped and counted.
+        Event payloads are held in the same keyed state store as
+        :meth:`window` (``universe`` as in :meth:`continuous`), matcher
+        state checkpoints with the stream, and ``lateness`` is the
+        event-time slack before the watermark -- events later than that
+        are dropped and counted.
         """
         from repro.streaming.cep.consumer import CepConsumer, PatternStream
 
@@ -354,7 +344,6 @@ class SpatialDStream:
             rules,
             lateness=lateness,
             universe=universe,
-            grid=grid,
         )
         self._ssc._register_window(consumer)
         return PatternStream(consumer)

@@ -323,10 +323,13 @@ class Recovery:
                 f"checkpoint has {len(sources)} source cursor(s) but the "
                 f"declared pipeline registers {len(ssc._inputs)} input(s)"
             )
-        # Every consumer checks its part before any is installed: one
-        # that refuses its state (a ValueError) leaves every consumer,
-        # the batch counter and the metrics fresh, so the context still
-        # reads as fresh to a corrected retry.
+        # Every source and consumer checks its part before any consumer
+        # is installed: one that refuses its state (a ValueError) leaves
+        # every consumer, the batch counter, the metrics and the cursors
+        # fresh, so the context still reads as fresh to a corrected retry.
+        for node, cursor in zip(ssc._inputs, sources):
+            if cursor is not None:
+                node.source.check_cursor(cursor)
         staged = [consumer.stage_state(state) for consumer, state in zip(ssc._windows, consumers)]
         for consumer, state in zip(ssc._windows, staged):
             consumer.install_state(state)

@@ -40,12 +40,12 @@ Record = tuple[STObject, Any]
 class StreamSource:
     """The source protocol: named, pollable, closeable, checkpointable.
 
-    The four cursor methods are the checkpoint/recovery contract.  A
+    The five cursor methods are the checkpoint/recovery contract.  A
     *cursor* is a full snapshot of the source's read position, stored in
     periodic checkpoints; a *delta* is the position advance of a single
     poll, journaled in the write-ahead log alongside the batch it
-    produced.  Recovery restores the checkpointed cursor, then replays
-    the WAL tail applying each batch's delta -- after which the source
+    produced.  Recovery checks the checkpointed cursor, restores it, then
+    replays the WAL tail applying each batch's delta -- after which the source
     is positioned exactly where the crashed process's last durable poll
     left it, and live polling resumes without loss or duplication.  The
     base implementations are no-ops: a source with no position (or one
@@ -62,6 +62,11 @@ class StreamSource:
     def cursor(self):
         """Full snapshot of the read position, for checkpoints (picklable)."""
         return None
+
+    def check_cursor(self, snapshot) -> None:
+        """Refuse a :meth:`cursor` snapshot this source cannot restore
+        with a ``ValueError``, touching nothing (recovery checks every
+        source's cursor before it restores any state)."""
 
     def restore_cursor(self, snapshot) -> None:
         """Reposition to a :meth:`cursor` snapshot (recovery entry point)."""
@@ -130,6 +135,12 @@ class QueueSource(StreamSource):
     def cursor(self):
         with self._lock:
             return self._consumed
+
+    def check_cursor(self, snapshot) -> None:
+        if type(snapshot) is not int or snapshot < 0:
+            raise ValueError(
+                f"a QueueSource cursor is a count of consumed batches, got {snapshot!r}"
+            )
 
     def restore_cursor(self, snapshot) -> None:
         with self._lock:

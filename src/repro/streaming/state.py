@@ -1,49 +1,33 @@
-"""Keyed, grid-partitioned streaming state: the grid is the index.
+"""Keyed streaming state: one copy of each live record, by record id.
 
 The GeoFlink observation (PAPERS.md): recomputing every sliding window
 from scratch wastes exactly the work the windows share.  With windows of
 length ``L`` sliding by ``S``, each record participates in ``L / S``
 windows, and the batch path pays for it that many times -- one RDD
-build, one scan, one index pass per window.  This module distributes
-the *stream itself* instead: events are assigned to grid cells at
-ingest (the same fixed grid as :class:`~repro.partitioners.grid.
-GridPartitioner`), each cell keeps an object registry plus the extents
-of its members, and a sliding-window advance touches only the records
-entering (one insert each) and leaving (one evict each) -- every record
-is stored exactly once no matter how many windows it spans.
+build, one scan, one index pass per window.  This module keeps the
+*stream itself* instead: a sliding-window advance touches only the
+records entering (one insert each) and leaving (one evict each) --
+every record is stored exactly once no matter how many windows it spans.
 
-There is no per-cell tree.  A tree built once pays off when it is
-probed many times, but in a sliding window every cell changes every
-batch, so a per-cell tree would be rebuilt for about one probe each.
-Like GeoFlink, the store answers a query over all its records from the
-plain grid: prune cells on extent, then scan the surviving cells.  The
-standing queries read no cell: each evaluates a pane's rows once (see
-below), so a record costs one test however many windows it spans.
+The store is one dict from record id to row.  It holds no grid and no
+tree: every standing query evaluates one pane's rows, looked up by id,
+once (see below), so a record costs one test however many windows it
+spans, and nothing reads the store as a whole.
 
-Four layers live here:
+Three layers live here:
 
-- :class:`CellState` -- one grid cell: a registry of live records and
-  the spatial extent of its members for pruning;
-- :class:`KeyedStateStore` -- the keyed store: cell assignment by
-  centroid (reusing the grid partitioner's arithmetic), insert/remove
-  by record id, and the two query algorithms, over a pane's rows or
-  over every live record -- range by one envelope test and one exact
-  predicate per candidate row, kNN with a best-k heap;
+- :class:`KeyedStateStore` -- the keyed store: insert/remove/lookup by
+  record id, and the two query algorithms over a pane's rows -- range
+  by one envelope test and one exact predicate per row, kNN with a
+  best-k heap;
 - :class:`KeyedWindowState` -- the one event-time windowing contract
   (watermark, lateness, closed horizon, late counters) over the store:
   each record is listed once, in its pane (the records sharing its
   open windows), and leaves with the pane when its last window closes;
 - :class:`StoreBackedConsumer` -- the bridge to the streaming context
-  that ``window()``, ``continuous()`` (both :class:`StateConsumer`) and
+  that ``window()``/``continuous()`` (a :class:`StateConsumer`) and
   ``patterns()`` share: one store, one absorbed-batch mark, one
   ``state.update`` chaos site.
-
-Pruning stays *correct* under the paper's centroid assignment rule: a
-non-point geometry can stick out of its cell, so queries prune on the
-cell's **live extent** (bounds grown by member envelopes).  One rule
-keeps it: an insert grows the extent exactly, only a removal makes it
-stale, and the range scan that next reads a stale cell recomputes it
-exactly -- conservative in between, never lossy.
 
 A standing query is a per-pane *partial* plus a *combine* step
 (:meth:`StateConsumer.add_query`; "No pane, no gain", Li et al.): a
@@ -62,16 +46,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.core.knn import query_radius
-from repro.core.predicates import INTERSECTS, STPredicate, resolve_predicate
+from repro.core.predicates import STPredicate, resolve_predicate
 from repro.core.stobject import STObject
 from repro.geometry.distance import DistanceFunction, euclidean, resolve
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
-from repro.partitioners.grid import GridPartitioner
 from repro.streaming.operators import relax_static
 from repro.streaming.window import Window, WindowSpec, event_span
 
@@ -79,7 +61,7 @@ if TYPE_CHECKING:
     from repro.streaming.dstream import Sink
 
 Record = tuple[STObject, Any]
-#: A store row as a cell registers it: ``(rid, (st, value, t_start, t_end))``.
+#: A store row: ``(rid, (st, value, t_start, t_end))``.
 Row = tuple[int, tuple[STObject, Any, float, float]]
 #: A pane's identity: ``(first open window, last window)``.
 PaneKey = tuple[Window, Window]
@@ -89,114 +71,41 @@ Partial = Callable[["KeyedStateStore", list[Row]], list]
 _INF = float("inf")
 
 
-class CellState:
-    """One grid cell: a registry of live records and their extent.
-
-    The extent is what whole-store queries prune a cell on.  It is kept
-    as bare floats: growing four numbers on insert, the store's hottest
-    path, beats allocating a new Envelope per record.  A store never
-    holds an empty cell, so the extent alone decides.  An insert grows
-    the extent exactly; a removal leaves it covering the members but
-    possibly larger, and sets ``stale`` until :meth:`refresh` makes it
-    exact again.
-    """
-
-    __slots__ = ("registry", "stale", "_min_x", "_min_y", "_max_x", "_max_y")
-
-    def __init__(self) -> None:
-        #: rid -> (STObject, value, t_start, t_end)
-        self.registry: dict[int, tuple[STObject, Any, float, float]] = {}
-        self.refresh()  # the exact extent of no members; not stale
-
-    @property
-    def extent(self) -> Envelope:
-        """The spatial extent: covers every live member, exact unless stale."""
-        return Envelope(self._min_x, self._min_y, self._max_x, self._max_y)
-
-    def insert(self, rid: int, st: STObject, value: Any, t_start: float, t_end: float) -> None:
-        """Add one record; the extent grows to cover it."""
-        self.registry[rid] = (st, value, t_start, t_end)
-        self._grow(st.geo.envelope)
-
-    def _grow(self, env: Envelope) -> None:
-        if env.min_x < self._min_x:
-            self._min_x = env.min_x
-        if env.min_y < self._min_y:
-            self._min_y = env.min_y
-        if env.max_x > self._max_x:
-            self._max_x = env.max_x
-        if env.max_y > self._max_y:
-            self._max_y = env.max_y
-
-    def remove(self, rid: int) -> None:
-        """Drop one record; the extent goes stale."""
-        self.registry.pop(rid, None)
-        self.stale = True
-
-    def refresh(self) -> None:
-        """Recompute the exact extent of the live members."""
-        self._min_x = self._min_y = _INF
-        self._max_x = self._max_y = -_INF
-        for st, _value, _t_start, _t_end in self.registry.values():
-            self._grow(st.geo.envelope)
-        self.stale = False
-
-
 class KeyedStateStore:
-    """A grid-keyed registry of live stream records with per-cell extents.
+    """The live records of one consumer: rid -> ``(st, value, t_start, t_end)``.
 
-    ``universe`` fixes the grid (``grid`` cells per dimension) the way
-    :class:`~repro.partitioners.grid.GridPartitioner` lays it out;
-    records outside the universe clamp into border cells, and pruning
-    stays exact because it reads live extents, not designed bounds.
-    With ``universe=None`` the grid is fixed by the first non-empty
-    :meth:`cover` call instead (the first batch's bounding box) --
-    placement only affects pruning granularity, never results.  A
-    one-cell store (``grid=1``) skips cell assignment altogether.
+    ``universe`` serves the checkpoint alone: the snapshot carries it
+    under ``"universe"`` so the layout older builds read and write stays
+    as it was.  Without one, the first non-empty :meth:`cover` call
+    fixes it to that batch's bounding box.
     """
 
-    def __init__(self, universe: Envelope | None, grid: int = 8) -> None:
-        self._grid = grid
-        self._reset(universe)
-
-    def _reset(self, universe: Envelope | None) -> None:
-        """Empty the store over *universe* (construction and restore)."""
+    def __init__(self, universe: Envelope | None) -> None:
         if universe is not None and universe.is_empty:
             raise ValueError("state store universe must be non-empty")
-        self._partitioner = (
-            None if universe is None else GridPartitioner((), self._grid, universe=universe)
-        )
-        self._cells: dict[int, CellState] = {}
-        self._locations: dict[int, int] = {}
+        self._universe = None if universe is None else _bounds(universe)
+        self._rows: dict[int, tuple[STObject, Any, float, float]] = {}
         self.inserts = 0
         self.removes = 0
 
     def cover(self, records: Sequence[Record]) -> None:
-        """Fix the grid from *records* when no universe was given.
-
-        The lazy half of construction: the first non-empty batch's
-        bounding box becomes the universe.  A no-op once the grid is
-        fixed, so consumers call it before every batch they stage.
-        """
-        if self._partitioner is None and records:
+        """Fix the universe from *records* when none was given: the
+        first non-empty batch's bounding box.  A no-op once fixed, so
+        consumers call it before every batch they stage."""
+        if self._universe is None and records:
             universe = Envelope.empty()
             for st, _value in records:
                 universe = universe.merge(st.geo.envelope)
-            self._partitioner = GridPartitioner((), self._grid, universe=universe)
+            self._universe = _bounds(universe)
 
     @property
     def size(self) -> int:
         """Live records currently held."""
-        return len(self._locations)
-
-    @property
-    def cells_used(self) -> int:
-        """Grid cells currently holding at least one record."""
-        return len(self._cells)
+        return len(self._rows)
 
     @property
     def cell_rebuilds(self) -> int:
-        """Always 0: cells hold no tree to rebuild.
+        """Always 0: the store holds no index to rebuild.
 
         Kept only because ``bench/streams.py`` (lines 142, 227, 243)
         still reads it for the ``streaming.state.cell_rebuilds`` metric;
@@ -205,214 +114,116 @@ class KeyedStateStore:
         return 0
 
     def insert(self, rid: int, st: STObject, value: Any, t_start: float, t_end: float) -> None:
-        """Assign the record to its centroid's cell and index it there."""
-        # Inline the partitioner's centroid rule: this is the store's
-        # hottest path and get_partition's generic key dispatch costs
-        # more than the grid arithmetic itself.  A one-cell grid has
-        # nothing to assign, and window() lives on that: 0.8 us per
-        # insert against 2.1 us through the partitioner.
-        if self._grid == 1:
-            pid = 0
-        elif self._partitioner is None:
-            raise ValueError("the grid is unfixed: pass a universe or cover() a batch first")
-        else:
-            centroid = st.geo.centroid()
-            pid = self._partitioner.partition_of_point(centroid.x, centroid.y)
-        cell = self._cells.get(pid)
-        if cell is None:
-            cell = self._cells[pid] = CellState()
-        cell.insert(rid, st, value, t_start, t_end)
-        self._locations[rid] = pid
+        """Hold one record under *rid*."""
+        self._rows[rid] = (st, value, t_start, t_end)
         self.inserts += 1
 
     def remove(self, *rids: int) -> None:
         """Evict records by id (unknown ids are skipped)."""
-        cells, locations = self._cells, self._locations
-        removed = 0
+        rows = self._rows
+        before = len(rows)
         for rid in rids:
-            pid = locations.pop(rid, None)
-            if pid is None:
-                continue
-            cell = cells[pid]
-            cell.remove(rid)
-            if not cell.registry:
-                del cells[pid]
-            removed += 1
-        self.removes += removed
+            rows.pop(rid, None)
+        self.removes += before - len(rows)
 
     def get(self, rid: int) -> tuple[STObject, Any, float, float] | None:
         """Look up one live record: ``(st, value, t_start, t_end)``.
 
         Returns None for unknown (or already evicted) ids.
         """
-        pid = self._locations.get(rid)
-        if pid is None:
-            return None
-        return self._cells[pid].registry.get(rid)
+        return self._rows.get(rid)
+
+    def rows(self, rids: Iterable[int]) -> list[Row]:
+        """The live rows of *rids*, in the given order."""
+        rows = self._rows
+        return [(rid, rows[rid]) for rid in rids]
 
     def snapshot(self) -> dict:
-        """Picklable store state for checkpoints.
-
-        The snapshot carries the universe and every live ``(rid, st,
-        value, t_start, t_end)`` row sorted by rid; cell extents are
-        re-derived on restore.
-        """
-        universe = None
-        if self._partitioner is not None:
-            u = self._partitioner.universe
-            universe = (u.min_x, u.min_y, u.max_x, u.max_y)
-        rows = [
-            (rid, st, value, t_start, t_end)
-            for cell in self._cells.values()
-            for rid, (st, value, t_start, t_end) in cell.registry.items()
-        ]
-        rows.sort(key=lambda row: row[0])
-        return {"universe": universe, "records": rows}
+        """Picklable store state for checkpoints: the universe and every
+        live ``(rid, st, value, t_start, t_end)`` row, sorted by rid."""
+        records = [(rid, *row) for rid, row in sorted(self._rows.items())]
+        return {"universe": self._universe, "records": records}
 
     def restore(self, snapshot: dict) -> None:
         """Reset to a :meth:`snapshot` (recovery).
 
-        Every row re-enters through :meth:`insert`, which grows its
-        cell's extents exactly.  Keys other than ``universe`` and
-        ``records`` are ignored: the spill counters older builds wrote
+        The universe is carried through verbatim, for the next
+        snapshot.  Keys other than ``universe`` and ``records`` are
+        ignored: the spill counters older builds wrote
         (``cells_spilled``, ``cells_loaded``, ``spill_failures``) have
         no state to restore.
         """
-        universe = snapshot["universe"]
-        self._reset(None if universe is None else Envelope(*universe))
-        for rid, st, value, t_start, t_end in snapshot["records"]:
-            self.insert(rid, st, value, t_start, t_end)
+        self._universe = snapshot["universe"]
+        self._rows = {
+            rid: (st, value, t_start, t_end)
+            for rid, st, value, t_start, t_end in snapshot["records"]
+        }
+        self.inserts = len(self._rows)
+        self.removes = 0
 
-    def rows(self, rids: Iterable[int]) -> list[Row]:
-        """The live rows of *rids*, in the given order."""
-        cells, locations = self._cells, self._locations
-        return [(rid, cells[locations[rid]].registry[rid]) for rid in rids]
-
-    # -- queries -----------------------------------------------------------
+    # -- queries over a pane's rows ----------------------------------------
 
     def query_range(
-        self,
-        query: STObject,
-        predicate: STPredicate = INTERSECTS,
-        rows: Sequence[Row] | None = None,
+        self, query: STObject, predicate: STPredicate, rows: Sequence[Row]
     ) -> list[tuple[int, Record]]:
-        """``(rid, record)`` of each record matching *predicate* against
-        *query*, ascending by rid (arrival order).
+        """``(rid, record)`` of each of *rows* matching *predicate*
+        against *query*, in row order (a pane's are ascending by rid:
+        :meth:`rows`).
 
-        With *rows* (a pane's, ascending by rid: :meth:`rows`) those
-        records are tested: each row's envelope against the predicate's
-        candidate region, inline, then the exact predicate.  Without,
-        every live record is: cells are pruned by live extent against
-        the candidate region and each surviving cell's rows are tested
-        the same way; a stale cell gets its exact extent back from the
-        same visit.  Equal to the batch filter over the same records
-        under the static-side relaxation.
+        Each row's envelope is tested against the predicate's candidate
+        region, inline, then the exact predicate: equal to the batch
+        filter over the same records under the static-side relaxation.
         """
         predicate = relax_static(resolve_predicate(predicate))
         region = predicate.candidate_region(query.geo.envelope)
-        if rows is not None:
-            return _matches(rows, region, predicate, query)
-        out: list[tuple[int, Record]] = []
-        for cell in self._cells.values():
-            if not cell.extent.intersects(region):
-                continue
-            if cell.stale:
-                cell.refresh()
-            out += _matches(cell.registry.items(), region, predicate, query)
-        out.sort(key=itemgetter(0))
+        min_x, min_y, max_x, max_y = region.min_x, region.min_y, region.max_x, region.max_y
+        evaluate = predicate.evaluate
+        out = []
+        for rid, (st, value, _t_start, _t_end) in rows:
+            env = st.geo.envelope
+            if (
+                env.min_x <= max_x
+                and min_x <= env.max_x
+                and env.min_y <= max_y
+                and min_y <= env.max_y
+                and evaluate(st, query)
+            ):
+                out.append((rid, (st, value)))
         return out
 
     def query_knn(
         self,
         query: STObject,
         k: int,
-        rows: Sequence[Row] | None = None,
+        rows: Sequence[Row],
         distance_fn: "str | DistanceFunction" = euclidean,
     ) -> list[tuple[float, int, Record]]:
-        """The *k* records nearest *query*: ``(distance, rid, record)``,
-        ascending by distance and equal distances by rid (arrival
-        order), so the answer is the batch operator's over the same
-        records in arrival order, for a one-cell store and a grid alike.
+        """The *k* of *rows* nearest *query*: ``(distance, rid,
+        record)``, ascending by distance and equal distances by rid
+        (arrival order), so the answer is the batch operator's over the
+        same records in arrival order.
 
-        With *rows* (a pane's: :meth:`rows`) those records are ranked.
-        Without, every live record is: a best-k heap is fed cell by cell
-        in ascending lower-bound order (cell extent distance to the query
-        centroid, slackened by the query radius exactly like
-        :func:`repro.core.knn.knn`), and the search stops as soon as the
-        next cell's bound cannot beat the current k-th distance.
-        Non-Euclidean metrics make envelope bounds inadmissible, so they
-        scan every live cell -- correctness over speed, matching the
-        batch operator.
+        A point's distance to a point query is computed inline, as
+        :func:`repro.core.knn.exact_distance_to` does (the same float),
+        any other's after its envelope bound (the query centroid's
+        distance to the row's envelope, slackened by the query radius
+        exactly like :func:`repro.core.knn.knn`).  Non-Euclidean metrics
+        make envelope bounds inadmissible, so every row is measured.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        ranker = _Ranker(query, k, resolve(distance_fn))
-        if rows is not None:
-            ranker.offer(rows)
-            return ranker.ranked()
-        centroid = ranker.centroid
-        ranked = []
-        for cell in self._cells.values():
-            bound = (
-                max(0.0, cell.extent.distance_to_point(centroid.x, centroid.y) - ranker.slack)
-                if ranker.prune
-                else 0.0
-            )
-            ranked.append((bound, cell))
-        ranked.sort(key=itemgetter(0))
-        for bound, cell in ranked:
-            if ranker.prune and bound > ranker.worst:
-                break
-            ranker.offer(cell.registry.items())
-        return ranker.ranked()
-
-
-def _matches(
-    rows: Iterable[Row], region: Envelope, predicate: STPredicate, query: STObject
-) -> list[tuple[int, Record]]:
-    """``(rid, record)`` of each row whose envelope meets *region* and
-    that satisfies *predicate* against *query*, in row order."""
-    min_x, min_y, max_x, max_y = region.min_x, region.min_y, region.max_x, region.max_y
-    evaluate = predicate.evaluate
-    out = []
-    for rid, (st, value, _t_start, _t_end) in rows:
-        env = st.geo.envelope
-        if (
-            env.min_x <= max_x
-            and min_x <= env.max_x
-            and env.min_y <= max_y
-            and min_y <= env.max_y
-            and evaluate(st, query)
-        ):
-            out.append((rid, (st, value)))
-    return out
-
-
-class _Ranker:
-    """One kNN query's best-k heap, fed rows by :meth:`offer`."""
-
-    __slots__ = ("query", "k", "fn", "centroid", "slack", "prune", "best", "worst")
-
-    def __init__(self, query: STObject, k: int, fn: DistanceFunction) -> None:
-        self.query, self.k, self.fn = query, k, fn
-        self.centroid = query.geo.centroid()
-        self.slack = query_radius(query.geo)
-        self.prune = fn is euclidean
+        fn = resolve(distance_fn)
+        geom = query.geo
+        centroid = geom.centroid()
+        cx, cy = centroid.x, centroid.y
+        slack = query_radius(geom)
+        prune = fn is euclidean
+        inline = prune and type(geom) is Point
         #: A max-heap of the k best (negated distance, negated rid,
         #: record): its top is the worst kept, the latest arrival among
         #: equal distances, so a tie offered later still wins by arrival.
-        self.best: list[tuple[float, int, Record]] = []
-        #: The k-th distance so far (+inf until k rows are kept).
-        self.worst = _INF
-
-    def offer(self, rows: Iterable[Row]) -> None:
-        """Rank *rows*; a point's distance to a point query is computed
-        inline, as :func:`repro.core.knn.exact_distance_to` does (the
-        same float), any other's after its envelope bound."""
-        best, k, fn, geom = self.best, self.k, self.fn, self.query.geo
-        prune, slack, worst = self.prune, self.slack, self.worst
-        cx, cy = self.centroid.x, self.centroid.y
-        inline = prune and type(geom) is Point
+        best: list[tuple[float, int, Record]] = []
+        worst = _INF  # the k-th distance so far
         for rid, (st, value, _t_start, _t_end) in rows:
             geo = st.geo
             if inline and type(geo) is Point:
@@ -430,11 +241,12 @@ class _Ranker:
             elif d < worst or (d == worst and rid < -best[0][1]):
                 heapq.heapreplace(best, (-d, -rid, (st, value)))
                 worst = -best[0][0]
-        self.worst = worst
+        return [(-nd, -nrid, record) for nd, nrid, record in sorted(best, reverse=True)]
 
-    def ranked(self) -> list[tuple[float, int, Record]]:
-        """The kept rows, ascending by (distance, rid)."""
-        return [(-nd, -nrid, record) for nd, nrid, record in sorted(self.best, reverse=True)]
+
+def _bounds(envelope: Envelope) -> tuple[float, float, float, float]:
+    """An envelope as the snapshot writes it."""
+    return (envelope.min_x, envelope.min_y, envelope.max_x, envelope.max_y)
 
 
 class KeyedWindowState:
@@ -629,11 +441,10 @@ class StoreBackedConsumer:
     ``ValueError`` without side effects, before it installs any.
     """
 
-    def __init__(self, node, universe: Envelope | None, grid: int) -> None:
+    def __init__(self, node, universe: Envelope | None) -> None:
         self.node = node
-        #: The keyed store (its grid unfixed until the first record
-        #: when no universe was given).
-        self.store = KeyedStateStore(universe, grid=grid)
+        #: The keyed store.
+        self.store = KeyedStateStore(universe)
         #: ``output(window, rdd)`` callables run per emitted window.
         self.outputs: list[Callable[[Window, Any], None]] = []
         self._absorbed_batch: int | None = None
@@ -689,9 +500,8 @@ class StateConsumer(StoreBackedConsumer):
         spec: WindowSpec,
         lateness: float = 0.0,
         universe: Envelope | None = None,
-        grid: int = 8,
     ) -> None:
-        super().__init__(node, universe, grid)
+        super().__init__(node, universe)
         self.spec = spec
         self.state = KeyedWindowState(spec, self.store, lateness)
         #: ``(partial, combine, sink)`` per standing query, in registration order.

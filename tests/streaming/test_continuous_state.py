@@ -4,11 +4,10 @@ The standing queries' contract: every closed window's answer must
 equal a batch recomputation over exactly that window's records -- while
 the keyed store holds one copy of each record no matter how many
 sliding windows it spans.  This suite pins the equality for range, kNN
-and stream-static join on ``continuous()`` and ``window()`` (the same
-queries over a one-cell store), with tied distances and a non-Euclidean
-metric, under the sequential and threads executors, checks the store's incremental
-bookkeeping (single-copy inserts, watermark-driven eviction, cell
-extents that removals loosen and the next scan makes exact), and
+and stream-static join on ``continuous()`` and ``window()`` (one call),
+with tied distances and a non-Euclidean metric, under the sequential
+and threads executors, checks the store's incremental bookkeeping
+(single-copy inserts, watermark-driven eviction, removal by id), and
 replays the whole pipeline under seeded chaos to show absorption stays
 exactly-once across injected faults.
 """
@@ -55,7 +54,7 @@ def make_batches(seed: int = 29, tied: bool = False):
     """Seeded clustered event batches with advancing, out-of-order times.
 
     ``tied`` snaps coordinates to integers: many records then share a
-    distance to the kNN query, across grid cells too.
+    distance to the kNN query.
     """
     rng = random.Random(seed)
     centers = [(10.0, 10.0), (40.0, 15.0), (25.0, 40.0)]
@@ -131,9 +130,9 @@ class TestContinuousEqualsBatchRecompute:
         sinks, consumer, _ssc = run_continuous(exec_sc, batches, handle, distance_fn)
         expected = expected_windows(batches, consumer.spec)
         if handle == "window":
-            # The one-cell store answers as the grid does, tie for tie.
-            grid_sinks, _consumer, _ssc = run_continuous(exec_sc, batches, "continuous", distance_fn)
-            assert sinks["knn"].results() == grid_sinks["knn"].results()
+            # window() answers as continuous() does, tie for tie.
+            cont_sinks, _consumer, _ssc = run_continuous(exec_sc, batches, "continuous", distance_fn)
+            assert sinks["knn"].results() == cont_sinks["knn"].results()
 
         range_got = dict(sinks["range"].results())
         knn_got = dict(sinks["knn"].results())
@@ -236,8 +235,8 @@ class TestOlderSnapshotLayout:
 
 
 class TestKeyedStoreUnit:
-    def make_store(self, grid=4):
-        return KeyedStateStore(Envelope(0.0, 0.0, 50.0, 50.0), grid=grid)
+    def make_store(self):
+        return KeyedStateStore(Envelope(0.0, 0.0, 50.0, 50.0))
 
     def fill(self, store, n=12):
         rows = []
@@ -247,21 +246,27 @@ class TestKeyedStoreUnit:
             rows.append((st, i))
         return rows
 
-    def test_grid_without_universe_is_fixed_by_cover_not_by_insert(self):
+    def test_universe_is_fixed_by_cover(self):
         point = STObject("POINT (3 4)", 1.0)
-        store = KeyedStateStore(None, grid=4)
-        with pytest.raises(ValueError, match="unfixed"):
-            store.insert(0, point, "v", 1.0, 1.0)
-        store.cover([(point, "v"), (STObject("POINT (9 9)", 2.0), "w")])
+        store = KeyedStateStore(None)
+        # No universe is needed to hold a record: it only rides the snapshot.
         store.insert(0, point, "v", 1.0, 1.0)
+        assert store.snapshot()["universe"] is None
+        store.cover([(point, "v"), (STObject("POINT (9 9)", 2.0), "w")])
         assert store.snapshot()["universe"] == (3.0, 4.0, 9.0, 9.0)
-        # One cell has nothing to place: no universe is ever needed.
-        KeyedStateStore(None, grid=1).insert(0, point, "v", 1.0, 1.0)
+        store.cover([(STObject("POINT (90 90)", 3.0), "x")])  # fixed once
+        assert store.snapshot()["universe"] == (3.0, 4.0, 9.0, 9.0)
+        restored = KeyedStateStore(None)
+        restored.restore(store.snapshot())
+        assert restored.snapshot() == store.snapshot()
+        assert self.make_store().snapshot()["universe"] == (0.0, 0.0, 50.0, 50.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            KeyedStateStore(Envelope.empty())
 
     def test_knn_equals_brute_force(self):
         store = self.make_store()
         rows = self.fill(store)
-        got = store.query_knn(KNN_QUERY, 5)
+        got = store.query_knn(KNN_QUERY, 5, store.rows(range(len(rows))))
         brute = sorted((euclidean(st.geo, KNN_QUERY.geo), v) for st, v in rows)[:5]
         assert [(round(d, 9), v) for d, _rid, (_st, v) in got] == [
             (round(d, 9), v) for d, v in brute
@@ -272,7 +277,7 @@ class TestKeyedStoreUnit:
         # must still return the true nearest set (full scan path).
         store = self.make_store()
         rows = self.fill(store)
-        got = store.query_knn(KNN_QUERY, 3, distance_fn=haversine)
+        got = store.query_knn(KNN_QUERY, 3, store.rows(range(len(rows))), haversine)
         brute = sorted(
             (haversine(st.geo, KNN_QUERY.geo), v) for st, v in rows
         )[:3]
@@ -287,42 +292,31 @@ class TestKeyedStoreUnit:
         rows = self.fill(store)
         whole = STObject("POLYGON ((0 0, 50 0, 50 50, 0 50, 0 0))")
         pane = store.rows([2, 5, 9])
-        assert [rid for rid, _record in store.query_range(whole, rows=pane)] == [2, 5, 9]
-        assert [rid for rid, _record in store.query_range(whole)] == list(range(len(rows)))
-        assert store.query_range(whole, rows=[]) == []
+        assert [rid for rid, _record in store.query_range(whole, INTERSECTS, pane)] == [2, 5, 9]
+        every = store.rows(range(len(rows)))
+        assert [rid for rid, _record in store.query_range(whole, INTERSECTS, every)] == list(
+            range(len(rows))
+        )
+        assert store.query_range(whole, INTERSECTS, []) == []
         nearest = store.query_knn(KNN_QUERY, 2, store.rows([0, 1, 2, 3]))
         brute = sorted((euclidean(rows[i][0].geo, KNN_QUERY.geo), i) for i in range(4))[:2]
         assert [(d, rid) for d, rid, _record in nearest] == brute
 
-    def test_remove_retires_cells(self):
-        store = self.make_store(grid=2)
+    def test_remove_evicts_by_id(self):
+        store = self.make_store()
         self.fill(store, n=6)
-        store.query_range(STObject("POLYGON ((0 0, 50 0, 50 50, 0 50, 0 0))"))
-        for i in range(6):
-            store.remove(i)
-        assert store.size == 0
-        assert store.cells_used == 0
-
-    def test_extent_exact_after_scan(self):
-        def members(cell):
-            env = Envelope.empty()
-            for st, _value, _t_start, _t_end in cell.registry.values():
-                env = env.merge(st.geo.envelope)
-            return env
-
-        store = KeyedStateStore(Envelope(0.0, 0.0, 50.0, 50.0), grid=1)
-        self.fill(store, n=12)
-        # A polygon reaching out of the cell's members, then gone again.
-        store.insert(50, STObject("POLYGON ((40 40, 60 40, 60 60, 40 60, 40 40))"), 50, 30.0, 40.0)
-        for rid in (50, 0, 11):
-            store.remove(rid)
-        (cell,) = store._cells.values()
-        live = members(cell)
-        # Stale: never smaller than the live members' extent.
-        assert cell.extent.contains(live) and cell.extent != live
-        # A range query scans the cell and makes its extent exact again.
-        store.query_range(STObject("POINT (7 11)"))
-        assert cell.extent == live
+        # A polygon reaching out of the universe, found while it is live.
+        far = STObject("POLYGON ((40 40, 60 40, 60 60, 40 60, 40 40))")
+        store.insert(50, far, 50, 30.0, 40.0)
+        probe = STObject("POINT (55 55)")
+        assert [rid for rid, _r in store.query_range(probe, INTERSECTS, store.rows([50]))] == [50]
+        store.remove(50, 0, 99)  # an unknown id is skipped
+        assert (store.size, store.inserts, store.removes) == (5, 7, 2)
+        assert store.get(50) is None and store.get(0) is None
+        assert [rid for rid, _row in store.rows([1, 5])] == [1, 5]
+        store.remove(*range(6))
+        assert (store.size, store.removes) == (0, 7)
+        assert store.snapshot()["records"] == []
 
     def test_window_state_eviction_follows_watermark(self):
         store = self.make_store()

@@ -123,9 +123,11 @@ class TestPartialLatenessAccounting:
         assert state.late_dropped == 1
         assert state.late_window_drops == 3
 
-    @pytest.mark.parametrize("grid", [1, 8], ids=["window-store", "continuous-store"])
-    def test_window_state_counts_partial_drops(self, grid):
-        store = KeyedStateStore(Envelope(0.0, 0.0, 10.0, 10.0), grid=grid)
+    @pytest.mark.parametrize(
+        "universe", [None, Envelope(0.0, 0.0, 10.0, 10.0)], ids=["window-store", "continuous-store"]
+    )
+    def test_window_state_counts_partial_drops(self, universe):
+        store = KeyedStateStore(universe)
         state = KeyedWindowState(WindowSpec(10.0, 5.0), store)
         for i, rows in enumerate(self.batches()):
             state.add_batch(rows, float(i))

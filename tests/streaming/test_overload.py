@@ -15,6 +15,7 @@ import shutil
 
 import pytest
 
+from repro.core.predicates import INTERSECTS
 from repro.core.stobject import STObject
 from repro.spark.context import SparkContext
 from repro.geometry.envelope import Envelope
@@ -296,15 +297,19 @@ class TestOldCheckpoints:
 
     def test_a_store_snapshot_with_spill_counters_answers_the_same(self):
         universe = Envelope(0, 0, 50, 50)
-        store = KeyedStateStore(universe, grid=4)
+        store = KeyedStateStore(universe)
         for i in range(60):
             st, value = rec(i, float(i % 7))
             store.insert(i, st, value, float(i % 7), float(i % 7))
         old = dict(store.snapshot(), cells_spilled=4, cells_loaded=3, spill_failures=1)
-        restored = KeyedStateStore(None, grid=4)
+        restored = KeyedStateStore(None)
         restored.restore(old)
         query = STObject("POLYGON ((10 10, 30 10, 30 30, 10 30, 10 10))")
         assert restored.size == store.size
-        assert restored.query_range(query) == store.query_range(query)
-        assert restored.query_knn(query, 5) == store.query_knn(query, 5)
+        rows, restored_rows = store.rows(range(60)), restored.rows(range(60))
+        assert restored_rows == rows
+        assert restored.query_range(query, INTERSECTS, restored_rows) == store.query_range(
+            query, INTERSECTS, rows
+        )
+        assert restored.query_knn(query, 5, restored_rows) == store.query_knn(query, 5, rows)
         assert restored.snapshot() == store.snapshot()

@@ -95,7 +95,7 @@ def declare(sc, batches, ck=None, failing=(), max_batch_failures=3):
         sc, checkpoint_dir=ck, checkpoint_interval=2, max_batch_failures=max_batch_failures
     )
     _source, events = ssc.queue_stream(batches)
-    windows = events.continuous(length=LENGTH, slide=SLIDE, lateness=SLIDE, grid=2)
+    windows = events.continuous(length=LENGTH, slide=SLIDE, lateness=SLIDE)
     sinks = {
         "range": windows.range(RANGE_QUERY),
         "knn": windows.knn(KNN_QUERY, K),
@@ -206,7 +206,7 @@ def test_each_record_is_refined_ranked_and_probed_once(monkeypatch):
     with SparkContext("panes", parallelism=2, executor="sequential") as sc:
         ssc = StreamingContext(sc)
         _source, events = ssc.queue_stream(batches)
-        windows = events.continuous(length=LENGTH, slide=SLIDE, grid=2)
+        windows = events.continuous(length=LENGTH, slide=SLIDE)
         windows.range(cover)
         windows.knn(KNN_QUERY, K, counting_distance)
         windows.intersects_static(REFERENCE)
@@ -223,3 +223,30 @@ def test_each_record_is_refined_ranked_and_probed_once(monkeypatch):
         records = windows.consumer.store.inserts
     assert records == 10 * BATCHES
     assert calls == {"refine": records, "rank": records, "probe": records}
+
+
+def test_a_batch_failed_in_fire_counts_no_record_failed():
+    """A batch whose fire fails terminally was absorbed before: later
+    windows still emit its records, so none of them counts as failed."""
+    batches = make_batches(5)
+    delivered: set = set()
+    pending = {0.0, 2.0}
+
+    def deliver(window, rdd):
+        if window.start in pending:
+            pending.discard(window.start)
+            raise RuntimeError(f"delivery of {window} fails")
+        delivered.update(v for _st, v in rdd.collect())
+
+    with SparkContext("panes", parallelism=2, executor="sequential", retry_backoff=0.0) as sc:
+        ssc = StreamingContext(sc, max_batch_failures=1)
+        _source, events = ssc.queue_stream(batches)
+        events.continuous(length=LENGTH, slide=SLIDE, lateness=SLIDE).for_each_window(deliver)
+        ssc.run_batches(BATCHES, batch_times=[float(b) for b in range(BATCHES)])
+        ssc.stop()
+        metrics = ssc.metrics
+    assert not pending
+    assert metrics.batches_failed == 2
+    assert metrics.records_failed == 0
+    assert metrics.records_processed == metrics.records_ingested == 120
+    assert delivered == {v for rows in batches for _st, v in rows}

@@ -836,3 +836,43 @@ class TestRefusedRestore:
         self._refused(
             tmp_path, ["cep", "window"], (["window", "cep"], "pair"), r"'keyed'.*'cep'"
         )
+
+    def test_a_bad_queue_cursor_is_refused_before_any_consumer(self, tmp_path):
+        """A queue cursor that is not a batch count is refused with a
+        typed error while recovery checks the snapshot, before any
+        consumer is installed, so every consumer still reads fresh."""
+        from repro.streaming import sequence, step
+        from repro.streaming.checkpoint import load_latest_checkpoint, write_checkpoint
+
+        batches = [[rec(10 * b + i, float(b)) for i in range(4)] for b in range(6)]
+
+        def declare(sc, ck):
+            ssc = StreamingContext(sc, checkpoint_dir=ck, checkpoint_interval=2)
+            _source, events = ssc.queue_stream(batches)
+            events.window(**WINDOW).count_windows()
+            events.patterns(sequence("pair", steps=[step(), step()], within=2.0)).matches()
+            return ssc
+
+        ck = str(tmp_path / "ck")
+        with make_sc() as sc:
+            ssc = declare(sc, ck)
+            ssc.run_batches(4, batch_times=TIMES[:4])
+            ssc.checkpoint_manager.close()
+        snapshot, manifest, _skipped = load_latest_checkpoint(ck)
+        assert snapshot["sources"] == [4]
+        snapshot["sources"] = ["x"]
+        write_checkpoint(ck, manifest["epoch"] + 1, snapshot, manifest["wal_high_water"])
+        with make_sc() as sc:
+            ssc = declare(sc, ck)
+            with pytest.raises(ValueError, match="cursor.*'x'"):
+                ssc.restore()
+            assert ssc._ingest.next_batch_id == 0
+            assert ssc.metrics.batches_run == 0
+            assert ssc.metrics.batches_replayed == 0
+            assert ssc._inputs[0].source.cursor() == 0
+            fresh = declare(sc, None)
+            assert [c.snapshot_state() for c in ssc._windows] == [
+                c.snapshot_state() for c in fresh._windows
+            ]
+            ssc.stop(flush=False)
+            fresh.stop(flush=False)

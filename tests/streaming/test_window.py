@@ -126,7 +126,7 @@ def _rec(t: float, value, t_end: float | None = None):
 
 def window_state(spec: WindowSpec, lateness: float = 0.0) -> KeyedWindowState:
     """The window state exactly as ``window()`` configures it."""
-    store = KeyedStateStore(None, grid=1)
+    store = KeyedStateStore(None)
     return KeyedWindowState(spec, store, lateness)
 
 

@@ -252,7 +252,7 @@ def test_panes_equal_assign(stream):
     shape, lateness, batches, restore_at = stream
 
     def fresh():
-        return KeyedWindowState(WindowSpec(*shape), KeyedStateStore(None, grid=1), lateness)
+        return KeyedWindowState(WindowSpec(*shape), KeyedStateStore(None), lateness)
 
     def drain(state):
         for window in state.ready_windows():
